@@ -18,6 +18,12 @@ struct NodeRef {
   friend bool operator==(const NodeRef&, const NodeRef&) = default;
 };
 
+// Wire field list (src/wire/fields.h).
+template <class IO>
+void Fields(NodeRef& r, IO& io) {
+  io(r.id, r.pos);
+}
+
 // RPC: who succeeds `target` on the ring? Iterative routing: the responder
 // either answers (`done`) or names a closer node to ask next.
 struct ChordFindSuccessorMsg : sim::Message {

@@ -1,182 +1,61 @@
-// Wire codecs for the Chord-like baseline DHT messages (baseline/).
+// Field lists for the Chord-like baseline DHT messages (baseline/).
 
-#include <memory>
+#include "src/baseline/wire_codecs.h"
 
 #include "src/baseline/chord_messages.h"
-#include "src/baseline/wire_codecs.h"
 #include "src/rpc/wire_codecs.h"
 #include "src/wire/codec.h"
-#include "src/wire/field_codecs.h"
 
 namespace scatter::baseline {
-namespace {
 
-// Codec bodies read the wire vocabulary (Buffer, Reader, shared field
-// codecs) unqualified, same as when they lived in src/wire/.
-using namespace scatter::wire;            // NOLINT(google-build-using-namespace)
-using namespace scatter::wire::internal;  // NOLINT(google-build-using-namespace)
-
-void WriteNodeRef(const baseline::NodeRef& ref, Buffer& out) {
-  out.WriteU64(ref.id);
-  out.WriteU64(ref.pos);
+template <class IO>
+void Fields(ChordFindSuccessorMsg& m, IO& io) {
+  io(m.target);
 }
 
-baseline::NodeRef ReadNodeRef(Reader& in) {
-  baseline::NodeRef ref;
-  ref.id = in.ReadU64();
-  ref.pos = in.ReadU64();
-  return ref;
+template <class IO>
+void Fields(ChordFindSuccessorReplyMsg& m, IO& io) {
+  io(m.done, m.result, m.next_hop);
 }
 
-void EncodeFindSuccessor(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const baseline::ChordFindSuccessorMsg&>(m);
-  out.WriteU64(msg.target);
+template <class IO>
+void Fields(ChordGetNeighborsReplyMsg& m, IO& io) {
+  io(m.predecessor, m.successors);
 }
 
-sim::MessagePtr DecodeFindSuccessor(Reader& in) {
-  auto msg = std::make_shared<baseline::ChordFindSuccessorMsg>();
-  msg->target = in.ReadU64();
-  return msg;
+template <class IO>
+void Fields(ChordNotifyMsg& m, IO& io) {
+  io(m.candidate);
 }
 
-void EncodeFindSuccessorReply(const sim::Message& m, Buffer& out) {
-  const auto& msg =
-      static_cast<const baseline::ChordFindSuccessorReplyMsg&>(m);
-  out.WriteBool(msg.done);
-  WriteNodeRef(msg.result, out);
-  WriteNodeRef(msg.next_hop, out);
+template <class IO>
+void Fields(ChordStoreMsg& m, IO& io) {
+  io(m.key, m.value, m.version, m.replicate);
 }
 
-sim::MessagePtr DecodeFindSuccessorReply(Reader& in) {
-  auto msg = std::make_shared<baseline::ChordFindSuccessorReplyMsg>();
-  msg->done = in.ReadBool();
-  msg->result = ReadNodeRef(in);
-  msg->next_hop = ReadNodeRef(in);
-  return msg;
+template <class IO>
+void Fields(ChordFetchMsg& m, IO& io) {
+  io(m.key);
 }
 
-void EncodeGetNeighbors(const sim::Message& m, Buffer& out) {
-  (void)m;
-  (void)out;  // no payload
+template <class IO>
+void Fields(ChordFetchReplyMsg& m, IO& io) {
+  io(m.found, m.value);
 }
 
-sim::MessagePtr DecodeGetNeighbors(Reader& in) {
-  (void)in;
-  return std::make_shared<baseline::ChordGetNeighborsMsg>();
-}
-
-void EncodeGetNeighborsReply(const sim::Message& m, Buffer& out) {
-  const auto& msg =
-      static_cast<const baseline::ChordGetNeighborsReplyMsg&>(m);
-  WriteNodeRef(msg.predecessor, out);
-  out.WriteU32(static_cast<uint32_t>(msg.successors.size()));
-  for (const baseline::NodeRef& ref : msg.successors) {
-    WriteNodeRef(ref, out);
-  }
-}
-
-sim::MessagePtr DecodeGetNeighborsReply(Reader& in) {
-  auto msg = std::make_shared<baseline::ChordGetNeighborsReplyMsg>();
-  msg->predecessor = ReadNodeRef(in);
-  const size_t n = in.ReadCount();
-  msg->successors.reserve(n);
-  for (size_t i = 0; i < n && in.ok(); ++i) {
-    msg->successors.push_back(ReadNodeRef(in));
-  }
-  return msg;
-}
-
-void EncodeNotify(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const baseline::ChordNotifyMsg&>(m);
-  WriteNodeRef(msg.candidate, out);
-}
-
-sim::MessagePtr DecodeNotify(Reader& in) {
-  auto msg = std::make_shared<baseline::ChordNotifyMsg>();
-  msg->candidate = ReadNodeRef(in);
-  return msg;
-}
-
-void EncodeStore(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const baseline::ChordStoreMsg&>(m);
-  out.WriteU64(msg.key);
-  out.WriteString(msg.value);
-  out.WriteI64(msg.version);
-  out.WriteU32(msg.replicate);
-}
-
-sim::MessagePtr DecodeStore(Reader& in) {
-  auto msg = std::make_shared<baseline::ChordStoreMsg>();
-  msg->key = in.ReadU64();
-  msg->value = in.ReadString();
-  msg->version = in.ReadI64();
-  msg->replicate = in.ReadU32();
-  return msg;
-}
-
-void EncodeStoreAck(const sim::Message& m, Buffer& out) {
-  (void)m;
-  (void)out;  // no payload
-}
-
-sim::MessagePtr DecodeStoreAck(Reader& in) {
-  (void)in;
-  return std::make_shared<baseline::ChordStoreAckMsg>();
-}
-
-void EncodeFetch(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const baseline::ChordFetchMsg&>(m);
-  out.WriteU64(msg.key);
-}
-
-sim::MessagePtr DecodeFetch(Reader& in) {
-  auto msg = std::make_shared<baseline::ChordFetchMsg>();
-  msg->key = in.ReadU64();
-  return msg;
-}
-
-void EncodeFetchReply(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const baseline::ChordFetchReplyMsg&>(m);
-  out.WriteBool(msg.found);
-  out.WriteString(msg.value);
-}
-
-sim::MessagePtr DecodeFetchReply(Reader& in) {
-  auto msg = std::make_shared<baseline::ChordFetchReplyMsg>();
-  msg->found = in.ReadBool();
-  msg->value = in.ReadString();
-  return msg;
-}
-
-void EncodeChordPing(const sim::Message& m, Buffer& out) {
-  (void)m;
-  (void)out;  // no payload
-}
-
-sim::MessagePtr DecodeChordPing(Reader& in) {
-  (void)in;
-  return std::make_shared<baseline::ChordPingMsg>();
-}
-
-void EncodeChordPong(const sim::Message& m, Buffer& out) {
-  (void)m;
-  (void)out;  // no payload
-}
-
-sim::MessagePtr DecodeChordPong(Reader& in) {
-  (void)in;
-  return std::make_shared<baseline::ChordPongMsg>();
-}
-
-}  // namespace
+// Probes and acks carry no payload.
+template <class IO>
+void Fields(ChordGetNeighborsMsg&, IO&) {}
+template <class IO>
+void Fields(ChordStoreAckMsg&, IO&) {}
+template <class IO>
+void Fields(ChordPingMsg&, IO&) {}
+template <class IO>
+void Fields(ChordPongMsg&, IO&) {}
 
 void RegisterWireCodecs() {
   static const bool done = [] {
-#define SCATTER_REG_MESSAGE(enumr, stem)                             \
-  wire::RegisterMessageCodec(sim::MessageType::enumr, Encode##stem,  \
-                             Decode##stem);
-    SCATTER_CHORD_WIRE_MESSAGES(SCATTER_REG_MESSAGE)
-#undef SCATTER_REG_MESSAGE
+    SCATTER_CHORD_WIRE_MESSAGES(SCATTER_REGISTER_MESSAGE)
     rpc::RegisterWireCodecs();
     return true;
   }();

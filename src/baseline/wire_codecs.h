@@ -1,25 +1,26 @@
 // Wire-codec registration for the Chord-like baseline DHT's messages.
 //
-// X(enumerator, Stem) names the Encode<Stem>/Decode<Stem> pair in
-// wire_codecs.cc; RegisterWireCodecs() is generated from this list, and the
-// union of every module's list must cover SCATTER_MESSAGE_TYPE_LIST exactly
-// (compile-time assert in tests/wire_test.cc).
+// X(enumerator, Type) pairs a message type with the struct whose field list
+// (wire_codecs.cc) is its one wire definition; RegisterWireCodecs() expands
+// the list into RegisterMessage<Type> calls, and the union of every module's
+// list must cover SCATTER_MESSAGE_TYPE_LIST exactly (compile-time assert in
+// tests/wire_test.cc).
 
 #ifndef SCATTER_SRC_BASELINE_WIRE_CODECS_H_
 #define SCATTER_SRC_BASELINE_WIRE_CODECS_H_
 
-#define SCATTER_CHORD_WIRE_MESSAGES(X)                 \
-  X(kChordFindSuccessor, FindSuccessor)                \
-  X(kChordFindSuccessorReply, FindSuccessorReply)      \
-  X(kChordGetNeighbors, GetNeighbors)                  \
-  X(kChordGetNeighborsReply, GetNeighborsReply)        \
-  X(kChordNotify, Notify)                              \
-  X(kChordStore, Store)                                \
-  X(kChordStoreAck, StoreAck)                          \
-  X(kChordFetch, Fetch)                                \
-  X(kChordFetchReply, FetchReply)                      \
-  X(kChordPing, ChordPing)                             \
-  X(kChordPong, ChordPong)
+#define SCATTER_CHORD_WIRE_MESSAGES(X)                     \
+  X(kChordFindSuccessor, ChordFindSuccessorMsg)            \
+  X(kChordFindSuccessorReply, ChordFindSuccessorReplyMsg)  \
+  X(kChordGetNeighbors, ChordGetNeighborsMsg)              \
+  X(kChordGetNeighborsReply, ChordGetNeighborsReplyMsg)    \
+  X(kChordNotify, ChordNotifyMsg)                          \
+  X(kChordStore, ChordStoreMsg)                            \
+  X(kChordStoreAck, ChordStoreAckMsg)                      \
+  X(kChordFetch, ChordFetchMsg)                            \
+  X(kChordFetchReply, ChordFetchReplyMsg)                  \
+  X(kChordPing, ChordPingMsg)                              \
+  X(kChordPong, ChordPongMsg)
 
 namespace scatter::baseline {
 

@@ -1,208 +1,81 @@
-// Wire codecs for the client-facing and control-plane messages (core/).
+// Field lists for the client-facing and control-plane messages (core/).
 
-#include <memory>
-#include <utility>
+#include "src/core/wire_codecs.h"
 
 #include "src/core/messages.h"
-#include "src/core/wire_codecs.h"
 #include "src/membership/wire_codecs.h"
 #include "src/paxos/wire_codecs.h"
-#include "src/ring/wire_fields.h"
 #include "src/rpc/wire_codecs.h"
 #include "src/txn/wire_codecs.h"
 #include "src/wire/codec.h"
-#include "src/wire/field_codecs.h"
 
 namespace scatter::core {
-namespace {
 
-// Codec bodies read the wire vocabulary (Buffer, Reader, shared field
-// codecs) unqualified, same as when they lived in src/wire/.
-using namespace scatter::wire;            // NOLINT(google-build-using-namespace)
-using namespace scatter::wire::internal;  // NOLINT(google-build-using-namespace)
-
-void EncodeClientRequest(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::ClientRequestMsg&>(m);
-  out.WriteU8(static_cast<uint8_t>(msg.op));
-  out.WriteU64(msg.key);
-  out.WriteString(msg.value);
-  out.WriteU64(msg.client_id);
-  out.WriteU64(msg.client_seq);
+template <class IO>
+void Fields(ClientRequestMsg& m, IO& io) {
+  io(wire::Enum(m.op, ClientOp::kDelete), m.key, m.value, m.client_id,
+     m.client_seq);
 }
 
-sim::MessagePtr DecodeClientRequest(Reader& in) {
-  auto msg = std::make_shared<core::ClientRequestMsg>();
-  const uint8_t op = in.ReadU8();
-  if (op > static_cast<uint8_t>(core::ClientOp::kDelete)) {
-    in.Fail();
-    return msg;
-  }
-  msg->op = static_cast<core::ClientOp>(op);
-  msg->key = in.ReadU64();
-  msg->value = in.ReadString();
-  msg->client_id = in.ReadU64();
-  msg->client_seq = in.ReadU64();
-  return msg;
+template <class IO>
+void Fields(ClientReplyMsg& m, IO& io) {
+  io(wire::Enum(m.code, StatusCode::kInternal), m.found, m.value,
+     m.ring_updates);
 }
 
-void EncodeClientReply(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::ClientReplyMsg&>(m);
-  out.WriteU8(static_cast<uint8_t>(msg.code));
-  out.WriteBool(msg.found);
-  out.WriteString(msg.value);
-  WriteGroupInfos(msg.ring_updates, out);
+template <class IO>
+void Fields(LookupRequestMsg& m, IO& io) {
+  io(m.key);
 }
 
-sim::MessagePtr DecodeClientReply(Reader& in) {
-  auto msg = std::make_shared<core::ClientReplyMsg>();
-  const uint8_t code = in.ReadU8();
-  if (code > static_cast<uint8_t>(StatusCode::kInternal)) {
-    in.Fail();
-    return msg;
-  }
-  msg->code = static_cast<StatusCode>(code);
-  msg->found = in.ReadBool();
-  msg->value = in.ReadString();
-  msg->ring_updates = ReadGroupInfos(in);
-  return msg;
+template <class IO>
+void Fields(LookupReplyMsg& m, IO& io) {
+  io(m.known, m.authoritative, m.info);
 }
 
-void EncodeLookupRequest(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::LookupRequestMsg&>(m);
-  out.WriteU64(msg.key);
+template <class IO>
+void Fields(JoinRequestMsg& m, IO& io) {
+  io(m.no_redirect);
 }
 
-sim::MessagePtr DecodeLookupRequest(Reader& in) {
-  auto msg = std::make_shared<core::LookupRequestMsg>();
-  msg->key = in.ReadU64();
-  return msg;
+template <class IO>
+void Fields(JoinReplyMsg& m, IO& io) {
+  io(wire::Enum(m.code, StatusCode::kInternal), m.group, m.seed_ring);
 }
 
-void EncodeLookupReply(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::LookupReplyMsg&>(m);
-  out.WriteBool(msg.known);
-  out.WriteBool(msg.authoritative);
-  WriteGroupInfo(msg.info, out);
+template <class IO>
+void Fields(GroupInfoRequestMsg& m, IO& io) {
+  io(m.group);
 }
 
-sim::MessagePtr DecodeLookupReply(Reader& in) {
-  auto msg = std::make_shared<core::LookupReplyMsg>();
-  msg->known = in.ReadBool();
-  msg->authoritative = in.ReadBool();
-  msg->info = ReadGroupInfo(in);
-  return msg;
+template <class IO>
+void Fields(GroupInfoReplyMsg& m, IO& io) {
+  io(m.known, m.authoritative, m.info);
 }
 
-void EncodeJoinRequest(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::JoinRequestMsg&>(m);
-  out.WriteBool(msg.no_redirect);
+template <class IO>
+void Fields(RingGossipMsg& m, IO& io) {
+  io(m.infos);
 }
 
-sim::MessagePtr DecodeJoinRequest(Reader& in) {
-  auto msg = std::make_shared<core::JoinRequestMsg>();
-  msg->no_redirect = in.ReadBool();
-  return msg;
+template <class IO>
+void Fields(MigrateRequestMsg& m, IO& io) {
+  io(m.beneficiary);
 }
 
-void EncodeJoinReply(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::JoinReplyMsg&>(m);
-  out.WriteU8(static_cast<uint8_t>(msg.code));
-  WriteGroupInfo(msg.group, out);
-  WriteGroupInfos(msg.seed_ring, out);
+template <class IO>
+void Fields(MigrateDirectiveMsg& m, IO& io) {
+  io(m.target_group);
 }
 
-sim::MessagePtr DecodeJoinReply(Reader& in) {
-  auto msg = std::make_shared<core::JoinReplyMsg>();
-  const uint8_t code = in.ReadU8();
-  if (code > static_cast<uint8_t>(StatusCode::kInternal)) {
-    in.Fail();
-    return msg;
-  }
-  msg->code = static_cast<StatusCode>(code);
-  msg->group = ReadGroupInfo(in);
-  msg->seed_ring = ReadGroupInfos(in);
-  return msg;
+template <class IO>
+void Fields(LeaveRequestMsg& m, IO& io) {
+  io(m.group);
 }
-
-void EncodeGroupInfoRequest(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::GroupInfoRequestMsg&>(m);
-  out.WriteU64(msg.group);
-}
-
-sim::MessagePtr DecodeGroupInfoRequest(Reader& in) {
-  auto msg = std::make_shared<core::GroupInfoRequestMsg>();
-  msg->group = in.ReadU64();
-  return msg;
-}
-
-void EncodeGroupInfoReply(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::GroupInfoReplyMsg&>(m);
-  out.WriteBool(msg.known);
-  out.WriteBool(msg.authoritative);
-  WriteGroupInfo(msg.info, out);
-}
-
-sim::MessagePtr DecodeGroupInfoReply(Reader& in) {
-  auto msg = std::make_shared<core::GroupInfoReplyMsg>();
-  msg->known = in.ReadBool();
-  msg->authoritative = in.ReadBool();
-  msg->info = ReadGroupInfo(in);
-  return msg;
-}
-
-void EncodeRingGossip(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::RingGossipMsg&>(m);
-  WriteGroupInfos(msg.infos, out);
-}
-
-sim::MessagePtr DecodeRingGossip(Reader& in) {
-  auto msg = std::make_shared<core::RingGossipMsg>();
-  msg->infos = ReadGroupInfos(in);
-  return msg;
-}
-
-void EncodeMigrateRequest(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::MigrateRequestMsg&>(m);
-  WriteGroupInfo(msg.beneficiary, out);
-}
-
-sim::MessagePtr DecodeMigrateRequest(Reader& in) {
-  auto msg = std::make_shared<core::MigrateRequestMsg>();
-  msg->beneficiary = ReadGroupInfo(in);
-  return msg;
-}
-
-void EncodeMigrateDirective(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::MigrateDirectiveMsg&>(m);
-  WriteGroupInfo(msg.target_group, out);
-}
-
-sim::MessagePtr DecodeMigrateDirective(Reader& in) {
-  auto msg = std::make_shared<core::MigrateDirectiveMsg>();
-  msg->target_group = ReadGroupInfo(in);
-  return msg;
-}
-
-void EncodeLeaveRequest(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const core::LeaveRequestMsg&>(m);
-  out.WriteU64(msg.group);
-}
-
-sim::MessagePtr DecodeLeaveRequest(Reader& in) {
-  auto msg = std::make_shared<core::LeaveRequestMsg>();
-  msg->group = in.ReadU64();
-  return msg;
-}
-
-}  // namespace
 
 void RegisterWireCodecs() {
   static const bool done = [] {
-#define SCATTER_REG_MESSAGE(enumr, stem)                             \
-  wire::RegisterMessageCodec(sim::MessageType::enumr, Encode##stem,  \
-                             Decode##stem);
-    SCATTER_CORE_WIRE_MESSAGES(SCATTER_REG_MESSAGE)
-#undef SCATTER_REG_MESSAGE
+    SCATTER_CORE_WIRE_MESSAGES(SCATTER_REGISTER_MESSAGE)
     return true;
   }();
   (void)done;

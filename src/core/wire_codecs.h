@@ -1,27 +1,28 @@
 // Wire-codec registration for core/'s client-facing and control-plane
 // messages, plus the aggregate registrar for the whole Scatter stack.
 //
-// X(enumerator, Stem) names the Encode<Stem>/Decode<Stem> pair in
-// wire_codecs.cc; RegisterWireCodecs() is generated from this list, and the
-// union of every module's list must cover SCATTER_MESSAGE_TYPE_LIST exactly
-// (compile-time assert in tests/wire_test.cc).
+// X(enumerator, Type) pairs a message type with the struct whose field list
+// (wire_codecs.cc) is its one wire definition; RegisterWireCodecs() expands
+// the list into RegisterMessage<Type> calls, and the union of every module's
+// list must cover SCATTER_MESSAGE_TYPE_LIST exactly (compile-time assert in
+// tests/wire_test.cc).
 
 #ifndef SCATTER_SRC_CORE_WIRE_CODECS_H_
 #define SCATTER_SRC_CORE_WIRE_CODECS_H_
 
-#define SCATTER_CORE_WIRE_MESSAGES(X)            \
-  X(kClientRequest, ClientRequest)               \
-  X(kClientReply, ClientReply)                   \
-  X(kLookupRequest, LookupRequest)               \
-  X(kLookupReply, LookupReply)                   \
-  X(kJoinRequest, JoinRequest)                   \
-  X(kJoinReply, JoinReply)                       \
-  X(kGroupInfoRequest, GroupInfoRequest)         \
-  X(kGroupInfoReply, GroupInfoReply)             \
-  X(kMigrateRequest, MigrateRequest)             \
-  X(kMigrateDirective, MigrateDirective)         \
-  X(kLeaveRequest, LeaveRequest)                 \
-  X(kRingGossip, RingGossip)
+#define SCATTER_CORE_WIRE_MESSAGES(X)          \
+  X(kClientRequest, ClientRequestMsg)          \
+  X(kClientReply, ClientReplyMsg)              \
+  X(kLookupRequest, LookupRequestMsg)          \
+  X(kLookupReply, LookupReplyMsg)              \
+  X(kJoinRequest, JoinRequestMsg)              \
+  X(kJoinReply, JoinReplyMsg)                  \
+  X(kGroupInfoRequest, GroupInfoRequestMsg)    \
+  X(kGroupInfoReply, GroupInfoReplyMsg)        \
+  X(kMigrateRequest, MigrateRequestMsg)        \
+  X(kMigrateDirective, MigrateDirectiveMsg)    \
+  X(kLeaveRequest, LeaveRequestMsg)            \
+  X(kRingGossip, RingGossipMsg)
 
 namespace scatter::core {
 

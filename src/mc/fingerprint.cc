@@ -11,6 +11,7 @@
 #include "src/paxos/replica.h"
 #include "src/wire/buffer.h"
 #include "src/wire/codec.h"
+#include "src/wire/fields.h"
 
 namespace scatter::mc {
 
@@ -22,18 +23,12 @@ uint64_t HashBuffer(const wire::Buffer& buf) {
 }
 
 void EncodeReplica(const paxos::Replica& replica, wire::Buffer& out) {
-  out.WriteU8(static_cast<uint8_t>(replica.role()));
-  out.WriteU64(replica.promised().round);
-  out.WriteU64(replica.promised().node);
-  out.WriteU64(replica.commit_index());
-  out.WriteU64(replica.applied_index());
+  wire::Writer w(out);
   const paxos::Log& log = replica.log();
-  out.WriteU64(log.first_index());
+  w(static_cast<uint8_t>(replica.role()), replica.promised(),
+    replica.commit_index(), replica.applied_index(), log.first_index());
   for (const paxos::LogEntry& e : log.Suffix(log.first_index())) {
-    out.WriteU64(e.index);
-    out.WriteU64(e.ballot.round);
-    out.WriteU64(e.ballot.node);
-    paxos::EncodeCommand(e.command, out);
+    w(e);
   }
 }
 

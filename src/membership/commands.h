@@ -18,6 +18,7 @@
 #include "src/ring/group_info.h"
 #include "src/ring/key_range.h"
 #include "src/store/kv_store.h"
+#include "src/wire/fields.h"
 
 namespace scatter::membership {
 
@@ -35,6 +36,12 @@ struct DedupEntry {
   std::map<uint64_t, uint8_t> results;  // seq -> StatusCode, recent window
 };
 using DedupTable = std::map<uint64_t, DedupEntry>;  // client id -> entry
+
+// Wire field list (src/wire/fields.h); a DedupTable is a map of these.
+template <class IO>
+void Fields(DedupEntry& e, IO& io) {
+  io(e.max_seq, e.results);
+}
 
 // Results further than this below max_seq are pruned; a straggler arriving
 // below the horizon is treated as an already-applied duplicate. Must exceed
@@ -66,7 +73,7 @@ struct GroupCommand : paxos::AppCommand {
 };
 
 struct PutCommand : GroupCommand {
-  PutCommand(Key k, Value v)
+  explicit PutCommand(Key k = 0, Value v = {})
       : GroupCommand(GroupCmdKind::kPut), key(k), value(std::move(v)) {}
   size_t ByteSize() const override { return 48 + value.size(); }
   Key key;
@@ -74,7 +81,8 @@ struct PutCommand : GroupCommand {
 };
 
 struct DeleteCommand : GroupCommand {
-  explicit DeleteCommand(Key k) : GroupCommand(GroupCmdKind::kDelete), key(k) {}
+  explicit DeleteCommand(Key k = 0)
+      : GroupCommand(GroupCmdKind::kDelete), key(k) {}
   Key key;
 };
 
@@ -115,6 +123,14 @@ struct RingTxn {
   // coord_range ∪ part_range; data in the moved sub-range changes owner.
   Key new_boundary = 0;
 };
+
+// Wire field list (src/wire/fields.h).
+template <class IO>
+void Fields(RingTxn& t, IO& io) {
+  io(t.id, wire::Enum(t.kind, RingTxn::Kind::kRepartition), t.coord_group,
+     t.part_group, t.coord_range, t.part_range, t.coord_epoch, t.part_epoch,
+     t.merged_id, t.new_boundary);
+}
 
 // Coordinator's begin record. Applying it freezes the group's range
 // (writes are rejected until the decision) and captures the group's

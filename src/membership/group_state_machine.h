@@ -42,6 +42,13 @@ struct ActiveTxn {
   ring::GroupInfo coord_outer;
 };
 
+// Wire field list (src/wire/fields.h).
+template <class IO>
+void Fields(ActiveTxn& a, IO& io) {
+  io(a.txn, a.is_coordinator, a.my_members, a.coord_members, a.coord_data,
+     a.coord_dedup, a.coord_outer);
+}
+
 // Payload describing a group that a structural operation brings into
 // existence. Every replica of the retiring group(s) derives an identical
 // payload, which is what makes "all founding members start with the same

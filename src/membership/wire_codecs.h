@@ -1,8 +1,9 @@
 // Wire-codec registration for membership/'s polymorphic payloads: the group
-// state machine's commands (tags 16-31) and its snapshot (snapshot tag 1).
-// This module owns no sim::MessageType entries — its state rides inside
-// paxos log entries and snapshot installs — so there is no message X-list
-// here; see PROTOCOL.md "Wire format".
+// state machine's commands (tags 16-31) and its snapshot (snapshot tag 1),
+// each registered with its one field list (wire_codecs.cc). This module owns
+// no sim::MessageType entries — its state rides inside paxos log entries and
+// snapshot installs — so there is no message X-list here; see PROTOCOL.md
+// "Wire format".
 
 #ifndef SCATTER_SRC_MEMBERSHIP_WIRE_CODECS_H_
 #define SCATTER_SRC_MEMBERSHIP_WIRE_CODECS_H_

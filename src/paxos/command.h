@@ -54,7 +54,8 @@ struct NoOpCommand : Command {
 struct ConfigCommand : Command {
   enum class Op : uint8_t { kAddMember, kRemoveMember };
 
-  ConfigCommand(Op o, NodeId n) : Command(Kind::kConfig), op(o), node(n) {}
+  explicit ConfigCommand(Op o = Op::kAddMember, NodeId n = kInvalidNode)
+      : Command(Kind::kConfig), op(o), node(n) {}
 
   Op op;
   NodeId node;
@@ -69,6 +70,13 @@ struct AppCommand : Command {
   uint64_t client_id = 0;   // 0 = not a deduplicated client command
   uint64_t client_seq = 0;
 };
+
+// Wire field list (src/wire/fields.h) of the shared header every
+// application command's own field list starts with.
+template <class IO>
+void Fields(AppCommand& c, IO& io) {
+  io(c.client_id, c.client_seq);
+}
 
 }  // namespace scatter::paxos
 

@@ -10,42 +10,6 @@
 
 namespace scatter::paxos {
 
-namespace {
-
-void WriteBallot(Ballot b, wire::Buffer& out) {
-  out.WriteU64(b.round);
-  out.WriteU64(b.node);
-}
-
-Ballot ReadBallot(wire::Reader& in) {
-  Ballot b;
-  b.round = in.ReadU64();
-  b.node = in.ReadU64();
-  return b;
-}
-
-// Checkpoint payload: base index + ballot, config (at its log index), the
-// promise and commit point at checkpoint time, then the state-machine
-// snapshot via the registered snapshot codec. Residual log entries above the
-// base stay in the rewritten WAL, not here.
-void EncodeCheckpoint(uint64_t last_included_index, Ballot last_included_ballot,
-                      const std::vector<NodeId>& config, uint64_t config_index,
-                      const SnapshotPtr& snapshot, Ballot promised,
-                      uint64_t commit_index, wire::Buffer& out) {
-  out.WriteU64(last_included_index);
-  WriteBallot(last_included_ballot, out);
-  out.WriteU32(static_cast<uint32_t>(config.size()));
-  for (NodeId n : config) {
-    out.WriteU64(n);
-  }
-  out.WriteU64(config_index);
-  WriteBallot(promised, out);
-  out.WriteU64(commit_index);
-  EncodeSnapshot(snapshot, out);
-}
-
-}  // namespace
-
 std::string WalFileName(GroupId group) {
   return "g" + std::to_string(group) + ".wal";
 }
@@ -94,7 +58,10 @@ GroupJournal::GroupJournal(storage::Disk* disk, obs::MetricsRegistry* metrics,
   SCATTER_CHECK(disk_ != nullptr);
 }
 
-void GroupJournal::Append(JournalRecordType type) {
+template <class T>
+void GroupJournal::Append(JournalRecordType type, const T& payload) {
+  payload_.clear();
+  wire::Write(payload, payload_);
   const uint64_t before = wal_.appended_bytes();
   wal_.Append(static_cast<uint16_t>(type), payload_);
   ++appends_;
@@ -103,29 +70,19 @@ void GroupJournal::Append(JournalRecordType type) {
 }
 
 void GroupJournal::LogPromise(Ballot ballot) {
-  payload_.clear();
-  WriteBallot(ballot, payload_);
-  Append(JournalRecordType::kPromise);
+  Append(JournalRecordType::kPromise, ballot);
 }
 
 void GroupJournal::LogAccept(const LogEntry& entry) {
-  payload_.clear();
-  payload_.WriteU64(entry.index);
-  WriteBallot(entry.ballot, payload_);
-  EncodeCommand(entry.command, payload_);
-  Append(JournalRecordType::kAccept);
+  Append(JournalRecordType::kAccept, entry);
 }
 
 void GroupJournal::LogCommit(uint64_t index) {
-  payload_.clear();
-  payload_.WriteU64(index);
-  Append(JournalRecordType::kCommit);
+  Append(JournalRecordType::kCommit, index);
 }
 
 void GroupJournal::LogTruncateSuffix(uint64_t from) {
-  payload_.clear();
-  payload_.WriteU64(from);
-  Append(JournalRecordType::kTruncateSuffix);
+  Append(JournalRecordType::kTruncateSuffix, from);
 }
 
 void GroupJournal::DropTornTail(uint64_t clean_bytes) {
@@ -156,9 +113,11 @@ void GroupJournal::WriteCheckpoint(uint64_t last_included_index,
   // Snapshot file first (atomic Replace). If we crash before the WAL
   // rewrite below, recovery sees the new snapshot plus the old WAL and
   // skips stale records below the new base.
+  const Checkpoint checkpoint{last_included_index, last_included_ballot,
+                              config, config_index, promised, commit_index,
+                              snapshot};
   payload_.clear();
-  EncodeCheckpoint(last_included_index, last_included_ballot, config,
-                   config_index, snapshot, promised, commit_index, payload_);
+  wire::Write(checkpoint, payload_);
   storage::WriteSnapshotFile(
       disk_, SnapFileName(group_),
       static_cast<uint16_t>(JournalRecordType::kCheckpoint), payload_);
@@ -169,9 +128,7 @@ void GroupJournal::WriteCheckpoint(uint64_t last_included_index,
   for (const LogEntry& entry : suffix) {
     SCATTER_CHECK(entry.index > last_included_index);
     payload_.clear();
-    payload_.WriteU64(entry.index);
-    WriteBallot(entry.ballot, payload_);
-    EncodeCommand(entry.command, payload_);
+    wire::Write(entry, payload_);
     storage::EncodeWalRecord(static_cast<uint16_t>(JournalRecordType::kAccept),
                              payload_.data(), payload_.size(), &framed);
   }
@@ -196,18 +153,9 @@ bool GroupJournal::Recover(const storage::Disk& disk, GroupId group,
     return false;
   }
   wire::Reader reader(snap_record.payload.data(), snap_record.payload.size());
-  out->snap_base_index = reader.ReadU64();
-  out->snap_base_ballot = ReadBallot(reader);
-  const size_t config_size = reader.ReadCount();
-  out->snap_config.clear();
-  out->snap_config.reserve(config_size);
-  for (size_t i = 0; i < config_size; ++i) {
-    out->snap_config.push_back(reader.ReadU64());
-  }
-  out->snap_config_index = reader.ReadU64();
-  out->promised = ReadBallot(reader);
-  out->commit_index = reader.ReadU64();
-  out->snapshot = DecodeSnapshot(reader);
+  Checkpoint& checkpoint = *out;
+  checkpoint = Checkpoint();  // the read fills a fresh checkpoint
+  reader(checkpoint);
   if (!reader.ok() || out->snapshot == nullptr) {
     return false;
   }
@@ -224,7 +172,8 @@ bool GroupJournal::Recover(const storage::Disk& disk, GroupId group,
     wire::Reader in(record.payload.data(), record.payload.size());
     switch (static_cast<JournalRecordType>(record.type)) {
       case JournalRecordType::kPromise: {
-        const Ballot b = ReadBallot(in);
+        Ballot b;
+        in(b);
         if (in.ok()) {
           out->promised = std::max(out->promised, b);
         }
@@ -232,9 +181,7 @@ bool GroupJournal::Recover(const storage::Disk& disk, GroupId group,
       }
       case JournalRecordType::kAccept: {
         LogEntry entry;
-        entry.index = in.ReadU64();
-        entry.ballot = ReadBallot(in);
-        entry.command = DecodeCommand(in);
+        in(entry);
         // Records below the base are stale leftovers of a checkpoint that
         // crashed between snapshot Replace and WAL rewrite.
         if (in.ok() && entry.index > out->snap_base_index) {
@@ -243,14 +190,16 @@ bool GroupJournal::Recover(const storage::Disk& disk, GroupId group,
         break;
       }
       case JournalRecordType::kCommit: {
-        const uint64_t index = in.ReadU64();
+        uint64_t index = 0;
+        in(index);
         if (in.ok()) {
           out->commit_index = std::max(out->commit_index, index);
         }
         break;
       }
       case JournalRecordType::kTruncateSuffix: {
-        const uint64_t from = in.ReadU64();
+        uint64_t from = 0;
+        in(from);
         if (in.ok()) {
           entries.erase(entries.lower_bound(from), entries.end());
         }

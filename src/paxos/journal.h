@@ -1,6 +1,6 @@
 // GroupJournal: the durable form of one replica's Paxos state, layered on
-// the storage WAL (src/storage/wal.h) with the existing payload codecs as
-// the on-disk format.
+// the storage WAL (src/storage/wal.h), with the wire field lists
+// (src/wire/fields.h) as the on-disk format.
 //
 // Two files per group on the node's disk:
 //   g<id>.wal   — append-only journal of durable-state mutations
@@ -45,14 +45,35 @@
 namespace scatter::paxos {
 
 // WAL record types (PROTOCOL.md §6.3). The snapshot file reuses the same
-// framing with its own type.
+// framing with its own type. Each payload is one field list
+// (src/wire/fields.h):
 enum class JournalRecordType : uint16_t {
-  kPromise = 1,         // ballot
-  kAccept = 2,          // index, ballot, command (payload codec)
-  kCommit = 3,          // index
-  kTruncateSuffix = 4,  // from
-  kCheckpoint = 16,     // snapshot-file record: base, config, state snapshot
+  kPromise = 1,         // Ballot
+  kAccept = 2,          // LogEntry (index, ballot, command)
+  kCommit = 3,          // u64 index
+  kTruncateSuffix = 4,  // u64 from
+  kCheckpoint = 16,     // Checkpoint, in the snapshot file only
 };
+
+// Checkpoint payload: the snapshot base (index, ballot, config at its log
+// index), the promise and commit point at checkpoint time, then the
+// state-machine snapshot. Residual log entries above the base stay in the
+// rewritten WAL, not here.
+struct Checkpoint {
+  uint64_t snap_base_index = 0;
+  Ballot snap_base_ballot;
+  std::vector<NodeId> snap_config;
+  uint64_t snap_config_index = 0;
+  Ballot promised;
+  uint64_t commit_index = 0;
+  SnapshotPtr snapshot;  // state-machine state at snap_base_index
+};
+
+template <class IO>
+void Fields(Checkpoint& c, IO& io) {
+  io(c.snap_base_index, c.snap_base_ballot, c.snap_config, c.snap_config_index,
+     c.promised, c.commit_index, c.snapshot);
+}
 
 std::string WalFileName(GroupId group);
 std::string SnapFileName(GroupId group);
@@ -61,15 +82,9 @@ std::string SnapFileName(GroupId group);
 // restarting node can even attempt to recover).
 std::vector<GroupId> GroupsOnDisk(const storage::Disk& disk);
 
-// Everything a crashed replica gets back from its own disk.
-struct RecoveredState {
-  Ballot promised;
-  uint64_t commit_index = 0;
-  uint64_t snap_base_index = 0;
-  Ballot snap_base_ballot;
-  std::vector<NodeId> snap_config;
-  uint64_t snap_config_index = 0;
-  SnapshotPtr snapshot;           // state-machine state at snap_base_index
+// Everything a crashed replica gets back from its own disk: the checkpoint
+// with promised/commit_index advanced by WAL replay, plus the log suffix.
+struct RecoveredState : Checkpoint {
   std::vector<LogEntry> entries;  // indexes > snap_base_index, ascending
   uint64_t wal_records = 0;       // records replayed (observability)
   uint64_t wal_clean_bytes = 0;   // prefix that framed complete records
@@ -121,7 +136,8 @@ class GroupJournal {
   static void RemoveFiles(storage::Disk* disk, GroupId group);
 
  private:
-  void Append(JournalRecordType type);
+  template <class T>
+  void Append(JournalRecordType type, const T& payload);
 
   storage::Disk* disk_;
   GroupId group_;

@@ -25,6 +25,15 @@ struct LogEntry {
   bool valid() const { return index != 0; }
 };
 
+// The one (index, ballot, command) layout of a log entry, shared by Accept
+// messages, the WAL, checkpoint rewrites, the durability digest and the mc
+// fingerprint. The command field needs paxos/payload_codec.h at the point of
+// use.
+template <class IO>
+void Fields(LogEntry& e, IO& io) {
+  io(e.index, e.ballot, e.command);
+}
+
 class Log {
  public:
   // Index of the first entry retained (1 for a fresh log; > 1 after

@@ -35,7 +35,7 @@ struct PaxosMessage : sim::Message {
 // Phase 1a (vote request). The candidate advertises its log position; a
 // voter grants only to candidates whose log is at least as up to date.
 struct PrepareMsg : PaxosMessage {
-  explicit PrepareMsg(GroupId g)
+  explicit PrepareMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosPrepare, g) {}
   Ballot ballot;
   uint64_t last_log_index = 0;
@@ -47,7 +47,7 @@ struct PrepareMsg : PaxosMessage {
 
 // Phase 1b (vote).
 struct PromiseMsg : PaxosMessage {
-  explicit PromiseMsg(GroupId g)
+  explicit PromiseMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosPromise, g) {}
   Ballot ballot;  // the ballot being answered
   bool granted = false;
@@ -67,7 +67,7 @@ struct PromiseMsg : PaxosMessage {
 // (prev_index, prev_ballot) anchor plus idempotent same-ballot appends
 // already guarantee.
 struct AcceptMsg : PaxosMessage {
-  explicit AcceptMsg(GroupId g)
+  explicit AcceptMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosAccept, g) {}
   // Charges every carried entry (header + command payload) so the network
   // byte histograms stay honest under batching.
@@ -92,7 +92,7 @@ struct AcceptMsg : PaxosMessage {
 // latest leader send timestamp, which is safe because both are monotone
 // under one ballot (the lease grant derived from sent_at only grows).
 struct AcceptedMsg : PaxosMessage {
-  explicit AcceptedMsg(GroupId g)
+  explicit AcceptedMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosAccepted, g) {}
   size_t ByteSize() const override { return 96; }
   Ballot ballot;
@@ -112,7 +112,7 @@ struct AcceptedMsg : PaxosMessage {
 // Full-state transfer for a replica whose next needed entry was truncated
 // away (fresh joiners always take this path).
 struct SnapshotMsg : PaxosMessage {
-  explicit SnapshotMsg(GroupId g)
+  explicit SnapshotMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosSnapshot, g) {}
   size_t ByteSize() const override {
     return 128 + 8 * config.size() +
@@ -138,7 +138,7 @@ struct SnapshotMsg : PaxosMessage {
 // lease holder itself initiated the transfer and surrendered its lease
 // before sending this.
 struct TimeoutNowMsg : PaxosMessage {
-  explicit TimeoutNowMsg(GroupId g)
+  explicit TimeoutNowMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosTimeoutNow, g) {}
   Ballot ballot;  // the transferring leader's ballot
 };
@@ -147,19 +147,19 @@ struct TimeoutNowMsg : PaxosMessage {
 // estimate its own centrality (mean RTT to the group), which it reports to
 // the leader via AcceptedMsg::centrality for leader-placement decisions.
 struct PingMsg : PaxosMessage {
-  explicit PingMsg(GroupId g)
+  explicit PingMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosPing, g) {}
   TimeMicros sent_at = 0;
 };
 
 struct PongMsg : PaxosMessage {
-  explicit PongMsg(GroupId g)
+  explicit PongMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosPong, g) {}
   TimeMicros ping_sent_at = 0;
 };
 
 struct SnapshotAckMsg : PaxosMessage {
-  explicit SnapshotAckMsg(GroupId g)
+  explicit SnapshotAckMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosSnapshotAck, g) {}
   Ballot ballot;
   uint64_t last_included_index = 0;

@@ -1,7 +1,9 @@
 #include "src/paxos/payload_codec.h"
 
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/logging.h"
 
@@ -15,153 +17,121 @@ namespace {
   ::scatter::internal::CheckFailure(__FILE__, __LINE__, why.c_str());
 }
 
-struct CommandCodec {
-  uint16_t tag = 0;
-  CommandEncodeFn encode = nullptr;
-  CommandDecodeFn decode = nullptr;
-};
-
-struct SnapshotCodec {
-  uint16_t tag = 0;
-  SnapshotEncodeFn encode = nullptr;
-  SnapshotDecodeFn decode = nullptr;
-};
-
-struct Registry {
-  std::unordered_map<uint16_t, CommandCodec> commands_by_tag;
-  std::unordered_map<std::type_index, CommandCodec> commands_by_type;
-
-  std::unordered_map<uint16_t, SnapshotCodec> snapshots_by_tag;
-  std::unordered_map<std::type_index, SnapshotCodec> snapshots_by_type;
-};
-
-Registry& registry() {
-  static Registry* r = new Registry();
-  return *r;
-}
-
 PayloadEncodeStats& stats() {
   static PayloadEncodeStats s;
   return s;
 }
 
-// Caches the canonical bytes [start, end) of `out` on the payload object.
-// Called only on the encode side: decoded copies never carry a memo, so the
-// audit transport's decode→re-encode stability check always runs the real
-// encoders on fresh objects.
-template <typename Payload>
-void FillMemo(const Payload& payload, const wire::Buffer& out, size_t start) {
-  payload.wire_memo = std::make_shared<const std::vector<uint8_t>>(
-      out.data() + start, out.data() + out.size());
-  ++stats().memo_fills;
-}
+// One tagged registry per payload base class (commands, snapshots).
+template <typename Base>
+class Registry {
+ public:
+  struct Entry {
+    uint16_t tag = 0;
+    internal::PayloadCodec<Base> codec;
+  };
 
-// Appends the cached canonical bytes. Immutability of the payload object
-// plus canonical encoding make this byte-identical to re-running the
-// encoder.
-template <typename Payload>
-bool AppendMemo(const Payload& payload, wire::Buffer& out) {
-  if (payload.wire_memo == nullptr) {
-    return false;
+  static Registry& Get() {
+    static Registry* r = new Registry();
+    return *r;
   }
-  out.WriteBytes(payload.wire_memo->data(), payload.wire_memo->size());
-  ++stats().memo_hits;
-  stats().memo_bytes_reused += payload.wire_memo->size();
-  return true;
-}
+
+  void Register(uint16_t tag, std::type_index type,
+                internal::PayloadCodec<Base> codec, const char* kind) {
+    SCATTER_CHECK(tag != 0);  // tag 0 is reserved for null
+    SCATTER_CHECK(codec.encode != nullptr && codec.decode != nullptr);
+    const Entry entry{tag, codec};
+    if (!by_tag_.emplace(tag, entry).second) {
+      CodecFailure(std::string("duplicate ") + kind + " codec tag " +
+                   std::to_string(tag));
+    }
+    if (!by_type_.emplace(type, entry).second) {
+      CodecFailure(std::string(kind) + " type registered twice: " +
+                   type.name());
+    }
+  }
+
+  // The encode memo caches a payload's canonical bytes on the (immutable)
+  // payload object the first time it is encoded; later encodes append the
+  // cached bytes with one copy, byte-identical to re-running the encoder.
+  // Decoded copies never carry a memo, so the audit transport's
+  // decode→re-encode stability check always runs the real encoders on
+  // fresh objects.
+  void Encode(const std::shared_ptr<const Base>& payload, wire::Buffer& out,
+              const char* kind) const {
+    if (payload == nullptr) {
+      out.WriteU16(0);
+      return;
+    }
+    if (payload->wire_memo != nullptr) {
+      out.WriteBytes(payload->wire_memo->data(), payload->wire_memo->size());
+      ++stats().memo_hits;
+      stats().memo_bytes_reused += payload->wire_memo->size();
+      return;
+    }
+    auto it = by_type_.find(std::type_index(typeid(*payload)));
+    if (it == by_type_.end()) {
+      CodecFailure(std::string("no wire codec registered for ") + kind +
+                   " type " + typeid(*payload).name());
+    }
+    const size_t start = out.size();
+    out.WriteU16(it->second.tag);
+    it->second.codec.encode(*payload, out);
+    payload->wire_memo = std::make_shared<const std::vector<uint8_t>>(
+        out.data() + start, out.data() + out.size());
+    ++stats().memo_fills;
+  }
+
+  std::shared_ptr<const Base> Decode(wire::Reader& in) const {
+    const uint16_t tag = in.ReadU16();
+    if (tag == 0) {
+      return nullptr;
+    }
+    auto it = by_tag_.find(tag);
+    if (it == by_tag_.end()) {
+      in.Fail();  // unknown tag: reject the whole frame
+      return nullptr;
+    }
+    return it->second.codec.decode(in);
+  }
+
+ private:
+  std::unordered_map<uint16_t, Entry> by_tag_;
+  std::unordered_map<std::type_index, Entry> by_type_;
+};
 
 }  // namespace
 
-PayloadEncodeStats GetPayloadEncodeStats() { return stats(); }
+namespace internal {
 
-void RegisterCommandCodec(uint16_t tag, std::type_index type,
-                          CommandEncodeFn encode, CommandDecodeFn decode) {
-  SCATTER_CHECK(tag != 0);  // tag 0 is reserved for null
-  SCATTER_CHECK(encode != nullptr && decode != nullptr);
-  CommandCodec codec{tag, encode, decode};
-  if (!registry().commands_by_tag.emplace(tag, codec).second) {
-    CodecFailure("duplicate command codec tag " + std::to_string(tag));
-  }
-  if (!registry().commands_by_type.emplace(type, codec).second) {
-    CodecFailure(std::string("command type registered twice: ") + type.name());
-  }
+void RegisterPayload(uint16_t tag, std::type_index type,
+                     PayloadCodec<Command> codec) {
+  Registry<Command>::Get().Register(tag, type, codec, "command");
 }
 
+void RegisterPayload(uint16_t tag, std::type_index type,
+                     PayloadCodec<SnapshotData> codec) {
+  Registry<SnapshotData>::Get().Register(tag, type, codec, "snapshot");
+}
+
+}  // namespace internal
+
+PayloadEncodeStats GetPayloadEncodeStats() { return stats(); }
+
 void EncodeCommand(const CommandPtr& cmd, wire::Buffer& out) {
-  if (cmd == nullptr) {
-    out.WriteU16(0);
-    return;
-  }
-  if (AppendMemo(*cmd, out)) {
-    return;
-  }
-  auto it = registry().commands_by_type.find(std::type_index(typeid(*cmd)));
-  if (it == registry().commands_by_type.end()) {
-    CodecFailure(std::string("no wire codec registered for command type ") +
-                 typeid(*cmd).name());
-  }
-  const size_t start = out.size();
-  out.WriteU16(it->second.tag);
-  it->second.encode(*cmd, out);
-  FillMemo(*cmd, out, start);
+  Registry<Command>::Get().Encode(cmd, out, "command");
 }
 
 CommandPtr DecodeCommand(wire::Reader& in) {
-  const uint16_t tag = in.ReadU16();
-  if (tag == 0) {
-    return nullptr;
-  }
-  auto it = registry().commands_by_tag.find(tag);
-  if (it == registry().commands_by_tag.end()) {
-    in.Fail();  // unknown command tag: reject the whole frame
-    return nullptr;
-  }
-  return it->second.decode(in);
-}
-
-void RegisterSnapshotCodec(uint16_t tag, std::type_index type,
-                           SnapshotEncodeFn encode, SnapshotDecodeFn decode) {
-  SCATTER_CHECK(tag != 0);  // tag 0 is reserved for null
-  SCATTER_CHECK(encode != nullptr && decode != nullptr);
-  SnapshotCodec codec{tag, encode, decode};
-  if (!registry().snapshots_by_tag.emplace(tag, codec).second) {
-    CodecFailure("duplicate snapshot codec tag " + std::to_string(tag));
-  }
-  if (!registry().snapshots_by_type.emplace(type, codec).second) {
-    CodecFailure(std::string("snapshot type registered twice: ") + type.name());
-  }
+  return Registry<Command>::Get().Decode(in);
 }
 
 void EncodeSnapshot(const SnapshotPtr& snap, wire::Buffer& out) {
-  if (snap == nullptr) {
-    out.WriteU16(0);
-    return;
-  }
-  if (AppendMemo(*snap, out)) {
-    return;
-  }
-  auto it = registry().snapshots_by_type.find(std::type_index(typeid(*snap)));
-  if (it == registry().snapshots_by_type.end()) {
-    CodecFailure(std::string("no wire codec registered for snapshot type ") +
-                 typeid(*snap).name());
-  }
-  const size_t start = out.size();
-  out.WriteU16(it->second.tag);
-  it->second.encode(*snap, out);
-  FillMemo(*snap, out, start);
+  Registry<SnapshotData>::Get().Encode(snap, out, "snapshot");
 }
 
 SnapshotPtr DecodeSnapshot(wire::Reader& in) {
-  const uint16_t tag = in.ReadU16();
-  if (tag == 0) {
-    return nullptr;
-  }
-  auto it = registry().snapshots_by_tag.find(tag);
-  if (it == registry().snapshots_by_tag.end()) {
-    in.Fail();
-    return nullptr;
-  }
-  return it->second.decode(in);
+  return Registry<SnapshotData>::Get().Decode(in);
 }
 
 }  // namespace scatter::paxos

@@ -20,10 +20,7 @@ constexpr TimeMicros kSnapshotResend = Seconds(2);
 // alike (the durability checker recomputes this against the live log).
 uint64_t DigestLogEntry(const LogEntry& entry) {
   wire::Buffer buf;
-  buf.WriteU64(entry.index);
-  buf.WriteU64(entry.ballot.round);
-  buf.WriteU64(entry.ballot.node);
-  EncodeCommand(entry.command, buf);
+  wire::Write(entry, buf);
   return HashBytes(std::string_view(reinterpret_cast<const char*>(buf.data()),
                                     buf.size()));
 }

@@ -1,259 +1,78 @@
-// Wire codecs for the replication protocol (paxos/): the nine consensus
+// Field lists for the replication protocol (paxos/): the nine consensus
 // messages plus the two commands Paxos itself understands (no-op barrier
 // entries and membership changes). Command tags 1-15 are reserved for this
 // module; see PROTOCOL.md "Wire format".
 
-#include <memory>
-#include <typeindex>
-#include <utility>
+#include "src/paxos/wire_codecs.h"
 
 #include "src/paxos/log.h"
 #include "src/paxos/messages.h"
 #include "src/paxos/payload_codec.h"
-#include "src/paxos/wire_codecs.h"
-#include "src/paxos/wire_fields.h"
 #include "src/wire/codec.h"
-#include "src/wire/field_codecs.h"
 
 namespace scatter::paxos {
-namespace {
 
-// Codec bodies read the wire vocabulary (Buffer, Reader, shared field
-// codecs) unqualified, same as when they lived in src/wire/.
-using namespace scatter::wire;            // NOLINT(google-build-using-namespace)
-using namespace scatter::wire::internal;  // NOLINT(google-build-using-namespace)
-
-constexpr uint16_t kTagNoOpCommand = 1;
-constexpr uint16_t kTagConfigCommand = 2;
-
-void WriteLogEntry(const paxos::LogEntry& e, Buffer& out) {
-  out.WriteU64(e.index);
-  WriteBallot(e.ballot, out);
-  EncodeCommand(e.command, out);
+template <class IO>
+void Fields(PrepareMsg& m, IO& io) {
+  io(m.group, m.ballot, m.last_log_index, m.last_log_ballot, m.bypass_lease);
 }
 
-paxos::LogEntry ReadLogEntry(Reader& in) {
-  paxos::LogEntry e;
-  e.index = in.ReadU64();
-  e.ballot = ReadBallot(in);
-  e.command = DecodeCommand(in);
-  return e;
+template <class IO>
+void Fields(PromiseMsg& m, IO& io) {
+  io(m.group, m.ballot, m.granted, m.promised, m.lease_wait);
 }
 
-// --- Messages ----------------------------------------------------------------
-
-void EncodePrepare(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const paxos::PrepareMsg&>(m);
-  out.WriteU64(msg.group);
-  WriteBallot(msg.ballot, out);
-  out.WriteU64(msg.last_log_index);
-  WriteBallot(msg.last_log_ballot, out);
-  out.WriteBool(msg.bypass_lease);
+template <class IO>
+void Fields(AcceptMsg& m, IO& io) {
+  io(m.group, m.ballot, m.prev_index, m.prev_ballot, m.entries, m.commit_index,
+     m.sent_at);
 }
 
-sim::MessagePtr DecodePrepare(Reader& in) {
-  auto msg = std::make_shared<paxos::PrepareMsg>(in.ReadU64());
-  msg->ballot = ReadBallot(in);
-  msg->last_log_index = in.ReadU64();
-  msg->last_log_ballot = ReadBallot(in);
-  msg->bypass_lease = in.ReadBool();
-  return msg;
+template <class IO>
+void Fields(AcceptedMsg& m, IO& io) {
+  io(m.group, m.ballot, m.ok, m.promised, m.match_index, m.need_from,
+     m.applied_index, m.leader_sent_at, m.centrality);
 }
 
-void EncodePromise(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const paxos::PromiseMsg&>(m);
-  out.WriteU64(msg.group);
-  WriteBallot(msg.ballot, out);
-  out.WriteBool(msg.granted);
-  WriteBallot(msg.promised, out);
-  out.WriteI64(msg.lease_wait);
+template <class IO>
+void Fields(SnapshotMsg& m, IO& io) {
+  io(m.group, m.ballot, m.last_included_index, m.last_included_ballot,
+     m.config, m.config_index, m.data, m.sent_at, m.bootstrap);
 }
 
-sim::MessagePtr DecodePromise(Reader& in) {
-  auto msg = std::make_shared<paxos::PromiseMsg>(in.ReadU64());
-  msg->ballot = ReadBallot(in);
-  msg->granted = in.ReadBool();
-  msg->promised = ReadBallot(in);
-  msg->lease_wait = in.ReadI64();
-  return msg;
+template <class IO>
+void Fields(SnapshotAckMsg& m, IO& io) {
+  io(m.group, m.ballot, m.last_included_index, m.leader_sent_at);
 }
 
-void EncodeAccept(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const paxos::AcceptMsg&>(m);
-  out.WriteU64(msg.group);
-  WriteBallot(msg.ballot, out);
-  out.WriteU64(msg.prev_index);
-  WriteBallot(msg.prev_ballot, out);
-  out.WriteU32(static_cast<uint32_t>(msg.entries.size()));
-  for (const paxos::LogEntry& e : msg.entries) {
-    WriteLogEntry(e, out);
-  }
-  out.WriteU64(msg.commit_index);
-  out.WriteI64(msg.sent_at);
+template <class IO>
+void Fields(TimeoutNowMsg& m, IO& io) {
+  io(m.group, m.ballot);
 }
 
-sim::MessagePtr DecodeAccept(Reader& in) {
-  auto msg = std::make_shared<paxos::AcceptMsg>(in.ReadU64());
-  msg->ballot = ReadBallot(in);
-  msg->prev_index = in.ReadU64();
-  msg->prev_ballot = ReadBallot(in);
-  const size_t n = in.ReadCount();
-  msg->entries.reserve(n);
-  for (size_t i = 0; i < n && in.ok(); ++i) {
-    msg->entries.push_back(ReadLogEntry(in));
-  }
-  msg->commit_index = in.ReadU64();
-  msg->sent_at = in.ReadI64();
-  return msg;
+template <class IO>
+void Fields(PingMsg& m, IO& io) {
+  io(m.group, m.sent_at);
 }
 
-void EncodeAccepted(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const paxos::AcceptedMsg&>(m);
-  out.WriteU64(msg.group);
-  WriteBallot(msg.ballot, out);
-  out.WriteBool(msg.ok);
-  WriteBallot(msg.promised, out);
-  out.WriteU64(msg.match_index);
-  out.WriteU64(msg.need_from);
-  out.WriteU64(msg.applied_index);
-  out.WriteI64(msg.leader_sent_at);
-  out.WriteI64(msg.centrality);
+template <class IO>
+void Fields(PongMsg& m, IO& io) {
+  io(m.group, m.ping_sent_at);
 }
 
-sim::MessagePtr DecodeAccepted(Reader& in) {
-  auto msg = std::make_shared<paxos::AcceptedMsg>(in.ReadU64());
-  msg->ballot = ReadBallot(in);
-  msg->ok = in.ReadBool();
-  msg->promised = ReadBallot(in);
-  msg->match_index = in.ReadU64();
-  msg->need_from = in.ReadU64();
-  msg->applied_index = in.ReadU64();
-  msg->leader_sent_at = in.ReadI64();
-  msg->centrality = in.ReadI64();
-  return msg;
+template <class IO>
+void Fields(NoOpCommand&, IO&) {}
+
+template <class IO>
+void Fields(ConfigCommand& c, IO& io) {
+  io(wire::Enum(c.op, ConfigCommand::Op::kRemoveMember), c.node);
 }
-
-void EncodeSnapshotMsg(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const paxos::SnapshotMsg&>(m);
-  out.WriteU64(msg.group);
-  WriteBallot(msg.ballot, out);
-  out.WriteU64(msg.last_included_index);
-  WriteBallot(msg.last_included_ballot, out);
-  WriteNodeIds(msg.config, out);
-  out.WriteU64(msg.config_index);
-  EncodeSnapshot(msg.data, out);
-  out.WriteI64(msg.sent_at);
-  out.WriteBool(msg.bootstrap);
-}
-
-sim::MessagePtr DecodeSnapshotMsg(Reader& in) {
-  auto msg = std::make_shared<paxos::SnapshotMsg>(in.ReadU64());
-  msg->ballot = ReadBallot(in);
-  msg->last_included_index = in.ReadU64();
-  msg->last_included_ballot = ReadBallot(in);
-  msg->config = ReadNodeIds(in);
-  msg->config_index = in.ReadU64();
-  msg->data = DecodeSnapshot(in);
-  msg->sent_at = in.ReadI64();
-  msg->bootstrap = in.ReadBool();
-  return msg;
-}
-
-void EncodeSnapshotAck(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const paxos::SnapshotAckMsg&>(m);
-  out.WriteU64(msg.group);
-  WriteBallot(msg.ballot, out);
-  out.WriteU64(msg.last_included_index);
-  out.WriteI64(msg.leader_sent_at);
-}
-
-sim::MessagePtr DecodeSnapshotAck(Reader& in) {
-  auto msg = std::make_shared<paxos::SnapshotAckMsg>(in.ReadU64());
-  msg->ballot = ReadBallot(in);
-  msg->last_included_index = in.ReadU64();
-  msg->leader_sent_at = in.ReadI64();
-  return msg;
-}
-
-void EncodeTimeoutNow(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const paxos::TimeoutNowMsg&>(m);
-  out.WriteU64(msg.group);
-  WriteBallot(msg.ballot, out);
-}
-
-sim::MessagePtr DecodeTimeoutNow(Reader& in) {
-  auto msg = std::make_shared<paxos::TimeoutNowMsg>(in.ReadU64());
-  msg->ballot = ReadBallot(in);
-  return msg;
-}
-
-void EncodePing(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const paxos::PingMsg&>(m);
-  out.WriteU64(msg.group);
-  out.WriteI64(msg.sent_at);
-}
-
-sim::MessagePtr DecodePing(Reader& in) {
-  auto msg = std::make_shared<paxos::PingMsg>(in.ReadU64());
-  msg->sent_at = in.ReadI64();
-  return msg;
-}
-
-void EncodePong(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const paxos::PongMsg&>(m);
-  out.WriteU64(msg.group);
-  out.WriteI64(msg.ping_sent_at);
-}
-
-sim::MessagePtr DecodePong(Reader& in) {
-  auto msg = std::make_shared<paxos::PongMsg>(in.ReadU64());
-  msg->ping_sent_at = in.ReadI64();
-  return msg;
-}
-
-// --- Commands ----------------------------------------------------------------
-
-void EncodeNoOp(const paxos::Command& cmd, Buffer& out) {
-  (void)cmd;
-  (void)out;  // no payload
-}
-
-paxos::CommandPtr DecodeNoOp(Reader& in) {
-  (void)in;
-  return std::make_shared<paxos::NoOpCommand>();
-}
-
-void EncodeConfig(const paxos::Command& cmd, Buffer& out) {
-  const auto& config = static_cast<const paxos::ConfigCommand&>(cmd);
-  out.WriteU8(static_cast<uint8_t>(config.op));
-  out.WriteU64(config.node);
-}
-
-paxos::CommandPtr DecodeConfig(Reader& in) {
-  const uint8_t op = in.ReadU8();
-  const NodeId node = in.ReadU64();
-  if (op > static_cast<uint8_t>(paxos::ConfigCommand::Op::kRemoveMember)) {
-    in.Fail();
-    return nullptr;
-  }
-  return std::make_shared<paxos::ConfigCommand>(
-      static_cast<paxos::ConfigCommand::Op>(op), node);
-}
-
-}  // namespace
 
 void RegisterWireCodecs() {
   static const bool done = [] {
-#define SCATTER_REG_MESSAGE(enumr, stem)                             \
-  wire::RegisterMessageCodec(sim::MessageType::enumr, Encode##stem,  \
-                             Decode##stem);
-    SCATTER_PAXOS_WIRE_MESSAGES(SCATTER_REG_MESSAGE)
-#undef SCATTER_REG_MESSAGE
-
-    RegisterCommandCodec(kTagNoOpCommand, typeid(NoOpCommand), EncodeNoOp,
-                         DecodeNoOp);
-    RegisterCommandCodec(kTagConfigCommand, typeid(ConfigCommand),
-                         EncodeConfig, DecodeConfig);
+    SCATTER_PAXOS_WIRE_MESSAGES(SCATTER_REGISTER_MESSAGE)
+    RegisterCommand<NoOpCommand>(1);
+    RegisterCommand<ConfigCommand>(2);
     return true;
   }();
   (void)done;

@@ -3,24 +3,25 @@
 // Command tags 1-15 are reserved for this module; see PROTOCOL.md "Wire
 // format".
 //
-// X(enumerator, Stem) names the Encode<Stem>/Decode<Stem> pair in
-// wire_codecs.cc; RegisterWireCodecs() is generated from this list, and the
-// union of every module's list must cover SCATTER_MESSAGE_TYPE_LIST exactly
-// (compile-time assert in tests/wire_test.cc).
+// X(enumerator, Type) pairs a message type with the struct whose field list
+// (wire_codecs.cc) is its one wire definition; RegisterWireCodecs() expands
+// the list into RegisterMessage<Type> calls, and the union of every module's
+// list must cover SCATTER_MESSAGE_TYPE_LIST exactly (compile-time assert in
+// tests/wire_test.cc).
 
 #ifndef SCATTER_SRC_PAXOS_WIRE_CODECS_H_
 #define SCATTER_SRC_PAXOS_WIRE_CODECS_H_
 
 #define SCATTER_PAXOS_WIRE_MESSAGES(X) \
-  X(kPaxosPrepare, Prepare)            \
-  X(kPaxosPromise, Promise)            \
-  X(kPaxosAccept, Accept)              \
-  X(kPaxosAccepted, Accepted)          \
+  X(kPaxosPrepare, PrepareMsg)         \
+  X(kPaxosPromise, PromiseMsg)         \
+  X(kPaxosAccept, AcceptMsg)           \
+  X(kPaxosAccepted, AcceptedMsg)       \
   X(kPaxosSnapshot, SnapshotMsg)       \
-  X(kPaxosSnapshotAck, SnapshotAck)    \
-  X(kPaxosTimeoutNow, TimeoutNow)      \
-  X(kPaxosPing, Ping)                  \
-  X(kPaxosPong, Pong)
+  X(kPaxosSnapshotAck, SnapshotAckMsg) \
+  X(kPaxosTimeoutNow, TimeoutNowMsg)   \
+  X(kPaxosPing, PingMsg)               \
+  X(kPaxosPong, PongMsg)
 
 namespace scatter::paxos {
 

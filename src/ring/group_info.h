@@ -47,6 +47,13 @@ struct GroupInfo {
   }
 };
 
+// Wire field list (src/wire/fields.h).
+template <class IO>
+void Fields(GroupInfo& g, IO& io) {
+  io(g.id, g.range, g.epoch, g.members, g.leader, g.key_count,
+     g.has_key_count, g.op_rate, g.has_op_rate);
+}
+
 }  // namespace scatter::ring
 
 #endif  // SCATTER_SRC_RING_GROUP_INFO_H_

@@ -78,6 +78,12 @@ struct KeyRange {
   }
 };
 
+// Wire field list (src/wire/fields.h).
+template <class IO>
+void Fields(KeyRange& r, IO& io) {
+  io(r.begin, r.end);
+}
+
 }  // namespace scatter::ring
 
 #endif  // SCATTER_SRC_RING_KEY_RANGE_H_

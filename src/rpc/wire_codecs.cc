@@ -1,41 +1,21 @@
-// Wire codec for the generic RPC envelope (rpc/). Tag range: see
+// Field list for the generic RPC envelope (rpc/). Tag range: see
 // PROTOCOL.md "Wire format".
 
-#include <memory>
+#include "src/rpc/wire_codecs.h"
 
 #include "src/rpc/rpc_node.h"
-#include "src/rpc/wire_codecs.h"
 #include "src/wire/codec.h"
-#include "src/wire/field_codecs.h"
 
 namespace scatter::rpc {
-namespace {
 
-// Codec bodies read the wire vocabulary (Buffer, Reader, shared field
-// codecs) unqualified, same as when they lived in src/wire/.
-using namespace scatter::wire;            // NOLINT(google-build-using-namespace)
-using namespace scatter::wire::internal;  // NOLINT(google-build-using-namespace)
-
-void EncodeRpcError(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const rpc::RpcErrorMessage&>(m);
-  WriteStatus(msg.status, out);
+template <class IO>
+void Fields(RpcErrorMessage& m, IO& io) {
+  io(m.status);
 }
-
-sim::MessagePtr DecodeRpcError(Reader& in) {
-  auto msg = std::make_shared<rpc::RpcErrorMessage>();
-  msg->status = ReadStatus(in);
-  return msg;
-}
-
-}  // namespace
 
 void RegisterWireCodecs() {
   static const bool done = [] {
-#define SCATTER_REG_MESSAGE(enumr, stem)                             \
-  wire::RegisterMessageCodec(sim::MessageType::enumr, Encode##stem,  \
-                             Decode##stem);
-    SCATTER_RPC_WIRE_MESSAGES(SCATTER_REG_MESSAGE)
-#undef SCATTER_REG_MESSAGE
+    SCATTER_RPC_WIRE_MESSAGES(SCATTER_REGISTER_MESSAGE)
     return true;
   }();
   (void)done;

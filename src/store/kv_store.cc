@@ -21,6 +21,13 @@ void KvStore::InsertRaw(Key key, const Value& value) {
   bytes_ += EntryBytes(value);
 }
 
+void KvStore::RecountBytes() {
+  bytes_ = 0;
+  for (const auto& [key, value] : entries_) {
+    bytes_ += EntryBytes(value);
+  }
+}
+
 void KvStore::Put(Key key, Value value) {
   InsertRaw(key, value);
 }

@@ -58,11 +58,22 @@ class KvStore {
     return a.entries_ == b.entries_;
   }
 
+  // Wire field list (src/wire/fields.h): the entries in key order. A read
+  // recomputes the byte accounting the entries imply.
+  template <class IO>
+  friend void Fields(KvStore& kv, IO& io) {
+    io(kv.entries_);
+    if constexpr (IO::kReading) {
+      kv.RecountBytes();
+    }
+  }
+
  private:
   template <typename Fn>
   void ForRange(const ring::KeyRange& range, Fn&& fn) const;
 
   void InsertRaw(Key key, const Value& value);
+  void RecountBytes();
 
   std::map<Key, Value> entries_;
   size_t bytes_ = 0;

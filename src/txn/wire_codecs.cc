@@ -1,124 +1,47 @@
-// Wire codecs for the nested-consensus coordination messages (txn/).
+// Field lists for the nested-consensus coordination messages (txn/).
 
-#include <memory>
+#include "src/txn/wire_codecs.h"
 
 #include "src/txn/messages.h"
-#include "src/txn/wire_codecs.h"
-#include "src/membership/wire_fields.h"
-#include "src/ring/wire_fields.h"
-#include "src/store/wire_fields.h"
 #include "src/wire/codec.h"
-#include "src/wire/field_codecs.h"
 
 namespace scatter::txn {
-namespace {
 
-// Codec bodies read the wire vocabulary (Buffer, Reader, shared field
-// codecs) unqualified, same as when they lived in src/wire/.
-using namespace scatter::wire;            // NOLINT(google-build-using-namespace)
-using namespace scatter::wire::internal;  // NOLINT(google-build-using-namespace)
-
-void EncodeTxnPrepare(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const txn::TxnPrepareMsg&>(m);
-  WriteRingTxn(msg.txn, out);
-  WriteNodeIds(msg.coord_members, out);
-  WriteKvStore(msg.coord_data, out);
-  WriteDedupTable(msg.coord_dedup, out);
-  WriteGroupInfo(msg.coord_outer_neighbor, out);
+template <class IO>
+void Fields(TxnPrepareMsg& m, IO& io) {
+  io(m.txn, m.coord_members, m.coord_data, m.coord_dedup,
+     m.coord_outer_neighbor);
 }
 
-sim::MessagePtr DecodeTxnPrepare(Reader& in) {
-  auto msg = std::make_shared<txn::TxnPrepareMsg>();
-  msg->txn = ReadRingTxn(in);
-  msg->coord_members = ReadNodeIds(in);
-  msg->coord_data = ReadKvStore(in);
-  msg->coord_dedup = ReadDedupTable(in);
-  msg->coord_outer_neighbor = ReadGroupInfo(in);
-  return msg;
+template <class IO>
+void Fields(TxnPrepareReplyMsg& m, IO& io) {
+  io(m.txn_id, m.prepared, m.part_members, m.part_data, m.part_dedup,
+     m.part_outer_neighbor);
 }
 
-void EncodeTxnPrepareReply(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const txn::TxnPrepareReplyMsg&>(m);
-  out.WriteU64(msg.txn_id);
-  out.WriteBool(msg.prepared);
-  WriteNodeIds(msg.part_members, out);
-  WriteKvStore(msg.part_data, out);
-  WriteDedupTable(msg.part_dedup, out);
-  WriteGroupInfo(msg.part_outer_neighbor, out);
+template <class IO>
+void Fields(TxnDecisionMsg& m, IO& io) {
+  io(m.txn_id, m.participant_group, m.commit);
 }
 
-sim::MessagePtr DecodeTxnPrepareReply(Reader& in) {
-  auto msg = std::make_shared<txn::TxnPrepareReplyMsg>();
-  msg->txn_id = in.ReadU64();
-  msg->prepared = in.ReadBool();
-  msg->part_members = ReadNodeIds(in);
-  msg->part_data = ReadKvStore(in);
-  msg->part_dedup = ReadDedupTable(in);
-  msg->part_outer_neighbor = ReadGroupInfo(in);
-  return msg;
+template <class IO>
+void Fields(TxnDecisionAckMsg& m, IO& io) {
+  io(m.txn_id);
 }
 
-void EncodeTxnDecision(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const txn::TxnDecisionMsg&>(m);
-  out.WriteU64(msg.txn_id);
-  out.WriteU64(msg.participant_group);
-  out.WriteBool(msg.commit);
+template <class IO>
+void Fields(TxnStatusQueryMsg& m, IO& io) {
+  io(m.txn_id);
 }
 
-sim::MessagePtr DecodeTxnDecision(Reader& in) {
-  auto msg = std::make_shared<txn::TxnDecisionMsg>();
-  msg->txn_id = in.ReadU64();
-  msg->participant_group = in.ReadU64();
-  msg->commit = in.ReadBool();
-  return msg;
+template <class IO>
+void Fields(TxnStatusReplyMsg& m, IO& io) {
+  io(m.txn_id, m.known, m.committed);
 }
-
-void EncodeTxnDecisionAck(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const txn::TxnDecisionAckMsg&>(m);
-  out.WriteU64(msg.txn_id);
-}
-
-sim::MessagePtr DecodeTxnDecisionAck(Reader& in) {
-  auto msg = std::make_shared<txn::TxnDecisionAckMsg>();
-  msg->txn_id = in.ReadU64();
-  return msg;
-}
-
-void EncodeTxnStatusQuery(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const txn::TxnStatusQueryMsg&>(m);
-  out.WriteU64(msg.txn_id);
-}
-
-sim::MessagePtr DecodeTxnStatusQuery(Reader& in) {
-  auto msg = std::make_shared<txn::TxnStatusQueryMsg>();
-  msg->txn_id = in.ReadU64();
-  return msg;
-}
-
-void EncodeTxnStatusReply(const sim::Message& m, Buffer& out) {
-  const auto& msg = static_cast<const txn::TxnStatusReplyMsg&>(m);
-  out.WriteU64(msg.txn_id);
-  out.WriteBool(msg.known);
-  out.WriteBool(msg.committed);
-}
-
-sim::MessagePtr DecodeTxnStatusReply(Reader& in) {
-  auto msg = std::make_shared<txn::TxnStatusReplyMsg>();
-  msg->txn_id = in.ReadU64();
-  msg->known = in.ReadBool();
-  msg->committed = in.ReadBool();
-  return msg;
-}
-
-}  // namespace
 
 void RegisterWireCodecs() {
   static const bool done = [] {
-#define SCATTER_REG_MESSAGE(enumr, stem)                             \
-  wire::RegisterMessageCodec(sim::MessageType::enumr, Encode##stem,  \
-                             Decode##stem);
-    SCATTER_TXN_WIRE_MESSAGES(SCATTER_REG_MESSAGE)
-#undef SCATTER_REG_MESSAGE
+    SCATTER_TXN_WIRE_MESSAGES(SCATTER_REGISTER_MESSAGE)
     return true;
   }();
   (void)done;

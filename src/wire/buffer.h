@@ -14,10 +14,11 @@
 // pointer into a pooled, recycled buffer faults instead of silently
 // reading the next tenant's bytes.
 //
-// Reader is a bounds-checked cursor over an immutable byte span. A short or
-// malformed read flips a sticky failure flag instead of crashing: decoders
-// run to completion on garbage input and the frame decoder rejects the
-// message afterwards, which is what the fuzz tests rely on.
+// Reader is a bounds-checked cursor over an immutable byte span, and the
+// decoding visitor of the field lists in fields.h. A short or malformed read
+// flips a sticky failure flag instead of crashing: decoders run to
+// completion on garbage input and the frame decoder rejects the message
+// afterwards, which is what the fuzz tests rely on.
 
 #ifndef SCATTER_SRC_WIRE_BUFFER_H_
 #define SCATTER_SRC_WIRE_BUFFER_H_
@@ -80,15 +81,15 @@ class Buffer {
 
   void WriteU8(uint8_t v) { *Grow(1) = v; }
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
-  void WriteU16(uint16_t v) { AppendLe(v); }
-  void WriteU32(uint32_t v) { AppendLe(v); }
-  void WriteU64(uint64_t v) { AppendLe(v); }
-  void WriteI64(int64_t v) { AppendLe(static_cast<uint64_t>(v)); }
+  void WriteU16(uint16_t v) { WriteLe(v); }
+  void WriteU32(uint32_t v) { WriteLe(v); }
+  void WriteU64(uint64_t v) { WriteLe(v); }
+  void WriteI64(int64_t v) { WriteLe(static_cast<uint64_t>(v)); }
   void WriteDouble(double v) {
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
-    AppendLe(bits);
+    WriteLe(bits);
   }
   void WriteString(const std::string& s) {
     WriteU32(static_cast<uint32_t>(s.size()));
@@ -97,6 +98,18 @@ class Buffer {
   void WriteBytes(const uint8_t* data, size_t size) {
     if (size != 0) {
       std::memcpy(Grow(size), data, size);
+    }
+  }
+
+  // Any unsigned integer, little-endian. The byte-wise shift decomposition
+  // compiles to a single store through the unchecked write cursor (the
+  // vector-based per-field insert was the hottest line of the encode path
+  // before the wire hot-path rework).
+  template <typename T>
+  void WriteLe(T v) {
+    uint8_t* at = Grow(sizeof(T));
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      at[i] = static_cast<uint8_t>(v >> (8 * i));
     }
   }
 
@@ -184,18 +197,6 @@ class Buffer {
     cap_ = cap;
   }
 
-  // Byte-wise shift decomposition compiles to a single little-endian store
-  // through the unchecked write cursor (the vector-based per-field insert
-  // was the hottest line of the encode path before the wire hot-path
-  // rework).
-  template <typename T>
-  void AppendLe(T v) {
-    uint8_t* at = Grow(sizeof(T));
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      at[i] = static_cast<uint8_t>(v >> (8 * i));
-    }
-  }
-
   uint8_t* bytes_ = nullptr;
   size_t size_ = 0;
   size_t cap_ = 0;
@@ -206,6 +207,14 @@ class Reader {
   Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
   explicit Reader(const Buffer& buffer)
       : Reader(buffer.data(), buffer.size()) {}
+
+  // Field-list visitor (fields.h): reads each argument in order. The Field
+  // overloads are found by argument-dependent lookup.
+  static constexpr bool kReading = true;
+  template <typename... T>
+  void operator()(T&&... fields) {
+    (Field(*this, fields), ...);
+  }
 
   uint8_t ReadU8() {
     uint8_t v = 0;
@@ -221,6 +230,16 @@ class Reader {
     const uint64_t bits = ReadLe<uint64_t>();
     double v;
     std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  }
+  template <typename T>
+  T ReadLe() {
+    uint8_t raw[sizeof(T)] = {};
+    Take(raw, sizeof(T));
+    T v = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      v = static_cast<T>(v | (static_cast<T>(raw[i]) << (8 * i)));
+    }
     return v;
   }
   std::string ReadString() {
@@ -255,17 +274,6 @@ class Reader {
   void Fail() { ok_ = false; }
 
  private:
-  template <typename T>
-  T ReadLe() {
-    uint8_t raw[sizeof(T)] = {};
-    Take(raw, sizeof(T));
-    T v = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(raw[i]) << (8 * i)));
-    }
-    return v;
-  }
-
   void Take(uint8_t* out, size_t n) {
     if (!ok_ || n > remaining()) {
       Fail();

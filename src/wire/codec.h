@@ -1,8 +1,8 @@
 // Central wire-format codec registry.
 //
-// Every sim::MessageType has a registered Encode/Decode pair, registered by
-// the protocol module that owns the message structs; this layer only frames
-// and dispatches.
+// Every sim::MessageType is registered, with RegisterMessage<T>, by the
+// protocol module that owns the message struct and its field list
+// (fields.h); this layer only frames and dispatches.
 //
 // Frame layout (all integers little-endian):
 //
@@ -15,7 +15,7 @@
 //   u8   flags               |   transport can ignore legitimate routing
 //   u64  trace_id            |   rewrites by Forward)
 //   u64  span_id             |
-//   ...  payload             type-specific, written by the registered codec
+//   ...  payload             type-specific: the message's field list
 //
 // Polymorphic payloads riding inside messages (replicated commands, state
 // machine snapshots) have their own tagged registries in
@@ -30,6 +30,7 @@
 
 #include "src/sim/message.h"
 #include "src/wire/buffer.h"
+#include "src/wire/fields.h"
 
 namespace scatter::wire {
 
@@ -50,6 +51,27 @@ using MessageDecodeFn = sim::MessagePtr (*)(Reader& in);
 
 void RegisterMessageCodec(sim::MessageType type, MessageEncodeFn encode,
                           MessageDecodeFn decode);
+
+// Registers message struct T (default-constructible, with a field list) as
+// the codec for `type`: both directions walk T's one Fields(T&, IO&).
+template <typename T>
+void RegisterMessage(sim::MessageType type) {
+  RegisterMessageCodec(
+      type,
+      [](const sim::Message& m, Buffer& out) {
+        Write(static_cast<const T&>(m), out);
+      },
+      [](Reader& in) -> sim::MessagePtr {
+        auto m = std::make_shared<T>();
+        in(*m);
+        return m;
+      });
+}
+
+// X-list expander for the modules' (enumerator, Type) message lists.
+#define SCATTER_REGISTER_MESSAGE(enumr, type) \
+  ::scatter::wire::RegisterMessage<type>(::scatter::sim::MessageType::enumr);
+
 bool HasMessageCodec(sim::MessageType type);
 
 // Message types from the X-macro table with no registered codec. Empty once
@@ -72,10 +94,10 @@ sim::MessagePtr DecodeFrame(const uint8_t* data, size_t size,
 
 // Codec registration is owned by the module that owns the message structs:
 // each protocol module defines an idempotent RegisterWireCodecs() in its own
-// wire_codecs.{h,cc} (generated from that module's X-macro message list), and
-// core::RegisterScatterWireCodecs() aggregates the full Scatter stack. This
-// keeps the wire layer below the protocol layers in the include DAG — it
-// never names a concrete message type.
+// wire_codecs.{h,cc} (one RegisterMessage<T> per entry of that module's
+// X-macro message list), and core::RegisterScatterWireCodecs() aggregates
+// the full Scatter stack. This keeps the wire layer below the protocol
+// layers in the include DAG — it never names a concrete message type.
 
 // Shared between the eager frame decoder and the lazy FrameView
 // (frame_view.h); not part of the module API.

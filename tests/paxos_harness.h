@@ -34,31 +34,22 @@ namespace scatter::paxos::testing {
 
 // Application command: append a value to a replicated sequence.
 struct SeqCommand : AppCommand {
-  explicit SeqCommand(uint64_t v) : value(v) {}
+  explicit SeqCommand(uint64_t v = 0) : value(v) {}
   uint64_t value;
 };
 
-// Wire codecs for the test-private command and snapshot types, so the
-// whole Paxos suite also runs under SCATTER_TRANSPORT=serializing/audit.
-// Tags from 256 up are reserved for tests (production modules own 1-255).
+// Field lists for the test-private command and snapshot types, registered
+// through the production templates, so the whole Paxos suite also runs
+// under SCATTER_TRANSPORT=serializing/audit. Tags from 256 up are reserved
+// for tests (production modules own 1-255).
+template <class IO>
+void Fields(SeqCommand& c, IO& io) {
+  io(static_cast<AppCommand&>(c), c.value);
+}
+
 inline void RegisterPaxosTestCodecs() {
   static const bool done = [] {
-    paxos::RegisterCommandCodec(
-        256, typeid(SeqCommand),
-        [](const Command& cmd, wire::Buffer& out) {
-          const auto& seq = static_cast<const SeqCommand&>(cmd);
-          out.WriteU64(seq.client_id);
-          out.WriteU64(seq.client_seq);
-          out.WriteU64(seq.value);
-        },
-        [](wire::Reader& in) -> CommandPtr {
-          const uint64_t client_id = in.ReadU64();
-          const uint64_t client_seq = in.ReadU64();
-          auto cmd = std::make_shared<SeqCommand>(in.ReadU64());
-          cmd->client_id = client_id;
-          cmd->client_seq = client_seq;
-          return cmd;
-        });
+    RegisterCommand<SeqCommand>(256);
     return true;
   }();
   (void)done;
@@ -71,6 +62,11 @@ class RecordingStateMachine : public StateMachine {
   struct Snap : SnapshotData {
     std::vector<uint64_t> values;
     std::map<uint64_t, uint64_t> client_seqs;
+
+    template <class IO>
+    friend void Fields(Snap& s, IO& io) {
+      io(s.values, s.client_seqs);
+    }
   };
 
   void Apply(uint64_t index, const Command& command) override {
@@ -107,34 +103,7 @@ class RecordingStateMachine : public StateMachine {
 
 inline void RegisterPaxosTestSnapshotCodec() {
   static const bool done = [] {
-    paxos::RegisterSnapshotCodec(
-        256, typeid(RecordingStateMachine::Snap),
-        [](const SnapshotData& snap, wire::Buffer& out) {
-          const auto& s = static_cast<const RecordingStateMachine::Snap&>(snap);
-          out.WriteU32(static_cast<uint32_t>(s.values.size()));
-          for (uint64_t v : s.values) {
-            out.WriteU64(v);
-          }
-          out.WriteU32(static_cast<uint32_t>(s.client_seqs.size()));
-          for (const auto& [client, seq] : s.client_seqs) {
-            out.WriteU64(client);
-            out.WriteU64(seq);
-          }
-        },
-        [](wire::Reader& in) -> SnapshotPtr {
-          auto s = std::make_shared<RecordingStateMachine::Snap>();
-          const size_t values = in.ReadCount();
-          s->values.reserve(values);
-          for (size_t i = 0; i < values && in.ok(); ++i) {
-            s->values.push_back(in.ReadU64());
-          }
-          const size_t seqs = in.ReadCount();
-          for (size_t i = 0; i < seqs && in.ok(); ++i) {
-            const uint64_t client = in.ReadU64();
-            s->client_seqs[client] = in.ReadU64();
-          }
-          return s;
-        });
+    RegisterSnapshot<RecordingStateMachine::Snap>(256);
     return true;
   }();
   (void)done;

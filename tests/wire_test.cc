@@ -12,22 +12,27 @@
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/baseline/chord_messages.h"
 #include "src/baseline/wire_codecs.h"
+#include "src/common/hash.h"
 #include "src/core/messages.h"
 #include "src/core/wire_codecs.h"
 #include "src/membership/commands.h"
 #include "src/membership/group_state_machine.h"
 #include "src/membership/wire_codecs.h"
+#include "src/obs/metrics.h"
+#include "src/paxos/journal.h"
 #include "src/paxos/messages.h"
 #include "src/paxos/payload_codec.h"
 #include "src/paxos/wire_codecs.h"
 #include "src/rpc/rpc_node.h"
 #include "src/rpc/wire_codecs.h"
+#include "src/storage/sim_disk.h"
 #include "src/txn/messages.h"
 #include "src/txn/wire_codecs.h"
 #include "src/wire/buffer.h"
@@ -130,7 +135,8 @@ store::KvStore RandStore(Rng& rng) {
   store::KvStore kv;
   const size_t n = rng() % 5;
   for (size_t i = 0; i < n; ++i) {
-    kv.Put(rng(), RandValue(rng));
+    const Key key = rng();  // sequenced: argument order is unspecified
+    kv.Put(key, RandValue(rng));
   }
   return kv;
 }
@@ -166,8 +172,8 @@ membership::RingTxn RandTxn(Rng& rng) {
 }
 
 Status RandStatus(Rng& rng) {
-  return Status(static_cast<StatusCode>(rng() % 10),
-                std::string(RandValue(rng)));
+  const auto code = static_cast<StatusCode>(rng() % 10);
+  return Status(code, RandValue(rng));
 }
 
 baseline::NodeRef RandRef(Rng& rng) {
@@ -186,12 +192,15 @@ paxos::CommandPtr RandCommand(Rng& rng, size_t pick) {
       return nullptr;  // tag 0: entries may carry no command
     case 1:
       return std::make_shared<paxos::NoOpCommand>();
-    case 2:
-      return std::make_shared<paxos::ConfigCommand>(
-          static_cast<paxos::ConfigCommand::Op>(rng() % 2), rng() % 1000);
-    case 3:
-      return base(std::make_shared<membership::PutCommand>(rng(),
+    case 2: {
+      const auto op = static_cast<paxos::ConfigCommand::Op>(rng() % 2);
+      return std::make_shared<paxos::ConfigCommand>(op, rng() % 1000);
+    }
+    case 3: {
+      const Key key = rng();
+      return base(std::make_shared<membership::PutCommand>(key,
                                                            RandValue(rng)));
+    }
     case 4:
       return base(std::make_shared<membership::DeleteCommand>(rng()));
     case 5: {
@@ -1048,6 +1057,297 @@ TEST_F(WireTest, GarbagePayloadNeverCrashes) {
       EXPECT_EQ(consumed, 0u);
     }
   }
+}
+
+// --- Pinned bytes ------------------------------------------------------------
+//
+// Round trips cannot catch a change made symmetrically to an encoder and its
+// decoder. These digests pin the exact bytes instead: they were recorded from
+// the hand-written codecs that the field lists replaced, and any change to
+// the frame, command, snapshot or journal layout must show up here.
+
+uint64_t Digest(const uint8_t* data, size_t size) {
+  return HashBytes(
+      std::string_view(reinterpret_cast<const char*>(data), size));
+}
+
+uint64_t Digest(const Buffer& b) { return Digest(b.data(), b.size()); }
+
+TEST_F(WireTest, FrameBytesArePinned) {
+  // Per message type, folded over the samples of seeds 1-25.
+  const std::map<std::string, uint64_t> expected = {
+      {"ChordFetch", 0x6a216f577c6b1bf4ull},
+      {"ChordFetchReply", 0x054e388acd0bbe71ull},
+      {"ChordFindSuccessor", 0x5da698fa2131d224ull},
+      {"ChordFindSuccessorReply", 0x4b6abcd5adc8f234ull},
+      {"ChordGetNeighbors", 0x3ecb4783fed7d701ull},
+      {"ChordGetNeighborsReply", 0x4e877f537f4d39e0ull},
+      {"ChordNotify", 0xc512b64e11550ae4ull},
+      {"ChordPing", 0xb14be85eef73be35ull},
+      {"ChordPong", 0xa1897825dee74abeull},
+      {"ChordStore", 0xf4013e952bf81f37ull},
+      {"ChordStoreAck", 0x8c8593497bf4deb2ull},
+      {"ClientReply", 0x1bd2b88df8a78d66ull},
+      {"ClientRequest", 0x5bb4683321023002ull},
+      {"GroupInfoReply", 0x3b5828b5510f5a2dull},
+      {"GroupInfoRequest", 0x5e15ef1076db79f7ull},
+      {"JoinReply", 0xd2d8fd2929b7c2f1ull},
+      {"JoinRequest", 0x2c2c718f456213acull},
+      {"LeaveRequest", 0x79a7c0ba62bd7676ull},
+      {"LookupReply", 0xa2c3db650dff088cull},
+      {"LookupRequest", 0xc2cebe795c23ee56ull},
+      {"MigrateDirective", 0x42d8c31e23bd5f5dull},
+      {"MigrateRequest", 0x70d3af665c0bb98dull},
+      {"PaxosAccept", 0x9b05dab217bc39d9ull},
+      {"PaxosAccepted", 0x3ac26585646cbce3ull},
+      {"PaxosPing", 0x21c5006e3244e7bcull},
+      {"PaxosPong", 0x4c0f561407b3bf66ull},
+      {"PaxosPrepare", 0x71cd6b00e1b095c9ull},
+      {"PaxosPromise", 0x82cb3990a5a28f90ull},
+      {"PaxosSnapshot", 0x65bff3ed608715a1ull},
+      {"PaxosSnapshotAck", 0xb1a9d2b8f7099a55ull},
+      {"PaxosTimeoutNow", 0x4746e852844d4db5ull},
+      {"RingGossip", 0xee02a81b01861556ull},
+      {"RpcError", 0x09a51146a5bd6eafull},
+      {"TxnDecision", 0x4b7ec71bc07039a4ull},
+      {"TxnDecisionAck", 0xd6c2bab3c5a1d7f2ull},
+      {"TxnPrepare", 0x4a981371ab8723ebull},
+      {"TxnPrepareReply", 0x9ef44942701744dbull},
+      {"TxnStatusQuery", 0xdeca6b4f0d2bdc4dull},
+      {"TxnStatusReply", 0x201f7e20bc99030eull},
+  };
+  std::map<std::string, uint64_t> got;
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    Rng rng(seed);
+    for (const auto& m : SampleMessages(rng)) {
+      Buffer frame;
+      EncodeFrame(*m, frame);
+      uint64_t& fold = got[sim::MessageTypeName(m->type)];
+      fold = MixHash(fold, Digest(frame));
+    }
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST_F(WireTest, PayloadBytesArePinned) {
+  // One sample of every command tag (pick 0 is the null command) and of the
+  // snapshot tag, plus the null snapshot.
+  Rng rng(29);
+  std::vector<uint64_t> got;
+  for (size_t pick = 0; pick < 11; ++pick) {
+    Buffer out;
+    paxos::EncodeCommand(RandCommand(rng, pick), out);
+    got.push_back(Digest(out));
+  }
+  for (const paxos::SnapshotPtr& snap :
+       {paxos::SnapshotPtr(RandGroupSnapshot(rng)), paxos::SnapshotPtr()}) {
+    Buffer out;
+    paxos::EncodeSnapshot(snap, out);
+    got.push_back(Digest(out));
+  }
+  const std::vector<uint64_t> expected = {
+      0x7bc210046bd616ccull,
+      0x096fb4607e99c43eull,
+      0xc9507b5f7a1f35a9ull,
+      0x49c95cd427cd441cull,
+      0xac293de69dc2e6fdull,
+      0xe4e5ed3399d677d2ull,
+      0x0ff5864fc193f08aull,
+      0x78f78dbbc3b124aeull,
+      0xa596c94637c1f589ull,
+      0xf7adfe19679309e1ull,
+      0x9923279f71253ceaull,
+      0x9d742125437f253dull,
+      0x7bc210046bd616ccull,
+  };
+  EXPECT_EQ(got, expected);
+}
+
+TEST_F(WireTest, JournalBytesArePinned) {
+  // A scripted journal writes every record type: checkpoint, promise,
+  // accept, commit and truncate, then a second checkpoint that rewrites the
+  // WAL down to a residual suffix.
+  storage::SimDisk disk;
+  obs::MetricsRegistry metrics;
+  const GroupId group = 7;
+  paxos::GroupJournal journal(&disk, &metrics, /*node=*/1, group);
+  Rng rng(31);
+  journal.WriteCheckpoint(0, Ballot{}, {1, 2, 3}, 0, RandGroupSnapshot(rng),
+                          Ballot{1, 1}, 0, {});
+  journal.LogPromise(Ballot{2, 3});
+  std::vector<paxos::LogEntry> log;
+  for (uint64_t i = 1; i <= 11; ++i) {
+    paxos::LogEntry e;
+    e.index = i;
+    e.ballot = Ballot{2, 3};
+    e.command = RandCommand(rng, i);
+    journal.LogAccept(e);
+    log.push_back(e);
+  }
+  journal.LogCommit(5);
+  journal.LogTruncateSuffix(9);
+  journal.Sync();
+
+  auto file_digest = [&disk](const std::string& file) {
+    std::vector<uint8_t> bytes;
+    EXPECT_TRUE(disk.Read(file, &bytes)) << file;
+    return Digest(bytes.data(), bytes.size());
+  };
+  std::vector<uint64_t> got;
+  got.push_back(file_digest(paxos::SnapFileName(group)));
+  got.push_back(file_digest(paxos::WalFileName(group)));
+
+  journal.WriteCheckpoint(4, Ballot{2, 3}, {1, 2, 3, 4}, 3,
+                          RandGroupSnapshot(rng), Ballot{2, 3}, 5,
+                          {log.begin() + 4, log.begin() + 8});
+  journal.LogCommit(8);
+  journal.Sync();
+  got.push_back(file_digest(paxos::SnapFileName(group)));
+  got.push_back(file_digest(paxos::WalFileName(group)));
+
+  paxos::RecoveredState recovered;
+  ASSERT_TRUE(paxos::GroupJournal::Recover(disk, group, &recovered));
+  EXPECT_EQ(recovered.snap_base_index, 4u);
+  EXPECT_EQ(recovered.entries.size(), 4u);
+  EXPECT_EQ(recovered.commit_index, 8u);
+
+  const std::vector<uint64_t> expected = {
+      0xf0fb064c37c674a7ull,
+      0x8f3f5c0b4c580c45ull,
+      0x3a759c9dc24ff93eull,
+      0xd7f4d8b87df2869dull,
+  };
+  EXPECT_EQ(got, expected);
+}
+
+// --- Enum range checks -------------------------------------------------------
+//
+// Every enum-valued field is one byte on the wire, and decode rejects a byte
+// above the enum's last value. make(v) builds a message whose enum field is
+// v; encoding it with 0 and with `last` locates the field's byte as the only
+// byte that differs. The frame must decode with `last` there and be
+// rejected, with the same error on the eager and lazy paths, at last + 1.
+template <typename Make>
+void ExpectEnumByteRejected(const char* what, Make make, uint8_t last) {
+  SCOPED_TRACE(what);
+  Buffer low;
+  EncodeFrame(*make(0), low);
+  Buffer high;
+  EncodeFrame(*make(last), high);
+  ASSERT_EQ(low.size(), high.size());
+  std::vector<size_t> diff;
+  for (size_t i = 0; i < low.size(); ++i) {
+    if (low.data()[i] != high.data()[i]) {
+      diff.push_back(i);
+    }
+  }
+  ASSERT_EQ(diff.size(), 1u);
+  std::vector<uint8_t> bytes = high.bytes();
+  ASSERT_EQ(bytes[diff[0]], last);
+
+  size_t consumed = 0;
+  std::string error;
+  ASSERT_NE(DecodeFrame(bytes.data(), bytes.size(), &consumed, &error),
+            nullptr)
+      << error;
+
+  bytes[diff[0]] = static_cast<uint8_t>(last + 1);
+  std::string eager_error;
+  EXPECT_EQ(DecodeFrame(bytes.data(), bytes.size(), &consumed, &eager_error),
+            nullptr);
+  EXPECT_EQ(consumed, 0u);
+  EXPECT_FALSE(eager_error.empty());
+  FrameView view;
+  std::string lazy_error;
+  ASSERT_TRUE(view.Parse(bytes.data(), bytes.size(), &lazy_error))
+      << lazy_error;
+  EXPECT_EQ(view.Materialize(&lazy_error), nullptr);
+  EXPECT_EQ(lazy_error, eager_error);
+}
+
+TEST_F(WireTest, EveryEnumFieldRejectsAByteAboveItsLastValue) {
+  ExpectEnumByteRejected(
+      "ConfigCommand::Op",
+      [](uint8_t v) {
+        auto m = std::make_shared<paxos::AcceptMsg>(1);
+        paxos::LogEntry e;
+        e.index = 1;
+        e.command = std::make_shared<paxos::ConfigCommand>(
+            static_cast<paxos::ConfigCommand::Op>(v), 5);
+        m->entries.push_back(e);
+        return m;
+      },
+      static_cast<uint8_t>(paxos::ConfigCommand::Op::kRemoveMember));
+  ExpectEnumByteRejected(
+      "ClientOp",
+      [](uint8_t v) {
+        auto m = std::make_shared<core::ClientRequestMsg>();
+        m->op = static_cast<core::ClientOp>(v);
+        return m;
+      },
+      static_cast<uint8_t>(core::ClientOp::kDelete));
+
+  const uint8_t last_kind =
+      static_cast<uint8_t>(membership::RingTxn::Kind::kRepartition);
+  ExpectEnumByteRejected(
+      "RingTxn::Kind in TxnPrepare",
+      [](uint8_t v) {
+        auto m = std::make_shared<txn::TxnPrepareMsg>();
+        m->txn.kind = static_cast<membership::RingTxn::Kind>(v);
+        return m;
+      },
+      last_kind);
+  ExpectEnumByteRejected(
+      "RingTxn::Kind in CoordStartCommand",
+      [](uint8_t v) {
+        auto cmd = std::make_shared<membership::CoordStartCommand>();
+        cmd->txn.kind = static_cast<membership::RingTxn::Kind>(v);
+        auto m = std::make_shared<paxos::AcceptMsg>(1);
+        paxos::LogEntry e;
+        e.index = 1;
+        e.command = cmd;
+        m->entries.push_back(e);
+        return m;
+      },
+      last_kind);
+  ExpectEnumByteRejected(
+      "RingTxn::Kind in GroupSnapshot",
+      [](uint8_t v) {
+        auto snap = std::make_shared<membership::GroupSnapshot>();
+        snap->state.active.emplace();
+        snap->state.active->txn.kind =
+            static_cast<membership::RingTxn::Kind>(v);
+        auto m = std::make_shared<paxos::SnapshotMsg>(1);
+        m->data = snap;
+        return m;
+      },
+      last_kind);
+
+  const uint8_t last_code = static_cast<uint8_t>(StatusCode::kInternal);
+  ExpectEnumByteRejected(
+      "StatusCode in ClientReply",
+      [](uint8_t v) {
+        auto m = std::make_shared<core::ClientReplyMsg>();
+        m->code = static_cast<StatusCode>(v);
+        return m;
+      },
+      last_code);
+  ExpectEnumByteRejected(
+      "StatusCode in JoinReply",
+      [](uint8_t v) {
+        auto m = std::make_shared<core::JoinReplyMsg>();
+        m->code = static_cast<StatusCode>(v);
+        return m;
+      },
+      last_code);
+  ExpectEnumByteRejected(
+      "Status in RpcError",
+      [](uint8_t v) {
+        auto m = std::make_shared<rpc::RpcErrorMessage>();
+        m->status = Status(static_cast<StatusCode>(v), "why");
+        return m;
+      },
+      last_code);
 }
 
 }  // namespace

@@ -30,9 +30,11 @@
 #include "src/common/types.h"
 #include "src/core/wire_codecs.h"
 #include "src/paxos/journal.h"
+#include "src/paxos/payload_codec.h"
 #include "src/storage/fs_disk.h"
 #include "src/storage/wal.h"
 #include "src/wire/buffer.h"
+#include "src/wire/fields.h"
 
 namespace scatter {
 namespace {
@@ -53,54 +55,57 @@ const char* RecordTypeName(uint16_t type) {
   return "unknown";
 }
 
-std::string BallotStr(wire::Reader& in) {
-  const uint64_t round = in.ReadU64();
-  const uint64_t node = in.ReadU64();
-  return std::to_string(round) + "." + std::to_string(node);
+// Encoded size of one field (a command or snapshot inside a record).
+template <typename T>
+size_t EncodedBytes(const T& field) {
+  wire::Buffer out;
+  wire::Write(field, out);
+  return out.size();
 }
 
-// One-line field dump of a record payload. Decodes only the fixed header
-// fields each type carries; command/snapshot payload bytes are reported by
-// size (the codec-registered decoders run in --verify via real recovery).
+// One-line field dump of a record payload, decoded through the same field
+// lists the journal writes with; command and snapshot payloads are reported
+// by size.
 std::string DescribeRecord(const storage::WalRecord& record) {
   wire::Reader in(record.payload.data(), record.payload.size());
   std::string out;
-  switch (static_cast<paxos::JournalRecordType>(record.type)) {
-    case paxos::JournalRecordType::kPromise:
-      out = "ballot=" + BallotStr(in);
+  const auto type = static_cast<paxos::JournalRecordType>(record.type);
+  switch (type) {
+    case paxos::JournalRecordType::kPromise: {
+      Ballot ballot;
+      in(ballot);
+      out = "ballot=" + ballot.ToString();
       break;
+    }
     case paxos::JournalRecordType::kAccept: {
-      const uint64_t index = in.ReadU64();
-      const std::string ballot = BallotStr(in);
-      out = "index=" + std::to_string(index) + " ballot=" + ballot +
-            " command_bytes=" + std::to_string(in.remaining());
+      paxos::LogEntry entry;
+      in(entry);
+      out = "index=" + std::to_string(entry.index) +
+            " ballot=" + entry.ballot.ToString() +
+            " command_bytes=" + std::to_string(EncodedBytes(entry.command));
       break;
     }
     case paxos::JournalRecordType::kCommit:
-      out = "index=" + std::to_string(in.ReadU64());
+    case paxos::JournalRecordType::kTruncateSuffix: {
+      uint64_t index = 0;
+      in(index);
+      out = (type == paxos::JournalRecordType::kCommit ? "index=" : "from=") +
+            std::to_string(index);
       break;
-    case paxos::JournalRecordType::kTruncateSuffix:
-      out = "from=" + std::to_string(in.ReadU64());
-      break;
+    }
     case paxos::JournalRecordType::kCheckpoint: {
-      const uint64_t base = in.ReadU64();
-      const std::string base_ballot = BallotStr(in);
-      const size_t config_size = in.ReadCount();
+      paxos::Checkpoint cp;
+      in(cp);
       std::string config;
-      for (size_t i = 0; i < config_size; ++i) {
-        if (!config.empty()) {
-          config += ",";
-        }
-        config += std::to_string(in.ReadU64());
+      for (NodeId n : cp.snap_config) {
+        config += (config.empty() ? "" : ",") + std::to_string(n);
       }
-      const uint64_t config_index = in.ReadU64();
-      const std::string promised = BallotStr(in);
-      const uint64_t commit_index = in.ReadU64();
-      out = "base=" + std::to_string(base) + " base_ballot=" + base_ballot +
-            " config=[" + config + "]@" + std::to_string(config_index) +
-            " promised=" + promised +
-            " commit_index=" + std::to_string(commit_index) +
-            " snapshot_bytes=" + std::to_string(in.remaining());
+      out = "base=" + std::to_string(cp.snap_base_index) +
+            " base_ballot=" + cp.snap_base_ballot.ToString() + " config=[" +
+            config + "]@" + std::to_string(cp.snap_config_index) +
+            " promised=" + cp.promised.ToString() +
+            " commit_index=" + std::to_string(cp.commit_index) +
+            " snapshot_bytes=" + std::to_string(EncodedBytes(cp.snapshot));
       break;
     }
     default:
@@ -108,7 +113,7 @@ std::string DescribeRecord(const storage::WalRecord& record) {
       break;
   }
   if (!in.ok()) {
-    out += "  [payload truncated mid-field]";
+    out += "  [malformed payload]";
   }
   return out;
 }

@@ -7,7 +7,7 @@
 #   scripts/ci.sh address         # just the ASan leg
 #   scripts/ci.sh undefined       # just the UBSan leg
 #   scripts/ci.sh lint            # scatter-lint (whole tree) + clang-tidy (changed files)
-#   scripts/ci.sh bench           # just the benchmark smoke (plain build)
+#   scripts/ci.sh bench           # just the benchmark smoke (plain build + perfbench)
 #   scripts/ci.sh obs             # traced sim + trace/metrics JSON schema check
 #   scripts/ci.sh wire            # full suite: serializing (pool off) + audit (pool on)
 #   scripts/ci.sh mc              # model-checker smoke (delay-bounded split scenario)
@@ -47,6 +47,12 @@ run_bench_smoke() {
   fi
   "$bdir/bench/bench_micro" --benchmark_min_time=0.01
   "$bdir/bench/bench_scale" --quick
+  # Host-cost benchmark: each seed run twice untraced and twice traced must
+  # agree, and the correctness gate must pass.
+  for workload in kv_write chirpchat; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --self-check
+  done
 }
 
 run_obs_check() {

@@ -46,7 +46,14 @@ ScatterNode::ScatterNode(NodeId id, sim::Transport* network,
   }
 }
 
-ScatterNode::~ScatterNode() = default;
+ScatterNode::~ScatterNode() {
+  // A dying replica fails its pending proposals and reads, and their
+  // callbacks look the group up again through FindHosted. Take the groups
+  // out of hosted_ first, so those lookups miss instead of walking a map
+  // that is halfway through its own destructor.
+  std::map<GroupId, Hosted> doomed;
+  doomed.swap(hosted_);
+}
 
 uint64_t ScatterNode::NewUniqueId() {
   uint64_t h = MixHash(id(), ++unique_counter_);

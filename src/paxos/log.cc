@@ -22,6 +22,11 @@ void Log::Set(uint64_t index, Ballot ballot, CommandPtr command) {
     entries_.emplace_back();  // holes
   }
   LogEntry& slot = entries_[index - first_index_];
+  if (command->kind == Command::Kind::kConfig) {
+    config_entries_[index] = static_cast<const ConfigCommand*>(command.get());
+  } else if (slot.valid() && slot.command->kind == Command::Kind::kConfig) {
+    config_entries_.erase(index);
+  }
   slot.index = index;
   slot.ballot = ballot;
   slot.command = std::move(command);
@@ -39,6 +44,8 @@ uint64_t Log::LastContiguous() const {
 }
 
 void Log::TruncatePrefix(uint64_t up_to) {
+  config_entries_.erase(config_entries_.begin(),
+                        config_entries_.upper_bound(up_to));
   while (!entries_.empty() && first_index_ <= up_to) {
     entries_.pop_front();
     ++first_index_;
@@ -49,6 +56,8 @@ void Log::TruncatePrefix(uint64_t up_to) {
 }
 
 void Log::TruncateSuffix(uint64_t from) {
+  config_entries_.erase(config_entries_.lower_bound(from),
+                        config_entries_.end());
   while (!entries_.empty() && last_index() >= from) {
     entries_.pop_back();
   }
@@ -56,6 +65,7 @@ void Log::TruncateSuffix(uint64_t from) {
 
 void Log::ResetToSnapshot(uint64_t last_included_index) {
   entries_.clear();
+  config_entries_.clear();
   first_index_ = last_included_index + 1;
 }
 

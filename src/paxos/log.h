@@ -2,12 +2,15 @@
 //
 // Paxos accepts entries per-index independently, so the log may temporarily
 // contain holes (message reordering); commitment and application are
-// contiguous. The log supports prefix truncation after snapshots.
+// contiguous. The log supports prefix truncation after snapshots. It also
+// keeps an index of its config entries, so membership is a fold over a
+// handful of entries rather than a scan of every retained slot.
 
 #ifndef SCATTER_SRC_PAXOS_LOG_H_
 #define SCATTER_SRC_PAXOS_LOG_H_
 
 #include <deque>
+#include <map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -73,10 +76,19 @@ class Log {
 
   size_t SlotCount() const { return entries_.size(); }
 
+  // The config entries present in the log, by index. Every mutation above
+  // keeps it in step with the slots, so it is exactly the entries whose
+  // command kind is kConfig.
+  const std::map<uint64_t, const ConfigCommand*>& config_entries() const {
+    return config_entries_;
+  }
+
  private:
   uint64_t first_index_ = 1;
   // Slot i holds the entry for index first_index_ + i; invalid() = hole.
   std::deque<LogEntry> entries_;
+  // Points into the commands held by entries_.
+  std::map<uint64_t, const ConfigCommand*> config_entries_;
 };
 
 }  // namespace scatter::paxos

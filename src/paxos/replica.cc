@@ -851,7 +851,7 @@ void Replica::ReplicateTo(NodeId peer_id, bool allow_empty) {
     snap->ballot = promised_;
     snap->last_included_index = applied_index_;
     snap->last_included_ballot = BallotAt(applied_index_);
-    snap->config = applied_config();
+    snap->config = AppliedConfig();
     snap->config_index = applied_config_index_;
     snap->data = sm_->TakeSnapshot();
     snap->sent_at = sim_->now();
@@ -1508,15 +1508,13 @@ void Replica::ApplyConfig(const ConfigCommand& cmd, uint64_t index) {
   }
 }
 
-void Replica::RecomputeVotingConfig() {
+std::vector<NodeId> Replica::ConfigAt(uint64_t up_to, uint64_t* index) const {
   std::vector<NodeId> config = snap_config_;
   uint64_t config_index = snap_config_index_;
-  for (uint64_t i = log_.first_index(); i <= log_.last_index(); ++i) {
-    const LogEntry* e = log_.At(i);
-    if (e == nullptr || e->command->kind != Command::Kind::kConfig) {
-      continue;
-    }
-    const auto& cc = static_cast<const ConfigCommand&>(*e->command);
+  const auto& entries = log_.config_entries();
+  for (auto it = entries.begin(); it != entries.end() && it->first <= up_to;
+       ++it) {
+    const ConfigCommand& cc = *it->second;
     if (cc.op == ConfigCommand::Op::kAddMember) {
       if (std::count(config.begin(), config.end(), cc.node) == 0) {
         config.push_back(cc.node);
@@ -1525,33 +1523,16 @@ void Replica::RecomputeVotingConfig() {
       config.erase(std::remove(config.begin(), config.end(), cc.node),
                    config.end());
     }
-    config_index = i;
+    config_index = it->first;
   }
-  config_ = std::move(config);
-  config_index_ = config_index;
-}
-
-std::vector<NodeId> Replica::applied_config() const {
-  // Reconstruct membership as of applied_index_: snapshot config plus all
-  // applied config deltas still in the log.
-  std::vector<NodeId> config = snap_config_;
-  for (uint64_t i = log_.first_index();
-       i <= std::min(applied_index_, log_.last_index()); ++i) {
-    const LogEntry* e = log_.At(i);
-    if (e == nullptr || e->command->kind != Command::Kind::kConfig) {
-      continue;
-    }
-    const auto& cc = static_cast<const ConfigCommand&>(*e->command);
-    if (cc.op == ConfigCommand::Op::kAddMember) {
-      if (std::count(config.begin(), config.end(), cc.node) == 0) {
-        config.push_back(cc.node);
-      }
-    } else {
-      config.erase(std::remove(config.begin(), config.end(), cc.node),
-                   config.end());
-    }
+  if (index != nullptr) {
+    *index = config_index;
   }
   return config;
+}
+
+void Replica::RecomputeVotingConfig() {
+  config_ = ConfigAt(log_.last_index(), &config_index_);
 }
 
 void Replica::MaybeTruncateLog() {
@@ -1563,38 +1544,18 @@ void Replica::MaybeTruncateLog() {
   // The snapshot-equivalent config moves with the base: it is the membership
   // as of new_base, which equals the applied config because new_base <=
   // applied_index_ and config entries in (new_base, applied] are re-derived
-  // from the log by applied_config().
-  std::vector<NodeId> base_config = snap_config_;
-  uint64_t base_config_index = snap_config_index_;
-  for (uint64_t i = log_.first_index(); i <= new_base; ++i) {
-    const LogEntry* e = log_.At(i);
-    if (e == nullptr || e->command->kind != Command::Kind::kConfig) {
-      continue;
-    }
-    const auto& cc = static_cast<const ConfigCommand&>(*e->command);
-    if (cc.op == ConfigCommand::Op::kAddMember) {
-      if (std::count(base_config.begin(), base_config.end(), cc.node) == 0) {
-        base_config.push_back(cc.node);
-      }
-    } else {
-      base_config.erase(
-          std::remove(base_config.begin(), base_config.end(), cc.node),
-          base_config.end());
-    }
-    base_config_index = i;
-  }
+  // from the log by AppliedConfig().
+  snap_config_ = ConfigAt(new_base, &snap_config_index_);
   log_.TruncatePrefix(new_base);
   snap_base_index_ = new_base;
   snap_base_ballot_ = base_ballot;
-  snap_config_ = std::move(base_config);
-  snap_config_index_ = base_config_index;
   if (journal_ != nullptr) {
     // Periodic durable checkpoint, piggybacked on in-memory truncation. The
     // on-disk base is the applied index (what TakeSnapshot captures) —
     // tighter than the in-memory retention base — and the WAL shrinks to
     // the unapplied tail plus whatever accumulates afterwards.
     journal_->WriteCheckpoint(applied_index_, BallotAt(applied_index_),
-                              applied_config(), applied_config_index_,
+                              AppliedConfig(), applied_config_index_,
                               sm_->TakeSnapshot(), promised_, commit_index_,
                               log_.Suffix(applied_index_ + 1));
   }

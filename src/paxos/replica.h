@@ -139,7 +139,9 @@ class Replica {
   // Membership as of applied_index_ — what the state machine's Apply "sees".
   // Deterministic across replicas at equal applied indexes (unlike
   // members(), which reflects uncommitted config entries).
-  std::vector<NodeId> AppliedConfig() const { return applied_config(); }
+  std::vector<NodeId> AppliedConfig() const {
+    return ConfigAt(applied_index_, nullptr);
+  }
   // Leader only: members flagged silent by the failure detector.
   std::vector<NodeId> SuspectedMembers() const;
   uint64_t commit_index() const { return commit_index_; }
@@ -351,11 +353,14 @@ class Replica {
   // after every externally-driven step (message, proposal, election), so
   // gauges are never staler than one protocol event when the monitor ticks.
   void UpdateHealthGauges();
+  // Membership as of log index `up_to`: the snapshot config with the log's
+  // indexed config entries at or below `up_to` applied in order. `*index`
+  // receives the index of the last entry applied (snap_config_index_ if
+  // none); may be null.
+  std::vector<NodeId> ConfigAt(uint64_t up_to, uint64_t* index) const;
   // Updates the voting config when a config entry is appended/truncated.
   void RecomputeVotingConfig();
   void MaybeTruncateLog();
-  // Membership as of applied_index_ (what a snapshot taken now would carry).
-  std::vector<NodeId> applied_config() const;
   size_t QuorumSize() const { return config_.size() / 2 + 1; }
   bool LogUpToDate(uint64_t last_index, Ballot last_ballot) const;
   void ResetElectionTimer();

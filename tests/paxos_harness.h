@@ -17,6 +17,7 @@
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/paxos/command.h"
+#include "src/paxos/journal.h"
 #include "src/paxos/messages.h"
 #include "src/paxos/payload_codec.h"
 #include "src/paxos/replica.h"
@@ -27,6 +28,7 @@
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/sim/transport.h"
+#include "src/storage/sim_disk.h"
 #include "src/wire/codec.h"
 #include "src/wire/transport_factory.h"
 
@@ -109,14 +111,28 @@ inline void RegisterPaxosTestSnapshotCodec() {
   (void)done;
 }
 
-// A simulated node hosting exactly one replica of one group.
+// A simulated node hosting exactly one replica of one group. With a disk,
+// the replica journals to it.
 class PaxosTestNode : public rpc::RpcNode, public ReplicaHost {
  public:
   PaxosTestNode(NodeId id, sim::Transport* network, const PaxosConfig& config,
-                GroupId group, std::vector<NodeId> members)
+                GroupId group, std::vector<NodeId> members,
+                storage::Disk* disk = nullptr)
       : RpcNode(id, network) {
     replica_ = std::make_unique<Replica>(simulator(), this, &sm_, config,
-                                         group, id, std::move(members));
+                                         group, id, std::move(members),
+                                         MakeJournal(disk, group));
+  }
+
+  // Restarts from the state crash recovery read back from `disk`.
+  PaxosTestNode(NodeId id, sim::Transport* network, const PaxosConfig& config,
+                GroupId group, storage::Disk* disk,
+                const RecoveredState& recovered)
+      : RpcNode(id, network) {
+    replica_ = std::make_unique<Replica>(simulator(), this, &sm_, config,
+                                         group, id, MakeJournal(disk, group),
+                                         recovered);
+    replica_->ReplayRecovered();
   }
 
   // ReplicaHost:
@@ -154,16 +170,28 @@ class PaxosTestNode : public rpc::RpcNode, public ReplicaHost {
   std::vector<NodeId> suspected;
 
  private:
+  std::unique_ptr<GroupJournal> MakeJournal(storage::Disk* disk,
+                                            GroupId group) {
+    if (disk == nullptr) {
+      return nullptr;
+    }
+    return std::make_unique<GroupJournal>(disk, &simulator()->metrics(), id(),
+                                          group);
+  }
+
   RecordingStateMachine sm_;
   std::unique_ptr<Replica> replica_;
 };
 
-// A group of nodes plus the simulator and network hosting them.
+// A group of nodes plus the simulator and network hosting them. With
+// `persist`, every founding node journals to its own SimDisk and can be
+// crash-restarted from it.
 class PaxosCluster {
  public:
   explicit PaxosCluster(int n, uint64_t seed = 1,
                         PaxosConfig config = PaxosConfig(),
-                        sim::NetworkConfig net_config = LanDefaults())
+                        sim::NetworkConfig net_config = LanDefaults(),
+                        bool persist = false)
       : sim_(seed),
         net_(wire::MakeNetwork(&sim_, net_config)),
         config_(config),
@@ -179,8 +207,12 @@ class PaxosCluster {
       members.push_back(static_cast<NodeId>(i));
     }
     for (NodeId id : members) {
+      storage::SimDisk* disk = nullptr;
+      if (persist) {
+        disk = (disks_[id] = std::make_unique<storage::SimDisk>()).get();
+      }
       nodes_[id] = std::make_unique<PaxosTestNode>(id, net_.get(), config_,
-                                                   group_, members);
+                                                   group_, members, disk);
     }
   }
 
@@ -272,6 +304,19 @@ class PaxosCluster {
   }
 
   void Crash(NodeId id) { nodes_[id] = nullptr; }
+
+  // Crashes node `id` (its disk loses the unsynced tail) and restarts it
+  // from what the disk recovers. Persistent clusters only.
+  PaxosTestNode* Restart(NodeId id) {
+    storage::SimDisk* disk = disks_.at(id).get();
+    Crash(id);
+    disk->Crash();
+    RecoveredState recovered;
+    SCATTER_CHECK(GroupJournal::Recover(*disk, group_, &recovered));
+    nodes_[id] = std::make_unique<PaxosTestNode>(id, net_.get(), config_,
+                                                 group_, disk, recovered);
+    return nodes_[id].get();
+  }
 
   // Starts a brand-new node as a joiner replica for the group (it must then
   // be added via config change on the leader).
@@ -369,6 +414,8 @@ class PaxosCluster {
   std::unique_ptr<sim::Network> net_;
   PaxosConfig config_;
   GroupId group_;
+  // Declared before nodes_: the replicas journal into these.
+  std::map<NodeId, std::unique_ptr<storage::SimDisk>> disks_;
   std::map<NodeId, std::unique_ptr<PaxosTestNode>> nodes_;
   uint64_t next_client_seq_ = 0;
 };

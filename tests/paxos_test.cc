@@ -2,10 +2,12 @@
 // crashes, partitions, message loss, membership changes, leases, snapshots.
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/random.h"
 #include "tests/paxos_harness.h"
 
 namespace scatter::paxos {
@@ -96,6 +98,76 @@ TEST(LogTest, SuffixSkipsHoles) {
   ASSERT_EQ(suffix.size(), 2u);
   EXPECT_EQ(suffix[0].index, 1u);
   EXPECT_EQ(suffix[1].index, 3u);
+}
+
+// The config-entry index against brute force: seeded random sequences of
+// every log mutation (config and app entries, overwrites in both directions,
+// holes, both truncations, snapshot resets). After each step the index must
+// list exactly the config slots, and folding it up to a random bound must
+// give the membership that folding the slots themselves gives.
+TEST(LogTest, ConfigIndexMatchesBruteForce) {
+  using Entries = std::vector<std::pair<uint64_t, const ConfigCommand*>>;
+  auto fold = [](const Entries& entries, uint64_t up_to) {
+    std::vector<NodeId> config{1, 2, 3};
+    for (const auto& [index, cc] : entries) {
+      if (index > up_to) {
+        break;
+      }
+      if (cc->op == ConfigCommand::Op::kAddMember) {
+        if (std::count(config.begin(), config.end(), cc->node) == 0) {
+          config.push_back(cc->node);
+        }
+      } else {
+        config.erase(std::remove(config.begin(), config.end(), cc->node),
+                     config.end());
+      }
+    }
+    return config;
+  };
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    Rng rng(seed);
+    Log log;
+    for (int step = 0; step < 400; ++step) {
+      const uint64_t first = log.first_index();
+      const uint64_t span = log.last_index() + 1 - first;  // slots retained
+      const uint64_t roll = rng.Below(20);
+      if (roll == 0) {
+        log.ResetToSnapshot(first - 1 + rng.Below(span + 4));
+      } else if (roll <= 2) {
+        log.TruncatePrefix(first - 1 + rng.Below(span + 2));
+      } else if (roll <= 4) {
+        log.TruncateSuffix(first + rng.Below(span + 2));
+      } else {
+        // Mostly appends and overwrites, sometimes past the end (a hole).
+        const uint64_t index = first + rng.Below(span + 3);
+        CommandPtr command;
+        if (rng.Bernoulli(0.3)) {
+          command = std::make_shared<ConfigCommand>(
+              rng.Bernoulli(0.5) ? ConfigCommand::Op::kAddMember
+                                 : ConfigCommand::Op::kRemoveMember,
+              static_cast<NodeId>(1 + rng.Below(6)));
+        } else {
+          command = std::make_shared<NoOpCommand>();
+        }
+        log.Set(index, Ballot{rng.Below(4) + 1, 1}, std::move(command));
+      }
+
+      Entries brute;
+      for (uint64_t i = log.first_index(); i <= log.last_index(); ++i) {
+        const LogEntry* e = log.At(i);
+        if (e != nullptr && e->command->kind == Command::Kind::kConfig) {
+          brute.emplace_back(
+              i, static_cast<const ConfigCommand*>(e->command.get()));
+        }
+      }
+      const Entries indexed(log.config_entries().begin(),
+                            log.config_entries().end());
+      ASSERT_EQ(indexed, brute) << "seed " << seed << " step " << step;
+      const uint64_t up_to = log.first_index() - 1 + rng.Below(span + 2);
+      ASSERT_EQ(fold(indexed, up_to), fold(brute, up_to))
+          << "seed " << seed << " step " << step;
+    }
+  }
 }
 
 // --- Elections -------------------------------------------------------------
@@ -395,6 +467,81 @@ TEST(PaxosMembershipTest, LeaderCannotRemoveItself) {
       ConfigCommand::Op::kRemoveMember, l->id(),
       [&](StatusOr<uint64_t> r) { status = r.status(); });
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+// A config entry that reached one follower and was then overwritten by a
+// new leader: the follower's voting config must revert once the conflicting
+// suffix is truncated, and the group must keep committing with it.
+TEST(PaxosMembershipTest, OverwrittenConfigEntryRevertsFollowerConfig) {
+  PaxosCluster cluster(5);
+  ASSERT_TRUE(cluster.ProposeAndWait(1));
+  PaxosTestNode* l1 = cluster.leader();
+  const NodeId old_leader = l1->id();
+  std::vector<NodeId> others;
+  for (PaxosTestNode* n : cluster.live_nodes()) {
+    if (n->id() != old_leader) {
+      others.push_back(n->id());
+    }
+  }
+  const NodeId witness = others[0];
+  const std::vector<NodeId> majority(others.begin() + 1, others.end());
+  const std::vector<NodeId> original = l1->replica().members();
+
+  // The add reaches only `witness`; node 10 never exists.
+  for (NodeId id : majority) {
+    cluster.net().BlockLink(old_leader, id);
+  }
+  l1->replica().ProposeConfigChange(ConfigCommand::Op::kAddMember, 10,
+                                    [](StatusOr<uint64_t>) {});
+  cluster.sim().RunFor(Millis(200));
+  const auto& seen = cluster.node(witness)->replica().members();
+  ASSERT_EQ(std::count(seen.begin(), seen.end(), NodeId{10}), 1);
+
+  // The old leader is cut off; the witness sits out the election, so the
+  // majority's new leader overwrites the slot.
+  cluster.net().Partition({{old_leader}, {witness}, majority});
+  cluster.sim().RunFor(Seconds(5));
+  PaxosTestNode* l2 = cluster.leader();
+  ASSERT_NE(l2, nullptr);
+  ASSERT_NE(l2->id(), old_leader);
+  ASSERT_NE(l2->id(), witness);
+  ASSERT_TRUE(cluster.ProposeAndWait(2));
+
+  // Rejoin the witness: the new leader's log replaces the config entry.
+  cluster.net().Partition({{old_leader}, others});
+  cluster.sim().RunFor(Seconds(2));
+  EXPECT_EQ(cluster.node(witness)->replica().members(), original);
+
+  // With one more majority node gone, commits need the witness's acks.
+  for (NodeId id : majority) {
+    if (id != l2->id()) {
+      cluster.Crash(id);
+      break;
+    }
+  }
+  ASSERT_TRUE(cluster.ProposeAndWait(3));
+  EXPECT_TRUE(cluster.PrefixConsistent());
+}
+
+// Config takes effect on append, so an uncommitted config entry in the
+// recovered WAL suffix must be back in the voting config after a restart,
+// while the applied config still excludes it.
+TEST(PaxosMembershipTest, RecoveredConfigEntryRejoinsVotingConfig) {
+  PaxosCluster cluster(1, /*seed=*/1, PaxosConfig(),
+                       PaxosCluster::LanDefaults(), /*persist=*/true);
+  ASSERT_TRUE(cluster.ProposeAndWait(1));
+  // Node 2 never exists, so {1, 2} has no quorum and the entry stays
+  // uncommitted.
+  cluster.leader()->replica().ProposeConfigChange(
+      ConfigCommand::Op::kAddMember, 2, [](StatusOr<uint64_t>) {});
+  cluster.sim().RunFor(Seconds(1));
+  const std::vector<NodeId> voting{1, 2};
+  ASSERT_EQ(cluster.node(1)->replica().members(), voting);
+
+  PaxosTestNode* restarted = cluster.Restart(1);
+  EXPECT_EQ(restarted->replica().members(), voting);
+  EXPECT_EQ(restarted->replica().AppliedConfig(), std::vector<NodeId>{1});
+  EXPECT_EQ(restarted->sm().values(), std::vector<uint64_t>{1});
 }
 
 // --- Snapshots / log truncation ----------------------------------------------

@@ -2,7 +2,7 @@
 //
 // Measures the building blocks whose cost bounds simulation scale and, for
 // the consensus path, the message/commit machinery itself:
-//   - simulator event throughput,
+//   - the simulator event queue under RPC-timeout churn,
 //   - KV store operations and range extraction,
 //   - routing cache lookups,
 //   - Zipf sampling and histogram recording,
@@ -39,17 +39,46 @@
 namespace scatter {
 namespace {
 
-void BM_SimulatorEventThroughput(benchmark::State& state) {
+// The event queue as ChirpChat loads it: a few hundred message deliveries
+// in flight, and every client RPC arms an 800 ms timeout that its reply
+// cancels about a millisecond later. Each iteration schedules one delivery
+// at +0.5-2 ms, arms one timeout through a TimerOwner, cancels the previous
+// iteration's timeout and steps once, so ~300 deliveries stay live while
+// the clock creeps forward a few microseconds per event.
+void BM_SimulatorTimerChurn(benchmark::State& state) {
+  constexpr int kLiveDeliveries = 300;
+  struct Caller {
+    explicit Caller(sim::Simulator* sim) : timers(sim) {}
+    uint64_t calls = 0;
+    uint64_t timeouts = 0;
+    sim::TimerOwner timers;
+  };
   sim::Simulator sim(1);
-  uint64_t fired = 0;
+  Rng rng(7);
+  Caller caller(&sim);
+  uint64_t delivered = 0;
+  auto deliver = [&sim, &rng, &delivered]() {
+    sim.Schedule(rng.Range(Micros(500), Millis(2)),
+                 [&delivered]() { delivered++; });
+  };
+  for (int i = 0; i < kLiveDeliveries; ++i) {
+    deliver();
+  }
+  sim::TimerId timeout = sim::kInvalidTimer;
   for (auto _ : state) {
-    sim.Schedule(1, [&fired]() { fired++; });
+    deliver();
+    const uint64_t call = ++caller.calls;
+    const sim::TimerId next = caller.timers.Schedule(
+        Millis(800), [&caller, call]() { caller.timeouts += call; });
+    caller.timers.Cancel(timeout);
+    timeout = next;
     sim.Step();
   }
-  benchmark::DoNotOptimize(fired);
+  benchmark::DoNotOptimize(delivered);
+  benchmark::DoNotOptimize(caller.timeouts);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_SimulatorEventThroughput);
+BENCHMARK(BM_SimulatorTimerChurn);
 
 void BM_KvStorePut(benchmark::State& state) {
   store::KvStore store;

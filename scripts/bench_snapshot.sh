@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Records the repo's performance baseline: runs the microbenchmarks and
 # writes their JSON report to BENCH_micro.json at the repo root (committed,
-# so perf regressions show up as diffs), then smoke-runs bench_scale so the
+# so perf regressions show up as diffs), appends the same medians to the
+# BENCH_history.jsonl trajectory, then smoke-runs bench_scale so the
 # commit-path counters stay exercised.
 #
 # Baselines are only meaningful from an optimized build, so this script
@@ -89,6 +90,44 @@ with open("BENCH_micro.json", "w") as f:
 PYEOF
 echo "scatter-lint full tree: ${lint_seconds}s"
 
+echo "=== bench_micro medians -> BENCH_history.jsonl ==="
+# BENCH_micro.json holds only the latest snapshot. Each run also appends one
+# line to the trajectory (commit, date, and every benchmark's median and
+# coefficient of variation across the repetitions); lines are never rewritten.
+python3 - <<'PYEOF'
+import datetime
+import json
+import subprocess
+
+
+def git(*args):
+    return subprocess.run(["git", *args], capture_output=True,
+                          text=True).stdout.strip()
+
+
+with open("BENCH_micro.json") as f:
+    doc = json.load(f)
+benchmarks = {}
+for b in doc["benchmarks"]:
+    if b.get("run_type") != "aggregate":
+        continue
+    row = benchmarks.setdefault(b["run_name"], {"unit": b["time_unit"]})
+    if b["aggregate_name"] == "median":
+        row["median"] = b["real_time"]
+    elif b["aggregate_name"] == "cv":
+        row["cv"] = round(b["real_time"], 4)
+entry = {
+    "sha": git("rev-parse", "HEAD") or "unknown",
+    "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+    "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
+        timespec="seconds"),
+    "benchmarks": benchmarks,
+}
+with open("BENCH_history.jsonl", "a") as f:
+    f.write(json.dumps(entry, sort_keys=True) + "\n")
+print(f"appended {len(benchmarks)} medians for {entry['sha'][:12]}")
+PYEOF
+
 echo "=== obs A/B on BM_PaxosCommit -> BENCH_obs_ab.json ==="
 # Monitoring-overhead baseline: the same commit-path benchmark with the full
 # observability stack live (SCATTER_BENCH_OBS=on: tracing + health monitor +
@@ -147,4 +186,4 @@ echo "=== mc_explore throughput -> BENCH_mc.json ==="
     --budget-seconds 60 --counterexample none > BENCH_mc.json
 cat BENCH_mc.json
 
-echo "=== baseline recorded in BENCH_micro.json + BENCH_metrics.json + BENCH_mc.json ==="
+echo "=== baseline recorded in BENCH_micro.json + BENCH_history.jsonl + BENCH_metrics.json + BENCH_mc.json ==="

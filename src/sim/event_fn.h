@@ -19,8 +19,11 @@ namespace scatter::sim {
 
 class EventFn {
  public:
-  // Large enough for a capture of `this` plus a nested inline EventFn (the
-  // TimerOwner wrapper), so wrapping stays allocation-free.
+  // Protocol callbacks capture `this` plus at most two words, e.g. a client
+  // retry's `[this, op]` with a shared_ptr op: 24 bytes. TimerOwner stores
+  // callbacks as they are, without a wrapper, so that is all a slot must
+  // hold; the rest is headroom for test, bench and tool callbacks with a
+  // handful of by-value captures.
   static constexpr size_t kInlineSize = 88;
 
   EventFn() noexcept = default;

@@ -170,10 +170,65 @@ uint32_t Simulator::AcquireSlot() {
 
 void Simulator::ReleaseSlot(uint32_t slot) {
   Slot& s = slots_[slot];
+  if (s.owner != nullptr) {
+    if (s.owner_prev != kNoSlot) {
+      slots_[s.owner_prev].owner_next = s.owner_next;
+    } else {
+      s.owner->head_ = s.owner_next;
+    }
+    if (s.owner_next != kNoSlot) {
+      slots_[s.owner_next].owner_prev = s.owner_prev;
+    }
+    s.owner = nullptr;
+  }
   s.gen++;
-  s.live = false;
+  s.heap_pos = kNoSlot;
   s.next_free = free_head_;
   free_head_ = slot;
+}
+
+void Simulator::SiftUp(uint32_t pos, HeapEntry e) {
+  while (pos > 0) {
+    const uint32_t parent = (pos - 1) / 2;
+    if (!(e < heap_[parent])) {
+      break;
+    }
+    HeapPlace(pos, heap_[parent]);
+    pos = parent;
+  }
+  HeapPlace(pos, e);
+}
+
+void Simulator::SiftDown(uint32_t pos, HeapEntry e) {
+  const uint32_t n = static_cast<uint32_t>(heap_.size());
+  for (;;) {
+    uint32_t child = 2 * pos + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) {
+      child++;
+    }
+    if (!(heap_[child] < e)) {
+      break;
+    }
+    HeapPlace(pos, heap_[child]);
+    pos = child;
+  }
+  HeapPlace(pos, e);
+}
+
+void Simulator::HeapRemove(uint32_t pos) {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) {
+    return;  // removed the last element itself
+  }
+  if (pos > 0 && last < heap_[(pos - 1) / 2]) {
+    SiftUp(pos, last);
+  } else {
+    SiftDown(pos, last);
+  }
 }
 
 TimerId Simulator::Schedule(TimeMicros delay, EventFn fn) {
@@ -184,58 +239,76 @@ TimerId Simulator::Schedule(TimeMicros delay, EventFn fn) {
 TimerId Simulator::ScheduleAt(TimeMicros when, EventFn fn) {
   SCATTER_CHECK(when >= now_);
   const uint32_t slot = AcquireSlot();
+  slots_[slot].fn = std::move(fn);
+  heap_.emplace_back();
+  SiftUp(static_cast<uint32_t>(heap_.size() - 1),
+         HeapEntry{when, next_seq_++, slot});
+  return EncodeId(slot, slots_[slot].gen);
+}
+
+TimerId Simulator::ScheduleOwned(TimeMicros delay, EventFn fn,
+                                 TimerOwner* owner) {
+  const TimerId id = Schedule(delay, std::move(fn));
+  const uint32_t slot = SlotOf(id);
   Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  s.live = true;
-  queue_.push(Event{when, next_seq_++, slot, s.gen});
-  return EncodeId(slot, s.gen);
+  s.owner = owner;
+  s.owner_prev = kNoSlot;
+  s.owner_next = owner->head_;
+  if (owner->head_ != kNoSlot) {
+    slots_[owner->head_].owner_prev = slot;
+  }
+  owner->head_ = slot;
+  return id;
+}
+
+uint32_t Simulator::PendingSlot(TimerId id) const {
+  const uint32_t slot = SlotOf(id);
+  const uint32_t gen = static_cast<uint32_t>(id >> 32);
+  if (id == kInvalidTimer || slot >= slots_.size() ||
+      slots_[slot].gen != gen || slots_[slot].heap_pos == kNoSlot) {
+    return kNoSlot;
+  }
+  return slot;
+}
+
+void Simulator::CancelSlot(uint32_t slot) {
+  HeapRemove(slots_[slot].heap_pos);
+  // Destroy the callback only once the slot is back on the free list: its
+  // captures may own TimerOwners whose destructors cancel more events.
+  EventFn dead = std::move(slots_[slot].fn);
+  ReleaseSlot(slot);
 }
 
 void Simulator::Cancel(TimerId id) {
-  if (id == kInvalidTimer) {
-    return;
+  const uint32_t slot = PendingSlot(id);
+  if (slot != kNoSlot) {
+    CancelSlot(slot);
   }
-  const uint32_t slot = static_cast<uint32_t>(id & 0xffffffffu) - 1;
-  const uint32_t gen = static_cast<uint32_t>(id >> 32);
-  if (slot >= slots_.size() || slots_[slot].gen != gen || !slots_[slot].live) {
-    return;  // already fired or cancelled
-  }
-  slots_[slot].fn.Reset();
-  ReleaseSlot(slot);
-  stale_entries_++;  // its heap entry is still queued; Step/RunUntil skip it
 }
 
 bool Simulator::Step() {
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    Slot& s = slots_[ev.slot];
-    if (s.gen != ev.gen) {
-      stale_entries_--;
-      continue;
-    }
-    // Move the callback out and recycle the slot *before* firing, so the
-    // callback can freely schedule new events (possibly reusing this slot
-    // under a fresh generation).
-    EventFn fn = std::move(s.fn);
-    s.fn.Reset();
-    ReleaseSlot(ev.slot);
-    SCATTER_CHECK(ev.at >= now_);
-    now_ = ev.at;
-    current_seq_ = ev.seq;
-    current_timer_ = EncodeId(ev.slot, ev.gen);
-    events_processed_++;
-    fn();
-    current_timer_ = kInvalidTimer;
-    // Periodic monitors run before the audit hook so an auditor that reads
-    // health state sees detections up to the current instant.
-    RunPeriodicTasks();
-    if (audit_hook_ && events_processed_ % audit_every_ == 0) {
-      audit_hook_();
-    }
-    return true;
+  if (heap_.empty()) {
+    return false;
   }
-  return false;
+  const HeapEntry ev = heap_[0];
+  HeapRemove(0);
+  // Move the callback out and recycle the slot *before* firing, so the
+  // callback can freely schedule new events (possibly reusing this slot
+  // under a fresh generation) or destroy the timer's owner.
+  EventFn fn = std::move(slots_[ev.slot].fn);
+  ReleaseSlot(ev.slot);
+  SCATTER_CHECK(ev.at >= now_);
+  now_ = ev.at;
+  current_seq_ = ev.seq;
+  events_processed_++;
+  fn();
+  // Periodic monitors run before the audit hook so an auditor that reads
+  // health state sees detections up to the current instant.
+  RunPeriodicTasks();
+  if (audit_hook_ && events_processed_ % audit_every_ == 0) {
+    audit_hook_();
+  }
+  return true;
 }
 
 void Simulator::SetAuditHook(uint64_t every_n_events, AuditHook hook) {
@@ -274,49 +347,24 @@ void Simulator::Run() {
 
 void Simulator::RunUntil(TimeMicros t) {
   SCATTER_CHECK(t >= now_);
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (slots_[top.slot].gen != top.gen) {
-      stale_entries_--;
-      queue_.pop();
-      continue;
-    }
-    if (top.at > t) {
-      break;
-    }
+  while (!heap_.empty() && heap_[0].at <= t) {
     Step();
   }
   now_ = t;
   RunPeriodicTasks();  // boundaries crossed by the final clock advance
 }
 
-TimerId TimerOwner::Schedule(TimeMicros delay, EventFn fn) {
-  // The wrapper drops its own id from live_ when the event fires so live_
-  // only tracks genuinely pending events; current_timer() identifies the
-  // firing event without any per-timer shared state.
-  const TimerId id = sim_->Schedule(delay, [this, fn = std::move(fn)]() mutable {
-    live_.erase(sim_->current_timer());
-    fn();
-  });
-  live_.insert(id);
-  return id;
-}
-
 void TimerOwner::Cancel(TimerId id) {
-  if (live_.erase(id) > 0) {
-    sim_->Cancel(id);
+  const uint32_t slot = sim_->PendingSlot(id);
+  if (slot != Simulator::kNoSlot && sim_->slots_[slot].owner == this) {
+    sim_->CancelSlot(slot);
   }
 }
 
 void TimerOwner::CancelAll() {
-  // Drain the unordered set into a sorted vector so cancellation order (and
-  // thus the simulator's cancelled-event bookkeeping) is hash-layout-free.
-  std::vector<TimerId> ids(live_.begin(), live_.end());
-  std::sort(ids.begin(), ids.end());
-  for (TimerId id : ids) {
-    sim_->Cancel(id);
+  while (head_ != Simulator::kNoSlot) {
+    sim_->CancelSlot(head_);
   }
-  live_.clear();
 }
 
 }  // namespace scatter::sim

@@ -7,11 +7,15 @@
 //
 // Event storage is slot/generation based: callbacks live in a flat slot
 // vector recycled through a free list, and a TimerId encodes
-// (slot, generation) so cancellation is an O(1) array probe — no hash map
-// rendezvous or node allocation per event. Cancelled events are skipped
-// lazily when their heap entry surfaces (the generation no longer matches).
+// (slot, generation) so resolving an id is an O(1) array probe. The queue is
+// an indexed binary heap of (fire time, seq, slot) entries, and every live
+// slot records its heap position, so Cancel removes the event at once in
+// O(log pending): the heap holds exactly the pending events, never a
+// cancelled one. Timers scheduled through a TimerOwner are also threaded
+// onto an intrusive per-owner list in their slots, so an owner needs no
+// side table and no wrapper callback to track, cancel or forget them.
 // Callbacks are move-only EventFns with inline storage, so the steady-state
-// schedule/fire cycle performs no heap allocation at all.
+// schedule/cancel/fire cycle performs no heap allocation at all.
 
 #ifndef SCATTER_SRC_SIM_SIMULATOR_H_
 #define SCATTER_SRC_SIM_SIMULATOR_H_
@@ -21,9 +25,8 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -45,6 +48,8 @@ namespace scatter::sim {
 // the high 32 bits. 0 is never a valid id.
 using TimerId = uint64_t;
 inline constexpr TimerId kInvalidTimer = 0;
+
+class TimerOwner;
 
 class Simulator {
  public:
@@ -86,13 +91,8 @@ class Simulator {
   void RunFor(TimeMicros d) { RunUntil(now_ + d); }
 
   uint64_t events_processed() const { return events_processed_; }
-  size_t pending_events() const { return queue_.size() - stale_entries_; }
+  size_t pending_events() const { return heap_.size(); }
   uint64_t seed() const { return seed_; }
-
-  // Id of the event currently firing (kInvalidTimer outside a callback).
-  // Lets wrappers (TimerOwner) identify themselves without a per-event
-  // shared-state rendezvous.
-  TimerId current_timer() const { return current_timer_; }
 
   // --- Continuous auditing -------------------------------------------------
   // Installs `hook` to run after every `every_n_events` processed events,
@@ -173,38 +173,67 @@ class Simulator {
   void DisableTimeline();
 
  private:
+  friend class TimerOwner;
+
   static constexpr uint32_t kNoSlot = 0xffffffffu;
 
-  struct Event {
+  struct HeapEntry {
     TimeMicros at;
     uint64_t seq;
     uint32_t slot;
-    uint32_t gen;
-    // Ordered for a min-heap via std::greater.
-    friend bool operator>(const Event& a, const Event& b) {
+    friend bool operator<(const HeapEntry& a, const HeapEntry& b) {
       if (a.at != b.at) {
-        return a.at > b.at;
+        return a.at < b.at;
       }
-      return a.seq > b.seq;
+      return a.seq < b.seq;
     }
   };
 
   struct Slot {
     EventFn fn;
-    uint32_t gen = 1;  // bumped on every release; stale heap entries mismatch
+    uint32_t gen = 1;  // bumped on every release; stale ids mismatch
+    // Index into heap_ while the event is pending, kNoSlot while free.
+    uint32_t heap_pos = kNoSlot;
     uint32_t next_free = kNoSlot;
-    bool live = false;
+    // Intrusive list of the pending timers of one TimerOwner (null owner:
+    // scheduled directly on the simulator).
+    TimerOwner* owner = nullptr;
+    uint32_t owner_prev = kNoSlot;
+    uint32_t owner_next = kNoSlot;
   };
 
   static TimerId EncodeId(uint32_t slot, uint32_t gen) {
     return (static_cast<uint64_t>(gen) << 32) |
            (static_cast<uint64_t>(slot) + 1);
   }
+  static uint32_t SlotOf(TimerId id) {
+    return static_cast<uint32_t>(id & 0xffffffffu) - 1;
+  }
+
+  // Schedules fn after delay and links its slot onto owner's list.
+  TimerId ScheduleOwned(TimeMicros delay, EventFn fn, TimerOwner* owner);
+  // The slot of the pending event `id` names, or kNoSlot if it already
+  // fired or was cancelled.
+  uint32_t PendingSlot(TimerId id) const;
+  // Removes the pending event in `slot` from the queue and its owner's list
+  // and recycles the slot; its callback is destroyed unrun.
+  void CancelSlot(uint32_t slot);
 
   uint32_t AcquireSlot();
-  // Bumps the generation and returns the slot to the free list. The slot's
-  // callback must already be moved out or reset.
+  // Unlinks the slot from its owner, bumps the generation and returns the
+  // slot to the free list. The slot's callback must already be moved out.
   void ReleaseSlot(uint32_t slot);
+
+  // Indexed-heap primitives: each keeps slots_[e.slot].heap_pos in step
+  // with the entry's position.
+  void HeapPlace(uint32_t pos, const HeapEntry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].heap_pos = pos;
+  }
+  void SiftUp(uint32_t pos, HeapEntry e);
+  void SiftDown(uint32_t pos, HeapEntry e);
+  // Removes the entry at heap position pos.
+  void HeapRemove(uint32_t pos);
 
   TimeMicros now_ = 0;
   uint64_t seed_ = 0;
@@ -212,11 +241,9 @@ class Simulator {
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   uint64_t current_seq_ = 0;  // seq of the event currently firing
-  TimerId current_timer_ = kInvalidTimer;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
+  std::vector<HeapEntry> heap_;  // min-heap on (at, seq); pending events only
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoSlot;
-  size_t stale_entries_ = 0;  // heap entries whose event was cancelled
 
   struct PeriodicTask {
     uint64_t id = 0;
@@ -261,16 +288,22 @@ class TimerOwner {
 
   // Schedules fn after delay; the pending event is auto-cancelled if this
   // owner is destroyed first.
-  TimerId Schedule(TimeMicros delay, EventFn fn);
+  TimerId Schedule(TimeMicros delay, EventFn fn) {
+    return sim_->ScheduleOwned(delay, std::move(fn), this);
+  }
 
+  // Cancels a pending timer of this owner. A no-op for an id that already
+  // fired, was cancelled, or belongs to another owner.
   void Cancel(TimerId id);
   void CancelAll();
 
   Simulator* simulator() const { return sim_; }
 
  private:
+  friend class Simulator;
+
   Simulator* sim_;
-  std::unordered_set<TimerId> live_;
+  uint32_t head_ = Simulator::kNoSlot;  // first slot of the pending list
 };
 
 }  // namespace scatter::sim

@@ -1,14 +1,63 @@
 // Unit tests for the discrete-event simulator and network model.
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <new>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/random.h"
 #include "src/common/types.h"
 #include "src/sim/message.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
+
+// Counts every allocation the test binary makes, so a test can pin a code
+// path as allocation-free. The plain, array and nothrow forms are replaced
+// as a family (all over malloc/free) so sanitizers never see a mismatched
+// allocator pair.
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+
+// Out of line so the compiler never pairs an inlined free() with a
+// new-expression (a -Wmismatched-new-delete false positive).
+[[gnu::noinline]] void* CountedAlloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+[[gnu::noinline]] void CountedFree(void* p) { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = CountedAlloc(n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 
 namespace scatter::sim {
 namespace {
@@ -136,7 +185,8 @@ TEST(SimulatorTest, LargeCallbacksSupported) {
   EXPECT_EQ(observed, 7);
 }
 
-// pending_events() must discount cancelled (stale) heap entries.
+// Cancel removes the event from the queue at once, so pending_events()
+// counts exactly the events that will still fire.
 TEST(SimulatorTest, PendingEventsTracksCancellations) {
   Simulator sim(1);
   EXPECT_EQ(sim.pending_events(), 0u);
@@ -199,6 +249,140 @@ TEST(SimulatorTest, SlotReuseStress) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+// Differential test of the indexed event heap against a reference model: an
+// ordered set of (fire time, schedule order). Random schedules (with many
+// same-instant ties), cancels of the root, the last heap element, a middle
+// element and stale ids, cancels from inside callbacks, Step and RunUntil
+// must fire exactly the model's events in the model's order, and
+// pending_events() must equal the model's size after every step.
+class QueueModelHarness {
+ public:
+  explicit QueueModelHarness(uint64_t seed) : sim_(seed), rng_(seed) {}
+
+  void Run(int steps) {
+    for (int i = 0; i < steps && !::testing::Test::HasFailure(); ++i) {
+      RandomStep();
+      ASSERT_EQ(sim_.pending_events(), model_.size()) << "step " << i;
+    }
+    sim_.Run();
+    EXPECT_TRUE(model_.empty());
+    EXPECT_EQ(sim_.pending_events(), 0u);
+  }
+
+ private:
+  using Key = std::pair<TimeMicros, uint64_t>;  // (fire time, order)
+
+  void ScheduleOne(TimeMicros delay, bool cancels_another) {
+    const uint64_t order = next_order_++;
+    const TimerId id =
+        sim_.Schedule(delay, [this, order, cancels_another] {
+          Fire(order, cancels_another);
+        });
+    model_.emplace(Key{sim_.now() + delay, order}, id);
+    issued_.push_back(id);
+  }
+
+  void Fire(uint64_t order, bool cancels_another) {
+    ASSERT_FALSE(model_.empty()) << "fired " << order << " on an empty model";
+    ASSERT_EQ(model_.begin()->first.second, order) << "out-of-order fire";
+    ASSERT_EQ(model_.begin()->first.first, sim_.now());
+    model_.erase(model_.begin());
+    if (cancels_another && !model_.empty()) {
+      CancelAt(rng_.Below(model_.size()));
+    }
+  }
+
+  void CancelAt(uint64_t index) {
+    auto it = std::next(model_.begin(), static_cast<std::ptrdiff_t>(index));
+    sim_.Cancel(it->second);
+    model_.erase(it);
+  }
+
+  void RandomStep() {
+    const uint64_t r = rng_.Below(100);
+    if (r < 40) {
+      // Few distinct delays, so same-instant ties are common.
+      ScheduleOne(Millis(rng_.Range(0, 4)), rng_.Below(8) == 0);
+    } else if (r < 45 && !model_.empty()) {
+      CancelAt(0);  // the heap root
+    } else if (r < 50) {
+      // Later than everything pending, so it stays the last heap element.
+      const TimeMicros horizon =
+          model_.empty() ? 0 : model_.rbegin()->first.first - sim_.now();
+      ScheduleOne(horizon + Millis(1), false);
+      CancelAt(model_.size() - 1);
+    } else if (r < 60 && !model_.empty()) {
+      CancelAt(rng_.Below(model_.size()));  // anywhere, usually mid-heap
+    } else if (r < 63 && !issued_.empty()) {
+      // Possibly fired or cancelled already: must be a no-op then.
+      const TimerId id = issued_[rng_.Below(issued_.size())];
+      for (auto it = model_.begin(); it != model_.end(); ++it) {
+        if (it->second == id) {
+          model_.erase(it);
+          break;
+        }
+      }
+      sim_.Cancel(id);
+    } else if (r < 90) {
+      const bool had_event = !model_.empty();
+      EXPECT_EQ(sim_.Step(), had_event);
+    } else {
+      const TimeMicros until = sim_.now() + Millis(rng_.Range(0, 3));
+      sim_.RunUntil(until);
+      EXPECT_EQ(sim_.now(), until);
+      EXPECT_TRUE(model_.empty() || model_.begin()->first.first > until);
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  std::map<Key, TimerId> model_;
+  std::vector<TimerId> issued_;
+  uint64_t next_order_ = 0;
+};
+
+TEST(SimulatorTest, IndexedHeapMatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE(seed);
+    QueueModelHarness(seed).Run(2000);
+    if (HasFailure()) {
+      return;
+    }
+  }
+}
+
+// A steady schedule/cancel/fire loop through a TimerOwner, with a typical
+// `[this, a, b]` capture, must not allocate once the slot and heap vectors
+// have grown to their working size.
+TEST(SimulatorTest, SteadyTimerLoopIsAllocationFree) {
+  struct Client {
+    explicit Client(Simulator* sim) : timers(sim) {}
+    void Arm(uint64_t a, uint64_t b) {
+      timers.Schedule(Millis(1), [this, a, b] { sum += a + b; });
+      const TimerId next =
+          timers.Schedule(Millis(800), [this, a, b] { sum -= a * b; });
+      timers.Cancel(timeout);
+      timeout = next;
+    }
+    uint64_t sum = 0;
+    TimerId timeout = kInvalidTimer;
+    TimerOwner timers;
+  };
+  Simulator sim(1);
+  Client client(&sim);
+  for (uint64_t i = 0; i < 1000; ++i) {
+    client.Arm(i, i + 1);
+    sim.Step();
+  }
+  const uint64_t before = g_allocations.load();
+  for (uint64_t i = 0; i < 10000; ++i) {
+    client.Arm(i, i + 1);
+    sim.Step();
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(sim.pending_events(), 1u);  // just the last timeout
+}
+
 TEST(TimerOwnerTest, DestructionCancelsPending) {
   Simulator sim(1);
   bool fired = false;
@@ -220,6 +404,91 @@ TEST(TimerOwnerTest, FiredTimersLeaveTheSet) {
   sim.Run();
   EXPECT_EQ(fires, 5);
   owner.CancelAll();  // Nothing pending; must not crash.
+}
+
+TEST(TimerOwnerTest, CancelIgnoresOtherOwnersTimers) {
+  Simulator sim(1);
+  TimerOwner a(&sim);
+  TimerOwner b(&sim);
+  int fires = 0;
+  const TimerId owned_by_a = a.Schedule(Millis(1), [&] { fires++; });
+  const TimerId unowned = sim.Schedule(Millis(2), [&] { fires += 10; });
+  b.Cancel(owned_by_a);
+  b.Cancel(unowned);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.Run();
+  EXPECT_EQ(fires, 11);
+}
+
+TEST(TimerOwnerTest, CancelOfFiredIdIgnoresReusedSlot) {
+  Simulator sim(1);
+  TimerOwner owner(&sim);
+  int fires = 0;
+  const TimerId fired = owner.Schedule(Millis(1), [&] { fires++; });
+  sim.Step();
+  const TimerId reused = owner.Schedule(Millis(1), [&] { fires += 10; });
+  // Same slot, fresh generation.
+  ASSERT_EQ(fired & 0xffffffffu, reused & 0xffffffffu);
+  ASSERT_NE(fired, reused);
+  owner.Cancel(fired);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(fires, 11);
+}
+
+TEST(TimerOwnerTest, CancelAllAfterFiresAndCancels) {
+  Simulator sim(1);
+  TimerOwner owner(&sim);
+  TimerOwner other(&sim);
+  std::vector<TimerId> ids;
+  int fires = 0;
+  for (int i = 0; i < 20; ++i) {
+    ids.push_back(owner.Schedule(Millis(i + 1), [&] { fires++; }));
+  }
+  other.Schedule(Millis(100), [&] { fires += 100; });
+  for (int i = 0; i < 5; ++i) {
+    sim.Step();  // fires the owner's first five
+  }
+  for (int i = 5; i < 20; i += 3) {
+    owner.Cancel(ids[i]);
+  }
+  owner.Cancel(ids[0]);  // already fired
+  EXPECT_EQ(sim.pending_events(), 11u);  // 10 of owner's, 1 of other's
+  owner.CancelAll();
+  EXPECT_EQ(sim.pending_events(), 1u);
+  other.CancelAll();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.Run();
+  EXPECT_EQ(fires, 5);
+  // Slots recycled by the cancels serve new timers normally.
+  owner.Schedule(Millis(1), [&] { fires++; });
+  sim.Run();
+  EXPECT_EQ(fires, 6);
+}
+
+// An object may be destroyed from inside one of its own timer callbacks
+// (a node crashing itself); its other pending timers must be cancelled and
+// nothing may touch the dead owner afterwards.
+TEST(TimerOwnerTest, OwnerDestroyedInsideOwnCallback) {
+  struct Node {
+    explicit Node(Simulator* sim) : timers(sim) {}
+    TimerOwner timers;
+  };
+  Simulator sim(1);
+  auto node = std::make_unique<Node>(&sim);
+  int fires = 0;
+  Node* raw = node.get();
+  raw->timers.Schedule(Millis(2), [&] { fires += 100; });
+  raw->timers.Schedule(Millis(1), [&node, &fires] {
+    fires++;
+    node.reset();
+  });
+  raw->timers.Schedule(Millis(3), [&] { fires += 100; });
+  sim.Schedule(Millis(4), [&] { fires += 10; });
+  sim.Run();
+  EXPECT_EQ(node, nullptr);
+  EXPECT_EQ(fires, 11);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 struct TestMsg : Message {

@@ -3,7 +3,8 @@
 // Measures the building blocks whose cost bounds simulation scale and, for
 // the consensus path, the message/commit machinery itself:
 //   - the simulator event queue under RPC-timeout churn,
-//   - KV store operations and range extraction,
+//   - KV store operations and range extraction, and one replica applying
+//     a client write (dedup record + store update),
 //   - routing cache lookups,
 //   - Zipf sampling and histogram recording,
 //   - a full Paxos commit (propose -> quorum -> apply) on a simulated LAN,
@@ -118,6 +119,62 @@ void BM_KvStoreExtractRange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KvStoreExtractRange);
+
+// One replica applying one client write, the state-machine cost every
+// replica of a kv_write group pays per write: the (client, seq) dedup record,
+// then the store update. The group holds kv_write's share of the keys (2,400
+// over 8 groups = 300) and dedup entries for its 24 client sessions. Each
+// iteration writes the next key for the next client; a client's seq steps
+// by 8 per visit because its other writes go to the other 7 groups, so each
+// window holds 16 results as it does in kv_write.
+void BM_GroupApplyWrite(benchmark::State& state) {
+  constexpr uint64_t kKeys = 300;
+  constexpr uint64_t kClients = 24;
+  constexpr uint64_t kGroups = 8;
+  struct NullListener : membership::GroupListener {
+    void OnGroupsFounded(GroupId,
+                         const std::vector<membership::FoundingGroup>&)
+        override {}
+  };
+  NullListener listener;
+  membership::GroupState initial;
+  initial.id = 1;
+  initial.range = ring::KeyRange::Full();
+  initial.epoch = 1;
+  membership::GroupStateMachine sm(&listener, std::move(initial));
+  sm.BindConfigProvider([] { return std::vector<NodeId>{1, 2, 3}; });
+  Rng rng(7);
+  std::vector<Key> keys;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    keys.push_back(rng.Next());
+  }
+  std::vector<membership::PutCommand> clients(kClients);
+  for (uint64_t c = 0; c < kClients; ++c) {
+    clients[c].client_id = c + 1;
+    clients[c].value = "value-payload";
+  }
+  uint64_t index = 0;
+  uint64_t next = 0;
+  auto apply_next = [&]() {
+    membership::PutCommand& cmd = clients[next % kClients];
+    cmd.key = keys[next % kKeys];
+    cmd.client_seq += kGroups;
+    sm.Apply(++index, cmd);
+    next++;
+  };
+  // Fill the store and every dedup window before timing.
+  while (next < kKeys * kClients) {
+    apply_next();
+  }
+  for (auto _ : state) {
+    apply_next();
+  }
+  if (sm.stats().puts_applied != next || sm.state().data.size() != kKeys) {
+    state.SkipWithError("a write was rejected or a key went missing");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_GroupApplyWrite);
 
 void BM_RingMapLookup(benchmark::State& state) {
   ring::RingMap map;

@@ -1223,9 +1223,9 @@ Key ScatterNode::PickSplitKey(const Hosted& hosted) const {
     keys.reserve(data.size());
     // Walk clockwise from range.begin so the median respects wraparound.
     const store::KvStore in_range = data.ExtractRange(range);
-    for (const auto& [k, v] : in_range.entries()) {
+    in_range.ForEach([&keys, &range](Key k, const Value&) {
       keys.push_back(k - range.begin);  // normalize to arc offset
-    }
+    });
     if (keys.size() >= 2) {
       std::sort(keys.begin(), keys.end());
       const Key offset = keys[keys.size() / 2];
@@ -1351,9 +1351,9 @@ void ScatterNode::MaybeRepartition(GroupId group, Hosted& hosted) {
   std::vector<Key> offsets;
   offsets.reserve(self_keys);
   const store::KvStore in_range = data.ExtractRange(range);
-  for (const auto& [k, v] : in_range.entries()) {
+  in_range.ForEach([&offsets, &range](Key k, const Value&) {
     offsets.push_back(k - range.begin);
-  }
+  });
   std::sort(offsets.begin(), offsets.end());
   if (keep >= offsets.size() || keep == 0) {
     return;

@@ -9,10 +9,10 @@
 #ifndef SCATTER_SRC_MEMBERSHIP_COMMANDS_H_
 #define SCATTER_SRC_MEMBERSHIP_COMMANDS_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/common/types.h"
 #include "src/paxos/command.h"
 #include "src/ring/group_info.h"
@@ -31,11 +31,16 @@ namespace scatter::membership {
 // drop the stragglers while acknowledging them as applied. Shipped
 // alongside data whenever a key range changes owner, preserving
 // exactly-once across splits, merges and repartitions.
+//
+// Both levels are sorted vectors (FlatMap): a window holds at most
+// kDedupWindow results and a table one entry per client session, and every
+// replica records every write, so the lookup and the copy into snapshots
+// stay contiguous. The bytes on the wire are those of a std::map.
 struct DedupEntry {
-  uint64_t max_seq = 0;                 // highest sequence ever recorded
-  std::map<uint64_t, uint8_t> results;  // seq -> StatusCode, recent window
+  uint64_t max_seq = 0;                // highest sequence ever recorded
+  FlatMap<uint64_t, uint8_t> results;  // seq -> StatusCode, recent window
 };
-using DedupTable = std::map<uint64_t, DedupEntry>;  // client id -> entry
+using DedupTable = FlatMap<uint64_t, DedupEntry>;  // client id -> entry
 
 // Wire field list (src/wire/fields.h); a DedupTable is a map of these.
 template <class IO>
@@ -47,6 +52,10 @@ void Fields(DedupEntry& e, IO& io) {
 // below the horizon is treated as an already-applied duplicate. Must exceed
 // any client's in-flight op budget.
 inline constexpr uint64_t kDedupWindow = 128;
+
+// Folds `from` into `into` when two groups' ranges merge: per client, the
+// higher max_seq and the union of both windows, pruned to the new horizon.
+void MergeDedup(DedupTable& into, const DedupTable& from);
 
 inline size_t DedupByteSize(const DedupTable& table) {
   size_t bytes = 0;

@@ -19,6 +19,22 @@ std::vector<NodeId> UnionMembers(std::vector<NodeId> a,
   return a;
 }
 
+// Whether `seq` lies at or below the entry's window horizon, where results
+// have been pruned.
+bool BelowHorizon(const DedupEntry& entry, uint64_t seq) {
+  return entry.max_seq >= kDedupWindow && seq <= entry.max_seq - kDedupWindow;
+}
+
+// Drops the results at or below the horizon, in one range erase.
+void PruneBelowHorizon(DedupEntry& entry) {
+  if (entry.max_seq < kDedupWindow) {
+    return;
+  }
+  auto& results = entry.results;
+  results.erase(results.begin(),
+                results.lower_bound(entry.max_seq - kDedupWindow + 1));
+}
+
 }  // namespace
 
 GroupStateMachine::GroupStateMachine(GroupListener* listener,
@@ -62,17 +78,17 @@ bool GroupStateMachine::RecordClientOp(const paxos::AppCommand& cmd,
     return true;
   }
   DedupEntry& entry = state_.dedup[cmd.client_id];
-  const bool below_horizon = entry.max_seq >= kDedupWindow &&
-                             cmd.client_seq <= entry.max_seq - kDedupWindow;
-  if (below_horizon || entry.results.count(cmd.client_seq) != 0) {
+  if (BelowHorizon(entry, cmd.client_seq)) {
+    return false;  // Pruned long ago, so applied long ago.
+  }
+  // One search serves both the duplicate check and the insert.
+  auto it = entry.results.lower_bound(cmd.client_seq);
+  if (it != entry.results.end() && it->first == cmd.client_seq) {
     return false;  // Retry of an already-applied op; keep the original.
   }
-  entry.results[cmd.client_seq] = static_cast<uint8_t>(code);
+  entry.results.insert(it, {cmd.client_seq, static_cast<uint8_t>(code)});
   entry.max_seq = std::max(entry.max_seq, cmd.client_seq);
-  while (entry.max_seq >= kDedupWindow && !entry.results.empty() &&
-         entry.results.begin()->first <= entry.max_seq - kDedupWindow) {
-    entry.results.erase(entry.results.begin());
-  }
+  PruneBelowHorizon(entry);
   return true;
 }
 
@@ -361,7 +377,7 @@ std::optional<StatusCode> GroupStateMachine::ResultFor(uint64_t client_id,
   if (res != entry.results.end()) {
     return static_cast<StatusCode>(res->second);
   }
-  if (entry.max_seq >= kDedupWindow && seq <= entry.max_seq - kDedupWindow) {
+  if (BelowHorizon(entry, seq)) {
     // Pruned below the window horizon: the original result is gone. Treat
     // as applied-OK (only a very stale duplicate delivery can land here).
     return StatusCode::kOk;
@@ -384,17 +400,14 @@ std::vector<NodeId> GroupStateMachine::CurrentMembers() const {
   return config_provider_();
 }
 
-void GroupStateMachine::MergeDedup(DedupTable& into, const DedupTable& from) {
+void MergeDedup(DedupTable& into, const DedupTable& from) {
   for (const auto& [client, entry] : from) {
     DedupEntry& dst = into[client];
     dst.max_seq = std::max(dst.max_seq, entry.max_seq);
     for (const auto& [seq, code] : entry.results) {
-      dst.results.emplace(seq, code);  // an op applies in exactly one group
+      dst.results.try_emplace(seq, code);  // an op applies in exactly one group
     }
-    while (dst.max_seq >= kDedupWindow && !dst.results.empty() &&
-           dst.results.begin()->first <= dst.max_seq - kDedupWindow) {
-      dst.results.erase(dst.results.begin());
-    }
+    PruneBelowHorizon(dst);
   }
 }
 

@@ -189,7 +189,6 @@ class GroupStateMachine : public paxos::StateMachine {
   bool RecordClientOp(const paxos::AppCommand& cmd, StatusCode code);
 
   std::vector<NodeId> CurrentMembers() const;
-  static void MergeDedup(DedupTable& into, const DedupTable& from);
 
   GroupListener* listener_;
   GroupState state_;

@@ -1,6 +1,8 @@
 #include "src/paxos/replica.h"
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -100,6 +102,7 @@ Replica::Replica(sim::Simulator* sim, ReplicaHost* host,
     snap_config_ = initial_members;
     snap_config_index_ = 0;
     config_ = std::move(initial_members);
+    centrality_ = ComputeCentrality();
     started_ = true;
     SCATTER_CHECK(std::count(config_.begin(), config_.end(), self_) == 1);
     ResetElectionTimer();
@@ -1134,18 +1137,27 @@ void Replica::CheckQuorumConnectivity() {
 
 TimeMicros Replica::LeaseExpiry() const {
   // The lease holds until the QuorumSize()-th largest grant (counting our
-  // own, which never expires) runs out.
-  std::vector<TimeMicros> grants;
+  // own, which never expires) runs out. Every lease read asks, so the
+  // grants go in a stack buffer unless the config outgrows it.
+  std::array<TimeMicros, kInlineLeaseGrants> inline_grants;
+  std::vector<TimeMicros> heap_grants;
+  TimeMicros* grants = inline_grants.data();
+  if (config_.size() > kInlineLeaseGrants) {
+    heap_grants.resize(config_.size());
+    grants = heap_grants.data();
+  }
+  size_t n = 0;
   for (NodeId member : config_) {
     if (member == self_) {
-      grants.push_back(std::numeric_limits<TimeMicros>::max());
+      grants[n++] = std::numeric_limits<TimeMicros>::max();
       continue;
     }
     auto it = peers_.find(member);
-    grants.push_back(it == peers_.end() ? 0 : it->second.grant_until);
+    grants[n++] = it == peers_.end() ? 0 : it->second.grant_until;
   }
-  std::sort(grants.begin(), grants.end(), std::greater<>());
-  return grants[QuorumSize() - 1];
+  TimeMicros* const kth = grants + (QuorumSize() - 1);
+  std::nth_element(grants, kth, grants + n, std::greater<>());
+  return *kth;
 }
 
 std::vector<NodeId> Replica::SuspectedMembers() const {
@@ -1221,9 +1233,10 @@ void Replica::HandlePong(const PongMsg& m) {
   const TimeMicros rtt = sim_->now() - m.ping_sent_at;
   TimeMicros& slot = probe_rtt_[m.from];
   slot = slot == 0 ? rtt : (3 * slot + rtt) / 4;
+  centrality_ = ComputeCentrality();
 }
 
-TimeMicros Replica::Centrality() const {
+TimeMicros Replica::ComputeCentrality() const {
   TimeMicros total = 0;
   size_t measured = 0;
   for (NodeId member : config_) {
@@ -1532,7 +1545,12 @@ std::vector<NodeId> Replica::ConfigAt(uint64_t up_to, uint64_t* index) const {
 }
 
 void Replica::RecomputeVotingConfig() {
-  config_ = ConfigAt(log_.last_index(), &config_index_);
+  // Followers call this on every accepted batch; the config rarely moves.
+  std::vector<NodeId> config = ConfigAt(log_.last_index(), &config_index_);
+  if (config != config_) {
+    config_ = std::move(config);
+    centrality_ = ComputeCentrality();
+  }
 }
 
 void Replica::MaybeTruncateLog() {

@@ -154,6 +154,8 @@ class Replica {
   bool has_started() const { return started_; }
   // True while the leader's lease covers local reads right now.
   bool HasLease() const;
+  // Configs up to this size compute the lease expiry without allocating.
+  static constexpr size_t kInlineLeaseGrants = 16;
 
   // Leadership transfer (leader only): surrender the lease and tell
   // `target` to campaign immediately. Returns false if preconditions fail
@@ -164,8 +166,12 @@ class Replica {
   std::vector<std::pair<NodeId, TimeMicros>> PeerRtts() const;
 
   // This replica's self-measured centrality: mean smoothed RTT to peers
-  // (0 until at least half the peers have been probed).
-  TimeMicros Centrality() const;
+  // (0 until at least half the peers have been probed). Cached: every
+  // Accepted reply carries it, so it is recomputed only when a probe
+  // result or the voting config changes.
+  TimeMicros Centrality() const { return centrality_; }
+  // The value Centrality() caches, computed afresh.
+  TimeMicros ComputeCentrality() const;
 
   // Leader only: each member's self-reported centrality (0 if unknown);
   // includes self. Input to the placement policy.
@@ -447,6 +453,7 @@ class Replica {
   // outstanding ping send-times. Leader-side estimates also come from
   // append acks; probing covers followers.
   std::unordered_map<NodeId, TimeMicros> probe_rtt_;
+  TimeMicros centrality_ = 0;  // ComputeCentrality() as of the last change
   size_t probe_cursor_ = 0;
 
   Stats stats_;

@@ -39,10 +39,10 @@
 #ifndef SCATTER_SRC_WIRE_BUFFER_POOL_H_
 #define SCATTER_SRC_WIRE_BUFFER_POOL_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/common/histogram.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/types.h"
@@ -187,7 +187,7 @@ class BufferPool {
       SCATTER_GUARDED_BY(mu_);
   // nullptr = registry-less pool; the cells then all point at the locals.
   obs::MetricsRegistry* metrics_ = nullptr;
-  std::map<NodeId, Cells> cells_locked_ SCATTER_GUARDED_BY(mu_);
+  FlatMap<NodeId, Cells> cells_locked_ SCATTER_GUARDED_BY(mu_);
   // Local fallback cells; written only through Cells pointers under mu_.
   Counter local_hits_;
   Counter local_misses_;

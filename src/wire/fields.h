@@ -26,6 +26,7 @@
 //   Status          code (checked enum), message
 //   std::vector<T>  u32 count + elements
 //   std::map<K,V>   u32 count + (key, value) pairs in key order
+//   FlatMap<K,V>    the same bytes as std::map
 //   std::optional   bool present + value
 //   Enum(f, last)   u8; a read above `last` fails the Reader
 //   composite       its own Fields(T&, IO&)
@@ -46,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/wire/buffer.h"
@@ -168,19 +170,31 @@ void Field(Reader& r, std::vector<T>& v) {
   }
 }
 
+// std::map and FlatMap share one encoding. A read inserts through
+// operator[], so a frame with out-of-order keys still decodes sorted, and a
+// repeated key reads over the value already present.
+template <typename M>
+inline constexpr bool kWireMap = false;
 template <typename K, typename V>
-void Field(Writer& w, std::map<K, V>& m) {
+inline constexpr bool kWireMap<std::map<K, V>> = true;
+template <typename K, typename V>
+inline constexpr bool kWireMap<FlatMap<K, V>> = true;
+template <typename M>
+concept WireMap = kWireMap<M>;
+
+template <WireMap M>
+void Field(Writer& w, M& m) {
   w.out().WriteU32(static_cast<uint32_t>(m.size()));
   for (auto& [key, value] : m) {
-    Field(w, const_cast<K&>(key));
+    Field(w, const_cast<typename M::key_type&>(key));
     Field(w, value);
   }
 }
-template <typename K, typename V>
-void Field(Reader& r, std::map<K, V>& m) {
+template <WireMap M>
+void Field(Reader& r, M& m) {
   const size_t n = r.ReadCount();
   for (size_t i = 0; i < n && r.ok(); ++i) {
-    K key{};
+    typename M::key_type key{};
     Field(r, key);
     Field(r, m[key]);
   }

@@ -22,11 +22,11 @@
 #ifndef SCATTER_SRC_WIRE_SERIALIZING_NETWORK_H_
 #define SCATTER_SRC_WIRE_SERIALIZING_NETWORK_H_
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/common/histogram.h"
 #include "src/sim/network.h"
 #include "src/wire/buffer_pool.h"
@@ -61,7 +61,7 @@ class SerializingNetwork : public sim::Network {
 
   BufferPool pool_;
   obs::MetricsRegistry* metrics_;
-  std::map<NodeId, TrafficCells> traffic_cells_;
+  FlatMap<NodeId, TrafficCells> traffic_cells_;
   uint64_t total_frames_ = 0;
   uint64_t total_bytes_ = 0;
 };

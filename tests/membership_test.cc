@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -76,6 +77,81 @@ TEST_F(GroupSmTest, DedupSuppressesRetry) {
   EXPECT_EQ(sm_->state().data.Get(5), "first");
   EXPECT_EQ(sm_->ResultFor(7, 1), StatusCode::kOk);
   EXPECT_EQ(sm_->ResultFor(7, 2), std::nullopt);
+}
+
+TEST_F(GroupSmTest, DedupRecordsOutOfOrderStragglersOnce) {
+  // Pipelined ops of one session can commit out of seq order. Every
+  // straggler inside the window applies exactly once; its retry does not.
+  const std::vector<uint64_t> order = {200, 150, 90, 199, 73, 151};
+  for (uint64_t seq : order) {
+    Put(seq, "v" + std::to_string(seq), /*client=*/4, seq);
+  }
+  for (uint64_t seq : order) {
+    Put(seq, "retry", /*client=*/4, seq);
+  }
+  EXPECT_EQ(sm_->stats().puts_applied, order.size());
+  for (uint64_t seq : order) {
+    EXPECT_EQ(sm_->state().data.Get(seq), "v" + std::to_string(seq));
+    EXPECT_EQ(sm_->ResultFor(4, seq), StatusCode::kOk);
+  }
+  const DedupEntry& entry = sm_->state().dedup.find(4)->second;
+  EXPECT_EQ(entry.max_seq, 200u);
+  EXPECT_EQ(entry.results.size(), order.size());
+  // In the window but never applied: unknown, not applied.
+  EXPECT_EQ(sm_->ResultFor(4, 100), std::nullopt);
+}
+
+TEST_F(GroupSmTest, DedupTreatsSeqsBelowTheHorizonAsApplied) {
+  for (uint64_t seq = 1; seq <= 10; ++seq) {
+    Put(seq, "old", /*client=*/5, seq);
+  }
+  Put(372, "edge", /*client=*/5, /*seq=*/372);
+  Put(500, "new", /*client=*/5, /*seq=*/500);
+  // The horizon is now 500 - kDedupWindow = 372: seqs 1..10 and 372 itself
+  // are pruned, and anything at or below the horizon reads as applied.
+  const DedupEntry& entry = sm_->state().dedup.find(5)->second;
+  ASSERT_EQ(entry.results.size(), 1u);
+  EXPECT_EQ(entry.results.begin()->first, 500u);
+  EXPECT_EQ(sm_->ResultFor(5, 3), StatusCode::kOk);
+  EXPECT_EQ(sm_->ResultFor(5, 500 - kDedupWindow), StatusCode::kOk);
+  EXPECT_EQ(sm_->ResultFor(5, 500 - kDedupWindow + 1), std::nullopt);
+  // A late arrival below the horizon is a duplicate and must not apply.
+  Put(300, "late", /*client=*/5, /*seq=*/300);
+  EXPECT_FALSE(sm_->state().data.Get(300).has_value());
+  EXPECT_EQ(sm_->stats().puts_applied, 12u);
+}
+
+TEST(DedupMergeTest, MergePrunesToTheMergedMaxSeq) {
+  DedupTable into;
+  DedupTable from;
+  // Client 7 wrote to both groups; the other group saw later seqs.
+  into[7].max_seq = 100;
+  for (uint64_t seq = 1; seq <= 100; seq += 3) {
+    into[7].results[seq] = static_cast<uint8_t>(StatusCode::kOk);
+  }
+  from[7].max_seq = 300;
+  for (uint64_t seq = 200; seq <= 300; seq += 2) {
+    from[7].results[seq] = static_cast<uint8_t>(StatusCode::kWrongGroup);
+  }
+  from[7].results[180] = static_cast<uint8_t>(StatusCode::kOk);
+  from[7].results[172] = static_cast<uint8_t>(StatusCode::kOk);  // horizon
+  into[2].max_seq = 4;
+  into[2].results[4] = 0;
+  from[9].max_seq = 8;
+  from[9].results[8] = 0;
+
+  MergeDedup(into, from);
+
+  ASSERT_EQ(into.size(), 3u);
+  const DedupEntry& merged = into.find(7)->second;
+  EXPECT_EQ(merged.max_seq, 300u);
+  // Every result at or below 300 - kDedupWindow = 172 is gone: all of the
+  // first group's window, none of the second's.
+  ASSERT_FALSE(merged.results.empty());
+  EXPECT_EQ(merged.results.begin()->first, 180u);
+  EXPECT_EQ(merged.results.size(), 1u + 51u);
+  EXPECT_EQ(into.find(2)->second.results.size(), 1u);
+  EXPECT_EQ(into.find(9)->second.max_seq, 8u);
 }
 
 TEST_F(GroupSmTest, DeleteRemoves) {

@@ -327,6 +327,39 @@ TEST(PaxosReplicationTest, DedupMakesRetriesExactlyOnce) {
   EXPECT_EQ(l->sm().values(), std::vector<uint64_t>{99});
 }
 
+// Centrality() is cached; it must equal a fresh computation after every
+// probe result and every voting-config change.
+TEST(PaxosPlacementTest, CachedCentralityTracksPongsAndConfigChanges) {
+  PaxosCluster cluster(3);
+  auto expect_fresh = [&cluster](const char* stage) {
+    for (PaxosTestNode* node : cluster.live_nodes()) {
+      EXPECT_EQ(node->replica().Centrality(),
+                node->replica().ComputeCentrality())
+          << stage << ", node " << node->id();
+    }
+  };
+  ASSERT_TRUE(cluster.ProposeAndWait(1));
+  expect_fresh("before probes");
+  cluster.sim().RunFor(Seconds(10));
+  expect_fresh("after probes");
+  for (PaxosTestNode* node : cluster.live_nodes()) {
+    EXPECT_GT(node->replica().Centrality(), 0) << "node " << node->id();
+  }
+  // New members have no probe result yet; enough of them drop the
+  // measured share below half.
+  for (NodeId id : {10, 11, 12}) {
+    cluster.Spawn(id);
+    ASSERT_TRUE(cluster.AddMemberAndWait(id));
+    expect_fresh("after add");
+  }
+  cluster.sim().RunFor(Seconds(10));
+  expect_fresh("after probing the new members");
+  for (NodeId id : {10, 11}) {
+    ASSERT_TRUE(cluster.RemoveMemberAndWait(id));
+    expect_fresh("after remove");
+  }
+}
+
 // --- Membership changes ------------------------------------------------------
 
 TEST(PaxosMembershipTest, AddMemberViaSnapshot) {
@@ -645,6 +678,43 @@ TEST(PaxosLeaseTest, LeaseBlocksPrematureElection) {
     }
   }
   EXPECT_EQ(l->replica().stats().times_elected, elected_before);
+}
+
+// LeaseExpiry() collects grants on the stack up to kInlineLeaseGrants
+// members and on the heap beyond; a bigger group must pick the same
+// quorum-th grant: the lease holds with a bare quorum of grants and lapses
+// one grant short.
+TEST(PaxosLeaseTest, LeaseCountsAQuorumBeyondTheInlineBuffer) {
+  const int n = static_cast<int>(Replica::kInlineLeaseGrants) + 3;
+  PaxosCluster cluster(n);
+  ASSERT_TRUE(cluster.ProposeAndWait(1));
+  PaxosTestNode* l = cluster.leader();
+  ASSERT_NE(l, nullptr);
+  cluster.sim().RunFor(Millis(200));
+  ASSERT_TRUE(l->replica().HasLease());
+
+  std::vector<NodeId> followers;
+  for (PaxosTestNode* node : cluster.live_nodes()) {
+    if (node != l) {
+      followers.push_back(node->id());
+    }
+  }
+  const size_t quorum = static_cast<size_t>(n) / 2 + 1;
+  // Crash followers down to a bare quorum: the lease keeps renewing.
+  while (cluster.live_nodes().size() > quorum) {
+    cluster.Crash(followers.back());
+    followers.pop_back();
+  }
+  cluster.sim().RunFor(Millis(600));
+  ASSERT_TRUE(l->replica().is_leader());
+  EXPECT_TRUE(l->replica().HasLease());
+
+  // One grant short of a quorum: the lease runs out while the leader has
+  // not yet noticed it lost contact.
+  cluster.Crash(followers.back());
+  cluster.sim().RunFor(Millis(600));
+  ASSERT_TRUE(l->replica().is_leader());
+  EXPECT_FALSE(l->replica().HasLease());
 }
 
 // --- Leadership transfer -------------------------------------------------------

@@ -79,6 +79,139 @@ TEST_P(KvStoreProperty, ExtractEraseRoundTrip) {
   EXPECT_EQ(store.byte_size(), original.byte_size());
 }
 
+// The store's contents in key order, checking that ForEach ascends.
+std::map<Key, Value> Contents(const store::KvStore& store) {
+  std::map<Key, Value> out;
+  std::optional<Key> prev;
+  store.ForEach([&out, &prev](Key k, const Value& v) {
+    EXPECT_TRUE(!prev.has_value() || *prev < k) << "ForEach out of order";
+    prev = k;
+    out.emplace(k, v);
+  });
+  return out;
+}
+
+size_t ModelBytes(const std::map<Key, Value>& model) {
+  size_t bytes = 0;
+  for (const auto& [k, v] : model) {
+    bytes += 8 + v.size();
+  }
+  return bytes;
+}
+
+// Tens of thousands of keys: the store's sorted runs split many times on the
+// way up and empty out (and are dropped) on the way down. Every range
+// operation is checked against a std::map model at each stage.
+TEST_P(KvStoreProperty, LargeKeySpaceMatchesModel) {
+  Rng rng(GetParam() * 101);
+  store::KvStore store;
+  std::map<Key, Value> model;
+  // A pool of distinct keys spread over the whole ring, inserted in random
+  // order so inserts land inside runs rather than only at the end.
+  std::vector<Key> pool;
+  for (int i = 0; i < 50000; ++i) {
+    pool.push_back(rng.Next());
+  }
+  auto value_for = [&rng]() {
+    return Value(rng.Below(24), 'a' + static_cast<char>(rng.Below(26)));
+  };
+  auto check_ranges = [&store, &model, &rng](const char* stage) {
+    SCOPED_TRACE(stage);
+    ASSERT_EQ(store.size(), model.size());
+    ASSERT_EQ(store.byte_size(), ModelBytes(model));
+    ASSERT_EQ(Contents(store), model);
+    for (int trial = 0; trial < 8; ++trial) {
+      // Plain, wrapping and full arcs.
+      const Key a = rng.Next();
+      const Key b = trial % 4 == 3 ? a : rng.Next();
+      const ring::KeyRange arc{a, b};
+      std::map<Key, Value> inside;
+      std::map<Key, Value> outside;
+      for (const auto& [k, v] : model) {
+        (arc.Contains(k) ? inside : outside).emplace(k, v);
+      }
+      const store::KvStore extracted = store.ExtractRange(arc);
+      EXPECT_EQ(Contents(extracted), inside);
+      EXPECT_EQ(extracted.byte_size(), ModelBytes(inside));
+      EXPECT_EQ(store.CountRange(arc), inside.size());
+      const std::optional<Key> stray = store.FirstKeyOutside(arc);
+      if (outside.empty()) {
+        EXPECT_FALSE(stray.has_value());
+      } else {
+        ASSERT_TRUE(stray.has_value());
+        EXPECT_EQ(outside.count(*stray), 1u);
+      }
+      store::KvStore rest = store;
+      EXPECT_EQ(rest, store);
+      rest.EraseRange(arc);
+      EXPECT_EQ(Contents(rest), outside);
+      EXPECT_EQ(rest.byte_size(), ModelBytes(outside));
+      if (!arc.IsFull()) {
+        // What is left lies on the complement arc.
+        EXPECT_FALSE(rest.FirstKeyOutside(ring::KeyRange{b, a}).has_value());
+      }
+      if (!inside.empty()) {
+        EXPECT_FALSE(rest == store);
+      }
+      rest.MergeFrom(extracted);
+      EXPECT_EQ(rest, store);
+    }
+  };
+
+  // Grow: random puts (some overwrites) with point lookups along the way.
+  for (size_t i = 0; i < pool.size(); ++i) {
+    const Key key = pool[rng.Below(i + 1)];
+    Value v = value_for();
+    store.Put(key, v);
+    model[key] = std::move(v);
+    const Key probe = rng.Bernoulli(0.5) ? pool[rng.Below(pool.size())]
+                                         : rng.Next();
+    auto it = model.find(probe);
+    const std::optional<Value> got = store.Get(probe);
+    ASSERT_EQ(got.has_value(), it != model.end()) << "step " << i;
+    if (got.has_value()) {
+      ASSERT_EQ(*got, it->second);
+    }
+  }
+  check_ranges("after growth");
+
+  // Shrink: delete most keys, so whole runs empty out.
+  for (size_t i = 0; i < pool.size(); ++i) {
+    const Key key = pool[rng.Below(pool.size())];
+    ASSERT_EQ(store.Delete(key), model.erase(key) > 0) << "step " << i;
+  }
+  check_ranges("after deletes");
+
+  // Delete contiguous stretches too: every key of a few random arcs.
+  for (int i = 0; i < 4; ++i) {
+    const ring::KeyRange arc{rng.Next(), rng.Next()};
+    for (auto it = model.begin(); it != model.end();) {
+      if (arc.Contains(it->first)) {
+        EXPECT_TRUE(store.Delete(it->first));
+        it = model.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  check_ranges("after arc deletes");
+
+  // Down to empty, then back up from empty.
+  for (Key k : pool) {
+    store.Delete(k);
+    model.erase(k);
+  }
+  EXPECT_TRUE(store.empty());
+  EXPECT_EQ(store.byte_size(), 0u);
+  EXPECT_EQ(store, store::KvStore());
+  for (int i = 0; i < 1000; ++i) {
+    const Key key = pool[rng.Below(pool.size())];
+    store.Put(key, "v");
+    model[key] = "v";
+  }
+  check_ranges("after regrowth");
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, KvStoreProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 

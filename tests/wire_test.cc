@@ -1350,5 +1350,121 @@ TEST_F(WireTest, EveryEnumFieldRejectsAByteAboveItsLastValue) {
       last_code);
 }
 
+// --- Map-shaped fields decode as the std::map codec did ----------------------
+//
+// KvStore and DedupTable are sorted runs and sorted vectors in memory, but
+// their bytes are a std::map's. A hand-built frame whose keys arrive out of
+// order and repeated must decode exactly as the std::map decoder reads it
+// (sorted; a repeated key reads over the value already there) and re-encode
+// to the same canonical bytes.
+
+// DedupEntry as it was laid out with std::map windows.
+struct MapDedupEntry {
+  uint64_t max_seq = 0;
+  std::map<uint64_t, uint8_t> results;
+};
+template <class IO>
+void Fields(MapDedupEntry& e, IO& io) {
+  io(e.max_seq, e.results);
+}
+
+template <typename T>
+std::vector<uint8_t> Encoded(const T& value) {
+  Buffer out;
+  Write(value, out);
+  return std::vector<uint8_t>(out.data(), out.data() + out.size());
+}
+
+TEST_F(WireTest, UnsortedKvStoreFrameDecodesAsStdMap) {
+  const std::vector<std::pair<Key, std::string>> pairs = {
+      {9, "nine"}, {2, "two"},         {9, "NINE"}, {5, "five"},
+      {2, ""},     {~Key{0}, "max"},   {0, "zero"}, {5, "FIVE!"}};
+  Buffer frame;
+  frame.WriteU32(static_cast<uint32_t>(pairs.size()));
+  for (const auto& [key, value] : pairs) {
+    frame.WriteU64(key);
+    frame.WriteString(value);
+  }
+
+  std::map<Key, Value> expected;
+  Reader map_reader(frame);
+  map_reader(expected);
+  ASSERT_TRUE(map_reader.ok());
+  ASSERT_EQ(map_reader.remaining(), 0u);
+  ASSERT_EQ(expected.size(), 5u);
+  ASSERT_EQ(expected.at(9), "NINE");
+
+  store::KvStore store;
+  Reader store_reader(frame);
+  store_reader(store);
+  ASSERT_TRUE(store_reader.ok());
+  EXPECT_EQ(store_reader.remaining(), 0u);
+  std::vector<std::pair<Key, Value>> got;
+  store.ForEach([&got](Key k, const Value& v) { got.emplace_back(k, v); });
+  const std::vector<std::pair<Key, Value>> want(expected.begin(),
+                                                expected.end());
+  EXPECT_EQ(got, want);
+  size_t bytes = 0;
+  for (const auto& [k, v] : expected) {
+    bytes += 8 + v.size();
+  }
+  EXPECT_EQ(store.byte_size(), bytes);
+  EXPECT_EQ(Encoded(store), Encoded(expected));
+}
+
+TEST_F(WireTest, UnsortedDedupTableFrameDecodesAsStdMap) {
+  struct Raw {
+    uint64_t client;
+    uint64_t max_seq;
+    std::vector<std::pair<uint64_t, uint8_t>> results;
+  };
+  // Client 7 twice: the second entry reads over the first one's max_seq
+  // and adds to its window, as std::map's operator[] did.
+  const std::vector<Raw> entries = {
+      {7, 10, {{4, 0}, {2, 1}, {4, 2}}},
+      {3, 5, {{1, 0}}},
+      {7, 12, {{3, 0}, {2, 3}, {9, 1}}},
+      {1, 0, {}},
+  };
+  Buffer frame;
+  frame.WriteU32(static_cast<uint32_t>(entries.size()));
+  for (const Raw& e : entries) {
+    frame.WriteU64(e.client);
+    frame.WriteU64(e.max_seq);
+    frame.WriteU32(static_cast<uint32_t>(e.results.size()));
+    for (const auto& [seq, code] : e.results) {
+      frame.WriteU64(seq);
+      frame.WriteU8(code);
+    }
+  }
+
+  std::map<uint64_t, MapDedupEntry> expected;
+  Reader map_reader(frame);
+  map_reader(expected);
+  ASSERT_TRUE(map_reader.ok());
+  ASSERT_EQ(map_reader.remaining(), 0u);
+  ASSERT_EQ(expected.size(), 3u);
+  ASSERT_EQ(expected.at(7).max_seq, 12u);
+  ASSERT_EQ(expected.at(7).results.size(), 4u);
+
+  membership::DedupTable table;
+  Reader table_reader(frame);
+  table_reader(table);
+  ASSERT_TRUE(table_reader.ok());
+  EXPECT_EQ(table_reader.remaining(), 0u);
+  ASSERT_EQ(table.size(), expected.size());
+  auto it = table.begin();
+  for (const auto& [client, entry] : expected) {
+    SCOPED_TRACE(client);
+    EXPECT_EQ(it->first, client);
+    EXPECT_EQ(it->second.max_seq, entry.max_seq);
+    using Window = std::vector<std::pair<uint64_t, uint8_t>>;
+    EXPECT_EQ(Window(it->second.results.begin(), it->second.results.end()),
+              Window(entry.results.begin(), entry.results.end()));
+    ++it;
+  }
+  EXPECT_EQ(Encoded(table), Encoded(expected));
+}
+
 }  // namespace
 }  // namespace scatter::wire

@@ -8,7 +8,8 @@
 //   - routing cache lookups,
 //   - Zipf sampling and histogram recording,
 //   - a full Paxos commit (propose -> quorum -> apply) on a simulated LAN,
-//   - lease reads vs barrier reads on the same group,
+//   - lease reads vs barrier reads on the same group, and one lease-read
+//     RPC round trip alone and 64 deep,
 //   - the linearizability checker on sequential histories,
 //   - WAL framing + append throughput and crash-recovery replay.
 
@@ -460,6 +461,45 @@ void BM_LeaseRead(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LeaseRead)->Arg(1)->Arg(0);
+
+// One ChirpChat-style RPC round trip: a lease-read Get from a Client to its
+// group's leader and back on the in-process transport — op record, request,
+// call-table entry, two deliveries, the leader's read and reply. The arg is
+// the number of Gets kept in flight over distinct keys: 1 times a lone round
+// trip, 64 loads the call table and the near-time event wheel the way a
+// timeline fan-out does.
+void BM_RpcRoundTrip(benchmark::State& state) {
+  const uint64_t window = static_cast<uint64_t>(state.range(0));
+  core::ClusterConfig cfg;
+  cfg.seed = 79;
+  cfg.initial_nodes = 3;
+  cfg.initial_groups = 1;
+  cfg.transport = sim::TransportKind::kInProcess;
+  core::Cluster cluster(cfg);
+  cluster.RunFor(Seconds(2));
+  core::Client* client = cluster.AddClient();
+  uint64_t written = 0;
+  for (uint64_t k = 0; k < window; ++k) {
+    client->Put(k, "wall", [&written](Status) { written++; });
+  }
+  while (written < window) {
+    cluster.sim().Step();
+  }
+  uint64_t issued = 0;
+  uint64_t completed = 0;
+  for (auto _ : state) {
+    while (issued - completed < window) {
+      client->Get(issued++ % window,
+                  [&completed](StatusOr<Value>) { completed++; });
+    }
+    const uint64_t want = completed + 1;
+    while (completed < want) {
+      cluster.sim().Step();
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RpcRoundTrip)->Arg(1)->Arg(64);
 
 void BM_LinearizabilityCheckSequential(benchmark::State& state) {
   std::vector<verify::Operation> history;

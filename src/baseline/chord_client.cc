@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/pooled.h"
 #include "src/sim/simulator.h"
 
 namespace scatter::baseline {
@@ -72,7 +73,7 @@ void ChordClient::Attempt(std::shared_ptr<Op> op) {
                   return;
                 }
                 if (op->is_write) {
-                  auto store = std::make_shared<ChordStoreMsg>();
+                  auto store = MakePooled<ChordStoreMsg>();
                   store->key = op->key;
                   store->value = op->value;
                   store->replicate = 3;
@@ -86,7 +87,7 @@ void ChordClient::Attempt(std::shared_ptr<Op> op) {
                        });
                   return;
                 }
-                auto fetch = std::make_shared<ChordFetchMsg>();
+                auto fetch = MakePooled<ChordFetchMsg>();
                 fetch->key = op->key;
                 Call(owner->id, std::move(fetch), cfg_.rpc_timeout,
                      [this, op](StatusOr<sim::MessagePtr> result) mutable {
@@ -117,7 +118,7 @@ void ChordClient::LookupOwner(
     callback(UnavailableError("hop limit"));
     return;
   }
-  auto req = std::make_shared<ChordFindSuccessorMsg>();
+  auto req = MakePooled<ChordFindSuccessorMsg>();
   req->target = key;
   Call(at.id, std::move(req), cfg_.rpc_timeout,
        [this, key, hops, callback = std::move(callback)](

@@ -6,6 +6,7 @@
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
+#include "src/common/pooled.h"
 
 namespace scatter::baseline {
 
@@ -85,7 +86,7 @@ void ChordNode::StartJoin() {
                }
                // Adopt the found successor; stabilization fills in the rest.
                successors_ = {*result};
-               auto notify = std::make_shared<ChordNotifyMsg>();
+               auto notify = MakePooled<ChordNotifyMsg>();
                notify->candidate = self_ref();
                SendOneWay(result->id, std::move(notify));
              });
@@ -122,7 +123,7 @@ void ChordNode::LookupStep(Key key, NodeRef at, size_t hops,
     }
     return;
   }
-  auto req = std::make_shared<ChordFindSuccessorMsg>();
+  auto req = MakePooled<ChordFindSuccessorMsg>();
   req->target = key;
   Call(at.id, std::move(req), cfg_.rpc_timeout,
        [this, key, hops, callback = std::move(callback)](
@@ -175,7 +176,7 @@ void ChordNode::OnRequest(const sim::MessagePtr& message) {
       HandleFindSuccessor(message);
       return;
     case sim::MessageType::kChordGetNeighbors: {
-      auto reply = std::make_shared<ChordGetNeighborsReplyMsg>();
+      auto reply = MakePooled<ChordGetNeighborsReplyMsg>();
       reply->predecessor = predecessor_;
       reply->successors = successors_;
       Reply(*message, std::move(reply));
@@ -189,7 +190,7 @@ void ChordNode::OnRequest(const sim::MessagePtr& message) {
       return;
     case sim::MessageType::kChordFetch: {
       const auto& m = sim::As<ChordFetchMsg>(message);
-      auto reply = std::make_shared<ChordFetchReplyMsg>();
+      auto reply = MakePooled<ChordFetchReplyMsg>();
       auto it = store_.find(m.key);
       if (it != store_.end()) {
         reply->found = true;
@@ -199,7 +200,7 @@ void ChordNode::OnRequest(const sim::MessagePtr& message) {
       return;
     }
     case sim::MessageType::kChordPing:
-      Reply(*message, std::make_shared<ChordPongMsg>());
+      Reply(*message, MakePooled<ChordPongMsg>());
       return;
     default:
       SCATTER_WARN() << "chord node " << id() << " dropping message type "
@@ -209,7 +210,7 @@ void ChordNode::OnRequest(const sim::MessagePtr& message) {
 
 void ChordNode::HandleFindSuccessor(const sim::MessagePtr& message) {
   const auto& m = sim::As<ChordFindSuccessorMsg>(message);
-  auto reply = std::make_shared<ChordFindSuccessorReplyMsg>();
+  auto reply = MakePooled<ChordFindSuccessorReplyMsg>();
   if (!joined()) {
     reply->done = true;
     reply->result = self_ref();
@@ -240,7 +241,7 @@ void ChordNode::HandleStore(const sim::MessagePtr& message) {
       if (successors_[i].id == id()) {
         continue;
       }
-      auto copy = std::make_shared<ChordStoreMsg>();
+      auto copy = MakePooled<ChordStoreMsg>();
       copy->key = m.key;
       copy->value = m.value;
       copy->version = version;
@@ -249,7 +250,7 @@ void ChordNode::HandleStore(const sim::MessagePtr& message) {
     }
   }
   if (message->rpc_id != 0) {
-    Reply(*message, std::make_shared<ChordStoreAckMsg>());
+    Reply(*message, MakePooled<ChordStoreAckMsg>());
   }
 }
 
@@ -292,7 +293,7 @@ void ChordNode::StabilizeLoop() {
     return;
   }
   const NodeRef succ = successors_[0];
-  Call(succ.id, std::make_shared<ChordGetNeighborsMsg>(), cfg_.rpc_timeout,
+  Call(succ.id, MakePooled<ChordGetNeighborsMsg>(), cfg_.rpc_timeout,
        [this, succ](StatusOr<sim::MessagePtr> result) {
          if (!result.ok()) {
            DropDeadSuccessor();
@@ -305,7 +306,7 @@ void ChordNode::StabilizeLoop() {
            new_succ = reply.predecessor;  // Someone slotted in between.
          }
          AdoptSuccessor(new_succ, reply.successors);
-         auto notify = std::make_shared<ChordNotifyMsg>();
+         auto notify = MakePooled<ChordNotifyMsg>();
          notify->candidate = self_ref();
          SendOneWay(successors_[0].id, std::move(notify));
        });
@@ -317,7 +318,7 @@ void ChordNode::CheckPredecessorLoop() {
   if (!predecessor_.valid()) {
     return;
   }
-  Call(predecessor_.id, std::make_shared<ChordPingMsg>(), cfg_.rpc_timeout,
+  Call(predecessor_.id, MakePooled<ChordPingMsg>(), cfg_.rpc_timeout,
        [this, probed = predecessor_](StatusOr<sim::MessagePtr> result) {
          if (!result.ok() && predecessor_ == probed) {
            predecessor_ = NodeRef{};
@@ -357,7 +358,7 @@ void ChordNode::RepairLoop() {
         if (successors_[i].id == id()) {
           continue;
         }
-        auto copy = std::make_shared<ChordStoreMsg>();
+        auto copy = MakePooled<ChordStoreMsg>();
         copy->key = key;
         copy->value = stored.value;
         copy->version = stored.version;
@@ -365,7 +366,7 @@ void ChordNode::RepairLoop() {
         SendOneWay(successors_[i].id, std::move(copy));
       }
     } else if (predecessor_.valid() && predecessor_.id != id()) {
-      auto handoff = std::make_shared<ChordStoreMsg>();
+      auto handoff = MakePooled<ChordStoreMsg>();
       handoff->key = key;
       handoff->value = stored.value;
       handoff->version = stored.version;

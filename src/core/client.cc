@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/pooled.h"
 
 namespace scatter::core {
 
@@ -22,7 +23,7 @@ void Client::SeedRing(const std::vector<ring::GroupInfo>& infos) {
 }
 
 void Client::Get(Key key, GetCallback callback) {
-  auto op = std::make_shared<Op>();
+  auto op = MakePooled<Op>();
   op->op = ClientOp::kGet;
   op->key = key;
   op->get_cb = std::move(callback);
@@ -30,7 +31,7 @@ void Client::Get(Key key, GetCallback callback) {
 }
 
 void Client::Put(Key key, Value value, WriteCallback callback) {
-  auto op = std::make_shared<Op>();
+  auto op = MakePooled<Op>();
   op->op = ClientOp::kPut;
   op->key = key;
   op->value = std::move(value);
@@ -40,7 +41,7 @@ void Client::Put(Key key, Value value, WriteCallback callback) {
 }
 
 void Client::Delete(Key key, WriteCallback callback) {
-  auto op = std::make_shared<Op>();
+  auto op = MakePooled<Op>();
   op->op = ClientOp::kDelete;
   op->key = key;
   op->seq = ++next_seq_;
@@ -94,7 +95,7 @@ void Client::Attempt(std::shared_ptr<Op> op) {
   op->attempts++;
   stats_.attempts++;
 
-  auto req = std::make_shared<ClientRequestMsg>();
+  auto req = MakePooled<ClientRequestMsg>();
   req->op = op->op;
   req->key = op->key;
   req->value = op->value;

@@ -8,11 +8,11 @@
 #ifndef SCATTER_SRC_CORE_CLIENT_H_
 #define SCATTER_SRC_CORE_CLIENT_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/common/inline_fn.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/obs/trace.h"
@@ -46,11 +46,11 @@ class Client : public rpc::RpcNode, public KvClient {
          const ClientConfig& config);
 
   // Get: OK + value, NOT_FOUND, or TIMEOUT/UNAVAILABLE after the deadline.
-  using GetCallback = std::function<void(StatusOr<Value>)>;
+  using GetCallback = InlineFn<void(StatusOr<Value>)>;
   void Get(Key key, GetCallback callback);
 
   // Put/Delete: OK once the write is durably applied.
-  using WriteCallback = std::function<void(Status)>;
+  using WriteCallback = InlineFn<void(Status)>;
   void Put(Key key, Value value, WriteCallback callback);
   void Delete(Key key, WriteCallback callback);
 

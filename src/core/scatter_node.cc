@@ -6,6 +6,7 @@
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
+#include "src/common/pooled.h"
 #include "src/membership/commands.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -470,7 +471,7 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
   const auto& req = sim::As<ClientRequestMsg>(message);
   Hosted* h = FindServingGroup(req.key);
   if (h == nullptr) {
-    auto reply = std::make_shared<ClientReplyMsg>();
+    auto reply = MakePooled<ClientReplyMsg>();
     reply->code = StatusCode::kWrongGroup;
     AddRoutingHints(req.key, &reply->ring_updates);
     stats_.client_ops_redirected++;
@@ -478,7 +479,7 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
     return;
   }
   if (!h->replica->is_leader()) {
-    auto reply = std::make_shared<ClientReplyMsg>();
+    auto reply = MakePooled<ClientReplyMsg>();
     reply->code = StatusCode::kNotLeader;
     reply->ring_updates.push_back(SelfInfo(*h));
     stats_.client_ops_redirected++;
@@ -505,7 +506,7 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
   if (req.op == ClientOp::kGet) {
     h->replica->LinearizableRead([this, message, gid, node_span, accepted_at,
                                   key = req.key](Status status) {
-      auto reply = std::make_shared<ClientReplyMsg>();
+      auto reply = MakePooled<ClientReplyMsg>();
       Hosted* cur = FindHosted(gid);
       if (cur != nullptr && cur->load != nullptr) {
         cur->load->RecordLatency(now() - accepted_at);
@@ -539,7 +540,7 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
 
   // Writes. Frozen groups reject immediately; the client backs off.
   if (h->sm->IsFrozen()) {
-    auto reply = std::make_shared<ClientReplyMsg>();
+    auto reply = MakePooled<ClientReplyMsg>();
     reply->code = StatusCode::kConflict;
     reply->ring_updates.push_back(SelfInfo(*h));
     stats_.client_ops_rejected++;
@@ -551,9 +552,9 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
   }
   std::shared_ptr<membership::GroupCommand> cmd;
   if (req.op == ClientOp::kPut) {
-    cmd = std::make_shared<PutCommand>(req.key, req.value);
+    cmd = MakePooled<PutCommand>(req.key, req.value);
   } else {
-    cmd = std::make_shared<DeleteCommand>(req.key);
+    cmd = MakePooled<DeleteCommand>(req.key);
   }
   cmd->client_id = req.client_id;
   cmd->client_seq = req.client_seq;
@@ -561,7 +562,7 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
       cmd, [this, message, gid, node_span, accepted_at,
             client = req.client_id,
             seq = req.client_seq](StatusOr<uint64_t> result) {
-        auto reply = std::make_shared<ClientReplyMsg>();
+        auto reply = MakePooled<ClientReplyMsg>();
         Hosted* cur = FindHosted(gid);
         if (cur != nullptr && cur->load != nullptr) {
           cur->load->RecordLatency(now() - accepted_at);
@@ -600,7 +601,7 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
 
 void ScatterNode::HandleLookup(const MessagePtr& message) {
   const auto& req = sim::As<LookupRequestMsg>(message);
-  auto reply = std::make_shared<LookupReplyMsg>();
+  auto reply = MakePooled<LookupReplyMsg>();
   if (Hosted* h = FindServingGroup(req.key); h != nullptr) {
     reply->known = true;
     reply->authoritative = true;
@@ -618,7 +619,7 @@ void ScatterNode::HandleLookup(const MessagePtr& message) {
 
 void ScatterNode::HandleGroupInfoRequest(const MessagePtr& message) {
   const auto& req = sim::As<GroupInfoRequestMsg>(message);
-  auto reply = std::make_shared<GroupInfoReplyMsg>();
+  auto reply = MakePooled<GroupInfoReplyMsg>();
   if (Hosted* h = FindHosted(req.group); h != nullptr) {
     if (!h->sm->IsRetired()) {
       reply->known = true;
@@ -638,7 +639,7 @@ void ScatterNode::HandleGroupInfoRequest(const MessagePtr& message) {
 
 void ScatterNode::HandleJoinRequest(const MessagePtr& message) {
   const NodeId joiner = message->from;
-  auto reply = std::make_shared<JoinReplyMsg>();
+  auto reply = MakePooled<JoinReplyMsg>();
 
   // Choose the group that needs members most: the smallest among what we
   // host and what we know about.
@@ -699,7 +700,7 @@ void ScatterNode::HandleJoinRequest(const MessagePtr& message) {
   best_hosted->replica->ProposeConfigChange(
       paxos::ConfigCommand::Op::kAddMember, joiner,
       [this, message, gid](StatusOr<uint64_t> result) {
-        auto join_reply = std::make_shared<JoinReplyMsg>();
+        auto join_reply = MakePooled<JoinReplyMsg>();
         Hosted* cur = FindHosted(gid);
         if (!result.ok() || cur == nullptr) {
           join_reply->code = result.ok() ? StatusCode::kUnavailable
@@ -746,7 +747,7 @@ void ScatterNode::HandleTxnMessage(const MessagePtr& message) {
       // recorded the outcome, ack straight away.
       for (auto& [gid, h] : hosted_) {
         if (h.sm->OutcomeOf(m.txn_id).has_value()) {
-          auto ack = std::make_shared<txn::TxnDecisionAckMsg>();
+          auto ack = MakePooled<txn::TxnDecisionAckMsg>();
           ack->txn_id = m.txn_id;
           SendOneWay(message->from, std::move(ack));
           return;
@@ -768,7 +769,7 @@ void ScatterNode::HandleTxnMessage(const MessagePtr& message) {
     }
     case MessageType::kTxnStatusQuery: {
       const auto& m = sim::As<txn::TxnStatusQueryMsg>(message);
-      auto reply = std::make_shared<txn::TxnStatusReplyMsg>();
+      auto reply = MakePooled<txn::TxnStatusReplyMsg>();
       reply->txn_id = m.txn_id;
       for (auto& [gid, h] : hosted_) {
         if (auto outcome = h.sm->OutcomeOf(m.txn_id); outcome.has_value()) {
@@ -833,7 +834,7 @@ void ScatterNode::HandleMigrateRequest(const MigrateRequestMsg& m) {
     if (candidates.empty()) {
       continue;
     }
-    auto directive = std::make_shared<MigrateDirectiveMsg>();
+    auto directive = MakePooled<MigrateDirectiveMsg>();
     directive->target_group = m.beneficiary;
     SendOneWay(candidates[rng().Index(candidates.size())],
                std::move(directive));
@@ -883,7 +884,7 @@ void ScatterNode::AttemptJoin(size_t attempt) {
     return;
   }
   const NodeId contact = seeds_[rng().Index(seeds_.size())];
-  auto req = std::make_shared<JoinRequestMsg>();
+  auto req = MakePooled<JoinRequestMsg>();
   req->no_redirect = attempt >= 6;
   Call(contact, std::move(req), cfg_.rpc_timeout,
        [this, attempt](StatusOr<MessagePtr> result) {
@@ -907,7 +908,7 @@ void ScatterNode::JoinTarget(const GroupInfo& target, size_t attempt,
       target.leader != kInvalidNode && fresh_target
           ? target.leader
           : target.members[rng().Index(target.members.size())];
-  auto req = std::make_shared<JoinRequestMsg>();
+  auto req = MakePooled<JoinRequestMsg>();
   req->no_redirect = attempt >= 6;
   Call(contact, std::move(req), cfg_.rpc_timeout,
        [this, attempt](StatusOr<MessagePtr> result) {
@@ -947,7 +948,7 @@ void ScatterNode::HandleJoinReplyMessage(const MessagePtr& message,
               !h.replica->has_started()) {
             continue;
           }
-          auto leave = std::make_shared<LeaveRequestMsg>();
+          auto leave = MakePooled<LeaveRequestMsg>();
           leave->group = old_gid;
           const NodeId leader = h.replica->is_leader()
                                     ? kInvalidNode
@@ -1071,7 +1072,7 @@ void ScatterNode::GossipTick() {
                     [this]() { GossipTick(); });
   // Sample: our serving groups first (authoritative), then random cached
   // arcs up to the sample budget.
-  auto gossip = std::make_shared<RingGossipMsg>();
+  auto gossip = MakePooled<RingGossipMsg>();
   gossip->infos = ServingInfos();
   std::vector<GroupInfo> cached = ring_.All();
   while (gossip->infos.size() < cfg_.policy.gossip_sample && !cached.empty()) {
@@ -1102,7 +1103,7 @@ void ScatterNode::GossipTick() {
     const NodeId target = candidates[rng().Index(candidates.size())];
     if (target != id()) {
       // Each target gets its own copy (messages are immutable post-send).
-      auto copy = std::make_shared<RingGossipMsg>();
+      auto copy = MakePooled<RingGossipMsg>();
       copy->infos = gossip->infos;
       SendOneWay(target, std::move(copy));
     }
@@ -1279,7 +1280,7 @@ void ScatterNode::MaybeMergeOrMigrate(GroupId group, Hosted& hosted) {
       donor = &pred;
     }
     if (donor != nullptr && !donor->members.empty()) {
-      auto req = std::make_shared<MigrateRequestMsg>();
+      auto req = MakePooled<MigrateRequestMsg>();
       req->beneficiary = SelfInfo(hosted);
       const NodeId to = donor->leader != kInvalidNode
                             ? donor->leader
@@ -1393,7 +1394,7 @@ void ScatterNode::RefreshNeighbors(GroupId group, Hosted& hosted) {
     }
     const NodeId to =
         probe.cached.members[rng().Index(probe.cached.members.size())];
-    auto req = std::make_shared<LookupRequestMsg>();
+    auto req = MakePooled<LookupRequestMsg>();
     req->key = probe.key;
     Call(to, std::move(req), cfg_.rpc_timeout,
          [this, group, is_succ = probe.is_successor,

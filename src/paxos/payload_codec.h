@@ -19,6 +19,7 @@
 #include <memory>
 #include <typeindex>
 
+#include "src/common/pooled.h"
 #include "src/paxos/command.h"
 #include "src/paxos/state_machine.h"
 #include "src/wire/buffer.h"
@@ -66,7 +67,7 @@ void RegisterPayload(uint16_t tag) {
             wire::Write(static_cast<const T&>(payload), out);
           },
           [](wire::Reader& in) -> std::shared_ptr<const Base> {
-            auto payload = std::make_shared<T>();
+            auto payload = MakePooled<T>();
             in(*payload);
             return payload;
           }});

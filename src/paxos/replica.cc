@@ -8,6 +8,7 @@
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
+#include "src/common/pooled.h"
 #include "src/paxos/payload_codec.h"
 
 namespace scatter::paxos {
@@ -318,7 +319,7 @@ void Replica::StartElection() {
     if (peer == self_) {
       continue;
     }
-    auto m = std::make_shared<PrepareMsg>(group_);
+    auto m = MakePooled<PrepareMsg>(group_);
     m->ballot = promised_;
     m->last_log_index = last_log_index();
     m->last_log_ballot = LastLogBallot();
@@ -411,7 +412,7 @@ void Replica::OnMessage(const std::shared_ptr<PaxosMessage>& message) {
 
 void Replica::HandlePrepare(const PrepareMsg& m) {
   max_round_seen_ = std::max(max_round_seen_, m.ballot.round);
-  auto reply = std::make_shared<PromiseMsg>(group_);
+  auto reply = MakePooled<PromiseMsg>(group_);
   reply->ballot = m.ballot;
 
   if (m.ballot <= promised_) {
@@ -490,7 +491,7 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
   const auto& m = static_cast<const AcceptMsg&>(*message);
   max_round_seen_ = std::max(max_round_seen_, m.ballot.round);
 
-  auto reply = std::make_shared<AcceptedMsg>(group_);
+  auto reply = MakePooled<AcceptedMsg>(group_);
   reply->ballot = m.ballot;
   reply->leader_sent_at = m.sent_at;
 
@@ -654,7 +655,7 @@ void Replica::FlushAck() {
   if (pending_ack_to_ == kInvalidNode) {
     return;
   }
-  auto reply = std::make_shared<AcceptedMsg>(group_);
+  auto reply = MakePooled<AcceptedMsg>(group_);
   reply->ballot = pending_ack_ballot_;
   reply->ok = true;
   reply->match_index = pending_ack_match_;
@@ -755,7 +756,7 @@ void Replica::HandleSnapshot(const SnapshotMsg& m) {
   lease_ballot_ = m.ballot;
   lease_until_ = sim_->now() + cfg_.lease_duration;
 
-  auto reply = std::make_shared<SnapshotAckMsg>(group_);
+  auto reply = MakePooled<SnapshotAckMsg>(group_);
   reply->ballot = m.ballot;
   reply->leader_sent_at = m.sent_at;
 
@@ -850,7 +851,7 @@ void Replica::ReplicateTo(NodeId peer_id, bool allow_empty) {
         sim_->now() - peer.snapshot_sent_at < kSnapshotResend) {
       return;
     }
-    auto snap = std::make_shared<SnapshotMsg>(group_);
+    auto snap = MakePooled<SnapshotMsg>(group_);
     snap->ballot = promised_;
     snap->last_included_index = applied_index_;
     snap->last_included_ballot = BallotAt(applied_index_);
@@ -875,7 +876,7 @@ void Replica::ReplicateTo(NodeId peer_id, bool allow_empty) {
   bool sent = false;
   while (peer.next_index <= last_log_index() &&
          peer.next_index <= window_end) {
-    auto m = std::make_shared<AcceptMsg>(group_);
+    auto m = MakePooled<AcceptMsg>(group_);
     m->ballot = promised_;
     m->prev_index = peer.next_index - 1;
     m->prev_ballot = BallotAt(m->prev_index);
@@ -900,7 +901,7 @@ void Replica::ReplicateTo(NodeId peer_id, bool allow_empty) {
     return;
   }
   // Empty Accept: heartbeat, window probe, or commit notification.
-  auto m = std::make_shared<AcceptMsg>(group_);
+  auto m = MakePooled<AcceptMsg>(group_);
   m->ballot = promised_;
   m->prev_index = peer.next_index - 1;
   m->prev_ballot = BallotAt(m->prev_index);
@@ -1193,7 +1194,7 @@ bool Replica::TransferLeadership(NodeId target) {
   // back to the barrier path meanwhile, so linearizability is unaffected.
   lease_surrendered_until_ = sim_->now() + 2 * cfg_.election_timeout_max;
   stats_.transfers_initiated++;
-  auto m = std::make_shared<TimeoutNowMsg>(group_);
+  auto m = MakePooled<TimeoutNowMsg>(group_);
   m->ballot = promised_;
   Send(target, std::move(m));
   return true;
@@ -1218,13 +1219,13 @@ void Replica::ProbePeers() {
   if (target == self_) {
     return;
   }
-  auto m = std::make_shared<PingMsg>(group_);
+  auto m = MakePooled<PingMsg>(group_);
   m->sent_at = sim_->now();
   Send(target, std::move(m));
 }
 
 void Replica::HandlePing(const PingMsg& m) {
-  auto reply = std::make_shared<PongMsg>(group_);
+  auto reply = MakePooled<PongMsg>(group_);
   reply->ping_sent_at = m.sent_at;
   Send(m.from, std::move(reply));
 }
@@ -1420,7 +1421,7 @@ void Replica::LinearizableRead(ReadCallback callback) {
     flush_ctx_ = span;
   }
   pending_proposals_.emplace(
-      index, [cb = std::move(callback)](StatusOr<uint64_t> result) {
+      index, [cb = std::move(callback)](StatusOr<uint64_t> result) mutable {
         cb(result.ok() ? Status::Ok() : result.status());
       });
   RequestFlush();
@@ -1521,8 +1522,10 @@ void Replica::ApplyConfig(const ConfigCommand& cmd, uint64_t index) {
   }
 }
 
-std::vector<NodeId> Replica::ConfigAt(uint64_t up_to, uint64_t* index) const {
-  std::vector<NodeId> config = snap_config_;
+void Replica::ConfigAt(uint64_t up_to, uint64_t* index,
+                       std::vector<NodeId>* out) const {
+  std::vector<NodeId>& config = *out;
+  config.assign(snap_config_.begin(), snap_config_.end());
   uint64_t config_index = snap_config_index_;
   const auto& entries = log_.config_entries();
   for (auto it = entries.begin(); it != entries.end() && it->first <= up_to;
@@ -1541,14 +1544,12 @@ std::vector<NodeId> Replica::ConfigAt(uint64_t up_to, uint64_t* index) const {
   if (index != nullptr) {
     *index = config_index;
   }
-  return config;
 }
 
 void Replica::RecomputeVotingConfig() {
-  // Followers call this on every accepted batch; the config rarely moves.
-  std::vector<NodeId> config = ConfigAt(log_.last_index(), &config_index_);
-  if (config != config_) {
-    config_ = std::move(config);
+  ConfigAt(log_.last_index(), &config_index_, &config_scratch_);
+  if (config_scratch_ != config_) {
+    config_.swap(config_scratch_);
     centrality_ = ComputeCentrality();
   }
 }

@@ -26,7 +26,6 @@
 #define SCATTER_SRC_PAXOS_REPLICA_H_
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <utility>
 #include <memory>
@@ -34,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/inline_fn.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -112,7 +112,7 @@ class Replica {
   // - with NOT_LEADER / ABORTED if this replica cannot commit it (the
   //   command may still commit later if it reached other replicas; callers
   //   rely on state-machine dedup for exactly-once effects).
-  using CommitCallback = std::function<void(StatusOr<uint64_t>)>;
+  using CommitCallback = InlineFn<void(StatusOr<uint64_t>)>;
   void Propose(CommandPtr command, CommitCallback callback);
 
   // Proposes a membership change. Rejected with CONFLICT while another
@@ -125,7 +125,7 @@ class Replica {
   // applied state is guaranteed to reflect every operation that completed
   // before this call. Fast path: leader lease + ReadIndex (no network).
   // Slow path (lease disabled or not yet held): commit a no-op barrier.
-  using ReadCallback = std::function<void(Status)>;
+  using ReadCallback = InlineFn<void(Status)>;
   void LinearizableRead(ReadCallback callback);
 
   // --- Introspection ----------------------------------------------------
@@ -362,9 +362,18 @@ class Replica {
   // Membership as of log index `up_to`: the snapshot config with the log's
   // indexed config entries at or below `up_to` applied in order. `*index`
   // receives the index of the last entry applied (snap_config_index_ if
-  // none); may be null.
-  std::vector<NodeId> ConfigAt(uint64_t up_to, uint64_t* index) const;
+  // none); may be null. The three-argument form folds into *config, reusing
+  // its capacity.
+  void ConfigAt(uint64_t up_to, uint64_t* index,
+                std::vector<NodeId>* config) const;
+  std::vector<NodeId> ConfigAt(uint64_t up_to, uint64_t* index) const {
+    std::vector<NodeId> config;
+    ConfigAt(up_to, index, &config);
+    return config;
+  }
   // Updates the voting config when a config entry is appended/truncated.
+  // Followers call it on every accepted batch; it folds into
+  // config_scratch_, so it allocates nothing while the config stands still.
   void RecomputeVotingConfig();
   void MaybeTruncateLog();
   size_t QuorumSize() const { return config_.size() / 2 + 1; }
@@ -397,6 +406,7 @@ class Replica {
   // Voting configuration: the latest config entry present in the log (even
   // uncommitted), falling back to the snapshot config.
   std::vector<NodeId> config_;
+  std::vector<NodeId> config_scratch_;  // RecomputeVotingConfig's fold
   uint64_t config_index_ = 0;  // log index that produced config_
   uint64_t snap_config_index_ = 0;
   std::vector<NodeId> snap_config_;

@@ -1,6 +1,10 @@
 #include "src/rpc/rpc_node.h"
 
+#include <algorithm>
+#include <string>
+
 #include "src/common/logging.h"
+#include "src/common/pooled.h"
 
 namespace scatter::rpc {
 
@@ -16,17 +20,35 @@ RpcNode::RpcNode(NodeId id, sim::Transport* network)
 RpcNode::~RpcNode() {
   network_->Detach(id_);
   // Outstanding call callbacks are dropped, never invoked: the node is gone.
-  pending_.clear();
+  call_index_.clear();
+  calls_.clear();
+}
+
+bool RpcNode::TakeCall(uint64_t call_id, PendingCall* out) {
+  auto it = std::lower_bound(
+      call_index_.begin(), call_index_.end(), call_id,
+      [](const std::pair<uint64_t, uint32_t>& e, uint64_t id) {
+        return e.first < id;
+      });
+  if (it == call_index_.end() || it->first != call_id) {
+    return false;
+  }
+  const uint32_t slot = it->second;
+  call_index_.erase(it);
+  PendingCall& call = calls_[slot];
+  out->callback = std::move(call.callback);
+  out->timeout_timer = call.timeout_timer;
+  call.next_free = free_call_;
+  free_call_ = slot;
+  return true;
 }
 
 void RpcNode::HandleMessage(const sim::MessagePtr& message) {
   if (message->is_response) {
-    auto it = pending_.find(message->rpc_id);
-    if (it == pending_.end()) {
+    PendingCall call;
+    if (!TakeCall(message->rpc_id, &call)) {
       return;  // Response to a timed-out or cancelled call; drop.
     }
-    PendingCall call = std::move(it->second);
-    pending_.erase(it);
     timers_.Cancel(call.timeout_timer);
     if (message->type == sim::MessageType::kRpcError) {
       call.callback(sim::As<RpcErrorMessage>(message).status);
@@ -49,27 +71,31 @@ uint64_t RpcNode::Call(NodeId to, sim::MessagePtr request, TimeMicros timeout,
 
   const sim::TimerId timer =
       timers_.Schedule(timeout, [this, call_id, to]() {
-        auto it = pending_.find(call_id);
-        if (it == pending_.end()) {
-          return;
+        PendingCall call;
+        if (TakeCall(call_id, &call)) {
+          call.callback(TimeoutError("rpc to node " + std::to_string(to)));
         }
-        PendingCall call = std::move(it->second);
-        pending_.erase(it);
-        call.callback(TimeoutError("rpc to node " + std::to_string(to)));
       });
 
-  pending_.emplace(call_id, PendingCall{std::move(callback), timer});
+  uint32_t slot = free_call_;
+  if (slot != kNoCall) {
+    free_call_ = calls_[slot].next_free;
+  } else {
+    slot = static_cast<uint32_t>(calls_.size());
+    calls_.emplace_back();
+  }
+  calls_[slot].callback = std::move(callback);
+  calls_[slot].timeout_timer = timer;
+  call_index_.emplace_back(call_id, slot);
   network_->Send(std::move(request));
   return call_id;
 }
 
 void RpcNode::CancelCall(uint64_t call_id) {
-  auto it = pending_.find(call_id);
-  if (it == pending_.end()) {
-    return;
+  PendingCall call;
+  if (TakeCall(call_id, &call)) {
+    timers_.Cancel(call.timeout_timer);
   }
-  timers_.Cancel(it->second.timeout_timer);
-  pending_.erase(it);
 }
 
 void RpcNode::SendOneWay(NodeId to, sim::MessagePtr message) {
@@ -96,7 +122,7 @@ void RpcNode::Reply(const sim::Message& request, sim::MessagePtr response) {
 }
 
 void RpcNode::ReplyError(const sim::Message& request, Status status) {
-  auto err = std::make_shared<RpcErrorMessage>();
+  auto err = MakePooled<RpcErrorMessage>();
   err->status = std::move(status);
   Reply(request, std::move(err));
 }

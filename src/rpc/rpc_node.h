@@ -4,15 +4,23 @@
 // Scatter node, Chord node, client). It attaches itself to the network,
 // matches responses to outstanding calls, enforces per-call timeouts, and
 // funnels unmatched (request) messages to the subclass.
+//
+// Outstanding calls live in a flat table: a slab of PendingCalls recycled
+// through a free list, plus a vector of (call id, slab index) sorted by call
+// id. Call ids ascend, so registering a call appends to the index, and a
+// reply's lookup is a binary search over the node's few outstanding calls.
+// The callback is a small-buffer InlineFn, so a call whose closure fits
+// inline allocates nothing once the slab and index have grown.
 
 #ifndef SCATTER_SRC_RPC_RPC_NODE_H_
 #define SCATTER_SRC_RPC_RPC_NODE_H_
 
-#include <functional>
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "src/common/inline_fn.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/sim/message.h"
@@ -43,7 +51,7 @@ class RpcNode : public sim::Endpoint {
 
   void HandleMessage(const sim::MessagePtr& message) final;
 
-  using RpcCallback = std::function<void(StatusOr<sim::MessagePtr>)>;
+  using RpcCallback = InlineFn<void(StatusOr<sim::MessagePtr>)>;
 
   // Sends `request` to `to` and invokes `callback` exactly once with either
   // the response or a TIMEOUT status. Returns a handle for CancelCall.
@@ -78,16 +86,26 @@ class RpcNode : public sim::Endpoint {
   Rng& rng() { return rng_; }
 
  private:
+  static constexpr uint32_t kNoCall = 0xffffffffu;
+
   struct PendingCall {
     RpcCallback callback;
-    sim::TimerId timeout_timer;
+    sim::TimerId timeout_timer = sim::kInvalidTimer;
+    uint32_t next_free = kNoCall;  // free-list link while the slot is free
   };
+
+  // Removes the outstanding call `call_id` from the table and moves its
+  // callback and timeout timer into *out. Returns false when the call
+  // already completed, timed out or was cancelled.
+  bool TakeCall(uint64_t call_id, PendingCall* out);
 
   NodeId id_;
   sim::Transport* network_;
   Rng rng_;
   uint64_t next_call_id_ = 1;
-  std::unordered_map<uint64_t, PendingCall> pending_;
+  std::vector<PendingCall> calls_;  // slab; empty callback while free
+  std::vector<std::pair<uint64_t, uint32_t>> call_index_;  // by call id
+  uint32_t free_call_ = kNoCall;
   // Destroyed first (declared last): cancels timers before members vanish.
   sim::TimerOwner timers_;
 };

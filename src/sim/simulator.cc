@@ -1,6 +1,7 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -160,10 +161,10 @@ void Simulator::DisableTimeline() {
 uint32_t Simulator::AcquireSlot() {
   if (free_head_ != kNoSlot) {
     const uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
+    free_head_ = slots_[slot].next;
     return slot;
   }
-  SCATTER_CHECK(slots_.size() < kNoSlot);
+  SCATTER_CHECK(slots_.size() < kInWheel);
   slots_.emplace_back();
   return static_cast<uint32_t>(slots_.size() - 1);
 }
@@ -182,9 +183,89 @@ void Simulator::ReleaseSlot(uint32_t slot) {
     s.owner = nullptr;
   }
   s.gen++;
-  s.heap_pos = kNoSlot;
-  s.next_free = free_head_;
+  s.queue_pos = kNoSlot;
+  s.next = free_head_;
   free_head_ = slot;
+}
+
+void Simulator::WheelPush(uint32_t slot) {
+  Slot& s = slots_[slot];
+  const uint32_t b = static_cast<uint32_t>(s.at & (kWheelSpan - 1));
+  Bucket& bucket = buckets_[b];
+  s.queue_pos = kInWheel;
+  s.next = kNoSlot;
+  s.wheel_prev = bucket.tail;
+  if (bucket.tail != kNoSlot) {
+    slots_[bucket.tail].next = slot;
+  } else {
+    bucket.head = slot;
+    occupied_[b >> 6] |= uint64_t{1} << (b & 63);
+    occupied_summary_ |= uint64_t{1} << (b >> 6);
+  }
+  bucket.tail = slot;
+  wheel_size_++;
+}
+
+void Simulator::WheelRemove(uint32_t slot) {
+  const Slot& s = slots_[slot];
+  const uint32_t b = static_cast<uint32_t>(s.at & (kWheelSpan - 1));
+  Bucket& bucket = buckets_[b];
+  if (s.wheel_prev != kNoSlot) {
+    slots_[s.wheel_prev].next = s.next;
+  } else {
+    bucket.head = s.next;
+  }
+  if (s.next != kNoSlot) {
+    slots_[s.next].wheel_prev = s.wheel_prev;
+  } else {
+    bucket.tail = s.wheel_prev;
+  }
+  if (bucket.head == kNoSlot) {
+    occupied_[b >> 6] &= ~(uint64_t{1} << (b & 63));
+    if (occupied_[b >> 6] == 0) {
+      occupied_summary_ &= ~(uint64_t{1} << (b >> 6));
+    }
+  }
+  wheel_size_--;
+}
+
+uint32_t Simulator::NextBucket() const {
+  const uint32_t start = static_cast<uint32_t>(now_ & (kWheelSpan - 1));
+  const uint32_t w = start >> 6;
+  // Buckets at or after `start` in its own word.
+  const uint64_t here = occupied_[w] & (~uint64_t{0} << (start & 63));
+  if (here != 0) {
+    return (w << 6) | static_cast<uint32_t>(std::countr_zero(here));
+  }
+  // Later words, then wrap around to the first occupied word (which may be
+  // w itself, holding buckets before `start`: the far end of the window).
+  const uint64_t later = occupied_summary_ & ~((uint64_t{2} << w) - 1);
+  const uint64_t words = later != 0 ? later : occupied_summary_;
+  const uint32_t w2 = static_cast<uint32_t>(std::countr_zero(words));
+  return (w2 << 6) | static_cast<uint32_t>(std::countr_zero(occupied_[w2]));
+}
+
+uint32_t Simulator::NextSlot() const {
+  uint32_t best = kNoSlot;
+  if (wheel_size_ != 0) {
+    best = buckets_[NextBucket()].head;
+  }
+  if (!heap_.empty()) {
+    const HeapEntry& top = heap_[0];
+    if (best == kNoSlot ||
+        top < HeapEntry{slots_[best].at, slots_[best].seq, best}) {
+      best = top.slot;
+    }
+  }
+  return best;
+}
+
+void Simulator::Unqueue(uint32_t slot) {
+  if (slots_[slot].queue_pos == kInWheel) {
+    WheelRemove(slot);
+  } else {
+    HeapRemove(slots_[slot].queue_pos);
+  }
 }
 
 void Simulator::SiftUp(uint32_t pos, HeapEntry e) {
@@ -239,10 +320,17 @@ TimerId Simulator::Schedule(TimeMicros delay, EventFn fn) {
 TimerId Simulator::ScheduleAt(TimeMicros when, EventFn fn) {
   SCATTER_CHECK(when >= now_);
   const uint32_t slot = AcquireSlot();
-  slots_[slot].fn = std::move(fn);
-  heap_.emplace_back();
-  SiftUp(static_cast<uint32_t>(heap_.size() - 1),
-         HeapEntry{when, next_seq_++, slot});
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.at = when;
+  s.seq = next_seq_++;
+  if (when - now_ < kWheelSpan) {
+    WheelPush(slot);
+  } else {
+    heap_.emplace_back();
+    SiftUp(static_cast<uint32_t>(heap_.size() - 1),
+           HeapEntry{when, s.seq, slot});
+  }
   return EncodeId(slot, slots_[slot].gen);
 }
 
@@ -265,14 +353,14 @@ uint32_t Simulator::PendingSlot(TimerId id) const {
   const uint32_t slot = SlotOf(id);
   const uint32_t gen = static_cast<uint32_t>(id >> 32);
   if (id == kInvalidTimer || slot >= slots_.size() ||
-      slots_[slot].gen != gen || slots_[slot].heap_pos == kNoSlot) {
+      slots_[slot].gen != gen || slots_[slot].queue_pos == kNoSlot) {
     return kNoSlot;
   }
   return slot;
 }
 
 void Simulator::CancelSlot(uint32_t slot) {
-  HeapRemove(slots_[slot].heap_pos);
+  Unqueue(slot);
   // Destroy the callback only once the slot is back on the free list: its
   // captures may own TimerOwners whose destructors cancel more events.
   EventFn dead = std::move(slots_[slot].fn);
@@ -286,20 +374,17 @@ void Simulator::Cancel(TimerId id) {
   }
 }
 
-bool Simulator::Step() {
-  if (heap_.empty()) {
-    return false;
-  }
-  const HeapEntry ev = heap_[0];
-  HeapRemove(0);
+void Simulator::Fire(uint32_t slot) {
+  Unqueue(slot);
   // Move the callback out and recycle the slot *before* firing, so the
   // callback can freely schedule new events (possibly reusing this slot
   // under a fresh generation) or destroy the timer's owner.
-  EventFn fn = std::move(slots_[ev.slot].fn);
-  ReleaseSlot(ev.slot);
-  SCATTER_CHECK(ev.at >= now_);
-  now_ = ev.at;
-  current_seq_ = ev.seq;
+  Slot& s = slots_[slot];
+  SCATTER_CHECK(s.at >= now_);
+  now_ = s.at;
+  current_seq_ = s.seq;
+  EventFn fn = std::move(s.fn);
+  ReleaseSlot(slot);
   events_processed_++;
   fn();
   // Periodic monitors run before the audit hook so an auditor that reads
@@ -308,6 +393,14 @@ bool Simulator::Step() {
   if (audit_hook_ && events_processed_ % audit_every_ == 0) {
     audit_hook_();
   }
+}
+
+bool Simulator::Step() {
+  const uint32_t slot = NextSlot();
+  if (slot == kNoSlot) {
+    return false;
+  }
+  Fire(slot);
   return true;
 }
 
@@ -347,8 +440,9 @@ void Simulator::Run() {
 
 void Simulator::RunUntil(TimeMicros t) {
   SCATTER_CHECK(t >= now_);
-  while (!heap_.empty() && heap_[0].at <= t) {
-    Step();
+  for (uint32_t slot = NextSlot(); slot != kNoSlot && slots_[slot].at <= t;
+       slot = NextSlot()) {
+    Fire(slot);
   }
   now_ = t;
   RunPeriodicTasks();  // boundaries crossed by the final clock advance

@@ -7,19 +7,26 @@
 //
 // Event storage is slot/generation based: callbacks live in a flat slot
 // vector recycled through a free list, and a TimerId encodes
-// (slot, generation) so resolving an id is an O(1) array probe. The queue is
-// an indexed binary heap of (fire time, seq, slot) entries, and every live
-// slot records its heap position, so Cancel removes the event at once in
-// O(log pending): the heap holds exactly the pending events, never a
-// cancelled one. Timers scheduled through a TimerOwner are also threaded
-// onto an intrusive per-owner list in their slots, so an owner needs no
-// side table and no wrapper callback to track, cancel or forget them.
-// Callbacks are move-only EventFns with inline storage, so the steady-state
-// schedule/cancel/fire cycle performs no heap allocation at all.
+// (slot, generation) so resolving an id is an O(1) array probe. A pending
+// event sits in one of two queues. Events due less than kWheelSpan µs ahead
+// — message deliveries, which are most events — go to a near-time wheel of
+// one-µs buckets, each an intrusive FIFO of slots, found through an
+// occupancy bitmap; inserting, cancelling and popping one is O(1). Later
+// events (RPC timeouts, election and heartbeat timers) go to an indexed
+// binary heap of (fire time, seq, slot) entries whose slots record their
+// heap position. Step fires the smaller of the wheel's first event and the
+// heap's top by (fire time, seq), and Cancel removes the event from its
+// queue at once: the queues hold exactly the pending events. Timers
+// scheduled through a TimerOwner are also threaded onto an intrusive
+// per-owner list in their slots, so an owner needs no side table and no
+// wrapper callback to track, cancel or forget them. Callbacks are move-only
+// EventFns with inline storage, so the steady-state schedule/cancel/fire
+// cycle performs no heap allocation at all.
 
 #ifndef SCATTER_SRC_SIM_SIMULATOR_H_
 #define SCATTER_SRC_SIM_SIMULATOR_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -29,9 +36,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/inline_fn.h"
 #include "src/common/random.h"
 #include "src/common/types.h"
-#include "src/sim/event_fn.h"
 
 namespace scatter::obs {
 class MetricsRegistry;
@@ -43,6 +50,11 @@ struct TimelineConfig;
 }  // namespace scatter::obs
 
 namespace scatter::sim {
+
+// An event callback: every message delivery, timer and protocol step is one
+// scheduled EventFn, and the common capture — `this` plus a couple of
+// words — is stored inline, without an allocation.
+using EventFn = InlineFn<void()>;
 
 // Encodes (slot index + 1) in the low 32 bits and the slot's generation in
 // the high 32 bits. 0 is never a valid id.
@@ -91,7 +103,7 @@ class Simulator {
   void RunFor(TimeMicros d) { RunUntil(now_ + d); }
 
   uint64_t events_processed() const { return events_processed_; }
-  size_t pending_events() const { return heap_.size(); }
+  size_t pending_events() const { return heap_.size() + wheel_size_; }
   uint64_t seed() const { return seed_; }
 
   // --- Continuous auditing -------------------------------------------------
@@ -176,6 +188,19 @@ class Simulator {
   friend class TimerOwner;
 
   static constexpr uint32_t kNoSlot = 0xffffffffu;
+  // Slot::queue_pos of an event queued in the wheel.
+  static constexpr uint32_t kInWheel = 0xfffffffeu;
+
+  // The wheel covers the next kWheelSpan µs in one-µs buckets; an event at
+  // `at` lives in bucket at & (kWheelSpan - 1). Every wheel event satisfies
+  // now() <= at < now() + kWheelSpan — it did when it was queued, and the
+  // clock never passes a pending event — so the span equals the window and
+  // a bucket only ever holds events of one fire time. Appending in schedule
+  // order keeps each bucket's FIFO in seq order, which makes the wheel's
+  // order exactly the heap's (at, seq).
+  static constexpr TimeMicros kWheelSpan = 4096;
+  static constexpr uint32_t kWheelWords = kWheelSpan / 64;
+  static_assert(kWheelWords == 64, "one summary word covers the bitmap");
 
   struct HeapEntry {
     TimeMicros at;
@@ -191,15 +216,26 @@ class Simulator {
 
   struct Slot {
     EventFn fn;
-    uint32_t gen = 1;  // bumped on every release; stale ids mismatch
-    // Index into heap_ while the event is pending, kNoSlot while free.
-    uint32_t heap_pos = kNoSlot;
-    uint32_t next_free = kNoSlot;
+    TimeMicros at = 0;  // fire time of the pending event
+    uint64_t seq = 0;   // its schedule order: ties at one instant fire by it
+    uint32_t gen = 1;   // bumped on every release; stale ids mismatch
+    // Index into heap_, or kInWheel, while the event is pending; kNoSlot
+    // while free.
+    uint32_t queue_pos = kNoSlot;
+    // The next free slot while free; the next slot of its wheel bucket
+    // while queued there.
+    uint32_t next = kNoSlot;
+    uint32_t wheel_prev = kNoSlot;
     // Intrusive list of the pending timers of one TimerOwner (null owner:
     // scheduled directly on the simulator).
     TimerOwner* owner = nullptr;
     uint32_t owner_prev = kNoSlot;
     uint32_t owner_next = kNoSlot;
+  };
+
+  struct Bucket {
+    uint32_t head = kNoSlot;
+    uint32_t tail = kNoSlot;
   };
 
   static TimerId EncodeId(uint32_t slot, uint32_t gen) {
@@ -224,11 +260,25 @@ class Simulator {
   // slot to the free list. The slot's callback must already be moved out.
   void ReleaseSlot(uint32_t slot);
 
-  // Indexed-heap primitives: each keeps slots_[e.slot].heap_pos in step
+  // The slot of the earliest pending event by (at, seq), or kNoSlot.
+  uint32_t NextSlot() const;
+  // Takes the event in `slot` off its queue, recycles the slot and runs the
+  // callback, then the periodic tasks and the audit hook.
+  void Fire(uint32_t slot);
+  // Removes the pending event in `slot` from the wheel or the heap.
+  void Unqueue(uint32_t slot);
+
+  // Wheel primitives. NextBucket is the first occupied bucket at or after
+  // now() in circular order; the wheel must not be empty.
+  void WheelPush(uint32_t slot);
+  void WheelRemove(uint32_t slot);
+  uint32_t NextBucket() const;
+
+  // Indexed-heap primitives: each keeps slots_[e.slot].queue_pos in step
   // with the entry's position.
   void HeapPlace(uint32_t pos, const HeapEntry& e) {
     heap_[pos] = e;
-    slots_[e.slot].heap_pos = pos;
+    slots_[e.slot].queue_pos = pos;
   }
   void SiftUp(uint32_t pos, HeapEntry e);
   void SiftDown(uint32_t pos, HeapEntry e);
@@ -241,8 +291,14 @@ class Simulator {
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   uint64_t current_seq_ = 0;  // seq of the event currently firing
-  std::vector<HeapEntry> heap_;  // min-heap on (at, seq); pending events only
+  std::vector<HeapEntry> heap_;  // min-heap on (at, seq): events past the wheel
   std::vector<Slot> slots_;
+  std::array<Bucket, kWheelSpan> buckets_{};
+  // Bit b of occupied_[w] is set iff bucket 64w + b is non-empty; bit w of
+  // occupied_summary_ iff occupied_[w] is non-zero.
+  std::array<uint64_t, kWheelWords> occupied_{};
+  uint64_t occupied_summary_ = 0;
+  size_t wheel_size_ = 0;
   uint32_t free_head_ = kNoSlot;
 
   struct PeriodicTask {

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/pooled.h"
 
 namespace scatter::txn {
 
@@ -293,7 +294,7 @@ void GroupOpDriver::SendPrepare() {
   SCATTER_CHECK(txn_.has_value());
   SCATTER_CHECK(sm_->IsFrozen());
   const membership::ActiveTxn& active = *sm_->state().active;
-  auto m = std::make_shared<TxnPrepareMsg>();
+  auto m = MakePooled<TxnPrepareMsg>();
   m->txn = *txn_;
   m->coord_members = active.my_members;
   m->coord_dedup = sm_->state().dedup;
@@ -392,7 +393,7 @@ void GroupOpDriver::SendDecision() {
   if (!outcome.has_value()) {
     return;  // Decide entry not applied yet.
   }
-  auto m = std::make_shared<TxnDecisionMsg>();
+  auto m = MakePooled<TxnDecisionMsg>();
   m->txn_id = txn_->id;
   m->participant_group = txn_->part_group;
   m->commit = *outcome;
@@ -469,7 +470,7 @@ void GroupOpDriver::OnPrepare(const TxnPrepareMsg& m) {
   stats_.prepares_answered++;
   const NodeId coordinator = m.from;
   auto nack = [&]() {
-    auto reply = std::make_shared<TxnPrepareReplyMsg>();
+    auto reply = MakePooled<TxnPrepareReplyMsg>();
     reply->txn_id = m.txn.id;
     reply->prepared = false;
     host_->SendToNode(coordinator, std::move(reply));
@@ -481,7 +482,7 @@ void GroupOpDriver::OnPrepare(const TxnPrepareMsg& m) {
   }
   if (sm_->IsFrozen()) {
     if (sm_->state().active->txn.id == m.txn.id) {
-      auto reply = std::make_shared<TxnPrepareReplyMsg>();
+      auto reply = MakePooled<TxnPrepareReplyMsg>();
       FillParticipantReply(reply.get());
       host_->SendToNode(coordinator, std::move(reply));
     } else {
@@ -513,7 +514,7 @@ void GroupOpDriver::OnPrepare(const TxnPrepareMsg& m) {
                           id = m.txn.id](StatusOr<uint64_t> result) {
     obs::TraceRecorder* tr = sim_->tracer();
     if (result.ok()) {
-      auto reply = std::make_shared<TxnPrepareReplyMsg>();
+      auto reply = MakePooled<TxnPrepareReplyMsg>();
       reply->txn_id = id;
       if (sm_->IsFrozen() && sm_->state().active->txn.id == id) {
         FillParticipantReply(reply.get());
@@ -534,7 +535,7 @@ void GroupOpDriver::OnPrepare(const TxnPrepareMsg& m) {
 void GroupOpDriver::OnDecision(const TxnDecisionMsg& m) {
   const NodeId coordinator = m.from;
   auto ack = [&]() {
-    auto reply = std::make_shared<TxnDecisionAckMsg>();
+    auto reply = MakePooled<TxnDecisionAckMsg>();
     reply->txn_id = m.txn_id;
     host_->SendToNode(coordinator, std::move(reply));
   };
@@ -584,7 +585,7 @@ void GroupOpDriver::ProposeDecide(uint64_t txn_id, bool commit,
         obs::TraceRecorder* tr = sim_->tracer();
         if (result.ok() && ack_to != kInvalidNode &&
             sm_->OutcomeOf(txn_id).has_value()) {
-          auto reply = std::make_shared<TxnDecisionAckMsg>();
+          auto reply = MakePooled<TxnDecisionAckMsg>();
           reply->txn_id = txn_id;
           obs::ScopedContext reply_scope(part_span.valid() ? tr : nullptr,
                                          part_span);
@@ -610,7 +611,7 @@ void GroupOpDriver::MaybeStatusQuery() {
   if (coords.empty()) {
     return;
   }
-  auto m = std::make_shared<TxnStatusQueryMsg>();
+  auto m = MakePooled<TxnStatusQueryMsg>();
   m->txn_id = sm_->state().active->txn.id;
   last_status_query_ = now;
   stats_.status_queries_sent++;

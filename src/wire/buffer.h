@@ -29,12 +29,16 @@
 #include <string>
 #include <vector>
 
-#if defined(__has_feature)
+// GCC's __SANITIZE_ADDRESS__ is tested first: the sanitizer headers define
+// a fallback __has_feature(x) as 0 for GCC, so testing __has_feature first
+// would switch the poisoning off in every file that includes one of them
+// (e.g. via src/common/pooled.h) before this header.
+#if defined(__SANITIZE_ADDRESS__)
+#define SCATTER_WIRE_ASAN 1
+#elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define SCATTER_WIRE_ASAN 1
 #endif
-#elif defined(__SANITIZE_ADDRESS__)
-#define SCATTER_WIRE_ASAN 1
 #endif
 
 #ifdef SCATTER_WIRE_ASAN

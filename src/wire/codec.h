@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/pooled.h"
 #include "src/sim/message.h"
 #include "src/wire/buffer.h"
 #include "src/wire/fields.h"
@@ -62,7 +63,7 @@ void RegisterMessage(sim::MessageType type) {
         Write(static_cast<const T&>(m), out);
       },
       [](Reader& in) -> sim::MessagePtr {
-        auto m = std::make_shared<T>();
+        auto m = MakePooled<T>();
         in(*m);
         return m;
       });

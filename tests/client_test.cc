@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "src/core/client.h"
+#include "src/core/cluster.h"
 #include "src/core/messages.h"
 #include "src/rpc/rpc_node.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
+#include "tests/alloc_counter.h"
 
 // The scripted Steps below use designated initializers that deliberately
 // omit fields covered by default member initializers; GCC's
@@ -215,6 +217,61 @@ TEST_F(ClientTest, WritesCarrySequencesReadsDoNot) {
   client.Delete(42, [&](Status) {});
   sim_.Run();
   EXPECT_EQ(server.last_seq, 2u);  // deletes are sequenced writes
+}
+
+// Once warmed up, a lease-read Get — the client's op record and request,
+// the RPC call-table entry and callback, the leader's read callback and
+// reply, and the delivery events both ways — allocates nothing but what
+// the value itself needs: with a short (SSO) value, nothing at all. The
+// cluster's own background work (heartbeats, periodic load windows) may
+// allocate, so only Gets that ran as exactly their two delivery events are
+// counted.
+TEST(ClientAllocationTest, SteadyLeaseReadGetIsAllocationFree) {
+  ClusterConfig cfg;
+  cfg.seed = 78;
+  cfg.initial_nodes = 3;
+  cfg.initial_groups = 1;
+  cfg.transport = sim::TransportKind::kInProcess;
+  cfg.persistence = ClusterConfig::Persistence::kOff;
+  Cluster cluster(cfg);
+  cluster.RunFor(Seconds(2));
+  Client* client = cluster.AddClient();
+  bool seeded = false;
+  client->Put(7, "short", [&seeded](Status s) { seeded = s.ok(); });
+  while (!seeded) {
+    ASSERT_TRUE(cluster.sim().Step());
+  }
+  Value got;
+  const auto get = [&] {
+    bool done = false;
+    client->Get(7, [&done, &got](StatusOr<Value> v) {
+      done = true;
+      if (v.ok()) {
+        got = std::move(*v);
+      }
+    });
+    while (!done) {
+      cluster.sim().Step();
+    }
+  };
+  for (int i = 0; i < 200; ++i) {
+    get();
+  }
+  uint64_t allocations = 0;
+  int clean = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t events = cluster.sim().events_processed();
+    const uint64_t before = alloc_counter::AllocationCount();
+    get();
+    const uint64_t allocated = alloc_counter::AllocationCount() - before;
+    if (cluster.sim().events_processed() - events == 2) {
+      clean++;
+      allocations += allocated;
+    }
+  }
+  EXPECT_EQ(got, "short");
+  EXPECT_GE(clean, 900);
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace

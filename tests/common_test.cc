@@ -1,13 +1,21 @@
-// Unit tests for src/common: status, rng, histogram, hashing.
+// Unit tests for src/common: status, rng, histogram, hashing, the inline
+// callable and the pooled allocator.
 
+#include <array>
 #include <cmath>
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
+#include "src/common/inline_fn.h"
+#include "src/common/pooled.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -281,6 +289,118 @@ TEST(HashTest, MixHashDiffers) {
   EXPECT_NE(MixHash(1, 2), MixHash(2, 1));
   EXPECT_NE(MixHash(1, 2), MixHash(1, 3));
 }
+
+// --- InlineFn -------------------------------------------------------------
+
+TEST(InlineFnTest, ForwardsArgumentsAndReturnsTheResult) {
+  InlineFn<int(int, const std::string&)> f =
+      [base = 10](int x, const std::string& s) {
+        return base + x + static_cast<int>(s.size());
+      };
+  EXPECT_EQ(f(1, "abc"), 14);
+}
+
+TEST(InlineFnTest, AcceptsMoveOnlyCapturesAndArguments) {
+  InlineFn<int(std::unique_ptr<int>)> f =
+      [q = std::make_unique<int>(5)](std::unique_ptr<int> r) {
+        return *q + *r;
+      };
+  InlineFn<int(std::unique_ptr<int>)> g = std::move(f);
+  EXPECT_FALSE(f);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  ASSERT_TRUE(g);
+  EXPECT_EQ(g(std::make_unique<int>(2)), 7);
+}
+
+TEST(InlineFnTest, LargeCapturesFallBackToTheHeap) {
+  std::array<uint64_t, 32> big{};
+  big[31] = 9;
+  static_assert(sizeof(big) > InlineFn<uint64_t()>::kInlineSize);
+  InlineFn<uint64_t()> f = [big] { return big[31]; };
+  InlineFn<uint64_t()> g = std::move(f);
+  EXPECT_EQ(g(), 9u);
+}
+
+TEST(InlineFnTest, DestroysTheCaptureExactlyOnce) {
+  auto token = std::make_shared<int>(0);
+  {
+    InlineFn<void()> f = [token] {};
+    EXPECT_EQ(token.use_count(), 2);
+    InlineFn<void()> g = std::move(f);
+    EXPECT_EQ(token.use_count(), 2);
+    InlineFn<void()> h;
+    h = std::move(g);
+    EXPECT_EQ(token.use_count(), 2);
+    h.Reset();
+    EXPECT_EQ(token.use_count(), 1);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// KvClient's std::function callbacks are handed to Client's InlineFn
+// callbacks; the wrapped std::function fits the inline buffer.
+TEST(InlineFnTest, WrapsAStdFunctionInline) {
+  using Fn = std::function<void(Status)>;
+  static_assert(sizeof(Fn) <= InlineFn<void(Status)>::kInlineSize);
+  static_assert(std::is_nothrow_move_constructible_v<Fn>);
+  Status seen = InternalError("unset");
+  Fn std_fn = [&seen](Status s) { seen = std::move(s); };
+  InlineFn<void(Status)> f = std::move(std_fn);
+  f(TimeoutError("late"));
+  EXPECT_EQ(seen.code(), StatusCode::kTimeout);
+}
+
+// --- MakePooled -----------------------------------------------------------
+
+struct PooledBlob {
+  explicit PooledBlob(int v) : value(v) {}
+  int value;
+  char pad[100] = {};
+};
+
+TEST(PooledTest, ReleasedBlockIsReusedForItsSizeClass) {
+  auto a = MakePooled<PooledBlob>(1);
+  const void* block = a.get();
+  a.reset();
+  auto b = MakePooled<PooledBlob>(2);
+  EXPECT_EQ(static_cast<const void*>(b.get()), block);
+  EXPECT_EQ(b->value, 2);
+  // A live block is never handed out twice.
+  auto c = MakePooled<PooledBlob>(3);
+  EXPECT_NE(c.get(), b.get());
+  EXPECT_EQ(b->value, 2);
+  EXPECT_EQ(c->value, 3);
+}
+
+TEST(PooledTest, OversizeObjectsBypassThePool) {
+  struct Huge {
+    std::array<char, 4 * pool_internal::kMaxPooledSize> bytes{};
+  };
+  auto a = MakePooled<Huge>();
+  a->bytes.back() = 7;
+  std::shared_ptr<const Huge> b = a;
+  a.reset();
+  EXPECT_EQ(b->bytes.back(), 7);
+}
+
+#ifdef SCATTER_POOL_ASAN
+// A released block stays poisoned while it sits on the free list, so a
+// use of a released pooled object is still an ASan report.
+TEST(PooledTest, FreeBlocksArePoisonedUnderAddressSanitizer) {
+  auto a = MakePooled<PooledBlob>(1);
+  const PooledBlob* raw = a.get();
+  a.reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(&raw->value));
+  EXPECT_DEATH(
+      {
+        volatile int v = raw->value;
+        (void)v;
+      },
+      "use-after-poison");
+  auto b = MakePooled<PooledBlob>(2);
+  EXPECT_EQ(b.get(), raw);
+  EXPECT_FALSE(__asan_address_is_poisoned(&b->value));
+}
+#endif
 
 }  // namespace
 }  // namespace scatter

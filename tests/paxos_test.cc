@@ -577,6 +577,58 @@ TEST(PaxosMembershipTest, RecoveredConfigEntryRejoinsVotingConfig) {
   EXPECT_EQ(restarted->sm().values(), std::vector<uint64_t>{1});
 }
 
+// The voting config is refolded on every accepted batch into a reused
+// buffer. It must still follow an add and then a remove on every member,
+// including after truncation folds both config entries into the snapshot
+// config and drops them from the log.
+TEST(PaxosMembershipTest, VotingConfigTracksAddAndRemoveThroughTruncation) {
+  PaxosConfig cfg;
+  cfg.log_retention = 4;  // Truncate every few commits.
+  PaxosCluster cluster(3, /*seed=*/3, cfg);
+  ASSERT_TRUE(cluster.ProposeAndWait(0));
+  const auto expect_members = [&](std::vector<NodeId> want) {
+    std::sort(want.begin(), want.end());
+    for (PaxosTestNode* n : cluster.live_nodes()) {
+      std::vector<NodeId> voting = n->replica().members();
+      std::vector<NodeId> applied = n->replica().AppliedConfig();
+      std::sort(voting.begin(), voting.end());
+      std::sort(applied.begin(), applied.end());
+      EXPECT_EQ(voting, want) << "node " << n->id();
+      EXPECT_EQ(applied, want) << "node " << n->id();
+      // The config entries were truncated: both folds start from the
+      // snapshot config alone.
+      EXPECT_TRUE(n->replica().log().config_entries().empty())
+          << "node " << n->id();
+    }
+  };
+  cluster.Spawn(10);
+  ASSERT_TRUE(cluster.AddMemberAndWait(10));
+  for (uint64_t v = 1; v <= 30; ++v) {
+    ASSERT_TRUE(cluster.ProposeAndWait(v));
+  }
+  cluster.sim().RunFor(Seconds(2));
+  expect_members({1, 2, 3, 10});
+
+  NodeId victim = kInvalidNode;
+  for (PaxosTestNode* n : cluster.live_nodes()) {
+    if (n->id() != cluster.leader()->id() && n->id() != 10) {
+      victim = n->id();
+      break;
+    }
+  }
+  ASSERT_TRUE(cluster.RemoveMemberAndWait(victim));
+  cluster.sim().RunFor(Seconds(1));
+  cluster.Crash(victim);
+  for (uint64_t v = 31; v <= 60; ++v) {
+    ASSERT_TRUE(cluster.ProposeAndWait(v));
+  }
+  cluster.sim().RunFor(Seconds(2));
+  std::vector<NodeId> want{1, 2, 3, 10};
+  want.erase(std::find(want.begin(), want.end(), victim));
+  expect_members(want);
+  EXPECT_TRUE(cluster.PrefixConsistent());
+}
+
 // --- Snapshots / log truncation ----------------------------------------------
 
 TEST(PaxosSnapshotTest, LaggardCatchesUpViaSnapshot) {

@@ -2,10 +2,12 @@
 // cancellation, error envelopes, forwarding, and stray-response handling.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/random.h"
 #include "src/rpc/rpc_node.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
@@ -43,6 +45,13 @@ class EchoNode : public RpcNode {
       Forward(forward_to, m);
       return;
     }
+    if (m->rpc_id != 0 && delay_by_value) {
+      // Replies `value` ms late, so calls complete out of order.
+      timers().Schedule(Millis(req.value), [this, m, v = req.value] {
+        Reply(*m, std::make_shared<EchoReply>(v * 2));
+      });
+      return;
+    }
     if (m->rpc_id != 0) {
       Reply(*m, std::make_shared<EchoReply>(req.value * 2));
     } else {
@@ -53,6 +62,7 @@ class EchoNode : public RpcNode {
   int requests_seen = 0;
   bool mute = false;
   bool reply_error = false;
+  bool delay_by_value = false;
   NodeId forward_to = kInvalidNode;
   std::vector<int> one_way_values;
 };
@@ -194,6 +204,147 @@ TEST_F(RpcTest, CallToCrashedNodeTimesOut) {
            [&](StatusOr<sim::MessagePtr> r) { status = r.status(); });
   sim_.Run();
   EXPECT_EQ(status.code(), StatusCode::kTimeout);
+}
+
+// --- The call table ---------------------------------------------------------
+// Outstanding calls live in a recycled slab indexed by call id. These pin
+// that a completed, timed-out or cancelled call's slot can be reused without
+// its old reply ever reaching the new occupant's callback.
+
+TEST_F(RpcTest, OutOfOrderRepliesMatchTheirCalls) {
+  b_->delay_by_value = true;
+  std::vector<int> completed;
+  for (int v : {5, 1, 4, 2, 3}) {
+    a_->Call(2, std::make_shared<EchoRequest>(v), Seconds(1),
+             [&completed, v](StatusOr<sim::MessagePtr> r) {
+               ASSERT_TRUE(r.ok());
+               EXPECT_EQ(sim::As<EchoReply>(*r).value, v * 2);
+               completed.push_back(v);
+             });
+  }
+  sim_.Run();
+  EXPECT_EQ(completed, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST_F(RpcTest, ReplyAfterTimeoutNeverReachesTheSlotsNextCall) {
+  b_->delay_by_value = true;
+  std::vector<std::string> log;
+  // Call 1's reply would land at 54 ms; it times out at 20 ms.
+  a_->Call(2, std::make_shared<EchoRequest>(50), Millis(20),
+           [&log](StatusOr<sim::MessagePtr> r) {
+             log.push_back(r.ok() ? "first ok" : "first timeout");
+           });
+  sim_.RunUntil(Millis(30));
+  ASSERT_EQ(log, (std::vector<std::string>{"first timeout"}));
+  // Call 2 takes the freed slot; its reply lands at 74 ms, after call 1's.
+  a_->Call(2, std::make_shared<EchoRequest>(40), Seconds(1),
+           [&log](StatusOr<sim::MessagePtr> r) {
+             ASSERT_TRUE(r.ok());
+             log.push_back("second " +
+                           std::to_string(sim::As<EchoReply>(*r).value));
+           });
+  sim_.Run();
+  EXPECT_EQ(log,
+            (std::vector<std::string>{"first timeout", "second 80"}));
+}
+
+TEST_F(RpcTest, CancelledCallsLateReplyIsDropped) {
+  b_->delay_by_value = true;
+  int cancelled_calls = 0;
+  std::vector<int> next_values;
+  const uint64_t id =
+      a_->Call(2, std::make_shared<EchoRequest>(10), Seconds(1),
+               [&](StatusOr<sim::MessagePtr>) { cancelled_calls++; });
+  a_->CancelCall(id);
+  a_->CancelCall(id);  // a second cancel is a no-op
+  // Reuses the cancelled call's slot; the cancelled reply lands first.
+  a_->Call(2, std::make_shared<EchoRequest>(20), Seconds(1),
+           [&](StatusOr<sim::MessagePtr> r) {
+             ASSERT_TRUE(r.ok());
+             next_values.push_back(sim::As<EchoReply>(*r).value);
+           });
+  sim_.Run();
+  EXPECT_EQ(cancelled_calls, 0);
+  EXPECT_EQ(next_values, (std::vector<int>{40}));
+  EXPECT_EQ(b_->requests_seen, 2);
+}
+
+TEST_F(RpcTest, DestroyedNodeNeverRunsPendingCallbacks) {
+  b_->delay_by_value = true;
+  auto token = std::make_shared<int>(0);
+  int calls = 0;
+  for (int v : {1, 5, 9}) {
+    a_->Call(2, std::make_shared<EchoRequest>(v), Seconds(1),
+             [&calls, token](StatusOr<sim::MessagePtr>) { calls++; });
+  }
+  EXPECT_EQ(token.use_count(), 4);
+  a_.reset();  // replies are still in flight
+  EXPECT_EQ(token.use_count(), 1);  // the callbacks were destroyed unrun
+  sim_.Run();
+  EXPECT_EQ(calls, 0);
+}
+
+TEST_F(RpcTest, RecycledSlotsNeverFireStaleCallbacks) {
+  b_->delay_by_value = true;
+  enum class Expect { kReply, kTimeout, kNothing };
+  struct Outcome {
+    Expect expect;
+    int value;
+    int fired = 0;
+    bool ok = false;
+    int got = 0;
+  };
+  std::vector<Outcome> outcomes;
+  outcomes.reserve(400);
+  Rng rng(7);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<uint64_t> to_cancel;
+    for (int k = 0; k < 8; ++k) {
+      const int v = static_cast<int>(rng.Range(0, 30));
+      // The reply lands v + 4 ms after the call; never tie the timeout.
+      const bool times_out = rng.Below(4) == 0;
+      const TimeMicros timeout = times_out ? Millis(v + 4) - 500 : Seconds(1);
+      const size_t index = outcomes.size();
+      outcomes.push_back({times_out ? Expect::kTimeout : Expect::kReply, v});
+      const uint64_t id = a_->Call(
+          2, std::make_shared<EchoRequest>(v), timeout,
+          [&outcomes, index](StatusOr<sim::MessagePtr> r) {
+            Outcome& o = outcomes[index];
+            o.fired++;
+            o.ok = r.ok();
+            if (r.ok()) {
+              o.got = sim::As<EchoReply>(*r).value;
+            }
+          });
+      if (rng.Below(4) == 0) {
+        outcomes[index].expect = Expect::kNothing;
+        to_cancel.push_back(id);
+      }
+    }
+    for (uint64_t id : to_cancel) {
+      a_->CancelCall(id);
+    }
+    sim_.RunFor(Millis(rng.Range(0, 20)));
+  }
+  sim_.Run();
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const Outcome& o = outcomes[i];
+    SCOPED_TRACE(i);
+    switch (o.expect) {
+      case Expect::kReply:
+        EXPECT_EQ(o.fired, 1);
+        EXPECT_TRUE(o.ok);
+        EXPECT_EQ(o.got, o.value * 2);
+        break;
+      case Expect::kTimeout:
+        EXPECT_EQ(o.fired, 1);
+        EXPECT_FALSE(o.ok);
+        break;
+      case Expect::kNothing:
+        EXPECT_EQ(o.fired, 0);
+        break;
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
 // Unit tests for the discrete-event simulator and network model.
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <iterator>
 #include <map>
 #include <memory>
-#include <new>
 #include <set>
 #include <utility>
 #include <vector>
@@ -18,46 +15,7 @@
 #include "src/sim/message.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
-
-// Counts every allocation the test binary makes, so a test can pin a code
-// path as allocation-free. The plain, array and nothrow forms are replaced
-// as a family (all over malloc/free) so sanitizers never see a mismatched
-// allocator pair.
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-
-// Out of line so the compiler never pairs an inlined free() with a
-// new-expression (a -Wmismatched-new-delete false positive).
-[[gnu::noinline]] void* CountedAlloc(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
-}
-[[gnu::noinline]] void CountedFree(void* p) { std::free(p); }
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (void* p = CountedAlloc(n)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return CountedAlloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return CountedAlloc(n);
-}
-void operator delete(void* p) noexcept { CountedFree(p); }
-void operator delete[](void* p) noexcept { CountedFree(p); }
-void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
-void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  CountedFree(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  CountedFree(p);
-}
+#include "tests/alloc_counter.h"
 
 namespace scatter::sim {
 namespace {
@@ -249,10 +207,15 @@ TEST(SimulatorTest, SlotReuseStress) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-// Differential test of the indexed event heap against a reference model: an
-// ordered set of (fire time, schedule order). Random schedules (with many
-// same-instant ties), cancels of the root, the last heap element, a middle
-// element and stale ids, cancels from inside callbacks, Step and RunUntil
+// Differential test of the event queue — the near-time wheel and the
+// indexed heap behind it — against a reference model: an ordered set of
+// (fire time, schedule order). Random schedules mix wheel delays (below the
+// 4096 µs span, with many same-instant ties), delays of 4095, 4096 and
+// 4097 µs that straddle the span, 800 ms timeouts, and events placed at the
+// exact fire time of a pending event, which ties a heap event with a wheel
+// event scheduled later. Cancels hit the heap root, the last heap element,
+// anything pending in either queue and stale ids, also from inside
+// callbacks. Step and RunUntil — with targets inside and beyond the span —
 // must fire exactly the model's events in the model's order, and
 // pending_events() must equal the model's size after every step.
 class QueueModelHarness {
@@ -298,21 +261,54 @@ class QueueModelHarness {
     model_.erase(it);
   }
 
+  TimeMicros RandomDelay() {
+    switch (rng_.Below(8)) {
+      case 0:
+        return 4095 + rng_.Range(0, 2);  // straddles the wheel span
+      case 1:
+        return Millis(800);  // an RPC timeout: always the heap
+      case 2:
+        if (!model_.empty()) {
+          // The fire time of a pending event, which may sit in the other
+          // queue: a same-instant tie across the wheel and the heap.
+          auto it = std::next(model_.begin(), static_cast<std::ptrdiff_t>(
+                                                  rng_.Below(model_.size())));
+          return it->first.first - sim_.now();
+        }
+        return 0;
+      case 3:
+        return rng_.Range(0, 10000);
+      default:
+        // Few distinct delays, so same-instant ties are common.
+        return Millis(rng_.Range(0, 4));
+    }
+  }
+
+  TimeMicros RandomRunTarget() {
+    switch (rng_.Below(4)) {
+      case 0:
+        return sim_.now() + 4095 + rng_.Range(0, 2);
+      case 1:
+        return sim_.now() + Millis(rng_.Range(5, 900));  // beyond the span
+      default:
+        return sim_.now() + Millis(rng_.Range(0, 3));
+    }
+  }
+
   void RandomStep() {
     const uint64_t r = rng_.Below(100);
     if (r < 40) {
-      // Few distinct delays, so same-instant ties are common.
-      ScheduleOne(Millis(rng_.Range(0, 4)), rng_.Below(8) == 0);
+      ScheduleOne(RandomDelay(), rng_.Below(8) == 0);
     } else if (r < 45 && !model_.empty()) {
-      CancelAt(0);  // the heap root
+      CancelAt(0);  // the next event, in whichever queue
     } else if (r < 50) {
-      // Later than everything pending, so it stays the last heap element.
+      // Later than everything pending: the last event of either queue.
       const TimeMicros horizon =
           model_.empty() ? 0 : model_.rbegin()->first.first - sim_.now();
       ScheduleOne(horizon + Millis(1), false);
       CancelAt(model_.size() - 1);
     } else if (r < 60 && !model_.empty()) {
-      CancelAt(rng_.Below(model_.size()));  // anywhere, usually mid-heap
+      CancelAt(rng_.Below(model_.size()));  // anywhere, in either queue
     } else if (r < 63 && !issued_.empty()) {
       // Possibly fired or cancelled already: must be a no-op then.
       const TimerId id = issued_[rng_.Below(issued_.size())];
@@ -327,7 +323,7 @@ class QueueModelHarness {
       const bool had_event = !model_.empty();
       EXPECT_EQ(sim_.Step(), had_event);
     } else {
-      const TimeMicros until = sim_.now() + Millis(rng_.Range(0, 3));
+      const TimeMicros until = RandomRunTarget();
       sim_.RunUntil(until);
       EXPECT_EQ(sim_.now(), until);
       EXPECT_TRUE(model_.empty() || model_.begin()->first.first > until);
@@ -349,6 +345,26 @@ TEST(SimulatorTest, IndexedHeapMatchesReferenceModel) {
       return;
     }
   }
+}
+
+// An event queued in the heap (scheduled 5000 µs ahead) and one queued in
+// the wheel later for the same instant fire in schedule order, and events
+// 4095, 4096 and 4097 µs ahead — the last wheel delay and the first two
+// heap delays — fire in time order around them.
+TEST(SimulatorTest, WheelAndHeapTiesFireInScheduleOrder) {
+  Simulator sim(1);
+  std::vector<int> order;
+  sim.Schedule(5000, [&] { order.push_back(1); });  // heap
+  sim.Schedule(4097, [&] { order.push_back(2); });  // heap
+  sim.Schedule(4096, [&] { order.push_back(3); });  // heap
+  sim.Schedule(4095, [&] { order.push_back(4); });  // wheel
+  sim.RunUntil(1000);
+  sim.Schedule(4000, [&] { order.push_back(5); });  // wheel, ties with 1
+  sim.Schedule(3097, [&] { order.push_back(6); });  // wheel, ties with 2
+  EXPECT_EQ(sim.pending_events(), 6u);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 6, 1, 5}));
+  EXPECT_EQ(sim.now(), 5000);
 }
 
 // A steady schedule/cancel/fire loop through a TimerOwner, with a typical
@@ -374,12 +390,12 @@ TEST(SimulatorTest, SteadyTimerLoopIsAllocationFree) {
     client.Arm(i, i + 1);
     sim.Step();
   }
-  const uint64_t before = g_allocations.load();
+  const uint64_t before = alloc_counter::AllocationCount();
   for (uint64_t i = 0; i < 10000; ++i) {
     client.Arm(i, i + 1);
     sim.Step();
   }
-  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(alloc_counter::AllocationCount() - before, 0u);
   EXPECT_EQ(sim.pending_events(), 1u);  // just the last timeout
 }
 

@@ -12,7 +12,6 @@
 #   scripts/ci.sh wire            # full suite: serializing (pool off) + audit (pool on)
 #   scripts/ci.sh mc              # model-checker smoke (delay-bounded split scenario)
 #   scripts/ci.sh durability      # full suite with persistence on (serializing) + mc crash-with-disk smoke
-#   scripts/ci.sh concurrency     # thread-safety annotations (clang) + lock-discipline lint + TSan stress
 #
 # Build trees go to build-asan/ and build-ubsan/ so they never disturb the
 # developer's plain build/.
@@ -23,9 +22,8 @@ JOBS="${JOBS:-$(nproc)}"
 
 run_sanitized() {
   local san="$1"
-  local dir="build-${san:0:4}"
+  local dir="build-asan"
   [[ "$san" == "undefined" ]] && dir="build-ubsan"
-  [[ "$san" == "address" ]] && dir="build-asan"
   echo "=== [$san] configure + build ($dir) ==="
   cmake -B "$dir" -S . -DSCATTER_SANITIZE="$san" -DSCATTER_AUDIT=ON \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -140,43 +138,6 @@ run_durability() {
       --budget-seconds 20 --counterexample none
 }
 
-run_concurrency() {
-  # Concurrency-readiness gate, three legs — the static and dynamic halves
-  # of the same contract (DESIGN.md "Thread contracts").
-  #
-  # Leg 1: clang's -Wthread-safety over every src/ translation unit proves
-  # the SCATTER_GUARDED_BY/SCATTER_REQUIRES annotations against the lock
-  # discipline. Skips with a notice when clang++ is not installed (gcc has
-  # no thread-safety analysis), so the leg degrades gracefully.
-  echo "=== concurrency: clang -Wthread-safety leg ==="
-  scripts/run_clang_tidy.sh --thread-safety
-
-  # Leg 2: scatter-lint at zero findings — includes the concurrency rules
-  # (blocking-in-handler, raw-sync-primitive, guarded-field-hygiene,
-  # callback-capture-lifetime), which run on any compiler. The JSON pass
-  # also keeps the machine-readable output schema honest.
-  local bdir="${BUILD_DIR:-build}"
-  echo "=== concurrency: scatter-lint (zero-warning gate, $bdir) ==="
-  if [[ ! -f "$bdir/compile_commands.json" ]]; then
-    cmake -B "$bdir" -S .
-  fi
-  cmake --build "$bdir" -j "$JOBS" --target scatter_lint
-  "$bdir/tools/scatter_lint/scatter_lint" --root . \
-      --compdb "$bdir/compile_commands.json" --format=json \
-      | python3 -m json.tool > /dev/null
-  "$bdir/tools/scatter_lint/scatter_lint" --root . \
-      --compdb "$bdir/compile_commands.json"
-
-  # Leg 3: the dynamic cross-check — the threaded stress suite under
-  # ThreadSanitizer. Builds only the stress binary (a full TSan tree is not
-  # needed to race the thread-safe seams).
-  echo "=== concurrency: TSan stress (build-tsan) ==="
-  cmake -B build-tsan -S . -DSCATTER_SANITIZE=thread \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-tsan -j "$JOBS" --target concurrency_test
-  ./build-tsan/tests/concurrency_test
-}
-
 run_lint() {
   # Stage 1: scatter-lint (tools/scatter_lint) — determinism, layering and
   # protocol-hygiene rules, zero findings allowed. It prints a per-rule
@@ -188,6 +149,10 @@ run_lint() {
     cmake -B "$bdir" -S .
   fi
   cmake --build "$bdir" -j "$JOBS" --target scatter_lint
+  # The JSON pass keeps the machine-readable output schema honest.
+  "$bdir/tools/scatter_lint/scatter_lint" --root . \
+      --compdb "$bdir/compile_commands.json" --format=json \
+      | python3 -m json.tool > /dev/null
   "$bdir/tools/scatter_lint/scatter_lint" --root . \
       --compdb "$bdir/compile_commands.json"
 
@@ -197,14 +162,13 @@ run_lint() {
 }
 
 case "${1:-all}" in
-  address|undefined|thread) run_sanitized "$1" ;;
+  address|undefined) run_sanitized "$1" ;;
   lint) run_lint ;;
   bench) run_bench_smoke ;;
   obs) run_obs_check ;;
   wire) run_wire ;;
   mc) run_mc ;;
   durability) run_durability ;;
-  concurrency) run_concurrency ;;
   all)
     run_sanitized address
     run_sanitized undefined
@@ -213,12 +177,11 @@ case "${1:-all}" in
     run_wire
     run_mc
     run_durability
-    run_concurrency
     run_lint
-    echo "=== CI green: ASan + UBSan suites clean, bench smoke ok, obs export valid, wire suites clean, mc smoke clean, durability suite + smoke clean, concurrency gate clean, scatter-lint + clang-tidy zero-warning ==="
+    echo "=== CI green: ASan + UBSan suites clean, bench smoke ok, obs export valid, wire suites clean, mc smoke clean, durability suite + smoke clean, scatter-lint + clang-tidy zero-warning ==="
     ;;
   *)
-    echo "usage: $0 [address|undefined|thread|lint|bench|obs|wire|mc|durability|concurrency|all]" >&2
+    echo "usage: $0 [address|undefined|lint|bench|obs|wire|mc|durability|all]" >&2
     exit 2
     ;;
 esac

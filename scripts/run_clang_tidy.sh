@@ -5,17 +5,10 @@
 #   scripts/run_clang_tidy.sh                  # whole tree (src/ tests/ bench/ examples/)
 #   scripts/run_clang_tidy.sh src/paxos/*.cc   # just these files
 #   scripts/run_clang_tidy.sh --changed        # files changed vs HEAD (+ staged/untracked)
-#   scripts/run_clang_tidy.sh --thread-safety  # only the -Wthread-safety leg
 #
 # TIDY_WERROR=1 promotes every enabled check to an error (exit nonzero on
 # any warning) — the CI gate uses this so the lint stage is zero-warning,
 # not advisory.
-#
-# The --thread-safety leg compiles every src/ translation unit with
-# clang's `-Wthread-safety -Werror=thread-safety` (syntax-only, no
-# objects), proving the annotations in src/common/thread_annotations.h
-# against the lock discipline. It needs clang++ (CLANG_CXX to override);
-# like the tidy leg it exits 0 with a notice when the compiler is absent.
 #
 # Needs build/compile_commands.json — produced by any `cmake -B build -S .`
 # (CMAKE_EXPORT_COMPILE_COMMANDS is always on). Exits 0 with a notice when
@@ -24,35 +17,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-thread_safety_leg() {
-  local cxx="${CLANG_CXX:-clang++}"
-  if ! command -v "$cxx" >/dev/null 2>&1; then
-    echo "run_clang_tidy: '$cxx' not found on PATH; skipping -Wthread-safety leg (not a failure)." >&2
-    return 0
-  fi
-  local srcs
-  mapfile -t srcs < <(find src -name '*.cc' | sort)
-  echo "run_clang_tidy: -Wthread-safety leg over ${#srcs[@]} file(s) with $cxx"
-  local st=0 f
-  for f in "${srcs[@]}"; do
-    "$cxx" -std=c++20 -fsyntax-only -I. \
-        -Wthread-safety -Werror=thread-safety "$f" || st=1
-  done
-  return $st
-}
-
-if [[ "${1:-}" == "--thread-safety" ]]; then
-  thread_safety_leg
-  exit $?
-fi
-
 TIDY="${CLANG_TIDY:-clang-tidy}"
 if ! command -v "$TIDY" >/dev/null 2>&1; then
   echo "run_clang_tidy: '$TIDY' not found on PATH; skipping clang-tidy (not a failure)." >&2
-  # The thread-safety leg only needs clang++, which may exist without
-  # clang-tidy; still give it a chance on a whole-tree run.
-  thread_safety_leg
-  exit $?
+  exit 0
 fi
 
 BUILD_DIR="${BUILD_DIR:-build}"
@@ -91,10 +59,4 @@ for f in "${files[@]}"; do
   [[ "$f" == *.h ]] && continue
   "$TIDY" -p "$BUILD_DIR" --quiet "${extra[@]}" "$f" || status=1
 done
-
-# Whole-tree runs also prove the thread-safety annotations; explicit file
-# lists stay scoped to tidy so pre-push loops remain fast.
-if [[ "${1:-}" != "--changed" && $# -eq 0 ]]; then
-  thread_safety_leg || status=1
-fi
 exit $status

@@ -29,12 +29,6 @@
 //   recovery_stuck   recovery.active > 0 for raise_after windows (WAL
 //                    replay on restart is synchronous, so a lingering
 //                    nonzero gauge means a recovery path wedged or leaked)
-//
-// Thread-compat: single-threaded. Tick() and every accessor run on the one
-// thread that drives the simulation (the event-loop thread under TCP). The
-// registry it reads is itself thread-safe, so cells fed from elsewhere via
-// Merge are fine — but the monitor's own condition state is unguarded by
-// design.
 
 #ifndef SCATTER_SRC_OBS_HEALTH_H_
 #define SCATTER_SRC_OBS_HEALTH_H_

@@ -13,17 +13,6 @@
 // them with plain integer operations — no lookup on the hot path. Cells
 // outlive the objects that register them, so counters are cumulative across
 // replica restarts on the same (node, group).
-//
-// Thread-compat: thread-safe for registry operations (find-or-create,
-// Find*, ForEach*, Merge, ToJson — the index maps and arenas are guarded by
-// mu_); the CELLS handed out are not. A cell is owned by the component that
-// bound it: increments through a Counter&/Gauge& reference are plain stores
-// with no synchronization, so cross-thread cell sharing needs external
-// coordination (under the future TCP transport, cells stay on their owning
-// event-loop thread and other threads fold in via Merge on their own
-// registry). Merge locks the destination then the source; the source's
-// CELLS must still be quiescent for the duration of the call (their values
-// are read without synchronization).
 
 #ifndef SCATTER_SRC_OBS_METRICS_H_
 #define SCATTER_SRC_OBS_METRICS_H_
@@ -36,7 +25,6 @@
 #include <tuple>
 
 #include "src/common/histogram.h"
-#include "src/common/thread_annotations.h"
 #include "src/common/types.h"
 #include "src/obs/window.h"
 
@@ -117,56 +105,28 @@ class MetricsRegistry {
   // byte-identical exports.
   std::string ToJson() const;
 
-  size_t counter_cells() const {
-    MutexLock lock(&mu_);
-    return counters_locked_.size();
-  }
-  size_t gauge_cells() const {
-    MutexLock lock(&mu_);
-    return gauges_locked_.size();
-  }
-  size_t window_cells() const {
-    MutexLock lock(&mu_);
-    return windows_locked_.size();
-  }
-  size_t histogram_cells() const {
-    MutexLock lock(&mu_);
-    return histograms_locked_.size();
-  }
+  size_t counter_cells() const { return counters_.size(); }
+  size_t gauge_cells() const { return gauges_.size(); }
+  size_t window_cells() const { return windows_.size(); }
+  size_t histogram_cells() const { return histograms_.size(); }
 
  private:
   using Key = std::tuple<std::string, NodeId, GroupId>;
-
-  // Lock-free internals for callers already holding mu_ (Merge would
-  // deadlock calling the public find-or-create entry points).
-  Counter& GetCounterLocked(const std::string& name, NodeId node,
-                            GroupId group) SCATTER_REQUIRES(mu_);
-  Gauge& GetGaugeLocked(const std::string& name, NodeId node, GroupId group)
-      SCATTER_REQUIRES(mu_);
-  SlidingWindow& GetWindowLocked(const std::string& name, NodeId node,
-                                 GroupId group,
-                                 const SlidingWindow::Params& params)
-      SCATTER_REQUIRES(mu_);
-
-  // Guards the index maps and arenas below — NOT the cell values, whose
-  // writes belong to the binding component (see the class comment).
-  // mutable: const read paths (Find*, ToJson, the cell counts) lock too.
-  mutable Mutex mu_;
 
   // Cell values live in the arenas (deque: stable addresses, chunked
   // contiguous allocation); the maps are the name index over them.
   // Histograms are cold (one Record per op at most) and large, so they stay
   // in the map directly.
-  std::deque<Counter> counter_arena_locked_ SCATTER_GUARDED_BY(mu_);
-  std::deque<Gauge> gauge_arena_locked_ SCATTER_GUARDED_BY(mu_);
-  std::map<Key, Counter*> counters_locked_ SCATTER_GUARDED_BY(mu_);
-  std::map<Key, Gauge*> gauges_locked_ SCATTER_GUARDED_BY(mu_);
-  std::map<Key, Histogram> histograms_locked_ SCATTER_GUARDED_BY(mu_);
+  std::deque<Counter> counter_arena_;
+  std::deque<Gauge> gauge_arena_;
+  std::map<Key, Counter*> counters_;
+  std::map<Key, Gauge*> gauges_;
+  std::map<Key, Histogram> histograms_;
   // Windows are recorded through a bound reference like counters but carry
   // more state; like histograms they are rare enough (a handful per group)
   // to live in the map nodes directly. std::map nodes are stable, so
   // references handed out stay valid.
-  std::map<Key, SlidingWindow> windows_locked_ SCATTER_GUARDED_BY(mu_);
+  std::map<Key, SlidingWindow> windows_;
 };
 
 }  // namespace scatter::obs

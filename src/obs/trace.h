@@ -15,13 +15,6 @@
 // When no recorder is installed (Simulator::tracer() == nullptr) the
 // instrumentation sites reduce to a pointer null-check and two zero-valued
 // uint64 fields on each message.
-//
-// Thread-compat: single-threaded. The ambient active-context slot and the
-// span log belong to one owning thread; under the TCP transport that is the
-// event-loop thread, and every Begin/End/annotate must happen there. Worker
-// threads do not trace; work they hand back to the loop is traced when the
-// loop picks it up. (Per-thread ambient slots are a TCP-PR decision, not
-// pre-built here.)
 
 #ifndef SCATTER_SRC_OBS_TRACE_H_
 #define SCATTER_SRC_OBS_TRACE_H_

@@ -14,12 +14,9 @@
 // A future TCP transport implements this same interface against real
 // sockets; see DESIGN.md "Transport seam".
 //
-// Thread-compat: single-threaded. Send/Attach/Detach and HandleMessage
-// delivery all happen on the one thread that owns the transport — today the
-// test/simulation thread, under TCP the epoll event-loop thread. A TCP
-// implementation must marshal inbound frames onto that loop before invoking
-// Endpoint::HandleMessage; handlers in turn must not block it (scatter-lint
-// rule `blocking-in-handler` polices the obvious offenders).
+// Handlers must not block: every delivery runs on the one simulation loop,
+// so a stalled handler stalls the whole run (scatter-lint rule
+// `blocking-in-handler` polices the obvious offenders).
 
 #ifndef SCATTER_SRC_SIM_TRANSPORT_H_
 #define SCATTER_SRC_SIM_TRANSPORT_H_

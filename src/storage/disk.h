@@ -13,11 +13,6 @@
 // nothing else in the system is allowed to do file I/O (scatter-lint rule
 // `durability-io` enforces that everything under src/ outside src/storage/
 // stays off the filesystem).
-//
-// Thread-compat: per-implementation. SimDisk is single-threaded (it lives
-// inside the deterministic simulation); FsDisk is thread-safe (coarse
-// mutex). Code written against Disk* must assume the weaker contract —
-// single-threaded — unless it knows the concrete backend.
 
 #ifndef SCATTER_SRC_STORAGE_DISK_H_
 #define SCATTER_SRC_STORAGE_DISK_H_

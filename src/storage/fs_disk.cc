@@ -23,7 +23,6 @@ std::string FsDisk::Path(const std::string& file) const {
 
 void FsDisk::Append(const std::string& file, const uint8_t* data,
                     size_t size) {
-  MutexLock lock(&mu_);
   std::ofstream out(Path(file), std::ios::binary | std::ios::app);
   out.write(reinterpret_cast<const char*>(data),
             static_cast<std::streamsize>(size));
@@ -31,9 +30,7 @@ void FsDisk::Append(const std::string& file, const uint8_t* data,
 
 void FsDisk::Replace(const std::string& file, const uint8_t* data,
                      size_t size) {
-  MutexLock lock(&mu_);
-  const std::string tmp =
-      Path(file) + "." + std::to_string(replace_seq_locked_++) + ".tmp";
+  const std::string tmp = Path(file) + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(data),
@@ -44,7 +41,6 @@ void FsDisk::Replace(const std::string& file, const uint8_t* data,
 }
 
 bool FsDisk::Read(const std::string& file, std::vector<uint8_t>* out) const {
-  MutexLock lock(&mu_);
   std::ifstream in(Path(file), std::ios::binary);
   if (!in.is_open()) {
     return false;
@@ -55,19 +51,16 @@ bool FsDisk::Read(const std::string& file, std::vector<uint8_t>* out) const {
 }
 
 bool FsDisk::Exists(const std::string& file) const {
-  MutexLock lock(&mu_);
   std::error_code ec;
   return fs::exists(Path(file), ec);
 }
 
 void FsDisk::Remove(const std::string& file) {
-  MutexLock lock(&mu_);
   std::error_code ec;
   fs::remove(Path(file), ec);
 }
 
 std::vector<std::string> FsDisk::List() const {
-  MutexLock lock(&mu_);
   std::vector<std::string> out;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(root_, ec)) {

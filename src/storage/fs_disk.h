@@ -7,12 +7,6 @@
 // the standard atomic-publish idiom. Sync flushes appended streams; full
 // POSIX fsync is deliberately not attempted — this backend exists for
 // inspection and benchmarking, not production durability.
-//
-// Thread-compat: thread-safe. Every operation runs under one coarse mutex
-// (this backend is tool/bench plumbing, not a hot path), and each Replace
-// writes through a uniquely named temp file so two racing replacements of
-// the same file publish one complete image each — never a torn mix. The
-// rename itself stays the atomicity point, exactly as single-threaded.
 
 #ifndef SCATTER_SRC_STORAGE_FS_DISK_H_
 #define SCATTER_SRC_STORAGE_FS_DISK_H_
@@ -21,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/thread_annotations.h"
 #include "src/storage/disk.h"
 
 namespace scatter::storage {
@@ -47,13 +40,6 @@ class FsDisk : public Disk {
   std::string Path(const std::string& file) const;
 
   std::string root_;
-  // One coarse guard over all filesystem operations; also covers the
-  // temp-name sequence below.
-  mutable Mutex mu_;
-  // Monotonic suffix for Replace temp files: "<file>.<seq>.tmp". A shared
-  // ".tmp" name would let two concurrent Replace calls write into the same
-  // temp file and rename a torn image into place.
-  uint64_t replace_seq_locked_ SCATTER_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace scatter::storage

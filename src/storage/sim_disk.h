@@ -16,10 +16,6 @@
 // unsynced tail of one file — the partially-persisted write of an fsync in
 // progress — which is what the torn-tail recovery fuzz tests drive through
 // every byte offset of a record boundary.
-//
-// Thread-compat: single-threaded. SimDisk state is simulation state; it is
-// only ever touched from the thread driving the simulator, and stays that
-// way under the TCP transport (real deployments use a real disk backend).
 
 #ifndef SCATTER_SRC_STORAGE_SIM_DISK_H_
 #define SCATTER_SRC_STORAGE_SIM_DISK_H_

@@ -8,7 +8,8 @@ namespace scatter::verify {
 
 uint64_t HistoryRecorder::RecordInvoke(OpType type, Key key, Value value,
                                        TimeMicros now) {
-  const uint64_t id = next_id_++;
+  // Ids start at 1 and follow ops_ order, so op id N lives at ops_[N - 1].
+  const uint64_t id = ops_.size() + 1;
   Operation op;
   op.op_id = id;
   op.type = type;
@@ -16,7 +17,6 @@ uint64_t HistoryRecorder::RecordInvoke(OpType type, Key key, Value value,
   op.value = std::move(value);
   op.invoked_at = now;
   op.outcome = Outcome::kPending;
-  index_[id] = ops_.size();
   ops_.push_back(std::move(op));
   return id;
 }
@@ -31,9 +31,8 @@ void HistoryRecorder::RecordComplete(uint64_t op_id, Outcome outcome,
     // carries no information and must not disturb the record.
     return;
   }
-  auto it = index_.find(op_id);
-  SCATTER_CHECK(it != index_.end());
-  Operation& op = ops_[it->second];
+  SCATTER_CHECK(op_id >= 1 && op_id <= ops_.size());
+  Operation& op = ops_[op_id - 1];
   SCATTER_CHECK(op.outcome == Outcome::kPending);
   op.outcome = outcome;
   op.completed_at = now;

@@ -63,8 +63,6 @@ class HistoryRecorder {
 
  private:
   std::vector<Operation> ops_;
-  std::map<uint64_t, size_t> index_;  // op id -> position
-  uint64_t next_id_ = 1;
   bool closed_ = false;
 };
 

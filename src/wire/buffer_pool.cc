@@ -68,10 +68,10 @@ bool WirePoolEnabledFromEnv() {
 BufferPool::BufferPool() : BufferPool(Config{}) {}
 
 BufferPool::BufferPool(Config config, obs::MetricsRegistry* metrics)
-    : config_(config), classes_locked_(kNumClasses), metrics_(metrics) {}
+    : config_(config), classes_(kNumClasses), metrics_(metrics) {}
 
-BufferPool::Cells& BufferPool::CellsFor(NodeId node) SCATTER_REQUIRES(mu_) {
-  auto [it, inserted] = cells_locked_.try_emplace(node);
+BufferPool::Cells& BufferPool::CellsFor(NodeId node) {
+  auto [it, inserted] = cells_.try_emplace(node);
   if (inserted) {
     Cells& cells = it->second;
     if (metrics_ != nullptr) {
@@ -96,30 +96,25 @@ size_t BufferPool::ClassCapacity(size_t size_hint) {
 
 BufferPool::Handle BufferPool::Acquire(size_t size_hint, NodeId node) {
   const size_t idx = ClassIndexFor(size_hint);
-  {
-    MutexLock lock(&mu_);
-    if (config_.enabled && idx != kNoClass) {
-      // A larger class serves a smaller request fine, so scan upward from the
-      // hinted class. This matters when ByteSize() hints low: the buffer grows
-      // mid-encode and Release re-bins it into a bigger class, and without the
-      // fallback the hinted class would stay empty forever — every Acquire a
-      // fresh allocation plus a mid-encode realloc, with the grown buffers
-      // piling up unused.
-      for (size_t i = idx; i < classes_locked_.size(); ++i) {
-        if (!classes_locked_[i].empty()) {
-          Buffer* buffer = classes_locked_[i].back().release();
-          classes_locked_[i].pop_back();
-          ++*CellsFor(node).hit;
-          total_hits_locked_++;
-          return Handle(this, buffer, node);
-        }
+  if (config_.enabled && idx != kNoClass) {
+    // A larger class serves a smaller request fine, so scan upward from the
+    // hinted class. This matters when ByteSize() hints low: the buffer grows
+    // mid-encode and Release re-bins it into a bigger class, and without the
+    // fallback the hinted class would stay empty forever — every Acquire a
+    // fresh allocation plus a mid-encode realloc, with the grown buffers
+    // piling up unused.
+    for (size_t i = idx; i < classes_.size(); ++i) {
+      if (!classes_[i].empty()) {
+        Buffer* buffer = classes_[i].back().release();
+        classes_[i].pop_back();
+        ++*CellsFor(node).hit;
+        total_hits_++;
+        return Handle(this, buffer, node);
       }
     }
-    ++*CellsFor(node).miss;
-    total_misses_locked_++;
   }
-  // The fresh allocation happens outside the lock — it is the slow path and
-  // needs nothing from the pool.
+  ++*CellsFor(node).miss;
+  total_misses_++;
   auto buffer = std::make_unique<Buffer>();
   buffer->Reserve(ClassCapacity(size_hint));
   return Handle(this, buffer.release(), node);
@@ -131,24 +126,22 @@ void BufferPool::Release(Buffer* raw, NodeId node) {
   // buffer that expanded mid-encode must land in the class whose next
   // Acquire can use that capacity without another growth.
   const size_t idx = ClassIndexFor(buffer->capacity());
-  MutexLock lock(&mu_);
   if (!config_.enabled || idx == kNoClass ||
-      classes_locked_[idx].size() >= config_.max_buffers_per_class) {
+      classes_[idx].size() >= config_.max_buffers_per_class) {
     ++*CellsFor(node).discard;
-    total_discards_locked_++;
+    total_discards_++;
     return;
   }
 #ifdef SCATTER_WIRE_POOL_POISON
   buffer->Poison(0xA5);
 #endif
   buffer->clear();
-  classes_locked_[idx].push_back(std::move(buffer));
+  classes_[idx].push_back(std::move(buffer));
 }
 
 size_t BufferPool::pooled_buffers() const {
-  MutexLock lock(&mu_);
   size_t total = 0;
-  for (const auto& freelist : classes_locked_) {
+  for (const auto& freelist : classes_) {
     total += freelist.size();
   }
   return total;

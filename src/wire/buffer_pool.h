@@ -27,14 +27,6 @@
 // frame came from the freelist or a fresh allocation is invisible to the
 // bytes produced, so seeded runs are bit-identical with the pool on or off
 // (SCATTER_WIRE_POOL, checked by scripts/ci.sh).
-//
-// Thread-compat: thread-safe. Acquire and Handle release may run on any
-// thread (under the TCP transport, per-connection writers recycle frames
-// concurrently); mu_ guards the freelists, the per-node cell index, and the
-// totals. A Handle itself is not thread-safe — one thread owns a lease at a
-// time. Counter cells bound from an external registry are incremented only
-// while holding mu_, so pool-attributed metrics stay racefree as long as no
-// other component binds the same "wire.pool.*" cells.
 
 #ifndef SCATTER_SRC_WIRE_BUFFER_POOL_H_
 #define SCATTER_SRC_WIRE_BUFFER_POOL_H_
@@ -44,7 +36,6 @@
 
 #include "src/common/flat_map.h"
 #include "src/common/histogram.h"
-#include "src/common/thread_annotations.h"
 #include "src/common/types.h"
 #include "src/wire/buffer.h"
 
@@ -146,18 +137,9 @@ class BufferPool {
   // --- Introspection (tests, benchmarks, metrics mirrors) ----------------
   // Totals across all node attributions (maintained separately from the
   // registry cells, which are sharded by node).
-  uint64_t hits() const {
-    MutexLock lock(&mu_);
-    return total_hits_locked_;
-  }
-  uint64_t misses() const {
-    MutexLock lock(&mu_);
-    return total_misses_locked_;
-  }
-  uint64_t discards() const {
-    MutexLock lock(&mu_);
-    return total_discards_locked_;
-  }
+  uint64_t hits() const { return total_hits_; }
+  uint64_t misses() const { return total_misses_; }
+  uint64_t discards() const { return total_discards_; }
   // Buffers currently parked on freelists.
   size_t pooled_buffers() const;
   bool enabled() const { return config_.enabled; }
@@ -175,26 +157,21 @@ class BufferPool {
     Counter* miss = nullptr;
     Counter* discard = nullptr;
   };
-  Cells& CellsFor(NodeId node) SCATTER_REQUIRES(mu_);
+  Cells& CellsFor(NodeId node);
 
   Config config_;
-  // Guards the freelists, the cell index, and the counters. Coarse by
-  // design: Acquire/Release are a freelist pop/push plus a couple of
-  // counter bumps, so there is nothing to gain from finer sharding yet.
-  mutable Mutex mu_;
   // One freelist per size class; see kClassCapacities in buffer_pool.cc.
-  std::vector<std::vector<std::unique_ptr<Buffer>>> classes_locked_
-      SCATTER_GUARDED_BY(mu_);
+  std::vector<std::vector<std::unique_ptr<Buffer>>> classes_;
   // nullptr = registry-less pool; the cells then all point at the locals.
   obs::MetricsRegistry* metrics_ = nullptr;
-  FlatMap<NodeId, Cells> cells_locked_ SCATTER_GUARDED_BY(mu_);
-  // Local fallback cells; written only through Cells pointers under mu_.
+  FlatMap<NodeId, Cells> cells_;
+  // Local fallback cells; written only through Cells pointers.
   Counter local_hits_;
   Counter local_misses_;
   Counter local_discards_;
-  uint64_t total_hits_locked_ SCATTER_GUARDED_BY(mu_) = 0;
-  uint64_t total_misses_locked_ SCATTER_GUARDED_BY(mu_) = 0;
-  uint64_t total_discards_locked_ SCATTER_GUARDED_BY(mu_) = 0;
+  uint64_t total_hits_ = 0;
+  uint64_t total_misses_ = 0;
+  uint64_t total_discards_ = 0;
 };
 
 }  // namespace scatter::wire

@@ -1,9 +1,9 @@
 // Tests for scatter-lint (tools/scatter_lint): each rule fires on a bad
 // fixture, stays quiet on the fixed idiom, and the suppression comment
-// absorbs exactly one finding. The final test is a mutation self-check: it
-// reintroduces an unordered-iteration bug into the real fingerprint source
-// and asserts the tool reports it — proving the CI gate actually guards the
-// invariant it claims to.
+// absorbs exactly one finding. Two mutation self-checks reintroduce a bug
+// into a real source file — an unordered-iteration fingerprint, a raw
+// Schedule capturing `this` — and assert the tool reports it, proving the CI
+// gate actually guards the invariant it claims to.
 //
 // Fixture sources are assembled from fragments ("LINT" "-ALLOW") so that
 // scatter-lint, which also scans this file, does not parse the fixtures'
@@ -535,120 +535,6 @@ TEST(BlockingInHandler, AllowAbsorbsJustifiedBlockingCall) {
   EXPECT_EQ(CountRule(report, "unused-suppression"), 0);
 }
 
-// --- raw-sync-primitive ------------------------------------------------------
-
-TEST(RawSyncPrimitive, FiresOnStdPrimitivesOutsideCommon) {
-  const LintReport report =
-      Lint({{"src/paxos/bad.cc",
-             "std::mutex mu;\n"
-             "std::thread worker;\n"
-             "std::condition_variable cv;\n"
-             "void F() { std::lock_guard<std::mutex> l(mu); }\n"}});
-  // mutex, thread, condition_variable, lock_guard, and the nested
-  // std::mutex template argument.
-  EXPECT_EQ(CountRule(report, "raw-sync-primitive"), 5);
-}
-
-TEST(RawSyncPrimitive, QuietInCommonNetAndTests) {
-  const std::string body = "std::mutex mu;\nstd::thread t;\n";
-  const LintReport report = Lint({{"src/common/thread_annotations.h", body},
-                                  {"src/net/event_loop.cc", body},
-                                  {"tests/concurrency_test.cc", body}});
-  EXPECT_EQ(CountRule(report, "raw-sync-primitive"), 0);
-}
-
-TEST(RawSyncPrimitive, QuietOnWrappersAndLookalikeNames) {
-  const LintReport report =
-      Lint({{"src/paxos/ok.cc",
-             "scatter::Mutex mu_;\n"
-             "void F() { MutexLock lock(&mu_); }\n"
-             "int thread = 0;  // a field named thread is not std::thread\n"
-             "void G(P* p) { p->mutex(); }\n"}});
-  EXPECT_EQ(CountRule(report, "raw-sync-primitive"), 0);
-}
-
-// --- guarded-field-hygiene ---------------------------------------------------
-
-TEST(GuardedFieldHygiene, FiresOnLockedFieldWithoutAnnotation) {
-  const LintReport report =
-      Lint({{"src/obs/bad.h",
-             "class R {\n"
-             "  Mutex mu_;\n"
-             "  int count_locked_ = 0;\n"
-             "};\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 1);
-}
-
-TEST(GuardedFieldHygiene, FiresOnAnnotatedFieldWithoutLockedName) {
-  const LintReport report =
-      Lint({{"src/obs/bad.h",
-             "class R {\n"
-             "  Mutex mu_;\n"
-             "  int count SCATTER_GUARDED_BY(mu_) = 0;\n"
-             "};\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 1);
-}
-
-TEST(GuardedFieldHygiene, FiresOnAccessWithoutLockOrRequires) {
-  const LintReport report =
-      Lint({{"src/obs/bad.cc",
-             "void R::Bump() {\n"
-             "  count_locked_++;\n"
-             "}\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 1);
-}
-
-TEST(GuardedFieldHygiene, QuietWithMutexLockInScope) {
-  const LintReport report =
-      Lint({{"src/obs/ok.cc",
-             "void R::Bump() {\n"
-             "  MutexLock lock(&mu_);\n"
-             "  count_locked_++;\n"
-             "}\n"
-             "int R::Get() const {\n"
-             "  MutexLock lock(&mu_);\n"
-             "  return count_locked_;\n"
-             "}\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 0);
-}
-
-TEST(GuardedFieldHygiene, QuietWithRepeatedRequiresOnDefinition) {
-  const LintReport report =
-      Lint({{"src/obs/ok.cc",
-             "int R::GetLocked() SCATTER_REQUIRES(mu_) {\n"
-             "  return count_locked_;\n"
-             "}\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 0);
-}
-
-TEST(GuardedFieldHygiene, RequiresOnDeclarationDoesNotLeakToNextBody) {
-  const LintReport report =
-      Lint({{"src/obs/bad.h",
-             "class R {\n"
-             "  int GetLocked() SCATTER_REQUIRES(mu_);\n"
-             "  int Get() { return count_locked_; }\n"
-             "};\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 1);
-}
-
-TEST(GuardedFieldHygiene, QuietOnAnnotatedDeclAndInitList) {
-  const LintReport report =
-      Lint({{"src/obs/ok.h",
-             "class R {\n"
-             "  R() : classes_locked_(4) {}\n"
-             "  Mutex mu_;\n"
-             "  std::vector<int> classes_locked_ SCATTER_GUARDED_BY(mu_);\n"
-             "};\n"}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 0);
-}
-
-TEST(GuardedFieldHygiene, OutOfScopeInTestsAndTools) {
-  const std::string body = "void F() { count_locked_++; }\n";
-  const LintReport report =
-      Lint({{"tests/x_test.cc", body}, {"tools/y/z.cc", body}});
-  EXPECT_EQ(CountRule(report, "guarded-field-hygiene"), 0);
-}
-
 // --- callback-capture-lifetime -----------------------------------------------
 
 TEST(CallbackCaptureLifetime, FiresOnRawScheduleCapturingThis) {
@@ -715,35 +601,35 @@ TEST(SummaryRowsOrder, SortedByRuleNameAndCoversCatalogue) {
   EXPECT_EQ(ambient, 1);
 }
 
-// --- mutation self-check: guarded-field-hygiene ------------------------------
+// --- mutation self-check: callback-capture-lifetime ---------------------------
 
-// De-annotate one real guarded field in the metrics registry and assert the
-// hygiene rule catches it: the *_locked_ naming convention and the
-// SCATTER_GUARDED_BY annotation must never drift apart silently.
-TEST(MutationSelfCheck, LintCatchesDeAnnotatedGuardedField) {
+// Turn the RPC timeout timer — posted through the node's TimerOwner — into a
+// raw simulator Schedule and assert the lifetime rule catches it: a pending
+// timeout that outlives its RpcNode would call into a dead object.
+TEST(MutationSelfCheck, LintCatchesRawScheduleCapturingThisInRpcNode) {
   const std::string path =
-      std::string(SCATTER_SOURCE_DIR) + "/src/obs/metrics.h";
+      std::string(SCATTER_SOURCE_DIR) + "/src/rpc/rpc_node.cc";
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open()) << path;
   std::ostringstream ss;
   ss << in.rdbuf();
   std::string content = ss.str();
 
-  // The real header is clean.
-  const LintReport before = Lint({{"src/obs/metrics.h", content}});
-  EXPECT_EQ(CountRule(before, "guarded-field-hygiene"), 0);
+  // The real file is clean.
+  const LintReport before = Lint({{"src/rpc/rpc_node.cc", content}});
+  EXPECT_EQ(CountRule(before, "callback-capture-lifetime"), 0);
 
-  // Mutation: strip the annotation from one *_locked_ field declaration.
-  const std::string annotated = "counters_locked_ SCATTER_GUARDED_BY(mu_);";
-  const size_t at = content.find(annotated);
+  // Mutation: bypass the TimerOwner for the call timeout.
+  const std::string owned = "timers_.Schedule(timeout, [this";
+  const size_t at = content.find(owned);
   ASSERT_NE(at, std::string::npos)
-      << "metrics.h no longer declares counters_locked_ as guarded — "
+      << "rpc_node.cc no longer arms its call timeout through timers_ — "
          "update this mutation test";
-  content.replace(at, annotated.size(), "counters_locked_;");
+  content.replace(at, owned.size(), "sim_->Schedule(timeout, [this");
 
-  const LintReport after = Lint({{"src/obs/metrics.h", content}});
-  EXPECT_EQ(CountRule(after, "guarded-field-hygiene"), 1)
-      << "scatter-lint failed to catch a de-annotated guarded field";
+  const LintReport after = Lint({{"src/rpc/rpc_node.cc", content}});
+  EXPECT_EQ(CountRule(after, "callback-capture-lifetime"), 1)
+      << "scatter-lint failed to catch a raw Schedule capturing this";
 }
 
 }  // namespace

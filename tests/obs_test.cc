@@ -146,6 +146,45 @@ TEST(MetricsRegistryTest, MergeSumsCells) {
   EXPECT_EQ(a.GetHistogram("h", 1).max(), 300);
 }
 
+// The aggregation shape: many short-lived per-node registries folded into
+// one, with reads of the destination between merges. Every cell sums
+// exactly, and a cell created before the merges stays where it was.
+TEST(MetricsRegistryTest, RepeatedMergesSumExactlyAcrossNodes) {
+  constexpr int kNodes = 4;
+  constexpr int kRounds = 400;
+  obs::MetricsRegistry shared;
+  const Counter* preexisting = &shared.GetCounter("stress.ops", 99);
+  for (int i = 0; i < kRounds; ++i) {
+    for (int t = 1; t <= kNodes; ++t) {
+      obs::MetricsRegistry local;
+      local.GetCounter("stress.ops", NodeId(t)).Add(3);
+      local.GetGauge("stress.depth", NodeId(t)).Set(i);
+      local.GetHistogram("stress.lat", NodeId(t)).Record(i % 7);
+      shared.Merge(local);
+    }
+    ASSERT_FALSE(shared.ToJson().empty());
+    ASSERT_EQ(shared.FindCounter("stress.ops", 99), preexisting);
+  }
+
+  uint64_t total = 0;
+  shared.ForEachCounter(
+      "stress.ops",
+      [&total](NodeId, GroupId, const Counter& c) { total += c.value; });
+  EXPECT_EQ(total, uint64_t{kNodes} * kRounds * 3);
+  for (int t = 1; t <= kNodes; ++t) {
+    const Counter* ops = shared.FindCounter("stress.ops", NodeId(t));
+    ASSERT_NE(ops, nullptr);
+    EXPECT_EQ(ops->value, uint64_t{kRounds} * 3);
+    const obs::Gauge* depth = shared.FindGauge("stress.depth", NodeId(t));
+    ASSERT_NE(depth, nullptr);
+    EXPECT_EQ(depth->value, int64_t{kRounds} * (kRounds - 1) / 2);
+    const Histogram* lat = shared.FindHistogram("stress.lat", NodeId(t));
+    ASSERT_NE(lat, nullptr);
+    EXPECT_EQ(lat->count(), uint64_t{kRounds});
+  }
+  EXPECT_EQ(shared.counter_cells(), size_t{kNodes} + 1);
+}
+
 TEST(MetricsRegistryTest, ToJsonIsStableSchemaAndDeterministic) {
   auto build = [] {
     obs::MetricsRegistry reg;

@@ -333,5 +333,26 @@ TEST(FsDiskTest, RoundTripThroughARealDirectory) {
   EXPECT_TRUE(disk.List().empty());
 }
 
+// Replace publishes the whole new image or nothing: after a run of
+// replacements with different sizes and byte patterns, the file holds
+// exactly the last image and no temp file is left beside it.
+TEST(FsDiskTest, ReplacePublishesOnlyCompleteImages) {
+  const std::string root = ::testing::TempDir() + "/scatter_fsdisk_replace";
+  FsDisk disk(root);
+  for (const std::string& file : disk.List()) {
+    disk.Remove(file);  // stale state from a previous run
+  }
+  for (int i = 0; i < 8; ++i) {
+    const std::vector<uint8_t> image(4096 - 512 * (i % 3),
+                                     static_cast<uint8_t>(0xF0 + i));
+    disk.Replace("obj", image.data(), image.size());
+    std::vector<uint8_t> got;
+    ASSERT_TRUE(disk.Read("obj", &got));
+    EXPECT_EQ(got, image) << "replacement " << i;
+    EXPECT_EQ(disk.List(), std::vector<std::string>{"obj"});
+  }
+  disk.Remove("obj");
+}
+
 }  // namespace
 }  // namespace scatter::storage

@@ -312,6 +312,18 @@ TEST(HistoryRecorderTest, UnansweredReadsDropped) {
   EXPECT_TRUE(rec.PerKeyHistories().empty());
 }
 
+// Op ids index the op list directly (id N is the Nth invoke), so a
+// completion for an id that was never issued must fail loudly rather than
+// land on another op.
+TEST(HistoryRecorderDeathTest, CompletingAnUnissuedIdDies) {
+  HistoryRecorder rec;
+  const uint64_t w = rec.RecordInvoke(OpType::kWrite, 5, "val", 100);
+  EXPECT_DEATH(rec.RecordComplete(0, Outcome::kOk, "", 200), "op_id");
+  EXPECT_DEATH(rec.RecordComplete(w + 1, Outcome::kOk, "", 200), "op_id");
+  rec.RecordComplete(w, Outcome::kOk, "", 200);
+  EXPECT_EQ(rec.ops()[0].outcome, Outcome::kOk);
+}
+
 TEST(StalenessTest, CleanHistoryHasNoStaleReads) {
   HistoryRecorder rec;
   uint64_t w1 = rec.RecordInvoke(OpType::kWrite, 1, "a", 0);

@@ -172,5 +172,57 @@ TEST(BufferPoolTest, BindsCountersIntoMetricsRegistry) {
   EXPECT_EQ(pool.misses(), 1u);
 }
 
+// Many leases outstanding at once across two size classes and four nodes,
+// released oldest-first so the per-class cap keeps biting: every Acquire is
+// exactly one hit or one miss (per node and in total), every fresh buffer
+// ends up parked or discarded, and no two live leases share a buffer.
+TEST(BufferPoolTest, InterleavedLeasesAccountEveryAcquire) {
+  constexpr size_t kCap = 8;
+  // More live leases than both freelists can park, so the cap bites.
+  constexpr size_t kWindow = 3 * kCap;
+  constexpr int kNodes = 4;
+  constexpr int kRounds = 400;
+  obs::MetricsRegistry metrics;
+  BufferPool pool(Enabled(kCap), &metrics);
+
+  struct Lease {
+    BufferPool::Handle handle;
+    uint64_t tag;
+  };
+  std::vector<Lease> live;
+  auto release_oldest = [&live] {
+    Lease& oldest = live.front();
+    ASSERT_EQ(oldest.handle.size(), sizeof(uint64_t));
+    uint64_t got;
+    std::memcpy(&got, oldest.handle.data(), sizeof(got));
+    EXPECT_EQ(got, oldest.tag) << "two live leases shared a buffer";
+    live.erase(live.begin());
+  };
+  uint64_t tag = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    for (int node = 1; node <= kNodes; ++node) {
+      if (live.size() == kWindow) release_oldest();
+      BufferPool::Handle h =
+          pool.Acquire(/*size_hint=*/64 << (i % 3), NodeId(node));
+      h->WriteU64(++tag);
+      live.push_back(Lease{std::move(h), tag});
+    }
+  }
+  while (!live.empty()) release_oldest();
+
+  constexpr uint64_t kAcquires = uint64_t{kNodes} * kRounds;
+  EXPECT_EQ(pool.hits() + pool.misses(), kAcquires);
+  EXPECT_GT(pool.hits(), 0u);
+  EXPECT_GT(pool.discards(), 0u);
+  EXPECT_EQ(pool.misses(), pool.discards() + pool.pooled_buffers());
+  EXPECT_LE(pool.pooled_buffers(), 2 * kCap);  // two classes in play
+  for (int node = 1; node <= kNodes; ++node) {
+    EXPECT_EQ(metrics.GetCounter("wire.pool.hit", NodeId(node)).value +
+                  metrics.GetCounter("wire.pool.miss", NodeId(node)).value,
+              uint64_t{kRounds})
+        << "node " << node;
+  }
+}
+
 }  // namespace
 }  // namespace scatter::wire

@@ -48,18 +48,9 @@ const std::vector<RuleInfo> kRules = {
     {"blocking-in-handler",
      "bans blocking operations (sleep_for/sleep_until/usleep/nanosleep, "
      "fsync/fdatasync, FsDisk, unbounded while(true)/for(;;) loops) inside "
-     "Handle* message-handler bodies outside src/storage/ — handlers run on "
-     "the event-loop thread under the TCP transport and must never stall it"},
-    {"raw-sync-primitive",
-     "bans bare std:: threading primitives (mutex, thread, "
-     "condition_variable, lock_guard, ...) in src/ outside src/common/ and "
-     "src/net/ — go through the annotated scatter::Mutex/MutexLock wrappers "
-     "so the clang thread-safety analysis sees every capability"},
-    {"guarded-field-hygiene",
-     "token-level lock discipline: a SCATTER_GUARDED_BY field must be named "
-     "*_locked_, and a *_locked_ field may only be touched inside a function "
-     "that carries SCATTER_REQUIRES or after a MutexLock in an enclosing "
-     "scope — the gcc-compatible shadow of clang's -Wthread-safety"},
+     "Handle* message-handler bodies outside src/storage/ — a blocked "
+     "handler stalls the whole simulation, and FsDisk in a handler bypasses "
+     "the Disk seam"},
     {"callback-capture-lifetime",
      "a lambda posted via a raw simulator Schedule must not capture `this` "
      "outside the pinned-object dirs (src/sim/, src/workload/) — post "
@@ -777,9 +768,8 @@ void RunDurabilityIo(Engine& eng, const FileState& fs) {
 
 // --- Rule: blocking-in-handler -----------------------------------------------
 
-// Calls that stall the calling thread. Handlers run on the transport
-// delivery thread — the epoll event loop under TCP — where a stall freezes
-// every connection the loop owns.
+// Calls that stall the calling thread. Every handler runs on the one
+// simulation loop, so a stall in any handler stalls the whole run.
 const std::set<std::string>& BlockingCallNames() {
   static const std::set<std::string> kNames = {
       "sleep_for", "sleep_until", "usleep", "nanosleep",
@@ -870,15 +860,16 @@ void RunBlockingInHandler(Engine& eng, const FileState& fs) {
       if (BlockingCallNames().count(t) > 0 && toks[k + 1].text == "(") {
         eng.Report("blocking-in-handler", path, toks[k].line,
                    "blocking call '" + t + "' inside handler " + handler +
-                       "() — handlers run on the event-loop thread; hand "
-                       "the work to the flush scheduler or a timer");
+                       "() — a blocked handler stalls the whole simulation; "
+                       "hand the work to the flush scheduler or a timer");
         continue;
       }
       if (t == "FsDisk") {
         eng.Report("blocking-in-handler", path, toks[k].line,
                    "FsDisk use inside handler " + handler +
-                       "() — real-disk I/O blocks the event loop; handlers "
-                       "must write through the Disk seam's scheduled paths");
+                       "() — real-disk I/O blocks the simulation and "
+                       "bypasses the Disk seam; write through the node's "
+                       "Disk");
         continue;
       }
       if (t == "while" || t == "for") {
@@ -886,176 +877,11 @@ void RunBlockingInHandler(Engine& eng, const FileState& fs) {
         if (IsUnboundedLoop(toks, k, &past_loop)) {
           eng.Report("blocking-in-handler", path, toks[k].line,
                      "unbounded loop inside handler " + handler +
-                         "() — an event-loop handler must terminate; bound "
-                         "the loop or break on a condition");
+                         "() — a handler must terminate; bound the loop or "
+                         "break on a condition");
           k = past_loop;
         }
       }
-    }
-  }
-}
-
-// --- Rule: raw-sync-primitive ------------------------------------------------
-
-const std::set<std::string>& RawSyncNames() {
-  static const std::set<std::string> kNames = {
-      "mutex",       "timed_mutex",        "recursive_mutex",
-      "shared_mutex", "recursive_timed_mutex", "shared_timed_mutex",
-      "thread",      "jthread",            "condition_variable",
-      "condition_variable_any",            "lock_guard",
-      "unique_lock", "scoped_lock",        "shared_lock",
-      "once_flag",   "call_once",
-  };
-  return kNames;
-}
-
-void RunRawSyncPrimitive(Engine& eng, const FileState& fs) {
-  const std::string& path = fs.source.path;
-  // src/common/ hosts the annotated wrappers themselves; src/net/ (the
-  // reserved TCP layer) will own the event-loop plumbing that genuinely
-  // needs the raw primitives. tests/bench/tools sit outside the rule —
-  // a stress test may spawn std::thread freely.
-  if (!HasPrefix(path, "src/") || HasPrefix(path, "src/common/") ||
-      HasPrefix(path, "src/net/")) {
-    return;
-  }
-  const std::vector<Token>& toks = fs.tok.tokens;
-  for (size_t i = 2; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
-        RawSyncNames().count(toks[i].text) == 0) {
-      continue;
-    }
-    // Only std:: spellings: `scatter::Mutex`, a member named `thread`, a
-    // local `mutex` identifier are all out of scope.
-    if (toks[i - 1].text != "::" || toks[i - 2].text != "std") {
-      continue;
-    }
-    eng.Report("raw-sync-primitive", path, toks[i].line,
-               "bare std::" + toks[i].text +
-                   " — use scatter::Mutex/MutexLock from "
-                   "src/common/thread_annotations.h so the thread-safety "
-                   "analysis sees the capability (raw primitives belong in "
-                   "src/common/ or src/net/)");
-  }
-}
-
-// --- Rule: guarded-field-hygiene ---------------------------------------------
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-// Keywords that may directly precede an identifier in an expression; any
-// other identifier/'>'/'*'/'&' before a *_locked_ name marks a declaration
-// (its type), not an access.
-const std::set<std::string>& ExpressionKeywords() {
-  static const std::set<std::string> kNames = {
-      "return", "co_return", "co_yield", "co_await", "case",  "delete",
-      "throw",  "sizeof",    "new",      "else",     "do",    "goto",
-      "typedef",
-  };
-  return kNames;
-}
-
-// Token-level shadow of clang's -Wthread-safety for the naming convention
-// in src/common/thread_annotations.h: guarded state is named *_locked_ AND
-// annotated, and only touched with the mutex demonstrably held — either
-// the enclosing function repeats SCATTER_REQUIRES (the discipline for
-// out-of-line definitions) or a MutexLock was taken in an enclosing scope.
-// Heuristic by design: it runs on gcc-only machines where the clang
-// analysis cannot.
-void RunGuardedFieldHygiene(Engine& eng, const FileState& fs) {
-  const std::string& path = fs.source.path;
-  if (!HasPrefix(path, "src/") ||
-      path == "src/common/thread_annotations.h") {
-    return;
-  }
-  const std::vector<Token>& toks = fs.tok.tokens;
-  int depth = 0;
-  bool pending_requires = false;   // saw SCATTER_REQUIRES, body not yet open
-  std::vector<int> requires_depths;  // body depths of REQUIRES functions
-  std::vector<int> lock_depths;      // depths holding a live MutexLock
-  for (size_t i = 0; i < toks.size(); ++i) {
-    const std::string& t = toks[i].text;
-    if (t == "{") {
-      ++depth;
-      if (pending_requires) {
-        requires_depths.push_back(depth);
-        pending_requires = false;
-      }
-      continue;
-    }
-    if (t == "}") {
-      --depth;
-      while (!requires_depths.empty() && requires_depths.back() > depth) {
-        requires_depths.pop_back();
-      }
-      while (!lock_depths.empty() && lock_depths.back() > depth) {
-        lock_depths.pop_back();
-      }
-      continue;
-    }
-    if (t == ";") {
-      // A pure declaration (`... SCATTER_REQUIRES(mu_);`) has no body; the
-      // pending flag must not leak onto the next unrelated block.
-      pending_requires = false;
-      continue;
-    }
-    if (toks[i].kind != TokenKind::kIdentifier) {
-      continue;
-    }
-    if (t == "SCATTER_REQUIRES") {
-      pending_requires = true;
-      continue;
-    }
-    if (t == "MutexLock" && i + 2 < toks.size() &&
-        toks[i + 1].kind == TokenKind::kIdentifier &&
-        toks[i + 2].text == "(") {
-      lock_depths.push_back(depth);
-      continue;
-    }
-    if (t == "SCATTER_GUARDED_BY" && i > 0 && toks[i + 1].text == "(" &&
-        toks[i - 1].kind == TokenKind::kIdentifier &&
-        !EndsWith(toks[i - 1].text, "_locked_")) {
-      eng.Report("guarded-field-hygiene", path, toks[i].line,
-                 "field '" + toks[i - 1].text +
-                     "' is SCATTER_GUARDED_BY but not named *_locked_ — the "
-                     "suffix is the contract's visible half (see "
-                     "src/common/thread_annotations.h)");
-      continue;
-    }
-    if (!EndsWith(t, "_locked_")) {
-      continue;
-    }
-    const std::string prev = i > 0 ? toks[i - 1].text : "";
-    const std::string next = i + 1 < toks.size() ? toks[i + 1].text : "";
-    if (next == "SCATTER_GUARDED_BY") {
-      continue;  // annotated declaration: both halves present
-    }
-    // Constructor init list: `classes_locked_(args)` after ',' or ':'.
-    if (next == "(" && (prev == "," || prev == ":")) {
-      continue;
-    }
-    const bool type_before =
-        i > 0 && ((toks[i - 1].kind == TokenKind::kIdentifier &&
-                   ExpressionKeywords().count(prev) == 0) ||
-                  prev == ">" || prev == "*" || prev == "&");
-    const bool decl_after = next == ";" || next == "=" || next == "{";
-    if (type_before && decl_after) {
-      eng.Report("guarded-field-hygiene", path, toks[i].line,
-                 "field '" + t +
-                     "' is named *_locked_ but its declaration carries no "
-                     "SCATTER_GUARDED_BY — annotate it with the mutex that "
-                     "guards it");
-      continue;
-    }
-    if (requires_depths.empty() && lock_depths.empty()) {
-      eng.Report("guarded-field-hygiene", path, toks[i].line,
-                 "access to guarded field '" + t +
-                     "' outside a SCATTER_REQUIRES function and with no "
-                     "MutexLock in scope — take the mutex (or repeat "
-                     "SCATTER_REQUIRES on this out-of-line definition)");
     }
   }
 }
@@ -1187,8 +1013,6 @@ LintReport RunLint(const std::vector<SourceFile>& files,
     RunWireHotAlloc(eng, fs);
     RunDurabilityIo(eng, fs);
     RunBlockingInHandler(eng, fs);
-    RunRawSyncPrimitive(eng, fs);
-    RunGuardedFieldHygiene(eng, fs);
     RunCallbackCaptureLifetime(eng, fs);
   }
   RunLayerDag(eng);

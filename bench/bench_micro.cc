@@ -343,8 +343,7 @@ paxos::AcceptMsg MakeBatchedAccept(uint64_t entries) {
 void BM_WireEncodeBatched(benchmark::State& state) {
   core::RegisterScatterWireCodecs();
   paxos::AcceptMsg msg = MakeBatchedAccept(static_cast<uint64_t>(state.range(0)));
-  wire::BufferPool pool{wire::BufferPool::Config{.enabled = true,
-                                                 .max_buffers_per_class = 4}};
+  wire::BufferPool pool{wire::BufferPool::Config{.max_buffers_per_class = 4}};
   const paxos::PayloadEncodeStats before = paxos::GetPayloadEncodeStats();
   const uint64_t misses_before = pool.misses();
   uint64_t bytes = 0;

@@ -9,7 +9,7 @@
 #   scripts/ci.sh lint            # scatter-lint (whole tree) + clang-tidy (changed files)
 #   scripts/ci.sh bench           # just the benchmark smoke (plain build + perfbench)
 #   scripts/ci.sh obs             # traced sim + trace/metrics JSON schema check
-#   scripts/ci.sh wire            # full suite: serializing (pool off) + audit (pool on)
+#   scripts/ci.sh wire            # full suite: serializing + audit transports
 #   scripts/ci.sh mc              # model-checker smoke (delay-bounded split scenario)
 #   scripts/ci.sh durability      # full suite with persistence on (serializing) + mc crash-with-disk smoke
 #
@@ -82,21 +82,16 @@ run_wire() {
   # and again with the re-decoded copy compared against the original
   # (audit). Clusters and harnesses construct their transport via
   # wire::MakeNetwork, which honors SCATTER_TRANSPORT, so no test needs to
-  # know this is happening. Pooling (SCATTER_WIRE_POOL) changes where frame
-  # bytes live, never what they contain, so the two legs split the pool
-  # modes between them: each transport and each pool mode gets one full
-  # suite (wire_pool_test covers both modes directly).
+  # know this is happening.
   local bdir="${BUILD_DIR:-build}"
   if [[ ! -d "$bdir" ]]; then
     cmake -B "$bdir" -S .
   fi
   cmake --build "$bdir" -j "$JOBS"
-  local leg transport pool
-  for leg in serializing:off audit:on; do
-    transport="${leg%%:*}"
-    pool="${leg##*:}"
-    echo "=== wire: full ctest, transport=$transport pool=$pool ($bdir) ==="
-    ( cd "$bdir" && SCATTER_TRANSPORT="$transport" SCATTER_WIRE_POOL="$pool" \
+  local transport
+  for transport in serializing audit; do
+    echo "=== wire: full ctest, transport=$transport ($bdir) ==="
+    ( cd "$bdir" && SCATTER_TRANSPORT="$transport" \
           ctest --output-on-failure -j "$JOBS" )
   done
 }

@@ -231,9 +231,9 @@ class RingSafetyChecker : public Checker {
 
   void Check(core::Cluster& cluster,
              std::vector<std::string>* problems) override {
-    // Every group a node both serves and believes it leads. This
-    // generalizes verify::CheckNoOverlappingLeaders to run mid-churn on
-    // every audit tick rather than when a test happens to sample it.
+    // Every group a node both serves and believes it leads, checked on
+    // every audit tick rather than only when a test samples it, so an
+    // overlap that heals mid-churn is still caught.
     struct Led {
       ring::GroupInfo info;
       NodeId node;

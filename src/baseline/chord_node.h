@@ -64,7 +64,6 @@ class ChordNode : public rpc::RpcNode {
   bool joined() const { return !successors_.empty(); }
   const std::vector<NodeRef>& successors() const { return successors_; }
   NodeRef predecessor() const { return predecessor_; }
-  size_t stored_keys() const { return store_.size(); }
 
  protected:
   void OnRequest(const sim::MessagePtr& message) override;

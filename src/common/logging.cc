@@ -44,7 +44,6 @@ const char* Basename(const char* path) {
 }  // namespace
 
 void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
 
 void SetLogClock(ClockFn fn, void* arg) {
   g_clock_fn = fn;

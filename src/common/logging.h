@@ -25,7 +25,6 @@ enum class LogLevel : int {
 
 // Global minimum level; messages below it are dropped before formatting.
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 // Installed by the simulator so log lines carry virtual timestamps. May be
 // nullptr (wall-less logging).

@@ -62,9 +62,6 @@ inline Status UnavailableError(std::string m) {
 inline Status NotLeaderError(std::string m) {
   return Status(StatusCode::kNotLeader, std::move(m));
 }
-inline Status WrongGroupError(std::string m) {
-  return Status(StatusCode::kWrongGroup, std::move(m));
-}
 inline Status NotFoundError(std::string m) {
   return Status(StatusCode::kNotFound, std::move(m));
 }

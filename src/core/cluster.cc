@@ -40,13 +40,7 @@ Cluster::Cluster(const ClusterConfig& config)
   // Enable monitoring before any node exists so the first window boundary
   // is the same whether or not bootstrap is still settling.
   if (cfg_.enable_health_monitor) {
-    obs::HealthConfig health = cfg_.health;
-    // With SCATTER_WIRE_POOL=off every frame acquire is a miss by design;
-    // the spike detector would fire on healthy load.
-    if (!wire::WirePoolEnabledFromEnv()) {
-      health.pool_miss_spike_enabled = false;
-    }
-    sim_.EnableHealthMonitor(health);
+    sim_.EnableHealthMonitor(cfg_.health);
   }
   if (cfg_.enable_timeline) {
     sim_.EnableTimeline(cfg_.timeline);
@@ -141,7 +135,7 @@ storage::Disk* Cluster::DiskFor(NodeId id) {
   }
   auto& slot = disks_[id];
   if (slot == nullptr) {
-    slot = std::make_unique<storage::SimDisk>(cfg_.disk);
+    slot = std::make_unique<storage::SimDisk>();
   }
   return slot.get();
 }

@@ -42,7 +42,6 @@ struct ClusterConfig {
   // SCATTER_PERSIST environment variable (unset = off).
   enum class Persistence { kDefault, kOn, kOff };
   Persistence persistence = Persistence::kDefault;
-  storage::SimDiskConfig disk;
   // Cluster health monitoring (obs::HealthMonitor on the simulator's
   // periodic hook). Off by default: monitoring reads registry cells only,
   // but tests opt in explicitly so clean-run quietness is an assertion,

@@ -90,9 +90,10 @@ ScatterNode::Hosted* ScatterNode::WireHosted(GroupId group) {
       [replica = h.replica.get()]() { return replica->AppliedConfig(); });
   h.driver = std::make_unique<txn::GroupOpDriver>(
       simulator(), this, h.replica.get(), h.sm.get(), cfg_.txn);
-  h.load = std::make_unique<store::GroupLoadStats>(&simulator()->metrics(),
-                                                   id(), group);
-  h.load->SetRange(h.sm->range());
+  obs::MetricsRegistry& metrics = simulator()->metrics();
+  h.ops_window = &metrics.GetWindow("store.window.ops", id(), group);
+  h.bytes_window = &metrics.GetWindow("store.window.bytes", id(), group);
+  h.op_latency = &metrics.GetHistogram("store.op.latency_us", id(), group);
   last_hosted_at_ = now();
   simulator()->metrics().GetGauge("core.hosted_groups", id()).Add(1);
   return &h;
@@ -146,9 +147,6 @@ size_t ScatterNode::RecoverFromDisk() {
     Hosted* h = FindHosted(gid);
     SCATTER_CHECK(h != nullptr);
     replay_entries += h->replica->ReplayRecovered();
-    if (h->load != nullptr) {
-      h->load->SetRange(h->sm->range());  // Replay may have moved the arc.
-    }
     duration.Record(static_cast<int64_t>(now() - started));
     active.Add(-1);
   }
@@ -371,11 +369,6 @@ void ScatterNode::OnGroupsFounded(GroupId retired,
 
 void ScatterNode::OnStructuralChange(GroupId group) {
   if (Hosted* h = FindHosted(group); h != nullptr) {
-    if (h->load != nullptr) {
-      // Splits/merges/repartitions change the arc; the sub-range buckets
-      // must re-divide the new responsibility.
-      h->load->SetRange(h->sm->range());
-    }
     if (h->driver != nullptr) {
       h->driver->Poke();
     }
@@ -490,8 +483,8 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
   const GroupId gid = h->sm->id();
   h->window_ops++;
   const TimeMicros accepted_at = now();
-  h->load->RecordOp(accepted_at, req.key, req.ByteSize(),
-                    /*is_write=*/req.op != ClientOp::kGet);
+  h->ops_window->Record(accepted_at);
+  h->bytes_window->Record(accepted_at, req.ByteSize());
   // Node-side span: child of the client op's span (restored from the
   // delivered request), parent of the paxos spans the read/write produces.
   obs::TraceRecorder* tr = simulator()->tracer();
@@ -508,8 +501,8 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
                                   key = req.key](Status status) {
       auto reply = MakePooled<ClientReplyMsg>();
       Hosted* cur = FindHosted(gid);
-      if (cur != nullptr && cur->load != nullptr) {
-        cur->load->RecordLatency(now() - accepted_at);
+      if (cur != nullptr) {
+        cur->op_latency->Record(now() - accepted_at);
       }
       if (cur == nullptr || cur->sm->IsRetired() ||
           !cur->sm->range().Contains(key)) {
@@ -564,8 +557,8 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
             seq = req.client_seq](StatusOr<uint64_t> result) {
         auto reply = MakePooled<ClientReplyMsg>();
         Hosted* cur = FindHosted(gid);
-        if (cur != nullptr && cur->load != nullptr) {
-          cur->load->RecordLatency(now() - accepted_at);
+        if (cur != nullptr) {
+          cur->op_latency->Record(now() - accepted_at);
         }
         if (!result.ok()) {
           reply->code = result.status().code();
@@ -1476,11 +1469,6 @@ const paxos::Replica* ScatterNode::GroupReplica(GroupId id) const {
 const txn::GroupOpDriver* ScatterNode::GroupDriver(GroupId id) const {
   auto it = hosted_.find(id);
   return it == hosted_.end() ? nullptr : it->second.driver.get();
-}
-
-const store::GroupLoadStats* ScatterNode::GroupLoad(GroupId id) const {
-  auto it = hosted_.find(id);
-  return it == hosted_.end() ? nullptr : it->second.load.get();
 }
 
 paxos::Replica* ScatterNode::MutableGroupReplicaForTest(GroupId id) {

@@ -25,11 +25,11 @@
 #include "src/core/config.h"
 #include "src/core/messages.h"
 #include "src/membership/group_state_machine.h"
+#include "src/obs/metrics.h"
 #include "src/paxos/replica.h"
 #include "src/ring/ring_map.h"
 #include "src/rpc/rpc_node.h"
 #include "src/storage/disk.h"
-#include "src/store/load_stats.h"
 #include "src/txn/group_op_driver.h"
 #include "src/txn/messages.h"
 
@@ -82,8 +82,6 @@ class ScatterNode : public rpc::RpcNode,
   const paxos::Replica* GroupReplica(GroupId id) const;
   // The structural-op driver of a hosted group (auditor introspection).
   const txn::GroupOpDriver* GroupDriver(GroupId id) const;
-  // Windowed load accounting of a hosted group (tests, scatter-top live mode).
-  const store::GroupLoadStats* GroupLoad(GroupId id) const;
   const ring::RingMap& ring_cache() const { return ring_; }
   bool HostsAnyGroup() const;
 
@@ -138,9 +136,11 @@ class ScatterNode : public rpc::RpcNode,
     std::unique_ptr<membership::GroupStateMachine> sm;
     std::unique_ptr<txn::GroupOpDriver> driver;
     std::unique_ptr<paxos::Replica> replica;
-    // Windowed op/byte/sub-range accounting in the metrics registry; the
-    // range is re-pointed on every structural change.
-    std::unique_ptr<store::GroupLoadStats> load;
+    // Registry cells the obs timeline reads: windowed op and byte rates of
+    // accepted client ops, and their accept-to-reply latency.
+    obs::SlidingWindow* ops_window = nullptr;
+    obs::SlidingWindow* bytes_window = nullptr;
+    Histogram* op_latency = nullptr;
     bool teardown_scheduled = false;
     TimeMicros last_neighbor_refresh = 0;
     // Load tracking for the policy engine (leader only): ops served in the

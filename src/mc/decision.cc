@@ -1,9 +1,9 @@
 #include "src/mc/decision.h"
 
-#include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "src/common/json.h"
 
 namespace scatter::mc {
 
@@ -42,193 +42,70 @@ bool ChoiceKindFromName(const std::string& name, ChoiceKind* out) {
   return false;
 }
 
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-// Minimal recursive-descent JSON reader, sufficient for the fixed shape
-// ToJson emits (objects, arrays, strings, unsigned integers, booleans).
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  bool failed() const { return failed_; }
-  const std::string& error() const { return error_; }
-
-  void Fail(const std::string& why) {
-    if (!failed_) {
-      failed_ = true;
-      error_ = why + " at offset " + std::to_string(pos_);
-    }
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      pos_++;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      pos_++;
-      return true;
-    }
+// Field readers for FromJson: false when a known field has the wrong type
+// or value. Unknown fields are skipped (forward compatibility).
+bool ReadString(const json::Value& v, std::string* out) {
+  if (!v.is_string()) {
     return false;
   }
+  *out = v.text;
+  return true;
+}
 
-  void Expect(char c) {
-    if (!Consume(c)) {
-      Fail(std::string("expected '") + c + "'");
+bool ReadViolation(const json::Value& v, McViolation* out) {
+  if (!v.is_object()) {
+    return false;
+  }
+  for (const auto& [key, field] : v.object) {
+    bool ok = true;
+    if (key == "source") {
+      ok = ReadString(field, &out->source);
+    } else if (key == "checker") {
+      ok = ReadString(field, &out->checker);
+    } else if (key == "detail") {
+      ok = ReadString(field, &out->detail);
+    }
+    if (!ok) {
+      return false;
     }
   }
+  return true;
+}
 
-  char Peek() {
-    SkipWs();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
+bool ReadChoice(const json::Value& v, Choice* out) {
+  if (!v.is_object()) {
+    return false;
   }
-
-  std::string ReadString() {
-    Expect('"');
-    std::string out;
-    while (!failed_ && pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          break;
-        }
-        char e = text_[pos_++];
-        switch (e) {
-          case '"':
-          case '\\':
-          case '/':
-            out.push_back(e);
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              Fail("bad \\u escape");
-              return out;
-            }
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') {
-                v |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                v |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                v |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                Fail("bad \\u escape");
-                return out;
-              }
-            }
-            // The emitter only writes control characters this way.
-            out.push_back(static_cast<char>(v & 0x7f));
-            break;
-          }
-          default:
-            Fail("unknown escape");
-            return out;
-        }
-        continue;
-      }
-      out.push_back(c);
+  for (const auto& [key, field] : v.object) {
+    bool ok = true;
+    if (key == "kind") {
+      std::string kind;
+      ok = ReadString(field, &kind) && ChoiceKindFromName(kind, &out->kind);
+    } else if (key == "arg") {
+      ok = field.AsU64(&out->arg);
+    } else if (key == "dest") {
+      ok = field.AsU64(&out->dest);
     }
-    Fail("unterminated string");
-    return out;
-  }
-
-  uint64_t ReadU64() {
-    SkipWs();
-    if (pos_ >= text_.size() ||
-        std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-      Fail("expected number");
-      return 0;
-    }
-    uint64_t v = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      v = v * 10 + static_cast<uint64_t>(text_[pos_++] - '0');
-    }
-    return v;
-  }
-
-  // Skips any value (used for unknown keys, forward compatibility).
-  void SkipValue() {
-    SkipWs();
-    char c = Peek();
-    if (c == '"') {
-      ReadString();
-    } else if (c == '{') {
-      Expect('{');
-      if (!Consume('}')) {
-        do {
-          ReadString();
-          Expect(':');
-          SkipValue();
-        } while (Consume(','));
-        Expect('}');
-      }
-    } else if (c == '[') {
-      Expect('[');
-      if (!Consume(']')) {
-        do {
-          SkipValue();
-        } while (Consume(','));
-        Expect(']');
-      }
-    } else {
-      while (pos_ < text_.size() && text_[pos_] != ',' && text_[pos_] != '}' &&
-             text_[pos_] != ']' &&
-             std::isspace(static_cast<unsigned char>(text_[pos_])) == 0) {
-        pos_++;
-      }
+    if (!ok) {
+      return false;
     }
   }
+  return true;
+}
 
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-  std::string error_;
-};
+bool ReadSchedule(const json::Value& v, std::vector<Choice>* out) {
+  if (!v.is_array()) {
+    return false;
+  }
+  for (const json::Value& item : v.array) {
+    Choice c;
+    if (!ReadChoice(item, &c)) {
+      return false;
+    }
+    out->push_back(c);
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -254,21 +131,21 @@ std::string Counterexample::ToJson() const {
   std::string out;
   out += "{\n  \"version\": " + std::to_string(version) + ",\n";
   out += "  \"scenario\": ";
-  AppendJsonString(scenario, &out);
+  json::AppendString(&out, scenario);
   out += ",\n  \"seed\": " + std::to_string(seed) + ",\n";
   out += "  \"strategy\": ";
-  AppendJsonString(strategy, &out);
+  json::AppendString(&out, strategy);
   out += ",\n  \"violation\": {\"source\": ";
-  AppendJsonString(violation.source, &out);
+  json::AppendString(&out, violation.source);
   out += ", \"checker\": ";
-  AppendJsonString(violation.checker, &out);
+  json::AppendString(&out, violation.checker);
   out += ", \"detail\": ";
-  AppendJsonString(violation.detail, &out);
+  json::AppendString(&out, violation.detail);
   out += "},\n  \"schedule\": [\n";
   for (size_t i = 0; i < schedule.size(); ++i) {
     const Choice& c = schedule[i];
     out += "    {\"kind\": ";
-    AppendJsonString(ChoiceKindName(c.kind), &out);
+    json::AppendString(&out, ChoiceKindName(c.kind));
     out += ", \"arg\": " + std::to_string(c.arg);
     if (c.dest != kInvalidNode) {
       out += ", \"dest\": " + std::to_string(c.dest);
@@ -281,91 +158,47 @@ std::string Counterexample::ToJson() const {
 
 bool Counterexample::FromJson(const std::string& text, Counterexample* out,
                               std::string* error) {
-  JsonReader r(text);
+  auto fail = [error](const std::string& why) {
+    if (error != nullptr) {
+      *error = why;
+    }
+    return false;
+  };
+  json::Value root;
+  std::string parse_error;
+  if (!json::Parse(text, &root, &parse_error)) {
+    return fail(parse_error);
+  }
+  if (!root.is_object()) {
+    return fail("expected an object");
+  }
   Counterexample ce;
-  r.Expect('{');
-  if (!r.Consume('}')) {
-    do {
-      const std::string key = r.ReadString();
-      r.Expect(':');
-      if (key == "version") {
-        ce.version = static_cast<int>(r.ReadU64());
-      } else if (key == "scenario") {
-        ce.scenario = r.ReadString();
-      } else if (key == "seed") {
-        ce.seed = r.ReadU64();
-      } else if (key == "strategy") {
-        ce.strategy = r.ReadString();
-      } else if (key == "violation") {
-        r.Expect('{');
-        if (!r.Consume('}')) {
-          do {
-            const std::string vk = r.ReadString();
-            r.Expect(':');
-            if (vk == "source") {
-              ce.violation.source = r.ReadString();
-            } else if (vk == "checker") {
-              ce.violation.checker = r.ReadString();
-            } else if (vk == "detail") {
-              ce.violation.detail = r.ReadString();
-            } else {
-              r.SkipValue();
-            }
-          } while (r.Consume(','));
-          r.Expect('}');
-        }
-      } else if (key == "schedule") {
-        r.Expect('[');
-        if (!r.Consume(']')) {
-          do {
-            Choice c;
-            r.Expect('{');
-            if (!r.Consume('}')) {
-              do {
-                const std::string ck = r.ReadString();
-                r.Expect(':');
-                if (ck == "kind") {
-                  if (!ChoiceKindFromName(r.ReadString(), &c.kind)) {
-                    r.Fail("unknown choice kind");
-                  }
-                } else if (ck == "arg") {
-                  c.arg = r.ReadU64();
-                } else if (ck == "dest") {
-                  c.dest = r.ReadU64();
-                } else {
-                  r.SkipValue();
-                }
-              } while (r.Consume(','));
-              r.Expect('}');
-            }
-            ce.schedule.push_back(c);
-          } while (r.Consume(','));
-          r.Expect(']');
-        }
-      } else {
-        r.SkipValue();
-      }
-    } while (r.Consume(','));
-    r.Expect('}');
-  }
-  if (r.failed()) {
-    if (error != nullptr) {
-      *error = r.error();
+  uint64_t version = 1;
+  for (const auto& [key, v] : root.object) {
+    bool ok = true;
+    if (key == "version") {
+      ok = v.AsU64(&version);
+    } else if (key == "scenario") {
+      ok = ReadString(v, &ce.scenario);
+    } else if (key == "seed") {
+      ok = v.AsU64(&ce.seed);
+    } else if (key == "strategy") {
+      ok = ReadString(v, &ce.strategy);
+    } else if (key == "violation") {
+      ok = ReadViolation(v, &ce.violation);
+    } else if (key == "schedule") {
+      ok = ReadSchedule(v, &ce.schedule);
     }
-    return false;
-  }
-  if (ce.version != 1) {
-    if (error != nullptr) {
-      *error = "unsupported counterexample version " +
-               std::to_string(ce.version);
+    if (!ok) {
+      return fail("bad \"" + key + "\"");
     }
-    return false;
+  }
+  if (version != 1) {
+    return fail("unsupported counterexample version " +
+                std::to_string(version));
   }
   if (ce.scenario.empty()) {
-    if (error != nullptr) {
-      *error = "missing scenario";
-    }
-    return false;
+    return fail("missing scenario");
   }
   *out = std::move(ce);
   return true;

@@ -112,7 +112,6 @@ class McHarness : public sim::Scheduler {
   const std::vector<std::vector<NodeId>>& partition() const {
     return islands_;
   }
-  bool partition_active() const { return partition_active_; }
 
   const verify::HistoryRecorder& history() const { return history_; }
 

@@ -7,18 +7,6 @@
 
 namespace scatter::mc {
 
-const char* StrategyKindName(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kExhaustive:
-      return "exhaustive";
-    case StrategyKind::kDelayBounded:
-      return "delay_bounded";
-    case StrategyKind::kRandomWalk:
-      return "random_walk";
-  }
-  return "?";
-}
-
 namespace {
 
 // Replay-based DFS over the decision tree. The path holds one node per

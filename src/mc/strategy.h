@@ -34,8 +34,6 @@ namespace scatter::mc {
 
 enum class StrategyKind : uint8_t { kExhaustive, kDelayBounded, kRandomWalk };
 
-const char* StrategyKindName(StrategyKind kind);
-
 struct StrategyOptions {
   // Decisions per schedule before the epilogue takes over.
   size_t max_depth = 40;

@@ -132,9 +132,6 @@ void HealthMonitor::CheckSnapshotStuck(int64_t now_us, TraceRecorder* tracer) {
 }
 
 void HealthMonitor::CheckPoolMissSpike(int64_t now_us, TraceRecorder* tracer) {
-  if (!config_.pool_miss_spike_enabled) {
-    return;
-  }
   registry_->ForEachCounter(
       "wire.pool.miss", [&](NodeId node, GroupId group, const Counter& counter) {
         const uint64_t delta =

@@ -54,12 +54,8 @@ struct HealthConfig {
   int64_t lag_entries = 64;
   // election_churn: elections started within one window to count as churn.
   uint64_t churn_elections = 3;
-  // pool_miss_spike: pool misses on one node within one window. When the
-  // frame-buffer pool is administratively disabled (SCATTER_WIRE_POOL=off)
-  // every acquire counts as a miss by design, so the owner enabling the
-  // monitor clears this flag instead of letting the detector cry wolf.
+  // pool_miss_spike: pool misses on one node within one window.
   uint64_t pool_miss_threshold = 256;
-  bool pool_miss_spike_enabled = true;
 
   // Hysteresis, in consecutive windows. raise_after=1 means "raises within
   // one monitoring window of the signal appearing".
@@ -110,7 +106,6 @@ class HealthMonitor {
   bool quiet() const { return raises_total_ == 0; }
 
   const HealthConfig& config() const { return config_; }
-  int64_t last_tick_us() const { return last_tick_us_; }
 
  private:
   // One hysteresis state machine per (condition, node, group).

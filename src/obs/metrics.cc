@@ -1,52 +1,23 @@
 #include "src/obs/metrics.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <tuple>
 #include <type_traits>
 #include <vector>
 
+#include "src/common/json.h"
+
 namespace scatter::obs {
 namespace {
 
-// JSON string escaping for metric names (names are plain dotted identifiers
-// in practice, but the exporter must not emit malformed JSON regardless).
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string CellPrefix(const std::string& name, NodeId node, GroupId group) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf),
-                ",\"node\":%" PRIu64 ",\"group\":%" PRIu64,
-                static_cast<uint64_t>(node), static_cast<uint64_t>(group));
-  return "{\"name\":\"" + EscapeJson(name) + "\"" + buf;
+// Appends the cell's opening brace and identity: {"name":...,"node":N,"group":G
+void AppendCellPrefix(std::string* out,
+                      const std::tuple<std::string, NodeId, GroupId>& key) {
+  *out += "{\"name\":";
+  json::AppendString(out, std::get<0>(key));
+  *out += ",";
+  json::AppendU64(out, "node", std::get<1>(key));
+  *out += ",";
+  json::AppendU64(out, "group", std::get<2>(key));
 }
 
 }  // namespace
@@ -158,12 +129,6 @@ const Gauge* MetricsRegistry::FindGauge(const std::string& name, NodeId node,
   return FindCell<Gauge>(gauges_, Key(name, node, group));
 }
 
-const SlidingWindow* MetricsRegistry::FindWindow(const std::string& name,
-                                                 NodeId node,
-                                                 GroupId group) const {
-  return FindCell<SlidingWindow>(windows_, Key(name, node, group));
-}
-
 const Histogram* MetricsRegistry::FindHistogram(const std::string& name,
                                                 NodeId node,
                                                 GroupId group) const {
@@ -195,27 +160,27 @@ std::string MetricsRegistry::ToJson() const {
   for (const auto& [key, counter] : counters_) {
     if (!first) out += ",";
     first = false;
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), ",\"value\":%" PRIu64 "}", counter->value);
-    out += CellPrefix(std::get<0>(key), std::get<1>(key), std::get<2>(key));
-    out += buf;
+    AppendCellPrefix(&out, key);
+    out += ",";
+    json::AppendU64(&out, "value", counter->value);
+    out += "}";
   }
   out += "],\"gauges\":[";
   first = true;
   for (const auto& [key, gauge] : gauges_) {
     if (!first) out += ",";
     first = false;
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), ",\"value\":%" PRId64 "}", gauge->value);
-    out += CellPrefix(std::get<0>(key), std::get<1>(key), std::get<2>(key));
-    out += buf;
+    AppendCellPrefix(&out, key);
+    out += ",";
+    json::AppendI64(&out, "value", gauge->value);
+    out += "}";
   }
   out += "],\"windows\":[";
   first = true;
   for (const auto& [key, window] : windows_) {
     if (!first) out += ",";
     first = false;
-    out += CellPrefix(std::get<0>(key), std::get<1>(key), std::get<2>(key));
+    AppendCellPrefix(&out, key);
     out += ",\"window\":" + window.ToJson() + "}";
   }
   out += "],\"histograms\":[";
@@ -223,7 +188,7 @@ std::string MetricsRegistry::ToJson() const {
   for (const auto& [key, hist] : histograms_) {
     if (!first) out += ",";
     first = false;
-    out += CellPrefix(std::get<0>(key), std::get<1>(key), std::get<2>(key));
+    AppendCellPrefix(&out, key);
     out += ",\"hist\":" + hist.ToJson() + "}";
   }
   out += "]}";

@@ -84,8 +84,6 @@ class MetricsRegistry {
                              GroupId group = 0) const;
   const Gauge* FindGauge(const std::string& name, NodeId node = 0,
                          GroupId group = 0) const;
-  const SlidingWindow* FindWindow(const std::string& name, NodeId node = 0,
-                                  GroupId group = 0) const;
   const Histogram* FindHistogram(const std::string& name, NodeId node = 0,
                                  GroupId group = 0) const;
 
@@ -106,9 +104,6 @@ class MetricsRegistry {
   std::string ToJson() const;
 
   size_t counter_cells() const { return counters_.size(); }
-  size_t gauge_cells() const { return gauges_.size(); }
-  size_t window_cells() const { return windows_.size(); }
-  size_t histogram_cells() const { return histograms_.size(); }
 
  private:
   using Key = std::tuple<std::string, NodeId, GroupId>;

@@ -96,7 +96,7 @@ class TimelineRecorder {
                                const std::vector<Snapshot>& snapshots);
   // Strict parse of a scatter.timeline.v1 document; returns false on any
   // syntax or schema mismatch.
-  static bool Parse(const std::string& json, Parsed* out);
+  static bool Parse(const std::string& text, Parsed* out);
 
  private:
   using CellKey = std::tuple<std::string, NodeId, GroupId>;

@@ -1,54 +1,10 @@
 #include "src/obs/trace.h"
 
-#include <cinttypes>
 #include <cstdio>
 
+#include "src/common/json.h"
+
 namespace scatter::obs {
-namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void AppendU64(std::string* out, const char* key, uint64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%" PRIu64, key, v);
-  *out += buf;
-}
-
-void AppendI64(std::string* out, const char* key, int64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%" PRId64, key, v);
-  *out += buf;
-}
-
-}  // namespace
 
 TraceContext TraceRecorder::StartSpan(const std::string& name, NodeId node,
                                       GroupId group) {
@@ -152,50 +108,56 @@ std::string TraceRecorder::ToChromeJson() const {
   for (const Span& span : spans_) {
     if (!first) out += ",";
     first = false;
-    out += "{\"name\":\"" + EscapeJson(span.name) + "\",\"ph\":\"X\",";
-    AppendI64(&out, "ts", span.start_us);
+    out += "{\"name\":";
+    json::AppendString(&out, span.name);
+    out += ",\"ph\":\"X\",";
+    json::AppendI64(&out, "ts", span.start_us);
     out += ",";
     // Perfetto treats dur<=0 complete events poorly; clamp to 1us so every
     // span stays visible. The exact times remain in ts and args.
     const int64_t dur =
         span.end_us > span.start_us ? span.end_us - span.start_us : 1;
-    AppendI64(&out, "dur", dur);
+    json::AppendI64(&out, "dur", dur);
     out += ",";
-    AppendU64(&out, "pid", span.node);
+    json::AppendU64(&out, "pid", span.node);
     out += ",";
-    AppendU64(&out, "tid", span.group);
+    json::AppendU64(&out, "tid", span.group);
     out += ",\"args\":{";
-    AppendU64(&out, "trace_id", span.trace_id);
+    json::AppendU64(&out, "trace_id", span.trace_id);
     out += ",";
-    AppendU64(&out, "span_id", span.span_id);
+    json::AppendU64(&out, "span_id", span.span_id);
     out += ",";
-    AppendU64(&out, "parent_span_id", span.parent_span_id);
+    json::AppendU64(&out, "parent_span_id", span.parent_span_id);
     out += ",";
-    AppendU64(&out, "node", span.node);
+    json::AppendU64(&out, "node", span.node);
     out += ",";
-    AppendU64(&out, "group", span.group);
+    json::AppendU64(&out, "group", span.group);
     if (span.open) {
       out += ",\"open\":true";
     }
     for (const auto& [key, value] : span.args) {
-      out += ",\"" + EscapeJson(key) + "\":\"" + EscapeJson(value) + "\"";
+      out += ",";
+      json::AppendString(&out, key);
+      out += ":";
+      json::AppendString(&out, value);
     }
     out += "}}";
   }
   for (const Instant& inst : instants_) {
     if (!first) out += ",";
     first = false;
-    out += "{\"name\":\"" + EscapeJson(inst.name) +
-           "\",\"ph\":\"i\",\"s\":\"t\",";
-    AppendI64(&out, "ts", inst.ts_us);
+    out += "{\"name\":";
+    json::AppendString(&out, inst.name);
+    out += ",\"ph\":\"i\",\"s\":\"t\",";
+    json::AppendI64(&out, "ts", inst.ts_us);
     out += ",";
-    AppendU64(&out, "pid", inst.node);
+    json::AppendU64(&out, "pid", inst.node);
     out += ",";
-    AppendU64(&out, "tid", inst.group);
+    json::AppendU64(&out, "tid", inst.group);
     out += ",\"args\":{";
-    AppendU64(&out, "trace_id", inst.trace_id);
+    json::AppendU64(&out, "trace_id", inst.trace_id);
     out += ",";
-    AppendU64(&out, "parent_span_id", inst.parent_span_id);
+    json::AppendU64(&out, "parent_span_id", inst.parent_span_id);
     out += "}}";
   }
   out += "],\"displayTimeUnit\":\"ms\","

@@ -60,25 +60,6 @@ double SlidingWindow::RatePerSec(int64_t now_us) const {
   return static_cast<double>(TotalInWindow(now_us)) / span_sec;
 }
 
-double SlidingWindow::EwmaPerSec(int64_t now_us) const {
-  if (last_epoch_ < 0) return 0.0;
-  const int64_t epoch = std::max(EpochFor(now_us), last_epoch_);
-  double ewma = ewma_;
-  // Fold closed-but-unrolled buckets the same way RollTo would, without
-  // mutating state (queries must stay const and side-effect free).
-  if (epoch > last_epoch_) {
-    const int64_t gap = epoch - last_epoch_;
-    const size_t idx = static_cast<size_t>(last_epoch_ % static_cast<int64_t>(ring_.size()));
-    const double closed_sum =
-        (ring_[idx].epoch == last_epoch_) ? static_cast<double>(ring_[idx].sum) : 0.0;
-    ewma = (1.0 - params_.ewma_alpha) * ewma + params_.ewma_alpha * closed_sum;
-    if (gap > 1) {
-      ewma *= std::pow(1.0 - params_.ewma_alpha, static_cast<double>(gap - 1));
-    }
-  }
-  return ewma * 1e6 / static_cast<double>(params_.bucket_width_us);
-}
-
 void SlidingWindow::Merge(const SlidingWindow& other) {
   assert(params_ == other.params_);
   for (const Bucket& ob : other.ring_) {

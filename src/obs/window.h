@@ -54,10 +54,6 @@ class SlidingWindow {
   // TotalInWindow scaled to events per second over the full window span.
   double RatePerSec(int64_t now_us) const;
 
-  // Smoothed events-per-second: EWMA over closed buckets, decayed for any
-  // bucket boundaries crossed since the last sample.
-  double EwmaPerSec(int64_t now_us) const;
-
   // Cumulative total since construction (never windowed out).
   uint64_t total() const { return total_; }
 

@@ -74,8 +74,6 @@ class Log {
   // All present entries with index >= from, in index order.
   std::vector<LogEntry> Suffix(uint64_t from) const;
 
-  size_t SlotCount() const { return entries_.size(); }
-
   // The config entries present in the log, by index. Every mutation above
   // keeps it in step with the slots, so it is exactly the entries whose
   // command kind is kConfig.

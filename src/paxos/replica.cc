@@ -61,11 +61,8 @@ Replica::Stats::Stats(obs::MetricsRegistry& registry, NodeId node,
           registry.GetGauge("paxos.proposals_pending", node, group)),
       snapshots_inflight(
           registry.GetGauge("paxos.snapshots_inflight", node, group)),
-      window_commits(registry.GetWindow("paxos.window.commits", node, group)),
-      window_commit_bytes(
-          registry.GetWindow("paxos.window.commit_bytes", node, group)),
-      window_elections(
-          registry.GetWindow("paxos.window.elections", node, group)) {}
+      window_commits(
+          registry.GetWindow("paxos.window.commits", node, group)) {}
 
 void Replica::UpdateHealthGauges() {
   stats_.commit_index.Set(static_cast<int64_t>(commit_index_));
@@ -308,7 +305,6 @@ void Replica::StartElection() {
   RaisePromise(Ballot{max_round_seen_, self_});
   votes_ = {self_};
   stats_.elections_started++;
-  stats_.window_elections.Record(sim_->now());
   SCATTER_TRACE() << "g" << group_ << " n" << self_ << " campaigning at "
                   << promised_.ToString();
   if (votes_.size() >= QuorumSize()) {
@@ -1271,19 +1267,6 @@ std::vector<std::pair<NodeId, TimeMicros>> Replica::MemberCentralities()
   return out;
 }
 
-std::vector<std::pair<NodeId, TimeMicros>> Replica::PeerRtts() const {
-  std::vector<std::pair<NodeId, TimeMicros>> out;
-  for (NodeId member : config_) {
-    if (member == self_) {
-      continue;
-    }
-    auto it = peers_.find(member);
-    out.emplace_back(member,
-                     it == peers_.end() ? 0 : it->second.rtt_ewma);
-  }
-  return out;
-}
-
 void Replica::ServePendingReads() {
   if (pending_reads_.empty()) {
     return;
@@ -1451,7 +1434,6 @@ void Replica::ApplyCommitted() {
     SCATTER_CHECK(entry != nullptr);
     const CommandPtr command = entry->command;  // Keep alive across apply.
     applied_index_ = index;
-    stats_.window_commit_bytes.Record(sim_->now(), command->ByteSize());
     // Leader side, the apply span parents to the proposal's span; follower
     // side there is none, so it parents to the delivered Accept's context.
     obs::TraceContext apply_span;

@@ -129,7 +129,6 @@ class Replica {
   void LinearizableRead(ReadCallback callback);
 
   // --- Introspection ----------------------------------------------------
-  GroupId group_id() const { return group_; }
   NodeId self() const { return self_; }
   Role role() const { return role_; }
   bool is_leader() const { return role_ == Role::kLeader; }
@@ -161,9 +160,6 @@ class Replica {
   // `target` to campaign immediately. Returns false if preconditions fail
   // (not leader, target not a member, target == self).
   bool TransferLeadership(NodeId target);
-
-  // Leader's smoothed RTT to each current peer (zero if unmeasured).
-  std::vector<std::pair<NodeId, TimeMicros>> PeerRtts() const;
 
   // This replica's self-measured centrality: mean smoothed RTT to peers
   // (0 until at least half the peers have been probed). Cached: every
@@ -242,10 +238,8 @@ class Replica {
     obs::Gauge& is_leader;          // 1 while this replica leads
     obs::Gauge& proposals_pending;  // accepted-not-yet-applied proposals
     obs::Gauge& snapshots_inflight; // unacked snapshot transfers (leader)
-    // Rate windows feeding the obs timeline and load-adaptive policies.
-    obs::SlidingWindow& window_commits;       // entries committed
-    obs::SlidingWindow& window_commit_bytes;  // command bytes applied
-    obs::SlidingWindow& window_elections;     // elections started
+    // Rate window feeding the obs timeline.
+    obs::SlidingWindow& window_commits;  // entries committed
   };
   const Stats& stats() const { return stats_; }
 

@@ -130,11 +130,6 @@ void RingMap::Erase(GroupId id) {
   by_id_.erase(it);
 }
 
-void RingMap::Clear() {
-  by_id_.clear();
-  by_start_.clear();
-}
-
 std::vector<GroupInfo> RingMap::All() const {
   std::vector<GroupInfo> out;
   out.reserve(by_id_.size());

@@ -45,8 +45,6 @@ class RingMap {
 
   void Erase(GroupId id);
 
-  void Clear();
-
   size_t size() const { return by_id_.size(); }
 
   std::vector<GroupInfo> All() const;

@@ -136,7 +136,6 @@ void Network::Send(MessagePtr message) {
         0.5 * (NodeFactor(message->from) + NodeFactor(message->to));
     latency = static_cast<TimeMicros>(static_cast<double>(latency) * factor);
   }
-  latency_hist_.Record(latency);
   if (config_.duplicate_rate > 0 && message->from != message->to &&
       rng_.Bernoulli(config_.duplicate_rate)) {
     TimeMicros dup_latency = config_.latency.Sample(rng_);

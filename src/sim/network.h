@@ -15,7 +15,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/common/random.h"
 #include "src/common/types.h"
 #include "src/sim/message.h"
@@ -121,7 +120,6 @@ class Network : public Transport {
   uint64_t messages_sent() const { return sent_; }
   uint64_t messages_delivered() const { return delivered_; }
   uint64_t messages_dropped() const { return dropped_; }
-  const Histogram& latency_histogram() const { return latency_hist_; }
 
   Simulator* simulator() const override { return sim_; }
 
@@ -150,7 +148,6 @@ class Network : public Transport {
   uint64_t sent_ = 0;
   uint64_t delivered_ = 0;
   uint64_t dropped_ = 0;
-  Histogram latency_hist_;
 };
 
 }  // namespace scatter::sim

@@ -11,9 +11,6 @@
 //                                before/after comparison that catches
 //                                handlers mutating delivered messages
 //
-// A future TCP transport implements this same interface against real
-// sockets; see DESIGN.md "Transport seam".
-//
 // Handlers must not block: every delivery runs on the one simulation loop,
 // so a stalled handler stalls the whole run (scatter-lint rule
 // `blocking-in-handler` polices the obvious offenders).

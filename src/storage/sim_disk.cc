@@ -8,10 +8,6 @@ void SimDisk::Append(const std::string& file, const uint8_t* data,
                      size_t size) {
   File& f = files_[file];
   f.bytes.insert(f.bytes.end(), data, data + size);
-  appended_bytes_ += size;
-  if (cfg_.append_bytes_per_us > 0) {
-    modeled_us_ += static_cast<TimeMicros>(size / cfg_.append_bytes_per_us);
-  }
 }
 
 void SimDisk::Replace(const std::string& file, const uint8_t* data,
@@ -47,16 +43,8 @@ std::vector<std::string> SimDisk::List() const {
 }
 
 void SimDisk::Sync() {
-  bool dirty = false;
   for (auto& [name, f] : files_) {
-    if (f.durable < f.bytes.size()) {
-      f.durable = f.bytes.size();
-      dirty = true;
-    }
-  }
-  if (dirty) {
-    syncs_++;
-    modeled_us_ += cfg_.fsync_latency;
+    f.durable = f.bytes.size();
   }
 }
 

@@ -5,10 +5,7 @@
 // with respect to the simulation: appends and syncs consume no randomness
 // and schedule no events, so a seeded run is bit-identical with persistence
 // on or off as long as no crash occurs (the acceptance contract of the
-// durability PR). Latency is modeled as pure accounting — modeled_sync_us
-// accumulates the configured per-fsync cost so benchmarks and observability
-// can report simulated disk time — rather than being fed back into the
-// event schedule, which would break that contract.
+// durability PR).
 //
 // Crash semantics: Crash() truncates every file to its durable watermark
 // (fail-stop during normal operation), discarding the unsynced tail.
@@ -25,22 +22,12 @@
 #include <string>
 #include <vector>
 
-#include "src/common/types.h"
 #include "src/storage/disk.h"
 
 namespace scatter::storage {
 
-struct SimDiskConfig {
-  // Modeled (accounting-only) cost of one fsync barrier.
-  TimeMicros fsync_latency = 0;
-  // Modeled append throughput in bytes per microsecond (0 = infinite).
-  uint64_t append_bytes_per_us = 0;
-};
-
 class SimDisk : public Disk {
  public:
-  explicit SimDisk(const SimDiskConfig& config = {}) : cfg_(config) {}
-
   void Append(const std::string& file, const uint8_t* data,
               size_t size) override;
   void Replace(const std::string& file, const uint8_t* data,
@@ -59,11 +46,7 @@ class SimDisk : public Disk {
   // normally.
   void CrashWithTornTail(const std::string& file, size_t keep);
 
-  // --- Introspection (tests, benchmarks) -----------------------------------
-  uint64_t syncs() const { return syncs_; }
-  uint64_t appended_bytes() const { return appended_bytes_; }
-  // Accumulated modeled disk time (see file comment).
-  TimeMicros modeled_us() const { return modeled_us_; }
+  // --- Introspection (tests) ----------------------------------------------
   size_t FileSize(const std::string& file) const;
   size_t DurableSize(const std::string& file) const;
 
@@ -73,11 +56,7 @@ class SimDisk : public Disk {
     size_t durable = 0;  // watermark: bytes guaranteed to survive a crash
   };
 
-  SimDiskConfig cfg_;
   std::map<std::string, File> files_;
-  uint64_t syncs_ = 0;
-  uint64_t appended_bytes_ = 0;
-  TimeMicros modeled_us_ = 0;
 };
 
 }  // namespace scatter::storage

@@ -29,39 +29,6 @@ RingCheckOutcome CheckQuiescentCover(const core::Cluster& cluster) {
   return out;
 }
 
-RingCheckOutcome CheckNoOverlappingLeaders(core::Cluster& cluster) {
-  RingCheckOutcome out;
-  struct LedGroup {
-    ring::GroupInfo info;
-    NodeId leader_node;
-  };
-  std::vector<LedGroup> led;
-  for (NodeId id : cluster.live_node_ids()) {
-    core::ScatterNode* node = cluster.node(id);
-    for (const ring::GroupInfo& info : node->ServingInfos()) {
-      if (info.leader == id) {
-        led.push_back({info, id});
-      }
-    }
-  }
-  for (size_t i = 0; i < led.size(); ++i) {
-    for (size_t j = i + 1; j < led.size(); ++j) {
-      if (led[i].info.id == led[j].info.id) {
-        // Two leaders of the same group: allowed only transiently at
-        // different epochs of the replica's term; flag same-range overlap.
-        continue;
-      }
-      if (led[i].info.range.Overlaps(led[j].info.range)) {
-        out.ok = false;
-        out.problems.push_back("leader-led overlap: " +
-                               led[i].info.ToString() + " vs " +
-                               led[j].info.ToString());
-      }
-    }
-  }
-  return out;
-}
-
 RingCheckOutcome CheckReplicaAgreement(core::Cluster& cluster) {
   RingCheckOutcome out;
   // Gather replicas per group.

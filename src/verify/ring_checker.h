@@ -3,12 +3,10 @@
 // The core invariant — group ranges tile the full ring disjointly — holds
 // of the *committed* state at all times, but an observer sampling replicas
 // mid-handover sees transients (a merged group whose laggard parent replica
-// has not yet retired). The checker therefore distinguishes:
-//  - Quiescent check: with structural operations drained, the authoritative
-//    ring must be an exact disjoint cover.
-//  - Continuous check: at any instant, the groups WITH an elected leader
-//    must never have two leaders serving overlapping ranges at overlapping
-//    epochs (that would make split-brain possible).
+// has not yet retired). The checks here therefore run at quiescence: with
+// structural operations drained, the authoritative ring must be an exact
+// disjoint cover. The continuous check (no two leader-led groups serve
+// overlapping ranges) is analysis::MakeRingSafetyChecker().
 
 #ifndef SCATTER_SRC_VERIFY_RING_CHECKER_H_
 #define SCATTER_SRC_VERIFY_RING_CHECKER_H_
@@ -27,9 +25,6 @@ struct RingCheckOutcome {
 
 // Quiescent invariant: the authoritative ring exactly tiles the key space.
 RingCheckOutcome CheckQuiescentCover(const core::Cluster& cluster);
-
-// Continuous invariant: no two *leader-led* serving groups overlap.
-RingCheckOutcome CheckNoOverlappingLeaders(core::Cluster& cluster);
 
 // Quiescent invariant: all replicas of each group that have applied the
 // same log prefix hold identical stores and ranges. Compares every member

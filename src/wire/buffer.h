@@ -88,7 +88,6 @@ class Buffer {
   void WriteU16(uint16_t v) { WriteLe(v); }
   void WriteU32(uint32_t v) { WriteLe(v); }
   void WriteU64(uint64_t v) { WriteLe(v); }
-  void WriteI64(int64_t v) { WriteLe(static_cast<uint64_t>(v)); }
   void WriteDouble(double v) {
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));
@@ -229,7 +228,6 @@ class Reader {
   uint16_t ReadU16() { return ReadLe<uint16_t>(); }
   uint32_t ReadU32() { return ReadLe<uint32_t>(); }
   uint64_t ReadU64() { return ReadLe<uint64_t>(); }
-  int64_t ReadI64() { return static_cast<int64_t>(ReadLe<uint64_t>()); }
   double ReadDouble() {
     const uint64_t bits = ReadLe<uint64_t>();
     double v;

@@ -1,11 +1,8 @@
 #include "src/wire/buffer_pool.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <utility>
 
-#include "src/common/logging.h"
 #include "src/obs/metrics.h"
 
 // Poison released buffers whenever asserts are live or ASan is watching.
@@ -14,10 +11,10 @@
 // whole [0, capacity) region unaddressable under ASan, so the same mistake
 // becomes a hard error there.
 #if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__)
-#define SCATTER_WIRE_POOL_POISON 1
+#define SCATTER_BUFFER_POOL_POISON 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
-#define SCATTER_WIRE_POOL_POISON 1
+#define SCATTER_BUFFER_POOL_POISON 1
 #endif
 #endif
 
@@ -43,27 +40,6 @@ size_t ClassIndexFor(size_t size) {
 }
 
 }  // namespace
-
-bool WirePoolEnabledFromEnv() {
-  // Read once during single-threaded startup; nothing mutates the env.
-  static const bool enabled = [] {
-    // LINT-ALLOW(determinism-ambient): pooling changes where frame bytes
-    // live, never what they contain — seeded runs are bit-identical with the
-    // pool on or off (asserted by the ci.sh wire stage), so this is test
-    // configuration, not simulation state.
-    const char* value = std::getenv("SCATTER_WIRE_POOL");  // NOLINT(concurrency-mt-unsafe)
-    if (value == nullptr || value[0] == '\0' || std::strcmp(value, "on") == 0) {
-      return true;
-    }
-    if (std::strcmp(value, "off") == 0) {
-      return false;
-    }
-    SCATTER_ERROR() << "SCATTER_WIRE_POOL=" << value << " is not on|off";
-    SCATTER_CHECK(false);
-    return true;
-  }();
-  return enabled;
-}
 
 BufferPool::BufferPool() : BufferPool(Config{}) {}
 
@@ -96,7 +72,7 @@ size_t BufferPool::ClassCapacity(size_t size_hint) {
 
 BufferPool::Handle BufferPool::Acquire(size_t size_hint, NodeId node) {
   const size_t idx = ClassIndexFor(size_hint);
-  if (config_.enabled && idx != kNoClass) {
+  if (idx != kNoClass) {
     // A larger class serves a smaller request fine, so scan upward from the
     // hinted class. This matters when ByteSize() hints low: the buffer grows
     // mid-encode and Release re-bins it into a bigger class, and without the
@@ -126,13 +102,13 @@ void BufferPool::Release(Buffer* raw, NodeId node) {
   // buffer that expanded mid-encode must land in the class whose next
   // Acquire can use that capacity without another growth.
   const size_t idx = ClassIndexFor(buffer->capacity());
-  if (!config_.enabled || idx == kNoClass ||
+  if (idx == kNoClass ||
       classes_[idx].size() >= config_.max_buffers_per_class) {
     ++*CellsFor(node).discard;
     total_discards_++;
     return;
   }
-#ifdef SCATTER_WIRE_POOL_POISON
+#ifdef SCATTER_BUFFER_POOL_POISON
   buffer->Poison(0xA5);
 #endif
   buffer->clear();

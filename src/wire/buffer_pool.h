@@ -25,8 +25,7 @@
 //
 // Determinism: the pool never consumes simulation RNG or time; whether a
 // frame came from the freelist or a fresh allocation is invisible to the
-// bytes produced, so seeded runs are bit-identical with the pool on or off
-// (SCATTER_WIRE_POOL, checked by scripts/ci.sh).
+// bytes produced.
 
 #ifndef SCATTER_SRC_WIRE_BUFFER_POOL_H_
 #define SCATTER_SRC_WIRE_BUFFER_POOL_H_
@@ -45,18 +44,9 @@ class MetricsRegistry;
 
 namespace scatter::wire {
 
-// Process-wide default for pooled buffer reuse, from SCATTER_WIRE_POOL
-// (on|off, unset = on). Read once at startup; per-pool Config can override
-// in tests.
-bool WirePoolEnabledFromEnv();
-
 class BufferPool {
  public:
   struct Config {
-    // false = every Acquire allocates and every Release frees (the
-    // SCATTER_WIRE_POOL=off leg); stats still count, so the off mode is the
-    // alloc-per-delivery baseline the counters are compared against.
-    bool enabled = WirePoolEnabledFromEnv();
     // Per-class freelist bound; releases past it free the buffer.
     size_t max_buffers_per_class = 64;
   };
@@ -69,7 +59,7 @@ class BufferPool {
   // so per-node health detection and scatter-top aren't reading one
   // cluster-wide aggregate. With a null registry the counters live in the
   // pool itself.
-  BufferPool();  // Config defaults (env-gated, standard class caps).
+  BufferPool();  // Config defaults (standard class caps).
   explicit BufferPool(Config config, obs::MetricsRegistry* metrics = nullptr);
   ~BufferPool();
 
@@ -142,7 +132,6 @@ class BufferPool {
   uint64_t discards() const { return total_discards_; }
   // Buffers currently parked on freelists.
   size_t pooled_buffers() const;
-  bool enabled() const { return config_.enabled; }
 
   // Capacity (bytes) of the size class that serves `size_hint`.
   static size_t ClassCapacity(size_t size_hint);

@@ -42,8 +42,7 @@ bool FramesEqualIgnoringTo(const Buffer& a, const Buffer& b) {
 SerializingNetwork::SerializingNetwork(sim::Simulator* sim,
                                        sim::NetworkConfig config)
     : sim::Network(sim, config),
-      pool_(BufferPool::Config{.enabled = WirePoolEnabledFromEnv()},
-            &sim->metrics()),
+      pool_(BufferPool::Config{}, &sim->metrics()),
       metrics_(&sim->metrics()) {
   // Codecs are registered by the protocol modules that own the message
   // structs (core::RegisterScatterWireCodecs(), baseline's RegisterWireCodecs):
@@ -94,8 +93,7 @@ void SerializingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
 AuditingNetwork::AuditingNetwork(sim::Simulator* sim,
                                  sim::NetworkConfig config)
     : sim::Network(sim, config),
-      pool_(BufferPool::Config{.enabled = WirePoolEnabledFromEnv()},
-            &sim->metrics()) {}
+      pool_(BufferPool::Config{}, &sim->metrics()) {}
 
 void AuditingNetwork::Report(const sim::MessagePtr& message,
                              std::string detail) {

@@ -15,7 +15,7 @@
 //                       message, plus any codec that fails to round-trip.
 //
 // Hot-path mechanics (see DESIGN.md "wire hot path"): frame bytes live in
-// pooled buffers (BufferPool, SCATTER_WIRE_POOL), header routing fields are
+// pooled buffers (BufferPool), header routing fields are
 // read through a lazy FrameView, and both transports publish their traffic
 // and pool counters ("wire.*") in the simulation's metrics registry.
 

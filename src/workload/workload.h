@@ -76,7 +76,6 @@ class WorkloadDriver {
   void Stop();
 
   const WorkloadStats& stats() const { return stats_; }
-  WorkloadStats& mutable_stats() { return stats_; }
   verify::HistoryRecorder& history() { return history_; }
 
   // The ring key for rank `i` of the workload's key population.

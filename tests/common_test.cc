@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
 #include "src/common/inline_fn.h"
+#include "src/common/json.h"
 #include "src/common/pooled.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
@@ -401,6 +403,93 @@ TEST(PooledTest, FreeBlocksArePoisonedUnderAddressSanitizer) {
   EXPECT_FALSE(__asan_address_is_poisoned(&b->value));
 }
 #endif
+
+// ---------------------------------------------------------------------------
+// JSON writer and reader
+// ---------------------------------------------------------------------------
+
+TEST(JsonTest, WritersEscapeAndFormat) {
+  std::string out;
+  json::AppendString(&out, "a\"b\\c\nd\te\x01");
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+  out.clear();
+  json::AppendU64(&out, "u", UINT64_MAX);
+  out += ",";
+  json::AppendI64(&out, "i", INT64_MIN);
+  out += ",";
+  json::AppendDouble(&out, "d", 0.1);
+  EXPECT_EQ(out,
+            "\"u\":18446744073709551615,\"i\":-9223372036854775808,"
+            "\"d\":0.10000000000000001");
+}
+
+TEST(JsonTest, ParsesDocumentsAndRoundTripsStrings) {
+  std::string doc = "{\"s\":";
+  json::AppendString(&doc, std::string("q\"\x1f\\", 4));
+  doc += ", \"a\": [true, false, null, -0.5e+2, {}], \"o\": {\"k\": []}}";
+  json::Value v;
+  std::string error;
+  ASSERT_TRUE(json::Parse(doc, &v, &error)) << error;
+  ASSERT_TRUE(v.is_object());
+  EXPECT_EQ(v.Find("s")->text, std::string("q\"\x1f\\", 4));
+  const json::Value* a = v.Find("a");
+  ASSERT_TRUE(a != nullptr && a->is_array());
+  ASSERT_EQ(a->array.size(), 5u);
+  EXPECT_TRUE(a->array[0].boolean);
+  EXPECT_EQ(a->array[2].type, json::Value::Type::kNull);
+  double d = 0;
+  ASSERT_TRUE(a->array[3].AsDouble(&d));
+  EXPECT_EQ(d, -50.0);
+  EXPECT_TRUE(a->array[4].is_object());
+  EXPECT_TRUE(v.Find("o")->Find("k")->is_array());
+  EXPECT_EQ(v.Find("missing"), nullptr);
+}
+
+TEST(JsonTest, ReadsIntegersExactlyAndFailsOnOverflow) {
+  auto number = [](const std::string& token) {
+    json::Value v;
+    EXPECT_TRUE(json::Parse(token, &v)) << token;
+    return v;
+  };
+  uint64_t u = 0;
+  int64_t i = 0;
+  EXPECT_TRUE(number("18446744073709551615").AsU64(&u));
+  EXPECT_EQ(u, UINT64_MAX);
+  EXPECT_FALSE(number("18446744073709551616").AsU64(&u));
+  EXPECT_FALSE(number("-1").AsU64(&u));
+  EXPECT_TRUE(number("-9223372036854775808").AsI64(&i));
+  EXPECT_EQ(i, INT64_MIN);
+  EXPECT_TRUE(number("9223372036854775807").AsI64(&i));
+  EXPECT_EQ(i, INT64_MAX);
+  EXPECT_FALSE(number("9223372036854775808").AsI64(&i));
+  EXPECT_FALSE(number("-9223372036854775809").AsI64(&i));
+  // Integer reads want an integer token.
+  EXPECT_FALSE(number("1e3").AsI64(&i));
+  EXPECT_FALSE(number("1.0").AsU64(&u));
+  double d = 0;
+  EXPECT_FALSE(number("1e400").AsDouble(&d));
+  EXPECT_FALSE(json::Value().AsDouble(&d));
+}
+
+TEST(JsonTest, RejectsWhatJsonDoesNotAllow) {
+  for (const char* bad :
+       {"", "+1", "0x10", "inf", "-inf", "nan", "01", "1.", ".5", "1e",
+        "-", "[1,]", "{\"a\":1,}", "{\"a\" 1}", "{1:2}", "[1 2]",
+        "\"unterminated", "\"bad\\q\"", "\"\\u12g4\"", "\"raw\ttab\"",
+        "tru", "nul", "{} {}", "[] x", "1 2"}) {
+    json::Value v;
+    std::string error;
+    EXPECT_FALSE(json::Parse(bad, &v, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  std::string deep(66, '[');
+  deep += std::string(66, ']');
+  json::Value v;
+  EXPECT_FALSE(json::Parse(deep, &v));
+  std::string shallow(65, '[');
+  shallow += std::string(65, ']');
+  EXPECT_TRUE(json::Parse(shallow, &v));
+}
 
 }  // namespace
 }  // namespace scatter

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/invariant_auditor.h"
 #include "src/churn/churn.h"
 #include "src/common/hash.h"
 #include "src/core/cluster.h"
@@ -338,10 +339,12 @@ TEST(CoreOverlapTest, NoOverlappingLeadersDuringOperations) {
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(PutSync(c, client, "o" + std::to_string(i), "v"));
   }
+  auto ring_safety = analysis::MakeRingSafetyChecker();
   for (int step = 0; step < 60; ++step) {
     c.RunFor(Millis(500));
-    auto outcome = verify::CheckNoOverlappingLeaders(c);
-    ASSERT_TRUE(outcome.ok) << outcome.problems[0];
+    std::vector<std::string> problems;
+    ring_safety->Check(c, &problems);
+    ASSERT_TRUE(problems.empty()) << problems[0];
   }
 }
 

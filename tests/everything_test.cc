@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/audit_scope.h"
+#include "src/analysis/invariant_auditor.h"
 #include "src/churn/churn.h"
 #include "src/core/cluster.h"
 #include "src/verify/linearizability.h"
@@ -63,10 +64,12 @@ TEST_P(EverythingSweep, AllMechanismsComposeConsistently) {
 
   // Sample the continuous invariant while everything churns: no two
   // leader-led serving groups may ever overlap (split-brain precursor).
+  auto ring_safety = analysis::MakeRingSafetyChecker();
   for (int tick = 0; tick < 360; ++tick) {
     c.RunFor(Millis(500));
-    auto overlap = verify::CheckNoOverlappingLeaders(c);
-    ASSERT_TRUE(overlap.ok) << overlap.problems[0];
+    std::vector<std::string> overlap;
+    ring_safety->Check(c, &overlap);
+    ASSERT_TRUE(overlap.empty()) << overlap[0];
   }
   churner.Stop();
   driver.Stop();

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,39 @@ TEST(McDecisionTest, FromJsonRejectsMalformedInput) {
       "\"schedule\": [{\"kind\": \"nonsense\", \"arg\": 0}]}",
       &out, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(McDecisionTest, CounterexampleRoundTripsMaxSeed) {
+  Counterexample ce = SampleCounterexample();
+  ce.seed = UINT64_MAX;
+  ce.schedule[0].arg = UINT64_MAX;
+  Counterexample back;
+  std::string error;
+  ASSERT_TRUE(Counterexample::FromJson(ce.ToJson(), &back, &error)) << error;
+  EXPECT_EQ(back.seed, UINT64_MAX);
+  EXPECT_EQ(back.schedule[0].arg, UINT64_MAX);
+}
+
+TEST(McDecisionTest, FromJsonRejectsSeedOverflowAndTrailingGarbage) {
+  const std::string json = SampleCounterexample().ToJson();
+  Counterexample out;
+  std::string error;
+  ASSERT_TRUE(Counterexample::FromJson(json, &out, &error)) << error;
+
+  // UINT64_MAX + 2 must not wrap around to seed 1 and replay another run.
+  std::string overflow = json;
+  const std::string seed = "\"seed\": 42";
+  ASSERT_NE(overflow.find(seed), std::string::npos);
+  overflow.replace(overflow.find(seed), seed.size(),
+                   "\"seed\": 18446744073709551617");
+  error.clear();
+  EXPECT_FALSE(Counterexample::FromJson(overflow, &out, &error));
+  EXPECT_FALSE(error.empty());
+
+  error.clear();
+  EXPECT_FALSE(Counterexample::FromJson(json + "}", &out, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(Counterexample::FromJson(json + "garbage", &out, &error));
 }
 
 TEST(McDecisionTest, CommutesOnlyForDeliveriesToDifferentNodes) {

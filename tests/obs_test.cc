@@ -11,6 +11,7 @@
 
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
+#include "src/common/json.h"
 #include "src/common/logging.h"
 #include "src/core/cluster.h"
 #include "src/obs/metrics.h"
@@ -739,6 +740,69 @@ TEST(TimelineTest, ParseRejectsMalformedDocuments) {
   rec.Capture(250'000);
   EXPECT_TRUE(obs::TimelineRecorder::Parse(rec.ToJson(), &parsed));
   EXPECT_FALSE(obs::TimelineRecorder::Parse(rec.ToJson() + "x", &parsed));
+}
+
+// A one-snapshot timeline document with the given period and timestamp
+// tokens, spliced in verbatim.
+std::string TimelineDoc(const std::string& period_us, const std::string& ts_us) {
+  return "{\"schema\":\"scatter.timeline.v1\",\"period_us\":" + period_us +
+         ",\"snapshots\":[{\"ts_us\":" + ts_us +
+         ",\"groups\":[],\"nodes\":[]}]}";
+}
+
+TEST(TimelineTest, ParseRejectsNumbersJsonDoesNotAllowOrInt64CannotHold) {
+  obs::TimelineRecorder::Parsed parsed;
+  ASSERT_TRUE(
+      obs::TimelineRecorder::Parse(TimelineDoc("250000", "1000"), &parsed));
+  EXPECT_EQ(parsed.period_us, 250'000);
+  EXPECT_EQ(parsed.snapshots.at(0).ts_us, 1000);
+  // Out of int64 range: converting it would be undefined behaviour.
+  EXPECT_FALSE(
+      obs::TimelineRecorder::Parse(TimelineDoc("250000", "1e300"), &parsed));
+  // An integer field written with an exponent is not an integer token.
+  EXPECT_FALSE(
+      obs::TimelineRecorder::Parse(TimelineDoc("250000", "1e3"), &parsed));
+  // strtod accepts these; JSON does not.
+  EXPECT_FALSE(
+      obs::TimelineRecorder::Parse(TimelineDoc("250000", "-inf"), &parsed));
+  EXPECT_FALSE(
+      obs::TimelineRecorder::Parse(TimelineDoc("0x3D090", "1000"), &parsed));
+  EXPECT_FALSE(
+      obs::TimelineRecorder::Parse(TimelineDoc("250000", "nan"), &parsed));
+}
+
+// Every window cell a live cluster registers is one the timeline reads.
+TEST(MetricsRegistryTest, ClusterRegistersOnlyTheWindowsTheTimelineReads) {
+  core::Cluster c(StaticCluster(5, 6, 2));
+  c.RunFor(Seconds(2));
+  core::Client* client = c.AddClient();
+  int acked = 0;
+  for (int i = 0; i < 20; ++i) {
+    client->Put(KeyFromString(std::to_string(i)), "v",
+                [&](Status s) { acked += s.ok() ? 1 : 0; });
+  }
+  const TimeMicros deadline = c.sim().now() + Seconds(20);
+  while (acked < 20 && c.sim().now() < deadline) {
+    c.sim().RunFor(Millis(10));
+  }
+  ASSERT_EQ(acked, 20);
+
+  json::Value metrics;
+  ASSERT_TRUE(json::Parse(c.sim().metrics().ToJson(), &metrics));
+  const json::Value* windows = metrics.Find("windows");
+  ASSERT_NE(windows, nullptr);
+  std::set<std::string> names;
+  std::set<GroupId> groups;
+  for (const json::Value& cell : windows->array) {
+    names.insert(cell.Find("name")->text);
+    uint64_t group = 0;
+    ASSERT_TRUE(cell.Find("group")->AsU64(&group));
+    groups.insert(group);
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"paxos.window.commits",
+                                          "store.window.bytes",
+                                          "store.window.ops"}));
+  EXPECT_EQ(groups.size(), 2u);
 }
 
 }  // namespace

@@ -21,15 +21,14 @@
 namespace scatter::wire {
 namespace {
 
-BufferPool::Config Enabled(size_t cap = 64) {
+BufferPool::Config Capped(size_t cap = 64) {
   BufferPool::Config config;
-  config.enabled = true;
   config.max_buffers_per_class = cap;
   return config;
 }
 
 TEST(BufferPoolTest, AcquireMissesThenHitsOnRecycle) {
-  BufferPool pool(Enabled());
+  BufferPool pool(Capped());
   {
     BufferPool::Handle h = pool.Acquire(100);
     EXPECT_EQ(h.size(), 0u);
@@ -57,7 +56,7 @@ TEST(BufferPoolTest, ClassCapacityCoversHint) {
 }
 
 TEST(BufferPoolTest, LargerClassServesSmallerHint) {
-  BufferPool pool(Enabled());
+  BufferPool pool(Capped());
   {
     // Grow a buffer well past its hinted class; Release re-bins it by the
     // grown capacity.
@@ -75,7 +74,7 @@ TEST(BufferPoolTest, LargerClassServesSmallerHint) {
 }
 
 TEST(BufferPoolTest, BoundedRetentionDiscardsBeyondCap) {
-  BufferPool pool(Enabled(/*cap=*/2));
+  BufferPool pool(Capped(/*cap=*/2));
   {
     BufferPool::Handle a = pool.Acquire(64);
     BufferPool::Handle b = pool.Acquire(64);
@@ -87,7 +86,7 @@ TEST(BufferPoolTest, BoundedRetentionDiscardsBeyondCap) {
 }
 
 TEST(BufferPoolTest, OversizeBuffersAreNeverPooled) {
-  BufferPool pool(Enabled());
+  BufferPool pool(Capped());
   {
     BufferPool::Handle h = pool.Acquire(1 << 20);
     EXPECT_GE(h->capacity(), 1u << 20);
@@ -96,22 +95,8 @@ TEST(BufferPoolTest, OversizeBuffersAreNeverPooled) {
   EXPECT_EQ(pool.discards(), 1u);
 }
 
-TEST(BufferPoolTest, DisabledPoolAllocatesAndFreesEveryTime) {
-  BufferPool::Config config;
-  config.enabled = false;
-  BufferPool pool(config);
-  for (int i = 0; i < 3; ++i) {
-    BufferPool::Handle h = pool.Acquire(100);
-    h->WriteU64(7);
-  }
-  EXPECT_EQ(pool.hits(), 0u);
-  EXPECT_EQ(pool.misses(), 3u);
-  EXPECT_EQ(pool.discards(), 3u);
-  EXPECT_EQ(pool.pooled_buffers(), 0u);
-}
-
 TEST(BufferPoolTest, HandleMoveTransfersTheLease) {
-  BufferPool pool(Enabled());
+  BufferPool pool(Capped());
   BufferPool::Handle a = pool.Acquire(64);
   a->WriteU64(42);
   BufferPool::Handle b = std::move(a);
@@ -133,7 +118,7 @@ TEST(BufferPoolTest, HandleMoveTransfersTheLease) {
 // pointer into the recycled buffer dies here rather than reading the next
 // frame's bytes.
 TEST(BufferPoolTest, RecycledBuffersComeBackCleanAfterDirtying) {
-  BufferPool pool(Enabled());
+  BufferPool pool(Capped());
   std::vector<uint8_t> previous;
   for (int round = 0; round < 64; ++round) {
     BufferPool::Handle h = pool.Acquire(512);
@@ -157,7 +142,7 @@ TEST(BufferPoolTest, RecycledBuffersComeBackCleanAfterDirtying) {
 
 TEST(BufferPoolTest, BindsCountersIntoMetricsRegistry) {
   obs::MetricsRegistry metrics;
-  BufferPool pool(Enabled(), &metrics);
+  BufferPool pool(Capped(), &metrics);
   {
     BufferPool::Handle h = pool.Acquire(64);
   }
@@ -183,7 +168,7 @@ TEST(BufferPoolTest, InterleavedLeasesAccountEveryAcquire) {
   constexpr int kNodes = 4;
   constexpr int kRounds = 400;
   obs::MetricsRegistry metrics;
-  BufferPool pool(Enabled(kCap), &metrics);
+  BufferPool pool(Capped(kCap), &metrics);
 
   struct Lease {
     BufferPool::Handle handle;

@@ -9,6 +9,7 @@
 #include "src/common/logging.h"
 #include "src/core/scatter_node.h"
 #include "src/core/wire_codecs.h"
+#include "src/obs/health.h"
 #include "src/obs/trace.h"
 #include "src/membership/group_state_machine.h"
 #include "src/paxos/log.h"
@@ -16,7 +17,6 @@
 #include "src/paxos/replica.h"
 #include "src/txn/group_op_driver.h"
 #include "src/wire/buffer.h"
-#include "src/wire/codec.h"
 
 namespace scatter::analysis {
 namespace {

@@ -3,11 +3,21 @@
 #include <memory>
 #include <utility>
 
+#include "src/baseline/chord_node.h"
 #include "src/common/logging.h"
 #include "src/common/pooled.h"
 #include "src/sim/simulator.h"
 
 namespace scatter::baseline {
+namespace {
+
+constexpr TimeMicros kOpDeadline = Seconds(8);
+constexpr TimeMicros kRpcTimeout = Millis(500);
+constexpr TimeMicros kBackoffMin = Millis(20);
+constexpr TimeMicros kBackoffMax = Millis(200);
+constexpr size_t kMaxAttempts = 16;
+
+}  // namespace
 
 ChordClient::Stats::Stats(obs::MetricsRegistry& registry, NodeId node)
     : ops_ok(registry.GetCounter("chord.ops_ok", node)),
@@ -17,10 +27,8 @@ ChordClient::Stats::Stats(obs::MetricsRegistry& registry, NodeId node)
       lookup_hops(registry.GetHistogram("chord.lookup_hops", node)) {}
 
 ChordClient::ChordClient(NodeId id, sim::Transport* network,
-                         std::vector<NodeId> seeds,
-                         const ChordClientConfig& config)
+                         std::vector<NodeId> seeds)
     : RpcNode(id, network),
-      cfg_(config),
       seeds_(std::move(seeds)),
       stats_(network->simulator()->metrics(), id) {}
 
@@ -30,7 +38,7 @@ void ChordClient::Get(Key key, GetCallback callback) {
   auto op = std::make_shared<Op>();
   op->is_write = false;
   op->key = key;
-  op->deadline = now() + cfg_.op_deadline;
+  op->deadline = now() + kOpDeadline;
   op->get_cb = std::move(callback);
   Attempt(std::move(op));
 }
@@ -40,13 +48,13 @@ void ChordClient::Put(Key key, Value value, PutCallback callback) {
   op->is_write = true;
   op->key = key;
   op->value = std::move(value);
-  op->deadline = now() + cfg_.op_deadline;
+  op->deadline = now() + kOpDeadline;
   op->put_cb = std::move(callback);
   Attempt(std::move(op));
 }
 
 void ChordClient::Attempt(std::shared_ptr<Op> op) {
-  if (now() >= op->deadline || op->attempts >= cfg_.max_attempts) {
+  if (now() >= op->deadline || op->attempts >= kMaxAttempts) {
     if (op->is_write) {
       FinishPut(op, TimeoutError("deadline exceeded"));
     } else {
@@ -77,7 +85,7 @@ void ChordClient::Attempt(std::shared_ptr<Op> op) {
                   store->key = op->key;
                   store->value = op->value;
                   store->replicate = 3;
-                  Call(owner->id, std::move(store), cfg_.rpc_timeout,
+                  Call(owner->id, std::move(store), kRpcTimeout,
                        [this, op](StatusOr<sim::MessagePtr> result) mutable {
                          if (!result.ok()) {
                            AttemptLater(std::move(op));
@@ -89,7 +97,7 @@ void ChordClient::Attempt(std::shared_ptr<Op> op) {
                 }
                 auto fetch = MakePooled<ChordFetchMsg>();
                 fetch->key = op->key;
-                Call(owner->id, std::move(fetch), cfg_.rpc_timeout,
+                Call(owner->id, std::move(fetch), kRpcTimeout,
                      [this, op](StatusOr<sim::MessagePtr> result) mutable {
                        if (!result.ok()) {
                          AttemptLater(std::move(op));
@@ -107,20 +115,20 @@ void ChordClient::Attempt(std::shared_ptr<Op> op) {
 }
 
 void ChordClient::AttemptLater(std::shared_ptr<Op> op) {
-  timers().Schedule(rng().Range(cfg_.backoff_min, cfg_.backoff_max),
+  timers().Schedule(rng().Range(kBackoffMin, kBackoffMax),
                     [this, op = std::move(op)]() mutable { Attempt(op); });
 }
 
 void ChordClient::LookupOwner(
     Key key, size_t hops, NodeRef at,
     std::function<void(StatusOr<NodeRef>)> callback) {
-  if (hops >= cfg_.max_lookup_hops) {
+  if (hops >= kMaxLookupHops) {
     callback(UnavailableError("hop limit"));
     return;
   }
   auto req = MakePooled<ChordFindSuccessorMsg>();
   req->target = key;
-  Call(at.id, std::move(req), cfg_.rpc_timeout,
+  Call(at.id, std::move(req), kRpcTimeout,
        [this, key, hops, callback = std::move(callback)](
            StatusOr<sim::MessagePtr> result) mutable {
          if (!result.ok()) {

@@ -19,19 +19,9 @@
 
 namespace scatter::baseline {
 
-struct ChordClientConfig {
-  TimeMicros op_deadline = Seconds(8);
-  TimeMicros rpc_timeout = Millis(500);
-  TimeMicros backoff_min = Millis(20);
-  TimeMicros backoff_max = Millis(200);
-  size_t max_attempts = 16;
-  size_t max_lookup_hops = 32;
-};
-
 class ChordClient : public rpc::RpcNode, public KvClient {
  public:
-  ChordClient(NodeId id, sim::Transport* network, std::vector<NodeId> seeds,
-              const ChordClientConfig& config);
+  ChordClient(NodeId id, sim::Transport* network, std::vector<NodeId> seeds);
 
   using GetCallback = std::function<void(StatusOr<Value>)>;
   using PutCallback = std::function<void(Status)>;
@@ -85,7 +75,6 @@ class ChordClient : public rpc::RpcNode, public KvClient {
   void FinishGet(const std::shared_ptr<Op>& op, StatusOr<Value> result);
   void FinishPut(const std::shared_ptr<Op>& op, Status status);
 
-  ChordClientConfig cfg_;
   std::vector<NodeId> seeds_;
   Stats stats_;
 };

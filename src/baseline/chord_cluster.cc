@@ -23,7 +23,7 @@ ChordCluster::ChordCluster(const ChordClusterConfig& config)
   std::vector<NodeId> seeds(ids.begin(),
                             ids.begin() + std::min<size_t>(ids.size(), 5));
   for (NodeId id : ids) {
-    nodes_[id] = std::make_unique<ChordNode>(id, net_.get(), cfg_.chord, seeds);
+    nodes_[id] = std::make_unique<ChordNode>(id, net_.get(), seeds);
   }
 
   // Wire the bootstrap ring directly: sort by position, then each node's
@@ -49,16 +49,16 @@ ChordCluster::ChordCluster(const ChordClusterConfig& config)
   for (size_t i = 0; i < n; ++i) {
     ChordNode* node = nodes_[ring[i].id].get();
     std::vector<NodeRef> successors;
-    for (size_t k = 1; k <= std::min(cfg_.chord.successor_list, n - 1); ++k) {
+    for (size_t k = 1; k <= std::min(kSuccessorList, n - 1); ++k) {
       successors.push_back(ring[(i + k) % n]);
     }
     if (successors.empty()) {
       successors.push_back(ring[i]);  // single-node ring
     }
     node->SetNeighbors(ring[(i + n - 1) % n], std::move(successors));
-    for (size_t f = 0; f < cfg_.chord.fingers; ++f) {
+    for (size_t f = 0; f < kFingers; ++f) {
       const Key target =
-          ring[i].pos + (uint64_t{1} << (64 - cfg_.chord.fingers + f));
+          ring[i].pos + (uint64_t{1} << (64 - kFingers + f));
       node->SetFinger(f, owner_of(target));
     }
   }
@@ -66,8 +66,7 @@ ChordCluster::ChordCluster(const ChordClusterConfig& config)
 
 NodeId ChordCluster::SpawnNode() {
   const NodeId id = next_node_id_++;
-  nodes_[id] =
-      std::make_unique<ChordNode>(id, net_.get(), cfg_.chord, SampleSeeds(5));
+  nodes_[id] = std::make_unique<ChordNode>(id, net_.get(), SampleSeeds(5));
   nodes_[id]->StartJoin();
   return id;
 }
@@ -102,7 +101,7 @@ std::vector<NodeId> ChordCluster::SampleSeeds(size_t count) const {
 
 ChordClient* ChordCluster::AddClient() {
   clients_.push_back(std::make_unique<ChordClient>(
-      next_client_id_++, net_.get(), SampleSeeds(5), cfg_.client));
+      next_client_id_++, net_.get(), SampleSeeds(5)));
   return clients_.back().get();
 }
 

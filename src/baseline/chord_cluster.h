@@ -23,8 +23,6 @@ namespace scatter::baseline {
 struct ChordClusterConfig {
   uint64_t seed = 1;
   size_t initial_nodes = 20;
-  ChordConfig chord;
-  ChordClientConfig client;
   sim::NetworkConfig network{.latency = sim::LatencyModel::Lan()};
   // Which Transport implementation carries the cluster's traffic. kDefault
   // honors the SCATTER_TRANSPORT environment variable.

@@ -9,6 +9,16 @@
 #include "src/common/pooled.h"
 
 namespace scatter::baseline {
+namespace {
+
+// Total copies of each key (owner + successors).
+constexpr size_t kReplication = 3;
+constexpr TimeMicros kStabilizeInterval = Millis(500);
+// Replica push / key handoff cadence.
+constexpr TimeMicros kRepairInterval = Seconds(2);
+constexpr TimeMicros kRpcTimeout = Millis(500);
+
+}  // namespace
 
 bool InArc(Key x, Key a, Key b) {
   if (a == b) {
@@ -25,20 +35,19 @@ Key ChordNode::PositionOf(NodeId id) {
 }
 
 ChordNode::ChordNode(NodeId id, sim::Transport* network,
-                     const ChordConfig& config, std::vector<NodeId> seeds)
+                     std::vector<NodeId> seeds)
     : RpcNode(id, network),
-      cfg_(config),
       pos_(PositionOf(id)),
       seeds_(std::move(seeds)),
-      fingers_(config.fingers) {
-  const TimeMicros jitter = rng().Range(0, cfg_.stabilize_interval);
-  timers().Schedule(cfg_.stabilize_interval + jitter,
+      fingers_(kFingers) {
+  const TimeMicros jitter = rng().Range(0, kStabilizeInterval);
+  timers().Schedule(kStabilizeInterval + jitter,
                     [this]() { StabilizeLoop(); });
-  timers().Schedule(cfg_.stabilize_interval * 2 + jitter,
+  timers().Schedule(kStabilizeInterval * 2 + jitter,
                     [this]() { CheckPredecessorLoop(); });
-  timers().Schedule(cfg_.stabilize_interval * 3 / 2 + jitter,
+  timers().Schedule(kStabilizeInterval * 3 / 2 + jitter,
                     [this]() { FixFingersLoop(); });
-  timers().Schedule(cfg_.repair_interval + jitter,
+  timers().Schedule(kRepairInterval + jitter,
                     [this]() { RepairLoop(); });
 }
 
@@ -55,7 +64,7 @@ void ChordNode::SetFinger(size_t i, NodeRef ref) {
 
 Key ChordNode::FingerTarget(size_t i) const {
   // Finger i points at pos + 2^(64 - fingers + i): coarse fingers first.
-  const int shift = static_cast<int>(64 - cfg_.fingers + i);
+  const int shift = static_cast<int>(64 - kFingers + i);
   return pos_ + (uint64_t{1} << shift);
 }
 
@@ -110,7 +119,7 @@ void ChordNode::Lookup(Key key, LookupCallback callback) {
 
 void ChordNode::LookupStep(Key key, NodeRef at, size_t hops,
                            LookupCallback callback) {
-  if (hops >= cfg_.max_lookup_hops || !at.valid()) {
+  if (hops >= kMaxLookupHops || !at.valid()) {
     callback(UnavailableError("lookup hop limit"));
     return;
   }
@@ -125,7 +134,7 @@ void ChordNode::LookupStep(Key key, NodeRef at, size_t hops,
   }
   auto req = MakePooled<ChordFindSuccessorMsg>();
   req->target = key;
-  Call(at.id, std::move(req), cfg_.rpc_timeout,
+  Call(at.id, std::move(req), kRpcTimeout,
        [this, key, hops, callback = std::move(callback)](
            StatusOr<sim::MessagePtr> result) mutable {
          if (!result.ok()) {
@@ -269,7 +278,7 @@ void ChordNode::AdoptSuccessor(NodeRef succ,
                                const std::vector<NodeRef>& their_list) {
   std::vector<NodeRef> fresh{succ};
   for (const NodeRef& ref : their_list) {
-    if (fresh.size() >= cfg_.successor_list) {
+    if (fresh.size() >= kSuccessorList) {
       break;
     }
     if (ref.valid() && ref.id != id() &&
@@ -287,13 +296,13 @@ void ChordNode::DropDeadSuccessor() {
 }
 
 void ChordNode::StabilizeLoop() {
-  timers().Schedule(cfg_.stabilize_interval, [this]() { StabilizeLoop(); });
+  timers().Schedule(kStabilizeInterval, [this]() { StabilizeLoop(); });
   if (!joined()) {
     StartJoin();
     return;
   }
   const NodeRef succ = successors_[0];
-  Call(succ.id, MakePooled<ChordGetNeighborsMsg>(), cfg_.rpc_timeout,
+  Call(succ.id, MakePooled<ChordGetNeighborsMsg>(), kRpcTimeout,
        [this, succ](StatusOr<sim::MessagePtr> result) {
          if (!result.ok()) {
            DropDeadSuccessor();
@@ -313,12 +322,12 @@ void ChordNode::StabilizeLoop() {
 }
 
 void ChordNode::CheckPredecessorLoop() {
-  timers().Schedule(cfg_.stabilize_interval * 2,
+  timers().Schedule(kStabilizeInterval * 2,
                     [this]() { CheckPredecessorLoop(); });
   if (!predecessor_.valid()) {
     return;
   }
-  Call(predecessor_.id, MakePooled<ChordPingMsg>(), cfg_.rpc_timeout,
+  Call(predecessor_.id, MakePooled<ChordPingMsg>(), kRpcTimeout,
        [this, probed = predecessor_](StatusOr<sim::MessagePtr> result) {
          if (!result.ok() && predecessor_ == probed) {
            predecessor_ = NodeRef{};
@@ -327,7 +336,7 @@ void ChordNode::CheckPredecessorLoop() {
 }
 
 void ChordNode::FixFingersLoop() {
-  timers().Schedule(cfg_.stabilize_interval, [this]() { FixFingersLoop(); });
+  timers().Schedule(kStabilizeInterval, [this]() { FixFingersLoop(); });
   if (!joined()) {
     return;
   }
@@ -340,7 +349,7 @@ void ChordNode::FixFingersLoop() {
 }
 
 void ChordNode::RepairLoop() {
-  timers().Schedule(cfg_.repair_interval, [this]() { RepairLoop(); });
+  timers().Schedule(kRepairInterval, [this]() { RepairLoop(); });
   if (!joined()) {
     return;
   }
@@ -353,7 +362,7 @@ void ChordNode::RepairLoop() {
     }
     if (Owns(key)) {
       const size_t copies =
-          std::min<size_t>(cfg_.replication - 1, successors_.size());
+          std::min<size_t>(kReplication - 1, successors_.size());
       for (size_t i = 0; i < copies; ++i) {
         if (successors_[i].id == id()) {
           continue;

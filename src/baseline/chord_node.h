@@ -21,18 +21,11 @@
 
 namespace scatter::baseline {
 
-struct ChordConfig {
-  size_t successor_list = 4;
-  // Total copies of each key (owner + successors).
-  size_t replication = 3;
-  // Finger table entries (targets pos + 2^k for the top `fingers` bits).
-  size_t fingers = 24;
-  TimeMicros stabilize_interval = Millis(500);
-  // Replica push / key handoff cadence.
-  TimeMicros repair_interval = Seconds(2);
-  TimeMicros rpc_timeout = Millis(500);
-  size_t max_lookup_hops = 32;
-};
+inline constexpr size_t kSuccessorList = 4;
+// Finger table entries (targets pos + 2^k for the top kFingers bits).
+inline constexpr size_t kFingers = 24;
+// A lookup (by a node or a client) gives up after this many overlay hops.
+inline constexpr size_t kMaxLookupHops = 32;
 
 // True when x lies in the half-open ring arc (a, b].
 bool InArc(Key x, Key a, Key b);
@@ -41,8 +34,7 @@ class ChordNode : public rpc::RpcNode {
  public:
   // `seeds`: nodes to join through. With wire_directly (bootstrap), the
   // cluster sets the tables by hand and no join runs.
-  ChordNode(NodeId id, sim::Transport* network, const ChordConfig& config,
-            std::vector<NodeId> seeds);
+  ChordNode(NodeId id, sim::Transport* network, std::vector<NodeId> seeds);
 
   Key pos() const { return pos_; }
   NodeRef self_ref() const { return NodeRef{id(), pos_}; }
@@ -86,7 +78,6 @@ class ChordNode : public rpc::RpcNode {
   Key FingerTarget(size_t i) const;
   bool Owns(Key key) const;
 
-  ChordConfig cfg_;
   Key pos_;
   std::vector<NodeId> seeds_;
   NodeRef predecessor_;

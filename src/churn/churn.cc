@@ -6,6 +6,15 @@
 #include "src/common/logging.h"
 
 namespace scatter::churn {
+namespace {
+
+// Delay between a departure and its replacement arriving.
+constexpr TimeMicros kRespawnDelayMin = Millis(200);
+constexpr TimeMicros kRespawnDelayMax = Seconds(2);
+// Refresh client/joiner seed lists every so often (live nodes change).
+constexpr TimeMicros kSeedRefreshInterval = Seconds(10);
+
+}  // namespace
 
 ChurnDriver::ChurnDriver(sim::Simulator* sim, ChurnHooks hooks,
                          const ChurnConfig& config)
@@ -71,11 +80,7 @@ void ChurnDriver::ScheduleDeath(NodeId id) {
 void ChurnDriver::OnDeath(NodeId id) {
   hooks_.crash(id);
   stats_.deaths++;
-  if (!cfg_.keep_population) {
-    return;
-  }
-  const TimeMicros delay =
-      rng_.Range(cfg_.respawn_delay_min, cfg_.respawn_delay_max);
+  const TimeMicros delay = rng_.Range(kRespawnDelayMin, kRespawnDelayMax);
   timers_.Schedule(delay, [this, gen = generation_]() {
     if (!running_ || gen != generation_) {
       return;
@@ -91,12 +96,11 @@ void ChurnDriver::SeedRefreshLoop() {
     return;
   }
   hooks_.refresh_seeds();
-  timers_.Schedule(cfg_.seed_refresh_interval,
-                           [this, gen = generation_]() {
-                             if (gen == generation_) {
-                               SeedRefreshLoop();
-                             }
-                           });
+  timers_.Schedule(kSeedRefreshInterval, [this, gen = generation_]() {
+    if (gen == generation_) {
+      SeedRefreshLoop();
+    }
+  });
 }
 
 }  // namespace scatter::churn

@@ -1,7 +1,7 @@
 // Churn driver: gives every node a finite session lifetime drawn from a
-// configurable distribution and (optionally) spawns a replacement for every
-// departure, holding the population stationary — the regime the paper's
-// churn experiments sweep by median session lifetime.
+// configurable distribution and spawns a replacement for every departure,
+// holding the population stationary — the regime the paper's churn
+// experiments sweep by median session lifetime.
 
 #ifndef SCATTER_SRC_CHURN_CHURN_H_
 #define SCATTER_SRC_CHURN_CHURN_H_
@@ -25,13 +25,6 @@ struct ChurnConfig {
   TimeMicros median_lifetime = Seconds(300);
   // Pareto shape (heavier tail as it approaches 1) / Weibull shape.
   double shape = 1.5;
-  // Spawn a replacement joiner for every departure.
-  bool keep_population = true;
-  // Delay between a departure and its replacement arriving.
-  TimeMicros respawn_delay_min = Millis(200);
-  TimeMicros respawn_delay_max = Seconds(2);
-  // Refresh client/joiner seed lists every so often (live nodes change).
-  TimeMicros seed_refresh_interval = Seconds(10);
 };
 
 // How the driver manipulates the system under test. Both the Scatter

@@ -7,6 +7,14 @@
 #include "src/common/pooled.h"
 
 namespace scatter::core {
+namespace {
+
+// Consecutive instant redirects tolerated before backing off. Bounds the
+// damage when routing hints are transiently contradictory (e.g. right
+// after a boundary moved but before neighbor links refreshed).
+constexpr size_t kRedirectStreakLimit = 4;
+
+}  // namespace
 
 Client::Client(NodeId id, sim::Transport* network, std::vector<NodeId> seeds,
                const ClientConfig& config)
@@ -128,7 +136,7 @@ void Client::Attempt(std::shared_ptr<Op> op) {
            case StatusCode::kNotLeader:
            case StatusCode::kWrongGroup:
              stats_.redirects++;
-             if (++op->redirect_streak > cfg_.redirect_streak_limit) {
+             if (++op->redirect_streak > kRedirectStreakLimit) {
                // Routing information is churning (a boundary just moved);
                // back off and let the hints converge instead of burning
                // the attempt budget on a redirect loop.
@@ -147,7 +155,7 @@ void Client::Attempt(std::shared_ptr<Op> op) {
 }
 
 void Client::AttemptLater(std::shared_ptr<Op> op) {
-  const TimeMicros backoff = rng().Range(cfg_.backoff_min, cfg_.backoff_max);
+  const TimeMicros backoff = rng().Range(kClientBackoffMin, kClientBackoffMax);
   timers().Schedule(backoff,
                     [this, op = std::move(op)]() mutable { Attempt(op); });
 }

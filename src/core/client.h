@@ -23,6 +23,10 @@
 
 namespace scatter::core {
 
+// Backoff between attempts after busy/unavailable errors.
+inline constexpr TimeMicros kClientBackoffMin = Millis(20);
+inline constexpr TimeMicros kClientBackoffMax = Millis(200);
+
 struct ClientConfig {
   // Overall budget for one logical operation, across all retries. An
   // operation that cannot complete within it fails with TIMEOUT (the
@@ -30,14 +34,7 @@ struct ClientConfig {
   TimeMicros op_deadline = Seconds(8);
   // Per-attempt RPC timeout.
   TimeMicros rpc_timeout = Millis(800);
-  // Backoff between attempts after busy/unavailable errors.
-  TimeMicros backoff_min = Millis(20);
-  TimeMicros backoff_max = Millis(200);
   size_t max_attempts = 64;
-  // Consecutive instant redirects tolerated before backing off. Bounds the
-  // damage when routing hints are transiently contradictory (e.g. right
-  // after a boundary moved but before neighbor links refreshed).
-  size_t redirect_streak_limit = 4;
 };
 
 class Client : public rpc::RpcNode, public KvClient {

@@ -40,10 +40,10 @@ Cluster::Cluster(const ClusterConfig& config)
   // Enable monitoring before any node exists so the first window boundary
   // is the same whether or not bootstrap is still settling.
   if (cfg_.enable_health_monitor) {
-    sim_.EnableHealthMonitor(cfg_.health);
+    sim_.EnableHealthMonitor();
   }
   if (cfg_.enable_timeline) {
-    sim_.EnableTimeline(cfg_.timeline);
+    sim_.EnableTimeline();
   }
 
   // Allocate node ids and choose the bootstrap seeds (the first few nodes;

@@ -11,8 +11,6 @@
 
 #include "src/common/types.h"
 #include "src/core/client.h"
-#include "src/obs/health.h"
-#include "src/obs/timeline.h"
 #include "src/core/config.h"
 #include "src/core/scatter_node.h"
 #include "src/ring/group_info.h"
@@ -47,12 +45,10 @@ struct ClusterConfig {
   // but tests opt in explicitly so clean-run quietness is an assertion,
   // not an accident.
   bool enable_health_monitor = false;
-  obs::HealthConfig health;
   // Periodic scatter.timeline.v1 snapshots (implies nothing about tracing;
   // the timeline reads the registry). Enabling the timeline also enables
   // the health monitor when enable_health_monitor is set.
   bool enable_timeline = false;
-  obs::TimelineConfig timeline;
 };
 
 class Cluster {

@@ -22,9 +22,6 @@ struct PolicyConfig {
   // larger neighbor, or merges with its successor.
   size_t min_group_size = 3;
 
-  // Merge only if the combined group would not immediately re-split.
-  // (Computed as max_group_size; kept implicit.)
-
   // Cadence of the per-group policy evaluation on leaders.
   TimeMicros policy_interval = Seconds(2);
 
@@ -42,8 +39,6 @@ struct PolicyConfig {
   double repartition_imbalance = 3.0;
   // Never repartition below this many local keys (noise floor).
   size_t repartition_min_keys = 64;
-  // Minimum delay between repartitions initiated by one group (damping).
-  TimeMicros repartition_cooldown = Seconds(10);
   // Rate-based balancing kicks in above this many ops/s on the group;
   // below it, key counts drive the decision.
   double repartition_min_rate = 50.0;
@@ -58,36 +53,21 @@ struct PolicyConfig {
   // linearizable). Converges toward the fastest / most central member
   // leading each group on heterogeneous networks.
   bool latency_aware_leader = false;
-  // Transfer when min RTT < this fraction of the mean peer RTT.
-  double leader_transfer_ratio = 0.8;
   // Minimum tenure before (re)transferring, for stability.
   TimeMicros leader_transfer_cooldown = Seconds(20);
 
   // Ring gossip: every interval, each node sends a sample of its routing
-  // knowledge to a few random acquaintances. Zero disables.
+  // knowledge to one random acquaintance. Zero disables.
   TimeMicros gossip_interval = Seconds(3);
-  size_t gossip_fanout = 1;
-  size_t gossip_sample = 8;
 
   // A node hosting no groups for this long re-runs the join protocol.
   TimeMicros orphan_rejoin_delay = Seconds(8);
-
-  // Retired groups keep their replicas alive this long so laggards can
-  // learn the final entries before teardown.
-  TimeMicros retired_grace = Seconds(15);
-
-  // Join retry backoff.
-  TimeMicros join_retry_min = Millis(500);
-  TimeMicros join_retry_max = Seconds(2);
 };
 
 struct ScatterConfig {
   paxos::PaxosConfig paxos;
   txn::TxnConfig txn;
   PolicyConfig policy;
-  // Server-side bound for in-flight client operations (reads waiting on
-  // leases, proposals in the log). Clients run their own deadlines on top.
-  TimeMicros rpc_timeout = Seconds(1);
 };
 
 }  // namespace scatter::core

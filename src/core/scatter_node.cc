@@ -27,6 +27,28 @@ namespace {
 // Cap on ring-cache samples shipped in join replies.
 constexpr size_t kSeedRingLimit = 32;
 
+// Timeout of the node's own RPCs: join requests and neighbor-link lookups.
+constexpr TimeMicros kRpcTimeout = Seconds(1);
+
+// Minimum delay between repartitions initiated by one group (damping).
+constexpr TimeMicros kRepartitionCooldown = Seconds(10);
+
+// Latency-aware leader placement transfers when a member's centrality (its
+// mean RTT to the group) is below this fraction of the leader's own.
+constexpr double kLeaderTransferRatio = 0.8;
+
+// Routing infos per gossip message: the node's serving groups first, then
+// random cached arcs up to this many.
+constexpr size_t kGossipSample = 8;
+
+// Retired groups keep their replicas alive this long so laggards can
+// learn the final entries before teardown.
+constexpr TimeMicros kRetiredGrace = Seconds(15);
+
+// Join retry backoff.
+constexpr TimeMicros kJoinRetryMin = Millis(500);
+constexpr TimeMicros kJoinRetryMax = Seconds(2);
+
 }  // namespace
 
 ScatterNode::ScatterNode(NodeId id, sim::Transport* network,
@@ -364,7 +386,7 @@ void ScatterNode::OnGroupsFounded(GroupId retired,
   }
   // Keep the retired replica around for a grace period so laggards can
   // still learn the final log entries, then drop it.
-  ScheduleTeardown(retired, cfg_.policy.retired_grace);
+  ScheduleTeardown(retired, kRetiredGrace);
 }
 
 void ScatterNode::OnStructuralChange(GroupId group) {
@@ -879,7 +901,7 @@ void ScatterNode::AttemptJoin(size_t attempt) {
   const NodeId contact = seeds_[rng().Index(seeds_.size())];
   auto req = MakePooled<JoinRequestMsg>();
   req->no_redirect = attempt >= 6;
-  Call(contact, std::move(req), cfg_.rpc_timeout,
+  Call(contact, std::move(req), kRpcTimeout,
        [this, attempt](StatusOr<MessagePtr> result) {
          if (!result.ok()) {
            RetryJoin(attempt + 1);
@@ -903,7 +925,7 @@ void ScatterNode::JoinTarget(const GroupInfo& target, size_t attempt,
           : target.members[rng().Index(target.members.size())];
   auto req = MakePooled<JoinRequestMsg>();
   req->no_redirect = attempt >= 6;
-  Call(contact, std::move(req), cfg_.rpc_timeout,
+  Call(contact, std::move(req), kRpcTimeout,
        [this, attempt](StatusOr<MessagePtr> result) {
          if (!result.ok()) {
            RetryJoin(attempt + 1);
@@ -973,8 +995,7 @@ void ScatterNode::HandleJoinReplyMessage(const MessagePtr& message,
 }
 
 void ScatterNode::RetryJoin(size_t attempt) {
-  timers().Schedule(rng().Range(cfg_.policy.join_retry_min,
-                                cfg_.policy.join_retry_max),
+  timers().Schedule(rng().Range(kJoinRetryMin, kJoinRetryMax),
                     [this, attempt]() { AttemptJoin(attempt); });
 }
 
@@ -1068,7 +1089,7 @@ void ScatterNode::GossipTick() {
   auto gossip = MakePooled<RingGossipMsg>();
   gossip->infos = ServingInfos();
   std::vector<GroupInfo> cached = ring_.All();
-  while (gossip->infos.size() < cfg_.policy.gossip_sample && !cached.empty()) {
+  while (gossip->infos.size() < kGossipSample && !cached.empty()) {
     const size_t pick = rng().Index(cached.size());
     gossip->infos.push_back(cached[pick]);
     cached.erase(cached.begin() + static_cast<long>(pick));
@@ -1092,14 +1113,9 @@ void ScatterNode::GossipTick() {
   if (candidates.empty()) {
     return;
   }
-  for (size_t i = 0; i < cfg_.policy.gossip_fanout; ++i) {
-    const NodeId target = candidates[rng().Index(candidates.size())];
-    if (target != id()) {
-      // Each target gets its own copy (messages are immutable post-send).
-      auto copy = MakePooled<RingGossipMsg>();
-      copy->infos = gossip->infos;
-      SendOneWay(target, std::move(copy));
-    }
+  const NodeId target = candidates[rng().Index(candidates.size())];
+  if (target != id()) {
+    SendOneWay(target, std::move(gossip));
   }
 }
 
@@ -1200,7 +1216,7 @@ void ScatterNode::MaybeTransferLeadership(GroupId group, Hosted& hosted) {
     return;
   }
   if (static_cast<double>(best_c) >=
-      cfg_.policy.leader_transfer_ratio * static_cast<double>(own)) {
+      kLeaderTransferRatio * static_cast<double>(own)) {
     return;  // No clearly better-placed member; stay (stable fixed point).
   }
   if (hosted.replica->TransferLeadership(best)) {
@@ -1303,7 +1319,7 @@ void ScatterNode::MaybeRepartition(GroupId group, Hosted& hosted) {
   if (!cfg_.policy.enable_repartition) {
     return;
   }
-  if (now() - hosted.last_repartition < cfg_.policy.repartition_cooldown) {
+  if (now() - hosted.last_repartition < kRepartitionCooldown) {
     return;  // Damping: let the previous move take effect first.
   }
   const auto& data = hosted.sm->state().data;
@@ -1389,7 +1405,7 @@ void ScatterNode::RefreshNeighbors(GroupId group, Hosted& hosted) {
         probe.cached.members[rng().Index(probe.cached.members.size())];
     auto req = MakePooled<LookupRequestMsg>();
     req->key = probe.key;
-    Call(to, std::move(req), cfg_.rpc_timeout,
+    Call(to, std::move(req), kRpcTimeout,
          [this, group, is_succ = probe.is_successor,
           cached = probe.cached](StatusOr<MessagePtr> result) {
            if (!result.ok()) {

@@ -15,6 +15,9 @@ namespace scatter::mc {
 
 namespace {
 
+// Replay budget of the greedy counterexample minimization.
+constexpr size_t kMinimizeMaxReplays = 200;
+
 void AppendJsonStringField(const std::string& key, const std::string& value,
                            std::string* out) {
   *out += "\"" + key + "\": \"";
@@ -129,11 +132,8 @@ ExploreStats Explore(const std::string& scenario_name, StrategyKind kind,
       ce.seed = options.seed;
       ce.strategy = strategy->name();
       ce.violation = harness.violation();
-      ce.schedule = options.minimize
-                        ? MinimizeSchedule(scenario_name, options.seed,
-                                           schedule, harness.violation(),
-                                           options.minimize_max_replays)
-                        : schedule;
+      ce.schedule = MinimizeSchedule(scenario_name, options.seed, schedule,
+                                     harness.violation());
       stats.counterexample = std::move(ce);
       if (!options.counterexample_path.empty()) {
         std::string error;
@@ -142,9 +142,7 @@ ExploreStats Explore(const std::string& scenario_name, StrategyKind kind,
           SCATTER_WARN() << "mc: failed to write counterexample: " << error;
         }
       }
-      if (options.stop_on_violation) {
-        break;
-      }
+      break;
     }
   }
   stats.reduction_cuts = strategy->reduction_cuts();
@@ -179,8 +177,7 @@ ReplayResult ReplaySchedule(const std::string& scenario_name, uint64_t seed,
 std::vector<Choice> MinimizeSchedule(const std::string& scenario_name,
                                      uint64_t seed,
                                      const std::vector<Choice>& schedule,
-                                     const McViolation& violation,
-                                     size_t max_replays) {
+                                     const McViolation& violation) {
   size_t replays = 0;
   auto reproduces = [&](const std::vector<Choice>& candidate,
                         size_t* executed) {
@@ -203,9 +200,9 @@ std::vector<Choice> MinimizeSchedule(const std::string& scenario_name,
                                   std::min(executed, schedule.size()));
 
   bool improved = true;
-  while (improved && replays < max_replays) {
+  while (improved && replays < kMinimizeMaxReplays) {
     improved = false;
-    for (size_t i = current.size(); i-- > 0 && replays < max_replays;) {
+    for (size_t i = current.size(); i-- > 0 && replays < kMinimizeMaxReplays;) {
       std::vector<Choice> candidate = current;
       candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
       if (reproduces(candidate, nullptr)) {

@@ -32,10 +32,6 @@ struct McOptions {
   // walk revisits early states by design; cutting there would kill most
   // walks at depth one).
   bool dedup = true;
-  bool stop_on_violation = true;
-  // Greedy schedule minimization before the counterexample is reported.
-  bool minimize = true;
-  size_t minimize_max_replays = 200;
   // Where the counterexample artifact is written; empty = don't write.
   std::string counterexample_path = "scatter_mc_counterexample.json";
 };
@@ -58,8 +54,8 @@ struct ExploreStats {
 };
 
 // Explores `scenario_name` under the given strategy until a stop condition
-// hits. On violation (with stop_on_violation) the counterexample is
-// minimized and written to options.counterexample_path.
+// or the first violation hits. The violation's counterexample is minimized
+// and written to options.counterexample_path.
 ExploreStats Explore(const std::string& scenario_name, StrategyKind kind,
                      const McOptions& options);
 
@@ -83,8 +79,7 @@ ReplayResult ReplaySchedule(const std::string& scenario_name, uint64_t seed,
 std::vector<Choice> MinimizeSchedule(const std::string& scenario_name,
                                      uint64_t seed,
                                      const std::vector<Choice>& schedule,
-                                     const McViolation& violation,
-                                     size_t max_replays);
+                                     const McViolation& violation);
 
 // Baseline for the mutation-detection experiments: one uncontrolled
 // instrumented run of the scenario (normal random delivery order, faults

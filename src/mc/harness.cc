@@ -36,6 +36,9 @@ struct CheckFailedError {
 // the simulator itself.
 int g_live_harnesses = 0;
 
+// Length of the fair epilogue that runs after the controlled prefix.
+constexpr TimeMicros kEpilogueRun = Seconds(3);
+
 }  // namespace
 
 McHarness::McHarness(const McScenario& scenario, uint64_t seed)
@@ -274,10 +277,10 @@ void McHarness::FinishSchedule() {
           cluster_->net().InjectDelivery(p.msg);
         }
       }
-      cluster_->RunFor(scenario_.epilogue_run);
+      cluster_->RunFor(kEpilogueRun);
       AfterStep();
     }
-    if (!violation_.has_value() && scenario_.check_linearizability) {
+    if (!violation_.has_value()) {
       IssueProbeReads();
       history_.Close(cluster_->sim().now());
       verify::LinearizabilityChecker checker;

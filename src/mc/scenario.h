@@ -62,21 +62,14 @@ struct McScenario {
   // --- Properties ---------------------------------------------------------
   // Auditor property subset (empty = all; see analysis::MakeStandardCheckers).
   std::vector<std::string> properties;
-  // Post-hoc linearizability over the harness-recorded client history.
-  bool check_linearizability = true;
   // Liveness goal, evaluated after the fair epilogue; returning false is a
   // violation. The epilogue delivers everything still pending and runs the
   // cluster fairly, so only genuine wedges — not adversarial starvation —
   // fail the goal.
   std::function<bool(McHarness&)> goal;
 
-  // Fair epilogue length, and the budget for probe reads to complete.
-  TimeMicros epilogue_run = Seconds(3);
+  // Budget for probe reads and writes to complete after the epilogue.
   TimeMicros probe_run = Seconds(3);
-
-  // --- Guidance for the random-walk strategy ------------------------------
-  double walk_deliver_weight = 1.0;
-  double walk_advance_weight = 1.5;
 };
 
 // Scenario registry. MakeScenario CHECK-fails on unknown names; mutation

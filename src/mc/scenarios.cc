@@ -92,9 +92,9 @@ McScenario MakeStaleBallot() {
   p.election_timeout_min = Millis(60);
   p.election_timeout_max = Millis(80);
   p.lease_duration = Millis(60);
-  // Keep retransmissions of the in-flight Accept out of the window — the
-  // captured original is the one the explorer aims.
-  p.accept_resend_interval = Seconds(5);
+  // No timer retransmits the in-flight Accept: a copy goes out only after
+  // a heartbeat's empty probe reaches a follower and draws a need_from
+  // nack (PROTOCOL.md §Pipelining), and the explorer schedules both.
   sc.setup_run = Seconds(1);
   sc.on_start = [](McHarness& h) { h.ClientPut(h.KeyInGroup(0), "w"); };
   sc.partition_islands = [](McHarness& h) {
@@ -119,9 +119,8 @@ McScenario MakeStaleBallot() {
     majority.push_back(h.client_id());
     return std::vector<std::vector<NodeId>>{{leader}, majority};
   };
-  // The walk spends most decisions advancing time (reaching the election)
-  // rather than flushing deliveries.
-  sc.walk_advance_weight = 3.0;
+  // The random walk weighs advance_time against deliveries with the fixed
+  // weights of every scenario (advance 1.5, deliver 1.0 per message).
   return sc;
 }
 

@@ -9,6 +9,14 @@ namespace scatter::mc {
 
 namespace {
 
+// kRandomWalk: relative pick weights (deliver weight applies per pending
+// message, advance to the single advance_time choice).
+constexpr double kDeliverWeight = 1.0;
+constexpr double kAdvanceWeight = 1.5;
+// kRandomWalk: probability that a schedule uses each available fault
+// (sampled per schedule; the step it fires at is uniform in the depth).
+constexpr double kFaultProbability = 0.75;
+
 // Replay-based DFS over the decision tree. The path holds one node per
 // depth of the current schedule; BeginSchedule backtracks to the deepest
 // node with an unexplored sibling, and Pick replays stored picks up to
@@ -164,15 +172,15 @@ class RandomWalkStrategy : public Strategy {
     if (opts_.max_depth == 0) {
       return true;
     }
-    if (rng_.Bernoulli(opts_.fault_probability)) {
+    if (rng_.Bernoulli(kFaultProbability)) {
       const size_t at = rng_.Index(opts_.max_depth);
       plan_.emplace(at, ChoiceKind::kPartition);
       plan_.emplace(at + 1 + rng_.Index(opts_.max_depth), ChoiceKind::kHeal);
     }
-    if (rng_.Bernoulli(opts_.fault_probability)) {
+    if (rng_.Bernoulli(kFaultProbability)) {
       plan_.emplace(rng_.Index(opts_.max_depth), ChoiceKind::kCrash);
     }
-    if (rng_.Bernoulli(opts_.fault_probability)) {
+    if (rng_.Bernoulli(kFaultProbability)) {
       plan_.emplace(rng_.Index(opts_.max_depth), ChoiceKind::kSpawn);
     }
     return true;  // never exhausted; the explorer's budget bounds the walk
@@ -219,9 +227,9 @@ class RandomWalkStrategy : public Strategy {
   double Weight(const Choice& c) const {
     switch (c.kind) {
       case ChoiceKind::kDeliver:
-        return opts_.deliver_weight;
+        return kDeliverWeight;
       case ChoiceKind::kAdvanceTime:
-        return opts_.advance_weight;
+        return kAdvanceWeight;
       default:
         return 0;  // faults fire only through the plan
     }

@@ -41,13 +41,6 @@ struct StrategyOptions {
   size_t delay_budget = 6;
   // kRandomWalk: base seed; schedule i uses MixHash(walk_seed, i).
   uint64_t walk_seed = 1;
-  // kRandomWalk: relative pick weights (deliver weight applies per pending
-  // message, advance to the single advance_time choice).
-  double deliver_weight = 1.0;
-  double advance_weight = 1.5;
-  // kRandomWalk: probability that a schedule uses each available fault
-  // (sampled per schedule; the step it fires at is uniform in the depth).
-  double fault_probability = 0.75;
 };
 
 class Strategy {

@@ -4,22 +4,39 @@
 #include <cassert>
 
 namespace scatter::obs {
+
+// Hysteresis, in consecutive windows. raise_after=1 means "raises within
+// one monitoring window of the signal appearing".
+struct HealthDetector {
+  const char* condition;
+  int raise_after;
+  int clear_after;
+};
+
 namespace {
 
-const char kFollowerLag[] = "follower_lag";
-const char kStalledProposer[] = "stalled_proposer";
-const char kElectionChurn[] = "election_churn";
-const char kSnapshotStuck[] = "snapshot_stuck";
-const char kPoolMissSpike[] = "pool_miss_spike";
-const char kRecoveryStuck[] = "recovery_stuck";
+constexpr HealthDetector kFollowerLag{"follower_lag", 1, 2};
+// A proposer with in-flight proposals legitimately commits nothing for the
+// tail of a window; require two consecutive dry windows before raising.
+constexpr HealthDetector kStalledProposer{"stalled_proposer", 2, 1};
+constexpr HealthDetector kElectionChurn{"election_churn", 1, 2};
+// In-flight snapshots are normal; only a transfer pinned across several
+// windows is stuck.
+constexpr HealthDetector kSnapshotStuck{"snapshot_stuck", 4, 1};
+constexpr HealthDetector kPoolMissSpike{"pool_miss_spike", 1, 2};
+constexpr HealthDetector kRecoveryStuck{"recovery_stuck", 4, 1};
+
+// follower_lag: entries a follower's commit index may trail the group max.
+constexpr int64_t kLagEntries = 64;
+// election_churn: elections started within one window to count as churn.
+constexpr uint64_t kChurnElections = 3;
+// pool_miss_spike: pool misses on one node within one window.
+constexpr uint64_t kPoolMissThreshold = 256;
 
 }  // namespace
 
-HealthMonitor::HealthMonitor(const HealthConfig& config,
-                             MetricsRegistry* registry)
-    : config_(config), registry_(registry) {
+HealthMonitor::HealthMonitor(MetricsRegistry* registry) : registry_(registry) {
   assert(registry_ != nullptr);
-  assert(config_.period_us > 0);
 }
 
 void HealthMonitor::Tick(int64_t now_us, TraceRecorder* tracer) {
@@ -35,10 +52,10 @@ void HealthMonitor::Tick(int64_t now_us, TraceRecorder* tracer) {
   CheckRecoveryStuck(now_us, tracer);
 }
 
-void HealthMonitor::Observe(const std::string& condition,
-                            const HealthConfig::Hysteresis& hysteresis,
-                            NodeId node, GroupId group, bool unhealthy,
-                            int64_t now_us, TraceRecorder* tracer) {
+void HealthMonitor::Observe(const HealthDetector& detector, NodeId node,
+                            GroupId group, bool unhealthy, int64_t now_us,
+                            TraceRecorder* tracer) {
+  const std::string condition = detector.condition;
   Streak& streak = streaks_[CellKey(condition, node, group)];
   if (unhealthy) {
     streak.bad++;
@@ -47,7 +64,7 @@ void HealthMonitor::Observe(const std::string& condition,
     streak.good++;
     streak.bad = 0;
   }
-  if (!streak.active && streak.bad >= hysteresis.raise_after) {
+  if (!streak.active && streak.bad >= detector.raise_after) {
     streak.active = true;
     streak.raised_at_us = now_us;
     raises_total_++;
@@ -55,7 +72,7 @@ void HealthMonitor::Observe(const std::string& condition,
     if (tracer != nullptr) {
       tracer->AddMarker("health.raise." + condition, node, group);
     }
-  } else if (streak.active && streak.good >= hysteresis.clear_after) {
+  } else if (streak.active && streak.good >= detector.clear_after) {
     streak.active = false;
     clears_total_++;
     registry_->GetGauge("health." + condition, node, group).Set(0);
@@ -85,9 +102,8 @@ void HealthMonitor::CheckFollowerLag(int64_t now_us, TraceRecorder* tracer) {
       "paxos.commit_index",
       [&](NodeId node, GroupId group, const Gauge& gauge) {
         const bool lagging =
-            group_max[group] - gauge.value > config_.lag_entries;
-        Observe(kFollowerLag, config_.follower_lag, node, group, lagging,
-                now_us, tracer);
+            group_max[group] - gauge.value > kLagEntries;
+        Observe(kFollowerLag, node, group, lagging, now_us, tracer);
       });
 }
 
@@ -106,8 +122,7 @@ void HealthMonitor::CheckStalledProposer(int64_t now_us,
                         committed->value);
         const bool stalled = leader.value != 0 && pending != nullptr &&
                              pending->value > 0 && commit_delta == 0;
-        Observe(kStalledProposer, config_.stalled_proposer, node, group,
-                stalled, now_us, tracer);
+        Observe(kStalledProposer, node, group, stalled, now_us, tracer);
       });
 }
 
@@ -117,8 +132,8 @@ void HealthMonitor::CheckElectionChurn(int64_t now_us, TraceRecorder* tracer) {
       [&](NodeId node, GroupId group, const Counter& counter) {
         const uint64_t delta =
             Delta("paxos.elections_started", node, group, counter.value);
-        Observe(kElectionChurn, config_.election_churn, node, group,
-                delta >= config_.churn_elections, now_us, tracer);
+        Observe(kElectionChurn, node, group, delta >= kChurnElections, now_us,
+                tracer);
       });
 }
 
@@ -126,8 +141,7 @@ void HealthMonitor::CheckSnapshotStuck(int64_t now_us, TraceRecorder* tracer) {
   registry_->ForEachGauge(
       "paxos.snapshots_inflight",
       [&](NodeId node, GroupId group, const Gauge& gauge) {
-        Observe(kSnapshotStuck, config_.snapshot_stuck, node, group,
-                gauge.value > 0, now_us, tracer);
+        Observe(kSnapshotStuck, node, group, gauge.value > 0, now_us, tracer);
       });
 }
 
@@ -136,8 +150,8 @@ void HealthMonitor::CheckPoolMissSpike(int64_t now_us, TraceRecorder* tracer) {
       "wire.pool.miss", [&](NodeId node, GroupId group, const Counter& counter) {
         const uint64_t delta =
             Delta("wire.pool.miss", node, group, counter.value);
-        Observe(kPoolMissSpike, config_.pool_miss_spike, node, group,
-                delta >= config_.pool_miss_threshold, now_us, tracer);
+        Observe(kPoolMissSpike, node, group, delta >= kPoolMissThreshold,
+                now_us, tracer);
       });
 }
 
@@ -147,8 +161,7 @@ void HealthMonitor::CheckRecoveryStuck(int64_t now_us, TraceRecorder* tracer) {
   // mid-replay or leaked its decrement.
   registry_->ForEachGauge(
       "recovery.active", [&](NodeId node, GroupId group, const Gauge& gauge) {
-        Observe(kRecoveryStuck, config_.recovery_stuck, node, group,
-                gauge.value > 0, now_us, tracer);
+        Observe(kRecoveryStuck, node, group, gauge.value > 0, now_us, tracer);
       });
 }
 

@@ -12,20 +12,21 @@
 //
 // Each condition instance is keyed (condition, node, group) and passes
 // through a streak-based hysteresis: `raise_after` consecutive unhealthy
-// ticks to raise, `clear_after` consecutive healthy ticks to clear. Raised
-// conditions are exported three ways: a `health.<condition>` gauge (1/0) in
-// the registry, an unconditional trace marker (`health.raise.<condition>` /
+// ticks to raise, `clear_after` consecutive healthy ticks to clear (both
+// fixed per detector in health.cc). Raised conditions are exported three
+// ways: a `health.<condition>` gauge (1/0) in the registry, an
+// unconditional trace marker (`health.raise.<condition>` /
 // `health.clear.<condition>`), and the ActiveConditions() snapshot the obs
 // timeline and scatter-top read.
 //
 // Catalogue (inputs -> condition):
 //   follower_lag     max(paxos.commit_index) over group minus this node's
-//                    exceeds lag_entries
+//                    exceeds 64 entries
 //   stalled_proposer is_leader && proposals_pending > 0 && no
 //                    entries_committed delta this window
-//   election_churn   elections_started delta >= churn_elections in a window
+//   election_churn   elections_started delta >= 3 in a window
 //   snapshot_stuck   snapshots_inflight > 0 for raise_after windows
-//   pool_miss_spike  wire.pool.miss delta >= pool_miss_threshold in a window
+//   pool_miss_spike  wire.pool.miss delta >= 256 in a window
 //   recovery_stuck   recovery.active > 0 for raise_after windows (WAL
 //                    replay on restart is synchronous, so a lingering
 //                    nonzero gauge means a recovery path wedged or leaked)
@@ -45,35 +46,13 @@
 
 namespace scatter::obs {
 
-struct HealthConfig {
-  // Monitoring window: the period the owner ticks the monitor at. Also the
-  // denominator of every "per window" threshold below.
-  int64_t period_us = 250'000;
+// Monitoring window: the period the simulator ticks the health monitor and
+// captures the timeline at. Also the denominator of every "per window"
+// threshold in health.cc.
+inline constexpr int64_t kMonitorPeriodUs = 250'000;
 
-  // follower_lag: entries a follower's commit index may trail the group max.
-  int64_t lag_entries = 64;
-  // election_churn: elections started within one window to count as churn.
-  uint64_t churn_elections = 3;
-  // pool_miss_spike: pool misses on one node within one window.
-  uint64_t pool_miss_threshold = 256;
-
-  // Hysteresis, in consecutive windows. raise_after=1 means "raises within
-  // one monitoring window of the signal appearing".
-  struct Hysteresis {
-    int raise_after = 1;
-    int clear_after = 2;
-  };
-  Hysteresis follower_lag{1, 2};
-  // A proposer with in-flight proposals legitimately commits nothing for the
-  // tail of a window; require two consecutive dry windows before raising.
-  Hysteresis stalled_proposer{2, 1};
-  Hysteresis election_churn{1, 2};
-  // In-flight snapshots are normal; only a transfer pinned across several
-  // windows is stuck.
-  Hysteresis snapshot_stuck{4, 1};
-  Hysteresis pool_miss_spike{1, 2};
-  Hysteresis recovery_stuck{4, 1};
-};
+// One detector's condition name and hysteresis (defined in health.cc).
+struct HealthDetector;
 
 class HealthMonitor {
  public:
@@ -84,7 +63,7 @@ class HealthMonitor {
     int64_t raised_at_us = 0;
   };
 
-  HealthMonitor(const HealthConfig& config, MetricsRegistry* registry);
+  explicit HealthMonitor(MetricsRegistry* registry);
 
   // Evaluates every detector at simulated time `now_us`. Idempotent per
   // timestamp (a second call with the same now_us is a no-op), so a lazy
@@ -105,8 +84,6 @@ class HealthMonitor {
   uint64_t clears_total() const { return clears_total_; }
   bool quiet() const { return raises_total_ == 0; }
 
-  const HealthConfig& config() const { return config_; }
-
  private:
   // One hysteresis state machine per (condition, node, group).
   struct Streak {
@@ -119,10 +96,8 @@ class HealthMonitor {
 
   // Feeds one observation into the streak for (condition, node, group) and
   // performs the raise/clear transition, exports included.
-  void Observe(const std::string& condition,
-               const HealthConfig::Hysteresis& hysteresis, NodeId node,
-               GroupId group, bool unhealthy, int64_t now_us,
-               TraceRecorder* tracer);
+  void Observe(const HealthDetector& detector, NodeId node, GroupId group,
+               bool unhealthy, int64_t now_us, TraceRecorder* tracer);
 
   // Counter delta since the previous tick (0 on first sight).
   uint64_t Delta(const std::string& name, NodeId node, GroupId group,
@@ -135,7 +110,6 @@ class HealthMonitor {
   void CheckPoolMissSpike(int64_t now_us, TraceRecorder* tracer);
   void CheckRecoveryStuck(int64_t now_us, TraceRecorder* tracer);
 
-  HealthConfig config_;
   MetricsRegistry* registry_;
   int64_t last_tick_us_ = -1;
   std::map<CellKey, Streak> streaks_;

@@ -9,6 +9,11 @@
 namespace scatter::obs {
 namespace {
 
+// Ring bound: once reached, the oldest snapshot is dropped. 4096 covers
+// ~17 simulated minutes at kMonitorPeriodUs.
+constexpr size_t kMaxSnapshots = 4096;
+static_assert(kMaxSnapshots > 0);
+
 void AppendHealth(std::string* out, const std::vector<std::string>& health) {
   *out += "\"health\":[";
   for (size_t i = 0; i < health.size(); ++i) {
@@ -40,13 +45,10 @@ bool ReadI64(const json::Value& row, const char* key, int64_t* out) {
 
 }  // namespace
 
-TimelineRecorder::TimelineRecorder(const TimelineConfig& config,
-                                   MetricsRegistry* registry,
+TimelineRecorder::TimelineRecorder(MetricsRegistry* registry,
                                    HealthMonitor* monitor)
-    : monitor_(monitor), registry_(registry), config_(config) {
+    : monitor_(monitor), registry_(registry) {
   assert(registry_ != nullptr);
-  assert(config_.period_us > 0);
-  assert(config_.max_snapshots > 0);
 }
 
 void TimelineRecorder::Capture(int64_t now_us, TraceRecorder* tracer) {
@@ -136,7 +138,7 @@ void TimelineRecorder::Capture(int64_t now_us, TraceRecorder* tracer) {
     snap.nodes.push_back(std::move(row));
   }
 
-  if (snapshots_.size() >= config_.max_snapshots) {
+  if (snapshots_.size() >= kMaxSnapshots) {
     snapshots_.erase(snapshots_.begin());
   }
   snapshots_.push_back(std::move(snap));
@@ -200,7 +202,7 @@ std::string TimelineRecorder::Serialize(
 }
 
 std::string TimelineRecorder::ToJson() const {
-  return Serialize(config_.period_us, snapshots_);
+  return Serialize(kMonitorPeriodUs, snapshots_);
 }
 
 bool TimelineRecorder::Parse(const std::string& text, Parsed* out) {

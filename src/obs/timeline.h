@@ -26,14 +26,6 @@
 
 namespace scatter::obs {
 
-struct TimelineConfig {
-  // Snapshot period; the owner's periodic task fires Capture at this rate.
-  int64_t period_us = 250'000;
-  // Ring bound: once reached, the oldest snapshot is dropped. 4096 covers
-  // ~17 simulated minutes at the default period.
-  size_t max_snapshots = 4096;
-};
-
 class TimelineRecorder {
  public:
   // One (group, node) replica's view for one interval.
@@ -72,8 +64,7 @@ class TimelineRecorder {
 
   // `monitor` may be null (timeline without health columns). Neither
   // pointer is owned; both must outlive the recorder.
-  TimelineRecorder(const TimelineConfig& config, MetricsRegistry* registry,
-                   HealthMonitor* monitor);
+  TimelineRecorder(MetricsRegistry* registry, HealthMonitor* monitor);
 
   // Late-binds / detaches the health monitor (the simulator calls this when
   // monitoring is enabled after the timeline, or torn down before it).
@@ -86,9 +77,9 @@ class TimelineRecorder {
   void Capture(int64_t now_us, TraceRecorder* tracer = nullptr);
 
   const std::vector<Snapshot>& snapshots() const { return snapshots_; }
-  const TimelineConfig& config() const { return config_; }
 
-  // {"schema":"scatter.timeline.v1","period_us":P,"snapshots":[...]}
+  // {"schema":"scatter.timeline.v1","period_us":P,"snapshots":[...]}, with
+  // P = kMonitorPeriodUs, the period the simulator captures at.
   // Deterministic: rows ordered, doubles printed with a fixed format, so
   // Parse + Serialize round-trips byte-identically.
   std::string ToJson() const;
@@ -103,7 +94,6 @@ class TimelineRecorder {
 
   HealthMonitor* monitor_;
   MetricsRegistry* registry_;
-  TimelineConfig config_;
   int64_t last_capture_us_ = -1;
   std::vector<Snapshot> snapshots_;
   // Previous cumulative values for per-interval deltas.

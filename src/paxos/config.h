@@ -7,6 +7,9 @@
 
 namespace scatter::paxos {
 
+// Entries per AcceptMsg. Longer backlogs stream as consecutive rounds.
+inline constexpr uint64_t kMaxBatchEntries = 64;
+
 struct PaxosConfig {
   // Leader -> follower heartbeat period.
   TimeMicros heartbeat_interval = Millis(50);
@@ -21,41 +24,6 @@ struct PaxosConfig {
   // while a quorum's grants are unexpired. Must be <= election_timeout_min
   // so a live follower never times out while its own grant still binds it.
   TimeMicros lease_duration = Millis(250);
-
-  // Retry delay after a rejected or unanswered prepare.
-  TimeMicros prepare_retry_min = Millis(50);
-  TimeMicros prepare_retry_max = Millis(200);
-
-  // Leader retransmits unacknowledged proposals at this period.
-  TimeMicros accept_resend_interval = Millis(100);
-
-  // --- Commit-path batching & pipelining ----------------------------------
-  // Group-commit flush window: proposals accumulate in the local log and go
-  // out in one Accept broadcast per flush. Zero means "flush on the next
-  // event-loop turn" (same-turn proposals coalesce, serial latency is
-  // unaffected); a positive value trades that much latency for bigger
-  // batches under load.
-  TimeMicros accept_flush_window = 0;
-
-  // Entries per AcceptMsg. Longer backlogs stream as consecutive rounds.
-  uint64_t max_batch_entries = 64;
-
-  // Outstanding unacknowledged Accept rounds the leader keeps in flight per
-  // follower (the replication window is pipeline_depth * max_batch_entries
-  // entries past the follower's match index). Also bounds how many flushed
-  // broadcast rounds may be awaiting commit before further flushes defer to
-  // round completion.
-  uint64_t pipeline_depth = 4;
-
-  // Follower-side AcceptedMsg coalescing window: acks for Accepts of the
-  // same ballot arriving within this window merge into one reply. Zero
-  // coalesces only same-turn arrivals.
-  TimeMicros ack_flush_window = 0;
-
-  // After the leader advances its commit index it notifies idle followers
-  // (via an empty Accept) within this long, instead of waiting for the next
-  // heartbeat. A flush carrying fresh entries supersedes the notification.
-  TimeMicros commit_notify_interval = Millis(1);
 
   // Leader declares a member suspect after this long without any ack; the
   // group layer may then propose removing it.

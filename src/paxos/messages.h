@@ -87,10 +87,11 @@ struct AcceptMsg : PaxosMessage {
 };
 
 // Phase 2b (append ack). One ack may answer several pipelined Accept rounds
-// at once: followers coalesce same-ballot acks within
-// PaxosConfig::ack_flush_window, reporting the highest match_index and the
-// latest leader send timestamp, which is safe because both are monotone
-// under one ballot (the lease grant derived from sent_at only grows).
+// at once: followers coalesce same-ballot acks arriving in one event-loop
+// turn (replica.cc's kAckFlushWindow), reporting the highest match_index
+// and the latest leader send timestamp, which is safe because both are
+// monotone under one ballot (the lease grant derived from sent_at only
+// grows).
 struct AcceptedMsg : PaxosMessage {
   explicit AcceptedMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosAccepted, g) {}

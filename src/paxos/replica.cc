@@ -17,6 +17,28 @@ namespace {
 // A snapshot install is retransmitted if unacknowledged for this long.
 constexpr TimeMicros kSnapshotResend = Seconds(2);
 
+// A candidate refused because of an unexpired lease retries once the lease
+// ends, plus a random jitter in [1ms, kLeaseWaitJitterMax] so competing
+// candidates do not collide again.
+constexpr TimeMicros kLeaseWaitJitterMax = Millis(50);
+
+// Outstanding unacknowledged Accept rounds the leader keeps in flight per
+// follower (the replication window is kPipelineDepth * kMaxBatchEntries
+// entries past the follower's match index). Also bounds how many flushed
+// broadcast rounds may be awaiting commit before further flushes defer to
+// round completion.
+constexpr uint64_t kPipelineDepth = 4;
+
+// Follower-side AcceptedMsg coalescing window: acks for Accepts of the
+// same ballot arriving within this window merge into one reply. Zero
+// coalesces only same-turn arrivals.
+constexpr TimeMicros kAckFlushWindow = 0;
+
+// After the leader advances its commit index it notifies idle followers
+// (via an empty Accept) within this long, instead of waiting for the next
+// heartbeat. A flush carrying fresh entries supersedes the notification.
+constexpr TimeMicros kCommitNotifyInterval = Millis(1);
+
 }  // namespace
 
 // Hashes the canonical wire encoding so decoded copies and originals digest
@@ -472,7 +494,7 @@ void Replica::HandlePromise(const PromiseMsg& m) {
       votes_.clear();
       timers_.Cancel(election_timer_);
       election_timer_ = timers_.Schedule(
-          m.lease_wait + rng_.Range(Millis(1), cfg_.prepare_retry_min),
+          m.lease_wait + rng_.Range(Millis(1), kLeaseWaitJitterMax),
           [this]() { StartElection(); });
     }
     return;
@@ -634,7 +656,7 @@ void Replica::QueueAck(NodeId to, Ballot ballot, uint64_t match_index,
     pending_ack_match_ = match_index;
     pending_ack_sent_at_ = leader_sent_at;
     ack_timer_ =
-        timers_.Schedule(cfg_.ack_flush_window, [this]() { FlushAck(); });
+        timers_.Schedule(kAckFlushWindow, [this]() { FlushAck(); });
     return;
   }
   // Merging keeps the highest match and the latest leader send timestamp;
@@ -868,7 +890,7 @@ void Replica::ReplicateTo(NodeId peer_id, bool allow_empty) {
   // flight comes back as a need_from nack (backstopped by the heartbeat's
   // empty probe), which rewinds next_index for a resend.
   const uint64_t window_end =
-      peer.match_index + cfg_.pipeline_depth * cfg_.max_batch_entries;
+      peer.match_index + kPipelineDepth * kMaxBatchEntries;
   bool sent = false;
   while (peer.next_index <= last_log_index() &&
          peer.next_index <= window_end) {
@@ -878,7 +900,7 @@ void Replica::ReplicateTo(NodeId peer_id, bool allow_empty) {
     m->prev_ballot = BallotAt(m->prev_index);
     const uint64_t last =
         std::min({last_log_index(),
-                  peer.next_index + cfg_.max_batch_entries - 1, window_end});
+                  peer.next_index + kMaxBatchEntries - 1, window_end});
     for (uint64_t i = peer.next_index; i <= last; ++i) {
       const LogEntry* e = log_.At(i);
       SCATTER_CHECK(e != nullptr);
@@ -970,13 +992,11 @@ void Replica::RequestFlush() {
   if (role_ != Role::kLeader || last_flush_end_ >= last_log_index()) {
     return;
   }
-  if (cfg_.accept_flush_window > 0) {
-    ScheduleFlush(cfg_.accept_flush_window);
-  } else if (flush_ends_.empty()) {
+  if (flush_ends_.empty()) {
     // Nothing in flight: send immediately, so a lone sequential proposer
     // pays no extra event-loop turn of latency.
     Flush();
-  } else if (flush_ends_.size() < cfg_.pipeline_depth) {
+  } else if (flush_ends_.size() < kPipelineDepth) {
     // Flush on the next event-loop turn: everything else proposed in this
     // turn rides one broadcast.
     ScheduleFlush(0);
@@ -1068,7 +1088,7 @@ void Replica::MaybeAdvanceCommit() {
     // peer triggers one flush regardless of which peer it is.
     for (const auto& [id, peer] : peers_) {
       if (peer.last_sent_commit < commit_index_) {
-        ScheduleFlush(cfg_.commit_notify_interval);
+        ScheduleFlush(kCommitNotifyInterval);
         break;
       }
     }

@@ -311,7 +311,7 @@ class Replica {
   void FlushAppends(bool force_empty);
   void BroadcastAppends();
   // Group-commit scheduling: proposals request a flush; rounds gate on
-  // pipeline_depth flushed-but-uncommitted broadcasts.
+  // kPipelineDepth flushed-but-uncommitted broadcasts.
   void RequestFlush();
   void ScheduleFlush(TimeMicros delay);
   void Flush();

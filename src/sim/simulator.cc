@@ -103,16 +103,10 @@ void Simulator::RunPeriodicTasks() {
 }
 
 obs::HealthMonitor& Simulator::EnableHealthMonitor() {
-  return EnableHealthMonitor(obs::HealthConfig{});
-}
-
-obs::HealthMonitor& Simulator::EnableHealthMonitor(
-    const obs::HealthConfig& config) {
   if (health_monitor_ == nullptr) {
-    health_monitor_ =
-        std::make_unique<obs::HealthMonitor>(config, &metrics());
+    health_monitor_ = std::make_unique<obs::HealthMonitor>(&metrics());
     health_task_id_ = AddPeriodicTask(
-        config.period_us, [this](TimeMicros due) {
+        obs::kMonitorPeriodUs, [this](TimeMicros due) {
           health_monitor_->Tick(due, tracer_.get());
         });
     if (timeline_ != nullptr) {
@@ -134,16 +128,11 @@ void Simulator::DisableHealthMonitor() {
 }
 
 obs::TimelineRecorder& Simulator::EnableTimeline() {
-  return EnableTimeline(obs::TimelineConfig{});
-}
-
-obs::TimelineRecorder& Simulator::EnableTimeline(
-    const obs::TimelineConfig& config) {
   if (timeline_ == nullptr) {
     timeline_ = std::make_unique<obs::TimelineRecorder>(
-        config, &metrics(), health_monitor_.get());
+        &metrics(), health_monitor_.get());
     timeline_task_id_ = AddPeriodicTask(
-        config.period_us, [this](TimeMicros due) {
+        obs::kMonitorPeriodUs, [this](TimeMicros due) {
           timeline_->Capture(due, tracer_.get());
         });
   }

@@ -45,8 +45,6 @@ class MetricsRegistry;
 class TraceRecorder;
 class HealthMonitor;
 class TimelineRecorder;
-struct HealthConfig;
-struct TimelineConfig;
 }  // namespace scatter::obs
 
 namespace scatter::sim {
@@ -172,7 +170,6 @@ class Simulator {
   // its periodic tick. nullptr when disabled (the default). Idempotent.
   obs::HealthMonitor* health_monitor() const { return health_monitor_.get(); }
   obs::HealthMonitor& EnableHealthMonitor();
-  obs::HealthMonitor& EnableHealthMonitor(const obs::HealthConfig& config);
   void DisableHealthMonitor();
 
   // --- Obs timeline --------------------------------------------------------
@@ -181,7 +178,6 @@ class Simulator {
   // capture. nullptr when disabled (the default). Idempotent.
   obs::TimelineRecorder* timeline() const { return timeline_.get(); }
   obs::TimelineRecorder& EnableTimeline();
-  obs::TimelineRecorder& EnableTimeline(const obs::TimelineConfig& config);
   void DisableTimeline();
 
  private:

@@ -7,6 +7,15 @@
 #include "src/common/pooled.h"
 
 namespace scatter::txn {
+namespace {
+
+// Coordinator aborts if the participant has not prepared by then.
+constexpr TimeMicros kPrepareTimeout = Seconds(3);
+// A participant frozen this long without a decision starts status
+// queries against the coordinator group's members.
+constexpr TimeMicros kStatusQueryAfter = Seconds(4);
+
+}  // namespace
 
 using membership::CoordDecideCommand;
 using membership::CoordStartCommand;
@@ -154,7 +163,7 @@ void GroupOpDriver::Poke() {
     case Phase::kDeciding:
       break;  // Waiting on our own Paxos commit callbacks.
     case Phase::kPreparing:
-      if (sim_->now() - phase_started_ > cfg_.prepare_timeout) {
+      if (sim_->now() - phase_started_ > kPrepareTimeout) {
         Decide(false);
       } else if (sim_->now() - last_send_ >= cfg_.resend_interval) {
         SendPrepare();
@@ -603,7 +612,7 @@ void GroupOpDriver::MaybeStatusQuery() {
     return;
   }
   const TimeMicros now = sim_->now();
-  if (frozen_since_ == 0 || now - frozen_since_ < cfg_.status_query_after ||
+  if (frozen_since_ == 0 || now - frozen_since_ < kStatusQueryAfter ||
       now - last_status_query_ < cfg_.resend_interval) {
     return;
   }

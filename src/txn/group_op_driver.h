@@ -30,13 +30,8 @@
 namespace scatter::txn {
 
 struct TxnConfig {
-  // Coordinator aborts if the participant has not prepared by then.
-  TimeMicros prepare_timeout = Seconds(3);
   // Resend cadence for unacknowledged prepare / decision messages.
   TimeMicros resend_interval = Millis(500);
-  // A participant frozen this long without a decision starts status
-  // queries against the coordinator group's members.
-  TimeMicros status_query_after = Seconds(4);
 
   // Seeded bug (test-only; see tests/mc_mutation_test.cc): when the
   // answered prepare was a resend, the coordinator records the reply with

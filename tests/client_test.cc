@@ -147,8 +147,8 @@ TEST_F(ClientTest, BusyServerBackedOffAndRetried) {
   sim_.Run();
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(server.requests, 3);
-  // Backoffs actually waited (>= 2 * backoff_min).
-  EXPECT_GE(sim_.now() - start, 2 * cfg.backoff_min);
+  // Backoffs actually waited (>= 2 * kClientBackoffMin).
+  EXPECT_GE(sim_.now() - start, 2 * kClientBackoffMin);
 }
 
 TEST_F(ClientTest, DeadlineBoundsUnresponsiveServer) {

@@ -22,8 +22,8 @@
 namespace scatter {
 namespace {
 
-using obs::HealthConfig;
 using obs::HealthMonitor;
+using obs::kMonitorPeriodUs;
 using obs::MetricsRegistry;
 
 bool Raised(const HealthMonitor& monitor, const std::string& condition,
@@ -42,18 +42,18 @@ bool Raised(const HealthMonitor& monitor, const std::string& condition,
 
 TEST(HealthMonitorTest, FollowerLagRaisesWithinOneWindowAndClears) {
   MetricsRegistry reg;
-  HealthConfig cfg;  // follower_lag: raise_after=1, clear_after=2, lag 64
-  HealthMonitor monitor(cfg, &reg);
+  // follower_lag: raise_after=1, clear_after=2, lag 64
+  HealthMonitor monitor(&reg);
 
   reg.GetGauge("paxos.commit_index", 1, 5).Set(1000);
   reg.GetGauge("paxos.commit_index", 2, 5).Set(995);
-  monitor.Tick(cfg.period_us);
+  monitor.Tick(kMonitorPeriodUs);
   EXPECT_TRUE(monitor.quiet());
 
   // Node 2 falls >64 entries behind: raised at the very next tick
   // (raise_after = 1 — "within one monitoring window").
   reg.GetGauge("paxos.commit_index", 1, 5).Set(2000);
-  monitor.Tick(2 * cfg.period_us);
+  monitor.Tick(2 * kMonitorPeriodUs);
   EXPECT_TRUE(Raised(monitor, "follower_lag", 2, 5));
   EXPECT_FALSE(Raised(monitor, "follower_lag", 1, 5));
   EXPECT_EQ(monitor.raises_total(), 1u);
@@ -61,9 +61,9 @@ TEST(HealthMonitorTest, FollowerLagRaisesWithinOneWindowAndClears) {
 
   // Catching up clears only after clear_after consecutive healthy windows.
   reg.GetGauge("paxos.commit_index", 2, 5).Set(1990);
-  monitor.Tick(3 * cfg.period_us);
+  monitor.Tick(3 * kMonitorPeriodUs);
   EXPECT_TRUE(Raised(monitor, "follower_lag", 2, 5));  // 1 good tick < 2
-  monitor.Tick(4 * cfg.period_us);
+  monitor.Tick(4 * kMonitorPeriodUs);
   EXPECT_FALSE(Raised(monitor, "follower_lag", 2, 5));
   EXPECT_EQ(monitor.clears_total(), 1u);
   EXPECT_EQ(reg.GetGauge("health.follower_lag", 2, 5).value, 0);
@@ -71,112 +71,111 @@ TEST(HealthMonitorTest, FollowerLagRaisesWithinOneWindowAndClears) {
 
 TEST(HealthMonitorTest, StalledProposerNeedsConsecutiveDryWindows) {
   MetricsRegistry reg;
-  HealthConfig cfg;  // stalled_proposer: raise_after=2
-  HealthMonitor monitor(cfg, &reg);
+  // stalled_proposer: raise_after=2
+  HealthMonitor monitor(&reg);
 
   reg.GetGauge("paxos.is_leader", 3, 9).Set(1);
   reg.GetGauge("paxos.proposals_pending", 3, 9).Set(4);
   reg.GetCounter("paxos.entries_committed", 3, 9) += 10;
-  monitor.Tick(cfg.period_us);  // commits flowed: healthy
+  monitor.Tick(kMonitorPeriodUs);  // commits flowed: healthy
   EXPECT_TRUE(monitor.quiet());
 
   // Two windows with pending proposals and zero commit progress.
-  monitor.Tick(2 * cfg.period_us);
+  monitor.Tick(2 * kMonitorPeriodUs);
   EXPECT_TRUE(monitor.quiet());  // first dry window: streak 1 < 2
-  monitor.Tick(3 * cfg.period_us);
+  monitor.Tick(3 * kMonitorPeriodUs);
   EXPECT_TRUE(Raised(monitor, "stalled_proposer", 3, 9));
 
   // Progress resumes: clears after clear_after=1 healthy window.
   reg.GetCounter("paxos.entries_committed", 3, 9) += 4;
-  monitor.Tick(4 * cfg.period_us);
+  monitor.Tick(4 * kMonitorPeriodUs);
   EXPECT_FALSE(Raised(monitor, "stalled_proposer", 3, 9));
 }
 
 TEST(HealthMonitorTest, ElectionChurnRaisesOnBurst) {
   MetricsRegistry reg;
-  HealthConfig cfg;  // churn_elections = 3 per window
-  HealthMonitor monitor(cfg, &reg);
+  // election_churn: 3 elections per window
+  HealthMonitor monitor(&reg);
 
   reg.GetCounter("paxos.elections_started", 4, 2) += 1;
-  monitor.Tick(cfg.period_us);
+  monitor.Tick(kMonitorPeriodUs);
   EXPECT_TRUE(monitor.quiet());  // one election is normal
 
   reg.GetCounter("paxos.elections_started", 4, 2) += 3;
-  monitor.Tick(2 * cfg.period_us);
+  monitor.Tick(2 * kMonitorPeriodUs);
   EXPECT_TRUE(Raised(monitor, "election_churn", 4, 2));
 }
 
 TEST(HealthMonitorTest, SnapshotStuckRequiresFourWindows) {
   MetricsRegistry reg;
-  HealthConfig cfg;  // snapshot_stuck: raise_after=4
-  HealthMonitor monitor(cfg, &reg);
+  // snapshot_stuck: raise_after=4
+  HealthMonitor monitor(&reg);
 
   reg.GetGauge("paxos.snapshots_inflight", 5, 3).Set(1);
   for (int i = 1; i <= 3; ++i) {
-    monitor.Tick(i * cfg.period_us);
+    monitor.Tick(i * kMonitorPeriodUs);
     EXPECT_TRUE(monitor.quiet()) << "window " << i;
   }
-  monitor.Tick(4 * cfg.period_us);
+  monitor.Tick(4 * kMonitorPeriodUs);
   EXPECT_TRUE(Raised(monitor, "snapshot_stuck", 5, 3));
 }
 
 TEST(HealthMonitorTest, RecoveryStuckRaisesOnLingeringGauge) {
   MetricsRegistry reg;
-  HealthConfig cfg;  // recovery_stuck: raise_after=4, clear_after=1
-  HealthMonitor monitor(cfg, &reg);
+  // recovery_stuck: raise_after=4, clear_after=1
+  HealthMonitor monitor(&reg);
 
   // WAL replay completes synchronously inside the restart call, so any
   // nonzero recovery.active observed across windows is a wedged or leaked
   // recovery — but only after the hysteresis, not on a single glimpse.
   reg.GetGauge("recovery.active", 7, 0).Set(1);
   for (int i = 1; i <= 3; ++i) {
-    monitor.Tick(i * cfg.period_us);
+    monitor.Tick(i * kMonitorPeriodUs);
     EXPECT_TRUE(monitor.quiet()) << "window " << i;
   }
-  monitor.Tick(4 * cfg.period_us);
+  monitor.Tick(4 * kMonitorPeriodUs);
   EXPECT_TRUE(Raised(monitor, "recovery_stuck", 7, 0));
   EXPECT_EQ(reg.GetGauge("health.recovery_stuck", 7, 0).value, 1);
 
   // The gauge dropping back to zero clears it after one healthy window.
   reg.GetGauge("recovery.active", 7, 0).Set(0);
-  monitor.Tick(5 * cfg.period_us);
+  monitor.Tick(5 * kMonitorPeriodUs);
   EXPECT_EQ(reg.GetGauge("health.recovery_stuck", 7, 0).value, 0);
 }
 
 TEST(HealthMonitorTest, PoolMissSpikeIsPerNodeAndPerWindow) {
   MetricsRegistry reg;
-  HealthConfig cfg;  // pool_miss_threshold = 256 per window
-  HealthMonitor monitor(cfg, &reg);
+  // pool_miss_spike: 256 pool misses per window
+  HealthMonitor monitor(&reg);
 
   reg.GetCounter("wire.pool.miss", 1) += 300;
   reg.GetCounter("wire.pool.miss", 2) += 10;
-  monitor.Tick(cfg.period_us);
+  monitor.Tick(kMonitorPeriodUs);
   // 300 misses in one window crosses the 256 threshold; 10 does not.
   EXPECT_TRUE(Raised(monitor, "pool_miss_spike", 1, 0));
   EXPECT_FALSE(Raised(monitor, "pool_miss_spike", 2, 0));
 
   // Steady-state hits (no more misses): clears after clear_after=2 windows.
-  monitor.Tick(2 * cfg.period_us);
+  monitor.Tick(2 * kMonitorPeriodUs);
   EXPECT_TRUE(Raised(monitor, "pool_miss_spike", 1, 0));
-  monitor.Tick(3 * cfg.period_us);
+  monitor.Tick(3 * kMonitorPeriodUs);
   EXPECT_FALSE(Raised(monitor, "pool_miss_spike", 1, 0));
 }
 
 TEST(HealthMonitorTest, TickIsIdempotentPerTimestamp) {
   MetricsRegistry reg;
-  HealthConfig cfg;
-  HealthMonitor monitor(cfg, &reg);
+  HealthMonitor monitor(&reg);
 
   reg.GetCounter("paxos.elections_started", 1, 1) += 1;
-  monitor.Tick(cfg.period_us);
+  monitor.Tick(kMonitorPeriodUs);
   EXPECT_TRUE(monitor.quiet());
   reg.GetCounter("paxos.elections_started", 1, 1) += 3;
   // Re-ticking the same instant must not consume the new delta — if it did,
   // the real window below would see 0 and stay quiet.
-  monitor.Tick(cfg.period_us);
-  monitor.Tick(cfg.period_us);
+  monitor.Tick(kMonitorPeriodUs);
+  monitor.Tick(kMonitorPeriodUs);
   EXPECT_TRUE(monitor.quiet());
-  monitor.Tick(2 * cfg.period_us);
+  monitor.Tick(2 * kMonitorPeriodUs);
   EXPECT_TRUE(Raised(monitor, "election_churn", 1, 1));
 }
 
@@ -301,7 +300,7 @@ TEST(HealthIntegrationTest, IsolatedReplicaRaisesFollowerLag) {
   ASSERT_NE(monitor, nullptr);
   // One more monitoring window after the lag exists is all detection needs
   // (follower_lag raise_after = 1).
-  cluster.RunFor(2 * monitor->config().period_us);
+  cluster.RunFor(2 * kMonitorPeriodUs);
   EXPECT_TRUE(Raised(*monitor, "follower_lag", victim, info.id))
       << "isolated node " << victim << " not flagged; raises="
       << monitor->raises_total();

@@ -679,7 +679,7 @@ TEST(SimulatorPeriodicTest, PeriodicTasksDoNotChangeEventSchedule) {
 
 TEST(TimelineTest, CaptureSamplesWindowsAndCountersPerInterval) {
   obs::MetricsRegistry reg;
-  obs::TimelineRecorder rec(obs::TimelineConfig{}, &reg, nullptr);
+  obs::TimelineRecorder rec(&reg, nullptr);
   reg.GetWindow("store.window.ops", 1, 7).Record(100'000, 50);
   reg.GetWindow("store.window.bytes", 1, 7).Record(100'000, 5000);
   reg.GetCounter("wire.frames_serialized", 1) += 100;
@@ -703,7 +703,7 @@ TEST(TimelineTest, CaptureSamplesWindowsAndCountersPerInterval) {
 
 TEST(TimelineTest, SerializeParseRoundTripsByteIdentically) {
   obs::MetricsRegistry reg;
-  obs::TimelineRecorder rec(obs::TimelineConfig{}, &reg, nullptr);
+  obs::TimelineRecorder rec(&reg, nullptr);
   reg.GetWindow("store.window.ops", 3, 11).Record(50'000, 7);
   reg.GetHistogram("store.op.latency_us", 3, 11).Record(421);
   reg.GetHistogram("store.op.latency_us", 3, 11).Record(999);
@@ -714,7 +714,7 @@ TEST(TimelineTest, SerializeParseRoundTripsByteIdentically) {
   const std::string json = rec.ToJson();
   obs::TimelineRecorder::Parsed parsed;
   ASSERT_TRUE(obs::TimelineRecorder::Parse(json, &parsed));
-  EXPECT_EQ(parsed.period_us, rec.config().period_us);
+  EXPECT_EQ(parsed.period_us, obs::kMonitorPeriodUs);
   ASSERT_EQ(parsed.snapshots.size(), 2u);
   EXPECT_EQ(parsed.snapshots[0].ts_us, 250'000);
   ASSERT_EQ(parsed.snapshots[0].groups.size(), 1u);
@@ -736,7 +736,7 @@ TEST(TimelineTest, ParseRejectsMalformedDocuments) {
       &parsed));
   // Trailing garbage after a valid document is rejected.
   obs::MetricsRegistry reg;
-  obs::TimelineRecorder rec(obs::TimelineConfig{}, &reg, nullptr);
+  obs::TimelineRecorder rec(&reg, nullptr);
   rec.Capture(250'000);
   EXPECT_TRUE(obs::TimelineRecorder::Parse(rec.ToJson(), &parsed));
   EXPECT_FALSE(obs::TimelineRecorder::Parse(rec.ToJson() + "x", &parsed));

@@ -146,6 +146,10 @@ class PaxosTestNode : public rpc::RpcNode, public ReplicaHost {
 
   // RpcNode:
   void OnRequest(const sim::MessagePtr& m) override {
+    if (m->type == sim::MessageType::kPaxosAccept) {
+      accept_batch_sizes.push_back(
+          static_cast<const AcceptMsg&>(*m).entries.size());
+    }
     if (unhosted) {
       // Mimic a ScatterNode that does not host a replica for this group:
       // all traffic is dropped until a bootstrap-flagged snapshot arrives
@@ -168,6 +172,8 @@ class PaxosTestNode : public rpc::RpcNode, public ReplicaHost {
   // node does not yet host a replica for the group.
   bool unhosted = false;
   std::vector<NodeId> suspected;
+  // Entries carried by each AcceptMsg this node received, in arrival order.
+  std::vector<size_t> accept_batch_sizes;
 
  private:
   std::unique_ptr<GroupJournal> MakeJournal(storage::Disk* disk,

@@ -961,9 +961,57 @@ TEST(PaxosBatchingTest, CommitNotifyBeatsHeartbeat) {
   }
   EXPECT_TRUE(committed);
   EXPECT_TRUE(cluster.AllApplied(expected));
-  // Round trip + commit_notify_interval (1ms) is well under the 50ms
-  // heartbeat the seed needed to spread the commit index.
+  // Round trip + the leader's 1ms commit-notify delay is well under the
+  // 50ms heartbeat the seed needed to spread the commit index.
   EXPECT_LT(cluster.sim().now() - start, Millis(20));
+}
+
+// A backlog far longer than one batch streams as consecutive rounds: no
+// Accept a follower receives carries more than kMaxBatchEntries entries,
+// the cap is reached, and the whole backlog commits.
+TEST(PaxosBatchingTest, AcceptsNeverExceedTheBatchBound) {
+  PaxosCluster cluster(3, 25);
+  PaxosTestNode* l = cluster.WaitForLeader();
+  ASSERT_NE(l, nullptr);
+  cluster.sim().RunFor(Millis(200));  // quiesce election traffic
+  std::vector<PaxosTestNode*> followers;
+  for (PaxosTestNode* n : cluster.live_nodes()) {
+    if (n != l) {
+      n->accept_batch_sizes.clear();
+      followers.push_back(n);
+    }
+  }
+  ASSERT_EQ(followers.size(), 2u);
+
+  constexpr int kOps = 300;
+  std::vector<uint64_t> expected;
+  int committed = 0;
+  for (int i = 0; i < kOps; ++i) {
+    expected.push_back(2000 + i);
+    l->replica().Propose(std::make_shared<SeqCommand>(2000 + i),
+                         [&committed](StatusOr<uint64_t> r) {
+                           if (r.ok()) {
+                             committed++;
+                           }
+                         });
+  }
+  const TimeMicros deadline = cluster.sim().now() + Seconds(5);
+  while (committed < kOps && cluster.sim().now() < deadline) {
+    cluster.sim().RunFor(Millis(1));
+  }
+  ASSERT_EQ(committed, kOps);
+  cluster.sim().RunFor(Millis(100));
+  EXPECT_TRUE(cluster.AllApplied(expected));
+
+  for (PaxosTestNode* f : followers) {
+    const std::vector<size_t>& sizes = f->accept_batch_sizes;
+    ASSERT_FALSE(sizes.empty());
+    for (size_t size : sizes) {
+      EXPECT_LE(size, kMaxBatchEntries);
+    }
+    EXPECT_EQ(*std::max_element(sizes.begin(), sizes.end()),
+              kMaxBatchEntries);
+  }
 }
 
 // A leader partitioned away mid-batch fails every pending proposal cleanly

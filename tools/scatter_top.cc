@@ -258,7 +258,7 @@ int RunLive(int seconds) {
     std::printf("\n--- t=%ds (%llu ops issued) ---\n", s + 1,
                 static_cast<unsigned long long>(issued));
     TimelineRecorder::Parsed live;
-    live.period_us = cluster.sim().timeline()->config().period_us;
+    live.period_us = obs::kMonitorPeriodUs;
     live.snapshots = cluster.sim().timeline()->snapshots();
     Render(live, /*last_only=*/true);
   }

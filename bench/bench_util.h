@@ -159,9 +159,9 @@ inline void ExportObservability(sim::Simulator& sim) {
   if (const char* path = std::getenv("SCATTER_TIMELINE_JSON");
       path != nullptr && *path != '\0') {
     if (obs::TimelineRecorder* timeline = sim.timeline()) {
-      // Capture one final snapshot at the current instant so the file covers
-      // the tail of the run even when it ended mid-period.
-      timeline->Capture(sim.now(), sim.tracer());
+      // One final tick at the current instant so the file covers the tail
+      // of the run even when it ended mid-period.
+      sim.TickMonitors(sim.now());
       std::ofstream out(path);
       if (out) {
         out << timeline->ToJson() << "\n";

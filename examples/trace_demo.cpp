@@ -143,10 +143,10 @@ int Run(const std::string& trace_path, const std::string& metrics_path,
     out << cluster.sim().metrics().ToJson();
   }
   {
-    // Final capture at the current instant so the document covers the tail
-    // of the run even though it ended between period boundaries.
+    // Final tick at the current instant so the document covers the tail of
+    // the run even though it ended between period boundaries.
+    cluster.sim().TickMonitors(cluster.sim().now());
     obs::TimelineRecorder* timeline = cluster.sim().timeline();
-    timeline->Capture(cluster.sim().now(), cluster.sim().tracer());
     std::ofstream out(timeline_path);
     if (!out) {
       std::fprintf(stderr, "trace_demo: cannot write %s\n",

@@ -10,16 +10,16 @@ Checks (stdlib only, no third-party deps):
              start at or after their parent (simulated time), and at least
              one multi-group transaction (txn.coordinate) whose span tree is
              a single connected tree spanning >= 2 distinct groups.
-  metrics  - schema tag scatter.metrics.v1, counters/gauges/windows/
-             histograms arrays with stable cell shape, histogram summaries
-             carry the full quantile set with a sane ordering (count >= 0,
+  metrics  - schema tag scatter.metrics.v1, counters/gauges/histograms
+             arrays with stable cell shape, histogram summaries carry the
+             full quantile set with a sane ordering (count >= 0,
              min <= p50 <= p90 <= p99 <= p100 <= max — a negative-width
-             quantile bucket means a broken merge), sliding windows carry
-             positive bucket widths and non-negative sums, and the core
-             paxos/txn counters are present and non-zero for a run that
-             committed operations. Durability cells: wal.appends/fsyncs/
-             bytes non-zero with fsyncs <= appends (group commit must
-             batch), the wal.group_commit_batch histogram populated, the
+             quantile bucket means a broken merge), and the core
+             paxos/txn counters and the timeline's load counters are
+             present and non-zero for a run that committed operations.
+             Durability cells: wal.appends/fsyncs/bytes non-zero with
+             fsyncs <= appends (group commit must batch), the
+             wal.group_commit_batch histogram populated, the
              recovery.* cells populated by the demo's crash + restart, and
              the recovery.active gauge back to zero (replay is synchronous;
              a lingering nonzero gauge is a wedged recovery).
@@ -156,29 +156,6 @@ def check_hist_summary(hist, ctx):
                  f"({lo} > {hi}): {hist}")
 
 
-def check_window(window, ctx):
-    for key in ("bucket_width_us", "num_buckets", "total", "ewma",
-                "buckets"):
-        if key not in window:
-            fail(f"{ctx}: window missing {key!r}: {window}")
-    if window["bucket_width_us"] <= 0:
-        fail(f"{ctx}: non-positive window bucket width: {window}")
-    if window["num_buckets"] <= 0:
-        fail(f"{ctx}: non-positive window bucket count: {window}")
-    if window["ewma"] < 0:
-        fail(f"{ctx}: negative window ewma: {window}")
-    prev_epoch = None
-    for bucket in window["buckets"]:
-        for key in ("epoch", "sum"):
-            if key not in bucket:
-                fail(f"{ctx}: window bucket missing {key!r}: {bucket}")
-        if bucket["epoch"] < 0 or bucket["sum"] < 0:
-            fail(f"{ctx}: negative window bucket field: {bucket}")
-        if prev_epoch is not None and bucket["epoch"] <= prev_epoch:
-            fail(f"{ctx}: window bucket epochs not increasing: {window}")
-        prev_epoch = bucket["epoch"]
-
-
 def check_metrics(path):
     with open(path, encoding="utf-8") as f:
         # bench_util appends one snapshot per line; validate the last one.
@@ -189,18 +166,13 @@ def check_metrics(path):
     check_finite(doc, "metrics")
     if doc.get("schema") != "scatter.metrics.v1":
         fail("metrics: missing schema tag scatter.metrics.v1")
-    for section in ("counters", "gauges", "windows", "histograms"):
+    for section in ("counters", "gauges", "histograms"):
         if not isinstance(doc.get(section), list):
             fail(f"metrics: {section} missing")
     for cell in doc["counters"] + doc["gauges"]:
         for key in ("name", "node", "group", "value"):
             if key not in cell:
                 fail(f"metrics: cell missing {key!r}: {cell}")
-    for cell in doc["windows"]:
-        for key in ("name", "node", "group", "window"):
-            if key not in cell:
-                fail(f"metrics: window cell missing {key!r}: {cell}")
-        check_window(cell["window"], f"metrics: {cell['name']}")
     for cell in doc["histograms"]:
         for key in ("name", "node", "group", "hist"):
             if key not in cell:
@@ -210,8 +182,10 @@ def check_metrics(path):
     def total(name):
         return sum(c["value"] for c in doc["counters"] if c["name"] == name)
 
-    if total("paxos.entries_committed") == 0:
-        fail("metrics: paxos.entries_committed is zero")
+    for name in ("paxos.entries_committed", "paxos.commits_learned",
+                 "store.ops_accepted"):
+        if total(name) == 0:
+            fail(f"metrics: {name} is zero")
     if total("txn.txns_committed") == 0:
         fail("metrics: txn.txns_committed is zero")
 
@@ -245,7 +219,6 @@ def check_metrics(path):
 
     print(f"check_obs_json: metrics ok ({len(doc['counters'])} counter cells, "
           f"{len(doc['gauges'])} gauge cells, "
-          f"{len(doc['windows'])} window cells, "
           f"{len(doc['histograms'])} histogram cells)")
 
 

@@ -129,7 +129,7 @@ storage::SimDisk* Cluster::disk(NodeId id) {
   return it == disks_.end() ? nullptr : it->second.get();
 }
 
-storage::Disk* Cluster::DiskFor(NodeId id) {
+storage::SimDisk* Cluster::DiskFor(NodeId id) {
   if (!persist_) {
     return nullptr;
   }

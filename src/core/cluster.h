@@ -41,7 +41,7 @@ struct ClusterConfig {
   enum class Persistence { kDefault, kOn, kOff };
   Persistence persistence = Persistence::kDefault;
   // Cluster health monitoring (obs::HealthMonitor on the simulator's
-  // periodic hook). Off by default: monitoring reads registry cells only,
+  // monitor tick). Off by default: monitoring reads registry cells only,
   // but tests opt in explicitly so clean-run quietness is an assertion,
   // not an accident.
   bool enable_health_monitor = false;
@@ -116,7 +116,7 @@ class Cluster {
  private:
   std::vector<NodeId> SampleSeeds(size_t count) const;
   // The node's disk, created on first use (null when persistence is off).
-  storage::Disk* DiskFor(NodeId id);
+  storage::SimDisk* DiskFor(NodeId id);
 
   ClusterConfig cfg_;
   bool persist_;

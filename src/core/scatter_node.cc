@@ -53,7 +53,7 @@ constexpr TimeMicros kJoinRetryMax = Seconds(2);
 
 ScatterNode::ScatterNode(NodeId id, sim::Transport* network,
                          const ScatterConfig& config,
-                         std::vector<NodeId> seeds, storage::Disk* disk)
+                         std::vector<NodeId> seeds, storage::SimDisk* disk)
     : RpcNode(id, network),
       cfg_(config),
       seeds_(std::move(seeds)),
@@ -113,8 +113,8 @@ ScatterNode::Hosted* ScatterNode::WireHosted(GroupId group) {
   h.driver = std::make_unique<txn::GroupOpDriver>(
       simulator(), this, h.replica.get(), h.sm.get(), cfg_.txn);
   obs::MetricsRegistry& metrics = simulator()->metrics();
-  h.ops_window = &metrics.GetWindow("store.window.ops", id(), group);
-  h.bytes_window = &metrics.GetWindow("store.window.bytes", id(), group);
+  h.ops_accepted = &metrics.GetCounter("store.ops_accepted", id(), group);
+  h.bytes_accepted = &metrics.GetCounter("store.bytes_accepted", id(), group);
   h.op_latency = &metrics.GetHistogram("store.op.latency_us", id(), group);
   last_hosted_at_ = now();
   simulator()->metrics().GetGauge("core.hosted_groups", id()).Add(1);
@@ -505,8 +505,8 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
   const GroupId gid = h->sm->id();
   h->window_ops++;
   const TimeMicros accepted_at = now();
-  h->ops_window->Record(accepted_at);
-  h->bytes_window->Record(accepted_at, req.ByteSize());
+  ++*h->ops_accepted;
+  *h->bytes_accepted += req.ByteSize();
   // Node-side span: child of the client op's span (restored from the
   // delivered request), parent of the paxos spans the read/write produces.
   obs::TraceRecorder* tr = simulator()->tracer();

@@ -29,7 +29,7 @@
 #include "src/paxos/replica.h"
 #include "src/ring/ring_map.h"
 #include "src/rpc/rpc_node.h"
-#include "src/storage/disk.h"
+#include "src/storage/sim_disk.h"
 #include "src/txn/group_op_driver.h"
 #include "src/txn/messages.h"
 
@@ -46,7 +46,7 @@ class ScatterNode : public rpc::RpcNode,
   // storage: every hosted replica journals through it, and it must outlive
   // the node (the cluster keeps it across crash/restart cycles).
   ScatterNode(NodeId id, sim::Transport* network, const ScatterConfig& config,
-              std::vector<NodeId> seeds, storage::Disk* disk = nullptr);
+              std::vector<NodeId> seeds, storage::SimDisk* disk = nullptr);
   ~ScatterNode() override;
 
   // Bootstrap path: become a founding member of `group` (all founding
@@ -136,10 +136,10 @@ class ScatterNode : public rpc::RpcNode,
     std::unique_ptr<membership::GroupStateMachine> sm;
     std::unique_ptr<txn::GroupOpDriver> driver;
     std::unique_ptr<paxos::Replica> replica;
-    // Registry cells the obs timeline reads: windowed op and byte rates of
-    // accepted client ops, and their accept-to-reply latency.
-    obs::SlidingWindow* ops_window = nullptr;
-    obs::SlidingWindow* bytes_window = nullptr;
+    // Registry cells the obs timeline reads: counts of accepted client ops
+    // and their bytes, and their accept-to-reply latency.
+    Counter* ops_accepted = nullptr;
+    Counter* bytes_accepted = nullptr;
     Histogram* op_latency = nullptr;
     bool teardown_scheduled = false;
     TimeMicros last_neighbor_refresh = 0;
@@ -205,7 +205,7 @@ class ScatterNode : public rpc::RpcNode,
 
   ScatterConfig cfg_;
   std::vector<NodeId> seeds_;
-  storage::Disk* disk_;  // null: memory-only node (pre-durability behavior)
+  storage::SimDisk* disk_;  // null: memory-only node (pre-durability behavior)
   std::map<GroupId, Hosted> hosted_;
   ring::RingMap ring_;
   NodeStats stats_;

@@ -66,9 +66,9 @@ class HealthMonitor {
   explicit HealthMonitor(MetricsRegistry* registry);
 
   // Evaluates every detector at simulated time `now_us`. Idempotent per
-  // timestamp (a second call with the same now_us is a no-op), so a lazy
-  // caller — the timeline capturing right before its own snapshot — can
-  // tick defensively without double-counting windows. `tracer` may be null.
+  // timestamp (a second call with the same now_us is a no-op), so an
+  // exporter's final tick at a boundary already ticked does not
+  // double-count a window. `tracer` may be null.
   void Tick(int64_t now_us, TraceRecorder* tracer = nullptr);
 
   // Currently-raised conditions, ordered (condition, node, group).
@@ -99,7 +99,8 @@ class HealthMonitor {
   void Observe(const HealthDetector& detector, NodeId node, GroupId group,
                bool unhealthy, int64_t now_us, TraceRecorder* tracer);
 
-  // Counter delta since the previous tick (0 on first sight).
+  // Counter delta since the previous tick. A cell first seen now yields its
+  // full count: it was born after the previous tick, so all of it is new.
   uint64_t Delta(const std::string& name, NodeId node, GroupId group,
                  uint64_t current);
 

@@ -41,16 +41,6 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name, NodeId node,
   return histograms_[Key(name, node, group)];
 }
 
-SlidingWindow& MetricsRegistry::GetWindow(const std::string& name, NodeId node,
-                                          GroupId group,
-                                          const SlidingWindow::Params& params) {
-  auto it = windows_.find(Key(name, node, group));
-  if (it == windows_.end()) {
-    it = windows_.emplace(Key(name, node, group), SlidingWindow(params)).first;
-  }
-  return it->second;
-}
-
 namespace {
 
 // Visits every cell of one metric name: the index is ordered by
@@ -58,7 +48,7 @@ namespace {
 // collected before the first call because the health monitor and timeline
 // re-enter the registry (Find*/Get*) from inside their visitors, and a cell
 // they create must not join the pass in progress. Arena-backed maps store
-// Cell*, histogram/window maps store the cell inline; both kinds have
+// Cell*, the histogram map stores the cell inline; both kinds have
 // stable addresses.
 template <typename Cell, typename Map>
 void VisitName(const Map& map, const std::string& name,
@@ -84,12 +74,7 @@ void VisitName(const Map& map, const std::string& name,
 template <typename Cell, typename Map>
 const Cell* FindCell(const Map& map, const typename Map::key_type& key) {
   auto it = map.find(key);
-  if (it == map.end()) return nullptr;
-  if constexpr (std::is_pointer_v<typename Map::mapped_type>) {
-    return it->second;
-  } else {
-    return &it->second;
-  }
+  return it == map.end() ? nullptr : it->second;
 }
 
 }  // namespace
@@ -106,13 +91,6 @@ void MetricsRegistry::ForEachGauge(
   VisitName<Gauge>(gauges_, name, fn);
 }
 
-void MetricsRegistry::ForEachWindow(
-    const std::string& name,
-    const std::function<void(NodeId, GroupId, const SlidingWindow&)>& fn)
-    const {
-  VisitName<SlidingWindow>(windows_, name, fn);
-}
-
 void MetricsRegistry::ForEachHistogram(
     const std::string& name,
     const std::function<void(NodeId, GroupId, const Histogram&)>& fn) const {
@@ -127,31 +105,6 @@ const Counter* MetricsRegistry::FindCounter(const std::string& name,
 const Gauge* MetricsRegistry::FindGauge(const std::string& name, NodeId node,
                                         GroupId group) const {
   return FindCell<Gauge>(gauges_, Key(name, node, group));
-}
-
-const Histogram* MetricsRegistry::FindHistogram(const std::string& name,
-                                                NodeId node,
-                                                GroupId group) const {
-  return FindCell<Histogram>(histograms_, Key(name, node, group));
-}
-
-void MetricsRegistry::Merge(const MetricsRegistry& other) {
-  for (const auto& [key, counter] : other.counters_) {
-    GetCounter(std::get<0>(key), std::get<1>(key), std::get<2>(key)).value +=
-        counter->value;
-  }
-  for (const auto& [key, gauge] : other.gauges_) {
-    GetGauge(std::get<0>(key), std::get<1>(key), std::get<2>(key)).value +=
-        gauge->value;
-  }
-  for (const auto& [key, hist] : other.histograms_) {
-    histograms_[key].Merge(hist);
-  }
-  for (const auto& [key, window] : other.windows_) {
-    GetWindow(std::get<0>(key), std::get<1>(key), std::get<2>(key),
-              window.params())
-        .Merge(window);
-  }
 }
 
 std::string MetricsRegistry::ToJson() const {
@@ -174,14 +127,6 @@ std::string MetricsRegistry::ToJson() const {
     out += ",";
     json::AppendI64(&out, "value", gauge->value);
     out += "}";
-  }
-  out += "],\"windows\":[";
-  first = true;
-  for (const auto& [key, window] : windows_) {
-    if (!first) out += ",";
-    first = false;
-    AppendCellPrefix(&out, key);
-    out += ",\"window\":" + window.ToJson() + "}";
   }
   out += "],\"histograms\":[";
   first = true;

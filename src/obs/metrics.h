@@ -1,6 +1,5 @@
 // Unified metrics registry: named counters, gauges, and histograms keyed by
-// (metric name, node, group), mergeable across registries and exported as
-// stable-schema JSON.
+// (metric name, node, group) and exported as stable-schema JSON.
 //
 // Counter and gauge cells live in deque arenas (the name index maps into
 // them), so references handed out by find-or-create calls stay valid for the
@@ -26,7 +25,6 @@
 
 #include "src/common/histogram.h"
 #include "src/common/types.h"
-#include "src/obs/window.h"
 
 namespace scatter::obs {
 
@@ -55,12 +53,6 @@ class MetricsRegistry {
   Gauge& GetGauge(const std::string& name, NodeId node = 0, GroupId group = 0);
   Histogram& GetHistogram(const std::string& name, NodeId node = 0,
                           GroupId group = 0);
-  // Windowed rate cell. `params` only applies on first creation; later
-  // lookups of an existing cell ignore it (cells are shared, so the first
-  // binder fixes the window geometry).
-  SlidingWindow& GetWindow(const std::string& name, NodeId node = 0,
-                           GroupId group = 0,
-                           const SlidingWindow::Params& params = {});
 
   // Read-side iteration for monitors/exporters: visits every cell whose
   // metric name equals `name`, in (node, group) order. Deterministic
@@ -71,10 +63,6 @@ class MetricsRegistry {
   void ForEachGauge(
       const std::string& name,
       const std::function<void(NodeId, GroupId, const Gauge&)>& fn) const;
-  void ForEachWindow(
-      const std::string& name,
-      const std::function<void(NodeId, GroupId, const SlidingWindow&)>& fn)
-      const;
   void ForEachHistogram(
       const std::string& name,
       const std::function<void(NodeId, GroupId, const Histogram&)>& fn) const;
@@ -84,20 +72,11 @@ class MetricsRegistry {
                              GroupId group = 0) const;
   const Gauge* FindGauge(const std::string& name, NodeId node = 0,
                          GroupId group = 0) const;
-  const Histogram* FindHistogram(const std::string& name, NodeId node = 0,
-                                 GroupId group = 0) const;
-
-  // Sums counters/gauges, merges histograms, and epoch-aligns windows
-  // cell-by-cell; cells present only in `other` are created. Used to fold
-  // per-process registries into a cluster-wide view. Window cells merged
-  // across registries must share Params.
-  void Merge(const MetricsRegistry& other);
 
   // Stable-schema JSON:
   //   {"schema":"scatter.metrics.v1",
   //    "counters":[{"name":...,"node":N,"group":G,"value":V},...],
   //    "gauges":[...same with "value"...],
-  //    "windows":[{"name":...,"node":N,"group":G,"window":{...}},...],
   //    "histograms":[{"name":...,"node":N,"group":G,"hist":{...}},...]}
   // Arrays are ordered by (name, node, group), so equal registries produce
   // byte-identical exports.
@@ -117,11 +96,6 @@ class MetricsRegistry {
   std::map<Key, Counter*> counters_;
   std::map<Key, Gauge*> gauges_;
   std::map<Key, Histogram> histograms_;
-  // Windows are recorded through a bound reference like counters but carry
-  // more state; like histograms they are rare enough (a handful per group)
-  // to live in the map nodes directly. std::map nodes are stable, so
-  // references handed out stay valid.
-  std::map<Key, SlidingWindow> windows_;
 };
 
 }  // namespace scatter::obs

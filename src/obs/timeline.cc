@@ -45,17 +45,13 @@ bool ReadI64(const json::Value& row, const char* key, int64_t* out) {
 
 }  // namespace
 
-TimelineRecorder::TimelineRecorder(MetricsRegistry* registry,
-                                   HealthMonitor* monitor)
-    : monitor_(monitor), registry_(registry) {
+TimelineRecorder::TimelineRecorder(MetricsRegistry* registry)
+    : registry_(registry) {
   assert(registry_ != nullptr);
 }
 
-void TimelineRecorder::Capture(int64_t now_us, TraceRecorder* tracer) {
+void TimelineRecorder::Capture(int64_t now_us, const HealthMonitor* monitor) {
   if (now_us <= last_capture_us_) return;  // idempotent per timestamp
-  if (monitor_ != nullptr) {
-    monitor_->Tick(now_us, tracer);  // idempotent; order-independent
-  }
   const int64_t dt_us =
       last_capture_us_ < 0 ? std::max<int64_t>(now_us, 1)
                            : now_us - last_capture_us_;
@@ -64,8 +60,18 @@ void TimelineRecorder::Capture(int64_t now_us, TraceRecorder* tracer) {
   Snapshot snap;
   snap.ts_us = now_us;
 
+  // Per-second rate of one counter cell over this interval. A cell first
+  // seen now contributes its whole count: it was born during the interval.
+  auto delta_of = [&](const std::string& name, NodeId node, GroupId group,
+                      uint64_t current) -> double {
+    uint64_t& prev = prev_counters_[CellKey(name, node, group)];
+    const uint64_t delta = current >= prev ? current - prev : 0;
+    prev = current;
+    return static_cast<double>(delta) * 1e6 / static_cast<double>(dt_us);
+  };
+
   // Group rows: the union of (group, node) cells carrying store or paxos
-  // rate windows, ordered (group, node).
+  // load counters or latency samples, ordered (group, node).
   std::map<std::pair<GroupId, NodeId>, GroupRow> groups;
   auto group_row = [&](NodeId node, GroupId group) -> GroupRow& {
     GroupRow& row = groups[{group, node}];
@@ -73,21 +79,15 @@ void TimelineRecorder::Capture(int64_t now_us, TraceRecorder* tracer) {
     row.node = node;
     return row;
   };
-  registry_->ForEachWindow(
-      "store.window.ops",
-      [&](NodeId node, GroupId group, const SlidingWindow& w) {
-        group_row(node, group).ops_per_sec = w.RatePerSec(now_us);
-      });
-  registry_->ForEachWindow(
-      "store.window.bytes",
-      [&](NodeId node, GroupId group, const SlidingWindow& w) {
-        group_row(node, group).bytes_per_sec = w.RatePerSec(now_us);
-      });
-  registry_->ForEachWindow(
-      "paxos.window.commits",
-      [&](NodeId node, GroupId group, const SlidingWindow& w) {
-        group_row(node, group).commits_per_sec = w.RatePerSec(now_us);
-      });
+  auto group_rate = [&](const std::string& name, double GroupRow::*field) {
+    registry_->ForEachCounter(
+        name, [&](NodeId node, GroupId group, const Counter& c) {
+          group_row(node, group).*field = delta_of(name, node, group, c.value);
+        });
+  };
+  group_rate("store.ops_accepted", &GroupRow::ops_per_sec);
+  group_rate("store.bytes_accepted", &GroupRow::bytes_per_sec);
+  group_rate("paxos.commits_learned", &GroupRow::commits_per_sec);
   registry_->ForEachHistogram(
       "store.op.latency_us",
       [&](NodeId node, GroupId group, const Histogram& hist) {
@@ -100,41 +100,27 @@ void TimelineRecorder::Capture(int64_t now_us, TraceRecorder* tracer) {
         row.p99_us = delta.Percentile(99);
       });
   for (auto& [key, row] : groups) {
-    if (monitor_ != nullptr) row.health = monitor_->ActiveFor(row.node, row.group);
+    if (monitor != nullptr) {
+      row.health = monitor->ActiveFor(row.node, row.group);
+    }
     snap.groups.push_back(std::move(row));
   }
 
   // Node rows: transport-level counters, per interval.
-  auto delta_of = [&](const std::string& name, NodeId node,
-                      uint64_t current) -> double {
-    uint64_t& prev = prev_counters_[CellKey(name, node, 0)];
-    const uint64_t delta = current >= prev ? current - prev : 0;
-    prev = current;
-    return static_cast<double>(delta) * 1e6 / static_cast<double>(dt_us);
-  };
   std::map<NodeId, NodeRow> nodes;
-  auto node_row = [&](NodeId node) -> NodeRow& {
-    NodeRow& row = nodes[node];
-    row.node = node;
-    return row;
+  auto node_rate = [&](const std::string& name, double NodeRow::*field) {
+    registry_->ForEachCounter(
+        name, [&](NodeId node, GroupId group, const Counter& c) {
+          NodeRow& row = nodes[node];
+          row.node = node;
+          row.*field = delta_of(name, node, group, c.value);
+        });
   };
-  registry_->ForEachCounter(
-      "wire.frames_serialized", [&](NodeId node, GroupId, const Counter& c) {
-        node_row(node).frames_per_sec =
-            delta_of("wire.frames_serialized", node, c.value);
-      });
-  registry_->ForEachCounter(
-      "wire.bytes_serialized", [&](NodeId node, GroupId, const Counter& c) {
-        node_row(node).wire_bytes_per_sec =
-            delta_of("wire.bytes_serialized", node, c.value);
-      });
-  registry_->ForEachCounter(
-      "wire.pool.miss", [&](NodeId node, GroupId, const Counter& c) {
-        node_row(node).pool_miss_per_sec =
-            delta_of("wire.pool.miss", node, c.value);
-      });
+  node_rate("wire.frames_serialized", &NodeRow::frames_per_sec);
+  node_rate("wire.bytes_serialized", &NodeRow::wire_bytes_per_sec);
+  node_rate("wire.pool.miss", &NodeRow::pool_miss_per_sec);
   for (auto& [node, row] : nodes) {
-    if (monitor_ != nullptr) row.health = monitor_->ActiveFor(node, 0);
+    if (monitor != nullptr) row.health = monitor->ActiveFor(node, 0);
     snap.nodes.push_back(std::move(row));
   }
 

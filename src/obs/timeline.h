@@ -1,14 +1,17 @@
-// Obs timeline: periodic snapshots of windowed load stats + health states,
-// exported as `scatter.timeline.v1` JSON and rendered by tools/scatter_top.
+// Obs timeline: periodic snapshots of per-interval load rates + health
+// states, exported as `scatter.timeline.v1` JSON and rendered by
+// tools/scatter_top.
 //
 // Where the metrics export is one cumulative end-of-run dump, the timeline
-// is the time-resolved view: every period it samples the per-(node, group)
-// rate windows, per-interval latency percentiles (cumulative histogram
-// deltas), per-node wire counters, and whatever health conditions are
-// raised — the signal stream the load-adaptive group policies and the
-// operator's scatter-top both consume. Like every obs component it is
-// passive and sim-time driven: the simulator's periodic task hook calls
-// Capture(now_us); nothing here reads a wall clock.
+// is the time-resolved view: every period it turns the cumulative counter
+// cells the data path already publishes into per-interval rates (the delta
+// since the previous capture over the interval's length), takes
+// per-interval latency percentiles (cumulative histogram deltas), and
+// copies whatever health conditions are raised — the signal stream the
+// load-adaptive group policies and the operator's scatter-top both consume.
+// Like every obs component it is passive and sim-time driven: the
+// simulator's monitor tick calls Capture(now_us, monitor); nothing here
+// reads a wall clock.
 
 #ifndef SCATTER_SRC_OBS_TIMELINE_H_
 #define SCATTER_SRC_OBS_TIMELINE_H_
@@ -32,9 +35,9 @@ class TimelineRecorder {
   struct GroupRow {
     GroupId group = 0;
     NodeId node = 0;
-    double ops_per_sec = 0;      // store.window.ops rate
-    double bytes_per_sec = 0;    // store.window.bytes rate
-    double commits_per_sec = 0;  // paxos.window.commits rate
+    double ops_per_sec = 0;      // store.ops_accepted delta rate
+    double bytes_per_sec = 0;    // store.bytes_accepted delta rate
+    double commits_per_sec = 0;  // paxos.commits_learned delta rate
     int64_t p50_us = 0;          // store.op.latency_us, this interval only
     int64_t p99_us = 0;
     std::vector<std::string> health;  // active conditions, sorted
@@ -62,19 +65,15 @@ class TimelineRecorder {
     std::vector<Snapshot> snapshots;
   };
 
-  // `monitor` may be null (timeline without health columns). Neither
-  // pointer is owned; both must outlive the recorder.
-  TimelineRecorder(MetricsRegistry* registry, HealthMonitor* monitor);
+  // `registry` is not owned and must outlive the recorder.
+  explicit TimelineRecorder(MetricsRegistry* registry);
 
-  // Late-binds / detaches the health monitor (the simulator calls this when
-  // monitoring is enabled after the timeline, or torn down before it).
-  void set_monitor(HealthMonitor* monitor) { monitor_ = monitor; }
-
-  // Samples one snapshot at simulated time `now_us`. If a health monitor is
-  // attached it is ticked first (idempotent), so health states are never
-  // staler than the rows they annotate regardless of task registration
-  // order. Idempotent per timestamp.
-  void Capture(int64_t now_us, TraceRecorder* tracer = nullptr);
+  // Samples one snapshot at simulated time `now_us`: rates cover the
+  // interval since the previous capture (since time 0 for the first one).
+  // `monitor` supplies the health columns and may be null; the caller ticks
+  // it first so its states are as current as the rows they annotate.
+  // Idempotent per timestamp.
+  void Capture(int64_t now_us, const HealthMonitor* monitor);
 
   const std::vector<Snapshot>& snapshots() const { return snapshots_; }
 
@@ -92,7 +91,6 @@ class TimelineRecorder {
  private:
   using CellKey = std::tuple<std::string, NodeId, GroupId>;
 
-  HealthMonitor* monitor_;
   MetricsRegistry* registry_;
   int64_t last_capture_us_ = -1;
   std::vector<Snapshot> snapshots_;

@@ -18,7 +18,7 @@ std::string SnapFileName(GroupId group) {
   return "g" + std::to_string(group) + ".snap";
 }
 
-std::vector<GroupId> GroupsOnDisk(const storage::Disk& disk) {
+std::vector<GroupId> GroupsOnDisk(const storage::SimDisk& disk) {
   std::vector<GroupId> out;
   for (const std::string& file : disk.List()) {
     constexpr std::string_view kSuffix = ".snap";
@@ -44,8 +44,9 @@ std::vector<GroupId> GroupsOnDisk(const storage::Disk& disk) {
   return out;
 }
 
-GroupJournal::GroupJournal(storage::Disk* disk, obs::MetricsRegistry* metrics,
-                           NodeId node, GroupId group)
+GroupJournal::GroupJournal(storage::SimDisk* disk,
+                           obs::MetricsRegistry* metrics, NodeId node,
+                           GroupId group)
     : disk_(disk),
       group_(group),
       wal_(disk, WalFileName(group)),
@@ -137,11 +138,11 @@ void GroupJournal::WriteCheckpoint(uint64_t last_included_index,
   ++checkpoints_;
 }
 
-bool GroupJournal::HasState(const storage::Disk& disk, GroupId group) {
+bool GroupJournal::HasState(const storage::SimDisk& disk, GroupId group) {
   return disk.Exists(SnapFileName(group)) || disk.Exists(WalFileName(group));
 }
 
-bool GroupJournal::Recover(const storage::Disk& disk, GroupId group,
+bool GroupJournal::Recover(const storage::SimDisk& disk, GroupId group,
                            RecoveredState* out) {
   // A group is recoverable only from its first checkpoint on: the snapshot
   // file anchors the base ballot and config that WAL replay builds on.
@@ -234,7 +235,7 @@ bool GroupJournal::Recover(const storage::Disk& disk, GroupId group,
   return true;
 }
 
-void GroupJournal::RemoveFiles(storage::Disk* disk, GroupId group) {
+void GroupJournal::RemoveFiles(storage::SimDisk* disk, GroupId group) {
   disk->Remove(WalFileName(group));
   disk->Remove(SnapFileName(group));
 }

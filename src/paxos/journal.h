@@ -38,7 +38,7 @@
 #include "src/obs/metrics.h"
 #include "src/paxos/log.h"
 #include "src/paxos/state_machine.h"
-#include "src/storage/disk.h"
+#include "src/storage/sim_disk.h"
 #include "src/storage/wal.h"
 #include "src/wire/buffer.h"
 
@@ -80,7 +80,7 @@ std::string SnapFileName(GroupId group);
 
 // Group ids with a snapshot file on `disk`, ascending (the set of groups a
 // restarting node can even attempt to recover).
-std::vector<GroupId> GroupsOnDisk(const storage::Disk& disk);
+std::vector<GroupId> GroupsOnDisk(const storage::SimDisk& disk);
 
 // Everything a crashed replica gets back from its own disk: the checkpoint
 // with promised/commit_index advanced by WAL replay, plus the log suffix.
@@ -93,7 +93,7 @@ struct RecoveredState : Checkpoint {
 
 class GroupJournal {
  public:
-  GroupJournal(storage::Disk* disk, obs::MetricsRegistry* metrics,
+  GroupJournal(storage::SimDisk* disk, obs::MetricsRegistry* metrics,
                NodeId node, GroupId group);
 
   GroupJournal(const GroupJournal&) = delete;
@@ -125,21 +125,21 @@ class GroupJournal {
                        const std::vector<LogEntry>& suffix);
 
   // True when the disk holds any state for `group`.
-  static bool HasState(const storage::Disk& disk, GroupId group);
+  static bool HasState(const storage::SimDisk& disk, GroupId group);
   // Rebuilds durable state from snapshot + WAL replay. False when no usable
   // checkpoint exists (a group is recoverable only from its first
   // checkpoint on; joiners that crashed before their snapshot install
   // simply rejoin amnesiac).
-  static bool Recover(const storage::Disk& disk, GroupId group,
+  static bool Recover(const storage::SimDisk& disk, GroupId group,
                       RecoveredState* out);
   // Deletes both files (group torn down or retired).
-  static void RemoveFiles(storage::Disk* disk, GroupId group);
+  static void RemoveFiles(storage::SimDisk* disk, GroupId group);
 
  private:
   template <class T>
   void Append(JournalRecordType type, const T& payload);
 
-  storage::Disk* disk_;
+  storage::SimDisk* disk_;
   GroupId group_;
   storage::Wal wal_;
   wire::Buffer payload_;  // scratch reused across appends

@@ -83,8 +83,8 @@ Replica::Stats::Stats(obs::MetricsRegistry& registry, NodeId node,
           registry.GetGauge("paxos.proposals_pending", node, group)),
       snapshots_inflight(
           registry.GetGauge("paxos.snapshots_inflight", node, group)),
-      window_commits(
-          registry.GetWindow("paxos.window.commits", node, group)) {}
+      commits_learned(
+          registry.GetCounter("paxos.commits_learned", node, group)) {}
 
 void Replica::UpdateHealthGauges() {
   stats_.commit_index.Set(static_cast<int64_t>(commit_index_));
@@ -628,7 +628,7 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
   const uint64_t new_commit =
       std::min<uint64_t>(m.commit_index, last_log_index());
   if (new_commit > commit_index_) {
-    stats_.window_commits.Record(sim_->now(), new_commit - commit_index_);
+    stats_.commits_learned += new_commit - commit_index_;
     // The commit record rides the next barrier (commit points are
     // re-derivable from the leader; journaling them only speeds recovery).
     JournalCommit(new_commit);
@@ -1071,7 +1071,7 @@ void Replica::MaybeAdvanceCommit() {
     }
   }
   stats_.entries_committed += best - commit_index_;
-  stats_.window_commits.Record(sim_->now(), best - commit_index_);
+  stats_.commits_learned += best - commit_index_;
   commit_index_ = best;
   ApplyCommitted();
   ServePendingReads();

@@ -238,8 +238,9 @@ class Replica {
     obs::Gauge& is_leader;          // 1 while this replica leads
     obs::Gauge& proposals_pending;  // accepted-not-yet-applied proposals
     obs::Gauge& snapshots_inflight; // unacked snapshot transfers (leader)
-    // Rate window feeding the obs timeline.
-    obs::SlidingWindow& window_commits;  // entries committed
+    // Entries this replica learned committed, as leader or follower (the
+    // obs timeline's commit rate; entries_committed counts the leader only).
+    Counter& commits_learned;
   };
   const Stats& stats() const { return stats_; }
 

@@ -1,6 +1,5 @@
 #include "src/sim/simulator.h"
 
-#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -24,8 +23,6 @@ Simulator::Simulator(uint64_t seed) : seed_(seed), rng_(seed) {
 }
 
 Simulator::~Simulator() {
-  DisableTimeline();
-  DisableHealthMonitor();
   DisableTracing();
   SetLogClock(nullptr, nullptr);
 }
@@ -53,98 +50,43 @@ void Simulator::DisableTracing() {
   }
 }
 
-uint64_t Simulator::AddPeriodicTask(TimeMicros period, PeriodicFn fn) {
-  SCATTER_CHECK(period > 0);
-  PeriodicTask task;
-  task.id = next_periodic_id_++;
-  task.period = period;
-  // First boundary strictly after now, on an absolute multiple of the
-  // period — every task of the same period ticks at the same instants no
-  // matter when it was registered.
-  task.next_due = (now_ / period + 1) * period;
-  task.fn = std::move(fn);
-  const uint64_t id = task.id;
-  periodic_.push_back(std::move(task));
-  RecomputeSoonestPeriodic();
-  return id;
-}
-
-void Simulator::RemovePeriodicTask(uint64_t id) {
-  for (auto it = periodic_.begin(); it != periodic_.end(); ++it) {
-    if (it->id == id) {
-      periodic_.erase(it);
-      break;
-    }
-  }
-  RecomputeSoonestPeriodic();
-}
-
-void Simulator::RecomputeSoonestPeriodic() {
-  periodic_soonest_ = kNoPeriodicDue;
-  for (const PeriodicTask& task : periodic_) {
-    periodic_soonest_ = std::min(periodic_soonest_, task.next_due);
+void Simulator::ArmMonitorTick() {
+  if (monitor_due_ == std::numeric_limits<TimeMicros>::max()) {
+    monitor_due_ = (now_ / obs::kMonitorPeriodUs + 1) * obs::kMonitorPeriodUs;
   }
 }
 
-void Simulator::RunPeriodicTasks() {
-  if (now_ < periodic_soonest_) {
-    return;
+void Simulator::RunMonitorTicks() {
+  while (now_ >= monitor_due_) {
+    const TimeMicros due = monitor_due_;
+    monitor_due_ += obs::kMonitorPeriodUs;
+    TickMonitors(due);
   }
-  // Index loop: a task may add/remove tasks from its callback (vector may
-  // reallocate, iterators die; newly-added tasks start next boundary).
-  for (size_t i = 0; i < periodic_.size(); ++i) {
-    while (periodic_[i].next_due <= now_) {
-      const TimeMicros due = periodic_[i].next_due;
-      periodic_[i].next_due += periodic_[i].period;
-      periodic_[i].fn(due);
-    }
+}
+
+void Simulator::TickMonitors(TimeMicros at) {
+  if (health_monitor_ != nullptr) {
+    health_monitor_->Tick(at, tracer_.get());
   }
-  RecomputeSoonestPeriodic();
+  if (timeline_ != nullptr) {
+    timeline_->Capture(at, health_monitor_.get());
+  }
 }
 
 obs::HealthMonitor& Simulator::EnableHealthMonitor() {
   if (health_monitor_ == nullptr) {
     health_monitor_ = std::make_unique<obs::HealthMonitor>(&metrics());
-    health_task_id_ = AddPeriodicTask(
-        obs::kMonitorPeriodUs, [this](TimeMicros due) {
-          health_monitor_->Tick(due, tracer_.get());
-        });
-    if (timeline_ != nullptr) {
-      timeline_->set_monitor(health_monitor_.get());
-    }
+    ArmMonitorTick();
   }
   return *health_monitor_;
 }
 
-void Simulator::DisableHealthMonitor() {
-  if (health_monitor_ != nullptr) {
-    if (timeline_ != nullptr) {
-      timeline_->set_monitor(nullptr);
-    }
-    RemovePeriodicTask(health_task_id_);
-    health_task_id_ = 0;
-    health_monitor_.reset();
-  }
-}
-
 obs::TimelineRecorder& Simulator::EnableTimeline() {
   if (timeline_ == nullptr) {
-    timeline_ = std::make_unique<obs::TimelineRecorder>(
-        &metrics(), health_monitor_.get());
-    timeline_task_id_ = AddPeriodicTask(
-        obs::kMonitorPeriodUs, [this](TimeMicros due) {
-          timeline_->Capture(due, tracer_.get());
-        });
+    timeline_ = std::make_unique<obs::TimelineRecorder>(&metrics());
+    ArmMonitorTick();
   }
   return *timeline_;
-}
-
-void Simulator::DisableTimeline() {
-  if (timeline_ != nullptr) {
-    RemovePeriodicTask(timeline_task_id_);
-    timeline_task_id_ = 0;
-    timeline_.reset();
-  }
 }
 
 uint32_t Simulator::AcquireSlot() {
@@ -376,9 +318,9 @@ void Simulator::Fire(uint32_t slot) {
   ReleaseSlot(slot);
   events_processed_++;
   fn();
-  // Periodic monitors run before the audit hook so an auditor that reads
+  // The monitor tick runs before the audit hook so an auditor that reads
   // health state sees detections up to the current instant.
-  RunPeriodicTasks();
+  RunMonitorTicks();
   if (audit_hook_ && events_processed_ % audit_every_ == 0) {
     audit_hook_();
   }
@@ -434,7 +376,7 @@ void Simulator::RunUntil(TimeMicros t) {
     Fire(slot);
   }
   now_ = t;
-  RunPeriodicTasks();  // boundaries crossed by the final clock advance
+  RunMonitorTicks();  // boundaries crossed by the final clock advance
 }
 
 void TimerOwner::Cancel(TimerId id) {

@@ -150,35 +150,29 @@ class Simulator {
   // Destroys the recorder (and its spans) and uninstalls the log sink.
   void DisableTracing();
 
-  // --- Periodic tasks ------------------------------------------------------
-  // Fixed-period virtual-time hooks that fire BETWEEN event callbacks, not
-  // through the event queue: Run() still drains to quiescence, mc event
-  // fingerprints are untouched, and a task can never interleave inside a
-  // protocol callback. A task due at boundary B fires as soon as the clock
-  // reaches/passes B (after the event that advanced it, or at RunUntil's
-  // final advance) and receives B — the nominal boundary — so window epochs
-  // stay aligned no matter how lumpy the event schedule is. Boundaries are
-  // absolute multiples of `period`. Tasks fire in registration order; when
-  // the clock jumps several periods at once, each task catches up one
-  // boundary at a time. Returns an id for RemovePeriodicTask.
-  using PeriodicFn = std::function<void(TimeMicros)>;
-  uint64_t AddPeriodicTask(TimeMicros period, PeriodicFn fn);
-  void RemovePeriodicTask(uint64_t id);
-
-  // --- Health monitoring ---------------------------------------------------
-  // Creates the health monitor over this simulator's registry and registers
-  // its periodic tick. nullptr when disabled (the default). Idempotent.
+  // --- Monitoring ----------------------------------------------------------
+  // The health monitor and the obs timeline share one fixed tick: every
+  // absolute multiple of obs::kMonitorPeriodUs, armed when the first of
+  // them is enabled. The tick fires BETWEEN event callbacks, not through
+  // the event queue: Run() still drains to quiescence, mc event
+  // fingerprints are untouched, and a tick can never interleave inside a
+  // protocol callback. Boundary B fires as soon as the clock reaches or
+  // passes B (after the event that advanced it, or at RunUntil's final
+  // advance) and ticks at B, the nominal boundary, no matter how lumpy the
+  // event schedule is; when the clock jumps several periods at once, the
+  // boundaries fire one at a time. Both are nullptr while disabled (the
+  // default); enabling is idempotent and lasts for the simulator's life.
   obs::HealthMonitor* health_monitor() const { return health_monitor_.get(); }
   obs::HealthMonitor& EnableHealthMonitor();
-  void DisableHealthMonitor();
-
-  // --- Obs timeline --------------------------------------------------------
-  // Creates the timeline recorder (snapshotting the registry, annotated with
-  // health states when the monitor is enabled) and registers its periodic
-  // capture. nullptr when disabled (the default). Idempotent.
+  // Timeline snapshots carry health columns while the monitor is enabled.
   obs::TimelineRecorder* timeline() const { return timeline_.get(); }
   obs::TimelineRecorder& EnableTimeline();
-  void DisableTimeline();
+
+  // One tick at `at`: the health monitor evaluates its detectors, then the
+  // timeline captures, so a snapshot's health columns are as current as its
+  // rows. The boundary schedule calls it; an exporter calls it once more at
+  // now() to cover the tail of a run that ended between boundaries.
+  void TickMonitors(TimeMicros at);
 
  private:
   friend class TimerOwner;
@@ -259,7 +253,7 @@ class Simulator {
   // The slot of the earliest pending event by (at, seq), or kNoSlot.
   uint32_t NextSlot() const;
   // Takes the event in `slot` off its queue, recycles the slot and runs the
-  // callback, then the periodic tasks and the audit hook.
+  // callback, then any due monitor tick and the audit hook.
   void Fire(uint32_t slot);
   // Removes the pending event in `slot` from the wheel or the heap.
   void Unqueue(uint32_t slot);
@@ -297,16 +291,11 @@ class Simulator {
   size_t wheel_size_ = 0;
   uint32_t free_head_ = kNoSlot;
 
-  struct PeriodicTask {
-    uint64_t id = 0;
-    TimeMicros period = 0;
-    TimeMicros next_due = 0;
-    PeriodicFn fn;
-  };
-  // Fires every task whose boundary has been reached; cheap no-op (one
-  // compare against the cached soonest deadline) otherwise.
-  void RunPeriodicTasks();
-  void RecomputeSoonestPeriodic();
+  // Fires every monitor boundary the clock has reached; one compare against
+  // monitor_due_ otherwise.
+  void RunMonitorTicks();
+  // Arms the first boundary strictly after now, unless already armed.
+  void ArmMonitorTick();
 
   uint64_t audit_every_ = 0;
   AuditHook audit_hook_;
@@ -314,16 +303,10 @@ class Simulator {
   std::deque<TraceEntry> trace_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::unique_ptr<obs::TraceRecorder> tracer_;
-  std::vector<PeriodicTask> periodic_;
-  uint64_t next_periodic_id_ = 1;
-  TimeMicros periodic_soonest_ = kNoPeriodicDue;
   std::unique_ptr<obs::HealthMonitor> health_monitor_;
-  uint64_t health_task_id_ = 0;
   std::unique_ptr<obs::TimelineRecorder> timeline_;
-  uint64_t timeline_task_id_ = 0;
-
-  static constexpr TimeMicros kNoPeriodicDue =
-      std::numeric_limits<TimeMicros>::max();
+  // Next monitor boundary; never reached while no monitor is enabled.
+  TimeMicros monitor_due_ = std::numeric_limits<TimeMicros>::max();
 };
 
 // RAII owner of timers: cancels everything it scheduled when destroyed.

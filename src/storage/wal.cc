@@ -33,7 +33,7 @@ void EncodeWalRecord(uint16_t type, const uint8_t* payload, size_t size,
   out->WriteU32(Crc32(out->data() + crc_start, out->size() - crc_start));
 }
 
-WalReadResult ReadWal(const Disk& disk, const std::string& file) {
+WalReadResult ReadWal(const SimDisk& disk, const std::string& file) {
   WalReadResult result;
   std::vector<uint8_t> bytes;
   if (!disk.Read(file, &bytes)) {
@@ -74,14 +74,14 @@ void Wal::Append(uint16_t type, const wire::Buffer& payload) {
   appended_bytes_ += scratch_.size();
 }
 
-void WriteSnapshotFile(Disk* disk, const std::string& file, uint16_t type,
+void WriteSnapshotFile(SimDisk* disk, const std::string& file, uint16_t type,
                        const wire::Buffer& payload) {
   wire::Buffer framed;
   EncodeWalRecord(type, payload.data(), payload.size(), &framed);
   disk->Replace(file, framed.data(), framed.size());
 }
 
-bool ReadSnapshotFile(const Disk& disk, const std::string& file,
+bool ReadSnapshotFile(const SimDisk& disk, const std::string& file,
                       WalRecord* out) {
   WalReadResult result = ReadWal(disk, file);
   if (result.records.size() != 1 || result.torn) {

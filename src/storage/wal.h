@@ -1,5 +1,5 @@
 // Write-ahead log framing: CRC-guarded, length-prefixed records over a
-// storage::Disk file, plus the single-record snapshot-file helpers.
+// storage::SimDisk file, plus the single-record snapshot-file helpers.
 //
 // Record layout (all integers little-endian, matching the wire codecs —
 // PROTOCOL.md §6.3):
@@ -18,7 +18,7 @@
 // the whole crash-recovery contract — an fsync barrier guarantees a byte
 // prefix survived, and framing turns a byte prefix into a record prefix.
 //
-// A snapshot file is one framed record written with Disk::Replace (atomic),
+// A snapshot file is one framed record written with SimDisk::Replace (atomic),
 // so it is either entirely the old snapshot or entirely the new one.
 
 #ifndef SCATTER_SRC_STORAGE_WAL_H_
@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "src/storage/disk.h"
+#include "src/storage/sim_disk.h"
 #include "src/wire/buffer.h"
 
 namespace scatter::storage {
@@ -56,12 +56,12 @@ void EncodeWalRecord(uint16_t type, const uint8_t* payload, size_t size,
 
 // Scans every record of `file`. A missing file yields an empty, non-torn
 // result.
-WalReadResult ReadWal(const Disk& disk, const std::string& file);
+WalReadResult ReadWal(const SimDisk& disk, const std::string& file);
 
 // Append-side handle for one WAL file.
 class Wal {
  public:
-  Wal(Disk* disk, std::string file) : disk_(disk), file_(std::move(file)) {}
+  Wal(SimDisk* disk, std::string file) : disk_(disk), file_(std::move(file)) {}
 
   // Frames and appends one record. Volatile until Sync().
   void Append(uint16_t type, const wire::Buffer& payload);
@@ -80,7 +80,7 @@ class Wal {
   uint64_t appended_bytes() const { return appended_bytes_; }
 
  private:
-  Disk* disk_;
+  SimDisk* disk_;
   std::string file_;
   wire::Buffer scratch_;
   uint64_t appends_ = 0;
@@ -88,10 +88,10 @@ class Wal {
 };
 
 // Snapshot files: one framed record, atomically replaced.
-void WriteSnapshotFile(Disk* disk, const std::string& file, uint16_t type,
+void WriteSnapshotFile(SimDisk* disk, const std::string& file, uint16_t type,
                        const wire::Buffer& payload);
 // False when the file is missing or its CRC fails.
-bool ReadSnapshotFile(const Disk& disk, const std::string& file,
+bool ReadSnapshotFile(const SimDisk& disk, const std::string& file,
                       WalRecord* out);
 
 }  // namespace scatter::storage

@@ -1,5 +1,5 @@
 // Health-detector tests: per-detector hysteresis against a synthetic
-// registry, the simulator's periodic hook driving the monitor, and the two
+// registry, the simulator's monitor tick driving the monitor, and the two
 // acceptance scenarios — a clean seeded run raises nothing (asserted through
 // the invariant auditor's "health" property), while a run with an isolated
 // replica raises follower_lag within one monitoring window of the lag

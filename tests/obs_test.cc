@@ -2,7 +2,9 @@
 // histogram edge cases, the causal tracer's span bookkeeping, and full
 // cross-node / cross-group trace propagation through live clusters.
 
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,7 +19,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
 #include "src/obs/trace.h"
-#include "src/obs/window.h"
 #include "src/sim/simulator.h"
 
 namespace scatter {
@@ -126,64 +127,6 @@ TEST(MetricsRegistryTest, CellsAreStableAndKeyed) {
   EXPECT_EQ(static_cast<uint64_t>(b), 5u);
   EXPECT_EQ(static_cast<uint64_t>(other_node), 0u);
   EXPECT_EQ(reg.counter_cells(), 2u);
-}
-
-TEST(MetricsRegistryTest, MergeSumsCells) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.GetCounter("x", 1) += 2;
-  b.GetCounter("x", 1) += 3;
-  b.GetCounter("only_in_b", 9)++;
-  a.GetGauge("g", 1).Add(10);
-  b.GetGauge("g", 1).Add(-4);
-  a.GetHistogram("h", 1).Record(100);
-  b.GetHistogram("h", 1).Record(300);
-
-  a.Merge(b);
-  EXPECT_EQ(static_cast<uint64_t>(a.GetCounter("x", 1)), 5u);
-  EXPECT_EQ(static_cast<uint64_t>(a.GetCounter("only_in_b", 9)), 1u);
-  EXPECT_EQ(static_cast<int64_t>(a.GetGauge("g", 1)), 6);
-  EXPECT_EQ(a.GetHistogram("h", 1).count(), 2u);
-  EXPECT_EQ(a.GetHistogram("h", 1).max(), 300);
-}
-
-// The aggregation shape: many short-lived per-node registries folded into
-// one, with reads of the destination between merges. Every cell sums
-// exactly, and a cell created before the merges stays where it was.
-TEST(MetricsRegistryTest, RepeatedMergesSumExactlyAcrossNodes) {
-  constexpr int kNodes = 4;
-  constexpr int kRounds = 400;
-  obs::MetricsRegistry shared;
-  const Counter* preexisting = &shared.GetCounter("stress.ops", 99);
-  for (int i = 0; i < kRounds; ++i) {
-    for (int t = 1; t <= kNodes; ++t) {
-      obs::MetricsRegistry local;
-      local.GetCounter("stress.ops", NodeId(t)).Add(3);
-      local.GetGauge("stress.depth", NodeId(t)).Set(i);
-      local.GetHistogram("stress.lat", NodeId(t)).Record(i % 7);
-      shared.Merge(local);
-    }
-    ASSERT_FALSE(shared.ToJson().empty());
-    ASSERT_EQ(shared.FindCounter("stress.ops", 99), preexisting);
-  }
-
-  uint64_t total = 0;
-  shared.ForEachCounter(
-      "stress.ops",
-      [&total](NodeId, GroupId, const Counter& c) { total += c.value; });
-  EXPECT_EQ(total, uint64_t{kNodes} * kRounds * 3);
-  for (int t = 1; t <= kNodes; ++t) {
-    const Counter* ops = shared.FindCounter("stress.ops", NodeId(t));
-    ASSERT_NE(ops, nullptr);
-    EXPECT_EQ(ops->value, uint64_t{kRounds} * 3);
-    const obs::Gauge* depth = shared.FindGauge("stress.depth", NodeId(t));
-    ASSERT_NE(depth, nullptr);
-    EXPECT_EQ(depth->value, int64_t{kRounds} * (kRounds - 1) / 2);
-    const Histogram* lat = shared.FindHistogram("stress.lat", NodeId(t));
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->count(), uint64_t{kRounds});
-  }
-  EXPECT_EQ(shared.counter_cells(), size_t{kNodes} + 1);
 }
 
 TEST(MetricsRegistryTest, ToJsonIsStableSchemaAndDeterministic) {
@@ -487,73 +430,6 @@ TEST(TracePropagationTest, MultiGroupOpFormsSingleConnectedTree) {
       << "transaction tree does not span two groups";
 }
 
-// ---------------------------------------------------------------------------
-// Sliding windows (the windowed load accounting primitive)
-// ---------------------------------------------------------------------------
-
-TEST(SlidingWindowTest, RecordAndWindowedTotals) {
-  obs::SlidingWindow w;  // defaults: 100ms buckets x 10 = 1s window
-  w.Record(50'000);
-  w.Record(150'000, 4);
-  EXPECT_EQ(w.TotalInWindow(150'000), 5u);
-  EXPECT_EQ(w.total(), 5u);
-  // Rate is normalized to the full window span (1s at the defaults).
-  EXPECT_DOUBLE_EQ(w.RatePerSec(150'000), 5.0);
-}
-
-TEST(SlidingWindowTest, EventsAgeOutOfTheWindow) {
-  obs::SlidingWindow w;
-  w.Record(0, 10);
-  EXPECT_EQ(w.TotalInWindow(0), 10u);
-  // One full window later the bucket has rotated out; the lifetime total
-  // survives.
-  EXPECT_EQ(w.TotalInWindow(2'000'000), 0u);
-  EXPECT_EQ(w.total(), 10u);
-}
-
-TEST(SlidingWindowTest, StaleTimestampsClampToCurrentBucket) {
-  obs::SlidingWindow w;
-  w.Record(500'000);
-  // A timestamp older than the newest bucket folds into it rather than
-  // resurrecting a closed epoch (monotonicity guard for merged sources).
-  w.Record(100'000, 3);
-  EXPECT_EQ(w.TotalInWindow(500'000), 4u);
-}
-
-TEST(SlidingWindowTest, MergeAlignsOnAbsoluteEpochs) {
-  // Two nodes record against their own windows at the same simulated
-  // times; the merge must line buckets up by absolute epoch, not by array
-  // position, so per-bucket sums land in the right interval.
-  obs::SlidingWindow a;
-  obs::SlidingWindow b;
-  a.Record(100'000, 2);
-  a.Record(300'000, 2);
-  b.Record(300'000, 5);
-  b.Record(400'000, 1);
-  a.Merge(b);
-  EXPECT_EQ(a.TotalInWindow(400'000), 10u);
-  EXPECT_EQ(a.total(), 10u);
-
-  // Merge is insensitive to which side advanced further in time.
-  obs::SlidingWindow c;
-  obs::SlidingWindow d;
-  c.Record(400'000, 1);
-  d.Record(100'000, 7);
-  c.Merge(d);
-  EXPECT_EQ(c.TotalInWindow(400'000), 8u);
-}
-
-TEST(SlidingWindowTest, ToJsonShape) {
-  obs::SlidingWindow w;
-  w.Record(250'000, 3);
-  const std::string json = w.ToJson();
-  EXPECT_NE(json.find("\"bucket_width_us\":100000"), std::string::npos);
-  EXPECT_NE(json.find("\"num_buckets\":10"), std::string::npos);
-  EXPECT_NE(json.find("\"total\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\":[{\"epoch\":2,\"sum\":3}]"),
-            std::string::npos);
-}
-
 TEST(HistogramTest, DeltaSinceSubtractsEarlierSnapshot) {
   Histogram h;
   h.Record(100);
@@ -573,79 +449,39 @@ TEST(HistogramTest, DeltaSinceSubtractsEarlierSnapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry windows: creation, iteration, merge, export
+// Simulator monitor tick (the hook health/timeline ride on)
 // ---------------------------------------------------------------------------
 
-TEST(MetricsRegistryTest, WindowCellsAreKeyedAndExported) {
-  obs::MetricsRegistry reg;
-  reg.GetWindow("store.window.ops", 1, 7).Record(100'000, 3);
-  reg.GetWindow("store.window.ops", 2, 7).Record(100'000, 5);
-  EXPECT_EQ(reg.GetWindow("store.window.ops", 1, 7).total(), 3u);
-
-  size_t cells = 0;
-  uint64_t sum = 0;
-  reg.ForEachWindow("store.window.ops",
-                    [&](NodeId, GroupId, const obs::SlidingWindow& w) {
-                      cells++;
-                      sum += w.total();
-                    });
-  EXPECT_EQ(cells, 2u);
-  EXPECT_EQ(sum, 8u);
-
-  const std::string json = reg.ToJson();
-  EXPECT_NE(json.find("\"windows\":["), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"store.window.ops\""), std::string::npos);
+std::vector<int64_t> SnapshotTimes(const obs::TimelineRecorder& timeline) {
+  std::vector<int64_t> times;
+  for (const auto& snap : timeline.snapshots()) {
+    times.push_back(snap.ts_us);
+  }
+  return times;
 }
-
-TEST(MetricsRegistryTest, MergeSumsWindowCellsAcrossNodes) {
-  // Per-node registries record into the same absolute timeline; the merged
-  // registry must see epoch-aligned sums regardless of merge order.
-  obs::MetricsRegistry node_a;
-  obs::MetricsRegistry node_b;
-  node_a.GetWindow("w", 1).Record(100'000, 2);
-  node_b.GetWindow("w", 2).Record(100'000, 3);
-  node_b.GetWindow("w", 1).Record(300'000, 4);
-
-  obs::MetricsRegistry ab;
-  ab.Merge(node_a);
-  ab.Merge(node_b);
-  obs::MetricsRegistry ba;
-  ba.Merge(node_b);
-  ba.Merge(node_a);
-
-  EXPECT_EQ(ab.GetWindow("w", 1).TotalInWindow(300'000), 6u);
-  EXPECT_EQ(ab.GetWindow("w", 2).TotalInWindow(300'000), 3u);
-  // Merge determinism: opposite order produces byte-identical export.
-  EXPECT_EQ(ab.ToJson(), ba.ToJson());
-}
-
-// ---------------------------------------------------------------------------
-// Simulator periodic tasks (the hook health/timeline ride on)
-// ---------------------------------------------------------------------------
 
 TEST(SimulatorPeriodicTest, FiresOnAbsoluteBoundaries) {
+  constexpr TimeMicros kP = obs::kMonitorPeriodUs;
   sim::Simulator sim(1);
-  std::vector<TimeMicros> fired;
-  sim.AddPeriodicTask(1000, [&](TimeMicros due) { fired.push_back(due); });
-  sim.RunFor(3500);
-  EXPECT_EQ(fired, (std::vector<TimeMicros>{1000, 2000, 3000}));
-  // Tasks registered mid-run start at the next absolute boundary of their
-  // period, not at now + period.
-  std::vector<TimeMicros> late;
-  sim.AddPeriodicTask(1000, [&](TimeMicros due) { late.push_back(due); });
-  sim.RunFor(1000);  // now 4500
-  EXPECT_EQ(late, (std::vector<TimeMicros>{4000}));
-}
-
-TEST(SimulatorPeriodicTest, RemoveStopsFiring) {
-  sim::Simulator sim(1);
-  int count = 0;
-  const uint64_t id = sim.AddPeriodicTask(1000, [&](TimeMicros) { count++; });
-  sim.RunFor(2500);
-  EXPECT_EQ(count, 2);
-  sim.RemovePeriodicTask(id);
-  sim.RunFor(2000);
-  EXPECT_EQ(count, 2);
+  sim.RunFor(100);
+  // Enabled mid-period, the tick starts at the next absolute multiple of
+  // the period, not at now + period.
+  const obs::TimelineRecorder& timeline = sim.EnableTimeline();
+  sim.RunUntil(kP - 1);
+  EXPECT_TRUE(timeline.snapshots().empty());
+  sim.RunUntil(kP);
+  EXPECT_EQ(SnapshotTimes(timeline), (std::vector<int64_t>{kP}));
+  // An idle gap of several periods, crossed by one clock advance, yields
+  // one snapshot per boundary, each stamped with its nominal boundary.
+  sim.RunFor(3 * kP + 1000);
+  EXPECT_EQ(SnapshotTimes(timeline),
+            (std::vector<int64_t>{kP, 2 * kP, 3 * kP, 4 * kP}));
+  // An event that carries the clock past a boundary runs before the tick.
+  size_t seen_by_event = 0;
+  sim.Schedule(kP, [&]() { seen_by_event = timeline.snapshots().size(); });
+  sim.Run();
+  EXPECT_EQ(seen_by_event, 4u);
+  EXPECT_EQ(SnapshotTimes(timeline).back(), 5 * kP);
 }
 
 TEST(SimulatorPeriodicTest, PeriodicTasksDoNotChangeEventSchedule) {
@@ -679,37 +515,103 @@ TEST(SimulatorPeriodicTest, PeriodicTasksDoNotChangeEventSchedule) {
 
 TEST(TimelineTest, CaptureSamplesWindowsAndCountersPerInterval) {
   obs::MetricsRegistry reg;
-  obs::TimelineRecorder rec(&reg, nullptr);
-  reg.GetWindow("store.window.ops", 1, 7).Record(100'000, 50);
-  reg.GetWindow("store.window.bytes", 1, 7).Record(100'000, 5000);
+  obs::TimelineRecorder rec(&reg);
+  reg.GetCounter("store.ops_accepted", 1, 7) += 50;
+  reg.GetCounter("store.bytes_accepted", 1, 7) += 5000;
+  reg.GetCounter("paxos.commits_learned", 1, 7) += 25;
   reg.GetCounter("wire.frames_serialized", 1) += 100;
-  rec.Capture(250'000);
-  reg.GetWindow("store.window.ops", 1, 7).Record(300'000, 10);
+  rec.Capture(250'000, nullptr);
+  reg.GetCounter("store.ops_accepted", 1, 7) += 10;
   reg.GetCounter("wire.frames_serialized", 1) += 60;
-  rec.Capture(500'000);
+  rec.Capture(500'000, nullptr);
 
   ASSERT_EQ(rec.snapshots().size(), 2u);
   const auto& first = rec.snapshots()[0];
   ASSERT_EQ(first.groups.size(), 1u);
   EXPECT_EQ(first.groups[0].group, 7u);
   EXPECT_EQ(first.groups[0].node, 1u);
-  EXPECT_GT(first.groups[0].ops_per_sec, 0.0);
+  // Every rate is the interval's counter delta over the first 250ms.
+  EXPECT_DOUBLE_EQ(first.groups[0].ops_per_sec, 200.0);
+  EXPECT_DOUBLE_EQ(first.groups[0].bytes_per_sec, 20'000.0);
+  EXPECT_DOUBLE_EQ(first.groups[0].commits_per_sec, 100.0);
   ASSERT_EQ(first.nodes.size(), 1u);
-  // 100 frames over the first 250ms interval = 400/s.
   EXPECT_DOUBLE_EQ(first.nodes[0].frames_per_sec, 400.0);
-  // Second interval rates reflect the delta, not the cumulative count.
-  EXPECT_DOUBLE_EQ(rec.snapshots()[1].nodes[0].frames_per_sec, 240.0);
+  // Second interval rates reflect the delta, not the cumulative count; an
+  // idle cell keeps its row at rate 0.
+  const auto& second = rec.snapshots()[1];
+  ASSERT_EQ(second.groups.size(), 1u);
+  EXPECT_DOUBLE_EQ(second.groups[0].ops_per_sec, 40.0);
+  EXPECT_DOUBLE_EQ(second.groups[0].bytes_per_sec, 0.0);
+  EXPECT_DOUBLE_EQ(second.groups[0].commits_per_sec, 0.0);
+  EXPECT_DOUBLE_EQ(second.nodes[0].frames_per_sec, 240.0);
+}
+
+// Rates are counter deltas over each interval, so integrating a group
+// row's rates over the run gives back the counter exactly.
+TEST(TimelineTest, GroupRatesIntegrateToTheirCounters) {
+  core::ClusterConfig cfg = StaticCluster(7, 6, 2);
+  cfg.enable_timeline = true;
+  core::Cluster c(cfg);
+  c.RunFor(Seconds(2));
+  core::Client* client = c.AddClient();
+  int acked = 0;
+  for (int i = 0; i < 30; ++i) {
+    client->Put(KeyFromString("k" + std::to_string(i)), "value",
+                [&](Status s) { acked += s.ok() ? 1 : 0; });
+  }
+  c.sim().RunUntil(Seconds(6));
+  ASSERT_EQ(acked, 30);
+  ASSERT_EQ(c.sim().now() % obs::kMonitorPeriodUs, 0);
+
+  using Cell = std::pair<NodeId, GroupId>;
+  std::map<Cell, double> ops, bytes, commits;
+  int64_t prev_ts = 0;
+  const obs::TimelineRecorder& timeline = *c.sim().timeline();
+  ASSERT_EQ(timeline.snapshots().back().ts_us, c.sim().now());
+  for (const auto& snap : timeline.snapshots()) {
+    const double interval_s = static_cast<double>(snap.ts_us - prev_ts) / 1e6;
+    prev_ts = snap.ts_us;
+    for (const auto& row : snap.groups) {
+      const Cell cell{row.node, row.group};
+      ops[cell] += row.ops_per_sec * interval_s;
+      bytes[cell] += row.bytes_per_sec * interval_s;
+      commits[cell] += row.commits_per_sec * interval_s;
+    }
+  }
+  const obs::MetricsRegistry& reg = c.sim().metrics();
+  auto expect_integrates = [&](const std::string& name,
+                               const std::map<Cell, double>& integral) {
+    size_t cells = 0;
+    reg.ForEachCounter(name, [&](NodeId node, GroupId group,
+                                 const Counter& counter) {
+      cells++;
+      auto it = integral.find({node, group});
+      ASSERT_NE(it, integral.end()) << name << " n" << node << " g" << group;
+      EXPECT_EQ(std::llround(it->second), static_cast<int64_t>(counter.value))
+          << name << " n" << node << " g" << group;
+    });
+    EXPECT_EQ(cells, integral.size()) << name;
+  };
+  expect_integrates("store.ops_accepted", ops);
+  expect_integrates("store.bytes_accepted", bytes);
+  expect_integrates("paxos.commits_learned", commits);
+  uint64_t accepted = 0;
+  reg.ForEachCounter("store.ops_accepted",
+                     [&](NodeId, GroupId, const Counter& counter) {
+                       accepted += counter.value;
+                     });
+  EXPECT_GE(accepted, 30u);
 }
 
 TEST(TimelineTest, SerializeParseRoundTripsByteIdentically) {
   obs::MetricsRegistry reg;
-  obs::TimelineRecorder rec(&reg, nullptr);
-  reg.GetWindow("store.window.ops", 3, 11).Record(50'000, 7);
+  obs::TimelineRecorder rec(&reg);
+  reg.GetCounter("store.ops_accepted", 3, 11) += 7;
   reg.GetHistogram("store.op.latency_us", 3, 11).Record(421);
   reg.GetHistogram("store.op.latency_us", 3, 11).Record(999);
   reg.GetCounter("wire.bytes_serialized", 3) += 12345;
-  rec.Capture(250'000);
-  rec.Capture(500'000);
+  rec.Capture(250'000, nullptr);
+  rec.Capture(500'000, nullptr);
 
   const std::string json = rec.ToJson();
   obs::TimelineRecorder::Parsed parsed;
@@ -736,8 +638,8 @@ TEST(TimelineTest, ParseRejectsMalformedDocuments) {
       &parsed));
   // Trailing garbage after a valid document is rejected.
   obs::MetricsRegistry reg;
-  obs::TimelineRecorder rec(&reg, nullptr);
-  rec.Capture(250'000);
+  obs::TimelineRecorder rec(&reg);
+  rec.Capture(250'000, nullptr);
   EXPECT_TRUE(obs::TimelineRecorder::Parse(rec.ToJson(), &parsed));
   EXPECT_FALSE(obs::TimelineRecorder::Parse(rec.ToJson() + "x", &parsed));
 }
@@ -771,7 +673,9 @@ TEST(TimelineTest, ParseRejectsNumbersJsonDoesNotAllowOrInt64CannotHold) {
       obs::TimelineRecorder::Parse(TimelineDoc("250000", "nan"), &parsed));
 }
 
-// Every window cell a live cluster registers is one the timeline reads.
+// The timeline's load inputs are plain counters: the export has no window
+// section, and each (node, group) cell counts exactly what the sliding
+// window it replaced totalled on this seeded run.
 TEST(MetricsRegistryTest, ClusterRegistersOnlyTheWindowsTheTimelineReads) {
   core::Cluster c(StaticCluster(5, 6, 2));
   c.RunFor(Seconds(2));
@@ -789,20 +693,29 @@ TEST(MetricsRegistryTest, ClusterRegistersOnlyTheWindowsTheTimelineReads) {
 
   json::Value metrics;
   ASSERT_TRUE(json::Parse(c.sim().metrics().ToJson(), &metrics));
-  const json::Value* windows = metrics.Find("windows");
-  ASSERT_NE(windows, nullptr);
-  std::set<std::string> names;
-  std::set<GroupId> groups;
-  for (const json::Value& cell : windows->array) {
-    names.insert(cell.Find("name")->text);
-    uint64_t group = 0;
-    ASSERT_TRUE(cell.Find("group")->AsU64(&group));
-    groups.insert(group);
-  }
-  EXPECT_EQ(names, (std::set<std::string>{"paxos.window.commits",
-                                          "store.window.bytes",
-                                          "store.window.ops"}));
-  EXPECT_EQ(groups.size(), 2u);
+  EXPECT_EQ(metrics.Find("windows"), nullptr);
+
+  using Cells = std::map<std::pair<NodeId, GroupId>, uint64_t>;
+  auto cells_of = [&](const std::string& name) {
+    Cells cells;
+    c.sim().metrics().ForEachCounter(
+        name, [&](NodeId node, GroupId group, const Counter& counter) {
+          cells[{node, group}] = counter.value;
+        });
+    return cells;
+  };
+  // Group 1000 lives on the odd nodes, 1001 on the even ones; only the
+  // leaders (nodes 5 and 6) accept client ops, and every replica learns
+  // the same 11 commits.
+  EXPECT_EQ(cells_of("store.ops_accepted"),
+            (Cells{{{1, 1000}, 0}, {{2, 1001}, 0}, {{3, 1000}, 0},
+                   {{4, 1001}, 0}, {{5, 1000}, 10}, {{6, 1001}, 10}}));
+  EXPECT_EQ(cells_of("store.bytes_accepted"),
+            (Cells{{{1, 1000}, 0}, {{2, 1001}, 0}, {{3, 1000}, 0},
+                   {{4, 1001}, 0}, {{5, 1000}, 650}, {{6, 1001}, 650}}));
+  EXPECT_EQ(cells_of("paxos.commits_learned"),
+            (Cells{{{1, 1000}, 11}, {{2, 1001}, 11}, {{3, 1000}, 11},
+                   {{4, 1001}, 11}, {{5, 1000}, 11}, {{6, 1001}, 11}}));
 }
 
 }  // namespace

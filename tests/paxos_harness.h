@@ -117,7 +117,7 @@ class PaxosTestNode : public rpc::RpcNode, public ReplicaHost {
  public:
   PaxosTestNode(NodeId id, sim::Transport* network, const PaxosConfig& config,
                 GroupId group, std::vector<NodeId> members,
-                storage::Disk* disk = nullptr)
+                storage::SimDisk* disk = nullptr)
       : RpcNode(id, network) {
     replica_ = std::make_unique<Replica>(simulator(), this, &sm_, config,
                                          group, id, std::move(members),
@@ -126,7 +126,7 @@ class PaxosTestNode : public rpc::RpcNode, public ReplicaHost {
 
   // Restarts from the state crash recovery read back from `disk`.
   PaxosTestNode(NodeId id, sim::Transport* network, const PaxosConfig& config,
-                GroupId group, storage::Disk* disk,
+                GroupId group, storage::SimDisk* disk,
                 const RecoveredState& recovered)
       : RpcNode(id, network) {
     replica_ = std::make_unique<Replica>(simulator(), this, &sm_, config,
@@ -176,7 +176,7 @@ class PaxosTestNode : public rpc::RpcNode, public ReplicaHost {
   std::vector<size_t> accept_batch_sizes;
 
  private:
-  std::unique_ptr<GroupJournal> MakeJournal(storage::Disk* disk,
+  std::unique_ptr<GroupJournal> MakeJournal(storage::SimDisk* disk,
                                             GroupId group) {
     if (disk == nullptr) {
       return nullptr;

@@ -1,5 +1,5 @@
 // Storage-seam tests: the record CRC, WAL framing over the simulated disk,
-// crash-truncation semantics, and the FsDisk backend.
+// and crash-truncation semantics.
 //
 // The centerpiece is the torn-tail fuzz: a WAL truncated at EVERY byte
 // offset must replay to exactly the records whose final CRC byte survived —
@@ -15,7 +15,6 @@
 
 #include "src/common/random.h"
 #include "src/storage/crc32.h"
-#include "src/storage/fs_disk.h"
 #include "src/storage/sim_disk.h"
 #include "src/storage/wal.h"
 #include "src/wire/buffer.h"
@@ -299,59 +298,6 @@ TEST(SnapshotFileTest, RoundTripAndCorruptionDetected) {
         << "flip at byte " << pos;
   }
   EXPECT_FALSE(ReadSnapshotFile(disk, "missing.snap", &record));
-}
-
-TEST(FsDiskTest, RoundTripThroughARealDirectory) {
-  const std::string root = ::testing::TempDir() + "/scatter_fsdisk_test";
-  FsDisk disk(root);
-  for (const std::string& file : disk.List()) {
-    disk.Remove(file);  // stale state from a previous run
-  }
-
-  const uint8_t a[] = {1, 2, 3};
-  const uint8_t b[] = {4, 5};
-  disk.Append("w.wal", a, sizeof(a));
-  disk.Append("w.wal", b, sizeof(b));
-  disk.Replace("s.snap", a, sizeof(a));
-  disk.Sync();
-
-  EXPECT_TRUE(disk.Exists("w.wal"));
-  EXPECT_FALSE(disk.Exists("nope"));
-  EXPECT_EQ(disk.List(), (std::vector<std::string>{"s.snap", "w.wal"}));
-
-  // A fresh handle over the same directory sees the persisted bytes.
-  FsDisk reopened(root);
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(reopened.Read("w.wal", &out));
-  EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
-  ASSERT_TRUE(reopened.Read("s.snap", &out));
-  EXPECT_EQ(out, (std::vector<uint8_t>{1, 2, 3}));
-
-  reopened.Remove("w.wal");
-  reopened.Remove("s.snap");
-  EXPECT_FALSE(disk.Exists("w.wal"));
-  EXPECT_TRUE(disk.List().empty());
-}
-
-// Replace publishes the whole new image or nothing: after a run of
-// replacements with different sizes and byte patterns, the file holds
-// exactly the last image and no temp file is left beside it.
-TEST(FsDiskTest, ReplacePublishesOnlyCompleteImages) {
-  const std::string root = ::testing::TempDir() + "/scatter_fsdisk_replace";
-  FsDisk disk(root);
-  for (const std::string& file : disk.List()) {
-    disk.Remove(file);  // stale state from a previous run
-  }
-  for (int i = 0; i < 8; ++i) {
-    const std::vector<uint8_t> image(4096 - 512 * (i % 3),
-                                     static_cast<uint8_t>(0xF0 + i));
-    disk.Replace("obj", image.data(), image.size());
-    std::vector<uint8_t> got;
-    ASSERT_TRUE(disk.Read("obj", &got));
-    EXPECT_EQ(got, image) << "replacement " << i;
-    EXPECT_EQ(disk.List(), std::vector<std::string>{"obj"});
-  }
-  disk.Remove("obj");
 }
 
 }  // namespace

@@ -43,14 +43,13 @@ const std::vector<RuleInfo> kRules = {
     {"durability-io",
      "bans direct file I/O (fstream family, fopen/fwrite/fsync, ...) in src/ "
      "outside src/storage/ — durable state must flow through the "
-     "storage::Disk seam so crash semantics and determinism stay modeled; "
+     "storage::SimDisk seam so crash semantics and determinism stay modeled; "
      "tools/, bench/ and tests/ sit outside the rule"},
     {"blocking-in-handler",
      "bans blocking operations (sleep_for/sleep_until/usleep/nanosleep, "
-     "fsync/fdatasync, FsDisk, unbounded while(true)/for(;;) loops) inside "
+     "fsync/fdatasync, unbounded while(true)/for(;;) loops) inside "
      "Handle* message-handler bodies outside src/storage/ — a blocked "
-     "handler stalls the whole simulation, and FsDisk in a handler bypasses "
-     "the Disk seam"},
+     "handler stalls the whole simulation"},
     {"callback-capture-lifetime",
      "a lambda posted via a raw simulator Schedule must not capture `this` "
      "outside the pinned-object dirs (src/sim/, src/workload/) — post "
@@ -715,10 +714,10 @@ void RunWireHotAlloc(Engine& eng, const FileState& fs) {
 
 // --- Rule: durability-io -----------------------------------------------------
 
-// File I/O belongs behind the storage::Disk seam: src/storage/ owns the
-// real-file backend (FsDisk), the simulated disk models crash semantics,
-// and everything above persists through them. A stray fstream elsewhere in
-// src/ is durable state the crash model cannot see. Developer-facing
+// File I/O belongs behind the storage::SimDisk seam: src/storage/ owns the
+// disk model and its crash semantics, and everything above persists through
+// it. A stray fstream elsewhere in src/ is durable state the crash model
+// cannot see. Developer-facing
 // artifacts (counterexample JSON, audit traces) carry a LINT-ALLOW with the
 // reason; tools/, bench/ and tests/ are out of scope entirely.
 void RunDurabilityIo(Engine& eng, const FileState& fs) {
@@ -746,8 +745,8 @@ void RunDurabilityIo(Engine& eng, const FileState& fs) {
       eng.Report("durability-io", path, toks[i].line,
                  "direct file I/O: '" + name +
                      "' outside src/storage/ — persist through the "
-                     "storage::Disk seam, or LINT-ALLOW for developer-facing "
-                     "artifacts");
+                     "storage::SimDisk seam, or LINT-ALLOW for "
+                     "developer-facing artifacts");
       continue;
     }
     if (kFileCalls.count(name) > 0 && i + 1 < toks.size() &&
@@ -761,7 +760,7 @@ void RunDurabilityIo(Engine& eng, const FileState& fs) {
       eng.Report("durability-io", path, toks[i].line,
                  "direct file I/O: call to '" + name +
                      "' outside src/storage/ — persist through the "
-                     "storage::Disk seam");
+                     "storage::SimDisk seam");
     }
   }
 }
@@ -822,8 +821,8 @@ bool IsUnboundedLoop(const std::vector<Token>& toks, size_t kw,
 
 void RunBlockingInHandler(Engine& eng, const FileState& fs) {
   const std::string& path = fs.source.path;
-  // src/storage/ owns the flush scheduler and the real-disk backend; its
-  // fsyncs are the modeled blocking work, not a handler stall.
+  // src/storage/ owns the disk model; its fsyncs are the modeled blocking
+  // work, not a handler stall.
   if (!HasPrefix(path, "src/") || HasPrefix(path, "src/storage/")) {
     return;
   }
@@ -862,14 +861,6 @@ void RunBlockingInHandler(Engine& eng, const FileState& fs) {
                    "blocking call '" + t + "' inside handler " + handler +
                        "() — a blocked handler stalls the whole simulation; "
                        "hand the work to the flush scheduler or a timer");
-        continue;
-      }
-      if (t == "FsDisk") {
-        eng.Report("blocking-in-handler", path, toks[k].line,
-                   "FsDisk use inside handler " + handler +
-                       "() — real-disk I/O blocks the simulation and "
-                       "bypasses the Disk seam; write through the node's "
-                       "Disk");
         continue;
       }
       if (t == "while" || t == "for") {

@@ -33,10 +33,8 @@
 #include "src/store/kv_store.h"
 #include "src/verify/linearizability.h"
 #include "src/wire/buffer.h"
-#include "src/wire/buffer_pool.h"
 #include "src/wire/codec.h"
 #include "src/wire/frame_view.h"
-#include "src/wire/serializing_network.h"
 
 namespace scatter {
 namespace {
@@ -332,31 +330,33 @@ paxos::AcceptMsg MakeBatchedAccept(uint64_t entries) {
 }
 
 // Scatter-gather encode in isolation: the same N-entry batched Accept
-// encoded into pooled buffers over and over, the shape of ReplicateTo
+// encoded into one reused buffer over and over, the shape of ReplicateTo
 // fanning one batch out to peers and retransmitting. After the first
 // iteration every command's canonical bytes come from its wire memo, so
 // steady state measures header+metadata writes plus one memcpy per command.
-// Counters (from the obs-side pool stats and the payload-codec memo stats):
-//   allocs_per_op      fresh buffer allocations per encode (pool misses)
+// Counters (from the buffer's capacity and the payload-codec memo stats):
+//   allocs_per_op      encodes that had to grow the buffer, per encode
 //   memo_bytes_per_op  payload bytes served from memos instead of re-encoded
 //   bytes_per_op       total frame bytes produced per encode
 void BM_WireEncodeBatched(benchmark::State& state) {
   core::RegisterScatterWireCodecs();
   paxos::AcceptMsg msg = MakeBatchedAccept(static_cast<uint64_t>(state.range(0)));
-  wire::BufferPool pool{wire::BufferPool::Config{.max_buffers_per_class = 4}};
+  wire::Buffer frame;
   const paxos::PayloadEncodeStats before = paxos::GetPayloadEncodeStats();
-  const uint64_t misses_before = pool.misses();
+  uint64_t allocs = 0;
   uint64_t bytes = 0;
   for (auto _ : state) {
-    wire::BufferPool::Handle frame = pool.Acquire(msg.ByteSize() + 64);
-    wire::EncodeFrame(msg, *frame);
+    frame.clear();
+    const size_t capacity = frame.capacity();
+    wire::EncodeFrame(msg, frame);
+    allocs += frame.capacity() != capacity;
     bytes += frame.size();
     benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
   }
   const paxos::PayloadEncodeStats after = paxos::GetPayloadEncodeStats();
   const double iters = static_cast<double>(state.iterations());
-  state.counters["allocs_per_op"] =
-      static_cast<double>(pool.misses() - misses_before) / iters;
+  state.counters["allocs_per_op"] = static_cast<double>(allocs) / iters;
   state.counters["memo_bytes_per_op"] =
       static_cast<double>(after.memo_bytes_reused - before.memo_bytes_reused) /
       iters;
@@ -419,17 +419,20 @@ void BM_TransportCommit(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  if (const auto* ser =
-          dynamic_cast<const wire::SerializingNetwork*>(&cluster.net())) {
+  if (state.range(0) != 0) {
+    const obs::MetricsRegistry& metrics = cluster.sim().metrics();
+    auto sum = [&metrics](const char* name) {
+      uint64_t total = 0;
+      metrics.ForEachCounter(name, [&total](NodeId, GroupId, const Counter& c) {
+        total += c.value;
+      });
+      return static_cast<double>(total);
+    };
     const double iters = static_cast<double>(state.iterations());
-    state.counters["frames_per_op"] =
-        static_cast<double>(ser->frames_serialized()) / iters;
-    state.counters["wire_bytes_per_op"] =
-        static_cast<double>(ser->bytes_serialized()) / iters;
-    const auto& pool = ser->buffer_pool();
-    state.counters["pool_hit_rate"] =
-        static_cast<double>(pool.hits()) /
-        static_cast<double>(pool.hits() + pool.misses());
+    state.counters["frames_per_op"] = sum("wire.frames_serialized") / iters;
+    state.counters["wire_bytes_per_op"] = sum("wire.bytes_serialized") / iters;
+    const double hits = sum("wire.pool.hit");
+    state.counters["pool_hit_rate"] = hits / (hits + sum("wire.pool.miss"));
   }
   state.SetLabel(cluster.net().transport_name());
 }

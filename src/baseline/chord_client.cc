@@ -26,7 +26,7 @@ ChordClient::Stats::Stats(obs::MetricsRegistry& registry, NodeId node)
       lookup_failures(registry.GetCounter("chord.lookup_failures", node)),
       lookup_hops(registry.GetHistogram("chord.lookup_hops", node)) {}
 
-ChordClient::ChordClient(NodeId id, sim::Transport* network,
+ChordClient::ChordClient(NodeId id, sim::Network* network,
                          std::vector<NodeId> seeds)
     : RpcNode(id, network),
       seeds_(std::move(seeds)),

@@ -21,7 +21,7 @@ namespace scatter::baseline {
 
 class ChordClient : public rpc::RpcNode, public KvClient {
  public:
-  ChordClient(NodeId id, sim::Transport* network, std::vector<NodeId> seeds);
+  ChordClient(NodeId id, sim::Network* network, std::vector<NodeId> seeds);
 
   using GetCallback = std::function<void(StatusOr<Value>)>;
   using PutCallback = std::function<void(Status)>;

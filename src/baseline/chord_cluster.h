@@ -24,7 +24,7 @@ struct ChordClusterConfig {
   uint64_t seed = 1;
   size_t initial_nodes = 20;
   sim::NetworkConfig network{.latency = sim::LatencyModel::Lan()};
-  // Which Transport implementation carries the cluster's traffic. kDefault
+  // Which transport implementation carries the cluster's traffic. kDefault
   // honors the SCATTER_TRANSPORT environment variable.
   sim::TransportKind transport = sim::TransportKind::kDefault;
 };

@@ -34,7 +34,7 @@ Key ChordNode::PositionOf(NodeId id) {
   return MixHash(id, 0x5ca77e12ba5e11e5ULL);
 }
 
-ChordNode::ChordNode(NodeId id, sim::Transport* network,
+ChordNode::ChordNode(NodeId id, sim::Network* network,
                      std::vector<NodeId> seeds)
     : RpcNode(id, network),
       pos_(PositionOf(id)),

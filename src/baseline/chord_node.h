@@ -34,7 +34,7 @@ class ChordNode : public rpc::RpcNode {
  public:
   // `seeds`: nodes to join through. With wire_directly (bootstrap), the
   // cluster sets the tables by hand and no join runs.
-  ChordNode(NodeId id, sim::Transport* network, std::vector<NodeId> seeds);
+  ChordNode(NodeId id, sim::Network* network, std::vector<NodeId> seeds);
 
   Key pos() const { return pos_; }
   NodeRef self_ref() const { return NodeRef{id(), pos_}; }

@@ -16,7 +16,7 @@ constexpr size_t kRedirectStreakLimit = 4;
 
 }  // namespace
 
-Client::Client(NodeId id, sim::Transport* network, std::vector<NodeId> seeds,
+Client::Client(NodeId id, sim::Network* network, std::vector<NodeId> seeds,
                const ClientConfig& config)
     : RpcNode(id, network), cfg_(config), seeds_(std::move(seeds)) {}
 

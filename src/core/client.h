@@ -39,7 +39,7 @@ struct ClientConfig {
 
 class Client : public rpc::RpcNode, public KvClient {
  public:
-  Client(NodeId id, sim::Transport* network, std::vector<NodeId> seeds,
+  Client(NodeId id, sim::Network* network, std::vector<NodeId> seeds,
          const ClientConfig& config);
 
   // Get: OK + value, NOT_FOUND, or TIMEOUT/UNAVAILABLE after the deadline.

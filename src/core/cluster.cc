@@ -5,7 +5,6 @@
 #include "src/common/logging.h"
 #include "src/core/wire_codecs.h"
 #include "src/storage/persist_env.h"
-#include "src/wire/buffer_pool.h"
 #include "src/wire/transport_factory.h"
 
 namespace scatter::core {

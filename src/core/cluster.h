@@ -31,7 +31,7 @@ struct ClusterConfig {
   ScatterConfig scatter;
   sim::NetworkConfig network{.latency = sim::LatencyModel::Lan()};
   ClientConfig client;
-  // Which Transport implementation carries the cluster's traffic. kDefault
+  // Which transport implementation carries the cluster's traffic. kDefault
   // honors the SCATTER_TRANSPORT environment variable.
   sim::TransportKind transport = sim::TransportKind::kDefault;
   // Durable storage. With persistence on, every node gets a SimDisk that

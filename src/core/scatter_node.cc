@@ -51,7 +51,7 @@ constexpr TimeMicros kJoinRetryMax = Seconds(2);
 
 }  // namespace
 
-ScatterNode::ScatterNode(NodeId id, sim::Transport* network,
+ScatterNode::ScatterNode(NodeId id, sim::Network* network,
                          const ScatterConfig& config,
                          std::vector<NodeId> seeds, storage::SimDisk* disk)
     : RpcNode(id, network),
@@ -1014,19 +1014,7 @@ void ScatterNode::RequestSplit(GroupId group, OpCallback done) {
     done(InvalidArgumentError("cannot split a single-member group"));
     return;
   }
-  const Key split_key = PickSplitKey(*h);
-  if (split_key == h->sm->range().begin) {
-    done(InvalidArgumentError("degenerate split point"));
-    return;
-  }
-  std::sort(members.begin(), members.end());
-  std::vector<NodeId> left(members.begin(),
-                           members.begin() + members.size() / 2);
-  std::vector<NodeId> right(members.begin() + members.size() / 2,
-                            members.end());
-  stats_.splits_initiated++;
-  h->driver->StartSplit(split_key, std::move(left), std::move(right),
-                        NewUniqueId(), NewUniqueId(), std::move(done));
+  InitiateSplit(*h, std::move(members), std::move(done));
 }
 
 void ScatterNode::RequestMerge(GroupId group, OpCallback done) {
@@ -1255,19 +1243,23 @@ void ScatterNode::MaybeSplit(GroupId group, Hosted& hosted) {
   if (members.size() <= cfg_.policy.max_group_size) {
     return;
   }
+  InitiateSplit(hosted, std::move(members), [](Status) {});
+}
+
+void ScatterNode::InitiateSplit(Hosted& hosted, std::vector<NodeId> members,
+                                OpCallback done) {
   const Key split_key = PickSplitKey(hosted);
   if (split_key == hosted.sm->range().begin) {
+    done(InvalidArgumentError("degenerate split point"));
     return;
   }
   std::sort(members.begin(), members.end());
-  std::vector<NodeId> left(members.begin(),
-                           members.begin() + members.size() / 2);
-  std::vector<NodeId> right(members.begin() + members.size() / 2,
-                            members.end());
+  const auto mid = members.begin() + members.size() / 2;
+  std::vector<NodeId> left(members.begin(), mid);
+  std::vector<NodeId> right(mid, members.end());
   stats_.splits_initiated++;
   hosted.driver->StartSplit(split_key, std::move(left), std::move(right),
-                            NewUniqueId(), NewUniqueId(),
-                            [](Status) {});
+                            NewUniqueId(), NewUniqueId(), std::move(done));
 }
 
 void ScatterNode::MaybeMergeOrMigrate(GroupId group, Hosted& hosted) {

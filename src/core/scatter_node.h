@@ -45,7 +45,7 @@ class ScatterNode : public rpc::RpcNode,
   // StartJoin (churn arrival). A non-null `disk` is the node's durable
   // storage: every hosted replica journals through it, and it must outlive
   // the node (the cluster keeps it across crash/restart cycles).
-  ScatterNode(NodeId id, sim::Transport* network, const ScatterConfig& config,
+  ScatterNode(NodeId id, sim::Network* network, const ScatterConfig& config,
               std::vector<NodeId> seeds, storage::SimDisk* disk = nullptr);
   ~ScatterNode() override;
 
@@ -194,6 +194,11 @@ class ScatterNode : public rpc::RpcNode,
   void MaybeRejoin();
   void GossipTick();
   Key PickSplitKey(const Hosted& hosted) const;
+  // Splits `hosted` at PickSplitKey, the lower half of the sorted `members`
+  // going left. A split key at the range's start fails `done` with
+  // INVALID_ARGUMENT and starts nothing.
+  void InitiateSplit(Hosted& hosted, std::vector<NodeId> members,
+                     OpCallback done);
 
   // --- Join protocol -------------------------------------------------------
   void AttemptJoin(size_t attempt);

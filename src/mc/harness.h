@@ -156,7 +156,6 @@ class McHarness : public sim::Scheduler {
   std::vector<ring::GroupInfo> groups_;
 
   verify::HistoryRecorder history_;
-  std::vector<std::pair<Key, uint64_t>> pending_ops_;  // key, op id (unused)
   std::vector<Key> written_keys_;
   uint64_t put_seq_ = 0;
   bool finished_ = false;

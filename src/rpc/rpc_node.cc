@@ -8,7 +8,7 @@
 
 namespace scatter::rpc {
 
-RpcNode::RpcNode(NodeId id, sim::Transport* network)
+RpcNode::RpcNode(NodeId id, sim::Network* network)
     : id_(id),
       network_(network),
       rng_(network->simulator()->rng().Fork()),

@@ -24,8 +24,8 @@
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/sim/message.h"
+#include "src/sim/network.h"
 #include "src/sim/simulator.h"
-#include "src/sim/transport.h"
 
 namespace scatter::rpc {
 
@@ -39,7 +39,7 @@ struct RpcErrorMessage : sim::Message {
 class RpcNode : public sim::Endpoint {
  public:
   // Attaches to the transport as `id`. The id must not be attached already.
-  RpcNode(NodeId id, sim::Transport* network);
+  RpcNode(NodeId id, sim::Network* network);
 
   // Detaches and cancels all timers / outstanding calls.
   ~RpcNode() override;
@@ -80,7 +80,7 @@ class RpcNode : public sim::Endpoint {
   virtual void OnRequest(const sim::MessagePtr& message) = 0;
 
   sim::Simulator* simulator() const { return network_->simulator(); }
-  sim::Transport* network() const { return network_; }
+  sim::Network* network() const { return network_; }
   TimeMicros now() const { return simulator()->now(); }
   sim::TimerOwner& timers() { return timers_; }
   Rng& rng() { return rng_; }
@@ -100,7 +100,7 @@ class RpcNode : public sim::Endpoint {
   bool TakeCall(uint64_t call_id, PendingCall* out);
 
   NodeId id_;
-  sim::Transport* network_;
+  sim::Network* network_;
   Rng rng_;
   uint64_t next_call_id_ = 1;
   std::vector<PendingCall> calls_;  // slab; empty callback while free

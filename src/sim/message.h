@@ -2,7 +2,7 @@
 //
 // Messages form a closed class hierarchy tagged with MessageType so receive
 // paths dispatch with a switch instead of dynamic_cast. A message is
-// immutable once handed to Transport::Send; the in-process transport shares
+// immutable once handed to Network::Send; the in-process transport shares
 // one allocation across broadcast fan-out, while the serializing transport
 // (src/wire/) hands every receiver a fresh decoded copy.
 
@@ -126,7 +126,7 @@ struct Message {
   uint64_t rpc_id = 0;
   bool is_response = false;
   // Piggybacked causal-trace context (obs::TraceContext wire format). Stamped
-  // by Transport::Send from the ambient span and restored around delivery;
+  // by Network::Send from the ambient span and restored around delivery;
   // both stay 0 when tracing is off.
   uint64_t trace_id = 0;
   uint64_t span_id = 0;

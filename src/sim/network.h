@@ -1,4 +1,6 @@
 // Simulated network: latency models, loss, partitions, node attachment.
+// Network is the transport type every sender and receiver holds; the wire
+// transports (src/wire/serializing_network.h) subclass it.
 //
 // The network delivers messages between attached endpoints after a sampled
 // one-way latency. Messages to detached (crashed / departed) nodes vanish,
@@ -66,25 +68,38 @@ struct NetworkConfig {
   double heterogeneity_sigma = 0.0;
 };
 
-// The in-process transport implementation plus the shared simulation
-// fabric: latency models, loss, duplication, partitions, bandwidth and
-// node-speed heterogeneity. The wire-layer transports (serializing, audit)
-// subclass it and override only the endpoint handoff (DeliverToEndpoint),
-// so every implementation shares one fault-injection surface and identical
-// timing — a seeded run behaves the same on all of them.
-class Network : public Transport {
+// The transport every protocol participant sends through and receives from:
+// the in-process implementation plus the shared simulation fabric (latency
+// models, loss, duplication, partitions, bandwidth and node-speed
+// heterogeneity). The wire-layer transports (serializing, audit) subclass
+// it and override only the endpoint handoff (DeliverToEndpoint), so every
+// implementation shares one fault-injection surface and identical timing —
+// a seeded run behaves the same on all of them.
+class Network {
  public:
   Network(Simulator* sim, NetworkConfig config);
-  ~Network() override = default;
+  virtual ~Network() = default;
+  // Scheduled deliveries capture `this`.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
-  // Transport:
-  void Attach(NodeId id, Endpoint* endpoint) override;
-  void Detach(NodeId id) override;
-  bool IsAttached(NodeId id) const override {
-    return endpoints_.count(id) > 0;
-  }
-  void Send(MessagePtr message) override;
-  const char* transport_name() const override { return "inprocess"; }
+  // Attaches an endpoint under `id`. A node that restarts re-attaches.
+  void Attach(NodeId id, Endpoint* endpoint);
+
+  // Detaches `id`; in-flight messages to it are dropped on delivery.
+  void Detach(NodeId id);
+
+  bool IsAttached(NodeId id) const { return endpoints_.count(id) > 0; }
+
+  // Sends m.from -> m.to (both must be set). Self-sends are delivered with
+  // zero latency on the next event-loop turn. The message must not be
+  // touched by the sender after this call.
+  void Send(MessagePtr message);
+
+  Simulator* simulator() const { return sim_; }
+
+  // Implementation name for diagnostics ("inprocess", "serializing", ...).
+  virtual const char* transport_name() const { return "inprocess"; }
 
   // --- Fault injection -------------------------------------------------
   void set_loss_rate(double p) { config_.loss_rate = p; }
@@ -120,8 +135,6 @@ class Network : public Transport {
   uint64_t messages_sent() const { return sent_; }
   uint64_t messages_delivered() const { return delivered_; }
   uint64_t messages_dropped() const { return dropped_; }
-
-  Simulator* simulator() const override { return sim_; }
 
  protected:
   // The endpoint boundary: hands a message that survived the fabric (loss,

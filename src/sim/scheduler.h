@@ -1,5 +1,5 @@
 // Scheduler: the delivery-order seam on the network, mirroring the
-// Transport seam (DESIGN.md §9) one level up.
+// transport seam (DESIGN.md §9) one level up.
 //
 // By default the network assigns every message a sampled latency and the
 // simulator's event queue decides the delivery order. A Scheduler installed
@@ -13,7 +13,7 @@
 //
 // Self-sends (from == to) are never offered to the scheduler: they are the
 // event-loop continuations protocols use for same-turn coalescing, and
-// reordering them against themselves would violate the Transport contract
+// reordering them against themselves would violate the transport contract
 // rather than explore legal network behavior.
 
 #ifndef SCATTER_SRC_SIM_SCHEDULER_H_

@@ -1,6 +1,7 @@
-// Transport: the message-passing service every protocol participant talks
-// to. Senders and receivers (rpc::RpcNode and everything above it) hold a
-// Transport*, never a concrete network, so the delivery substrate is
+// Endpoint and TransportKind: the receiving side of the message-passing
+// service and the selector for its implementation. Senders and receivers
+// (rpc::RpcNode and everything above it) hold a sim::Network* (network.h);
+// its endpoint handoff is the one virtual seam, so the delivery substrate is
 // pluggable:
 //
 //   sim::Network              -- zero-copy in-process handoff (default)
@@ -22,8 +23,6 @@
 #include "src/sim/message.h"
 
 namespace scatter::sim {
-
-class Simulator;
 
 // Receives messages addressed to the NodeId this endpoint is attached as.
 // The delivered pointer is only guaranteed valid for the duration of the
@@ -47,29 +46,6 @@ enum class TransportKind {
   kInProcess,
   kSerializing,
   kAudit,
-};
-
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  // Attaches an endpoint under `id`. A node that restarts re-attaches.
-  virtual void Attach(NodeId id, Endpoint* endpoint) = 0;
-
-  // Detaches `id`; in-flight messages to it are dropped on delivery.
-  virtual void Detach(NodeId id) = 0;
-
-  virtual bool IsAttached(NodeId id) const = 0;
-
-  // Sends m.from -> m.to (both must be set). Self-sends are delivered with
-  // zero latency on the next event-loop turn. The message must not be
-  // touched by the sender after this call.
-  virtual void Send(MessagePtr message) = 0;
-
-  virtual Simulator* simulator() const = 0;
-
-  // Implementation name for diagnostics ("inprocess", "serializing", ...).
-  virtual const char* transport_name() const = 0;
 };
 
 }  // namespace scatter::sim

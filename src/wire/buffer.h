@@ -11,8 +11,8 @@
 // with no value-initialization of bytes that are about to be overwritten.
 // Under AddressSanitizer the unwritten tail [size, capacity) is manually
 // poisoned (mirroring libstdc++'s container annotations), so a stale
-// pointer into a pooled, recycled buffer faults instead of silently
-// reading the next tenant's bytes.
+// pointer into a transport's reused frame buffer faults instead of silently
+// reading the next frame's bytes.
 //
 // Reader is a bounds-checked cursor over an immutable byte span, and the
 // decoding visitor of the field lists in fields.h. A short or malformed read
@@ -73,15 +73,12 @@ inline void AsanUnpoison(const void* p, size_t n) {
 class Buffer {
  public:
   Buffer() = default;
-  // Buffers are written in place and shared by reference (or pooled via
-  // BufferPool); an accidental copy of frame bytes is a hot-path bug, so
-  // copies don't compile.
+  // Buffers are written in place, shared by reference and reused across
+  // frames; an accidental copy of frame bytes is a hot-path bug, so copies
+  // don't compile.
   Buffer(const Buffer&) = delete;
   Buffer& operator=(const Buffer&) = delete;
-  ~Buffer() {
-    internal::AsanUnpoison(bytes_, cap_);
-    std::free(bytes_);
-  }
+  ~Buffer() { FreeStorage(); }
 
   void WriteU8(uint8_t v) { *Grow(1) = v; }
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
@@ -138,8 +135,8 @@ class Buffer {
   }
 
   // Grows the backing store up front so a burst of writes doesn't reallocate
-  // mid-frame. Pooled buffers (buffer_pool.h) keep their grown capacity
-  // across acquire/release cycles, which is what makes reuse pay.
+  // mid-frame. clear() keeps the grown capacity, which is what makes a
+  // reused frame buffer pay.
   void Reserve(size_t capacity) {
     if (capacity > cap_) {
       Reallocate(capacity);
@@ -147,9 +144,18 @@ class Buffer {
   }
   size_t capacity() const { return cap_; }
 
-  // Overwrites the current contents with `fill` (the pool poisons released
-  // buffers in debug/sanitized builds so a stale pointer reads a recognizable
-  // pattern instead of the previous frame).
+  // Empties the buffer and returns its storage to the allocator.
+  void FreeStorage() {
+    internal::AsanUnpoison(bytes_, cap_);
+    std::free(bytes_);
+    bytes_ = nullptr;
+    size_ = 0;
+    cap_ = 0;
+  }
+
+  // Overwrites the current contents with `fill` (the wire transports poison
+  // each frame after its handoff in debug/sanitized builds so a stale
+  // pointer reads a recognizable pattern instead of the previous frame).
   void Poison(uint8_t fill) {
     if (size_ != 0) {
       std::memset(bytes_, fill, size_);

@@ -8,12 +8,49 @@
 #include "src/wire/codec.h"
 #include "src/wire/frame_view.h"
 
+// Poison frame bytes after each handoff whenever asserts are live or ASan
+// is watching: a stale read through a kept pointer then sees 0xA5 instead
+// of the previous frame, and the clear() that follows marks the storage
+// unaddressable under ASan, so the same mistake becomes a hard error there.
+#if !defined(NDEBUG) || defined(SCATTER_WIRE_ASAN)
+#define SCATTER_WIRE_POISON_FRAMES 1
+#endif
+
 namespace scatter::wire {
 namespace {
 
-// Length prefix + fixed header; added to the message's self-reported payload
-// estimate to pick the pool size class.
-constexpr size_t kFrameOverhead = 4 + kFrameHeaderSize;
+// A frame buffer that grew past this (snapshot installs, bulk merges) gives
+// its storage back after the delivery instead of pinning it for the run.
+constexpr size_t kMaxRetainedFrameBytes = 128 * 1024;
+
+// Brackets one delivery. Deliveries never nest (every send is scheduled),
+// which is what lets each transport reuse one buffer per role; the CHECK
+// pins that. The destructor also runs when a CHECK inside the handler
+// throws under the model checker.
+class DeliveryScope {
+ public:
+  explicit DeliveryScope(bool* delivering) : delivering_(delivering) {
+    SCATTER_CHECK(!*delivering_);
+    *delivering_ = true;
+  }
+  ~DeliveryScope() { *delivering_ = false; }
+  DeliveryScope(const DeliveryScope&) = delete;
+  DeliveryScope& operator=(const DeliveryScope&) = delete;
+
+ private:
+  bool* delivering_;
+};
+
+// Ends a delivery's use of a reused frame buffer.
+void Recycle(Buffer& frame) {
+#ifdef SCATTER_WIRE_POISON_FRAMES
+  frame.Poison(0xA5);
+#endif
+  frame.clear();
+  if (frame.capacity() > kMaxRetainedFrameBytes) {
+    frame.FreeStorage();
+  }
+}
 
 // Compares two encoded frames ignoring the fixed `to` header slot:
 // RpcNode::Forward legitimately rewrites `to` on a delivered message to
@@ -41,9 +78,7 @@ bool FramesEqualIgnoringTo(const Buffer& a, const Buffer& b) {
 
 SerializingNetwork::SerializingNetwork(sim::Simulator* sim,
                                        sim::NetworkConfig config)
-    : sim::Network(sim, config),
-      pool_(BufferPool::Config{}, &sim->metrics()),
-      metrics_(&sim->metrics()) {
+    : sim::Network(sim, config), metrics_(&sim->metrics()) {
   // Codecs are registered by the protocol modules that own the message
   // structs (core::RegisterScatterWireCodecs(), baseline's RegisterWireCodecs):
   // the wire layer sits below them in the include DAG and cannot name their
@@ -56,30 +91,34 @@ SerializingNetwork::TrafficCells& SerializingNetwork::CellsFor(NodeId node) {
     it->second.frames =
         &metrics_->GetCounter("wire.frames_serialized", node);
     it->second.bytes = &metrics_->GetCounter("wire.bytes_serialized", node);
+    it->second.pool_hit = &metrics_->GetCounter("wire.pool.hit", node);
+    it->second.pool_miss = &metrics_->GetCounter("wire.pool.miss", node);
   }
   return it->second;
 }
 
 void SerializingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
                                            const sim::MessagePtr& message) {
-  BufferPool::Handle frame =
-      pool_.Acquire(message->ByteSize() + kFrameOverhead, message->to);
-  EncodeFrame(*message, *frame);
+  DeliveryScope scope(&delivering_);
+  // Cleared here as well as in Recycle: a CHECK that throws inside the
+  // handler skips the end of this function.
+  frame_.clear();
+  const size_t retained = frame_.capacity();
+  EncodeFrame(*message, frame_);
   TrafficCells& cells = CellsFor(message->to);
   ++*cells.frames;
-  *cells.bytes += frame->size();
-  total_frames_++;
-  total_bytes_ += frame->size();
+  *cells.bytes += frame_.size();
+  ++*(frame_.capacity() == retained ? cells.pool_hit : cells.pool_miss);
 
   std::string error;
   FrameView view;
-  if (!view.Parse(frame.data(), frame.size(), &error)) {
+  if (!view.Parse(frame_.data(), frame_.size(), &error)) {
     SCATTER_ERROR() << "serializing transport: self-encoded "
                     << sim::MessageTypeName(message->type)
                     << " frame failed header peek: " << error;
     SCATTER_CHECK(false);
   }
-  SCATTER_CHECK(view.frame_size() == frame.size());
+  SCATTER_CHECK(view.frame_size() == frame_.size());
   const sim::MessagePtr& copy = view.Materialize(&error);
   if (copy == nullptr) {
     SCATTER_ERROR() << "serializing transport: self-encoded "
@@ -88,12 +127,12 @@ void SerializingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
     SCATTER_CHECK(copy != nullptr);
   }
   endpoint->HandleMessage(copy);
+  Recycle(frame_);
 }
 
 AuditingNetwork::AuditingNetwork(sim::Simulator* sim,
                                  sim::NetworkConfig config)
-    : sim::Network(sim, config),
-      pool_(BufferPool::Config{}, &sim->metrics()) {}
+    : sim::Network(sim, config) {}
 
 void AuditingNetwork::Report(const sim::MessagePtr& message,
                              std::string detail) {
@@ -109,9 +148,11 @@ void AuditingNetwork::Report(const sim::MessagePtr& message,
 
 void AuditingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
                                         const sim::MessagePtr& message) {
-  BufferPool::Handle before =
-      pool_.Acquire(message->ByteSize() + kFrameOverhead);
-  EncodeFrame(*message, *before);
+  DeliveryScope scope(&delivering_);
+  before_.clear();
+  reencoded_.clear();
+  after_.clear();
+  EncodeFrame(*message, before_);
 
   // Round-trip stability: decode a fresh copy of the frame and re-encode;
   // any divergence is a codec dropping or mangling a field. The decoded
@@ -119,16 +160,15 @@ void AuditingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
   // per-type encoders even when `before` itself was served from a memo.
   std::string error;
   FrameView view;
-  if (!view.Parse(before.data(), before.size(), &error)) {
+  if (!view.Parse(before_.data(), before_.size(), &error)) {
     Report(message, "self-encoded frame failed header peek: " + error);
   } else {
     const sim::MessagePtr& copy = view.Materialize(&error);
     if (copy == nullptr) {
       Report(message, "self-encoded frame failed to decode: " + error);
     } else {
-      BufferPool::Handle reencoded = pool_.Acquire(before.size());
-      EncodeFrame(*copy, *reencoded);
-      if (!(*reencoded == *before)) {
+      EncodeFrame(*copy, reencoded_);
+      if (!(reencoded_ == before_)) {
         Report(message, "encode -> decode -> encode is not byte-identical");
       }
     }
@@ -141,11 +181,13 @@ void AuditingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
   // state it does not own. Forward's `to` rewrite is the sanctioned
   // exception. Byte-level comparison of the re-encoded frame — no decode
   // needed on this leg.
-  BufferPool::Handle after = pool_.Acquire(before.size());
-  EncodeFrame(*message, *after);
-  if (!FramesEqualIgnoringTo(*before, *after)) {
+  EncodeFrame(*message, after_);
+  if (!FramesEqualIgnoringTo(before_, after_)) {
     Report(message, "handler mutated a delivered message");
   }
+  Recycle(before_);
+  Recycle(reencoded_);
+  Recycle(after_);
 }
 
 }  // namespace scatter::wire

@@ -14,10 +14,16 @@
 //                       handlers that mutate a delivered (possibly shared)
 //                       message, plus any codec that fails to round-trip.
 //
-// Hot-path mechanics (see DESIGN.md "wire hot path"): frame bytes live in
-// pooled buffers (BufferPool), header routing fields are
-// read through a lazy FrameView, and both transports publish their traffic
-// and pool counters ("wire.*") in the simulation's metrics registry.
+// Hot-path mechanics (see DESIGN.md "wire hot path"): each transport encodes
+// into its own reused wire::Buffer(s), header routing fields are read
+// through a lazy FrameView, and the serializing transport publishes its
+// traffic and buffer-reuse counters ("wire.*") in the simulation's metrics
+// registry.
+//
+// One buffer per role is enough because deliveries never nest: every send,
+// self-sends included, is scheduled, so a handler's sends are delivered on
+// later event-loop turns (DeliverToEndpoint CHECKs this). And the decoded
+// copy owns its fields, so nothing reads the frame bytes after the handoff.
 
 #ifndef SCATTER_SRC_WIRE_SERIALIZING_NETWORK_H_
 #define SCATTER_SRC_WIRE_SERIALIZING_NETWORK_H_
@@ -29,7 +35,7 @@
 #include "src/common/flat_map.h"
 #include "src/common/histogram.h"
 #include "src/sim/network.h"
-#include "src/wire/buffer_pool.h"
+#include "src/wire/buffer.h"
 
 namespace scatter::wire {
 
@@ -39,31 +45,30 @@ class SerializingNetwork : public sim::Network {
 
   const char* transport_name() const override { return "serializing"; }
 
-  uint64_t frames_serialized() const { return total_frames_; }
-  uint64_t bytes_serialized() const { return total_bytes_; }
-  const BufferPool& buffer_pool() const { return pool_; }
-
  protected:
   void DeliverToEndpoint(sim::Endpoint* endpoint,
                          const sim::MessagePtr& message) override;
 
  private:
-  // Registry cells ("wire.frames_serialized" / "wire.bytes_serialized"),
-  // keyed by the frame's destination node — the transport is the one place
-  // that reliably knows which node the traffic belongs to, so per-node
-  // health and scatter-top columns don't aggregate the whole cluster.
-  // Bound lazily per node; plain totals serve the accessors above.
+  // Registry cells ("wire.frames_serialized", "wire.bytes_serialized",
+  // "wire.pool.hit", "wire.pool.miss"), keyed by the frame's destination
+  // node — the transport is the one place that reliably knows which node
+  // the traffic belongs to, so per-node health and scatter-top columns
+  // don't aggregate the whole cluster. Bound lazily per node. A hit is a
+  // frame encoded into the retained storage of frame_; a miss is one whose
+  // encode had to allocate (frame_'s capacity changed).
   struct TrafficCells {
     Counter* frames = nullptr;
     Counter* bytes = nullptr;
+    Counter* pool_hit = nullptr;
+    Counter* pool_miss = nullptr;
   };
   TrafficCells& CellsFor(NodeId node);
 
-  BufferPool pool_;
   obs::MetricsRegistry* metrics_;
   FlatMap<NodeId, TrafficCells> traffic_cells_;
-  uint64_t total_frames_ = 0;
-  uint64_t total_bytes_ = 0;
+  Buffer frame_;
+  bool delivering_ = false;
 };
 
 class AuditingNetwork : public sim::Network {
@@ -86,8 +91,6 @@ class AuditingNetwork : public sim::Network {
   // violations() instead.
   void set_fail_on_violation(bool fail) { fail_on_violation_ = fail; }
 
-  const BufferPool& buffer_pool() const { return pool_; }
-
  protected:
   void DeliverToEndpoint(sim::Endpoint* endpoint,
                          const sim::MessagePtr& message) override;
@@ -95,7 +98,12 @@ class AuditingNetwork : public sim::Network {
  private:
   void Report(const sim::MessagePtr& message, std::string detail);
 
-  BufferPool pool_;
+  // The frame as sent, its decode -> re-encode, and the frame after the
+  // handler ran.
+  Buffer before_;
+  Buffer reencoded_;
+  Buffer after_;
+  bool delivering_ = false;
   bool fail_on_violation_ = true;
   std::vector<Violation> violations_;
 };

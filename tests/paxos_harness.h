@@ -115,7 +115,7 @@ inline void RegisterPaxosTestSnapshotCodec() {
 // the replica journals to it.
 class PaxosTestNode : public rpc::RpcNode, public ReplicaHost {
  public:
-  PaxosTestNode(NodeId id, sim::Transport* network, const PaxosConfig& config,
+  PaxosTestNode(NodeId id, sim::Network* network, const PaxosConfig& config,
                 GroupId group, std::vector<NodeId> members,
                 storage::SimDisk* disk = nullptr)
       : RpcNode(id, network) {
@@ -125,7 +125,7 @@ class PaxosTestNode : public rpc::RpcNode, public ReplicaHost {
   }
 
   // Restarts from the state crash recovery read back from `disk`.
-  PaxosTestNode(NodeId id, sim::Transport* network, const PaxosConfig& config,
+  PaxosTestNode(NodeId id, sim::Network* network, const PaxosConfig& config,
                 GroupId group, storage::SimDisk* disk,
                 const RecoveredState& recovered)
       : RpcNode(id, network) {

@@ -698,6 +698,29 @@ TEST_F(WireTest, ToFieldLivesAtTheDocumentedOffset) {
   EXPECT_EQ(to, m->to);
 }
 
+// One Buffer dirtied, cleared and rewritten over and over, the way a wire
+// transport reuses its frame buffer. Every round must see exactly the bytes
+// it wrote. Under ASan clear() marks the whole storage unaddressable, so a
+// stale pointer into the previous round's frame dies here instead of
+// reading the next frame's bytes.
+TEST_F(WireTest, ReusedBufferComesBackCleanAfterDirtying) {
+  Buffer frame;
+  for (int round = 0; round < 64; ++round) {
+    frame.Poison(0xA5);
+    frame.clear();
+    ASSERT_TRUE(frame.empty()) << "round " << round;
+    // A round-specific dirty pattern of varying length.
+    const size_t len = 16 + static_cast<size_t>(round) * 7 % 400;
+    for (size_t i = 0; i < len; ++i) {
+      frame.WriteU8(static_cast<uint8_t>(round * 31 + i));
+    }
+    ASSERT_EQ(frame.size(), len);
+    for (size_t i = 0; i < len; ++i) {
+      ASSERT_EQ(frame.data()[i], static_cast<uint8_t>(round * 31 + i));
+    }
+  }
+}
+
 TEST_F(WireTest, RejectsUnknownVersion) {
   Rng rng(3);
   auto m = Finish(std::make_shared<baseline::ChordPingMsg>(), rng);

@@ -15,6 +15,7 @@
 #include "src/baseline/wire_codecs.h"
 #include "src/common/hash.h"
 #include "src/core/cluster.h"
+#include "src/obs/metrics.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/wire/codec.h"
@@ -43,6 +44,21 @@ class RecordingEndpoint : public sim::Endpoint {
   bool mutate_;
   std::vector<sim::MessagePtr> received_;
 };
+
+uint64_t SumCounter(const obs::MetricsRegistry& metrics,
+                    const std::string& name) {
+  uint64_t total = 0;
+  metrics.ForEachCounter(name, [&total](NodeId, GroupId, const Counter& c) {
+    total += c.value;
+  });
+  return total;
+}
+
+uint64_t CounterAt(const obs::MetricsRegistry& metrics, const std::string& name,
+                   NodeId node) {
+  const Counter* counter = metrics.FindCounter(name, node);
+  return counter == nullptr ? 0 : counter->value;
+}
 
 sim::MessagePtr MakeStore(NodeId from, NodeId to, const Value& value) {
   auto m = std::make_shared<baseline::ChordStoreMsg>();
@@ -74,8 +90,94 @@ TEST(SerializingNetworkTest, DeliversFreshDecodedCopies) {
   EXPECT_EQ(static_cast<const baseline::ChordStoreMsg&>(*got).value, "hello");
   EXPECT_EQ(got->from, 1u);
   EXPECT_EQ(got->to, 2u);
-  EXPECT_GE(net.frames_serialized(), 1u);
-  EXPECT_GT(net.bytes_serialized(), 0u);
+  EXPECT_GE(SumCounter(sim.metrics(), "wire.frames_serialized"), 1u);
+  EXPECT_GT(SumCounter(sim.metrics(), "wire.bytes_serialized"), 0u);
+}
+
+// A seeded 5-node put workload: every serialized frame is exactly one hit or
+// one miss on its destination node, and once the frame buffer has grown to
+// the workload's largest frame, encoding allocates nothing.
+TEST(SerializingNetworkTest, SteadyStateFramesReuseTheirBuffer) {
+  core::ClusterConfig cfg;
+  cfg.seed = 77;
+  cfg.initial_nodes = 5;
+  cfg.initial_groups = 1;
+  cfg.transport = sim::TransportKind::kSerializing;
+  core::Cluster c(cfg);
+  c.RunFor(Seconds(2));
+  core::Client* client = c.AddClient();
+  const obs::MetricsRegistry& metrics = c.sim().metrics();
+
+  // Closed loop, 8 puts in flight.
+  uint64_t issued = 0;
+  uint64_t completed = 0;
+  auto run_puts = [&](uint64_t n) {
+    const uint64_t target = completed + n;
+    const TimeMicros deadline = c.sim().now() + Seconds(60);
+    while (completed < target && c.sim().now() < deadline) {
+      while (issued - completed < 8 && issued < target) {
+        client->Put(issued, "value-" + std::to_string(issued),
+                    [&completed](Status s) {
+                      EXPECT_TRUE(s.ok()) << s.ToString();
+                      completed++;
+                    });
+        issued++;
+      }
+      c.sim().RunFor(Millis(1));
+    }
+    ASSERT_EQ(completed, target);
+  };
+
+  run_puts(200);
+  const uint64_t misses = SumCounter(metrics, "wire.pool.miss");
+  EXPECT_GT(misses, 0u);  // the buffer started empty and had to grow
+  run_puts(200);
+  EXPECT_EQ(SumCounter(metrics, "wire.pool.miss"), misses);
+
+  int nodes = 0;
+  metrics.ForEachCounter(
+      "wire.frames_serialized",
+      [&](NodeId node, GroupId, const Counter& frames) {
+        nodes++;
+        EXPECT_EQ(CounterAt(metrics, "wire.pool.hit", node) +
+                      CounterAt(metrics, "wire.pool.miss", node),
+                  frames.value)
+            << "node " << node;
+      });
+  EXPECT_GE(nodes, 5);
+}
+
+// A frame past the 128 KiB retention bound does not pin its storage: the
+// frame after it has to allocate again.
+TEST(SerializingNetworkTest, OversizeFrameStorageIsNotKept) {
+  baseline::RegisterWireCodecs();
+  sim::Simulator sim(1);
+  SerializingNetwork net(&sim, sim::NetworkConfig{});
+  RecordingEndpoint a;
+  RecordingEndpoint b;
+  net.Attach(1, &a);
+  net.Attach(2, &b);
+  auto deliver = [&](const Value& value) {
+    net.Send(MakeStore(1, 2, value));
+    sim.RunFor(Seconds(1));
+  };
+  auto hits = [&] { return CounterAt(sim.metrics(), "wire.pool.hit", 2); };
+  auto misses = [&] { return CounterAt(sim.metrics(), "wire.pool.miss", 2); };
+
+  deliver("small");
+  EXPECT_EQ(misses(), 1u);  // first frame: the buffer starts empty
+  deliver("small");
+  EXPECT_EQ(hits(), 1u);
+  deliver(Value(200 * 1024, 'x'));
+  EXPECT_EQ(misses(), 2u);
+  deliver("small");
+  EXPECT_EQ(misses(), 3u);  // the 200 KiB storage was given back
+  deliver("small");
+  EXPECT_EQ(hits(), 2u);
+  ASSERT_EQ(b.received().size(), 5u);
+  EXPECT_EQ(static_cast<const baseline::ChordStoreMsg&>(*b.received()[2])
+                .value.size(),
+            200u * 1024);
 }
 
 TEST(AuditingNetworkTest, CleanHandlerProducesNoViolations) {

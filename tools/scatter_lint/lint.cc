@@ -38,8 +38,9 @@ const std::vector<RuleInfo> kRules = {
      "stale suppressions hide future regressions"},
     {"wire-hot-alloc",
      "flags direct std::vector<uint8_t> construction or `new` in src/wire/ "
-     "encode/decode paths outside the buffer pool — per-frame byte storage "
-     "must come from wire::BufferPool so the hot path stays allocation-free"},
+     "encode/decode paths outside wire::Buffer — per-frame byte storage must "
+     "be the transport's reused wire::Buffer so the hot path stays "
+     "allocation-free"},
     {"durability-io",
      "bans direct file I/O (fstream family, fopen/fwrite/fsync, ...) in src/ "
      "outside src/storage/ — durable state must flow through the "
@@ -667,7 +668,7 @@ void RunTransportSeam(Engine& eng, const FileState& fs) {
         toks[i].text == "HandleMessage" && toks[i + 1].text == "(" &&
         (toks[i - 1].text == "." || toks[i - 1].text == "->")) {
       eng.Report("transport-seam", path, toks[i].line,
-                 "direct HandleMessage() call bypasses sim::Transport — "
+                 "direct HandleMessage() call bypasses sim::Network — "
                  "deliver through the network so the serializing/audit "
                  "transports see this message");
     }
@@ -676,19 +677,17 @@ void RunTransportSeam(Engine& eng, const FileState& fs) {
 
 // --- Rule: wire-hot-alloc ----------------------------------------------------
 
-// The wire layer's per-frame byte storage must come from wire::BufferPool:
-// a stray `new` or a fresh std::vector<uint8_t> in an encode/decode path
-// reintroduces the per-delivery allocation the pool exists to remove. The
-// pool itself and Buffer (whose vector IS the pooled storage) are the
-// sanctioned owners; startup-time allocations (e.g. the codec registry)
-// carry a LINT-ALLOW with the reason.
+// The wire layer's per-frame byte storage is the transport's reused
+// wire::Buffer: a stray `new` or a fresh std::vector<uint8_t> in an
+// encode/decode path reintroduces the per-delivery allocation that reuse
+// removes. Buffer itself is the sanctioned owner; startup-time allocations
+// (e.g. the codec registry) carry a LINT-ALLOW with the reason.
 void RunWireHotAlloc(Engine& eng, const FileState& fs) {
   const std::string& path = fs.source.path;
   if (!HasPrefix(path, "src/wire/")) {
     return;
   }
-  if (path == "src/wire/buffer.h" || path == "src/wire/buffer_pool.h" ||
-      path == "src/wire/buffer_pool.cc") {
+  if (path == "src/wire/buffer.h") {
     return;
   }
   const std::vector<Token>& toks = fs.tok.tokens;
@@ -698,15 +697,15 @@ void RunWireHotAlloc(Engine& eng, const FileState& fs) {
     }
     if (toks[i].text == "new") {
       eng.Report("wire-hot-alloc", path, toks[i].line,
-                 "`new` in the wire layer — frame storage must be acquired "
-                 "from wire::BufferPool (LINT-ALLOW for one-time startup "
-                 "allocations)");
+                 "`new` in the wire layer — frame storage must be the "
+                 "transport's reused wire::Buffer (LINT-ALLOW for one-time "
+                 "startup allocations)");
     } else if (toks[i].text == "vector" && i + 3 < toks.size() &&
                toks[i + 1].text == "<" && toks[i + 2].text == "uint8_t" &&
                (toks[i + 3].text == ">" || toks[i + 3].text == ">>")) {
       eng.Report("wire-hot-alloc", path, toks[i].line,
-                 "raw std::vector<uint8_t> in the wire layer — use a pooled "
-                 "wire::Buffer (BufferPool::Acquire) so encode/decode paths "
+                 "raw std::vector<uint8_t> in the wire layer — encode into "
+                 "the transport's reused wire::Buffer so encode/decode paths "
                  "do not allocate per frame");
     }
   }

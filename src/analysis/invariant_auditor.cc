@@ -502,13 +502,13 @@ InvariantAuditor::InvariantAuditor(core::Cluster* cluster,
   for (auto& checker : MakeStandardCheckers(opts_.properties)) {
     RegisterChecker(std::move(checker));
   }
-  cluster_->sim().SetTraceCapacity(opts_.trace_capacity);
+  // The artifact's [last_events] read the network's delivery ring, which
+  // records every delivery whether or not an auditor is attached.
   cluster_->sim().SetAuditHook(opts_.every_n_events, [this]() { RunOnce(); });
 }
 
 InvariantAuditor::~InvariantAuditor() {
   cluster_->sim().ClearAuditHook();
-  cluster_->sim().SetTraceCapacity(0);
 }
 
 void InvariantAuditor::RegisterChecker(std::unique_ptr<Checker> checker) {
@@ -559,8 +559,9 @@ void InvariantAuditor::DumpArtifact() const {
         << v.checker << "] " << v.detail << "\n";
   }
   out << "\n[last_events]\n";
-  for (const sim::Simulator::TraceEntry& entry : sim.TraceSnapshot()) {
-    out << "t=" << entry.at << " seq=" << entry.seq << " " << entry.label
+  for (const sim::Network::Delivery& d : cluster_->net().RecentDeliveries()) {
+    out << "t=" << d.at << " seq=" << d.seq << " "
+        << sim::MessageTypeName(d.type) << " " << d.from << "->" << d.to
         << "\n";
   }
   // When causal tracing is active, dump the span forest too: it shows

@@ -34,8 +34,8 @@
 //             scenarios that inject faults and expect raises narrow the
 //             property set to exclude this). No-op without a monitor.
 //
-// On violation the auditor dumps the last K annotated simulator events plus
-// the run's seed as a replayable trace artifact, then aborts the run
+// On violation the auditor dumps the network's ring of recent deliveries
+// plus the run's seed as a replayable trace artifact, then aborts the run
 // (configurable for the auditor's own mutation tests).
 
 #ifndef SCATTER_SRC_ANALYSIS_INVARIANT_AUDITOR_H_
@@ -53,8 +53,6 @@ namespace scatter::analysis {
 struct AuditorOptions {
   // Checkers run after every this many processed simulator events.
   uint64_t every_n_events = 4096;
-  // Annotated events retained for the violation trace artifact.
-  size_t trace_capacity = 256;
   // Abort the process after dumping the artifact. Mutation tests disable
   // this and inspect violations() instead.
   bool abort_on_violation = true;
@@ -108,8 +106,8 @@ std::vector<std::unique_ptr<Checker>> MakeStandardCheckers(
 
 class InvariantAuditor {
  public:
-  // Installs the audit hook and event tracing on the cluster's simulator
-  // and registers the four standard checkers. At most one auditor may be
+  // Installs the audit hook on the cluster's simulator and registers the
+  // standard checkers. At most one auditor may be
   // attached to a simulator at a time.
   explicit InvariantAuditor(core::Cluster* cluster,
                             AuditorOptions options = {});

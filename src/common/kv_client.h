@@ -12,9 +12,6 @@
 #define SCATTER_SRC_COMMON_KV_CLIENT_H_
 
 #include <functional>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -34,38 +31,6 @@ class KvClient {
   // real delete path override.
   virtual void KvDelete(Key key, PutCallback callback) {
     callback(InvalidArgumentError("delete not supported"));
-  }
-
-  // Multi-op coalescing: issue all puts in one event-loop turn so a
-  // batching-aware server can ride them on a single Accept round, then
-  // invoke `callback` once with the per-op statuses (in input order). The
-  // default implementation fans out through KvPut and gathers; stores with
-  // a native batch path can override.
-  using MultiPutCallback = std::function<void(std::vector<Status>)>;
-  virtual void KvMultiPut(std::vector<std::pair<Key, Value>> ops,
-                          MultiPutCallback callback) {
-    if (ops.empty()) {
-      callback({});
-      return;
-    }
-    struct Gather {
-      std::vector<Status> statuses;
-      size_t pending = 0;
-      MultiPutCallback done;
-    };
-    auto gather = std::make_shared<Gather>();
-    gather->statuses.resize(ops.size());
-    gather->pending = ops.size();
-    gather->done = std::move(callback);
-    for (size_t i = 0; i < ops.size(); ++i) {
-      KvPut(ops[i].first, std::move(ops[i].second),
-            [gather, i](Status s) {
-              gather->statuses[i] = std::move(s);
-              if (--gather->pending == 0) {
-                gather->done(std::move(gather->statuses));
-              }
-            });
-    }
   }
 
   // Stable identity used to build globally-unique written values.

@@ -9,8 +9,6 @@ namespace {
 LogLevel g_level = LogLevel::kWarning;
 ClockFn g_clock_fn = nullptr;
 void* g_clock_arg = nullptr;
-LogSinkFn g_sink_fn = nullptr;
-void* g_sink_arg = nullptr;
 CheckFailHandler g_check_fail_handler = nullptr;
 
 const char* LevelTag(LogLevel level) {
@@ -50,28 +48,15 @@ void SetLogClock(ClockFn fn, void* arg) {
   g_clock_arg = arg;
 }
 
-void SetLogSink(LogSinkFn fn, void* arg) {
-  g_sink_fn = fn;
-  g_sink_arg = arg;
-}
-
 void SetCheckFailureHandler(CheckFailHandler handler) {
   g_check_fail_handler = handler;
 }
 
 namespace internal {
 
-LogLevel EmitFloor() {
-  return g_sink_fn != nullptr ? LogLevel::kTrace : g_level;
-}
+LogLevel EmitFloor() { return g_level; }
 
 void Emit(LogLevel level, const char* file, int line, const std::string& msg) {
-  if (g_sink_fn != nullptr) {
-    g_sink_fn(g_sink_arg, level, file, line, msg);
-  }
-  if (level < g_level) {
-    return;
-  }
   const int64_t now = g_clock_fn != nullptr ? g_clock_fn(g_clock_arg) : -1;
   if (now >= 0) {
     std::fprintf(stderr, "%s %9.3fs %s:%d] %s\n", LevelTag(level),
@@ -90,9 +75,6 @@ void CheckFailure(const char* file, int line, const char* cond) {
     std::abort();
   }
   const std::string msg = std::string("CHECK failed: ") + cond;
-  if (g_sink_fn != nullptr) {
-    g_sink_fn(g_sink_arg, LogLevel::kError, file, line, msg);
-  }
   // Print regardless of the configured level: a violated protocol invariant
   // must never abort silently.
   const int64_t now = g_clock_fn != nullptr ? g_clock_fn(g_clock_arg) : -1;

@@ -2,8 +2,9 @@
 //
 // Logging in a discrete-event simulator must be cheap when disabled (runs
 // schedule millions of events) and must stamp entries with *simulated* time,
-// which the logger learns through a thread-local clock hook installed by the
-// simulator.
+// which the logger learns through a clock hook installed by the simulator.
+// Lines go to stderr only; a line below the level is never formatted.
+// Causal traces are a separate channel (src/obs/trace.h), not log lines.
 
 #ifndef SCATTER_SRC_COMMON_LOGGING_H_
 #define SCATTER_SRC_COMMON_LOGGING_H_
@@ -31,21 +32,11 @@ void SetLogLevel(LogLevel level);
 using ClockFn = int64_t (*)(void*);
 void SetLogClock(ClockFn fn, void* arg);
 
-// Optional secondary consumer of every formatted log line (e.g. the trace
-// recorder turning kTrace lines into instant events). While a sink is
-// installed, lines below the stderr level are still formatted and handed to
-// the sink; stderr output itself remains gated on SetLogLevel. Pass nullptr
-// to uninstall.
-using LogSinkFn = void (*)(void* arg, LogLevel level, const char* file,
-                           int line, const std::string& msg);
-void SetLogSink(LogSinkFn fn, void* arg);
-
 namespace internal {
 
 void Emit(LogLevel level, const char* file, int line, const std::string& msg);
 
-// The cheapest level that must still be formatted: the stderr level, or
-// kTrace while a sink is installed. SCATTER_LOG gates on this.
+// The stderr level; SCATTER_LOG skips formatting below it.
 LogLevel EmitFloor();
 
 class LogLine {

@@ -1,6 +1,7 @@
 #include "src/core/client.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -59,13 +60,13 @@ void Client::Delete(Key key, WriteCallback callback) {
 
 void Client::StartOp(std::shared_ptr<Op> op) {
   op->deadline = now() + cfg_.op_deadline;
-  if (obs::TraceRecorder* tr = simulator()->tracer()) {
-    const char* name = op->op == ClientOp::kGet      ? "client.get"
-                       : op->op == ClientOp::kPut    ? "client.put"
-                                                     : "client.delete";
-    op->span = tr->StartSpan(name, id(), 0);
-    tr->Annotate(op->span, "key", std::to_string(op->key));
-  }
+  obs::TraceRecorder* tr = simulator()->tracer();
+  op->span = obs::StartSpan(tr,
+                            op->op == ClientOp::kGet   ? "client.get"
+                            : op->op == ClientOp::kPut ? "client.put"
+                                                       : "client.delete",
+                            id(), 0);
+  obs::Annotate(tr, op->span, "key", op->key);
   Attempt(std::move(op));
 }
 
@@ -115,8 +116,7 @@ void Client::Attempt(std::shared_ptr<Op> op) {
       std::min(cfg_.rpc_timeout, std::max<TimeMicros>(op->deadline - now(), 1));
   // Retries fire from backoff timers, outside any ambient context; stamp
   // each attempt with the op's span explicitly.
-  obs::ScopedContext trace_scope(
-      op->span.valid() ? simulator()->tracer() : nullptr, op->span);
+  obs::ScopedContext trace_scope(simulator()->tracer(), op->span);
   Call(target, std::move(req), timeout,
        [this, op](StatusOr<sim::MessagePtr> result) mutable {
          if (!result.ok()) {
@@ -163,14 +163,11 @@ void Client::AttemptLater(std::shared_ptr<Op> op) {
 void Client::FinishOp(const std::shared_ptr<Op>& op, Status status,
                       const ClientReplyMsg* reply) {
   stats_.attempts_per_op.Record(static_cast<int64_t>(op->attempts));
-  if (op->span.valid()) {
-    if (obs::TraceRecorder* tr = simulator()->tracer()) {
-      tr->Annotate(op->span, "status",
-                   status.ok() ? "ok" : status.message());
-      tr->Annotate(op->span, "attempts", std::to_string(op->attempts));
-      tr->EndSpan(op->span);
-    }
-  }
+  obs::TraceRecorder* tr = simulator()->tracer();
+  obs::Annotate(tr, op->span, "status",
+                status.ok() ? std::string_view("ok") : status.message());
+  obs::Annotate(tr, op->span, "attempts", op->attempts);
+  obs::EndSpan(tr, op->span);
   if (op->op == ClientOp::kGet) {
     GetCallback cb = std::move(op->get_cb);
     if (!status.ok()) {

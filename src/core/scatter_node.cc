@@ -510,14 +510,13 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
   // Node-side span: child of the client op's span (restored from the
   // delivered request), parent of the paxos spans the read/write produces.
   obs::TraceRecorder* tr = simulator()->tracer();
-  obs::TraceContext node_span;
-  if (tr != nullptr) {
-    const char* name = req.op == ClientOp::kGet   ? "node.get"
-                       : req.op == ClientOp::kPut ? "node.put"
-                                                  : "node.delete";
-    node_span = tr->StartSpan(name, id(), gid);
-  }
-  obs::ScopedContext trace_scope(node_span.valid() ? tr : nullptr, node_span);
+  const obs::TraceContext node_span =
+      obs::StartSpan(tr,
+                     req.op == ClientOp::kGet   ? "node.get"
+                     : req.op == ClientOp::kPut ? "node.put"
+                                                : "node.delete",
+                     id(), gid);
+  obs::ScopedContext trace_scope(tr, node_span);
   if (req.op == ClientOp::kGet) {
     h->replica->LinearizableRead([this, message, gid, node_span, accepted_at,
                                   key = req.key](Status status) {
@@ -542,13 +541,9 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
         }
         stats_.client_ops_served++;
       }
-      obs::TraceRecorder* tr2 = simulator()->tracer();
-      obs::ScopedContext reply_scope(node_span.valid() ? tr2 : nullptr,
-                                     node_span);
+      obs::ScopedContext reply_scope(simulator()->tracer(), node_span);
       Reply(*message, std::move(reply));
-      if (tr2 != nullptr) {
-        tr2->EndSpan(node_span);
-      }
+      obs::EndSpan(simulator()->tracer(), node_span);
     });
     return;
   }
@@ -560,9 +555,7 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
     reply->ring_updates.push_back(SelfInfo(*h));
     stats_.client_ops_rejected++;
     Reply(*message, std::move(reply));
-    if (tr != nullptr) {
-      tr->EndSpan(node_span);
-    }
+    obs::EndSpan(tr, node_span);
     return;
   }
   std::shared_ptr<membership::GroupCommand> cmd;
@@ -600,13 +593,9 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
             reply->ring_updates.push_back(SelfInfo(*cur));
           }
         }
-        obs::TraceRecorder* tr2 = simulator()->tracer();
-        obs::ScopedContext reply_scope(node_span.valid() ? tr2 : nullptr,
-                                       node_span);
+        obs::ScopedContext reply_scope(simulator()->tracer(), node_span);
         Reply(*message, std::move(reply));
-        if (tr2 != nullptr) {
-          tr2->EndSpan(node_span);
-        }
+        obs::EndSpan(simulator()->tracer(), node_span);
       });
 }
 

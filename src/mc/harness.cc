@@ -54,7 +54,6 @@ McHarness::McHarness(const McScenario& scenario, uint64_t seed)
   // The hook only matters for the uncontrolled setup / epilogue phases;
   // during controlled execution AfterStep() audits every decision anyway.
   opts.every_n_events = 512;
-  opts.trace_capacity = 256;
   opts.properties = scenario_.properties;
   auditor_ = std::make_unique<analysis::InvariantAuditor>(cluster_.get(), opts);
 }

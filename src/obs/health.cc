@@ -69,16 +69,12 @@ void HealthMonitor::Observe(const HealthDetector& detector, NodeId node,
     streak.raised_at_us = now_us;
     raises_total_++;
     registry_->GetGauge("health." + condition, node, group).Set(1);
-    if (tracer != nullptr) {
-      tracer->AddMarker("health.raise." + condition, node, group);
-    }
+    AddMarker(tracer, "health.raise." + condition, node, group);
   } else if (streak.active && streak.good >= detector.clear_after) {
     streak.active = false;
     clears_total_++;
     registry_->GetGauge("health." + condition, node, group).Set(0);
-    if (tracer != nullptr) {
-      tracer->AddMarker("health.clear." + condition, node, group);
-    }
+    AddMarker(tracer, "health.clear." + condition, node, group);
   }
 }
 

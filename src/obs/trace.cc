@@ -1,19 +1,12 @@
 #include "src/obs/trace.h"
 
-#include <cstdio>
-
 #include "src/common/json.h"
 
 namespace scatter::obs {
 
-TraceContext TraceRecorder::StartSpan(const std::string& name, NodeId node,
-                                      GroupId group) {
-  return StartSpanWithParent(name, current_, node, group);
-}
-
-TraceContext TraceRecorder::StartSpanWithParent(const std::string& name,
-                                                TraceContext parent,
-                                                NodeId node, GroupId group) {
+TraceContext TraceRecorder::OpenSpan(std::string_view name,
+                                     TraceContext parent, NodeId node,
+                                     GroupId group) {
   Span span;
   span.trace_id = parent.valid() ? parent.trace_id : next_trace_id_++;
   span.span_id = next_span_id_++;
@@ -27,8 +20,8 @@ TraceContext TraceRecorder::StartSpanWithParent(const std::string& name,
   return TraceContext{spans_.back().trace_id, spans_.back().span_id};
 }
 
-void TraceRecorder::EndSpan(TraceContext ctx) {
-  if (!ctx.valid() || ctx.span_id == 0 || ctx.span_id > spans_.size()) {
+void TraceRecorder::CloseSpan(TraceContext ctx) {
+  if (ctx.span_id == 0 || ctx.span_id > spans_.size()) {
     return;
   }
   Span& span = spans_[ctx.span_id - 1];
@@ -39,32 +32,19 @@ void TraceRecorder::EndSpan(TraceContext ctx) {
   span.open = false;
 }
 
-void TraceRecorder::Annotate(TraceContext ctx, const std::string& key,
-                             const std::string& value) {
-  if (!ctx.valid() || ctx.span_id == 0 || ctx.span_id > spans_.size()) {
+void TraceRecorder::AddArg(TraceContext ctx, std::string_view key,
+                           std::string value) {
+  if (ctx.span_id == 0 || ctx.span_id > spans_.size()) {
     return;
   }
-  spans_[ctx.span_id - 1].args.emplace_back(key, value);
+  spans_[ctx.span_id - 1].args.emplace_back(key, std::move(value));
 }
 
-void TraceRecorder::AddInstant(const std::string& name, NodeId node,
-                               GroupId group) {
-  if (!current_.valid()) {
-    return;
-  }
+void TraceRecorder::RecordInstant(TraceContext parent, std::string_view name,
+                                  NodeId node, GroupId group) {
   Instant inst;
-  inst.trace_id = current_.trace_id;
-  inst.parent_span_id = current_.span_id;
-  inst.name = name;
-  inst.node = node;
-  inst.group = group;
-  inst.ts_us = NowUs();
-  instants_.push_back(std::move(inst));
-}
-
-void TraceRecorder::AddMarker(const std::string& name, NodeId node,
-                              GroupId group) {
-  Instant inst;
+  inst.trace_id = parent.trace_id;
+  inst.parent_span_id = parent.span_id;
   inst.name = name;
   inst.node = node;
   inst.group = group;
@@ -77,29 +57,6 @@ const TraceRecorder::Span* TraceRecorder::FindSpan(uint64_t span_id) const {
     return nullptr;
   }
   return &spans_[span_id - 1];
-}
-
-void TraceRecorder::LogSinkThunk(void* arg, LogLevel level, const char* file,
-                                 int line, const std::string& msg) {
-  if (level != LogLevel::kTrace) {
-    return;
-  }
-  auto* recorder = static_cast<TraceRecorder*>(arg);
-  // Attribute the instant to the ambient span's node/group; the file:line
-  // origin rides in the event name.
-  NodeId node = 0;
-  GroupId group = 0;
-  if (const Span* span = recorder->FindSpan(recorder->current().span_id)) {
-    node = span->node;
-    group = span->group;
-  }
-  const char* base = file;
-  for (const char* p = file; *p != '\0'; ++p) {
-    if (*p == '/') base = p + 1;
-  }
-  char origin[96];
-  std::snprintf(origin, sizeof(origin), " [%s:%d]", base, line);
-  recorder->AddInstant(msg + origin, node, group);
 }
 
 std::string TraceRecorder::ToChromeJson() const {

@@ -647,9 +647,7 @@ void Replica::QueueAck(NodeId to, Ballot ballot, uint64_t match_index,
   }
   // The coalesced ack goes out from a timer; remember the context of the
   // latest append folded into it as the ack's causal parent.
-  if (obs::TraceRecorder* tr = sim_->tracer()) {
-    pending_ack_ctx_ = tr->current();
-  }
+  pending_ack_ctx_ = obs::Ambient(sim_->tracer());
   if (pending_ack_to_ == kInvalidNode) {
     pending_ack_to_ = to;
     pending_ack_ballot_ = ballot;
@@ -685,8 +683,7 @@ void Replica::FlushAck() {
   pending_ack_match_ = 0;
   pending_ack_sent_at_ = 0;
   stats_.acks_sent++;
-  obs::ScopedContext trace_scope(
-      pending_ack_ctx_.valid() ? sim_->tracer() : nullptr, pending_ack_ctx_);
+  obs::ScopedContext trace_scope(sim_->tracer(), pending_ack_ctx_);
   pending_ack_ctx_ = obs::TraceContext{};
   Send(to, std::move(reply));
 }
@@ -952,13 +949,12 @@ void Replica::FlushAppends(bool force_empty) {
   // broadcast below stays causally linked to client work.
   obs::TraceRecorder* tr = sim_->tracer();
   obs::TraceContext flush_span;
-  if (tr != nullptr && flush_ctx_.valid()) {
-    flush_span =
-        tr->StartSpanWithParent("paxos.flush", flush_ctx_, self_, group_);
+  if (flush_ctx_.valid()) {
+    flush_span = obs::StartSpanWithParent(tr, "paxos.flush", flush_ctx_,
+                                          self_, group_);
     flush_ctx_ = obs::TraceContext{};
   }
-  obs::ScopedContext trace_scope(flush_span.valid() ? tr : nullptr,
-                                 flush_span);
+  obs::ScopedContext trace_scope(tr, flush_span);
   for (NodeId peer : config_) {
     if (peer != self_) {
       ReplicateTo(peer, force_empty);
@@ -981,9 +977,7 @@ void Replica::FlushAppends(bool force_empty) {
     last_flush_end_ = last_log_index();
     flush_ends_.push_back(last_flush_end_);
   }
-  if (flush_span.valid()) {
-    tr->EndSpan(flush_span);
-  }
+  obs::EndSpan(tr, flush_span);
 }
 
 void Replica::BroadcastAppends() { FlushAppends(/*force_empty=*/true); }
@@ -1062,13 +1056,12 @@ void Replica::MaybeAdvanceCommit() {
   // only one — they never send.
   SyncJournal();
   JournalCommit(best);
-  if (obs::TraceRecorder* tr = sim_->tracer()) {
-    // Mark the quorum-commit moment on each proposal that just committed.
-    for (auto it = proposal_ctx_.upper_bound(commit_index_);
-         it != proposal_ctx_.end() && it->first <= best; ++it) {
-      obs::ScopedContext scope(tr, it->second);
-      tr->AddInstant("paxos.quorum_commit", self_, group_);
-    }
+  // Mark the quorum-commit moment on each proposal that just committed
+  // (proposal_ctx_ is empty while tracing is off).
+  for (auto it = proposal_ctx_.upper_bound(commit_index_);
+       it != proposal_ctx_.end() && it->first <= best; ++it) {
+    obs::ScopedContext scope(sim_->tracer(), it->second);
+    obs::AddInstant(sim_->tracer(), "paxos.quorum_commit", self_, group_);
   }
   stats_.entries_committed += best - commit_index_;
   stats_.commits_learned += best - commit_index_;
@@ -1310,13 +1303,12 @@ void Replica::FailPendingProposals(const Status& status) {
   auto pending = std::move(pending_proposals_);
   pending_proposals_.clear();
   stats_.proposals_failed += pending.size();
-  if (obs::TraceRecorder* tr = sim_->tracer()) {
-    for (auto& [index, ctx] : proposal_ctx_) {
-      tr->Annotate(ctx, "failed", status.message());
-      tr->EndSpan(ctx);
-    }
-    proposal_ctx_.clear();
+  obs::TraceRecorder* tr = sim_->tracer();
+  for (auto& [index, ctx] : proposal_ctx_) {
+    obs::Annotate(tr, ctx, "failed", status.message());
+    obs::EndSpan(tr, ctx);
   }
+  proposal_ctx_.clear();
   for (auto& [index, cb] : pending) {
     cb(status);
   }
@@ -1334,15 +1326,13 @@ void Replica::Propose(CommandPtr command, CommitCallback callback) {
     return;
   }
   const uint64_t index = AppendLocal(std::move(command));
-  if (obs::TraceRecorder* tr = sim_->tracer()) {
-    // Span closes when the entry applies (or the proposal fails). Also
-    // becomes the exemplar parent of the flush that carries it out.
-    const obs::TraceContext span =
-        tr->StartSpan("paxos.propose", self_, group_);
-    tr->Annotate(span, "index", std::to_string(index));
-    proposal_ctx_[index] = span;
-    flush_ctx_ = span;
-  }
+  // Span closes when the entry applies (or the proposal fails). Also
+  // becomes the exemplar parent of the flush that carries it out.
+  obs::TraceRecorder* tr = sim_->tracer();
+  const obs::TraceContext span =
+      obs::StartSpan(tr, "paxos.propose", self_, group_);
+  obs::Annotate(tr, span, "index", index);
+  TrackProposal(index, span);
   pending_proposals_.emplace(index, std::move(callback));
   // Group commit: the entry is in the log; the broadcast goes out on the
   // next flush, coalescing every proposal that lands before it.
@@ -1377,13 +1367,11 @@ void Replica::ProposeConfigChange(ConfigCommand::Op op, NodeId node,
   }
   const uint64_t index =
       AppendLocal(std::make_shared<ConfigCommand>(op, node));
-  if (obs::TraceRecorder* tr = sim_->tracer()) {
-    const obs::TraceContext span =
-        tr->StartSpan("paxos.propose_config", self_, group_);
-    tr->Annotate(span, "index", std::to_string(index));
-    proposal_ctx_[index] = span;
-    flush_ctx_ = span;
-  }
+  obs::TraceRecorder* tr = sim_->tracer();
+  const obs::TraceContext span =
+      obs::StartSpan(tr, "paxos.propose_config", self_, group_);
+  obs::Annotate(tr, span, "index", index);
+  TrackProposal(index, span);
   pending_config_index_ = index;
   pending_proposals_.emplace(index, std::move(callback));
   if (op == ConfigCommand::Op::kAddMember && !cfg_.bug_skip_bootstrap_joiner) {
@@ -1417,12 +1405,8 @@ void Replica::LinearizableRead(ReadCallback callback) {
   // Slow path: a no-op barrier through the log.
   stats_.barrier_reads++;
   const uint64_t index = AppendLocal(std::make_shared<NoOpCommand>());
-  if (obs::TraceRecorder* tr = sim_->tracer()) {
-    const obs::TraceContext span =
-        tr->StartSpan("paxos.barrier", self_, group_);
-    proposal_ctx_[index] = span;
-    flush_ctx_ = span;
-  }
+  TrackProposal(index,
+                obs::StartSpan(sim_->tracer(), "paxos.barrier", self_, group_));
   pending_proposals_.emplace(
       index, [cb = std::move(callback)](StatusOr<uint64_t> result) mutable {
         cb(result.ok() ? Status::Ok() : result.status());
@@ -1435,6 +1419,13 @@ void Replica::LinearizableRead(ReadCallback callback) {
 // ---------------------------------------------------------------------------
 // Shared machinery
 // ---------------------------------------------------------------------------
+
+void Replica::TrackProposal(uint64_t index, obs::TraceContext span) {
+  if (span.valid()) {
+    proposal_ctx_[index] = span;
+    flush_ctx_ = span;
+  }
+}
 
 void Replica::Send(NodeId to, std::shared_ptr<PaxosMessage> message) {
   // Group-commit barrier: no outgoing message may reveal a promise, accept,
@@ -1456,18 +1447,14 @@ void Replica::ApplyCommitted() {
     applied_index_ = index;
     // Leader side, the apply span parents to the proposal's span; follower
     // side there is none, so it parents to the delivered Accept's context.
-    obs::TraceContext apply_span;
-    if (tr != nullptr) {
-      auto pit = proposal_ctx_.find(index);
-      const obs::TraceContext parent =
-          pit != proposal_ctx_.end() ? pit->second : tr->current();
-      apply_span =
-          tr->StartSpanWithParent("paxos.apply", parent, self_, group_);
-      tr->Annotate(apply_span, "index", std::to_string(index));
-    }
+    const auto pit = proposal_ctx_.find(index);
+    const obs::TraceContext apply_span = obs::StartSpanWithParent(
+        tr, "paxos.apply",
+        pit != proposal_ctx_.end() ? pit->second : obs::Ambient(tr), self_,
+        group_);
+    obs::Annotate(tr, apply_span, "index", index);
     {
-      obs::ScopedContext trace_scope(apply_span.valid() ? tr : nullptr,
-                                     apply_span);
+      obs::ScopedContext trace_scope(tr, apply_span);
       switch (command->kind) {
         case Command::Kind::kNoOp:
           break;
@@ -1485,12 +1472,11 @@ void Replica::ApplyCommitted() {
         cb(index);
       }
     }
-    if (tr != nullptr) {
-      tr->EndSpan(apply_span);
-      if (auto pit = proposal_ctx_.find(index); pit != proposal_ctx_.end()) {
-        tr->EndSpan(pit->second);
-        proposal_ctx_.erase(pit);
-      }
+    obs::EndSpan(tr, apply_span);
+    // Found again: the callback may have failed (and erased) proposals.
+    if (auto done = proposal_ctx_.find(index); done != proposal_ctx_.end()) {
+      obs::EndSpan(tr, done->second);
+      proposal_ctx_.erase(done);
     }
   }
   MaybeTruncateLog();

@@ -345,6 +345,9 @@ class Replica {
   void SyncJournal();
 
   // --- Shared machinery ----------------------------------------------
+  // Records a traced proposal's span under its index and as the next
+  // flush's parent; an invalid span (tracing off) records nothing.
+  void TrackProposal(uint64_t index, obs::TraceContext span);
   // All outgoing protocol traffic funnels through here (message counting
   // and the journal's group-commit barrier).
   void Send(NodeId to, std::shared_ptr<PaxosMessage> message);

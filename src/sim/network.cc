@@ -157,17 +157,30 @@ void Network::Deliver(const MessagePtr& message) {
     dropped_++;
     return;
   }
+  deliveries_[delivered_ % kDeliveryRingSize] =
+      Delivery{sim_->now(), sim_->current_seq(), message->type, message->from,
+               message->to};
   delivered_++;
-  if (sim_->trace_enabled()) {
-    sim_->Trace(std::string(MessageTypeName(message->type)) + " " +
-                std::to_string(message->from) + "->" +
-                std::to_string(message->to));
-  }
+  // Deliveries run from the top of the event loop (or the scheduler's
+  // InjectDelivery, between decisions), where no context is ambient, so an
+  // untraced message's handler runs with none.
+  obs::TraceRecorder* tracer = sim_->tracer();
+  SCATTER_CHECK(!obs::Ambient(tracer).valid());
   // Restore the sender's trace context for the duration of the handler so
   // spans opened on the receive path parent back across the network hop.
   obs::ScopedContext trace_scope(
-      sim_->tracer(), obs::TraceContext{message->trace_id, message->span_id});
+      tracer, obs::TraceContext{message->trace_id, message->span_id});
   DeliverToEndpoint(it->second, message);
+}
+
+std::vector<Network::Delivery> Network::RecentDeliveries() const {
+  const uint64_t n = std::min<uint64_t>(delivered_, kDeliveryRingSize);
+  std::vector<Delivery> out;
+  out.reserve(n);
+  for (uint64_t i = delivered_ - n; i < delivered_; ++i) {
+    out.push_back(deliveries_[i % kDeliveryRingSize]);
+  }
+  return out;
 }
 
 void Network::DeliverToEndpoint(Endpoint* endpoint, const MessagePtr& message) {

@@ -7,11 +7,13 @@
 // as do messages crossing a partition or an administratively blocked link.
 // Delivery order between two nodes is NOT FIFO — each message samples its
 // own latency — which deliberately exercises protocol robustness to
-// reordering.
+// reordering. The network also keeps a fixed ring of its last deliveries,
+// which the invariant auditor prints when an invariant breaks.
 
 #ifndef SCATTER_SRC_SIM_NETWORK_H_
 #define SCATTER_SRC_SIM_NETWORK_H_
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -136,6 +138,23 @@ class Network {
   uint64_t messages_delivered() const { return delivered_; }
   uint64_t messages_dropped() const { return dropped_; }
 
+  // --- Delivery ring ------------------------------------------------------
+  // Every delivery to an attached endpoint leaves its time, event seq, type
+  // and endpoints in a fixed ring holding the last kDeliveryRingSize. The
+  // invariant auditor prints the ring in its violation artifact: with the
+  // seed, it pins down where the deterministic run was when the invariant
+  // broke.
+  struct Delivery {
+    TimeMicros at = 0;
+    uint64_t seq = 0;  // Simulator::current_seq() of the delivering event
+    MessageType type{};
+    NodeId from = kInvalidNode;
+    NodeId to = kInvalidNode;
+  };
+  static constexpr size_t kDeliveryRingSize = 256;
+  // The retained deliveries, oldest first.
+  std::vector<Delivery> RecentDeliveries() const;
+
  protected:
   // The endpoint boundary: hands a message that survived the fabric (loss,
   // partition, latency) to its receiver. The base implementation is the
@@ -159,8 +178,9 @@ class Network {
   std::unordered_set<uint64_t> blocked_links_;  // (from << 32) ^ to packed
 
   uint64_t sent_ = 0;
-  uint64_t delivered_ = 0;
+  uint64_t delivered_ = 0;  // also the delivery ring's write cursor
   uint64_t dropped_ = 0;
+  std::array<Delivery, kDeliveryRingSize> deliveries_{};
 };
 
 }  // namespace scatter::sim

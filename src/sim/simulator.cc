@@ -22,10 +22,7 @@ Simulator::Simulator(uint64_t seed) : seed_(seed), rng_(seed) {
   SetLogClock(&SimClock, this);
 }
 
-Simulator::~Simulator() {
-  DisableTracing();
-  SetLogClock(nullptr, nullptr);
-}
+Simulator::~Simulator() { SetLogClock(nullptr, nullptr); }
 
 obs::MetricsRegistry& Simulator::metrics() {
   if (metrics_ == nullptr) {
@@ -38,16 +35,8 @@ obs::TraceRecorder& Simulator::EnableTracing() {
   if (tracer_ == nullptr) {
     // Same clock hook the logger uses: spans carry simulated time.
     tracer_ = std::make_unique<obs::TraceRecorder>(&SimClock, this);
-    SetLogSink(&obs::TraceRecorder::LogSinkThunk, tracer_.get());
   }
   return *tracer_;
-}
-
-void Simulator::DisableTracing() {
-  if (tracer_ != nullptr) {
-    SetLogSink(nullptr, nullptr);
-    tracer_.reset();
-  }
 }
 
 void Simulator::ArmMonitorTick() {
@@ -345,23 +334,6 @@ void Simulator::SetAuditHook(uint64_t every_n_events, AuditHook hook) {
 void Simulator::ClearAuditHook() {
   audit_every_ = 0;
   audit_hook_ = nullptr;
-}
-
-void Simulator::SetTraceCapacity(size_t capacity) {
-  trace_capacity_ = capacity;
-  while (trace_.size() > trace_capacity_) {
-    trace_.pop_front();
-  }
-}
-
-void Simulator::Trace(std::string label) {
-  if (trace_capacity_ == 0) {
-    return;
-  }
-  trace_.push_back(TraceEntry{now_, current_seq_, std::move(label)});
-  if (trace_.size() > trace_capacity_) {
-    trace_.pop_front();
-  }
 }
 
 void Simulator::Run() {

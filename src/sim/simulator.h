@@ -28,11 +28,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -101,6 +99,9 @@ class Simulator {
   void RunFor(TimeMicros d) { RunUntil(now_ + d); }
 
   uint64_t events_processed() const { return events_processed_; }
+  // Schedule order of the event now firing (the last one fired between
+  // events); the network's delivery ring stamps each delivery with it.
+  uint64_t current_seq() const { return current_seq_; }
   size_t pending_events() const { return heap_.size() + wheel_size_; }
   uint64_t seed() const { return seed_; }
 
@@ -113,42 +114,19 @@ class Simulator {
   void SetAuditHook(uint64_t every_n_events, AuditHook hook);
   void ClearAuditHook();
 
-  // --- Event tracing -------------------------------------------------------
-  // A bounded ring of annotated events. Components (e.g. the network) label
-  // interesting occurrences via Trace(); when an invariant trips, the last
-  // `capacity` annotations are dumped as a replay aid — together with the
-  // seed they pin down the exact deterministic run. Capacity 0 (default)
-  // disables tracing entirely, keeping the hot loop annotation-free.
-  struct TraceEntry {
-    TimeMicros at = 0;
-    uint64_t seq = 0;  // insertion sequence of the event being annotated
-    std::string label;
-  };
-  void SetTraceCapacity(size_t capacity);
-  bool trace_enabled() const { return trace_capacity_ > 0; }
-  // Annotates the currently-firing event. No-op while tracing is disabled.
-  void Trace(std::string label);
-  std::vector<TraceEntry> TraceSnapshot() const {
-    return {trace_.begin(), trace_.end()};
-  }
-
   // --- Observability -------------------------------------------------------
   // Per-simulation metrics registry, created lazily on first use. Components
   // reach it through their simulator pointer, so no constructor signature
   // changes anywhere.
   obs::MetricsRegistry& metrics();
 
-  // Causal tracer. nullptr (the default) means tracing is off and every
-  // instrumentation site reduces to this null check.
+  // Causal tracer. nullptr (the default) means tracing is off; the tracing
+  // calls in src/obs/trace.h take it as is and reduce to this null check.
   obs::TraceRecorder* tracer() const { return tracer_.get(); }
 
-  // Creates the trace recorder, clocked by this simulator's virtual time,
-  // and installs the log sink that turns kTrace log lines into instant
-  // events. Idempotent.
+  // Creates the trace recorder, clocked by this simulator's virtual time.
+  // Idempotent; the recorder lives as long as the simulator.
   obs::TraceRecorder& EnableTracing();
-
-  // Destroys the recorder (and its spans) and uninstalls the log sink.
-  void DisableTracing();
 
   // --- Monitoring ----------------------------------------------------------
   // The health monitor and the obs timeline share one fixed tick: every
@@ -299,8 +277,6 @@ class Simulator {
 
   uint64_t audit_every_ = 0;
   AuditHook audit_hook_;
-  size_t trace_capacity_ = 0;
-  std::deque<TraceEntry> trace_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::unique_ptr<obs::TraceRecorder> tracer_;
   std::unique_ptr<obs::HealthMonitor> health_monitor_;

@@ -1,6 +1,7 @@
 #include "src/txn/group_op_driver.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -145,11 +146,10 @@ void GroupOpDriver::Poke() {
       phase_ == Phase::kIdle) {
     // We inherited an in-flight coordinated transaction (leader change).
     txn_ = sm_->state().active->txn;
-    if (obs::TraceRecorder* tr = sim_->tracer()) {
-      op_ctx_ = tr->StartSpan("txn.coordinate", replica_->self(), sm_->id());
-      tr->Annotate(op_ctx_, "txn_id", std::to_string(txn_->id));
-      tr->Annotate(op_ctx_, "inherited", "true");
-    }
+    obs::TraceRecorder* tr = sim_->tracer();
+    op_ctx_ = obs::StartSpan(tr, "txn.coordinate", replica_->self(), sm_->id());
+    obs::Annotate(tr, op_ctx_, "txn_id", txn_->id);
+    obs::Annotate(tr, op_ctx_, "inherited", "true");
     TransitionTo(Phase::kPreparing);
     phase_started_ = sim_->now();
     SendPrepare();
@@ -198,18 +198,14 @@ void GroupOpDriver::StartSplit(Key split_key, std::vector<NodeId> left_members,
   cmd->left_id = left_id;
   cmd->right_id = right_id;
   // Single-group atomic op; still worth a span so splits show up in traces.
-  obs::TraceContext span;
-  if (obs::TraceRecorder* tr = sim_->tracer()) {
-    span = tr->StartSpan("txn.split", replica_->self(), sm_->id());
-    tr->Annotate(span, "split_key", std::to_string(split_key));
-  }
-  obs::ScopedContext trace_scope(span.valid() ? sim_->tracer() : nullptr,
-                                 span);
+  obs::TraceRecorder* tr = sim_->tracer();
+  const obs::TraceContext span =
+      obs::StartSpan(tr, "txn.split", replica_->self(), sm_->id());
+  obs::Annotate(tr, span, "split_key", split_key);
+  obs::ScopedContext trace_scope(tr, span);
   replica_->Propose(
       cmd, [this, span, done = std::move(done)](StatusOr<uint64_t> result) {
-        if (obs::TraceRecorder* tr = sim_->tracer()) {
-          tr->EndSpan(span);
-        }
+        obs::EndSpan(sim_->tracer(), span);
         if (!result.ok()) {
           done(result.status());
           return;
@@ -265,22 +261,20 @@ void GroupOpDriver::StartTxn(RingTxn txn, DoneCallback done) {
     return;
   }
   stats_.txns_started++;
-  if (obs::TraceRecorder* tr = sim_->tracer()) {
-    // One parent span for the whole multi-group operation; everything the
-    // coordinator and participant do for it parents back here.
-    op_ctx_ = tr->StartSpan("txn.coordinate", replica_->self(), sm_->id());
-    tr->Annotate(op_ctx_, "txn_id", std::to_string(txn.id));
-    tr->Annotate(op_ctx_, "kind",
-                 txn.kind == RingTxn::Kind::kMerge ? "merge" : "repartition");
-  }
+  // One parent span for the whole multi-group operation; everything the
+  // coordinator and participant do for it parents back here.
+  obs::TraceRecorder* tr = sim_->tracer();
+  op_ctx_ = obs::StartSpan(tr, "txn.coordinate", replica_->self(), sm_->id());
+  obs::Annotate(tr, op_ctx_, "txn_id", txn.id);
+  obs::Annotate(tr, op_ctx_, "kind",
+                txn.kind == RingTxn::Kind::kMerge ? "merge" : "repartition");
   txn_ = txn;
   done_ = std::move(done);
   TransitionTo(Phase::kStarting);
   phase_started_ = sim_->now();
   auto cmd = std::make_shared<CoordStartCommand>();
   cmd->txn = std::move(txn);
-  obs::ScopedContext trace_scope(op_ctx_.valid() ? sim_->tracer() : nullptr,
-                                 op_ctx_);
+  obs::ScopedContext trace_scope(tr, op_ctx_);
   replica_->Propose(cmd, [this, id = txn_->id](StatusOr<uint64_t> result) {
     if (phase_ != Phase::kStarting || !txn_ || txn_->id != id) {
       return;  // Superseded (leadership churn).
@@ -326,8 +320,7 @@ void GroupOpDriver::SendPrepare() {
   last_send_ = sim_->now();
   // Stamp the prepare with the op span so the participant group's spans
   // parent back to this operation.
-  obs::ScopedContext trace_scope(op_ctx_.valid() ? sim_->tracer() : nullptr,
-                                 op_ctx_);
+  obs::ScopedContext trace_scope(sim_->tracer(), op_ctx_);
   host_->SendToNode(to, std::move(m));
 }
 
@@ -373,8 +366,7 @@ void GroupOpDriver::Decide(bool commit) {
     cmd->part_dedup = prepare_reply_->part_dedup;
     cmd->part_outer_neighbor = prepare_reply_->part_outer_neighbor;
   }
-  obs::ScopedContext trace_scope(op_ctx_.valid() ? sim_->tracer() : nullptr,
-                                 op_ctx_);
+  obs::ScopedContext trace_scope(sim_->tracer(), op_ctx_);
   replica_->Propose(
       cmd, [this, id = txn_->id, commit](StatusOr<uint64_t> result) {
         if (phase_ != Phase::kDeciding || !txn_ || txn_->id != id) {
@@ -416,8 +408,7 @@ void GroupOpDriver::SendDecision() {
   }
   const NodeId to = targets[participant_cursor_++ % targets.size()];
   last_send_ = sim_->now();
-  obs::ScopedContext trace_scope(op_ctx_.valid() ? sim_->tracer() : nullptr,
-                                 op_ctx_);
+  obs::ScopedContext trace_scope(sim_->tracer(), op_ctx_);
   host_->SendToNode(to, std::move(m));
 }
 
@@ -433,14 +424,11 @@ void GroupOpDriver::OnDecisionAck(const TxnDecisionAckMsg& m) {
 
 void GroupOpDriver::Finish(Status status) {
   TransitionTo(Phase::kIdle);
-  if (op_ctx_.valid()) {
-    if (obs::TraceRecorder* tr = sim_->tracer()) {
-      tr->Annotate(op_ctx_, "status",
-                   status.ok() ? "ok" : status.message());
-      tr->EndSpan(op_ctx_);
-    }
-    op_ctx_ = obs::TraceContext{};
-  }
+  obs::TraceRecorder* tr = sim_->tracer();
+  obs::Annotate(tr, op_ctx_, "status",
+                status.ok() ? std::string_view("ok") : status.message());
+  obs::EndSpan(tr, op_ctx_);
+  op_ctx_ = obs::TraceContext{};
   txn_.reset();
   prepare_reply_.reset();
   prepare_sends_ = 0;
@@ -511,17 +499,13 @@ void GroupOpDriver::OnPrepare(const TxnPrepareMsg& m) {
   cmd->coord_outer_neighbor = m.coord_outer_neighbor;
   // Participant-side prepare span: opened under the delivered prepare's
   // context (the coordinator's op span), closed once the reply goes out.
-  obs::TraceContext part_span;
-  if (obs::TraceRecorder* tr = sim_->tracer()) {
-    part_span = tr->StartSpan("txn.participant_prepare", replica_->self(),
-                              sm_->id());
-    tr->Annotate(part_span, "txn_id", std::to_string(m.txn.id));
-  }
-  obs::ScopedContext trace_scope(part_span.valid() ? sim_->tracer() : nullptr,
-                                 part_span);
+  obs::TraceRecorder* tr = sim_->tracer();
+  const obs::TraceContext part_span = obs::StartSpan(
+      tr, "txn.participant_prepare", replica_->self(), sm_->id());
+  obs::Annotate(tr, part_span, "txn_id", m.txn.id);
+  obs::ScopedContext trace_scope(tr, part_span);
   replica_->Propose(cmd, [this, coordinator, part_span,
                           id = m.txn.id](StatusOr<uint64_t> result) {
-    obs::TraceRecorder* tr = sim_->tracer();
     if (result.ok()) {
       auto reply = MakePooled<TxnPrepareReplyMsg>();
       reply->txn_id = id;
@@ -530,14 +514,11 @@ void GroupOpDriver::OnPrepare(const TxnPrepareMsg& m) {
       } else {
         reply->prepared = false;  // Lost an apply-time race.
       }
-      obs::ScopedContext reply_scope(part_span.valid() ? tr : nullptr,
-                                     part_span);
+      obs::ScopedContext reply_scope(sim_->tracer(), part_span);
       host_->SendToNode(coordinator, std::move(reply));
     }
     // On failure the coordinator resends and the next leader answers.
-    if (tr != nullptr) {
-      tr->EndSpan(part_span);
-    }
+    obs::EndSpan(sim_->tracer(), part_span);
   });
 }
 
@@ -579,30 +560,23 @@ void GroupOpDriver::ProposeDecide(uint64_t txn_id, bool commit,
   cmd->commit = commit;
   // Participant-side commit/abort span, parented to the delivered decision
   // (or status reply) and closed when the local decide entry applies.
-  obs::TraceContext part_span;
-  if (obs::TraceRecorder* tr = sim_->tracer()) {
-    part_span = tr->StartSpan("txn.participant_decide", replica_->self(),
-                              sm_->id());
-    tr->Annotate(part_span, "txn_id", std::to_string(txn_id));
-    tr->Annotate(part_span, "commit", commit ? "true" : "false");
-  }
-  obs::ScopedContext trace_scope(part_span.valid() ? sim_->tracer() : nullptr,
-                                 part_span);
+  obs::TraceRecorder* tr = sim_->tracer();
+  const obs::TraceContext part_span = obs::StartSpan(
+      tr, "txn.participant_decide", replica_->self(), sm_->id());
+  obs::Annotate(tr, part_span, "txn_id", txn_id);
+  obs::Annotate(tr, part_span, "commit", commit ? "true" : "false");
+  obs::ScopedContext trace_scope(tr, part_span);
   replica_->Propose(
       cmd, [this, txn_id, ack_to, part_span](StatusOr<uint64_t> result) {
         decide_in_flight_ = false;
-        obs::TraceRecorder* tr = sim_->tracer();
         if (result.ok() && ack_to != kInvalidNode &&
             sm_->OutcomeOf(txn_id).has_value()) {
           auto reply = MakePooled<TxnDecisionAckMsg>();
           reply->txn_id = txn_id;
-          obs::ScopedContext reply_scope(part_span.valid() ? tr : nullptr,
-                                         part_span);
+          obs::ScopedContext reply_scope(sim_->tracer(), part_span);
           host_->SendToNode(ack_to, std::move(reply));
         }
-        if (tr != nullptr) {
-          tr->EndSpan(part_span);
-        }
+        obs::EndSpan(sim_->tracer(), part_span);
       });
 }
 

@@ -89,22 +89,13 @@ bool FrameView::Parse(const uint8_t* data, size_t size, std::string* error) {
   return true;
 }
 
-const sim::MessagePtr& FrameView::Materialize(std::string* error) {
-  if (materialized_) {
-    if (message_ == nullptr && error != nullptr) {
-      *error = materialize_error_;
-    }
-    return message_;
-  }
-  materialized_ = true;
+sim::MessagePtr FrameView::Materialize(std::string* error) const {
   SCATTER_CHECK(decode_ != nullptr);  // Parse must have succeeded.
-
-  auto fail = [this, error](std::string why) -> const sim::MessagePtr& {
-    materialize_error_ = std::move(why);
+  auto fail = [error](std::string why) -> sim::MessagePtr {
     if (error != nullptr) {
-      *error = materialize_error_;
+      *error = std::move(why);
     }
-    return message_;
+    return nullptr;
   };
 
   Reader in(payload_, payload_size_);
@@ -128,8 +119,7 @@ const sim::MessagePtr& FrameView::Materialize(std::string* error) {
   m->is_response = is_response_;
   m->trace_id = trace_id_;
   m->span_id = span_id_;
-  message_ = std::move(m);
-  return message_;
+  return m;
 }
 
 }  // namespace scatter::wire

@@ -5,8 +5,8 @@
 // version, message-type registration, header completeness — without touching
 // the payload. Routing, tracing, and byte-level frame comparison read the
 // header accessors; only a consumer that needs the message object calls
-// Materialize(), which runs the registered payload decoder once and caches
-// the result.
+// Materialize(), which runs the registered payload decoder and returns the
+// message. Nothing is cached: every caller materializes a view once.
 //
 // This is strictly a reader-side optimization: the bytes on the wire are the
 // PROTOCOL.md §6 frame format, unchanged. DecodeFrame (codec.h) is now a
@@ -58,16 +58,10 @@ class FrameView {
   const uint8_t* payload() const { return payload_; }
   size_t payload_size() const { return payload_size_; }
 
-  // Runs the registered payload decoder on first call and caches the
-  // message (header fields filled in); later calls return the cached
-  // pointer without re-decoding. Returns nullptr (and sets `error`) on a
-  // malformed or trailing-bytes payload — also cached, so a bad payload is
-  // not re-parsed either.
-  const sim::MessagePtr& Materialize(std::string* error = nullptr);
-
-  // True once Materialize ran (successfully or not). Lets tests and
-  // counters distinguish header-only traffic from full decodes.
-  bool materialized() const { return materialized_; }
+  // Runs the registered payload decoder and returns the message, header
+  // fields filled in. Returns nullptr (and sets `error` if non-null) on a
+  // malformed or trailing-bytes payload. Each call decodes afresh.
+  sim::MessagePtr Materialize(std::string* error = nullptr) const;
 
  private:
   uint32_t frame_len_ = 0;
@@ -81,9 +75,6 @@ class FrameView {
   const uint8_t* payload_ = nullptr;
   size_t payload_size_ = 0;
   MessageDecodeFn decode_ = nullptr;
-  bool materialized_ = false;
-  sim::MessagePtr message_;
-  std::string materialize_error_;
 };
 
 }  // namespace scatter::wire

@@ -119,7 +119,7 @@ void SerializingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
     SCATTER_CHECK(false);
   }
   SCATTER_CHECK(view.frame_size() == frame_.size());
-  const sim::MessagePtr& copy = view.Materialize(&error);
+  const sim::MessagePtr copy = view.Materialize(&error);
   if (copy == nullptr) {
     SCATTER_ERROR() << "serializing transport: self-encoded "
                     << sim::MessageTypeName(message->type)
@@ -163,7 +163,7 @@ void AuditingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
   if (!view.Parse(before_.data(), before_.size(), &error)) {
     Report(message, "self-encoded frame failed header peek: " + error);
   } else {
-    const sim::MessagePtr& copy = view.Materialize(&error);
+    const sim::MessagePtr copy = view.Materialize(&error);
     if (copy == nullptr) {
       Report(message, "self-encoded frame failed to decode: " + error);
     } else {

@@ -77,12 +77,9 @@ void WorkloadDriver::IssueOne(size_t client_index) {
       op_id = history_.RecordInvoke(verify::OpType::kWrite, key, value, start);
     }
     // Root span of the whole operation tree (client -> node -> paxos).
-    obs::TraceContext op_span;
-    if (obs::TraceRecorder* tr = sim_->tracer()) {
-      op_span = tr->StartSpanWithParent(
-          is_delete ? "workload.delete" : "workload.put", obs::TraceContext{},
-          client->KvClientId(), 0);
-    }
+    const obs::TraceContext op_span = obs::StartSpanWithParent(
+        sim_->tracer(), is_delete ? "workload.delete" : "workload.put",
+        obs::TraceContext{}, client->KvClientId(), 0);
     auto complete = [this, op_id, start, op_span,
                      next = std::move(next)](Status s) {
       const TimeMicros now = sim_->now();
@@ -92,9 +89,7 @@ void WorkloadDriver::IssueOne(size_t client_index) {
       } else {
         stats_.writes_failed++;
       }
-      if (obs::TraceRecorder* tr = sim_->tracer()) {
-        tr->EndSpan(op_span);
-      }
+      obs::EndSpan(sim_->tracer(), op_span);
       if (cfg_.record_history && op_id != 0) {
         // A timed-out write is indeterminate: it may still apply later.
         history_.RecordComplete(op_id,
@@ -104,8 +99,7 @@ void WorkloadDriver::IssueOne(size_t client_index) {
       }
       next();
     };
-    obs::ScopedContext trace_scope(
-        op_span.valid() ? sim_->tracer() : nullptr, op_span);
+    obs::ScopedContext trace_scope(sim_->tracer(), op_span);
     if (is_delete) {
       client->KvDelete(key, std::move(complete));
     } else {
@@ -118,13 +112,10 @@ void WorkloadDriver::IssueOne(size_t client_index) {
   if (cfg_.record_history) {
     op_id = history_.RecordInvoke(verify::OpType::kRead, key, Value(), start);
   }
-  obs::TraceContext op_span;
-  if (obs::TraceRecorder* tr = sim_->tracer()) {
-    op_span = tr->StartSpanWithParent("workload.get", obs::TraceContext{},
-                                      client->KvClientId(), 0);
-  }
-  obs::ScopedContext trace_scope(op_span.valid() ? sim_->tracer() : nullptr,
-                                 op_span);
+  const obs::TraceContext op_span =
+      obs::StartSpanWithParent(sim_->tracer(), "workload.get",
+                               obs::TraceContext{}, client->KvClientId(), 0);
+  obs::ScopedContext trace_scope(sim_->tracer(), op_span);
   client->KvGet(key, [this, op_id, start, op_span,
                       next = std::move(next)](StatusOr<Value> result) {
     const TimeMicros now = sim_->now();
@@ -143,9 +134,7 @@ void WorkloadDriver::IssueOne(size_t client_index) {
       stats_.reads_failed++;
       outcome = verify::Outcome::kIndeterminate;  // Unanswered read.
     }
-    if (obs::TraceRecorder* tr = sim_->tracer()) {
-      tr->EndSpan(op_span);
-    }
+    obs::EndSpan(sim_->tracer(), op_span);
     if (cfg_.record_history && op_id != 0) {
       history_.RecordComplete(op_id, outcome, std::move(value), now);
     }

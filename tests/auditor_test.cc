@@ -10,6 +10,11 @@
 // A healthy-run test pins the other direction: on an unmutated cluster the
 // continuous audit stays silent while running from the event-loop hook.
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <regex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +22,7 @@
 
 #include "src/analysis/invariant_auditor.h"
 #include "src/common/hash.h"
+#include "src/common/logging.h"
 #include "src/core/cluster.h"
 #include "src/txn/group_op_driver.h"
 
@@ -200,11 +206,82 @@ TEST(AuditorTest, TraceAnnotationsAreCaptured) {
   Cluster c(cfg);
   InvariantAuditor auditor(&c, Collecting());
   c.RunFor(Seconds(2));
-  // The network annotates deliveries; a bootstrapping cluster is chatty.
-  const auto trace = c.sim().TraceSnapshot();
-  ASSERT_FALSE(trace.empty());
-  EXPECT_LE(trace.size(), AuditorOptions{}.trace_capacity);
-  EXPECT_FALSE(trace.back().label.empty());
+  // The network records every delivery; a bootstrapping cluster is chatty
+  // enough to wrap the ring.
+  const std::vector<sim::Network::Delivery> ring =
+      c.net().RecentDeliveries();
+  ASSERT_EQ(ring.size(), sim::Network::kDeliveryRingSize);
+  EXPECT_GT(c.net().messages_delivered(), ring.size());
+  // Oldest first, in the simulator's (time, seq) firing order.
+  for (size_t i = 1; i < ring.size(); ++i) {
+    EXPECT_TRUE(ring[i - 1].at < ring[i].at ||
+                (ring[i - 1].at == ring[i].at &&
+                 ring[i - 1].seq < ring[i].seq))
+        << "entry " << i;
+  }
+  EXPECT_LE(ring.back().at, c.sim().now());
+  for (const sim::Network::Delivery& d : ring) {
+    EXPECT_NE(d.type, sim::MessageType::kInvalid);
+    EXPECT_NE(d.from, kInvalidNode);
+    EXPECT_NE(d.to, kInvalidNode);
+  }
+}
+
+[[noreturn]] void ThrowOnCheckFailure(const char* file, int line,
+                                      const char* cond) {
+  throw std::runtime_error(cond);
+}
+
+// An aborting auditor writes its artifact before it dies: the seed, the
+// violation and the network's last deliveries, one per line as
+// `t=<at> seq=<seq> <Type> <from>-><to>`.
+TEST_F(AuditorMutationTest, ViolationArtifactListsLastDeliveries) {
+  const GroupId gid = ring_[0].id;
+  membership::GroupStateMachine* sm =
+      cluster_->node(ring_[0].members[0])->MutableGroupSmForTest(gid);
+  ASSERT_NE(sm, nullptr);
+  sm->InjectKeyForTest(sm->range().end, "stray");
+
+  AuditorOptions opts;
+  opts.artifact_path =
+      ::testing::TempDir() + "scatter_auditor_artifact_test.log";
+  opts.trace_json_path.clear();
+  InvariantAuditor auditor(cluster_.get(), opts);
+  // The abort is a failed CHECK; turn it into an exception for the test.
+  struct HandlerScope {
+    HandlerScope() { SetCheckFailureHandler(&ThrowOnCheckFailure); }
+    ~HandlerScope() { SetCheckFailureHandler(nullptr); }
+  } handler_scope;
+  EXPECT_THROW(auditor.RunOnce(), std::runtime_error);
+
+  std::ifstream in(opts.artifact_path);
+  ASSERT_TRUE(in) << opts.artifact_path;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  std::remove(opts.artifact_path.c_str());
+  EXPECT_NE(std::find(lines.begin(), lines.end(), "seed 42"), lines.end());
+  const auto header = std::find(lines.begin(), lines.end(), "[last_events]");
+  ASSERT_NE(header, lines.end());
+  std::vector<std::string> events;
+  for (auto it = header + 1; it != lines.end() && !it->empty(); ++it) {
+    events.push_back(*it);
+  }
+  const std::vector<sim::Network::Delivery> ring =
+      cluster_->net().RecentDeliveries();
+  ASSERT_EQ(events.size(), ring.size());
+  ASSERT_EQ(events.size(), sim::Network::kDeliveryRingSize);
+  const std::regex format(R"(t=\d+ seq=\d+ [A-Za-z]+ \d+->\d+)");
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_TRUE(std::regex_match(events[i], format)) << events[i];
+    const sim::Network::Delivery& d = ring[i];
+    EXPECT_EQ(events[i], "t=" + std::to_string(d.at) +
+                             " seq=" + std::to_string(d.seq) + " " +
+                             sim::MessageTypeName(d.type) + " " +
+                             std::to_string(d.from) + "->" +
+                             std::to_string(d.to));
+  }
 }
 
 }  // namespace

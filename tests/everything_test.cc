@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/audit_scope.h"
 #include "src/analysis/invariant_auditor.h"
 #include "src/churn/churn.h"
 #include "src/core/cluster.h"
@@ -39,7 +38,7 @@ TEST_P(EverythingSweep, AllMechanismsComposeConsistently) {
   cfg.scatter.policy.latency_aware_leader = true;
   cfg.scatter.policy.gossip_interval = Seconds(3);
   Cluster c(cfg);
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(3));
 
   workload::WorkloadConfig wcfg;

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/audit_scope.h"
+#include "src/analysis/invariant_auditor.h"
 #include "src/common/random.h"
 #include "src/core/cluster.h"
 #include "src/verify/linearizability.h"
@@ -27,7 +27,7 @@ TEST_P(StructuralFuzz, RandomOpSoupStaysConsistent) {
   cfg.scatter.policy.min_group_size = 2;
   cfg.scatter.policy.max_group_size = 16;
   Cluster c(cfg);
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(2));
 
   workload::WorkloadConfig wcfg;

@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -164,18 +165,18 @@ TEST(TraceRecorderTest, SpanParentageAndTiming) {
   int64_t now = 1000;
   obs::TraceRecorder rec(&FakeClock, &now);
 
-  const obs::TraceContext root = rec.StartSpan("root", 1, 2);
+  const obs::TraceContext root = obs::StartSpan(&rec, "root", 1, 2);
   EXPECT_TRUE(root.valid());
   {
     obs::ScopedContext scope(&rec, root);
     now = 1500;
-    const obs::TraceContext child = rec.StartSpan("child", 3, 2);
+    const obs::TraceContext child = obs::StartSpan(&rec, "child", 3, 2);
     EXPECT_EQ(child.trace_id, root.trace_id);
     now = 2000;
-    rec.EndSpan(child);
+    obs::EndSpan(&rec, child);
   }
   now = 2500;
-  rec.EndSpan(root);
+  obs::EndSpan(&rec, root);
 
   ASSERT_EQ(rec.spans().size(), 2u);
   const obs::TraceRecorder::Span& root_span = rec.spans()[0];
@@ -189,70 +190,113 @@ TEST(TraceRecorderTest, SpanParentageAndTiming) {
   EXPECT_FALSE(root_span.open);
 
   // Separate roots get separate traces.
-  const obs::TraceContext other = rec.StartSpan("other", 1, 2);
+  const obs::TraceContext other = obs::StartSpan(&rec, "other", 1, 2);
   EXPECT_NE(other.trace_id, root.trace_id);
+  // An explicit parent overrides the (empty) ambient context.
+  const obs::TraceContext adopted =
+      obs::StartSpanWithParent(&rec, "adopted", root, 1, 2);
+  EXPECT_EQ(adopted.trace_id, root.trace_id);
+  EXPECT_EQ(rec.FindSpan(adopted.span_id)->parent_span_id, root.span_id);
   // Double-EndSpan is harmless.
-  rec.EndSpan(root);
+  obs::EndSpan(&rec, root);
   EXPECT_EQ(rec.spans()[0].end_us, 2500);
 }
 
-TEST(TraceRecorderTest, ScopedSpanRestoresAmbient) {
+TEST(TraceRecorderTest, ScopedContextRestoresAmbient) {
   int64_t now = 0;
   obs::TraceRecorder rec(&FakeClock, &now);
   EXPECT_FALSE(rec.current().valid());
+  const obs::TraceContext outer = obs::StartSpan(&rec, "outer", 1, 0);
   {
-    obs::ScopedSpan outer(&rec, "outer", 1, 0);
-    EXPECT_EQ(rec.current().span_id, outer.context().span_id);
+    obs::ScopedContext outer_scope(&rec, outer);
+    EXPECT_EQ(rec.current().span_id, outer.span_id);
     {
-      obs::ScopedSpan inner(&rec, "inner", 1, 0);
-      EXPECT_EQ(rec.spans()[1].parent_span_id, outer.context().span_id);
+      const obs::TraceContext inner = obs::StartSpan(&rec, "inner", 1, 0);
+      obs::ScopedContext inner_scope(&rec, inner);
+      EXPECT_EQ(rec.spans()[1].parent_span_id, outer.span_id);
+      EXPECT_EQ(rec.current().span_id, inner.span_id);
     }
-    EXPECT_EQ(rec.current().span_id, outer.context().span_id);
-    EXPECT_FALSE(rec.spans()[1].open);
+    EXPECT_EQ(rec.current().span_id, outer.span_id);
+    // An invalid context leaves the ambient one in place.
+    {
+      obs::ScopedContext noop(&rec, obs::TraceContext{});
+      EXPECT_EQ(rec.current().span_id, outer.span_id);
+    }
+    EXPECT_EQ(rec.current().span_id, outer.span_id);
   }
   EXPECT_FALSE(rec.current().valid());
-  // Null recorder guards are no-ops.
-  obs::ScopedSpan noop(nullptr, "x", 0, 0);
-  EXPECT_FALSE(noop.context().valid());
+}
+
+TEST(TraceRecorderTest, CallsOnNullRecorderOrInvalidContextAreNoOps) {
+  const obs::TraceContext span = obs::StartSpan(nullptr, "x", 1, 0);
+  EXPECT_FALSE(span.valid());
+  EXPECT_FALSE(
+      obs::StartSpanWithParent(nullptr, "x", obs::TraceContext{1, 1}, 1, 0)
+          .valid());
+  EXPECT_FALSE(obs::Ambient(nullptr).valid());
+  obs::EndSpan(nullptr, obs::TraceContext{1, 1});
+  obs::Annotate(nullptr, obs::TraceContext{1, 1}, "k", "v");
+  obs::Annotate(nullptr, obs::TraceContext{1, 1}, "k", uint64_t{7});
+  obs::AddInstant(nullptr, "i", 1, 0);
+  obs::AddMarker(nullptr, "m", 1, 0);
+  { obs::ScopedContext scope(nullptr, obs::TraceContext{1, 1}); }
+
+  int64_t now = 0;
+  obs::TraceRecorder rec(&FakeClock, &now);
+  const obs::TraceContext live = obs::StartSpan(&rec, "live", 1, 0);
+  obs::Annotate(&rec, obs::TraceContext{}, "k", "v");
+  obs::Annotate(&rec, obs::TraceContext{}, "k", uint64_t{7});
+  obs::EndSpan(&rec, obs::TraceContext{});
+  EXPECT_TRUE(rec.spans()[0].args.empty());
+  EXPECT_TRUE(rec.spans()[0].open);
+  EXPECT_EQ(rec.current().span_id, 0u);
+  obs::EndSpan(&rec, live);
+  EXPECT_FALSE(rec.spans()[0].open);
+}
+
+TEST(TraceRecorderTest, NumericAnnotationsPrintInDecimal) {
+  int64_t now = 0;
+  obs::TraceRecorder rec(&FakeClock, &now);
+  const obs::TraceContext span = obs::StartSpan(&rec, "op", 1, 0);
+  obs::Annotate(&rec, span, "zero", uint64_t{0});
+  obs::Annotate(&rec, span, "max", ~uint64_t{0});
+  obs::Annotate(&rec, span, "attempts", size_t{3});
+  obs::Annotate(&rec, span, "text", "true");
+  const auto& args = rec.spans()[0].args;
+  ASSERT_EQ(args.size(), 4u);
+  EXPECT_EQ(args[0], std::make_pair(std::string("zero"), std::string("0")));
+  EXPECT_EQ(args[1], std::make_pair(std::string("max"),
+                                    std::string("18446744073709551615")));
+  EXPECT_EQ(args[2], std::make_pair(std::string("attempts"), std::string("3")));
+  EXPECT_EQ(args[3], std::make_pair(std::string("text"), std::string("true")));
 }
 
 TEST(TraceRecorderTest, InstantsRequireAmbientSpan) {
   int64_t now = 0;
   obs::TraceRecorder rec(&FakeClock, &now);
-  rec.AddInstant("dropped", 1, 0);
+  obs::AddInstant(&rec, "dropped", 1, 0);
   EXPECT_TRUE(rec.instants().empty());
-  obs::ScopedSpan span(&rec, "op", 1, 0);
-  rec.AddInstant("kept", 1, 0);
+  const obs::TraceContext span = obs::StartSpan(&rec, "op", 1, 0);
+  obs::ScopedContext scope(&rec, span);
+  obs::AddInstant(&rec, "kept", 1, 0);
   ASSERT_EQ(rec.instants().size(), 1u);
-  EXPECT_EQ(rec.instants()[0].parent_span_id, span.context().span_id);
-}
-
-TEST(TraceRecorderTest, TraceLogLinesBecomeInstants) {
-  int64_t now = 0;
-  obs::TraceRecorder rec(&FakeClock, &now);
-  SetLogSink(&obs::TraceRecorder::LogSinkThunk, &rec);
-  SCATTER_TRACE() << "outside any span";  // dropped
-  {
-    obs::ScopedSpan span(&rec, "op", 4, 7);
-    SCATTER_TRACE() << "inside";
-  }
-  SetLogSink(nullptr, nullptr);
-  SCATTER_TRACE() << "sink uninstalled";  // not recorded
-  ASSERT_EQ(rec.instants().size(), 1u);
-  EXPECT_NE(rec.instants()[0].name.find("inside"), std::string::npos);
-  // Attributed to the ambient span's node/group, with the file:line origin.
-  EXPECT_EQ(rec.instants()[0].node, 4u);
-  EXPECT_EQ(rec.instants()[0].group, 7u);
-  EXPECT_NE(rec.instants()[0].name.find("obs_test.cc"), std::string::npos);
+  EXPECT_EQ(rec.instants()[0].parent_span_id, span.span_id);
+  // Markers land outside any trace, ambient span or not.
+  obs::AddMarker(&rec, "marker", 2, 3);
+  ASSERT_EQ(rec.instants().size(), 2u);
+  EXPECT_EQ(rec.instants()[1].trace_id, 0u);
+  EXPECT_EQ(rec.instants()[1].parent_span_id, 0u);
 }
 
 TEST(TraceRecorderTest, ChromeJsonShape) {
   int64_t now = 10;
   obs::TraceRecorder rec(&FakeClock, &now);
   {
-    obs::ScopedSpan span(&rec, "alpha", 1, 2);
-    rec.Annotate(span.context(), "key", "va\"lue");
-    rec.AddInstant("tick", 1, 2);
+    const obs::TraceContext span = obs::StartSpan(&rec, "alpha", 1, 2);
+    obs::ScopedContext scope(&rec, span);
+    obs::Annotate(&rec, span, "key", "va\"lue");
+    obs::AddInstant(&rec, "tick", 1, 2);
+    obs::EndSpan(&rec, span);
   }
   const std::string json = rec.ToChromeJson();
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);

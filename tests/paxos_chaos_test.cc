@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/audit_scope.h"
+#include "src/analysis/invariant_auditor.h"
 #include "src/core/cluster.h"
 #include "src/verify/linearizability.h"
 #include "src/workload/workload.h"
@@ -383,7 +383,7 @@ TEST(BatchChurnTest, AuditedClusterSurvivesLeaderCrashesUnderLoad) {
   cfg.initial_nodes = 15;
   cfg.initial_groups = 2;
   core::Cluster c(cfg);
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(2));
 
   workload::WorkloadConfig wcfg;

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/audit_scope.h"
+#include "src/analysis/invariant_auditor.h"
 #include "src/common/hash.h"
 #include "src/core/cluster.h"
 #include "src/verify/ring_checker.h"
@@ -112,7 +112,7 @@ size_t ServingGroupCount(Cluster& c) {
 
 TEST(TxnMergeTest, CleanMergePreservesEverything) {
   Cluster c(StaticTwoGroups(1));
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(2));
   Client* client = c.AddClient();
   auto names = Populate(c, client, 20);
@@ -150,7 +150,7 @@ class TxnCoordinatorCrashSweep
 
 TEST_P(TxnCoordinatorCrashSweep, ConvergesDespiteCoordinatorCrash) {
   Cluster c(StaticTwoGroups(40 + static_cast<uint64_t>(GetParam())));
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(2));
   Client* client = c.AddClient();
   auto names = Populate(c, client, 16);
@@ -187,7 +187,7 @@ class TxnParticipantCrashSweep
 
 TEST_P(TxnParticipantCrashSweep, ConvergesDespiteParticipantCrash) {
   Cluster c(StaticTwoGroups(90 + static_cast<uint64_t>(GetParam())));
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(2));
   Client* client = c.AddClient();
   auto names = Populate(c, client, 16);
@@ -221,7 +221,7 @@ INSTANTIATE_TEST_SUITE_P(CrashPoints, TxnParticipantCrashSweep,
 
 TEST(TxnRepartitionTest, BoundaryMoveKeepsDataReadable) {
   Cluster c(StaticTwoGroups(7));
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(2));
   Client* client = c.AddClient();
   auto names = Populate(c, client, 30);
@@ -271,7 +271,7 @@ TEST(TxnConflictTest, ConcurrentMergesResolveToOneOutcomePerGroup) {
   cfg.scatter.policy.min_group_size = 1;
   cfg.scatter.policy.max_group_size = 64;
   Cluster c(cfg);
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(2));
   Client* client = c.AddClient();
   auto names = Populate(c, client, 24);
@@ -330,7 +330,7 @@ TEST(TxnTransferTest, LeadershipTransferMidMergeStillConverges) {
   // the successor driver must rebuild its agenda from the state machine
   // and finish the job.
   Cluster c(StaticTwoGroups(71));
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(2));
   Client* client = c.AddClient();
   auto names = Populate(c, client, 12);
@@ -366,7 +366,7 @@ TEST(TxnTransferTest, LeadershipTransferMidMergeStillConverges) {
 
 TEST(TxnLossTest, MergeCompletesUnderMessageLoss) {
   Cluster c(StaticTwoGroups(33));
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(2));
   Client* client = c.AddClient();
   auto names = Populate(c, client, 12);
@@ -396,7 +396,7 @@ TEST(TxnInheritedOutcomeTest, ParticipantLearnsCommitFromMergedDescendant) {
   // INHERITED the transaction outcome. They must answer, and B must
   // commit-execute from its prepared record.
   Cluster c(StaticTwoGroups(99));
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(2));
   Client* client = c.AddClient();
   auto names = Populate(c, client, 10);
@@ -472,7 +472,7 @@ TEST(TxnStalePrepareTest, EpochMismatchAborts) {
   // the participant's epoch check must reject it and the coordinator must
   // unfreeze.
   Cluster c(StaticTwoGroups(55));
-  analysis::ScopedAudit audit(&c);
+  analysis::InvariantAuditor audit(&c);
   c.RunFor(Seconds(2));
   Client* client = c.AddClient();
   auto names = Populate(c, client, 12);

@@ -57,58 +57,6 @@ TEST(WorkloadDriverTest, StatsAccountForEveryOperation) {
   EXPECT_EQ(driver.history().total_ops(), s.ops_ok() + s.ops_failed());
 }
 
-TEST(KvClientTest, MultiPutCoalescesAndReportsPerOpStatus) {
-  core::Cluster c(SmallConfig(5));
-  c.RunFor(Seconds(2));
-  KvClient* client = c.AddClient();
-
-  // All puts are issued in one event-loop turn, so a batching-aware leader
-  // can ride them on a single Accept round.
-  std::vector<std::pair<Key, Value>> ops;
-  for (uint64_t i = 0; i < 16; ++i) {
-    ops.push_back({1000 + i * 7919, "v" + std::to_string(i)});
-  }
-  std::vector<Status> statuses;
-  bool done = false;
-  client->KvMultiPut(ops, [&](std::vector<Status> s) {
-    statuses = std::move(s);
-    done = true;
-  });
-  const TimeMicros deadline = c.sim().now() + Seconds(30);
-  while (!done && c.sim().now() < deadline) {
-    c.sim().RunFor(Millis(5));
-  }
-  ASSERT_TRUE(done);
-  ASSERT_EQ(statuses.size(), ops.size());
-  for (size_t i = 0; i < statuses.size(); ++i) {
-    EXPECT_TRUE(statuses[i].ok()) << "op " << i << ": "
-                                  << statuses[i].ToString();
-  }
-  // Every written value reads back.
-  for (size_t i = 0; i < ops.size(); ++i) {
-    StatusOr<Value> got = InternalError("pending");
-    bool read_done = false;
-    client->KvGet(ops[i].first, [&](StatusOr<Value> r) {
-      got = std::move(r);
-      read_done = true;
-    });
-    while (!read_done && c.sim().now() < deadline) {
-      c.sim().RunFor(Millis(5));
-    }
-    ASSERT_TRUE(read_done);
-    ASSERT_TRUE(got.ok()) << "key " << ops[i].first << ": "
-                          << got.status().ToString();
-    EXPECT_EQ(*got, "v" + std::to_string(i));
-  }
-
-  // An empty batch completes synchronously with an empty status list.
-  bool empty_done = false;
-  client->KvMultiPut({}, [&empty_done](std::vector<Status> s) {
-    empty_done = s.empty();
-  });
-  EXPECT_TRUE(empty_done);
-}
-
 TEST(WorkloadDriverTest, ClusteredKeysLandInOneArc) {
   workload::WorkloadConfig wcfg;
   wcfg.key_space = 1000;

@@ -31,7 +31,8 @@ struct Result {
   size_t groups = 0;
 };
 
-Result RunOne(bool load_aware, uint64_t seed) {
+Result RunOne(bool load_aware, uint64_t seed,
+              bench::ScheduleDigest* digest) {
   core::ClusterConfig cfg;
   cfg.seed = seed;
   cfg.initial_nodes = 30;
@@ -63,6 +64,7 @@ Result RunOne(bool load_aware, uint64_t seed) {
   cluster.RunFor(kMeasure);
   driver.Stop();
   cluster.RunFor(Seconds(2));
+  digest->Add(cluster.sim(), cluster.net());
 
   Result out;
   out.stats = driver.stats();
@@ -118,12 +120,14 @@ int main() {
                      {"policy", "groups", "ops_per_s", "avail", "post_ms",
                       "post_p99", "timeline_ms", "timeline_p99",
                       "imbalance"});
-  AddRow(table, "static", RunOne(/*load_aware=*/false, 2024));
-  AddRow(table, "load-aware", RunOne(/*load_aware=*/true, 2024));
+  bench::ScheduleDigest digest;
+  AddRow(table, "static", RunOne(/*load_aware=*/false, 2024, &digest));
+  AddRow(table, "load-aware", RunOne(/*load_aware=*/true, 2024, &digest));
   table.Print();
   std::printf(
       "\nExpected shape: the load-aware policy spreads hot wall keys over\n"
       "groups (lower imbalance) at similar or better latency; both\n"
       "configurations stay highly available.\n");
+  digest.Print();
   return 0;
 }

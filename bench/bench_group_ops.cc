@@ -47,7 +47,7 @@ std::pair<core::ScatterNode*, GroupId> AnyLeader(core::Cluster& cluster) {
 // Runs `trigger` against a fresh cluster with a workload running, timing
 // the operation and capturing client latency during its window.
 OpTiming MeasureOp(
-    uint64_t seed,
+    uint64_t seed, bench::ScheduleDigest* digest,
     const std::function<void(core::Cluster&, core::ScatterNode*, GroupId,
                              core::ScatterNode::OpCallback)>& trigger) {
   core::ClusterConfig cfg;
@@ -80,6 +80,7 @@ OpTiming MeasureOp(
   auto [node, group] = AnyLeader(cluster);
   OpTiming result;
   if (node == nullptr) {
+    digest->Add(cluster.sim(), cluster.net());
     return result;
   }
 
@@ -102,6 +103,7 @@ OpTiming MeasureOp(
   result.during_write = driver.stats().write_latency;
   (void)before;  // Windowed histograms: full-run stats suffice here.
   driver.Stop();
+  digest->Add(cluster.sim(), cluster.net());
   return result;
 }
 
@@ -111,12 +113,13 @@ OpTiming MeasureOp(
 int main() {
   using namespace scatter;
   bench::Banner("E7", "structural group operation cost (WAN latencies)");
+  bench::ScheduleDigest digest;
 
   bench::Table table("operation latency (initiation -> completion)",
                      {"operation", "ok", "duration_ms", "notes"});
 
   {
-    auto r = MeasureOp(11,
+    auto r = MeasureOp(11, &digest,
                        [](core::Cluster&, core::ScatterNode* node,
                           GroupId group, core::ScatterNode::OpCallback cb) {
                          node->RequestSplit(group, std::move(cb));
@@ -125,7 +128,7 @@ int main() {
                   "single-group atomic (1 commit round)"});
   }
   {
-    auto r = MeasureOp(13,
+    auto r = MeasureOp(13, &digest,
                        [](core::Cluster&, core::ScatterNode* node,
                           GroupId group, core::ScatterNode::OpCallback cb) {
                          node->RequestMerge(group, std::move(cb));
@@ -135,7 +138,7 @@ int main() {
   }
   {
     auto r = MeasureOp(
-        17,
+        17, &digest,
         [](core::Cluster& cluster, core::ScatterNode* node, GroupId group,
            core::ScatterNode::OpCallback cb) {
           // Move the boundary a quarter of the way into our own range.
@@ -182,6 +185,7 @@ int main() {
     }
     auto [node, group] = AnyLeader(cluster);
     if (node == nullptr) {
+      digest.Add(cluster.sim(), cluster.net());
       continue;
     }
     const TimeMicros start = cluster.sim().now();
@@ -195,6 +199,7 @@ int main() {
         bench::Fmt(static_cast<double>(keys) * 1008.0 / 1e6, 1),
         bench::FmtMs(cluster.sim().now() - start),
     });
+    digest.Add(cluster.sim(), cluster.net());
   }
   volume.Print();
   std::printf(
@@ -202,5 +207,6 @@ int main() {
       "merge/repartition take the full transaction (a few WAN round\n"
       "trips); merge duration grows with the data shipped once links have\n"
       "finite bandwidth. None of the operations stall the system.\n");
+  digest.Print();
   return 0;
 }

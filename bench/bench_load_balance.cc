@@ -30,7 +30,8 @@ struct Result {
   workload::WorkloadStats stats;
 };
 
-Result RunOne(bool repartition, uint64_t seed) {
+Result RunOne(bool repartition, uint64_t seed,
+              bench::ScheduleDigest* digest) {
   core::ClusterConfig cfg;
   cfg.seed = seed;
   cfg.initial_nodes = 24;
@@ -60,6 +61,7 @@ Result RunOne(bool repartition, uint64_t seed) {
   cluster.RunFor(kLoad);
   driver.Stop();
   cluster.RunFor(kSettle);  // Let repartitioning converge.
+  digest->Add(cluster.sim(), cluster.net());
 
   Result out;
   out.stats = driver.stats();
@@ -103,11 +105,14 @@ int main() {
   bench::Table table("keys per group after skewed load",
                      {"policy", "groups", "min_keys", "p50_keys", "max_keys",
                       "imbalance(max/mean)", "avail"});
-  AddRow(table, "static", RunOne(/*repartition=*/false, 31337));
-  AddRow(table, "repartition", RunOne(/*repartition=*/true, 31337));
+  bench::ScheduleDigest digest;
+  AddRow(table, "static", RunOne(/*repartition=*/false, 31337, &digest));
+  AddRow(table, "repartition",
+         RunOne(/*repartition=*/true, 31337, &digest));
   table.Print();
   std::printf(
       "\nExpected shape: repartitioning moves boundaries into loaded\n"
       "ranges, cutting the max/mean imbalance factor substantially.\n");
+  digest.Print();
   return 0;
 }

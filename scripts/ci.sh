@@ -10,7 +10,7 @@
 #   scripts/ci.sh bench           # just the benchmark smoke (plain build + perfbench)
 #   scripts/ci.sh obs             # traced sim + trace/metrics JSON schema check
 #   scripts/ci.sh wire            # full suite: serializing + audit transports
-#   scripts/ci.sh mc              # model-checker smoke (delay-bounded split scenario)
+#   scripts/ci.sh mc              # model-checker smoke (split scenario) + seeded-mutation hunts
 #   scripts/ci.sh durability      # full suite with persistence on (serializing) + mc crash-with-disk smoke
 #
 # Build trees go to build-asan/ and build-ubsan/ so they never disturb the
@@ -109,6 +109,16 @@ run_mc() {
   fi
   "$bdir/tools/mc_explore" --scenario split --strategy delay \
       --budget-seconds 25 --counterexample none
+  # Mutation hunts: each seeded bug must still be found. The random walk
+  # finds all three within a second; the delay-bounded default exhausts
+  # its budget on every one of them, so a hunt run with the defaults would
+  # pass without testing anything.
+  local scenario
+  for scenario in stale_ballot lost_merge bootstrap_wedge; do
+    echo "=== mc: the walk must find $scenario+mutation ($bdir) ==="
+    "$bdir/tools/mc_explore" --scenario "$scenario+mutation" --strategy walk \
+        --budget-seconds 60 --counterexample none --expect-violation
+  done
 }
 
 run_durability() {

@@ -59,7 +59,8 @@ struct PromiseMsg : PaxosMessage {
 
 // Phase 2a (append). Carries zero or more consecutive entries starting at
 // prev_index + 1; an empty entry list doubles as heartbeat and as a
-// commit-index notification. Piggybacks the leader's commit index and send
+// commit-index notification, and only the notification goes unacknowledged
+// (want_ack false). Piggybacks the leader's commit index and send
 // timestamp (for lease accounting). Under group-commit batching one Accept
 // routinely carries many client proposals, and the leader streams several
 // rounds back-to-back (pipelining) without waiting for acks; followers must
@@ -84,14 +85,17 @@ struct AcceptMsg : PaxosMessage {
   std::vector<LogEntry> entries;
   uint64_t commit_index = 0;
   TimeMicros sent_at = 0;
+  // False only on a commit notification: an empty Accept whose one purpose
+  // is to carry commit_index. The follower applies the commit but sends no
+  // positive ack (nacks still go out), so the notification costs one
+  // message and no fsync. Heartbeats and window probes keep it true: their
+  // acks renew the leader's lease and feed its failure detector.
+  bool want_ack = true;
 };
 
-// Phase 2b (append ack). One ack may answer several pipelined Accept rounds
-// at once: followers coalesce same-ballot acks arriving in one event-loop
-// turn (replica.cc's kAckFlushWindow), reporting the highest match_index
-// and the latest leader send timestamp, which is safe because both are
-// monotone under one ballot (the lease grant derived from sent_at only
-// grows).
+// Phase 2b (append ack). The follower sends one as soon as it has handled
+// an Accept that wants one: ok with its match index, or a nack naming the
+// blocking promise or the index to resend from.
 struct AcceptedMsg : PaxosMessage {
   explicit AcceptedMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosAccepted, g) {}

@@ -29,14 +29,10 @@ constexpr TimeMicros kLeaseWaitJitterMax = Millis(50);
 // round completion.
 constexpr uint64_t kPipelineDepth = 4;
 
-// Follower-side AcceptedMsg coalescing window: acks for Accepts of the
-// same ballot arriving within this window merge into one reply. Zero
-// coalesces only same-turn arrivals.
-constexpr TimeMicros kAckFlushWindow = 0;
-
 // After the leader advances its commit index it notifies idle followers
-// (via an empty Accept) within this long, instead of waiting for the next
-// heartbeat. A flush carrying fresh entries supersedes the notification.
+// (via one empty, unacknowledged Accept each) within this long, instead of
+// waiting for the next heartbeat. A flush carrying fresh entries
+// supersedes the notification: the commit index rides those entries.
 constexpr TimeMicros kCommitNotifyInterval = Millis(1);
 
 }  // namespace
@@ -74,7 +70,6 @@ Replica::Stats::Stats(obs::MetricsRegistry& registry, NodeId node,
       accept_entries_sent(
           registry.GetCounter("paxos.accept_entries_sent", node, group)),
       acks_sent(registry.GetCounter("paxos.acks_sent", node, group)),
-      acks_coalesced(registry.GetCounter("paxos.acks_coalesced", node, group)),
       messages_sent(registry.GetCounter("paxos.messages_sent", node, group)),
       commit_index(registry.GetGauge("paxos.commit_index", node, group)),
       applied_index(registry.GetGauge("paxos.applied_index", node, group)),
@@ -509,9 +504,29 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
   const auto& m = static_cast<const AcceptMsg&>(*message);
   max_round_seen_ = std::max(max_round_seen_, m.ballot.round);
 
-  auto reply = MakePooled<AcceptedMsg>(group_);
-  reply->ballot = m.ballot;
-  reply->leader_sent_at = m.sent_at;
+  // Replies are built only when sent (a commit notification gets none);
+  // each answers this Accept's ballot and echoes its send time.
+  auto ack = [&](uint64_t match_index) {
+    auto r = MakePooled<AcceptedMsg>(group_);
+    r->ballot = m.ballot;
+    r->ok = true;
+    r->match_index = match_index;
+    r->applied_index = applied_index_;
+    r->leader_sent_at = m.sent_at;
+    r->centrality = Centrality();
+    stats_.acks_sent++;
+    Send(m.from, std::move(r));
+  };
+  // need_from 0 is a ballot rejection, or a joiner asking for a snapshot.
+  auto nack = [&](uint64_t need_from) {
+    auto r = MakePooled<AcceptedMsg>(group_);
+    r->ballot = m.ballot;
+    r->promised = promised_;
+    r->need_from = need_from;
+    r->leader_sent_at = m.sent_at;
+    stats_.acks_sent++;
+    Send(m.from, std::move(r));
+  };
 
   if (m.ballot < promised_) {
     if (cfg_.bug_accept_stale_ballot && started_ &&
@@ -530,13 +545,10 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
         JournalAccept(e);
       }
       RecomputeVotingConfig();
-      QueueAck(m.from, m.ballot, m.prev_index + m.entries.size(), m.sent_at);
+      ack(m.prev_index + m.entries.size());
       return;
     }
-    reply->ok = false;
-    reply->promised = promised_;
-    stats_.acks_sent++;
-    Send(m.from, std::move(reply));
+    nack(0);
     return;
   }
 
@@ -552,11 +564,7 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
 
   if (!started_) {
     // Joiner with no state yet: ask for a snapshot (need_from == 0).
-    reply->ok = false;
-    reply->need_from = 0;
-    reply->promised = promised_;
-    stats_.acks_sent++;
-    Send(m.from, std::move(reply));
+    nack(0);
     return;
   }
 
@@ -576,14 +584,8 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
 
   if (prev_index > last_log_index()) {
     // Pipelined rounds can arrive out of order; nack so the leader backs up
-    // and resends, and flush any pending ack first so it cannot arrive
-    // after (and be masked by) this nack's resend.
-    FlushAck();
-    reply->ok = false;
-    reply->need_from = last_log_index() + 1;
-    reply->promised = promised_;
-    stats_.acks_sent++;
-    Send(m.from, std::move(reply));
+    // and resends.
+    nack(last_log_index() + 1);
     return;
   }
   if (prev_index == m.prev_index && BallotAt(prev_index) != m.prev_ballot) {
@@ -593,12 +595,7 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
     log_.TruncateSuffix(prev_index);
     JournalTruncateSuffix(prev_index);
     RecomputeVotingConfig();
-    FlushAck();
-    reply->ok = false;
-    reply->need_from = prev_index;
-    reply->promised = promised_;
-    stats_.acks_sent++;
-    Send(m.from, std::move(reply));
+    nack(prev_index);
     return;
   }
 
@@ -636,56 +633,9 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
     ApplyCommitted();
   }
 
-  QueueAck(m.from, m.ballot, m.prev_index + m.entries.size(), m.sent_at);
-}
-
-void Replica::QueueAck(NodeId to, Ballot ballot, uint64_t match_index,
-                       TimeMicros leader_sent_at) {
-  if (pending_ack_to_ != kInvalidNode &&
-      (pending_ack_to_ != to || pending_ack_ballot_ != ballot)) {
-    FlushAck();  // Never merge acks across leaders or ballots.
+  if (m.want_ack) {  // A commit notification gets no ack.
+    ack(m.prev_index + m.entries.size());
   }
-  // The coalesced ack goes out from a timer; remember the context of the
-  // latest append folded into it as the ack's causal parent.
-  pending_ack_ctx_ = obs::Ambient(sim_->tracer());
-  if (pending_ack_to_ == kInvalidNode) {
-    pending_ack_to_ = to;
-    pending_ack_ballot_ = ballot;
-    pending_ack_match_ = match_index;
-    pending_ack_sent_at_ = leader_sent_at;
-    ack_timer_ =
-        timers_.Schedule(kAckFlushWindow, [this]() { FlushAck(); });
-    return;
-  }
-  // Merging keeps the highest match and the latest leader send timestamp;
-  // both are monotone under one ballot, so the merged ack is exactly what
-  // a fresh ack for the latest round would say.
-  stats_.acks_coalesced++;
-  pending_ack_match_ = std::max(pending_ack_match_, match_index);
-  pending_ack_sent_at_ = std::max(pending_ack_sent_at_, leader_sent_at);
-}
-
-void Replica::FlushAck() {
-  timers_.Cancel(ack_timer_);
-  ack_timer_ = sim::kInvalidTimer;
-  if (pending_ack_to_ == kInvalidNode) {
-    return;
-  }
-  auto reply = MakePooled<AcceptedMsg>(group_);
-  reply->ballot = pending_ack_ballot_;
-  reply->ok = true;
-  reply->match_index = pending_ack_match_;
-  reply->applied_index = applied_index_;
-  reply->leader_sent_at = pending_ack_sent_at_;
-  reply->centrality = Centrality();
-  const NodeId to = pending_ack_to_;
-  pending_ack_to_ = kInvalidNode;
-  pending_ack_match_ = 0;
-  pending_ack_sent_at_ = 0;
-  stats_.acks_sent++;
-  obs::ScopedContext trace_scope(sim_->tracer(), pending_ack_ctx_);
-  pending_ack_ctx_ = obs::TraceContext{};
-  Send(to, std::move(reply));
 }
 
 void Replica::HandleAccepted(const AcceptedMsg& m) {
@@ -733,10 +683,9 @@ void Replica::HandleAccepted(const AcceptedMsg& m) {
       return;
     }
     MaybeAdvanceCommit();
-    if (peer.next_index <= last_log_index() ||
-        peer.last_sent_commit < commit_index_) {
-      // The freed window may admit more rounds, and this ack's commit
-      // advance should reach the peer promptly.
+    if (peer.next_index <= last_log_index()) {
+      // The freed window may admit more rounds. A commit advance alone
+      // waits for MaybeAdvanceCommit's flush, which tells every peer once.
       ReplicateTo(m.from, /*allow_empty=*/false);
     }
     return;
@@ -915,13 +864,15 @@ void Replica::ReplicateTo(NodeId peer_id, bool allow_empty) {
   if (sent || (!allow_empty && peer.last_sent_commit >= commit_index_)) {
     return;
   }
-  // Empty Accept: heartbeat, window probe, or commit notification.
+  // Empty Accept: heartbeat or window probe (acked), or commit notification
+  // (not acked).
   auto m = MakePooled<AcceptMsg>(group_);
   m->ballot = promised_;
   m->prev_index = peer.next_index - 1;
   m->prev_ballot = BallotAt(m->prev_index);
   m->commit_index = commit_index_;
   m->sent_at = sim_->now();
+  m->want_ack = allow_empty;
   stats_.accepts_sent++;
   peer.last_sent_commit = commit_index_;
   Send(peer_id, std::move(m));
@@ -1012,6 +963,10 @@ void Replica::ScheduleFlush(TimeMicros delay) {
 }
 
 void Replica::Flush() {
+  // RequestFlush also calls this directly. A timed flush still pending (a
+  // commit notification) would then find nothing left to send: this flush
+  // carries the commit index to every peer.
+  timers_.Cancel(flush_timer_);
   flush_timer_ = sim::kInvalidTimer;
   flush_deadline_ = 0;
   if (role_ != Role::kLeader) {
@@ -1026,8 +981,8 @@ void Replica::MaybeAdvanceCommit() {
   }
   // The quorum match: the QuorumSize()-th largest replicated index across
   // the voting config (our own log always matches itself).
-  std::vector<uint64_t> matches;
-  matches.reserve(config_.size());
+  std::vector<uint64_t>& matches = match_scratch_;
+  matches.clear();
   for (NodeId member : config_) {
     if (member == self_) {
       matches.push_back(last_log_index());
@@ -1431,7 +1386,8 @@ void Replica::Send(NodeId to, std::shared_ptr<PaxosMessage> message) {
   // Group-commit barrier: no outgoing message may reveal a promise, accept,
   // or commit a crash could take back. A no-op when the journal is clean;
   // when dirty, one fsync covers every record since the last barrier —
-  // coalesced acks and batched flushes are what make the batch > 1.
+  // batched flushes, and commit records from unacknowledged commit
+  // notifications, are what make the batch > 1.
   SyncJournal();
   stats_.messages_sent++;
   host_->SendPaxos(to, std::move(message));

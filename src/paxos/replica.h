@@ -12,7 +12,8 @@
 //    (prev_index, prev_ballot); followers verify the anchor, truncate
 //    conflicting suffixes, and ack their match index. The leader advances
 //    the commit index when a quorum matches an index whose entry carries the
-//    leader's own ballot.
+//    leader's own ballot, and spreads it on the next Accept; an empty
+//    Accept sent only for that (a commit notification) is not acked.
 //  - Leases: every granted append extends the follower's promise not to
 //    vote for anyone else for lease_duration; the leader serves linearizable
 //    reads locally while a quorum of such grants (measured from its own send
@@ -228,8 +229,7 @@ class Replica {
     Counter& accept_broadcasts;    // flush sweeps over all peers
     Counter& accepts_sent;         // AcceptMsgs sent (incl. empty)
     Counter& accept_entries_sent;  // log entries carried by them
-    Counter& acks_sent;            // AcceptedMsgs actually sent
-    Counter& acks_coalesced;       // acks merged into a pending one
+    Counter& acks_sent;            // AcceptedMsgs sent
     Counter& messages_sent;        // every outgoing protocol message
     // Health-detector inputs (obs::HealthMonitor reads these cells by name):
     // levels refreshed by UpdateHealthGauges after every protocol step.
@@ -261,7 +261,7 @@ class Replica {
     TimeMicros snapshot_sent_at = 0;
     bool suspected = false;
     // Commit index carried by our last Accept to this peer; when it lags
-    // commit_index_ the peer is owed a commit notification.
+    // commit_index_ the next flush owes the peer a commit notification.
     uint64_t last_sent_commit = 0;
     // Nonzero: index of the config entry that removed this peer. We keep
     // replicating until the peer has that entry (so it learns it was
@@ -297,8 +297,8 @@ class Replica {
   // Streams entry rounds (or a snapshot) to one follower from its
   // next_index, up to the pipeline window past its match index, advancing
   // next_index optimistically. With nothing to send, an empty Accept goes
-  // out if `allow_empty` (heartbeat) or the peer lags commit_index_
-  // (commit notification).
+  // out if `allow_empty` (heartbeat or window probe, acknowledged) or the
+  // peer lags commit_index_ (commit notification, not acknowledged).
   void ReplicateTo(NodeId peer, bool allow_empty = true);
   // Starts catch-up for a member added by a config entry. A joiner we have
   // never heard from gets a bootstrap snapshot immediately — before the
@@ -322,14 +322,6 @@ class Replica {
   TimeMicros LeaseExpiry() const;
   void ServePendingReads();
   void FailPendingProposals(const Status& status);
-
-  // --- Follower machinery ---------------------------------------------
-  // Coalesces a positive append ack into the pending reply for (to,
-  // ballot); a pending ack for a different leader or ballot is flushed
-  // first. Nacks bypass the queue (the leader must react immediately).
-  void QueueAck(NodeId to, Ballot ballot, uint64_t match_index,
-                TimeMicros leader_sent_at);
-  void FlushAck();
 
   // --- Durability ------------------------------------------------------
   // Raises the promise to max(promised_, b); journals only a strict
@@ -429,18 +421,13 @@ class Replica {
   uint64_t last_flush_end_ = 0;
   std::deque<uint64_t> flush_ends_;
   TimeMicros flush_deadline_ = 0;
+  // MaybeAdvanceCommit's quorum-match fold, reused across acks.
+  std::vector<uint64_t> match_scratch_;
 
-  // Follower ack coalescing: the merged positive ack not yet sent.
-  NodeId pending_ack_to_ = kInvalidNode;
-  Ballot pending_ack_ballot_;
-  uint64_t pending_ack_match_ = 0;
-  TimeMicros pending_ack_sent_at_ = 0;
-
-  // Causal-trace plumbing across the batching boundaries: timer-driven
-  // flushes and coalesced acks fire outside the context that caused them,
-  // so the triggering context is captured here as the exemplar parent.
-  obs::TraceContext flush_ctx_;        // last proposal that requested a flush
-  obs::TraceContext pending_ack_ctx_;  // last append folded into the ack
+  // Causal-trace plumbing across the batching boundary: a timer-driven
+  // flush fires outside the context that caused it, so the last proposal
+  // that requested one is captured here as the flush span's parent.
+  obs::TraceContext flush_ctx_;
   // Per-proposal span (by log index): opened in Propose, closed when the
   // entry applies (or the proposal fails).
   std::map<uint64_t, obs::TraceContext> proposal_ctx_;
@@ -470,7 +457,6 @@ class Replica {
   sim::TimerId heartbeat_timer_ = sim::kInvalidTimer;
   sim::TimerId fd_timer_ = sim::kInvalidTimer;
   sim::TimerId flush_timer_ = sim::kInvalidTimer;
-  sim::TimerId ack_timer_ = sim::kInvalidTimer;
   // Declared last: cancels all timers before other members are destroyed.
   sim::TimerOwner timers_;
 };

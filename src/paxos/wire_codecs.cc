@@ -25,7 +25,7 @@ void Fields(PromiseMsg& m, IO& io) {
 template <class IO>
 void Fields(AcceptMsg& m, IO& io) {
   io(m.group, m.ballot, m.prev_index, m.prev_ballot, m.entries, m.commit_index,
-     m.sent_at);
+     m.sent_at, m.want_ack);
 }
 
 template <class IO>

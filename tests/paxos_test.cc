@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/sim/scheduler.h"
 #include "tests/paxos_harness.h"
 
 namespace scatter::paxos {
@@ -1065,6 +1066,183 @@ TEST(PaxosBatchingTest, LeaderPartitionMidBatchFailsPendingCleanly) {
     }
   }
   EXPECT_TRUE(cluster.AllApplied({1, 2}));
+}
+
+// --- Commit path: acks and commit notifications ------------------------------
+
+// Watches every non-self message the network sends without taking it over
+// (OnSend returns false), so the normal sampled-latency delivery and the
+// seeded schedule are unchanged.
+class TrafficLog : public sim::Scheduler {
+ public:
+  explicit TrafficLog(sim::Network* net) : net_(net) {
+    net_->SetScheduler(this);
+  }
+  ~TrafficLog() override { net_->SetScheduler(nullptr); }
+
+  bool OnSend(const sim::MessagePtr& message) override {
+    sent.push_back({net_->simulator()->now(), message});
+    return false;
+  }
+
+  struct Sent {
+    TimeMicros at;
+    sim::MessagePtr message;
+  };
+  std::vector<Sent> sent;
+
+ private:
+  sim::Network* net_;
+};
+
+// The follower answers an empty Accept that only carries the commit index
+// with nothing, and still acks heartbeats (their acks renew the lease and
+// feed the failure detector). Acks echo the Accept's sent_at, which pairs
+// each empty Accept with its replies.
+TEST(PaxosCommitPathTest, CommitNotificationsGoUnackedHeartbeatsDoNot) {
+  PaxosCluster cluster(5, 23);
+  PaxosTestNode* l = cluster.WaitForLeader();
+  ASSERT_NE(l, nullptr);
+  cluster.sim().RunFor(Millis(200));
+  TrafficLog traffic(&cluster.net());
+  std::vector<uint64_t> expected;
+  for (uint64_t v = 1; v <= 5; ++v) {
+    ASSERT_TRUE(cluster.ProposeAndWait(v));
+    expected.push_back(v);
+  }
+  cluster.sim().RunFor(Millis(120));  // At least two heartbeats.
+
+  size_t notifications = 0;
+  size_t heartbeats = 0;
+  for (const TrafficLog::Sent& s : traffic.sent) {
+    if (s.message->type != sim::MessageType::kPaxosAccept ||
+        s.message->from != l->id()) {
+      continue;
+    }
+    const auto& accept = static_cast<const AcceptMsg&>(*s.message);
+    if (!accept.entries.empty()) {
+      EXPECT_TRUE(accept.want_ack);
+      continue;
+    }
+    size_t replies = 0;
+    for (const TrafficLog::Sent& r : traffic.sent) {
+      if (r.message->type == sim::MessageType::kPaxosAccepted &&
+          r.message->from == accept.to &&
+          static_cast<const AcceptedMsg&>(*r.message).leader_sent_at ==
+              accept.sent_at) {
+        replies++;
+      }
+    }
+    if (accept.want_ack) {
+      heartbeats++;
+      EXPECT_GE(replies, 1u) << "heartbeat to " << accept.to << " at "
+                             << s.at << " went unacked";
+    } else {
+      notifications++;
+      EXPECT_EQ(replies, 0u) << "commit notification to " << accept.to
+                             << " at " << s.at << " was answered";
+    }
+  }
+  EXPECT_GE(notifications, 4u * expected.size());
+  EXPECT_GE(heartbeats, 2u * 4u);
+  EXPECT_TRUE(cluster.AllApplied(expected));
+}
+
+// With commit notifications unacknowledged, an idle leader's lease rests on
+// heartbeat acks alone; they must keep it unbroken, so every read in a
+// 300 ms idle stretch is a lease read and none falls back to a barrier.
+TEST(PaxosCommitPathTest, LeaseReadsServeThroughAnIdleStretch) {
+  PaxosCluster cluster(5, 26);
+  ASSERT_TRUE(cluster.ProposeAndWait(1));
+  PaxosTestNode* l = cluster.leader();
+  cluster.sim().RunFor(Millis(10));  // The commit notification goes out.
+  const uint64_t lease_before = l->replica().stats().lease_reads;
+  const uint64_t barrier_before = l->replica().stats().barrier_reads;
+  const TimeMicros start = cluster.sim().now();
+  uint64_t reads = 0;
+  while (cluster.sim().now() < start + Millis(300)) {
+    cluster.sim().RunFor(Millis(5));
+    ASSERT_TRUE(l->replica().HasLease())
+        << "lease lapsed at +" << cluster.sim().now() - start << "us";
+    bool served = false;
+    l->replica().LinearizableRead([&served](Status s) { served = s.ok(); });
+    EXPECT_TRUE(served);  // A lease read completes synchronously.
+    reads++;
+  }
+  EXPECT_EQ(l->replica().stats().lease_reads - lease_before, reads);
+  EXPECT_EQ(l->replica().stats().barrier_reads, barrier_before);
+}
+
+// The leader drops a removed member once an ack shows it applied its own
+// removal. A commit notification draws no ack, so that ack must come from
+// an Accept that wants one: the member left the voting config when the
+// entry was appended, so it first receives the entry in the Accept the
+// leader sends it as the removal applies, and acks that at once (a lost
+// one is repaired by the next heartbeat). The leader stops sending to the
+// member within one heartbeat interval of the removal committing.
+TEST(PaxosCommitPathTest, RemovedMemberIsDroppedWithinOneHeartbeat) {
+  PaxosConfig cfg;
+  PaxosCluster cluster(4, 27, cfg);
+  ASSERT_TRUE(cluster.ProposeAndWait(1));
+  PaxosTestNode* l = cluster.leader();
+  NodeId victim = kInvalidNode;
+  for (PaxosTestNode* n : cluster.live_nodes()) {
+    if (n != l) {
+      victim = n->id();
+      break;
+    }
+  }
+  TrafficLog traffic(&cluster.net());
+  TimeMicros committed_at = 0;
+  l->replica().ProposeConfigChange(
+      ConfigCommand::Op::kRemoveMember, victim,
+      [&](StatusOr<uint64_t> r) {
+        ASSERT_TRUE(r.ok());
+        committed_at = cluster.sim().now();
+      });
+  cluster.sim().RunFor(Seconds(1));
+  ASSERT_GT(committed_at, 0);
+  ASSERT_TRUE(l->replica().is_leader());
+  EXPECT_TRUE(cluster.node(victim)->self_removed);
+
+  TimeMicros last_to_victim = 0;
+  for (const TrafficLog::Sent& s : traffic.sent) {
+    if (s.message->from == l->id() && s.message->to == victim) {
+      last_to_victim = s.at;
+    }
+  }
+  EXPECT_GE(last_to_victim, committed_at);  // It was told of its removal...
+  EXPECT_LT(last_to_victim, committed_at + cfg.heartbeat_interval)
+      << "...and then dropped";  // ...and then dropped from peers_.
+}
+
+// Message budget of the commit path: a 5-node group committing one
+// proposal at a time sends each follower the entry, gets its ack, then
+// sends one unacknowledged commit notification, 12 messages per commit.
+// Heartbeats and peer probes add less than one more (12.8 here). Acking
+// the notifications, as the protocol once did, costs 16.8.
+TEST(PaxosCommitPathTest, SequentialCommitsStayWithinTheMessageBudget) {
+  PaxosCluster cluster(5, 28);
+  PaxosTestNode* l = cluster.WaitForLeader();
+  ASSERT_NE(l, nullptr);
+  cluster.sim().RunFor(Millis(200));
+  auto messages = [&cluster]() {
+    uint64_t total = 0;
+    for (PaxosTestNode* n : cluster.live_nodes()) {
+      total += n->replica().stats().messages_sent;
+    }
+    return total;
+  };
+  const uint64_t before = messages();
+  constexpr int kOps = 40;
+  for (int i = 0; i < kOps; ++i) {
+    ASSERT_TRUE(cluster.ProposeAndWait(100 + i));
+  }
+  ASSERT_EQ(cluster.leader(), l);
+  const double per_commit =
+      static_cast<double>(messages() - before) / kOps;
+  EXPECT_LE(per_commit, 13.0);
+  EXPECT_GE(per_commit, 12.0);
 }
 
 // --- Randomized safety sweep --------------------------------------------------

@@ -680,6 +680,38 @@ TEST_F(WireTest, EmptyAndMaxEdgesRoundTrip) {
   }
 }
 
+// The sample factory leaves AcceptMsg::want_ack at its default (true), so
+// the commit-notification value is checked here: it survives the round
+// trip and is the only byte that differs from the acknowledged form.
+TEST_F(WireTest, AcceptWantAckRoundTrips) {
+  Rng rng(7);
+  auto acked = std::make_shared<paxos::AcceptMsg>(3);
+  acked->ballot = RandBallot(rng);
+  acked->prev_index = 41;
+  acked->commit_index = 40;
+  acked->sent_at = 1234;
+  Finish(acked, rng);
+  auto notify = std::make_shared<paxos::AcceptMsg>(*acked);
+  notify->want_ack = false;
+  Buffer acked_frame;
+  Buffer notify_frame;
+  EncodeFrame(*acked, acked_frame);
+  EncodeFrame(*notify, notify_frame);
+  ExpectRoundTrips(notify);
+  size_t consumed = 0;
+  std::string error;
+  sim::MessagePtr copy = DecodeFrame(notify_frame.data(), notify_frame.size(),
+                                     &consumed, &error);
+  ASSERT_NE(copy, nullptr) << error;
+  EXPECT_FALSE(static_cast<const paxos::AcceptMsg&>(*copy).want_ack);
+  ASSERT_EQ(acked_frame.size(), notify_frame.size());
+  size_t differing = 0;
+  for (size_t i = 0; i < acked_frame.size(); ++i) {
+    differing += acked_frame.data()[i] != notify_frame.data()[i] ? 1 : 0;
+  }
+  EXPECT_EQ(differing, 1u);
+}
+
 TEST_F(WireTest, ToFieldLivesAtTheDocumentedOffset) {
   // The audit transport masks the `to` slot when comparing before/after
   // frames (RpcNode::Forward legitimately rewrites it); this pins the
@@ -1117,7 +1149,7 @@ TEST_F(WireTest, FrameBytesArePinned) {
       {"LookupRequest", 0xc2cebe795c23ee56ull},
       {"MigrateDirective", 0x42d8c31e23bd5f5dull},
       {"MigrateRequest", 0x70d3af665c0bb98dull},
-      {"PaxosAccept", 0x9b05dab217bc39d9ull},
+      {"PaxosAccept", 0xad34768d1d8ba237ull},
       {"PaxosAccepted", 0x3ac26585646cbce3ull},
       {"PaxosPing", 0x21c5006e3244e7bcull},
       {"PaxosPong", 0x4c0f561407b3bf66ull},

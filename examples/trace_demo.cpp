@@ -5,7 +5,8 @@
 // the metrics export carries the WAL and recovery cells. Exports the trace
 // as Chrome trace-event JSON (open in https://ui.perfetto.dev), the metrics
 // registry as JSON, and the periodic load/health snapshots as
-// scatter.timeline.v1 JSON (render with tools/scatter_top).
+// scatter.timeline.v1 JSON (render with tools/scatter_top). The last stdout
+// line is the schedule digest, `schedule: events=N messages=M`.
 //
 // Usage: trace_demo [trace.json] [metrics.json] [timeline.json]
 
@@ -166,6 +167,11 @@ int Run(const std::string& trace_path, const std::string& metrics_path,
       static_cast<unsigned long long>(victim), recovered,
       recovered == 1 ? "" : "s");
   std::printf("view the trace at https://ui.perfetto.dev\n");
+  // Schedule digest: any change to the simulated schedule moves it, even
+  // one that leaves every span in place.
+  std::printf("schedule: events=%llu messages=%llu\n",
+              static_cast<unsigned long long>(cluster.sim().events_processed()),
+              static_cast<unsigned long long>(cluster.net().messages_sent()));
   return 0;
 }
 

@@ -12,6 +12,7 @@
 #   scripts/ci.sh wire            # full suite: serializing + audit transports
 #   scripts/ci.sh mc              # model-checker smoke (split scenario) + seeded-mutation hunts
 #   scripts/ci.sh durability      # full suite with persistence on (serializing) + mc crash-with-disk smoke
+#   scripts/ci.sh golden          # seeded driver outputs against tests/golden/ (scripts/golden.sh)
 #
 # Build trees go to build-asan/ and build-ubsan/ so they never disturb the
 # developer's plain build/.
@@ -143,6 +144,19 @@ run_durability() {
       --budget-seconds 20 --counterexample none
 }
 
+run_golden() {
+  # Golden gate: the seeded drivers' outputs, each ending with its schedule
+  # digest, must match tests/golden/ byte for byte (scripts/golden.sh).
+  local bdir="${BUILD_DIR:-build}"
+  echo "=== golden: seeded outputs against tests/golden/ ($bdir) ==="
+  if [[ ! -d "$bdir" ]]; then
+    cmake -B "$bdir" -S .
+  fi
+  cmake --build "$bdir" -j "$JOBS" --target bench_group_ops \
+      bench_load_balance bench_chirpchat trace_demo
+  BUILD_DIR="$bdir" scripts/golden.sh
+}
+
 run_lint() {
   # Stage 1: scatter-lint (tools/scatter_lint) — determinism, layering and
   # protocol-hygiene rules, zero findings allowed. It prints a per-rule
@@ -174,6 +188,7 @@ case "${1:-all}" in
   wire) run_wire ;;
   mc) run_mc ;;
   durability) run_durability ;;
+  golden) run_golden ;;
   all)
     run_sanitized address
     run_sanitized undefined
@@ -182,11 +197,12 @@ case "${1:-all}" in
     run_wire
     run_mc
     run_durability
+    run_golden
     run_lint
-    echo "=== CI green: ASan + UBSan suites clean, bench smoke ok, obs export valid, wire suites clean, mc smoke clean, durability suite + smoke clean, scatter-lint + clang-tidy zero-warning ==="
+    echo "=== CI green: ASan + UBSan suites clean, bench smoke ok, obs export valid, wire suites clean, mc smoke clean, durability suite + smoke clean, golden outputs match, scatter-lint + clang-tidy zero-warning ==="
     ;;
   *)
-    echo "usage: $0 [address|undefined|lint|bench|obs|wire|mc|durability|all]" >&2
+    echo "usage: $0 [address|undefined|lint|bench|obs|wire|mc|durability|golden|all]" >&2
     exit 2
     ;;
 esac

@@ -56,15 +56,14 @@ namespace internal {
 
 LogLevel EmitFloor() { return g_level; }
 
-void Emit(LogLevel level, const char* file, int line, const std::string& msg) {
+void Emit(LogLevel level, const char* file, const std::string& msg) {
   const int64_t now = g_clock_fn != nullptr ? g_clock_fn(g_clock_arg) : -1;
   if (now >= 0) {
-    std::fprintf(stderr, "%s %9.3fs %s:%d] %s\n", LevelTag(level),
-                 static_cast<double>(now) / 1e6, Basename(file), line,
-                 msg.c_str());
+    std::fprintf(stderr, "%s %9.3fs %s] %s\n", LevelTag(level),
+                 static_cast<double>(now) / 1e6, Basename(file), msg.c_str());
   } else {
-    std::fprintf(stderr, "%s %s:%d] %s\n", LevelTag(level), Basename(file),
-                 line, msg.c_str());
+    std::fprintf(stderr, "%s %s] %s\n", LevelTag(level), Basename(file),
+                 msg.c_str());
   }
 }
 

@@ -3,7 +3,10 @@
 // Logging in a discrete-event simulator must be cheap when disabled (runs
 // schedule millions of events) and must stamp entries with *simulated* time,
 // which the logger learns through a clock hook installed by the simulator.
-// Lines go to stderr only; a line below the level is never formatted.
+// Lines go to stderr only; a line below the level is never formatted. A
+// line names its source file but not the line number, so a run's log stays
+// byte-identical when code above a log site moves; a CHECK failure keeps
+// the line number.
 // Causal traces are a separate channel (src/obs/trace.h), not log lines.
 
 #ifndef SCATTER_SRC_COMMON_LOGGING_H_
@@ -34,16 +37,15 @@ void SetLogClock(ClockFn fn, void* arg);
 
 namespace internal {
 
-void Emit(LogLevel level, const char* file, int line, const std::string& msg);
+void Emit(LogLevel level, const char* file, const std::string& msg);
 
 // The stderr level; SCATTER_LOG skips formatting below it.
 LogLevel EmitFloor();
 
 class LogLine {
  public:
-  LogLine(LogLevel level, const char* file, int line)
-      : level_(level), file_(file), line_(line) {}
-  ~LogLine() { Emit(level_, file_, line_, stream_.str()); }
+  LogLine(LogLevel level, const char* file) : level_(level), file_(file) {}
+  ~LogLine() { Emit(level_, file_, stream_.str()); }
 
   template <typename T>
   LogLine& operator<<(const T& v) {
@@ -54,7 +56,6 @@ class LogLine {
  private:
   LogLevel level_;
   const char* file_;
-  int line_;
   std::ostringstream stream_;
 };
 
@@ -64,7 +65,7 @@ class LogLine {
 #define SCATTER_LOG(level)                                               \
   if (::scatter::LogLevel::level < ::scatter::internal::EmitFloor()) {   \
   } else                                                                 \
-    ::scatter::internal::LogLine(::scatter::LogLevel::level, __FILE__, __LINE__)
+    ::scatter::internal::LogLine(::scatter::LogLevel::level, __FILE__)
 
 #define SCATTER_TRACE() SCATTER_LOG(kTrace)
 #define SCATTER_DEBUG() SCATTER_LOG(kDebug)

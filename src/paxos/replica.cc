@@ -229,10 +229,15 @@ void Replica::CorruptCommittedEntryForTest(uint64_t index) {
 // ---------------------------------------------------------------------------
 
 void Replica::ResetElectionTimer() {
-  timers_.Cancel(election_timer_);
-  const TimeMicros delay =
-      rng_.Range(cfg_.election_timeout_min, cfg_.election_timeout_max);
-  election_timer_ = timers_.Schedule(delay, [this]() { StartElection(); });
+  ArmElectionTimer(
+      rng_.Range(cfg_.election_timeout_min, cfg_.election_timeout_max));
+}
+
+void Replica::ArmElectionTimer(TimeMicros delay) {
+  // Every follower Accept lands here: move the pending timer in place.
+  if (!timers_.Reschedule(election_timer_, delay)) {
+    election_timer_ = timers_.Schedule(delay, [this]() { StartElection(); });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -297,6 +302,7 @@ void Replica::StepDown(Ballot seen) {
   last_flush_end_ = 0;
   votes_.clear();
   peers_.clear();
+  DropLeaseExpiry();
   term_barrier_index_ = 0;
   pending_config_index_ = 0;
   FailPendingProposals(NotLeaderError("lost leadership"));
@@ -356,6 +362,7 @@ void Replica::BecomeLeader() {
   timers_.Cancel(election_timer_);
   election_timer_ = sim::kInvalidTimer;
   peers_.clear();
+  DropLeaseExpiry();
   for (NodeId peer : config_) {
     if (peer == self_) {
       continue;
@@ -487,10 +494,8 @@ void Replica::HandlePromise(const PromiseMsg& m) {
       // Back off until the blocking lease expires.
       role_ = Role::kFollower;
       votes_.clear();
-      timers_.Cancel(election_timer_);
-      election_timer_ = timers_.Schedule(
-          m.lease_wait + rng_.Range(Millis(1), kLeaseWaitJitterMax),
-          [this]() { StartElection(); });
+      ArmElectionTimer(m.lease_wait +
+                       rng_.Range(Millis(1), kLeaseWaitJitterMax));
     }
     return;
   }
@@ -666,6 +671,7 @@ void Replica::HandleAccepted(const AcceptedMsg& m) {
   if (m.leader_sent_at > 0) {
     peer.grant_until =
         m.leader_sent_at + cfg_.lease_duration - cfg_.clock_skew_bound;
+    DropLeaseExpiry();
     const TimeMicros rtt = sim_->now() - m.leader_sent_at;
     peer.rtt_ewma =
         peer.rtt_ewma == 0 ? rtt : (3 * peer.rtt_ewma + rtt) / 4;
@@ -679,6 +685,7 @@ void Replica::HandleAccepted(const AcceptedMsg& m) {
     if (peer.leaving_at != 0 && peer.match_index >= peer.leaving_at &&
         m.applied_index >= peer.leaving_at) {
       peers_.erase(m.from);  // It has applied its own removal; done.
+      DropLeaseExpiry();
       MaybeAdvanceCommit();
       return;
     }
@@ -775,6 +782,7 @@ void Replica::HandleSnapshotAck(const SnapshotAckMsg& m) {
   if (m.leader_sent_at > 0) {
     peer.grant_until =
         m.leader_sent_at + cfg_.lease_duration - cfg_.clock_skew_bound;
+    DropLeaseExpiry();
   }
   peer.match_index = std::max(peer.match_index, m.last_included_index);
   peer.next_index = std::max(peer.next_index, peer.match_index + 1);
@@ -802,10 +810,12 @@ uint64_t Replica::AppendLocal(CommandPtr command) {
 
 void Replica::ReplicateTo(NodeId peer_id, bool allow_empty) {
   SCATTER_CHECK(role_ == Role::kLeader);
-  auto it = peers_
-                .try_emplace(peer_id, Peer{.next_index = last_log_index() + 1,
-                                           .last_ack = sim_->now()})
-                .first;
+  const auto [it, inserted] = peers_.try_emplace(
+      peer_id,
+      Peer{.next_index = last_log_index() + 1, .last_ack = sim_->now()});
+  if (inserted) {
+    DropLeaseExpiry();
+  }
   Peer& peer = it->second;
 
   if (peer.next_index == 0 || peer.next_index <= snap_base_index_ ||
@@ -879,9 +889,12 @@ void Replica::ReplicateTo(NodeId peer_id, bool allow_empty) {
 }
 
 void Replica::BootstrapJoiner(NodeId node) {
-  Peer& peer =
-      peers_.try_emplace(node, Peer{.next_index = 0, .last_ack = sim_->now()})
-          .first->second;
+  const auto [it, inserted] =
+      peers_.try_emplace(node, Peer{.next_index = 0, .last_ack = sim_->now()});
+  if (inserted) {
+    DropLeaseExpiry();
+  }
+  Peer& peer = it->second;
   peer.leaving_at = 0;  // Re-added before it learned of a prior removal.
   if (peer.match_index == 0) {
     // Never heard from it: it may not host a replica for this group at all
@@ -1101,9 +1114,12 @@ void Replica::CheckQuorumConnectivity() {
 }
 
 TimeMicros Replica::LeaseExpiry() const {
+  if (!lease_expiry_stale_) {
+    return lease_expiry_;
+  }
   // The lease holds until the QuorumSize()-th largest grant (counting our
-  // own, which never expires) runs out. Every lease read asks, so the
-  // grants go in a stack buffer unless the config outgrows it.
+  // own, which never expires) runs out. The grants go in a stack buffer
+  // unless the config outgrows it.
   std::array<TimeMicros, kInlineLeaseGrants> inline_grants;
   std::vector<TimeMicros> heap_grants;
   TimeMicros* grants = inline_grants.data();
@@ -1122,7 +1138,9 @@ TimeMicros Replica::LeaseExpiry() const {
   }
   TimeMicros* const kth = grants + (QuorumSize() - 1);
   std::nth_element(grants, kth, grants + n, std::greater<>());
-  return *kth;
+  lease_expiry_ = *kth;
+  lease_expiry_stale_ = false;
+  return lease_expiry_;
 }
 
 std::vector<NodeId> Replica::SuspectedMembers() const {
@@ -1494,6 +1512,7 @@ void Replica::RecomputeVotingConfig() {
   ConfigAt(log_.last_index(), &config_index_, &config_scratch_);
   if (config_scratch_ != config_) {
     config_.swap(config_scratch_);
+    DropLeaseExpiry();
     centrality_ = ComputeCentrality();
   }
 }

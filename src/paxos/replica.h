@@ -319,7 +319,11 @@ class Replica {
   void MaybeAdvanceCommit();
   void OnHeartbeatTimer();
   void CheckQuorumConnectivity();
+  // When the leader's lease runs out: the QuorumSize()-th largest grant.
+  // Cached: every write to a grant_until, every insert, erase or clear of
+  // peers_ and every change of config_ calls DropLeaseExpiry().
   TimeMicros LeaseExpiry() const;
+  void DropLeaseExpiry() { lease_expiry_stale_ = true; }
   void ServePendingReads();
   void FailPendingProposals(const Status& status);
 
@@ -368,7 +372,9 @@ class Replica {
   void MaybeTruncateLog();
   size_t QuorumSize() const { return config_.size() / 2 + 1; }
   bool LogUpToDate(uint64_t last_index, Ballot last_ballot) const;
+  // Re-arms the election timer at a random election timeout, or at `delay`.
   void ResetElectionTimer();
+  void ArmElectionTimer(TimeMicros delay);
   void NoteLeader(NodeId leader);
   Ballot LastLogBallot() const;
   Ballot BallotAt(uint64_t index) const;  // snapshot-base aware
@@ -439,6 +445,10 @@ class Replica {
   // Set when we hand leadership away: stop serving lease reads until we
   // observe the outcome (a higher ballot) or the attempt expires.
   TimeMicros lease_surrendered_until_ = 0;
+
+  // LeaseExpiry()'s last result, valid while !lease_expiry_stale_.
+  mutable TimeMicros lease_expiry_ = 0;
+  mutable bool lease_expiry_stale_ = true;
 
   // Follower lease grant.
   Ballot lease_ballot_;

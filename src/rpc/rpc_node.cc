@@ -37,10 +37,48 @@ bool RpcNode::TakeCall(uint64_t call_id, PendingCall* out) {
   call_index_.erase(it);
   PendingCall& call = calls_[slot];
   out->callback = std::move(call.callback);
-  out->timeout_timer = call.timeout_timer;
+  out->deadline = call.deadline;
+  out->to = call.to;
   call.next_free = free_call_;
   free_call_ = slot;
+  if (call_index_.empty()) {
+    timers_.Cancel(timeout_timer_);
+    timeout_timer_ = sim::kInvalidTimer;
+  } else if (out->deadline == timeout_at_) {
+    // The earliest call may have left: follow the next deadline. The timer
+    // stays put when another call is due at the same instant, unless it is
+    // the timer that just fired.
+    const TimeMicros next = calls_[EarliestCall().second].deadline;
+    if (next != timeout_at_ || timeout_timer_ == sim::kInvalidTimer) {
+      ArmTimeout(next);
+    }
+  }
   return true;
+}
+
+const std::pair<uint64_t, uint32_t>& RpcNode::EarliestCall() const {
+  const std::pair<uint64_t, uint32_t>* best = &call_index_.front();
+  for (const auto& entry : call_index_) {
+    if (calls_[entry.second].deadline < calls_[best->second].deadline) {
+      best = &entry;
+    }
+  }
+  return *best;
+}
+
+void RpcNode::ArmTimeout(TimeMicros at) {
+  timeout_at_ = at;
+  const TimeMicros delay = at - now();
+  if (!timers_.Reschedule(timeout_timer_, delay)) {
+    timeout_timer_ = timers_.Schedule(delay, [this]() { ExpireCall(); });
+  }
+}
+
+void RpcNode::ExpireCall() {
+  timeout_timer_ = sim::kInvalidTimer;  // fired
+  PendingCall call;
+  TakeCall(EarliestCall().first, &call);  // re-arms for the calls left
+  call.callback(TimeoutError("rpc to node " + std::to_string(call.to)));
 }
 
 void RpcNode::HandleMessage(const sim::MessagePtr& message) {
@@ -49,7 +87,6 @@ void RpcNode::HandleMessage(const sim::MessagePtr& message) {
     if (!TakeCall(message->rpc_id, &call)) {
       return;  // Response to a timed-out or cancelled call; drop.
     }
-    timers_.Cancel(call.timeout_timer);
     if (message->type == sim::MessageType::kRpcError) {
       call.callback(sim::As<RpcErrorMessage>(message).status);
     } else {
@@ -69,14 +106,7 @@ uint64_t RpcNode::Call(NodeId to, sim::MessagePtr request, TimeMicros timeout,
   request->rpc_id = call_id;
   request->is_response = false;
 
-  const sim::TimerId timer =
-      timers_.Schedule(timeout, [this, call_id, to]() {
-        PendingCall call;
-        if (TakeCall(call_id, &call)) {
-          call.callback(TimeoutError("rpc to node " + std::to_string(to)));
-        }
-      });
-
+  const TimeMicros deadline = now() + timeout;
   uint32_t slot = free_call_;
   if (slot != kNoCall) {
     free_call_ = calls_[slot].next_free;
@@ -85,17 +115,19 @@ uint64_t RpcNode::Call(NodeId to, sim::MessagePtr request, TimeMicros timeout,
     calls_.emplace_back();
   }
   calls_[slot].callback = std::move(callback);
-  calls_[slot].timeout_timer = timer;
+  calls_[slot].deadline = deadline;
+  calls_[slot].to = to;
   call_index_.emplace_back(call_id, slot);
+  if (timeout_timer_ == sim::kInvalidTimer || deadline < timeout_at_) {
+    ArmTimeout(deadline);
+  }
   network_->Send(std::move(request));
   return call_id;
 }
 
 void RpcNode::CancelCall(uint64_t call_id) {
   PendingCall call;
-  if (TakeCall(call_id, &call)) {
-    timers_.Cancel(call.timeout_timer);
-  }
+  TakeCall(call_id, &call);
 }
 
 void RpcNode::SendOneWay(NodeId to, sim::MessagePtr message) {

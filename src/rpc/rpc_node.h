@@ -11,6 +11,16 @@
 // reply's lookup is a binary search over the node's few outstanding calls.
 // The callback is a small-buffer InlineFn, so a call whose closure fits
 // inline allocates nothing once the slab and index have grown.
+//
+// Call timeouts share one simulator timer per node. Each pending call
+// carries its deadline; the timer is pending exactly while some call is,
+// and it is due at the earliest pending deadline. A new call moves it only
+// when its deadline is earlier, and a call that leaves the table moves it
+// to the next deadline (or cancels it once the table is empty), so a call
+// answered in time costs no timer event of its own. When the timer fires it
+// times out the earliest call by (deadline, call id), re-armed first for
+// the calls left: k calls due at one instant take k events, as k timers
+// did.
 
 #ifndef SCATTER_SRC_RPC_RPC_NODE_H_
 #define SCATTER_SRC_RPC_RPC_NODE_H_
@@ -90,14 +100,22 @@ class RpcNode : public sim::Endpoint {
 
   struct PendingCall {
     RpcCallback callback;
-    sim::TimerId timeout_timer = sim::kInvalidTimer;
+    TimeMicros deadline = 0;
+    NodeId to = kInvalidNode;  // named by the timeout status
     uint32_t next_free = kNoCall;  // free-list link while the slot is free
   };
 
-  // Removes the outstanding call `call_id` from the table and moves its
-  // callback and timeout timer into *out. Returns false when the call
-  // already completed, timed out or was cancelled.
+  // Removes the outstanding call `call_id` from the table, moves it into
+  // *out and re-arms the timeout timer for the calls left. Returns false
+  // when the call already completed, timed out or was cancelled.
   bool TakeCall(uint64_t call_id, PendingCall* out);
+  // The call_index_ entry of the earliest pending call by (deadline, call
+  // id); the table must not be empty.
+  const std::pair<uint64_t, uint32_t>& EarliestCall() const;
+  // Makes the timeout timer due at `at`, moving it when it is pending.
+  void ArmTimeout(TimeMicros at);
+  // The timeout timer's callback: times out the earliest call.
+  void ExpireCall();
 
   NodeId id_;
   sim::Network* network_;
@@ -106,6 +124,10 @@ class RpcNode : public sim::Endpoint {
   std::vector<PendingCall> calls_;  // slab; empty callback while free
   std::vector<std::pair<uint64_t, uint32_t>> call_index_;  // by call id
   uint32_t free_call_ = kNoCall;
+  // Pending exactly while a call is; due at timeout_at_, the earliest
+  // pending deadline.
+  sim::TimerId timeout_timer_ = sim::kInvalidTimer;
+  TimeMicros timeout_at_ = 0;
   // Destroyed first (declared last): cancels timers before members vanish.
   sim::TimerOwner timers_;
 };

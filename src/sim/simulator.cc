@@ -180,6 +180,17 @@ uint32_t Simulator::NextSlot() const {
   return best;
 }
 
+void Simulator::Enqueue(uint32_t slot) {
+  const Slot& s = slots_[slot];
+  if (s.at - now_ < kWheelSpan) {
+    WheelPush(slot);
+  } else {
+    heap_.emplace_back();
+    SiftUp(static_cast<uint32_t>(heap_.size() - 1),
+           HeapEntry{s.at, s.seq, slot});
+  }
+}
+
 void Simulator::Unqueue(uint32_t slot) {
   if (slots_[slot].queue_pos == kInWheel) {
     WheelRemove(slot);
@@ -219,17 +230,21 @@ void Simulator::SiftDown(uint32_t pos, HeapEntry e) {
   HeapPlace(pos, e);
 }
 
+void Simulator::HeapFix(uint32_t pos, const HeapEntry& e) {
+  if (pos > 0 && e < heap_[(pos - 1) / 2]) {
+    SiftUp(pos, e);
+  } else {
+    SiftDown(pos, e);
+  }
+}
+
 void Simulator::HeapRemove(uint32_t pos) {
   const HeapEntry last = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) {
     return;  // removed the last element itself
   }
-  if (pos > 0 && last < heap_[(pos - 1) / 2]) {
-    SiftUp(pos, last);
-  } else {
-    SiftDown(pos, last);
-  }
+  HeapFix(pos, last);
 }
 
 TimerId Simulator::Schedule(TimeMicros delay, EventFn fn) {
@@ -244,14 +259,8 @@ TimerId Simulator::ScheduleAt(TimeMicros when, EventFn fn) {
   s.fn = std::move(fn);
   s.at = when;
   s.seq = next_seq_++;
-  if (when - now_ < kWheelSpan) {
-    WheelPush(slot);
-  } else {
-    heap_.emplace_back();
-    SiftUp(static_cast<uint32_t>(heap_.size() - 1),
-           HeapEntry{when, s.seq, slot});
-  }
-  return EncodeId(slot, slots_[slot].gen);
+  Enqueue(slot);
+  return EncodeId(slot, s.gen);
 }
 
 TimerId Simulator::ScheduleOwned(TimeMicros delay, EventFn fn,
@@ -285,6 +294,22 @@ void Simulator::CancelSlot(uint32_t slot) {
   // captures may own TimerOwners whose destructors cancel more events.
   EventFn dead = std::move(slots_[slot].fn);
   ReleaseSlot(slot);
+}
+
+void Simulator::RescheduleSlot(uint32_t slot, TimeMicros delay) {
+  SCATTER_CHECK(delay >= 0);
+  Slot& s = slots_[slot];
+  if (s.queue_pos != kInWheel && delay >= kWheelSpan) {
+    // Heap to heap: re-sift the entry where it stands.
+    s.at = now_ + delay;
+    s.seq = next_seq_++;
+    HeapFix(s.queue_pos, HeapEntry{s.at, s.seq, slot});
+    return;
+  }
+  Unqueue(slot);  // the wheel finds the bucket by the old fire time
+  s.at = now_ + delay;
+  s.seq = next_seq_++;
+  Enqueue(slot);
 }
 
 void Simulator::Cancel(TimerId id) {
@@ -356,6 +381,15 @@ void TimerOwner::Cancel(TimerId id) {
   if (slot != Simulator::kNoSlot && sim_->slots_[slot].owner == this) {
     sim_->CancelSlot(slot);
   }
+}
+
+bool TimerOwner::Reschedule(TimerId id, TimeMicros delay) {
+  const uint32_t slot = sim_->PendingSlot(id);
+  if (slot == Simulator::kNoSlot || sim_->slots_[slot].owner != this) {
+    return false;
+  }
+  sim_->RescheduleSlot(slot, delay);
+  return true;
 }
 
 void TimerOwner::CancelAll() {

@@ -19,9 +19,12 @@
 // queue at once: the queues hold exactly the pending events. Timers
 // scheduled through a TimerOwner are also threaded onto an intrusive
 // per-owner list in their slots, so an owner needs no side table and no
-// wrapper callback to track, cancel or forget them. Callbacks are move-only
-// EventFns with inline storage, so the steady-state schedule/cancel/fire
-// cycle performs no heap allocation at all.
+// wrapper callback to track, cancel or forget them. A TimerOwner can also
+// move a pending timer in place (Reschedule): the slot, id and callback
+// stay, and the event takes a fresh seq, so it fires exactly where a Cancel
+// plus Schedule would have put it. Callbacks are move-only EventFns with
+// inline storage, so the steady-state schedule/cancel/fire cycle performs
+// no heap allocation at all.
 
 #ifndef SCATTER_SRC_SIM_SIMULATOR_H_
 #define SCATTER_SRC_SIM_SIMULATOR_H_
@@ -222,6 +225,8 @@ class Simulator {
   // Removes the pending event in `slot` from the queue and its owner's list
   // and recycles the slot; its callback is destroyed unrun.
   void CancelSlot(uint32_t slot);
+  // Moves the pending event in `slot` to now() + delay under a fresh seq.
+  void RescheduleSlot(uint32_t slot, TimeMicros delay);
 
   uint32_t AcquireSlot();
   // Unlinks the slot from its owner, bumps the generation and returns the
@@ -233,6 +238,9 @@ class Simulator {
   // Takes the event in `slot` off its queue, recycles the slot and runs the
   // callback, then any due monitor tick and the audit hook.
   void Fire(uint32_t slot);
+  // Queues the event in `slot`, whose at and seq are set, in the wheel or
+  // the heap.
+  void Enqueue(uint32_t slot);
   // Removes the pending event in `slot` from the wheel or the heap.
   void Unqueue(uint32_t slot);
 
@@ -250,6 +258,8 @@ class Simulator {
   }
   void SiftUp(uint32_t pos, HeapEntry e);
   void SiftDown(uint32_t pos, HeapEntry e);
+  // Places e at heap position pos and restores the heap order around it.
+  void HeapFix(uint32_t pos, const HeapEntry& e);
   // Removes the entry at heap position pos.
   void HeapRemove(uint32_t pos);
 
@@ -306,6 +316,11 @@ class TimerOwner {
   // Cancels a pending timer of this owner. A no-op for an id that already
   // fired, was cancelled, or belongs to another owner.
   void Cancel(TimerId id);
+  // Moves a pending timer of this owner to fire after `delay` (>= 0)
+  // instead, keeping its id and callback; it fires in the order a Cancel
+  // plus Schedule would give. Returns false, and does nothing, for an id
+  // that already fired, was cancelled, or belongs to another owner.
+  bool Reschedule(TimerId id, TimeMicros delay);
   void CancelAll();
 
   Simulator* simulator() const { return sim_; }

@@ -602,9 +602,9 @@ TEST(SummaryRowsOrder, SortedByRuleNameAndCoversCatalogue) {
 
 // --- mutation self-check: callback-capture-lifetime ---------------------------
 
-// Turn the RPC timeout timer — posted through the node's TimerOwner — into a
-// raw simulator Schedule and assert the lifetime rule catches it: a pending
-// timeout that outlives its RpcNode would call into a dead object.
+// Turn the node's call-timeout timer — posted through its TimerOwner — into
+// a raw simulator Schedule and assert the lifetime rule catches it: a
+// pending timeout that outlives its RpcNode would call into a dead object.
 TEST(MutationSelfCheck, LintCatchesRawScheduleCapturingThisInRpcNode) {
   const std::string path =
       std::string(SCATTER_SOURCE_DIR) + "/src/rpc/rpc_node.cc";
@@ -619,12 +619,12 @@ TEST(MutationSelfCheck, LintCatchesRawScheduleCapturingThisInRpcNode) {
   EXPECT_EQ(CountRule(before, "callback-capture-lifetime"), 0);
 
   // Mutation: bypass the TimerOwner for the call timeout.
-  const std::string owned = "timers_.Schedule(timeout, [this";
+  const std::string owned = "timers_.Schedule(delay, [this";
   const size_t at = content.find(owned);
   ASSERT_NE(at, std::string::npos)
       << "rpc_node.cc no longer arms its call timeout through timers_ — "
          "update this mutation test";
-  content.replace(at, owned.size(), "sim_->Schedule(timeout, [this");
+  content.replace(at, owned.size(), "sim_->Schedule(delay, [this");
 
   const LintReport after = Lint({{"src/rpc/rpc_node.cc", content}});
   EXPECT_EQ(CountRule(after, "callback-capture-lifetime"), 1)

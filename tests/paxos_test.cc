@@ -770,6 +770,109 @@ TEST(PaxosLeaseTest, LeaseCountsAQuorumBeyondTheInlineBuffer) {
   EXPECT_FALSE(l->replica().HasLease());
 }
 
+// LeaseExpiry() caches the quorum-th grant. Removing a member changes the
+// config at append: with one follower dead and its grant expired, removing
+// the live follower whose grant holds the lease must drop the lease at once,
+// while removing the dead one keeps it.
+TEST(PaxosLeaseTest, RemovingTheGrantingMemberDropsTheLease) {
+  for (const bool remove_granting : {false, true}) {
+    SCOPED_TRACE(remove_granting ? "remove the live follower"
+                                 : "remove the dead follower");
+    // Outlives the cluster, whose teardown fails the pending proposal.
+    Status status = InternalError("pending");
+    PaxosCluster cluster(3);
+    ASSERT_TRUE(cluster.ProposeAndWait(1));
+    PaxosTestNode* l = cluster.leader();
+    ASSERT_NE(l, nullptr);
+    std::vector<NodeId> followers;
+    for (PaxosTestNode* node : cluster.live_nodes()) {
+      if (node != l) {
+        followers.push_back(node->id());
+      }
+    }
+    const NodeId dead = followers[0];
+    const NodeId granting = followers[1];
+    cluster.Crash(dead);
+    cluster.sim().RunFor(Millis(400));  // the dead follower's grant expires
+    ASSERT_TRUE(l->replica().is_leader());
+    ASSERT_TRUE(l->replica().HasLease());  // held by the live follower
+
+    l->replica().ProposeConfigChange(
+        ConfigCommand::Op::kRemoveMember, remove_granting ? granting : dead,
+        [&status](StatusOr<uint64_t> r) { status = r.status(); });
+    ASSERT_EQ(status.code(), StatusCode::kInternal);  // appended, pending
+    EXPECT_EQ(l->replica().HasLease(), !remove_granting);
+  }
+}
+
+// A config change that raises the quorum drops the lease when the grants
+// left no longer make one, and the lease returns once the new member
+// grants.
+TEST(PaxosLeaseTest, GrowingTheQuorumDropsTheLeaseUntilTheJoinerGrants) {
+  bool added = false;  // declared first: outlives the cluster
+  PaxosCluster cluster(3);
+  ASSERT_TRUE(cluster.ProposeAndWait(1));
+  PaxosTestNode* l = cluster.leader();
+  ASSERT_NE(l, nullptr);
+  for (PaxosTestNode* node : cluster.live_nodes()) {
+    if (node != l) {
+      cluster.Crash(node->id());  // the first follower found
+      break;
+    }
+  }
+  cluster.sim().RunFor(Millis(400));
+  ASSERT_TRUE(l->replica().is_leader());
+  ASSERT_TRUE(l->replica().HasLease());  // 2 of 3: self plus one grant
+
+  cluster.Spawn(10);
+  l->replica().ProposeConfigChange(
+      ConfigCommand::Op::kAddMember, 10,
+      [&added](StatusOr<uint64_t> r) { added = r.ok(); });
+  // 4 members need 3 grants; the joiner has granted nothing yet.
+  EXPECT_FALSE(l->replica().HasLease());
+  cluster.sim().RunFor(Seconds(2));
+  ASSERT_TRUE(added);
+  ASSERT_TRUE(l->replica().is_leader());
+  EXPECT_EQ(l->replica().members().size(), 4u);
+  EXPECT_TRUE(l->replica().HasLease());
+}
+
+// A leader that steps down stops serving lease reads at once, and when it
+// is elected again it holds no lease until its new term's barrier commits:
+// grants from the earlier term never carry over.
+TEST(PaxosLeaseTest, StepDownDropsTheLeaseAcrossReelection) {
+  PaxosCluster cluster(3);
+  ASSERT_TRUE(cluster.ProposeAndWait(1));
+  PaxosTestNode* first = cluster.leader();
+  ASSERT_NE(first, nullptr);
+  cluster.sim().RunFor(Millis(300));
+  ASSERT_TRUE(first->replica().HasLease());
+  PaxosTestNode* other = nullptr;
+  for (PaxosTestNode* node : cluster.live_nodes()) {
+    if (node != first) {
+      other = node;
+      break;
+    }
+  }
+  ASSERT_TRUE(first->replica().TransferLeadership(other->id()));
+  while (!other->replica().is_leader()) {
+    ASSERT_TRUE(cluster.sim().Step());
+  }
+  EXPECT_FALSE(first->replica().is_leader());
+  EXPECT_FALSE(first->replica().HasLease());
+
+  // Hand leadership straight back, within the old grants' lifetime.
+  cluster.sim().RunFor(Millis(50));
+  ASSERT_TRUE(other->replica().TransferLeadership(first->id()));
+  while (!first->replica().is_leader()) {
+    ASSERT_TRUE(cluster.sim().Step());
+  }
+  EXPECT_FALSE(first->replica().HasLease());
+  cluster.sim().RunFor(Millis(300));
+  ASSERT_TRUE(first->replica().is_leader());
+  EXPECT_TRUE(first->replica().HasLease());
+}
+
 // --- Leadership transfer -------------------------------------------------------
 
 TEST(PaxosTransferTest, TransfersToTarget) {

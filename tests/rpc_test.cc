@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -345,6 +346,128 @@ TEST_F(RpcTest, RecycledSlotsNeverFireStaleCallbacks) {
         break;
     }
   }
+}
+
+// --- The timeout timer -------------------------------------------------------
+// A node keeps one timer for all its calls, due at the earliest pending
+// deadline. These pin that every call still times out exactly at its own
+// deadline, that a call answered, cancelled or dropped leaves no timer
+// event behind, and that ties time out in call order.
+
+TEST_F(RpcTest, MixedTimeoutsExpireAtTheirDeadlines) {
+  b_->mute = true;
+  std::vector<std::pair<int, TimeMicros>> expired;  // (call, instant)
+  auto call = [&](int tag, TimeMicros timeout) {
+    a_->Call(2, std::make_shared<EchoRequest>(tag), timeout,
+             [&expired, tag, this](StatusOr<sim::MessagePtr> r) {
+               EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
+               expired.emplace_back(tag, sim_.now());
+             });
+  };
+  call(0, Millis(50));
+  call(1, Millis(10));
+  call(2, Millis(30));
+  sim_.RunFor(Millis(5));
+  call(3, Millis(5));    // ties call 1's deadline, issued later
+  call(4, Millis(45));   // ties call 0's
+  call(5, Millis(100));
+  call(6, Millis(1));    // the new earliest
+  sim_.Run();
+  EXPECT_EQ(expired, (std::vector<std::pair<int, TimeMicros>>{
+                         {6, Millis(6)},
+                         {1, Millis(10)},
+                         {3, Millis(10)},
+                         {2, Millis(30)},
+                         {0, Millis(50)},
+                         {4, Millis(50)},
+                         {5, Millis(105)}}));
+  // One event per request delivery and one per timeout, as when each call
+  // had a timer of its own.
+  EXPECT_EQ(sim_.events_processed(), 14u);
+  EXPECT_EQ(sim_.pending_events(), 0u);
+}
+
+TEST_F(RpcTest, AnsweredCallsLeaveNoTimerEvent) {
+  const size_t baseline = sim_.pending_events();
+  int replies = 0;
+  for (int v = 0; v < 5; ++v) {
+    a_->Call(2, std::make_shared<EchoRequest>(v), Seconds(1) - Millis(v),
+             [&replies](StatusOr<sim::MessagePtr> r) {
+               EXPECT_TRUE(r.ok());
+               replies++;
+             });
+  }
+  // Five requests in flight and a single timer.
+  EXPECT_EQ(sim_.pending_events(), baseline + 6);
+  sim_.RunFor(Millis(4));
+  EXPECT_EQ(replies, 5);
+  EXPECT_EQ(sim_.pending_events(), baseline);
+  sim_.Run();
+  EXPECT_EQ(sim_.now(), Millis(4));  // Run() drained at the last reply
+  EXPECT_EQ(sim_.events_processed(), 10u);  // requests and replies only
+}
+
+TEST_F(RpcTest, CancelledCallsNeverCallBackAndReleaseTheTimer) {
+  b_->mute = true;
+  std::vector<int> expired;
+  std::vector<uint64_t> ids;
+  for (int tag = 0; tag < 4; ++tag) {
+    ids.push_back(a_->Call(2, std::make_shared<EchoRequest>(tag),
+                           Millis(10 * (tag + 1)),
+                           [&expired, tag](StatusOr<sim::MessagePtr>) {
+                             expired.push_back(tag);
+                           }));
+  }
+  a_->CancelCall(ids[0]);  // the earliest: the timer moves to call 1's
+  a_->CancelCall(ids[2]);
+  sim_.RunUntil(Millis(20));
+  EXPECT_EQ(expired, (std::vector<int>{1}));
+  a_->CancelCall(ids[3]);  // the last call: nothing is left to time out
+  a_->CancelCall(ids[3]);
+  EXPECT_EQ(sim_.pending_events(), 0u);
+  sim_.Run();
+  EXPECT_EQ(expired, (std::vector<int>{1}));
+  EXPECT_EQ(sim_.now(), Millis(20));
+}
+
+// A timeout callback runs after the timer is re-armed for the calls left,
+// so it may cancel the next due call or issue an earlier one.
+TEST_F(RpcTest, TimeoutCallbacksMayCancelAndIssueCalls) {
+  b_->mute = true;
+  std::vector<std::pair<int, TimeMicros>> expired;
+  auto on = [&expired, this](int tag) {
+    return [&expired, tag, this](StatusOr<sim::MessagePtr> r) {
+      EXPECT_FALSE(r.ok());
+      expired.emplace_back(tag, sim_.now());
+    };
+  };
+  uint64_t tied = 0;
+  a_->Call(2, std::make_shared<EchoRequest>(0), Millis(10),
+           [&, this](StatusOr<sim::MessagePtr> r) {
+             on(0)(std::move(r));
+             a_->CancelCall(tied);  // due at this very instant
+             a_->Call(2, std::make_shared<EchoRequest>(3), Millis(1), on(3));
+           });
+  tied = a_->Call(2, std::make_shared<EchoRequest>(1), Millis(10), on(1));
+  a_->Call(2, std::make_shared<EchoRequest>(2), Millis(20), on(2));
+  sim_.Run();
+  EXPECT_EQ(expired, (std::vector<std::pair<int, TimeMicros>>{
+                         {0, Millis(10)}, {3, Millis(11)}, {2, Millis(20)}}));
+}
+
+TEST_F(RpcTest, DestroyedNodeCancelsItsTimeoutTimer) {
+  b_->mute = true;
+  int calls = 0;
+  for (int v = 0; v < 3; ++v) {
+    a_->Call(2, std::make_shared<EchoRequest>(v), Millis(100 + v),
+             [&calls](StatusOr<sim::MessagePtr>) { calls++; });
+  }
+  EXPECT_EQ(sim_.pending_events(), 4u);  // three requests and the timer
+  a_.reset();
+  EXPECT_EQ(sim_.pending_events(), 3u);
+  sim_.Run();
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(sim_.now(), Millis(2));  // the last delivery; no timeout fired
 }
 
 }  // namespace

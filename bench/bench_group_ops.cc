@@ -12,9 +12,11 @@
 // concurrent client ops see a brief blip (writes to the frozen range
 // retry), not an outage.
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/hash.h"
@@ -115,42 +117,54 @@ int main() {
   bench::Banner("E7", "structural group operation cost (WAN latencies)");
   bench::ScheduleDigest digest;
 
-  bench::Table table("operation latency (initiation -> completion)",
-                     {"operation", "ok", "duration_ms", "notes"});
-
-  {
-    auto r = MeasureOp(11, &digest,
-                       [](core::Cluster&, core::ScatterNode* node,
-                          GroupId group, core::ScatterNode::OpCallback cb) {
-                         node->RequestSplit(group, std::move(cb));
-                       });
-    table.AddRow({"split", r.ok ? "yes" : "NO", bench::FmtMs(r.duration),
-                  "single-group atomic (1 commit round)"});
-  }
-  {
-    auto r = MeasureOp(13, &digest,
-                       [](core::Cluster&, core::ScatterNode* node,
-                          GroupId group, core::ScatterNode::OpCallback cb) {
-                         node->RequestMerge(group, std::move(cb));
-                       });
-    table.AddRow({"merge", r.ok ? "yes" : "NO", bench::FmtMs(r.duration),
-                  "2-group nested consensus (start/prepare/decide/notify)"});
-  }
-  {
-    auto r = MeasureOp(
-        17, &digest,
-        [](core::Cluster& cluster, core::ScatterNode* node, GroupId group,
-           core::ScatterNode::OpCallback cb) {
-          // Move the boundary a quarter of the way into our own range.
-          const auto* sm = node->GroupSm(group);
-          const ring::KeyRange& range = sm->range();
-          const Key boundary = range.begin + range.Size() / 4 * 3;
-          node->RequestRepartition(group, boundary, std::move(cb));
-        });
-    table.AddRow({"repartition", r.ok ? "yes" : "NO",
-                  bench::FmtMs(r.duration),
-                  "2-group nested consensus + data shipment"});
-  }
+  // Each operation runs on kSeedsPerOp seeds: the row's seed plus fixed
+  // offsets. One seed's schedule can move an operation by more than a
+  // protocol change does, so a row reports the median and the spread.
+  constexpr uint64_t kSeedsPerOp = 5;
+  constexpr uint64_t kSeedStride = 100;
+  bench::Table table("operation latency (initiation -> completion), " +
+                         std::to_string(kSeedsPerOp) + " seeds per operation",
+      {"operation", "ok", "median_ms", "min_ms", "max_ms", "notes"});
+  using Trigger = std::function<void(core::Cluster&, core::ScatterNode*,
+                                     GroupId, core::ScatterNode::OpCallback)>;
+  const auto add_row = [&](const char* name, uint64_t seed,
+                           const Trigger& trigger, const char* notes) {
+    std::vector<TimeMicros> durations;
+    size_t ok = 0;
+    for (uint64_t i = 0; i < kSeedsPerOp; ++i) {
+      const OpTiming r = MeasureOp(seed + i * kSeedStride, &digest, trigger);
+      durations.push_back(r.duration);
+      ok += r.ok ? 1 : 0;
+    }
+    std::sort(durations.begin(), durations.end());
+    table.AddRow({name,
+                  std::to_string(ok) + "/" + std::to_string(kSeedsPerOp),
+                  bench::FmtMs(durations[kSeedsPerOp / 2]),
+                  bench::FmtMs(durations.front()),
+                  bench::FmtMs(durations.back()), notes});
+  };
+  add_row("split", 11,
+          [](core::Cluster&, core::ScatterNode* node, GroupId group,
+             core::ScatterNode::OpCallback cb) {
+            node->RequestSplit(group, std::move(cb));
+          },
+          "single-group atomic (1 commit round)");
+  add_row("merge", 13,
+          [](core::Cluster&, core::ScatterNode* node, GroupId group,
+             core::ScatterNode::OpCallback cb) {
+            node->RequestMerge(group, std::move(cb));
+          },
+          "2-group nested consensus (start/prepare/decide/notify)");
+  add_row("repartition", 17,
+          [](core::Cluster&, core::ScatterNode* node, GroupId group,
+             core::ScatterNode::OpCallback cb) {
+            // Move the boundary a quarter of the way into our own range.
+            const auto* sm = node->GroupSm(group);
+            const ring::KeyRange& range = sm->range();
+            const Key boundary = range.begin + range.Size() / 4 * 3;
+            node->RequestRepartition(group, boundary, std::move(cb));
+          },
+          "2-group nested consensus + data shipment");
   table.Print();
 
   // --- Part 2: merge cost vs shipped data volume under finite bandwidth.

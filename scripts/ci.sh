@@ -111,11 +111,11 @@ run_mc() {
   "$bdir/tools/mc_explore" --scenario split --strategy delay \
       --budget-seconds 25 --counterexample none
   # Mutation hunts: each seeded bug must still be found. The random walk
-  # finds all three within a second; the delay-bounded default exhausts
-  # its budget on every one of them, so a hunt run with the defaults would
+  # finds all four within a second; the delay-bounded default exhausts
+  # its budget on the first three, so a hunt run with the defaults would
   # pass without testing anything.
   local scenario
-  for scenario in stale_ballot lost_merge bootstrap_wedge; do
+  for scenario in stale_ballot lost_merge bootstrap_wedge batched_read; do
     echo "=== mc: the walk must find $scenario+mutation ($bdir) ==="
     "$bdir/tools/mc_explore" --scenario "$scenario+mutation" --strategy walk \
         --budget-seconds 60 --counterexample none --expect-violation

@@ -103,55 +103,118 @@ void Client::Attempt(std::shared_ptr<Op> op) {
   }
   op->attempts++;
   stats_.attempts++;
-
-  auto req = MakePooled<ClientRequestMsg>();
-  req->op = op->op;
-  req->key = op->key;
-  req->value = op->value;
-  if (op->op != ClientOp::kGet) {
-    req->client_id = id();
-    req->client_seq = op->seq;
-  }
   const TimeMicros timeout =
       std::min(cfg_.rpc_timeout, std::max<TimeMicros>(op->deadline - now(), 1));
-  // Retries fire from backoff timers, outside any ambient context; stamp
-  // each attempt with the op's span explicitly.
-  obs::ScopedContext trace_scope(simulator()->tracer(), op->span);
+  if (op->op != ClientOp::kGet) {
+    SendRequest(target, std::move(op), 1, timeout);
+    return;
+  }
+  auto box = std::find_if(outboxes_.begin(), outboxes_.end(),
+                          [target](const Outbox& b) {
+                            return b.target == target;
+                          });
+  if (box == outboxes_.end()) {
+    if (outboxes_.empty()) {
+      timers().Defer([this] { FlushOutboxes(); });
+    }
+    box = outboxes_.insert(outboxes_.end(), Outbox());
+    box->target = target;
+    box->timeout = timeout;
+  }
+  Op* const tail = op.get();
+  if (box->tail == nullptr) {
+    box->head = std::move(op);
+  } else {
+    box->tail->batch_next = std::move(op);
+  }
+  box->tail = tail;
+  box->count++;
+  box->timeout = std::min(box->timeout, timeout);
+}
+
+void Client::FlushOutboxes() {
+  for (Outbox& box : outboxes_) {
+    SendRequest(box.target, std::move(box.head), box.count, box.timeout);
+  }
+  outboxes_.clear();
+}
+
+void Client::SendRequest(NodeId target, std::shared_ptr<Op> head,
+                         size_t count, TimeMicros timeout) {
+  auto req = MakePooled<ClientRequestMsg>();
+  req->op = head->op;
+  req->key = head->key;
+  req->value = head->value;
+  if (head->op != ClientOp::kGet) {
+    req->client_id = id();
+    req->client_seq = head->seq;
+  }
+  req->more_keys.reserve(count - 1);
+  for (const Op* op = head->batch_next.get(); op != nullptr;
+       op = op->batch_next.get()) {
+    req->more_keys.push_back(op->key);
+  }
+  // Retries fire from backoff timers and flushes after the event, outside
+  // any ambient context; stamp the request with its first op's span.
+  obs::ScopedContext trace_scope(simulator()->tracer(), head->span);
   Call(target, std::move(req), timeout,
-       [this, op](StatusOr<sim::MessagePtr> result) mutable {
-         if (!result.ok()) {
-           // Timeout or explicit error envelope: rotate targets.
-           AttemptLater(std::move(op));
-           return;
-         }
-         const auto& reply = sim::As<ClientReplyMsg>(*result);
-         for (const ring::GroupInfo& info : reply.ring_updates) {
-           ring_.Upsert(info);
-         }
-         switch (reply.code) {
-           case StatusCode::kOk:
-             op->redirect_streak = 0;
-             FinishOp(op, Status::Ok(), &reply);
-             return;
-           case StatusCode::kNotLeader:
-           case StatusCode::kWrongGroup:
-             stats_.redirects++;
-             if (++op->redirect_streak > kRedirectStreakLimit) {
-               // Routing information is churning (a boundary just moved);
-               // back off and let the hints converge instead of burning
-               // the attempt budget on a redirect loop.
-               op->redirect_streak = 0;
-               AttemptLater(std::move(op));
-             } else {
-               Attempt(std::move(op));  // Cache repaired; retry now.
-             }
-             return;
-           default:
-             op->redirect_streak = 0;
-             AttemptLater(std::move(op));  // Busy/frozen/unavailable.
-             return;
-         }
+       [this, head = std::move(head)](
+           StatusOr<sim::MessagePtr> result) mutable {
+         OnReply(std::move(head), std::move(result));
        });
+}
+
+void Client::OnReply(std::shared_ptr<Op> head,
+                     StatusOr<sim::MessagePtr> result) {
+  if (!result.ok()) {
+    // Timeout or explicit error envelope: every op rotates targets.
+    while (head != nullptr) {
+      std::shared_ptr<Op> next = std::move(head->batch_next);
+      AttemptLater(std::move(head));
+      head = std::move(next);
+    }
+    return;
+  }
+  const auto& reply = sim::As<ClientReplyMsg>(*result);
+  for (const ring::GroupInfo& info : reply.ring_updates) {
+    ring_.Upsert(info);
+  }
+  for (size_t i = 0; head != nullptr; ++i) {
+    std::shared_ptr<Op> op = std::move(head);
+    head = std::move(op->batch_next);
+    // Result i; a reply short of results leaves the rest to back off.
+    const KeyResult* r =
+        i > 0 && i <= reply.more_results.size() ? &reply.more_results[i - 1]
+                                                : nullptr;
+    const StatusCode code =
+        i == 0 ? reply.code : r != nullptr ? r->code : StatusCode::kInternal;
+    switch (code) {
+      case StatusCode::kOk: {
+        op->redirect_streak = 0;
+        const bool found = i == 0 ? reply.found : r->found;
+        const Value* value = i == 0 ? &reply.value : &r->value;
+        FinishOp(op, Status::Ok(), found ? value : nullptr);
+        break;
+      }
+      case StatusCode::kNotLeader:
+      case StatusCode::kWrongGroup:
+        stats_.redirects++;
+        if (++op->redirect_streak > kRedirectStreakLimit) {
+          // Routing information is churning (a boundary just moved); back
+          // off and let the hints converge instead of burning the attempt
+          // budget on a redirect loop.
+          op->redirect_streak = 0;
+          AttemptLater(std::move(op));
+        } else {
+          Attempt(std::move(op));  // Cache repaired; retry now.
+        }
+        break;
+      default:
+        op->redirect_streak = 0;
+        AttemptLater(std::move(op));  // Busy/frozen/unavailable.
+        break;
+    }
+  }
 }
 
 void Client::AttemptLater(std::shared_ptr<Op> op) {
@@ -161,7 +224,7 @@ void Client::AttemptLater(std::shared_ptr<Op> op) {
 }
 
 void Client::FinishOp(const std::shared_ptr<Op>& op, Status status,
-                      const ClientReplyMsg* reply) {
+                      const Value* value) {
   stats_.attempts_per_op.Record(static_cast<int64_t>(op->attempts));
   obs::TraceRecorder* tr = simulator()->tracer();
   obs::Annotate(tr, op->span, "status",
@@ -173,12 +236,12 @@ void Client::FinishOp(const std::shared_ptr<Op>& op, Status status,
     if (!status.ok()) {
       stats_.ops_failed++;
       cb(std::move(status));
-    } else if (!reply->found) {
+    } else if (value == nullptr) {
       stats_.ops_not_found++;
       cb(NotFoundError("no value"));
     } else {
       stats_.ops_ok++;
-      cb(reply->value);
+      cb(*value);
     }
     return;
   }

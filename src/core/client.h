@@ -4,6 +4,13 @@
 //
 // Writes carry a (client_id, sequence) pair so server-side dedup makes
 // retries exactly-once; reads are idempotent.
+//
+// Gets are batched per node: every Get attempt addressed to one node within
+// one simulator event waits in that node's outbox, and the outboxes are
+// flushed once the event's callback returns (TimerOwner::Defer), one
+// request per node. The node answers a request with one reply carrying a
+// result per key; each op then finishes, is redirected or backs off on its
+// own result. Writes are sent at once, one per request.
 
 #ifndef SCATTER_SRC_CORE_CLIENT_H_
 #define SCATTER_SRC_CORE_CLIENT_H_
@@ -96,21 +103,43 @@ class Client : public rpc::RpcNode, public KvClient {
     size_t redirect_streak = 0;
     GetCallback get_cb;
     WriteCallback write_cb;
-    // Span covering the whole logical operation (all attempts); every
-    // request the op sends is stamped with it.
+    // Span covering the whole logical operation (all attempts); a request
+    // is stamped with the span of its first op.
     obs::TraceContext span;
+    // The next op of the same outbox or request, in issue order.
+    std::shared_ptr<Op> batch_next;
+  };
+
+  // The Get attempts addressed to one node in the current event.
+  struct Outbox {
+    NodeId target = kInvalidNode;
+    std::shared_ptr<Op> head;
+    Op* tail = nullptr;
+    size_t count = 0;
+    TimeMicros timeout = 0;  // the minimum over the ops
   };
 
   void StartOp(std::shared_ptr<Op> op);
   void Attempt(std::shared_ptr<Op> op);
   void AttemptLater(std::shared_ptr<Op> op);
+  // Sends the `count` ops listed from `head` to `target` as one request.
+  void SendRequest(NodeId target, std::shared_ptr<Op> head, size_t count,
+                   TimeMicros timeout);
+  void OnReply(std::shared_ptr<Op> head, StatusOr<sim::MessagePtr> result);
+  // One request per outbox, targets in order of first use.
+  void FlushOutboxes();
+  // Completes op. For a Get that succeeded, `value` is the value read, or
+  // null when the key was not found.
   void FinishOp(const std::shared_ptr<Op>& op, Status status,
-                const ClientReplyMsg* reply);
+                const Value* value);
   NodeId PickTarget(const Op& op);
 
   ClientConfig cfg_;
   std::vector<NodeId> seeds_;
   ring::RingMap ring_;
+  // Targets of this event's Gets in order of first use; cleared, keeping
+  // its capacity, by each flush.
+  std::vector<Outbox> outboxes_;
   uint64_t next_seq_ = 0;
   ClientStats stats_;
 };

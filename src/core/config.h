@@ -68,6 +68,13 @@ struct ScatterConfig {
   paxos::PaxosConfig paxos;
   txn::TxnConfig txn;
   PolicyConfig policy;
+
+  // --- Seeded bug (test-only; never enable outside tests) -----------------
+  // A batched Get runs the leader and lease check for its first key only
+  // and serves the other keys from the local replica, leader or not: a
+  // follower that has not applied a completed write returns the old value
+  // (tests/mc_mutation_test.cc, scenario batched_read+mutation).
+  bool bug_batch_checks_first_key_only = false;
 };
 
 }  // namespace scatter::core

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "src/common/pooled.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/ring/group_info.h"
@@ -16,27 +17,57 @@ enum class ClientOp : uint8_t { kGet, kPut, kDelete };
 
 // Client -> node (RPC). Writes carry (client_id, client_seq) so retries are
 // exactly-once; reads are idempotent and carry no sequence.
+//
+// A Get request is a batch of n >= 1 keys, one per Get the client addressed
+// to this node in one event: `key` is key 0 and `more_keys` holds keys
+// 1..n-1. A write is always a batch of one.
 struct ClientRequestMsg : sim::Message {
   ClientRequestMsg() : Message(sim::MessageType::kClientRequest) {}
-  size_t ByteSize() const override { return 64 + value.size(); }
+  size_t ByteSize() const override {
+    return key_bytes(0) + sizeof(Key) * more_keys.size();
+  }
+  size_t key_count() const { return 1 + more_keys.size(); }
+  Key key_at(size_t i) const { return i == 0 ? key : more_keys[i - 1]; }
+  // Key i's share of ByteSize(): key 0 carries the header and the value.
+  size_t key_bytes(size_t i) const {
+    return i == 0 ? 64 + value.size() : sizeof(Key);
+  }
+
   ClientOp op = ClientOp::kGet;
   Key key = 0;
   Value value;
   uint64_t client_id = 0;
   uint64_t client_seq = 0;
+  std::vector<Key, PoolAllocator<Key>> more_keys;
 };
 
-struct ClientReplyMsg : sim::Message {
-  ClientReplyMsg() : Message(sim::MessageType::kClientReply) {}
-  size_t ByteSize() const override {
-    return 64 + value.size() + 96 * ring_updates.size();
-  }
+// The outcome of one key of a request.
+struct KeyResult {
   StatusCode code = StatusCode::kOk;
   bool found = false;  // get only
   Value value;         // get only
-  // Routing repair: fresh information about groups relevant to the key
+};
+
+// One reply per request. Result 0 sits in code/found/value and result i > 0
+// in more_results[i - 1], in the request's key order.
+struct ClientReplyMsg : sim::Message {
+  ClientReplyMsg() : Message(sim::MessageType::kClientReply) {}
+  size_t ByteSize() const override {
+    size_t bytes = 64 + value.size() + 96 * ring_updates.size();
+    for (const KeyResult& r : more_results) {
+      bytes += 8 + r.value.size();
+    }
+    return bytes;
+  }
+  size_t result_count() const { return 1 + more_results.size(); }
+
+  StatusCode code = StatusCode::kOk;
+  bool found = false;  // get only
+  Value value;         // get only
+  // Routing repair: fresh information about groups relevant to the keys
   // (the serving group, redirect targets, or forwards of retired groups).
   std::vector<ring::GroupInfo> ring_updates;
+  std::vector<KeyResult, PoolAllocator<KeyResult>> more_results;
 };
 
 // Directory lookup (RPC): who owns `key`?

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "src/common/hash.h"
@@ -48,6 +49,20 @@ constexpr TimeMicros kRetiredGrace = Seconds(15);
 // Join retry backoff.
 constexpr TimeMicros kJoinRetryMin = Millis(500);
 constexpr TimeMicros kJoinRetryMax = Seconds(2);
+
+// Sets result i of a reply: code, and for a Get that found its key, the
+// value.
+void SetResult(ClientReplyMsg& reply, size_t i, StatusCode code,
+               std::optional<Value> value = std::nullopt) {
+  StatusCode& c = i == 0 ? reply.code : reply.more_results[i - 1].code;
+  bool& found = i == 0 ? reply.found : reply.more_results[i - 1].found;
+  c = code;
+  found = value.has_value();
+  if (value.has_value()) {
+    (i == 0 ? reply.value : reply.more_results[i - 1].value) =
+        std::move(*value);
+  }
+}
 
 }  // namespace
 
@@ -484,21 +499,50 @@ void ScatterNode::OnRequest(const MessagePtr& message) {
 
 void ScatterNode::HandleClientRequest(const MessagePtr& message) {
   const auto& req = sim::As<ClientRequestMsg>(message);
-  Hosted* h = FindServingGroup(req.key);
+  auto p = MakePooled<PendingRequest>();
+  p->request = message;
+  p->reply = MakePooled<ClientReplyMsg>();
+  p->reply->more_results.resize(req.more_keys.size());
+  p->keys_left = req.key_count();
+  for (size_t i = 0; i < req.key_count(); ++i) {
+    ServeKey(p, i);
+  }
+}
+
+void ScatterNode::FinishKey(const std::shared_ptr<PendingRequest>& p) {
+  if (--p->keys_left > 0) {
+    return;
+  }
+  obs::TraceRecorder* tr = simulator()->tracer();
+  obs::ScopedContext reply_scope(tr,
+                                 p->span.valid() ? p->span : obs::Ambient(tr));
+  Reply(*p->request, std::move(p->reply));
+}
+
+void ScatterNode::ServeKey(const std::shared_ptr<PendingRequest>& p,
+                           size_t i) {
+  const auto& req = sim::As<ClientRequestMsg>(p->request);
+  ClientReplyMsg& reply = *p->reply;
+  const Key key = req.key_at(i);
+  Hosted* h = FindServingGroup(key);
   if (h == nullptr) {
-    auto reply = MakePooled<ClientReplyMsg>();
-    reply->code = StatusCode::kWrongGroup;
-    AddRoutingHints(req.key, &reply->ring_updates);
+    SetResult(reply, i, StatusCode::kWrongGroup);
+    AddRoutingHints(key, &reply.ring_updates);
     stats_.client_ops_redirected++;
-    Reply(*message, std::move(reply));
+    FinishKey(p);
+    return;
+  }
+  if (i > 0 && cfg_.bug_batch_checks_first_key_only) {
+    SetResult(reply, i, StatusCode::kOk, h->sm->state().data.Get(key));
+    stats_.client_ops_served++;
+    FinishKey(p);
     return;
   }
   if (!h->replica->is_leader()) {
-    auto reply = MakePooled<ClientReplyMsg>();
-    reply->code = StatusCode::kNotLeader;
-    reply->ring_updates.push_back(SelfInfo(*h));
+    SetResult(reply, i, StatusCode::kNotLeader);
+    reply.ring_updates.push_back(SelfInfo(*h));
     stats_.client_ops_redirected++;
-    Reply(*message, std::move(reply));
+    FinishKey(p);
     return;
   }
 
@@ -506,7 +550,7 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
   h->window_ops++;
   const TimeMicros accepted_at = now();
   ++*h->ops_accepted;
-  *h->bytes_accepted += req.ByteSize();
+  *h->bytes_accepted += req.key_bytes(i);
   // Node-side span: child of the client op's span (restored from the
   // delivered request), parent of the paxos spans the read/write produces.
   obs::TraceRecorder* tr = simulator()->tracer();
@@ -516,45 +560,42 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
                      : req.op == ClientOp::kPut ? "node.put"
                                                 : "node.delete",
                      id(), gid);
+  if (!p->span.valid()) {
+    p->span = node_span;
+  }
   obs::ScopedContext trace_scope(tr, node_span);
   if (req.op == ClientOp::kGet) {
-    h->replica->LinearizableRead([this, message, gid, node_span, accepted_at,
-                                  key = req.key](Status status) {
-      auto reply = MakePooled<ClientReplyMsg>();
+    h->replica->LinearizableRead([this, p, i, gid, node_span, accepted_at,
+                                  key](Status status) {
+      ClientReplyMsg& out = *p->reply;
       Hosted* cur = FindHosted(gid);
       if (cur != nullptr) {
         cur->op_latency->Record(now() - accepted_at);
       }
       if (cur == nullptr || cur->sm->IsRetired() ||
           !cur->sm->range().Contains(key)) {
-        reply->code = StatusCode::kWrongGroup;
-        AddRoutingHints(key, &reply->ring_updates);
+        SetResult(out, i, StatusCode::kWrongGroup);
+        AddRoutingHints(key, &out.ring_updates);
       } else if (!status.ok()) {
-        reply->code = status.code();
-        reply->ring_updates.push_back(SelfInfo(*cur));
+        SetResult(out, i, status.code());
+        out.ring_updates.push_back(SelfInfo(*cur));
       } else {
-        auto value = cur->sm->state().data.Get(key);
-        reply->code = StatusCode::kOk;
-        reply->found = value.has_value();
-        if (value.has_value()) {
-          reply->value = std::move(*value);
-        }
+        SetResult(out, i, StatusCode::kOk, cur->sm->state().data.Get(key));
         stats_.client_ops_served++;
       }
-      obs::ScopedContext reply_scope(simulator()->tracer(), node_span);
-      Reply(*message, std::move(reply));
+      FinishKey(p);
       obs::EndSpan(simulator()->tracer(), node_span);
     });
     return;
   }
 
-  // Writes. Frozen groups reject immediately; the client backs off.
+  // Writes (always the request's only key). Frozen groups reject
+  // immediately; the client backs off.
   if (h->sm->IsFrozen()) {
-    auto reply = MakePooled<ClientReplyMsg>();
-    reply->code = StatusCode::kConflict;
-    reply->ring_updates.push_back(SelfInfo(*h));
+    reply.code = StatusCode::kConflict;
+    reply.ring_updates.push_back(SelfInfo(*h));
     stats_.client_ops_rejected++;
-    Reply(*message, std::move(reply));
+    FinishKey(p);
     obs::EndSpan(tr, node_span);
     return;
   }
@@ -567,34 +608,32 @@ void ScatterNode::HandleClientRequest(const MessagePtr& message) {
   cmd->client_id = req.client_id;
   cmd->client_seq = req.client_seq;
   h->replica->Propose(
-      cmd, [this, message, gid, node_span, accepted_at,
-            client = req.client_id,
+      cmd, [this, p, gid, node_span, accepted_at, client = req.client_id,
             seq = req.client_seq](StatusOr<uint64_t> result) {
-        auto reply = MakePooled<ClientReplyMsg>();
+        ClientReplyMsg& out = *p->reply;
         Hosted* cur = FindHosted(gid);
         if (cur != nullptr) {
           cur->op_latency->Record(now() - accepted_at);
         }
         if (!result.ok()) {
-          reply->code = result.status().code();
+          out.code = result.status().code();
         } else if (cur == nullptr) {
-          reply->code = StatusCode::kUnavailable;
+          out.code = StatusCode::kUnavailable;
         } else {
-          reply->code =
+          out.code =
               cur->sm->ResultFor(client, seq).value_or(StatusCode::kInternal);
           stats_.client_ops_served++;
         }
         if (cur != nullptr) {
           if (cur->sm->IsRetired()) {
             for (const GroupInfo& fwd : cur->sm->state().forward) {
-              reply->ring_updates.push_back(fwd);
+              out.ring_updates.push_back(fwd);
             }
           } else {
-            reply->ring_updates.push_back(SelfInfo(*cur));
+            out.ring_updates.push_back(SelfInfo(*cur));
           }
         }
-        obs::ScopedContext reply_scope(simulator()->tracer(), node_span);
-        Reply(*message, std::move(reply));
+        FinishKey(p);
         obs::EndSpan(simulator()->tracer(), node_span);
       });
 }

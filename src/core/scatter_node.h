@@ -26,6 +26,7 @@
 #include "src/core/messages.h"
 #include "src/membership/group_state_machine.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/paxos/replica.h"
 #include "src/ring/ring_map.h"
 #include "src/rpc/rpc_node.h"
@@ -152,8 +153,23 @@ class ScatterNode : public rpc::RpcNode,
     TimeMicros leadership_since = 0;
   };
 
+  // A client request in service. The reply goes out when the last of its
+  // keys completes.
+  struct PendingRequest {
+    sim::MessagePtr request;
+    std::shared_ptr<ClientReplyMsg> reply;
+    size_t keys_left = 0;
+    // The node span of the first key served: the reply goes out in it. A
+    // request redirected in full replies in the request's own context.
+    obs::TraceContext span;
+  };
+
   // --- Request handlers ----------------------------------------------------
   void HandleClientRequest(const sim::MessagePtr& m);
+  // Serves key i of a request exactly as a request of that key alone.
+  void ServeKey(const std::shared_ptr<PendingRequest>& p, size_t i);
+  // Marks one key of `p` complete; the last one sends the reply.
+  void FinishKey(const std::shared_ptr<PendingRequest>& p);
   void HandleLookup(const sim::MessagePtr& m);
   void HandleJoinRequest(const sim::MessagePtr& m);
   void HandleJoinReplyMessage(const sim::MessagePtr& m, size_t attempt);

@@ -14,13 +14,18 @@ namespace scatter::core {
 template <class IO>
 void Fields(ClientRequestMsg& m, IO& io) {
   io(wire::Enum(m.op, ClientOp::kDelete), m.key, m.value, m.client_id,
-     m.client_seq);
+     m.client_seq, m.more_keys);
+}
+
+template <class IO>
+void Fields(KeyResult& r, IO& io) {
+  io(wire::Enum(r.code, StatusCode::kInternal), r.found, r.value);
 }
 
 template <class IO>
 void Fields(ClientReplyMsg& m, IO& io) {
   io(wire::Enum(m.code, StatusCode::kInternal), m.found, m.value,
-     m.ring_updates);
+     m.ring_updates, m.more_results);
 }
 
 template <class IO>

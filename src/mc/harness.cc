@@ -334,43 +334,75 @@ NodeId McHarness::client_id() const {
   return client_ != nullptr ? client_->id() : kInvalidNode;
 }
 
-void McHarness::ClientPut(Key key, const std::string& tag) {
+void McHarness::ClientPut(Key key, const std::string& tag,
+                          std::function<void()> then) {
   SCATTER_CHECK(client_ != nullptr);
   const Value value = "mc:" + tag + ":" + std::to_string(++put_seq_);
   const uint64_t op =
       history_.RecordInvoke(verify::OpType::kWrite, key, value,
                             cluster_->sim().now());
   written_keys_.push_back(key);
-  client_->Put(key, value, [this, op](Status s) {
+  client_->Put(key, value, [this, op, then = std::move(then)](Status s) {
     history_.RecordComplete(op,
                             s.ok() ? verify::Outcome::kOk
                                    : verify::Outcome::kIndeterminate,
                             "", cluster_->sim().now());
+    if (then) {
+      then();
+    }
   });
 }
 
-bool McHarness::RequestMerge(GroupId group) {
+void McHarness::ClientGet(core::Client* client, Key key) {
+  const uint64_t op = history_.RecordInvoke(verify::OpType::kRead, key, "",
+                                            cluster_->sim().now());
+  client->Get(key, [this, op](StatusOr<Value> r) {
+    if (r.ok()) {
+      history_.RecordComplete(op, verify::Outcome::kOk, r.value(),
+                              cluster_->sim().now());
+    } else if (r.status().code() == StatusCode::kNotFound) {
+      history_.RecordComplete(op, verify::Outcome::kNotFound, "",
+                              cluster_->sim().now());
+    } else {
+      // Unanswered read: constrains nothing.
+      history_.RecordComplete(op, verify::Outcome::kIndeterminate, "",
+                              cluster_->sim().now());
+    }
+  });
+}
+
+core::Client* McHarness::AddClient(const std::vector<ring::GroupInfo>& ring) {
+  core::Client* client = cluster_->AddClient();
+  client->SeedRing(ring);
+  return client;
+}
+
+NodeId McHarness::LeaderOf(GroupId group) {
   for (NodeId id : cluster_->live_node_ids()) {
-    core::ScatterNode* node = cluster_->node(id);
-    const paxos::Replica* replica = node->GroupReplica(group);
+    const paxos::Replica* replica = cluster_->node(id)->GroupReplica(group);
     if (replica != nullptr && replica->is_leader()) {
-      node->RequestMerge(group, [](Status) {});
-      return true;
+      return id;
     }
   }
-  return false;
+  return kInvalidNode;
+}
+
+bool McHarness::RequestMerge(GroupId group) {
+  const NodeId leader = LeaderOf(group);
+  if (leader == kInvalidNode) {
+    return false;
+  }
+  cluster_->node(leader)->RequestMerge(group, [](Status) {});
+  return true;
 }
 
 bool McHarness::RequestSplit(GroupId group) {
-  for (NodeId id : cluster_->live_node_ids()) {
-    core::ScatterNode* node = cluster_->node(id);
-    const paxos::Replica* replica = node->GroupReplica(group);
-    if (replica != nullptr && replica->is_leader()) {
-      node->RequestSplit(group, [](Status) {});
-      return true;
-    }
+  const NodeId leader = LeaderOf(group);
+  if (leader == kInvalidNode) {
+    return false;
   }
-  return false;
+  cluster_->node(leader)->RequestSplit(group, [](Status) {});
+  return true;
 }
 
 bool McHarness::ProbeWrite(Key key) {
@@ -430,27 +462,18 @@ void McHarness::IssueProbeReads() {
   std::vector<Key> keys = written_keys_;
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  auto remaining = std::make_shared<size_t>(keys.size());
+  const size_t first = history_.total_ops();
   for (Key key : keys) {
-    const uint64_t op = history_.RecordInvoke(verify::OpType::kRead, key, "",
-                                              cluster_->sim().now());
-    client_->Get(key, [this, op, remaining](StatusOr<Value> r) {
-      (*remaining)--;
-      if (r.ok()) {
-        history_.RecordComplete(op, verify::Outcome::kOk, r.value(),
-                                cluster_->sim().now());
-      } else if (r.status().code() == StatusCode::kNotFound) {
-        history_.RecordComplete(op, verify::Outcome::kNotFound, "",
-                                cluster_->sim().now());
-      } else {
-        // Unanswered read: constrains nothing.
-        history_.RecordComplete(op, verify::Outcome::kIndeterminate, "",
-                                cluster_->sim().now());
-      }
-    });
+    ClientGet(client_, key);
   }
+  const auto probes_pending = [&] {
+    return std::any_of(history_.ops().begin() + first, history_.ops().end(),
+                       [](const verify::Operation& op) {
+                         return op.outcome == verify::Outcome::kPending;
+                       });
+  };
   const TimeMicros deadline = cluster_->sim().now() + scenario_.probe_run;
-  while (*remaining > 0 && cluster_->sim().now() < deadline &&
+  while (probes_pending() && cluster_->sim().now() < deadline &&
          cluster_->sim().pending_events() > 0) {
     cluster_->sim().Step();
   }

@@ -25,6 +25,7 @@
 #define SCATTER_SRC_MC_HARNESS_H_
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -93,8 +94,17 @@ class McHarness : public sim::Scheduler {
 
   // --- Scenario helpers ----------------------------------------------------
   // Fire-and-forget client write of a globally unique value, recorded in
-  // the history; its key is probed with a read during the epilogue.
-  void ClientPut(Key key, const std::string& tag);
+  // the history; its key is probed with a read during the epilogue. `then`,
+  // when set, runs once the write completes.
+  void ClientPut(Key key, const std::string& tag,
+                 std::function<void()> then = nullptr);
+  // Fire-and-forget read through `client`, recorded in the history.
+  void ClientGet(core::Client* client, Key key);
+  // Adds a client whose routing cache starts as `ring`, stale hints and
+  // all. The harness's own client stays the one ClientPut uses.
+  core::Client* AddClient(const std::vector<ring::GroupInfo>& ring);
+  // The node leading `group`, or kInvalidNode.
+  NodeId LeaderOf(GroupId group);
   // Starts a structural operation on the group's current leader node.
   // Returns false if the group has no leader (scenario setup too short).
   bool RequestMerge(GroupId group);

@@ -31,9 +31,15 @@
 //                     locally and re-enters only through a join + bootstrap
 //                     state transfer (the goal asserts exactly that), which
 //                     is what durable WAL recovery saves.
+//   batched_read    — two groups; node X leads A and follows B. After a
+//                     write to b in B completes, a client whose cache names
+//                     X as B's leader sends Get(a) and Get(b) to X in one
+//                     request. Detects bug_batch_checks_first_key_only (X
+//                     serves b from its follower replica, which the
+//                     explorer can hold behind the write: a stale read).
 //
 // "<name>+mutation" variants enable the matching seeded bug flag
-// (src/paxos/config.h, src/txn/group_op_driver.h).
+// (src/paxos/config.h, src/txn/group_op_driver.h, src/core/config.h).
 
 #include "src/mc/scenario.h"
 
@@ -241,6 +247,54 @@ McScenario MakeCrashAmnesia() {
   return sc;
 }
 
+McScenario MakeBatchedRead() {
+  McScenario sc;
+  sc.name = "batched_read";
+  // Members round-robin: A = {1, 3, 5}, B = {2, 4}.
+  sc.cluster = BaseConfig(/*nodes=*/5, /*groups=*/2);
+  sc.setup = [](McHarness& h) {
+    // A's leader X joins B through the migration path. A leader never
+    // leaves its old group, so X goes on leading A and follows B, whose
+    // writes then commit on {2, 4} without it.
+    const NodeId x = h.LeaderOf(h.GroupIdAt(0));
+    SCATTER_CHECK(x != kInvalidNode);
+    ring::GroupInfo b;
+    for (const ring::GroupInfo& info : h.cluster().AuthoritativeRing()) {
+      if (info.id == h.GroupIdAt(1)) {
+        b = info;
+      }
+    }
+    auto directive = std::make_shared<core::MigrateDirectiveMsg>();
+    directive->target_group = b;
+    directive->from = x;
+    directive->to = x;
+    h.cluster().net().Send(std::move(directive));
+    h.cluster().RunFor(Seconds(1));
+    const paxos::Replica* r = h.cluster().node(x)->GroupReplica(b.id);
+    SCATTER_CHECK(r != nullptr && r->has_started() && !r->is_leader());
+    SCATTER_CHECK(h.LeaderOf(h.GroupIdAt(0)) == x);
+  };
+  sc.on_start = [](McHarness& h) {
+    // The reader's cache names X as the leader of both groups, so its
+    // Gets of a and b share one request to X.
+    const NodeId x = h.LeaderOf(h.GroupIdAt(0));
+    std::vector<ring::GroupInfo> ring = h.cluster().AuthoritativeRing();
+    for (ring::GroupInfo& info : ring) {
+      info.leader = x;
+    }
+    core::Client* reader = h.AddClient(ring);
+    h.ClientPut(h.KeyInGroup(1), "b", [&h, reader] {
+      // One event strictly after the write completed, so the reads must
+      // observe it.
+      h.cluster().sim().Schedule(1, [&h, reader] {
+        h.ClientGet(reader, h.KeyInGroup(0));
+        h.ClientGet(reader, h.KeyInGroup(1));
+      });
+    });
+  };
+  return sc;
+}
+
 }  // namespace
 
 McScenario MakeScenario(const std::string& name) {
@@ -265,6 +319,8 @@ McScenario MakeScenario(const std::string& name) {
     sc = MakeCrashDisk();
   } else if (base == "crash_amnesia") {
     sc = MakeCrashAmnesia();
+  } else if (base == "batched_read") {
+    sc = MakeBatchedRead();
   } else {
     SCATTER_CHECK(false && "unknown mc scenario");
   }
@@ -279,6 +335,8 @@ McScenario MakeScenario(const std::string& name) {
         sc.cluster.scatter.txn.bug_drop_resent_prepare_payload = true;
       } else if (base == "bootstrap_wedge") {
         sc.cluster.scatter.paxos.bug_skip_bootstrap_joiner = true;
+      } else if (base == "batched_read") {
+        sc.cluster.scatter.bug_batch_checks_first_key_only = true;
       } else {
         SCATTER_CHECK(false && "scenario has no mutation variant");
       }
@@ -298,7 +356,9 @@ std::vector<std::string> ScenarioNames() {
           "bootstrap_wedge",
           "bootstrap_wedge+mutation",
           "crash_disk",
-          "crash_amnesia"};
+          "crash_amnesia",
+          "batched_read",
+          "batched_read+mutation"};
 }
 
 }  // namespace scatter::mc

@@ -123,8 +123,12 @@ class Network {
 
   // Delivers a message the scheduler previously took ownership of, through
   // the same endpoint path (trace restore, transport override) a normally
-  // scheduled delivery would take. Dropped if the receiver detached.
-  void InjectDelivery(const MessagePtr& message) { Deliver(message); }
+  // scheduled delivery would take, after any deferred work (the delivery
+  // stands in for the next event). Dropped if the receiver detached.
+  void InjectDelivery(const MessagePtr& message) {
+    sim_->RunDeferred();
+    Deliver(message);
+  }
 
   // Whether the fault fabric currently lets from -> to traffic through
   // (used by the scheduler to keep captured messages "in flight" across a

@@ -332,6 +332,7 @@ void Simulator::Fire(uint32_t slot) {
   ReleaseSlot(slot);
   events_processed_++;
   fn();
+  RunDeferred();
   // The monitor tick runs before the audit hook so an auditor that reads
   // health state sees detections up to the current instant.
   RunMonitorTicks();
@@ -341,6 +342,7 @@ void Simulator::Fire(uint32_t slot) {
 }
 
 bool Simulator::Step() {
+  RunDeferred();
   const uint32_t slot = NextSlot();
   if (slot == kNoSlot) {
     return false;
@@ -368,12 +370,44 @@ void Simulator::Run() {
 
 void Simulator::RunUntil(TimeMicros t) {
   SCATTER_CHECK(t >= now_);
+  RunDeferred();
   for (uint32_t slot = NextSlot(); slot != kNoSlot && slots_[slot].at <= t;
        slot = NextSlot()) {
     Fire(slot);
   }
   now_ = t;
   RunMonitorTicks();  // boundaries crossed by the final clock advance
+}
+
+void Simulator::DrainDeferred() {
+  // Indexed, not iterated: deferred work may defer more, which appends.
+  for (size_t i = 0; i < deferred_.size(); ++i) {
+    Deferred& d = deferred_[i];
+    if (d.owner == nullptr) {
+      continue;  // dropped with its owner
+    }
+    d.owner->deferred_--;
+    d.owner = nullptr;
+    EventFn fn = std::move(d.fn);
+    fn();
+  }
+  deferred_.clear();
+}
+
+void Simulator::DropDeferred(TimerOwner* owner) {
+  for (size_t i = 0; i < deferred_.size(); ++i) {
+    if (deferred_[i].owner == owner) {
+      deferred_[i].owner = nullptr;
+      // Destroyed outside the vector: its captures may own TimerOwners.
+      EventFn dead = std::move(deferred_[i].fn);
+    }
+  }
+  owner->deferred_ = 0;
+}
+
+void TimerOwner::Defer(EventFn fn) {
+  sim_->deferred_.push_back(Simulator::Deferred{this, std::move(fn)});
+  deferred_++;
 }
 
 void TimerOwner::Cancel(TimerId id) {
@@ -395,6 +429,9 @@ bool TimerOwner::Reschedule(TimerId id, TimeMicros delay) {
 void TimerOwner::CancelAll() {
   while (head_ != Simulator::kNoSlot) {
     sim_->CancelSlot(head_);
+  }
+  if (deferred_ != 0) {
+    sim_->DropDeferred(this);
   }
 }
 

@@ -25,6 +25,14 @@
 // plus Schedule would have put it. Callbacks are move-only EventFns with
 // inline storage, so the steady-state schedule/cancel/fire cycle performs
 // no heap allocation at all.
+//
+// A TimerOwner can also defer work to the end of the current event
+// (Defer): the work runs after the event's callback returns, before the
+// monitor tick and the audit hook, in the order it was deferred. It is not
+// an event — it takes no slot, no seq and no place in events_processed() —
+// so coalescing what one event produces (a client's Gets to one node)
+// leaves the schedule of everything else as it was. Work deferred outside
+// any event runs before the next event fires.
 
 #ifndef SCATTER_SRC_SIM_SIMULATOR_H_
 #define SCATTER_SRC_SIM_SIMULATOR_H_
@@ -89,14 +97,26 @@ class Simulator {
   // generation).
   void Cancel(TimerId id);
 
-  // Runs the earliest pending event. Returns false when the queue is empty.
+  // Runs the earliest pending event, after any deferred work. Returns false
+  // when the queue is empty once that work has run.
   bool Step();
 
   // Runs events until the queue drains.
   void Run();
 
-  // Runs events with fire time <= t, then advances the clock to exactly t.
+  // Runs deferred work, then events with fire time <= t, then advances the
+  // clock to exactly t.
   void RunUntil(TimeMicros t);
+
+  // Runs the work TimerOwners deferred, in order, including work that
+  // deferred work defers. Every event runs it after its callback; Step,
+  // RunUntil and Network::InjectDelivery run it on entry, for work deferred
+  // outside any event.
+  void RunDeferred() {
+    if (!deferred_.empty()) {
+      DrainDeferred();
+    }
+  }
 
   // RunUntil(now() + d).
   void RunFor(TimeMicros d) { RunUntil(now_ + d); }
@@ -228,6 +248,16 @@ class Simulator {
   // Moves the pending event in `slot` to now() + delay under a fresh seq.
   void RescheduleSlot(uint32_t slot, TimeMicros delay);
 
+  // Deferred work: the owner that deferred it (null once run or dropped)
+  // and the callback.
+  struct Deferred {
+    TimerOwner* owner;
+    EventFn fn;
+  };
+  void DrainDeferred();
+  // Drops the deferred work of `owner`, unrun.
+  void DropDeferred(TimerOwner* owner);
+
   uint32_t AcquireSlot();
   // Unlinks the slot from its owner, bumps the generation and returns the
   // slot to the free list. The slot's callback must already be moved out.
@@ -278,6 +308,9 @@ class Simulator {
   uint64_t occupied_summary_ = 0;
   size_t wheel_size_ = 0;
   uint32_t free_head_ = kNoSlot;
+  // Work deferred to the end of the current event, in Defer order; cleared
+  // (keeping its capacity) by each drain.
+  std::vector<Deferred> deferred_;
 
   // Fires every monitor boundary the clock has reached; one compare against
   // monitor_due_ otherwise.
@@ -295,7 +328,8 @@ class Simulator {
   TimeMicros monitor_due_ = std::numeric_limits<TimeMicros>::max();
 };
 
-// RAII owner of timers: cancels everything it scheduled when destroyed.
+// RAII owner of timers: cancels everything it scheduled, and drops the work
+// it deferred, when destroyed.
 // Every object that captures `this` in timer callbacks must route them
 // through a TimerOwner member (declared last, so it is destroyed first),
 // which makes node crash = object destruction safe.
@@ -321,6 +355,11 @@ class TimerOwner {
   // plus Schedule would give. Returns false, and does nothing, for an id
   // that already fired, was cancelled, or belongs to another owner.
   bool Reschedule(TimerId id, TimeMicros delay);
+  // Runs fn once the current event's callback returns (before the monitor
+  // tick and the audit hook), or, called outside any event, before the next
+  // event fires. Not an event: events_processed() does not count it.
+  void Defer(EventFn fn);
+  // Cancels every pending timer of this owner and drops its deferred work.
   void CancelAll();
 
   Simulator* simulator() const { return sim_; }
@@ -330,6 +369,7 @@ class TimerOwner {
 
   Simulator* sim_;
   uint32_t head_ = Simulator::kNoSlot;  // first slot of the pending list
+  uint32_t deferred_ = 0;  // entries of this owner in sim_->deferred_
 };
 
 }  // namespace scatter::sim

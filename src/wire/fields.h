@@ -24,7 +24,7 @@
 //   std::string     u32 length + bytes
 //   Ballot          round, node
 //   Status          code (checked enum), message
-//   std::vector<T>  u32 count + elements
+//   std::vector<T>  u32 count + elements (any allocator)
 //   std::map<K,V>   u32 count + (key, value) pairs in key order
 //   FlatMap<K,V>    the same bytes as std::map
 //   std::optional   bool present + value
@@ -154,15 +154,15 @@ void Field(IO& io, Status& s) {
 // Reader::ReadCount, which bounds them by the remaining bytes, and loops stop
 // at the first failed read.
 
-template <typename T>
-void Field(Writer& w, std::vector<T>& v) {
+template <typename T, typename A>
+void Field(Writer& w, std::vector<T, A>& v) {
   w.out().WriteU32(static_cast<uint32_t>(v.size()));
   for (T& e : v) {
     Field(w, e);
   }
 }
-template <typename T>
-void Field(Reader& r, std::vector<T>& v) {
+template <typename T, typename A>
+void Field(Reader& r, std::vector<T, A>& v) {
   const size_t n = r.ReadCount();
   v.reserve(n);
   for (size_t i = 0; i < n && r.ok(); ++i) {

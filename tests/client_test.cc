@@ -3,7 +3,10 @@
 // fallback, and cache repair — without a real cluster in the loop.
 
 #include <deque>
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -219,6 +222,180 @@ TEST_F(ClientTest, WritesCarrySequencesReadsDoNot) {
   EXPECT_EQ(server.last_seq, 2u);  // deletes are sequenced writes
 }
 
+// Answers each key of a request on its own: from `outcomes` when the key is
+// listed there, else OK with the value "v<key>". Records every request.
+class KeyedServer : public rpc::RpcNode {
+ public:
+  struct Request {
+    ClientOp op;
+    std::vector<Key> keys;
+    TimeMicros at;
+  };
+
+  KeyedServer(NodeId id, sim::Network* net, std::vector<NodeId>* arrivals)
+      : RpcNode(id, net), arrivals_(arrivals) {}
+
+  void OnRequest(const sim::MessagePtr& m) override {
+    const auto& req = sim::As<ClientRequestMsg>(m);
+    Request r{req.op, {}, now()};
+    for (size_t i = 0; i < req.key_count(); ++i) {
+      r.keys.push_back(req.key_at(i));
+    }
+    requests.push_back(r);
+    if (arrivals_ != nullptr) {
+      arrivals_->push_back(id());
+    }
+    if (drop_first > 0) {
+      drop_first--;
+      return;
+    }
+    auto reply = std::make_shared<ClientReplyMsg>();
+    reply->more_results.resize(r.keys.size() - 1);
+    for (size_t i = 0; i < r.keys.size(); ++i) {
+      KeyResult result{StatusCode::kOk, true,
+                       "v" + std::to_string(r.keys[i])};
+      if (auto it = outcomes.find(r.keys[i]); it != outcomes.end()) {
+        result = it->second;
+      }
+      if (i == 0) {
+        reply->code = result.code;
+        reply->found = result.found;
+        reply->value = result.value;
+      } else {
+        reply->more_results[i - 1] = result;
+      }
+    }
+    reply->ring_updates = updates;
+    Reply(*m, std::move(reply));
+  }
+
+  std::map<Key, KeyResult> outcomes;
+  std::vector<ring::GroupInfo> updates;
+  int drop_first = 0;
+  std::vector<Request> requests;
+
+ private:
+  std::vector<NodeId>* arrivals_;
+};
+
+std::vector<std::vector<Key>> KeysOf(const KeyedServer& server) {
+  std::vector<std::vector<Key>> out;
+  for (const KeyedServer::Request& r : server.requests) {
+    out.push_back(r.keys);
+  }
+  return out;
+}
+
+using Keys = std::vector<std::vector<Key>>;
+
+TEST_F(ClientTest, BatchRetriesOnlyTheRedirectedOps) {
+  KeyedServer first(1, &net_, nullptr);
+  KeyedServer second(2, &net_, nullptr);
+  first.outcomes = {
+      {2, KeyResult{StatusCode::kOk, false, ""}},
+      {3, KeyResult{StatusCode::kNotLeader, false, ""}},
+      {4, KeyResult{StatusCode::kWrongGroup, false, ""}},
+  };
+  first.updates = {InfoFor(7, {2}, 2)};
+  Client client(100, &net_, {1}, ClientConfig());
+  std::map<Key, StatusOr<Value>> got;
+  for (Key key : {1, 2, 3, 4}) {
+    client.Get(key, [&got, key](StatusOr<Value> r) {
+      got.emplace(key, std::move(r));
+    });
+  }
+  sim_.Run();
+  // One request for the four Gets; the two redirected ops, repaired by the
+  // reply's ring update, share one retry.
+  EXPECT_EQ(KeysOf(first), (Keys{{1, 2, 3, 4}}));
+  EXPECT_EQ(KeysOf(second), (Keys{{3, 4}}));
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(*got.at(1), "v1");
+  EXPECT_EQ(got.at(2).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(*got.at(3), "v3");
+  EXPECT_EQ(*got.at(4), "v4");
+  EXPECT_EQ(client.stats().redirects, 2u);
+  EXPECT_EQ(client.stats().attempts, 6u);
+}
+
+TEST_F(ClientTest, BatchTimeoutBacksOffEachOp) {
+  KeyedServer server(1, &net_, nullptr);
+  server.drop_first = 1;
+  ClientConfig cfg;
+  cfg.rpc_timeout = Millis(100);
+  Client client(100, &net_, {1}, cfg);
+  int ok = 0;
+  for (Key key : {1, 2}) {
+    client.Get(key, [&ok](StatusOr<Value> r) { ok += r.ok() ? 1 : 0; });
+  }
+  sim_.Run();
+  EXPECT_EQ(ok, 2);
+  // Each op drew its own backoff after the shared timeout, so the retries
+  // went out in two events, each at least the minimum backoff later.
+  ASSERT_EQ(server.requests.size(), 3u);
+  EXPECT_EQ(server.requests[0].keys, (std::vector<Key>{1, 2}));
+  EXPECT_EQ(server.requests[1].keys.size(), 1u);
+  EXPECT_EQ(server.requests[2].keys.size(), 1u);
+  EXPECT_NE(server.requests[1].keys, server.requests[2].keys);
+  const TimeMicros timed_out = server.requests[0].at + Millis(100);
+  for (size_t i = 1; i < 3; ++i) {
+    EXPECT_GE(server.requests[i].at, timed_out + kClientBackoffMin);
+  }
+}
+
+TEST_F(ClientTest, WritesNeverBatch) {
+  KeyedServer server(1, &net_, nullptr);
+  Client client(100, &net_, {1}, ClientConfig());
+  int done = 0;
+  client.Put(1, "a", [&done](Status) { done++; });
+  client.Put(2, "b", [&done](Status) { done++; });
+  client.Delete(3, [&done](Status) { done++; });
+  client.Get(4, [&done](StatusOr<Value>) { done++; });
+  client.Get(5, [&done](StatusOr<Value>) { done++; });
+  sim_.Run();
+  EXPECT_EQ(done, 5);
+  EXPECT_EQ(KeysOf(server), (Keys{{1}, {2}, {3}, {4, 5}}));
+  EXPECT_EQ(server.requests[0].op, ClientOp::kPut);
+  EXPECT_EQ(server.requests[2].op, ClientOp::kDelete);
+  EXPECT_EQ(server.requests[3].op, ClientOp::kGet);
+}
+
+TEST_F(ClientTest, GetsFromTwoEventsNeverShareARequest) {
+  KeyedServer server(1, &net_, nullptr);
+  Client client(100, &net_, {1}, ClientConfig());
+  int done = 0;
+  for (Key key : {1, 2}) {
+    sim_.Schedule(0, [&client, &done, key] {
+      client.Get(key, [&done](StatusOr<Value>) { done++; });
+    });
+  }
+  sim_.Run();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(KeysOf(server), (Keys{{1}, {2}}));
+}
+
+TEST_F(ClientTest, GetsToTwoTargetsGiveTwoRequestsInFirstUseOrder) {
+  std::vector<NodeId> arrivals;
+  KeyedServer low(1, &net_, &arrivals);
+  KeyedServer high(2, &net_, &arrivals);
+  constexpr Key kMid = Key{1} << 63;
+  ring::GroupInfo a = InfoFor(7, {1}, 1);
+  a.range = ring::KeyRange{0, kMid};
+  ring::GroupInfo b = InfoFor(8, {2}, 2);
+  b.range = ring::KeyRange{kMid, 0};
+  Client client(100, &net_, {1}, ClientConfig());
+  client.SeedRing({a, b});
+  int done = 0;
+  for (Key key : {kMid + 1, Key{1}, kMid + 2, Key{2}}) {
+    client.Get(key, [&done](StatusOr<Value> r) { done += r.ok() ? 1 : 0; });
+  }
+  sim_.Run();
+  EXPECT_EQ(done, 4);
+  EXPECT_EQ(KeysOf(high), (Keys{{kMid + 1, kMid + 2}}));
+  EXPECT_EQ(KeysOf(low), (Keys{{1, 2}}));
+  EXPECT_EQ(arrivals, (std::vector<NodeId>{2, 1}));
+}
+
 // Once warmed up, a lease-read Get — the client's op record and request,
 // the RPC call-table entry and callback, the leader's read callback and
 // reply, and the delivery events both ways — allocates nothing but what
@@ -270,6 +447,60 @@ TEST(ClientAllocationTest, SteadyLeaseReadGetIsAllocationFree) {
     }
   }
   EXPECT_EQ(got, "short");
+  EXPECT_GE(clean, 900);
+  EXPECT_EQ(allocations, 0u);
+}
+
+// The batched form: eight Gets issued in one event to one leader travel as
+// one request and one reply, and, once warmed up, allocate nothing either.
+TEST(ClientAllocationTest, SteadyBatchOfEightLeaseReadsIsAllocationFree) {
+  ClusterConfig cfg;
+  cfg.seed = 78;
+  cfg.initial_nodes = 3;
+  cfg.initial_groups = 1;
+  cfg.transport = sim::TransportKind::kInProcess;
+  cfg.persistence = ClusterConfig::Persistence::kOff;
+  Cluster cluster(cfg);
+  cluster.RunFor(Seconds(2));
+  Client* client = cluster.AddClient();
+  constexpr Key kKeys = 8;
+  int seeded = 0;
+  for (Key key = 0; key < kKeys; ++key) {
+    client->Put(key, "short", [&seeded](Status s) { seeded += s.ok(); });
+  }
+  while (seeded < static_cast<int>(kKeys)) {
+    ASSERT_TRUE(cluster.sim().Step());
+  }
+  int found = 0;
+  const auto batch = [&] {
+    int done = 0;
+    for (Key key = 0; key < kKeys; ++key) {
+      client->Get(key, [&done, &found](StatusOr<Value> v) {
+        done++;
+        found += v.ok() && *v == "short";
+      });
+    }
+    while (done < static_cast<int>(kKeys)) {
+      cluster.sim().Step();
+    }
+  };
+  for (int i = 0; i < 200; ++i) {
+    batch();
+  }
+  uint64_t allocations = 0;
+  int clean = 0;
+  found = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t events = cluster.sim().events_processed();
+    const uint64_t before = alloc_counter::AllocationCount();
+    batch();
+    const uint64_t allocated = alloc_counter::AllocationCount() - before;
+    if (cluster.sim().events_processed() - events == 2) {
+      clean++;
+      allocations += allocated;
+    }
+  }
+  EXPECT_EQ(found, 8000);
   EXPECT_GE(clean, 900);
   EXPECT_EQ(allocations, 0u);
 }

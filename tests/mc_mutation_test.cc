@@ -15,6 +15,11 @@
 //                              config change commits on a bare quorum with
 //                              an un-bootstrapped joiner. Found by
 //                              delay-bounded DFS; the liveness probe fails.
+//   batched_read+mutation    — bug_batch_checks_first_key_only: a batched
+//                              Get checks leadership and lease for its
+//                              first key only. Found by the walk; the
+//                              follower's stale read of a completed write
+//                              is a linearizability violation.
 //
 // Budgets below are the documented detection budgets (see DESIGN.md §10);
 // each is a few times the empirically observed cost, so the tests stay
@@ -82,6 +87,18 @@ TEST(McMutationTest, WalkFindsLostMergePayload) {
   ExpectDeterministicReplay(stats);
 }
 
+TEST(McMutationTest, WalkFindsBatchedReadServedByAFollower) {
+  McOptions options = BaseOptions();
+  options.strategy.max_depth = 40;
+  options.max_schedules = 500;
+  const ExploreStats stats =
+      Explore("batched_read+mutation", StrategyKind::kRandomWalk, options);
+  ASSERT_TRUE(stats.violation_found)
+      << "budget: 500 walks at depth 40, seed 1";
+  EXPECT_EQ(stats.counterexample.violation.source, "linearizability");
+  ExpectDeterministicReplay(stats);
+}
+
 TEST(McMutationTest, DelayBoundedFindsBootstrapWedge) {
   McOptions options = BaseOptions();
   options.strategy.max_depth = 40;
@@ -128,6 +145,17 @@ TEST(McMutationTest, CleanVariantsStayClean) {
     options.max_schedules = 20000;
     const ExploreStats stats =
         Explore("bootstrap_wedge", StrategyKind::kDelayBounded, options);
+    EXPECT_FALSE(stats.violation_found)
+        << stats.counterexample.violation.source << "/"
+        << stats.counterexample.violation.checker << ": "
+        << stats.counterexample.violation.detail;
+  }
+  {
+    McOptions options = BaseOptions();
+    options.strategy.max_depth = 40;
+    options.max_schedules = 500;
+    const ExploreStats stats =
+        Explore("batched_read", StrategyKind::kRandomWalk, options);
     EXPECT_FALSE(stats.violation_found)
         << stats.counterexample.violation.source << "/"
         << stats.counterexample.violation.checker << ": "

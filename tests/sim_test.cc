@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -926,6 +927,100 @@ TEST(NetworkTest, HeterogeneityScalesPerNodeDeterministically) {
   EXPECT_EQ(sim.now() - first, first);
   // And the factor differs from 1.0 for most node pairs.
   EXPECT_NE(first, Millis(10));
+}
+
+// --- Deferred work -----------------------------------------------------------
+
+TEST(DeferTest, RunsAfterTheCallbackAndBeforeTheAuditHookAsNoEvent) {
+  Simulator sim(1);
+  TimerOwner owner(&sim);
+  std::vector<std::string> order;
+  sim.SetAuditHook(1, [&] { order.push_back("audit"); });
+  owner.Schedule(Millis(1), [&] {
+    owner.Defer([&] { order.push_back("deferred"); });
+    order.push_back("callback");
+  });
+  sim.Run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"callback", "deferred", "audit"}));
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(DeferTest, WorkDeferredOutsideAnEventRunsOnStepAndRunUntilEntry) {
+  Simulator sim(1);
+  TimerOwner owner(&sim);
+  std::vector<int> order;
+  owner.Defer([&] { order.push_back(1); });
+  sim.Schedule(0, [&] { order.push_back(2); });
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+
+  // With no event left, Step still runs the work, which may schedule one.
+  owner.Defer([&] {
+    order.push_back(3);
+    sim.Schedule(Millis(1), [&] { order.push_back(4); });
+  });
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  owner.Defer([&] { order.push_back(5); });
+  EXPECT_FALSE(sim.Step());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+
+  owner.Defer([&] { order.push_back(6); });
+  sim.RunUntil(sim.now());
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(sim.events_processed(), 2u);
+}
+
+TEST(DeferTest, DeferredWorkThatDefersRunsInTheSameDrain) {
+  Simulator sim(1);
+  TimerOwner owner(&sim);
+  std::vector<int> order;
+  sim.Schedule(Millis(1), [&] {
+    owner.Defer([&] {
+      order.push_back(1);
+      owner.Defer([&] { order.push_back(3); });
+    });
+    owner.Defer([&] { order.push_back(2); });
+  });
+  sim.Schedule(Millis(1), [&] { order.push_back(4); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(DeferTest, DestroyedOwnersWorkNeverRuns) {
+  Simulator sim(1);
+  TimerOwner keeper(&sim);
+  std::vector<int> order;
+  {
+    TimerOwner gone(&sim);
+    gone.Defer([&] { order.push_back(0); });
+  }
+  auto doomed = std::make_unique<TimerOwner>(&sim);
+  keeper.Defer([&] { order.push_back(1); });
+  keeper.Defer([&] {
+    order.push_back(3);
+    doomed->Defer([&] { order.push_back(4); });
+    doomed.reset();  // drops what it deferred, also within this drain
+  });
+  doomed->Defer([&] { order.push_back(2); });
+  keeper.Defer([&] { order.push_back(5); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 5}));
+}
+
+TEST(DeferTest, InjectDeliveryRunsDeferredWorkFirst) {
+  Simulator sim(1);
+  Network net(&sim, NetworkConfig{});
+  Recorder a;
+  net.Attach(1, &a);
+  TimerOwner owner(&sim);
+  std::vector<int> seen;
+  owner.Defer([&] { seen.push_back(static_cast<int>(a.received.size())); });
+  net.InjectDelivery(MakeMsg(2, 1, 7));
+  EXPECT_EQ(seen, std::vector<int>{0});
+  EXPECT_EQ(a.received, std::vector<int>{7});
+  EXPECT_EQ(sim.events_processed(), 0u);
 }
 
 TEST(DeterminismTest, IdenticalSeedsIdenticalRuns) {

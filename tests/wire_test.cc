@@ -628,6 +628,53 @@ TEST_F(WireTest, EveryTypeRoundTripsByteIdentically) {
   }
 }
 
+TEST_F(WireTest, BatchedGetRoundTrips) {
+  // A 3-key Get and its 3-result reply: the extra keys and results ride in
+  // the appended lists, each decoded field equal to what was sent.
+  Rng rng(5);
+  auto req = std::make_shared<core::ClientRequestMsg>();
+  req->key = 11;
+  req->more_keys = {22, 33};
+  ExpectRoundTrips(Finish(req, rng));
+  Buffer frame;
+  EncodeFrame(*req, frame);
+  size_t consumed = 0;
+  std::string error;
+  sim::MessagePtr got = DecodeFrame(frame.data(), frame.size(), &consumed,
+                                    &error);
+  ASSERT_NE(got, nullptr) << error;
+  const auto& req_copy = sim::As<core::ClientRequestMsg>(got);
+  ASSERT_EQ(req_copy.key_count(), 3u);
+  EXPECT_EQ(req_copy.key_at(0), 11u);
+  EXPECT_EQ(req_copy.key_at(1), 22u);
+  EXPECT_EQ(req_copy.key_at(2), 33u);
+  EXPECT_EQ(req_copy.ByteSize(), req->ByteSize());
+
+  auto reply = std::make_shared<core::ClientReplyMsg>();
+  reply->code = StatusCode::kOk;
+  reply->found = true;
+  reply->value = "first";
+  reply->more_results = {
+      core::KeyResult{StatusCode::kNotLeader, false, ""},
+      core::KeyResult{StatusCode::kOk, true, "third"},
+  };
+  reply->ring_updates = RandInfos(rng);
+  ExpectRoundTrips(Finish(reply, rng));
+  frame.clear();
+  EncodeFrame(*reply, frame);
+  got = DecodeFrame(frame.data(), frame.size(), &consumed, &error);
+  ASSERT_NE(got, nullptr) << error;
+  const auto& reply_copy = sim::As<core::ClientReplyMsg>(got);
+  ASSERT_EQ(reply_copy.result_count(), 3u);
+  EXPECT_EQ(reply_copy.value, "first");
+  EXPECT_EQ(reply_copy.more_results[0].code, StatusCode::kNotLeader);
+  EXPECT_FALSE(reply_copy.more_results[0].found);
+  EXPECT_EQ(reply_copy.more_results[1].code, StatusCode::kOk);
+  EXPECT_TRUE(reply_copy.more_results[1].found);
+  EXPECT_EQ(reply_copy.more_results[1].value, "third");
+  EXPECT_EQ(reply_copy.ByteSize(), reply->ByteSize());
+}
+
 TEST_F(WireTest, EmptyAndMaxEdgesRoundTrip) {
   Rng rng(7);
   {
@@ -1125,7 +1172,9 @@ uint64_t Digest(const uint8_t* data, size_t size) {
 uint64_t Digest(const Buffer& b) { return Digest(b.data(), b.size()); }
 
 TEST_F(WireTest, FrameBytesArePinned) {
-  // Per message type, folded over the samples of seeds 1-25.
+  // Per message type, folded over the samples of seeds 1-25. ClientRequest
+  // and ClientReply were re-pinned when batched Gets appended more_keys and
+  // more_results (PROTOCOL.md §6.2 lists the old and new digests).
   const std::map<std::string, uint64_t> expected = {
       {"ChordFetch", 0x6a216f577c6b1bf4ull},
       {"ChordFetchReply", 0x054e388acd0bbe71ull},
@@ -1138,8 +1187,8 @@ TEST_F(WireTest, FrameBytesArePinned) {
       {"ChordPong", 0xa1897825dee74abeull},
       {"ChordStore", 0xf4013e952bf81f37ull},
       {"ChordStoreAck", 0x8c8593497bf4deb2ull},
-      {"ClientReply", 0x1bd2b88df8a78d66ull},
-      {"ClientRequest", 0x5bb4683321023002ull},
+      {"ClientReply", 0x10348cca360e4cdaull},
+      {"ClientRequest", 0xfe24c2834dbb4e68ull},
       {"GroupInfoReply", 0x3b5828b5510f5a2dull},
       {"GroupInfoRequest", 0x5e15ef1076db79f7ull},
       {"JoinReply", 0xd2d8fd2929b7c2f1ull},

@@ -59,7 +59,6 @@ struct ClientReplyMsg : sim::Message {
     }
     return bytes;
   }
-  size_t result_count() const { return 1 + more_results.size(); }
 
   StatusCode code = StatusCode::kOk;
   bool found = false;  // get only

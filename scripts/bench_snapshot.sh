@@ -178,12 +178,31 @@ echo "=== bench_scale smoke -> BENCH_metrics.json ==="
 rm -f BENCH_metrics.json
 SCATTER_METRICS_JSON=BENCH_metrics.json "$BUILD_DIR/bench/bench_scale" --quick
 
-echo "=== mc_explore throughput -> BENCH_mc.json ==="
-# Explorer throughput baseline: a fixed delay-bounded exploration of the
-# split scenario (schedule count is deterministic; only the timing varies).
-# schedules_per_sec and dedup_hits regressions show up as diffs here.
-"$BUILD_DIR/tools/mc_explore" --scenario split --strategy delay \
-    --budget-seconds 60 --counterexample none > BENCH_mc.json
+echo "=== mc_explore: mutation hunts + walk throughput -> BENCH_mc.json ==="
+# Model-checker baseline, one row per run of the explorer's defaults: the
+# schedules and seconds the walk needs to find each seeded mutation (the
+# seconds include minimizing the counterexample), then its throughput over
+# a fixed number of clean split schedules. Schedule and decision counts are
+# deterministic; only the timings vary.
+python3 - "$BUILD_DIR" <<'PYEOF'
+import json
+import subprocess
+import sys
+
+explore = f"{sys.argv[1]}/tools/mc_explore"
+runs = [[f"{s}+mutation", "--expect-violation"]
+        for s in ("stale_ballot", "lost_merge", "bootstrap_wedge",
+                  "batched_read")]
+runs.append(["split", "--max-schedules", "2000"])
+rows = []
+for scenario, *flags in runs:
+    out = subprocess.run(
+        [explore, "--scenario", scenario, "--counterexample", "none", *flags],
+        check=True, capture_output=True, text=True).stdout
+    rows.append(json.loads(out.splitlines()[-1]))
+with open("BENCH_mc.json", "w") as f:
+    f.write("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+PYEOF
 cat BENCH_mc.json
 
 echo "=== baseline recorded in BENCH_micro.json + BENCH_history.jsonl + BENCH_metrics.json + BENCH_mc.json ==="

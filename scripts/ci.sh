@@ -10,7 +10,7 @@
 #   scripts/ci.sh bench           # just the benchmark smoke (plain build + perfbench)
 #   scripts/ci.sh obs             # traced sim + trace/metrics JSON schema check
 #   scripts/ci.sh wire            # full suite: serializing + audit transports
-#   scripts/ci.sh mc              # model-checker smoke (split scenario) + seeded-mutation hunts
+#   scripts/ci.sh mc              # model-checker walks of the clean scenarios + seeded-mutation hunts
 #   scripts/ci.sh durability      # full suite with persistence on (serializing) + mc crash-with-disk smoke
 #   scripts/ci.sh golden          # seeded driver outputs against tests/golden/ (scripts/golden.sh)
 #
@@ -98,26 +98,32 @@ run_wire() {
 }
 
 run_mc() {
-  # Model-checker smoke: a delay-bounded exploration of the 2-group split
-  # scenario must exhaust its budget without finding a violation. The
-  # schedule tree at this budget is ~3k schedules / a few seconds; the wall
-  # budget caps it well under 30s on a slow machine.
+  # Model-checker stage, two legs, both on the explorer's defaults (the
+  # random walk at depth 40, walk seed 1). (1) Every clean scenario must
+  # stay clean for a fixed schedule count, so every machine walks the same
+  # schedules; crash_disk runs in the durability stage. (2) Each seeded
+  # bug (<scenario>+mutation) must still be found.
   local bdir="${BUILD_DIR:-build}"
-  echo "=== mc: delay-bounded smoke over the split scenario ($bdir) ==="
+  local schedules=300
   if [[ ! -x "$bdir/tools/mc_explore" ]]; then
     cmake -B "$bdir" -S .
     cmake --build "$bdir" -j "$JOBS"
   fi
-  "$bdir/tools/mc_explore" --scenario split --strategy delay \
-      --budget-seconds 25 --counterexample none
-  # Mutation hunts: each seeded bug must still be found. The random walk
-  # finds all four within a second; the delay-bounded default exhausts
-  # its budget on the first three, so a hunt run with the defaults would
-  # pass without testing anything.
-  local scenario
+  local scenario stats
+  for scenario in split stale_ballot lost_merge bootstrap_wedge batched_read \
+                  crash_amnesia; do
+    echo "=== mc: $schedules walks of $scenario stay clean ($bdir) ==="
+    stats="$("$bdir/tools/mc_explore" --scenario "$scenario" \
+        --max-schedules "$schedules" --counterexample none)"
+    echo "$stats"
+    if [[ "$stats" != *"\"schedules\": $schedules,"* ]]; then
+      echo "mc: $scenario stopped before $schedules schedules" >&2
+      return 1
+    fi
+  done
   for scenario in stale_ballot lost_merge bootstrap_wedge batched_read; do
     echo "=== mc: the walk must find $scenario+mutation ($bdir) ==="
-    "$bdir/tools/mc_explore" --scenario "$scenario+mutation" --strategy walk \
+    "$bdir/tools/mc_explore" --scenario "$scenario+mutation" \
         --budget-seconds 60 --counterexample none --expect-violation
   done
 }
@@ -140,7 +146,7 @@ run_durability() {
   ( cd "$bdir" && SCATTER_PERSIST=on SCATTER_TRANSPORT=serializing \
         ctest --output-on-failure -j "$JOBS" )
   echo "=== durability: mc crash-with-disk smoke ==="
-  "$bdir/tools/mc_explore" --scenario crash_disk --strategy walk \
+  "$bdir/tools/mc_explore" --scenario crash_disk \
       --budget-seconds 20 --counterexample none
 }
 
@@ -199,7 +205,7 @@ case "${1:-all}" in
     run_durability
     run_golden
     run_lint
-    echo "=== CI green: ASan + UBSan suites clean, bench smoke ok, obs export valid, wire suites clean, mc smoke clean, durability suite + smoke clean, golden outputs match, scatter-lint + clang-tidy zero-warning ==="
+    echo "=== CI green: ASan + UBSan suites clean, bench smoke ok, obs export valid, wire suites clean, mc walks clean + mutations found, durability suite + smoke clean, golden outputs match, scatter-lint + clang-tidy zero-warning ==="
     ;;
   *)
     echo "usage: $0 [address|undefined|lint|bench|obs|wire|mc|durability|golden|all]" >&2

@@ -31,9 +31,9 @@ void RegisterWireCodecs();
 
 // Registers every codec the Scatter stack puts on the wire (rpc, paxos,
 // membership, txn, core — not the Chord baseline, which registers its own
-// in baseline/). Idempotent. Cluster construction calls this, as do the
-// auditor and mc fingerprinting, so any serializing/auditing transport
-// under a Scatter cluster finds a complete registry.
+// in baseline/). Idempotent. Cluster construction calls this, as does the
+// auditor, so any serializing/auditing transport under a Scatter cluster
+// finds a complete registry.
 void RegisterScatterWireCodecs();
 
 }  // namespace scatter::core

@@ -122,11 +122,6 @@ std::string Choice::ToString() const {
   return s;
 }
 
-bool Commutes(const Choice& a, const Choice& b) {
-  return a.kind == ChoiceKind::kDeliver && b.kind == ChoiceKind::kDeliver &&
-         a.dest != kInvalidNode && b.dest != kInvalidNode && a.dest != b.dest;
-}
-
 std::string Counterexample::ToJson() const {
   std::string out;
   out += "{\n  \"version\": " + std::to_string(version) + ",\n";

@@ -37,9 +37,8 @@ const char* ChoiceKindName(ChoiceKind kind);
 struct Choice {
   ChoiceKind kind = ChoiceKind::kAdvanceTime;
   uint64_t arg = 0;
-  // Delivery destination, carried for partial-order reduction (deliveries
-  // to different nodes commute) and readable counterexamples. Not part of
-  // the choice's identity.
+  // Delivery destination, carried for readable counterexamples. Not part
+  // of the choice's identity.
   NodeId dest = kInvalidNode;
 
   // Identity: two choices are the same decision iff (kind, arg) match.
@@ -48,12 +47,6 @@ struct Choice {
   }
   std::string ToString() const;
 };
-
-// Deliveries to different destination nodes commute: each replica owns its
-// state and RNG stream, so the two handler executions do not interact.
-// (Heuristic w.r.t. the simulator's same-timestamp event ordering and any
-// later decision enabled by both; see DESIGN.md "Model checking".)
-bool Commutes(const Choice& a, const Choice& b);
 
 // What an explored schedule violated.
 struct McViolation {

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
-#include <unordered_set>
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/mc/harness.h"
 #include "src/mc/scenario.h"
+#include "src/mc/walk.h"
 
 namespace scatter::mc {
 
@@ -44,12 +43,8 @@ double Elapsed(WallClock::time_point start) {
 std::string ExploreStats::ToJson() const {
   std::string out = "{";
   AppendJsonStringField("scenario", scenario, &out);
-  out += ", ";
-  AppendJsonStringField("strategy", strategy, &out);
   out += ", \"schedules\": " + std::to_string(schedules);
   out += ", \"decisions\": " + std::to_string(decisions);
-  out += ", \"dedup_hits\": " + std::to_string(dedup_hits);
-  out += ", \"reduction_cuts\": " + std::to_string(reduction_cuts);
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", seconds);
   out += ", \"seconds\": " + std::string(buf);
@@ -69,39 +64,30 @@ std::string ExploreStats::ToJson() const {
   return out;
 }
 
-ExploreStats Explore(const std::string& scenario_name, StrategyKind kind,
+ExploreStats Explore(const std::string& scenario_name,
                      const McOptions& options) {
   const McScenario scenario = MakeScenario(scenario_name);
-  std::unique_ptr<Strategy> strategy = MakeStrategy(kind, options.strategy);
-  // A random walk revisits early states across schedules by design; dedup
-  // there would cut most walks at depth one.
-  const bool dedup = options.dedup && kind != StrategyKind::kRandomWalk;
+  RandomWalk walk(options.max_depth, options.walk_seed);
 
   ExploreStats stats;
   stats.scenario = scenario_name;
-  stats.strategy = strategy->name();
 
-  std::unordered_set<uint64_t> seen;
   const auto start = WallClock::now();
   for (uint64_t i = 0; i < options.max_schedules; ++i) {
     if (Elapsed(start) > options.wall_budget_seconds) {
       break;
     }
-    if (!strategy->BeginSchedule(i)) {
-      break;
-    }
-    const size_t replay_depth = strategy->replay_depth();
+    walk.BeginSchedule(i);
     McHarness harness(scenario, options.seed);
     harness.Start();
     std::vector<Choice> schedule;
-    size_t depth = 0;
     while (!harness.violated()) {
       const std::vector<Choice> enabled = harness.EnabledChoices();
       if (enabled.empty()) {
         break;
       }
-      const size_t pick = strategy->Pick(enabled, depth);
-      if (pick == Strategy::kCut) {
+      const size_t pick = walk.Pick(enabled, schedule.size());
+      if (pick == RandomWalk::kCut) {
         break;
       }
       SCATTER_CHECK(pick < enabled.size());
@@ -109,19 +95,6 @@ ExploreStats Explore(const std::string& scenario_name, StrategyKind kind,
       SCATTER_CHECK(harness.Execute(choice));
       schedule.push_back(choice);
       stats.decisions++;
-      depth++;
-      // Only check dedup past the replayed prefix: prefix states were
-      // inserted by the schedule that first took this path. Time advances
-      // are exempt: the fingerprint abstracts away the timer queue, so a
-      // pure-timer step looks like a revisit even though it made progress
-      // toward a timeout (e.g. a 2PC resend) — cutting there would make
-      // every timeout-dependent state unreachable.
-      if (dedup && !harness.violated() && depth > replay_depth &&
-          choice.kind != ChoiceKind::kAdvanceTime &&
-          !seen.insert(harness.StateFingerprint()).second) {
-        stats.dedup_hits++;
-        break;
-      }
     }
     harness.FinishSchedule();
     stats.schedules++;
@@ -130,7 +103,7 @@ ExploreStats Explore(const std::string& scenario_name, StrategyKind kind,
       Counterexample ce;
       ce.scenario = scenario_name;
       ce.seed = options.seed;
-      ce.strategy = strategy->name();
+      ce.strategy = RandomWalk::kName;
       ce.violation = harness.violation();
       ce.schedule = MinimizeSchedule(scenario_name, options.seed, schedule,
                                      harness.violation());
@@ -145,7 +118,6 @@ ExploreStats Explore(const std::string& scenario_name, StrategyKind kind,
       break;
     }
   }
-  stats.reduction_cuts = strategy->reduction_cuts();
   stats.seconds = Elapsed(start);
   return stats;
 }

@@ -1,6 +1,6 @@
-// The exploration driver: enumerates schedules with a Strategy, runs each
-// through a fresh McHarness, deduplicates states by fingerprint, and on
-// violation minimizes and writes a replayable counterexample.
+// The exploration driver: generates schedules with the guided random walk
+// (src/mc/walk.h), runs each through a fresh McHarness, and on violation
+// minimizes and writes a replayable counterexample.
 //
 // Everything is replay-based: a schedule is re-executed from scratch by
 // re-running its decisions against a fresh harness with the same seed, so
@@ -16,33 +16,27 @@
 #include <vector>
 
 #include "src/mc/decision.h"
-#include "src/mc/strategy.h"
 
 namespace scatter::mc {
 
 struct McOptions {
   // Cluster seed every schedule starts from.
   uint64_t seed = 1;
-  StrategyOptions strategy;
+  // Decisions per schedule before the epilogue takes over.
+  size_t max_depth = 40;
+  // Walk seed; schedule i uses MixHash(walk_seed, i).
+  uint64_t walk_seed = 1;
   // Stop conditions: whichever hits first.
   uint64_t max_schedules = 1000000;
   double wall_budget_seconds = 30.0;
-  // State-fingerprint dedup: a schedule reaching an already-seen state
-  // stops extending. Applied to the systematic strategies only (a random
-  // walk revisits early states by design; cutting there would kill most
-  // walks at depth one).
-  bool dedup = true;
   // Where the counterexample artifact is written; empty = don't write.
   std::string counterexample_path = "scatter_mc_counterexample.json";
 };
 
 struct ExploreStats {
   std::string scenario;
-  std::string strategy;
   uint64_t schedules = 0;
   uint64_t decisions = 0;
-  uint64_t dedup_hits = 0;
-  uint64_t reduction_cuts = 0;  // sleep-set prunes
   double seconds = 0;
   bool violation_found = false;
   Counterexample counterexample;  // meaningful when violation_found
@@ -53,10 +47,10 @@ struct ExploreStats {
   std::string ToJson() const;
 };
 
-// Explores `scenario_name` under the given strategy until a stop condition
-// or the first violation hits. The violation's counterexample is minimized
-// and written to options.counterexample_path.
-ExploreStats Explore(const std::string& scenario_name, StrategyKind kind,
+// Walks `scenario_name` until a stop condition or the first violation
+// hits. The violation's counterexample is minimized and written to
+// options.counterexample_path.
+ExploreStats Explore(const std::string& scenario_name,
                      const McOptions& options);
 
 // One deterministic re-execution of a recorded schedule.

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "src/common/logging.h"
-#include "src/mc/fingerprint.h"
 #include "src/verify/linearizability.h"
 
 namespace scatter::mc {
@@ -117,7 +116,7 @@ bool McHarness::OnSend(const sim::MessagePtr& message) {
 std::vector<Choice> McHarness::EnabledChoices() {
   std::vector<Choice> out;
   // Prune messages whose receiver is gone: they can never be delivered and
-  // would otherwise bloat every fingerprint and decision list.
+  // would otherwise bloat every decision list.
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (!cluster_->net().IsAttached(it->msg->to)) {
       captured_dropped_++;
@@ -319,15 +318,6 @@ void McHarness::RecordCheckViolation(const std::string& where,
   if (!violation_.has_value()) {
     violation_ = McViolation{"check", where, "CHECK failed: " + cond};
   }
-}
-
-uint64_t McHarness::StateFingerprint() const {
-  std::vector<uint64_t> message_hashes;
-  message_hashes.reserve(pending_.size());
-  for (const PendingMessage& p : pending_) {
-    message_hashes.push_back(FingerprintMessage(p.msg));
-  }
-  return CombineFingerprint(FingerprintCluster(*cluster_), message_hashes);
 }
 
 NodeId McHarness::client_id() const {

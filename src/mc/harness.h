@@ -13,7 +13,7 @@
 // Determinism: all randomness flows from the cluster seed, captured sends
 // consume no latency RNG, and capture ids are assigned in send order — so
 // (seed, decision sequence) fully determines the run, which is what makes
-// schedules replayable and fingerprint-based deduplication meaningful.
+// schedules replayable.
 //
 // For the harness's lifetime SCATTER_CHECK failures anywhere in the system
 // under test are intercepted (SetCheckFailureHandler) and recorded as
@@ -81,10 +81,6 @@ class McHarness : public sim::Scheduler {
 
   bool violated() const { return violation_.has_value(); }
   const McViolation& violation() const { return *violation_; }
-
-  // Hash of the wire-encoded per-node protocol state plus the pending
-  // message multiset (src/mc/fingerprint.h).
-  uint64_t StateFingerprint() const;
 
   core::Cluster& cluster() { return *cluster_; }
   const std::deque<PendingMessage>& pending() const { return pending_; }

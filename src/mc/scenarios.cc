@@ -2,8 +2,8 @@
 // each exposing one interesting decision surface.
 //
 //   split           — two groups, concurrent client writes racing a manual
-//                     split. Clean under correct code; the CI smoke stage
-//                     explores it delay-bounded and expects no violation.
+//                     split. Clean under correct code; the CI mc stage
+//                     walks it and expects no violation.
 //   stale_ballot    — one 3-replica group; the explorer may isolate the
 //                     leader with in-flight Accepts captured, force an
 //                     election on the majority side, heal, and land the

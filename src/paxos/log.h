@@ -29,9 +29,8 @@ struct LogEntry {
 };
 
 // The one (index, ballot, command) layout of a log entry, shared by Accept
-// messages, the WAL, checkpoint rewrites, the durability digest and the mc
-// fingerprint. The command field needs paxos/payload_codec.h at the point of
-// use.
+// messages, the WAL, checkpoint rewrites and the durability digest. The
+// command field needs paxos/payload_codec.h at the point of use.
 template <class IO>
 void Fields(LogEntry& e, IO& io) {
   io(e.index, e.ballot, e.command);

@@ -443,13 +443,14 @@ TEST(Suppression, WrongRuleDoesNotSuppress) {
 
 // --- mutation self-check -----------------------------------------------------
 
-// Reintroduce the unordered-iteration bug class into the real fingerprint
-// source and assert scatter-lint catches it. This guards the guard: if the
-// rule engine regresses, this test fails before a real mutation could slip
-// through CI.
+// Reintroduce the unordered-iteration bug class into the real mc harness
+// source, whose capture ids must follow send order for a recorded schedule
+// to replay, and assert scatter-lint catches it. This guards the guard: if
+// the rule engine regresses, this test fails before a real mutation could
+// slip through CI.
 TEST(MutationSelfCheck, LintCatchesUnorderedIterationInFingerprint) {
   const std::string path =
-      std::string(SCATTER_SOURCE_DIR) + "/src/mc/fingerprint.cc";
+      std::string(SCATTER_SOURCE_DIR) + "/src/mc/harness.cc";
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open()) << path;
   std::ostringstream ss;
@@ -457,7 +458,7 @@ TEST(MutationSelfCheck, LintCatchesUnorderedIterationInFingerprint) {
   std::string content = ss.str();
 
   // The real file is clean.
-  const LintReport before = Lint({{"src/mc/fingerprint.cc", content}});
+  const LintReport before = Lint({{"src/mc/harness.cc", content}});
   EXPECT_EQ(CountRule(before, "unordered-iteration"), 0);
 
   // Mutation: append a helper that feeds unordered_map iteration order
@@ -473,7 +474,7 @@ TEST(MutationSelfCheck, LintCatchesUnorderedIterationInFingerprint) {
       "  return h;\n"
       "}\n"
       "}  // namespace scatter::mc\n";
-  const LintReport after = Lint({{"src/mc/fingerprint.cc", content}});
+  const LintReport after = Lint({{"src/mc/harness.cc", content}});
   EXPECT_EQ(CountRule(after, "unordered-iteration"), 1)
       << "scatter-lint failed to catch a hash-order-dependent fingerprint";
 }

@@ -1,31 +1,32 @@
-// The model checker's validation experiment (ISSUE: three seeded bugs,
-// each reintroduced behind a test-only flag, must be found by the explorer
-// within a bounded budget that random simulation does not match):
+// The model checker's validation experiment: seeded bugs, each
+// reintroduced behind a test-only flag, must be found by the explorer
+// within a bounded budget that random simulation does not match.
 //
 //   stale_ballot+mutation    — bug_accept_stale_ballot: an acceptor takes
-//                              an Accept below its promise. Found by the
-//                              guided random walk; the leader-completeness
-//                              auditor property flags the divergent commit.
+//                              an Accept below its promise; the
+//                              leader-completeness auditor property flags
+//                              the divergent commit.
 //   lost_merge+mutation      — bug_drop_resent_prepare_payload: a resent
-//                              2PC prepare loses the participant's keys.
-//                              Found by the walk; surfaces as a
-//                              linearizability violation (acknowledged
-//                              writes unreadable after the merge).
+//                              2PC prepare loses the participant's keys;
+//                              surfaces as a linearizability violation
+//                              (acknowledged writes unreadable after the
+//                              merge).
 //   bootstrap_wedge+mutation — bug_skip_bootstrap_joiner: an add-member
 //                              config change commits on a bare quorum with
-//                              an un-bootstrapped joiner. Found by
-//                              delay-bounded DFS; the liveness probe fails.
+//                              an un-bootstrapped joiner; the liveness
+//                              probe fails.
 //   batched_read+mutation    — bug_batch_checks_first_key_only: a batched
 //                              Get checks leadership and lease for its
-//                              first key only. Found by the walk; the
-//                              follower's stale read of a completed write
-//                              is a linearizability violation.
+//                              first key only; the follower's stale read of
+//                              a completed write is a linearizability
+//                              violation.
 //
-// Budgets below are the documented detection budgets (see DESIGN.md §10);
-// each is a few times the empirically observed cost, so the tests stay
-// deterministic and fast. The clean (unmutated) variants must stay clean at
-// the same budgets, and a 100-seed random baseline must miss at least one
-// mutation the explorer finds.
+// Every hunt runs the explorer's defaults (walk depth 40, walk seed 1) and
+// differs only in its schedule budget, a few times the schedules the walk
+// needs (see DESIGN.md §10), so the tests stay deterministic and fast. The
+// clean (unmutated) variants must stay clean at the same budgets, and a
+// 100-seed random baseline must miss at least one mutation the explorer
+// finds.
 
 #include <gtest/gtest.h>
 
@@ -38,10 +39,18 @@
 namespace scatter::mc {
 namespace {
 
-McOptions BaseOptions() {
+// Schedule budgets of the hunts; the clean variants run at the same ones.
+// The walk finds each mutation at schedule 91, 8, 30 and 8.
+constexpr uint64_t kStaleBallotBudget = 2000;
+constexpr uint64_t kLostMergeBudget = 500;
+constexpr uint64_t kBootstrapWedgeBudget = 500;
+constexpr uint64_t kBatchedReadBudget = 500;
+
+// The explorer's defaults with a schedule budget; tests write no artifacts.
+McOptions HuntOptions(uint64_t max_schedules) {
   McOptions options;
-  options.wall_budget_seconds = 120.0;  // generous; schedule caps bind first
-  options.counterexample_path = "";     // tests never write artifacts
+  options.max_schedules = max_schedules;
+  options.counterexample_path = "";
   return options;
 }
 
@@ -64,51 +73,37 @@ void ExpectDeterministicReplay(const ExploreStats& stats) {
 }
 
 TEST(McMutationTest, WalkFindsStaleBallotAcceptance) {
-  McOptions options = BaseOptions();
-  options.strategy.max_depth = 40;
-  options.max_schedules = 2000;
   const ExploreStats stats =
-      Explore("stale_ballot+mutation", StrategyKind::kRandomWalk, options);
+      Explore("stale_ballot+mutation", HuntOptions(kStaleBallotBudget));
   ASSERT_TRUE(stats.violation_found)
-      << "budget: 2000 walks at depth 40, seed 1";
+      << "budget: " << kStaleBallotBudget << " walks";
   // The divergent commit trips a Paxos safety invariant.
   EXPECT_EQ(stats.counterexample.violation.source, "auditor");
   ExpectDeterministicReplay(stats);
 }
 
 TEST(McMutationTest, WalkFindsLostMergePayload) {
-  McOptions options = BaseOptions();
-  options.strategy.max_depth = 60;
-  options.max_schedules = 500;
   const ExploreStats stats =
-      Explore("lost_merge+mutation", StrategyKind::kRandomWalk, options);
+      Explore("lost_merge+mutation", HuntOptions(kLostMergeBudget));
   ASSERT_TRUE(stats.violation_found)
-      << "budget: 500 walks at depth 60, seed 1";
+      << "budget: " << kLostMergeBudget << " walks";
   ExpectDeterministicReplay(stats);
 }
 
 TEST(McMutationTest, WalkFindsBatchedReadServedByAFollower) {
-  McOptions options = BaseOptions();
-  options.strategy.max_depth = 40;
-  options.max_schedules = 500;
   const ExploreStats stats =
-      Explore("batched_read+mutation", StrategyKind::kRandomWalk, options);
+      Explore("batched_read+mutation", HuntOptions(kBatchedReadBudget));
   ASSERT_TRUE(stats.violation_found)
-      << "budget: 500 walks at depth 40, seed 1";
+      << "budget: " << kBatchedReadBudget << " walks";
   EXPECT_EQ(stats.counterexample.violation.source, "linearizability");
   ExpectDeterministicReplay(stats);
 }
 
-TEST(McMutationTest, DelayBoundedFindsBootstrapWedge) {
-  McOptions options = BaseOptions();
-  options.strategy.max_depth = 40;
-  options.strategy.delay_budget = 14;
-  options.max_schedules = 20000;
+TEST(McMutationTest, WalkFindsBootstrapWedge) {
   const ExploreStats stats = Explore("bootstrap_wedge+mutation",
-                                     StrategyKind::kDelayBounded, options);
+                                     HuntOptions(kBootstrapWedgeBudget));
   ASSERT_TRUE(stats.violation_found)
-      << "budget: delay 14 at depth 40, seed 1 (" << stats.schedules
-      << " schedules explored)";
+      << "budget: " << kBootstrapWedgeBudget << " walks";
   EXPECT_EQ(stats.counterexample.violation.source, "liveness");
   ExpectDeterministicReplay(stats);
 }
@@ -116,49 +111,19 @@ TEST(McMutationTest, DelayBoundedFindsBootstrapWedge) {
 // The unmutated scenarios must survive the same adversarial budgets: a
 // detector that also fires on correct code is useless.
 TEST(McMutationTest, CleanVariantsStayClean) {
-  {
-    McOptions options = BaseOptions();
-    options.strategy.max_depth = 40;
-    options.max_schedules = 1000;
-    const ExploreStats stats =
-        Explore("stale_ballot", StrategyKind::kRandomWalk, options);
+  const struct {
+    const char* scenario;
+    uint64_t budget;
+  } legs[] = {{"stale_ballot", kStaleBallotBudget},
+              {"lost_merge", kLostMergeBudget},
+              {"bootstrap_wedge", kBootstrapWedgeBudget},
+              {"batched_read", kBatchedReadBudget}};
+  for (const auto& leg : legs) {
+    const ExploreStats stats = Explore(leg.scenario, HuntOptions(leg.budget));
+    EXPECT_EQ(stats.schedules, leg.budget) << leg.scenario;
     EXPECT_FALSE(stats.violation_found)
-        << stats.counterexample.violation.source << "/"
-        << stats.counterexample.violation.checker << ": "
-        << stats.counterexample.violation.detail;
-  }
-  {
-    McOptions options = BaseOptions();
-    options.strategy.max_depth = 60;
-    options.max_schedules = 300;
-    const ExploreStats stats =
-        Explore("lost_merge", StrategyKind::kRandomWalk, options);
-    EXPECT_FALSE(stats.violation_found)
-        << stats.counterexample.violation.source << "/"
-        << stats.counterexample.violation.checker << ": "
-        << stats.counterexample.violation.detail;
-  }
-  {
-    McOptions options = BaseOptions();
-    options.strategy.max_depth = 40;
-    options.strategy.delay_budget = 14;
-    options.max_schedules = 20000;
-    const ExploreStats stats =
-        Explore("bootstrap_wedge", StrategyKind::kDelayBounded, options);
-    EXPECT_FALSE(stats.violation_found)
-        << stats.counterexample.violation.source << "/"
-        << stats.counterexample.violation.checker << ": "
-        << stats.counterexample.violation.detail;
-  }
-  {
-    McOptions options = BaseOptions();
-    options.strategy.max_depth = 40;
-    options.max_schedules = 500;
-    const ExploreStats stats =
-        Explore("batched_read", StrategyKind::kRandomWalk, options);
-    EXPECT_FALSE(stats.violation_found)
-        << stats.counterexample.violation.source << "/"
-        << stats.counterexample.violation.checker << ": "
+        << leg.scenario << ": " << stats.counterexample.violation.source
+        << "/" << stats.counterexample.violation.checker << ": "
         << stats.counterexample.violation.detail;
   }
 }

@@ -1,5 +1,5 @@
 // Model-checking harness mechanics: decision serialization, the scheduler
-// seam, replay determinism, fingerprinting, and the exploration strategies.
+// seam, replay determinism, and the random walk.
 // Mutation-detection experiments live in mc_mutation_test.cc.
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include "src/mc/explorer.h"
 #include "src/mc/harness.h"
 #include "src/mc/scenario.h"
-#include "src/mc/strategy.h"
+#include "src/mc/walk.h"
 
 namespace scatter::mc {
 namespace {
@@ -25,7 +25,7 @@ Counterexample SampleCounterexample() {
   Counterexample ce;
   ce.scenario = "split";
   ce.seed = 42;
-  ce.strategy = "delay_bounded";
+  ce.strategy = "random_walk";
   ce.schedule = {
       Choice{ChoiceKind::kDeliver, 7, 3},
       Choice{ChoiceKind::kAdvanceTime, 0, kInvalidNode},
@@ -107,17 +107,6 @@ TEST(McDecisionTest, FromJsonRejectsSeedOverflowAndTrailingGarbage) {
   EXPECT_FALSE(Counterexample::FromJson(json + "garbage", &out, &error));
 }
 
-TEST(McDecisionTest, CommutesOnlyForDeliveriesToDifferentNodes) {
-  const Choice d3{ChoiceKind::kDeliver, 1, 3};
-  const Choice d4{ChoiceKind::kDeliver, 2, 4};
-  const Choice d3b{ChoiceKind::kDeliver, 5, 3};
-  const Choice adv{ChoiceKind::kAdvanceTime, 0, kInvalidNode};
-  EXPECT_TRUE(Commutes(d3, d4));
-  EXPECT_FALSE(Commutes(d3, d3b));  // same destination: ordered
-  EXPECT_FALSE(Commutes(d3, adv));
-  EXPECT_FALSE(Commutes(adv, adv));
-}
-
 // ---------------------------------------------------------------------------
 // Harness: scheduler seam + replay determinism
 // ---------------------------------------------------------------------------
@@ -155,17 +144,45 @@ TEST(McHarnessTest, ExecuteRejectsIllegalChoices) {
   EXPECT_TRUE(harness.executed().empty());
 }
 
+// What a test can see of a harness's run so far besides its decisions:
+// the simulator's event count and clock, and the network's send count
+// (captured sends included).
+struct RunCounts {
+  uint64_t events = 0;
+  uint64_t messages = 0;
+  TimeMicros now = 0;
+  friend bool operator==(const RunCounts&, const RunCounts&) = default;
+};
+
+RunCounts CountsOf(McHarness& harness) {
+  return RunCounts{harness.cluster().sim().events_processed(),
+                   harness.cluster().net().messages_sent(),
+                   harness.cluster().sim().now()};
+}
+
+// Step `step` takes the (step mod n)-th of the n enabled choices, so the
+// schedule fires timers as well as deliveries.
+size_t RoundRobinPick(const std::vector<Choice>& enabled, int step) {
+  return static_cast<size_t>(step) % enabled.size();
+}
+
+constexpr int kSteps = 12;
+
 // The determinism contract: (seed, decision sequence) fully determines the
-// run. Two harnesses fed the same choices expose identical enabled sets and
-// identical state fingerprints at every step.
+// run. Two harnesses fed the same choices expose identical enabled sets,
+// executed decisions, event and message counts and clocks at every step.
 TEST(McHarnessTest, SameScheduleYieldsSameFingerprints) {
   const McScenario scenario = MakeScenario("split");
   McHarness a(scenario, /*seed=*/7);
   McHarness b(scenario, /*seed=*/7);
   a.Start();
   b.Start();
-  for (int step = 0; step < 12; ++step) {
-    ASSERT_EQ(a.StateFingerprint(), b.StateFingerprint()) << "step " << step;
+  for (int step = 0; step < kSteps; ++step) {
+    ASSERT_TRUE(CountsOf(a) == CountsOf(b)) << "step " << step;
+    ASSERT_EQ(a.executed().size(), b.executed().size()) << "step " << step;
+    for (size_t i = 0; i < a.executed().size(); ++i) {
+      EXPECT_TRUE(SameChoice(a.executed()[i], b.executed()[i]));
+    }
     const std::vector<Choice> ea = a.EnabledChoices();
     const std::vector<Choice> eb = b.EnabledChoices();
     ASSERT_EQ(ea.size(), eb.size()) << "step " << step;
@@ -175,9 +192,8 @@ TEST(McHarnessTest, SameScheduleYieldsSameFingerprints) {
     if (ea.empty()) {
       break;
     }
-    // Take the first enabled choice on both.
-    ASSERT_TRUE(a.Execute(ea[0]));
-    ASSERT_TRUE(b.Execute(eb[0]));
+    ASSERT_TRUE(a.Execute(ea[RoundRobinPick(ea, step)]));
+    ASSERT_TRUE(b.Execute(eb[RoundRobinPick(eb, step)]));
   }
 }
 
@@ -187,22 +203,20 @@ TEST(McHarnessTest, DifferentSeedsDiverge) {
   McHarness b(scenario, /*seed=*/2);
   a.Start();
   b.Start();
-  EXPECT_NE(a.StateFingerprint(), b.StateFingerprint());
-}
-
-TEST(McHarnessTest, DeliveryChangesFingerprint) {
-  McHarness harness(MakeScenario("split"), /*seed=*/1);
-  harness.Start();
-  const uint64_t before = harness.StateFingerprint();
-  const std::vector<Choice> enabled = harness.EnabledChoices();
-  ASSERT_FALSE(enabled.empty());
-  ASSERT_EQ(enabled.front().kind, ChoiceKind::kDeliver);
-  ASSERT_TRUE(harness.Execute(enabled.front()));
-  EXPECT_NE(harness.StateFingerprint(), before);
+  for (McHarness* h : {&a, &b}) {
+    for (int step = 0; step < kSteps; ++step) {
+      const std::vector<Choice> enabled = h->EnabledChoices();
+      if (enabled.empty()) {
+        break;
+      }
+      ASSERT_TRUE(h->Execute(enabled[RoundRobinPick(enabled, step)]));
+    }
+  }
+  EXPECT_FALSE(CountsOf(a) == CountsOf(b));
 }
 
 // ---------------------------------------------------------------------------
-// Explorer + strategies
+// Explorer + random walk
 // ---------------------------------------------------------------------------
 
 McOptions QuickOptions() {
@@ -215,64 +229,22 @@ McOptions QuickOptions() {
 TEST(McExplorerTest, CleanScenarioExploresWithoutViolation) {
   McOptions options = QuickOptions();
   options.max_schedules = 300;
-  options.strategy.max_depth = 10;
-  const ExploreStats stats =
-      Explore("split", StrategyKind::kDelayBounded, options);
+  options.max_depth = 10;
+  const ExploreStats stats = Explore("split", options);
   EXPECT_FALSE(stats.violation_found);
-  EXPECT_GT(stats.schedules, 0u);
+  EXPECT_EQ(stats.schedules, 300u);
   EXPECT_GT(stats.decisions, stats.schedules);
   EXPECT_FALSE(stats.ToJson().empty());
-}
-
-TEST(McExplorerTest, SleepSetsPruneScheduleTree) {
-  // Same bounded exploration with and without partial-order reduction:
-  // sleep sets must prune sibling schedules (commuting delivery swaps)
-  // and never find a violation the full enumeration would not.
-  McOptions options = QuickOptions();
-  options.max_schedules = 4000;
-  options.strategy.max_depth = 6;
-  options.dedup = false;  // isolate the reduction's effect
-  const ExploreStats with_por =
-      Explore("split", StrategyKind::kExhaustive, options);
-  EXPECT_FALSE(with_por.violation_found);
-  EXPECT_GT(with_por.reduction_cuts, 0u);
-}
-
-TEST(McExplorerTest, DedupCutsRevisitedStates) {
-  McOptions options = QuickOptions();
-  options.max_schedules = 2000;
-  options.strategy.max_depth = 8;
-  const ExploreStats stats =
-      Explore("split", StrategyKind::kDelayBounded, options);
-  EXPECT_GT(stats.dedup_hits, 0u);
-}
-
-TEST(McExplorerTest, DelayBoundLimitsScheduleCount) {
-  // A tighter delay budget explores a strict subset of the schedule tree.
-  McOptions small = QuickOptions();
-  small.max_schedules = 100000;
-  small.strategy.max_depth = 8;
-  small.strategy.delay_budget = 1;
-  McOptions big = small;
-  big.strategy.delay_budget = 4;
-  const ExploreStats s =
-      Explore("split", StrategyKind::kDelayBounded, small);
-  const ExploreStats b = Explore("split", StrategyKind::kDelayBounded, big);
-  EXPECT_LT(s.schedules, b.schedules);
 }
 
 TEST(McExplorerTest, RandomWalkSchedulesDifferButReplayDeterministically) {
   // Two walks with different walk seeds pick different schedules; replaying
   // a recorded walk schedule reproduces the same decisions.
   const McScenario scenario = MakeScenario("split");
-  StrategyOptions sopts;
-  sopts.max_depth = 10;
 
   auto run_walk = [&](uint64_t walk_seed) {
-    StrategyOptions o = sopts;
-    o.walk_seed = walk_seed;
-    auto strategy = MakeStrategy(StrategyKind::kRandomWalk, o);
-    strategy->BeginSchedule(0);
+    RandomWalk walk(/*max_depth=*/10, walk_seed);
+    walk.BeginSchedule(0);
     McHarness harness(scenario, /*seed=*/1);
     harness.Start();
     std::vector<Choice> schedule;
@@ -281,8 +253,8 @@ TEST(McExplorerTest, RandomWalkSchedulesDifferButReplayDeterministically) {
       if (enabled.empty()) {
         break;
       }
-      const size_t pick = strategy->Pick(enabled, depth);
-      if (pick == Strategy::kCut) {
+      const size_t pick = walk.Pick(enabled, depth);
+      if (pick == RandomWalk::kCut) {
         break;
       }
       EXPECT_TRUE(harness.Execute(enabled[pick]));

@@ -1,6 +1,6 @@
 // mc_explore: command-line front end of the model-checking explorer.
 //
-//   mc_explore --scenario split --strategy delay --budget-seconds 20
+//   mc_explore --scenario split --max-schedules 2000
 //
 // Prints one line of JSON exploration statistics to stdout (the CI smoke
 // stage and scripts/bench_snapshot.sh parse it). Exits 0 when the run
@@ -20,14 +20,11 @@ namespace {
 void Usage() {
   std::fprintf(stderr,
                "usage: mc_explore --scenario NAME [options]\n"
-               "  --strategy exhaustive|delay|walk   (default: delay)\n"
                "  --seed N                           cluster seed (default 1)\n"
                "  --budget-seconds S                 wall budget (default 30)\n"
                "  --max-schedules N                  (default 1000000)\n"
                "  --max-depth N                      decisions/schedule (default 40)\n"
-               "  --delay-budget N                   delay strategy budget (default 6)\n"
                "  --walk-seed N                      random-walk seed (default 1)\n"
-               "  --no-dedup                         disable state dedup\n"
                "  --counterexample PATH|none         artifact path\n"
                "  --expect-violation                 exit 0 iff a violation was found\n"
                "  --list                             list scenarios and exit\n");
@@ -37,10 +34,8 @@ void Usage() {
 
 int main(int argc, char** argv) {
   using scatter::mc::McOptions;
-  using scatter::mc::StrategyKind;
 
   std::string scenario;
-  StrategyKind kind = StrategyKind::kDelayBounded;
   McOptions options;
   bool expect_violation = false;
 
@@ -55,18 +50,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--scenario") {
       scenario = next();
-    } else if (arg == "--strategy") {
-      const std::string s = next();
-      if (s == "exhaustive") {
-        kind = StrategyKind::kExhaustive;
-      } else if (s == "delay" || s == "delay_bounded") {
-        kind = StrategyKind::kDelayBounded;
-      } else if (s == "walk" || s == "random_walk") {
-        kind = StrategyKind::kRandomWalk;
-      } else {
-        Usage();
-        return 64;
-      }
     } else if (arg == "--seed") {
       options.seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--budget-seconds") {
@@ -74,13 +57,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-schedules") {
       options.max_schedules = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--max-depth") {
-      options.strategy.max_depth = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--delay-budget") {
-      options.strategy.delay_budget = std::strtoull(next(), nullptr, 10);
+      options.max_depth = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--walk-seed") {
-      options.strategy.walk_seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--no-dedup") {
-      options.dedup = false;
+      options.walk_seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--counterexample") {
       const std::string path = next();
       options.counterexample_path = path == "none" ? "" : path;
@@ -102,7 +81,7 @@ int main(int argc, char** argv) {
   }
 
   const scatter::mc::ExploreStats stats =
-      scatter::mc::Explore(scenario, kind, options);
+      scatter::mc::Explore(scenario, options);
   std::printf("%s\n", stats.ToJson().c_str());
   if (stats.violation_found && !options.counterexample_path.empty()) {
     std::fprintf(stderr, "counterexample written to %s\n",

@@ -11,7 +11,8 @@
 //   - lease reads vs barrier reads on the same group, and one lease-read
 //     RPC round trip alone and 64 deep,
 //   - the linearizability checker on sequential histories,
-//   - WAL framing + append throughput and crash-recovery replay.
+//   - WAL framing + append throughput, crash-recovery replay and one
+//     group's checkpoint.
 
 #include <benchmark/benchmark.h>
 
@@ -24,6 +25,7 @@
 #include "src/membership/group_state_machine.h"
 #include "src/obs/metrics.h"
 #include "src/paxos/journal.h"
+#include "src/paxos/log.h"
 #include "src/paxos/messages.h"
 #include "src/paxos/payload_codec.h"
 #include "src/ring/ring_map.h"
@@ -119,6 +121,13 @@ void BM_KvStoreExtractRange(benchmark::State& state) {
 }
 BENCHMARK(BM_KvStoreExtractRange);
 
+// Listener for group state machines that never split or merge here.
+struct NullGroupListener : membership::GroupListener {
+  void OnGroupsFounded(GroupId,
+                       const std::vector<membership::FoundingGroup>&) override {
+  }
+};
+
 // One replica applying one client write, the state-machine cost every
 // replica of a kv_write group pays per write: the (client, seq) dedup record,
 // then the store update. The group holds kv_write's share of the keys (2,400
@@ -130,12 +139,7 @@ void BM_GroupApplyWrite(benchmark::State& state) {
   constexpr uint64_t kKeys = 300;
   constexpr uint64_t kClients = 24;
   constexpr uint64_t kGroups = 8;
-  struct NullListener : membership::GroupListener {
-    void OnGroupsFounded(GroupId,
-                         const std::vector<membership::FoundingGroup>&)
-        override {}
-  };
-  NullListener listener;
+  NullGroupListener listener;
   membership::GroupState initial;
   initial.id = 1;
   initial.range = ring::KeyRange::Full();
@@ -573,13 +577,13 @@ void BM_RecoveryReplay(benchmark::State& state) {
   obs::MetricsRegistry metrics;
   const GroupId group = 7;
   paxos::GroupJournal journal(&disk, &metrics, /*node=*/1, group);
-  auto snap = std::make_shared<membership::GroupSnapshot>();
-  snap->state.id = group;
-  const std::vector<NodeId> config = {1, 2, 3};
+  NullGroupListener listener;
+  membership::GroupState initial;
+  initial.id = group;
+  const membership::GroupStateMachine sm(&listener, std::move(initial));
   const Ballot ballot{1, 1};
-  journal.WriteCheckpoint(/*last_included_index=*/0, Ballot{}, config,
-                          /*config_index=*/0, snap, ballot,
-                          /*commit_index=*/0, {});
+  journal.WriteCheckpoint({0, Ballot{}, {1, 2, 3}, 0, ballot, 0}, sm,
+                          paxos::Log());
   const uint64_t entries = static_cast<uint64_t>(state.range(0));
   for (uint64_t i = 1; i <= entries; ++i) {
     paxos::LogEntry e;
@@ -603,6 +607,57 @@ void BM_RecoveryReplay(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_RecoveryReplay)->Arg(256)->Arg(2048);
+
+// One group's durable checkpoint, which every kv_write replica writes once
+// per 256 applied entries: the header and the live group state encoded
+// into the framed snapshot file, then the WAL rewritten to a residual
+// suffix of 4 unapplied writes. The group holds Arg keys with kv_write's
+// values ("v<client>:<seq>") and a 16-result dedup window for each of
+// kv_write's 24 client sessions; a kv_write group holds about 300 keys.
+// Bytes/sec is snapshot-file bytes written per second.
+void BM_Checkpoint(benchmark::State& state) {
+  core::RegisterScatterWireCodecs();
+  constexpr uint64_t kClients = 24;
+  const uint64_t keys = static_cast<uint64_t>(state.range(0));
+  NullGroupListener listener;
+  membership::GroupState initial;
+  initial.id = 1;
+  initial.range = ring::KeyRange::Full();
+  initial.epoch = 1;
+  Rng rng(7);
+  for (uint64_t i = 0; i < keys; ++i) {
+    initial.data.Put(rng.Next(), "v" + std::to_string(i % kClients + 1) +
+                                     ":" + std::to_string(i / kClients + 1));
+  }
+  for (uint64_t c = 1; c <= kClients; ++c) {
+    membership::DedupEntry& entry = initial.dedup[c];
+    entry.max_seq = 128;
+    for (uint64_t seq = 8; seq <= entry.max_seq; seq += 8) {
+      entry.results[seq] = 0;
+    }
+  }
+  const membership::GroupStateMachine sm(&listener, std::move(initial));
+  const uint64_t base = 1024;
+  paxos::Log log;
+  log.ResetToSnapshot(base);
+  for (uint64_t i = base + 1; i <= base + 4; ++i) {
+    log.Set(i, Ballot{1, 1},
+            std::make_shared<membership::PutCommand>(i, "v1:99999"));
+  }
+  storage::SimDisk disk;
+  obs::MetricsRegistry metrics;
+  paxos::GroupJournal journal(&disk, &metrics, /*node=*/1, /*group=*/1);
+  const paxos::CheckpointHeader header{base, Ballot{1, 1}, {1, 2, 3}, 0,
+                                       Ballot{1, 1}, base};
+  for (auto _ : state) {
+    journal.WriteCheckpoint(header, sm, log);
+  }
+  std::vector<uint8_t> snapshot;
+  disk.Read(paxos::SnapFileName(1), &snapshot);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(snapshot.size()));
+}
+BENCHMARK(BM_Checkpoint)->Arg(300)->Arg(30000);
 
 }  // namespace
 }  // namespace scatter

@@ -192,7 +192,7 @@ import sys
 explore = f"{sys.argv[1]}/tools/mc_explore"
 runs = [[f"{s}+mutation", "--expect-violation"]
         for s in ("stale_ballot", "lost_merge", "bootstrap_wedge",
-                  "batched_read")]
+                  "batched_read", "crash_disk")]
 runs.append(["split", "--max-schedules", "2000"])
 rows = []
 for scenario, *flags in runs:

@@ -121,7 +121,8 @@ run_mc() {
       return 1
     fi
   done
-  for scenario in stale_ballot lost_merge bootstrap_wedge batched_read; do
+  for scenario in stale_ballot lost_merge bootstrap_wedge batched_read \
+                  crash_disk; do
     echo "=== mc: the walk must find $scenario+mutation ($bdir) ==="
     "$bdir/tools/mc_explore" --scenario "$scenario+mutation" \
         --budget-seconds 60 --counterexample none --expect-violation

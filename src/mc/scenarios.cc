@@ -25,7 +25,9 @@
 //                     restart it. The goal requires every restarted node to
 //                     recover its replica from its own WAL + snapshot with
 //                     zero full-state transfers, and the group to stay
-//                     writable.
+//                     writable. Detects bug_skip_wal_replay (the restarted
+//                     replica's commit point falls below its disk's: the
+//                     durability auditor property).
 //   crash_amnesia   — same surface, but a restart wipes the disk first.
 //                     The contrast leg: the revived node cannot recover
 //                     locally and re-enters only through a join + bootstrap
@@ -337,6 +339,8 @@ McScenario MakeScenario(const std::string& name) {
         sc.cluster.scatter.paxos.bug_skip_bootstrap_joiner = true;
       } else if (base == "batched_read") {
         sc.cluster.scatter.bug_batch_checks_first_key_only = true;
+      } else if (base == "crash_disk") {
+        sc.cluster.scatter.paxos.bug_skip_wal_replay = true;
       } else {
         SCATTER_CHECK(false && "scenario has no mutation variant");
       }
@@ -356,6 +360,7 @@ std::vector<std::string> ScenarioNames() {
           "bootstrap_wedge",
           "bootstrap_wedge+mutation",
           "crash_disk",
+          "crash_disk+mutation",
           "crash_amnesia",
           "batched_read",
           "batched_read+mutation"};

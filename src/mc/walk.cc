@@ -1,5 +1,7 @@
 #include "src/mc/walk.h"
 
+#include <optional>
+
 #include "src/common/hash.h"
 
 namespace scatter::mc {
@@ -13,6 +15,8 @@ constexpr double kAdvanceWeight = 1.5;
 // Probability that a schedule uses each available fault (sampled per
 // schedule; the step it fires at is uniform in the depth).
 constexpr double kFaultProbability = 0.75;
+// Mixed into the schedule's seed for the restart step's stream.
+constexpr uint64_t kRestartStream = 0x7265737461727421;  // "restart!"
 
 double Weight(const Choice& c) {
   switch (c.kind) {
@@ -41,11 +45,23 @@ void RandomWalk::BeginSchedule(uint64_t schedule_index) {
     plan_.emplace(at, ChoiceKind::kPartition);
     plan_.emplace(at + 1 + rng_.Index(max_depth_), ChoiceKind::kHeal);
   }
+  std::optional<size_t> crash_at;
   if (rng_.Bernoulli(kFaultProbability)) {
-    plan_.emplace(rng_.Index(max_depth_), ChoiceKind::kCrash);
+    crash_at = rng_.Index(max_depth_);
+    plan_.emplace(*crash_at, ChoiceKind::kCrash);
   }
   if (rng_.Bernoulli(kFaultProbability)) {
     plan_.emplace(rng_.Index(max_depth_), ChoiceKind::kSpawn);
+  }
+  if (crash_at.has_value()) {
+    // The restart of the crashed node, some step after the crash. Its own
+    // stream and its place last in the plan leave every other draw and
+    // planned fault as they were, so a scenario that never enables restarts
+    // walks exactly the schedules it walked before restarts were planned.
+    Rng restart_rng(
+        MixHash(MixHash(walk_seed_, schedule_index), kRestartStream));
+    plan_.emplace(*crash_at + 1 + restart_rng.Index(max_depth_),
+                  ChoiceKind::kRestart);
   }
 }
 

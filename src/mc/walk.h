@@ -1,9 +1,10 @@
 // The explorer's schedule generator: a guided random walk.
 //
 // Each schedule reseeds from MixHash(walk_seed, schedule_index), samples a
-// per-schedule fault plan (which step each available fault fires at), and
-// otherwise takes weighted random picks among deliveries and timer
-// advancement. Faults never fire from the weighted pick — only from the
+// per-schedule fault plan (which step each available fault fires at; a
+// planned crash brings a planned restart some step later, which fires
+// where the scenario allows restarts), and otherwise takes weighted random
+// picks among deliveries and timer advancement. Faults never fire from the weighted pick — only from the
 // plan — so the walk's interleaving randomness and its fault-timing
 // randomness are independently seeded. The walk gives no exhaustiveness
 // guarantee; the seeded-mutation hunts (tests/mc_mutation_test.cc) are the

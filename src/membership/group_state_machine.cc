@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/paxos/payload_codec.h"
+#include "src/wire/fields.h"
 
 namespace scatter::membership {
 namespace {
@@ -415,6 +417,11 @@ paxos::SnapshotPtr GroupStateMachine::TakeSnapshot() const {
   auto snap = std::make_shared<GroupSnapshot>();
   snap->state = state_;
   return snap;
+}
+
+void GroupStateMachine::EncodeState(wire::Buffer& out) const {
+  paxos::WriteSnapshotTag<GroupSnapshot>(out);
+  wire::Write(state_, out);
 }
 
 void GroupStateMachine::Restore(const paxos::SnapshotData& snapshot) {

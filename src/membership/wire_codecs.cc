@@ -60,9 +60,7 @@ void Fields(UpdateNeighborCommand& c, IO& io) {
 
 template <class IO>
 void Fields(GroupSnapshot& snap, IO& io) {
-  GroupState& s = snap.state;
-  io(s.id, s.range, s.epoch, s.pred, s.succ, s.data, s.dedup, s.active,
-     s.txn_outcomes, s.retired, s.forward);
+  io(snap.state);
 }
 
 void RegisterWireCodecs() {

@@ -50,7 +50,7 @@ struct PaxosConfig {
 
   // --- Seeded bugs (test-only; never enable outside tests) ----------------
   // Known-bug mutations the model checker's mutation tests re-introduce to
-  // prove the explorer finds them (tests/mc_mutation_test.cc). Both default
+  // prove the explorer finds them (tests/mc_mutation_test.cc). All default
   // to off and must stay off in production configurations.
   //
   // An acceptor takes a "fast path" that appends a batch cleanly extending
@@ -63,6 +63,11 @@ struct PaxosConfig {
   // replica wedges, because the appended config entry already counts the
   // joiner toward its own quorum.
   bool bug_skip_bootstrap_joiner = false;
+  // A replica recovering from its disk rebuilds from the checkpoint alone
+  // and drops the log suffix WAL replay recovered: accepted and committed
+  // entries the disk held are forgotten, so its commit point falls below
+  // what it had made durable.
+  bool bug_skip_wal_replay = false;
 };
 
 }  // namespace scatter::paxos

@@ -104,36 +104,36 @@ void GroupJournal::Sync() {
   unsynced_appends_ = 0;
 }
 
-void GroupJournal::WriteCheckpoint(uint64_t last_included_index,
-                                   Ballot last_included_ballot,
-                                   const std::vector<NodeId>& config,
-                                   uint64_t config_index,
-                                   const SnapshotPtr& snapshot, Ballot promised,
-                                   uint64_t commit_index,
-                                   const std::vector<LogEntry>& suffix) {
+void GroupJournal::WriteCheckpoint(const CheckpointHeader& header,
+                                   const StateMachine& state,
+                                   const Log& log) {
   // Snapshot file first (atomic Replace). If we crash before the WAL
   // rewrite below, recovery sees the new snapshot plus the old WAL and
-  // skips stale records below the new base.
-  const Checkpoint checkpoint{last_included_index, last_included_ballot,
-                              config, config_index, promised, commit_index,
-                              snapshot};
+  // skips stale records below the new base. The record is framed in place
+  // around the header and the live state (Checkpoint's field list).
   payload_.clear();
-  wire::Write(checkpoint, payload_);
-  storage::WriteSnapshotFile(
-      disk_, SnapFileName(group_),
-      static_cast<uint16_t>(JournalRecordType::kCheckpoint), payload_);
+  const size_t record = storage::BeginWalRecord(
+      static_cast<uint16_t>(JournalRecordType::kCheckpoint), &payload_);
+  wire::Write(header, payload_);
+  state.EncodeState(payload_);
+  storage::EndWalRecord(record, &payload_);
+  disk_->Replace(SnapFileName(group_), payload_.data(), payload_.size());
 
   // Rewrite the WAL down to the residual suffix. Promise and commit live in
   // the checkpoint itself; only entries above the base need re-framing.
-  wire::Buffer framed;
-  for (const LogEntry& entry : suffix) {
-    SCATTER_CHECK(entry.index > last_included_index);
-    payload_.clear();
-    wire::Write(entry, payload_);
-    storage::EncodeWalRecord(static_cast<uint16_t>(JournalRecordType::kAccept),
-                             payload_.data(), payload_.size(), &framed);
+  payload_.clear();
+  for (uint64_t i = std::max(header.snap_base_index + 1, log.first_index());
+       i <= log.last_index(); ++i) {
+    const LogEntry* entry = log.At(i);
+    if (entry == nullptr) {
+      continue;  // a hole
+    }
+    const size_t accept = storage::BeginWalRecord(
+        static_cast<uint16_t>(JournalRecordType::kAccept), &payload_);
+    wire::Write(*entry, payload_);
+    storage::EndWalRecord(accept, &payload_);
   }
-  wal_.Rewrite(framed);
+  wal_.Rewrite(payload_);
   unsynced_appends_ = 0;  // Replace is durable; prior appends superseded.
   ++checkpoints_;
 }

@@ -24,7 +24,11 @@
 // A checkpoint (WriteCheckpoint) atomically replaces the snapshot file with
 // the applied state and then rewrites the WAL down to the residual suffix —
 // recovery tolerates a crash between the two (stale WAL records below the
-// new snapshot base are skipped during replay).
+// new snapshot base are skipped during replay). It encodes the state
+// machine's live state in place (StateMachine::EncodeState) and walks the
+// residual entries in the live log, so its cost is the bytes it persists:
+// no copy of the state, no copy of the suffix, and no allocation once the
+// scratch buffer has grown to the checkpoint's size.
 
 #ifndef SCATTER_SRC_PAXOS_JOURNAL_H_
 #define SCATTER_SRC_PAXOS_JOURNAL_H_
@@ -55,24 +59,34 @@ enum class JournalRecordType : uint16_t {
   kCheckpoint = 16,     // Checkpoint, in the snapshot file only
 };
 
-// Checkpoint payload: the snapshot base (index, ballot, config at its log
-// index), the promise and commit point at checkpoint time, then the
-// state-machine snapshot. Residual log entries above the base stay in the
-// rewritten WAL, not here.
-struct Checkpoint {
+// Checkpoint payload: the header — snapshot base (index, ballot, config at
+// its log index), the promise and commit point at checkpoint time — then
+// the state-machine snapshot. Residual log entries above the base stay in
+// the rewritten WAL, not here.
+struct CheckpointHeader {
   uint64_t snap_base_index = 0;
   Ballot snap_base_ballot;
   std::vector<NodeId> snap_config;
   uint64_t snap_config_index = 0;
   Ballot promised;
   uint64_t commit_index = 0;
+};
+
+template <class IO>
+void Fields(CheckpointHeader& h, IO& io) {
+  io(h.snap_base_index, h.snap_base_ballot, h.snap_config, h.snap_config_index,
+     h.promised, h.commit_index);
+}
+
+// What recovery reads back. WriteCheckpoint writes the same bytes with the
+// live state in place of `snapshot`.
+struct Checkpoint : CheckpointHeader {
   SnapshotPtr snapshot;  // state-machine state at snap_base_index
 };
 
 template <class IO>
 void Fields(Checkpoint& c, IO& io) {
-  io(c.snap_base_index, c.snap_base_ballot, c.snap_config, c.snap_config_index,
-     c.promised, c.commit_index, c.snapshot);
+  io(static_cast<CheckpointHeader&>(c), c.snapshot);
 }
 
 std::string WalFileName(GroupId group);
@@ -114,15 +128,11 @@ class GroupJournal {
   void Sync();
   bool dirty() const { return unsynced_appends_ > 0; }
 
-  // Atomically persists `snapshot` (state at last_included_index) and
-  // rewrites the WAL to promise/commit plus the residual `suffix`.
-  // Durable on return.
-  void WriteCheckpoint(uint64_t last_included_index,
-                       Ballot last_included_ballot,
-                       const std::vector<NodeId>& config,
-                       uint64_t config_index, const SnapshotPtr& snapshot,
-                       Ballot promised, uint64_t commit_index,
-                       const std::vector<LogEntry>& suffix);
+  // Atomically persists `header` plus the live state of `state` (which must
+  // be the state at header.snap_base_index), then rewrites the WAL to the
+  // residual suffix: the entries of `log` above the base. Durable on return.
+  void WriteCheckpoint(const CheckpointHeader& header,
+                       const StateMachine& state, const Log& log);
 
   // True when the disk holds any state for `group`.
   static bool HasState(const storage::SimDisk& disk, GroupId group);
@@ -142,7 +152,7 @@ class GroupJournal {
   storage::SimDisk* disk_;
   GroupId group_;
   storage::Wal wal_;
-  wire::Buffer payload_;  // scratch reused across appends
+  wire::Buffer payload_;  // scratch reused across appends and checkpoints
   uint64_t unsynced_appends_ = 0;
 
   // wal.* observability cells (check_obs_json.py validates these).

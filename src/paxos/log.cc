@@ -1,6 +1,5 @@
 #include "src/paxos/log.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -24,8 +23,10 @@ void Log::Set(uint64_t index, Ballot ballot, CommandPtr command) {
   LogEntry& slot = entries_[index - first_index_];
   if (command->kind == Command::Kind::kConfig) {
     config_entries_[index] = static_cast<const ConfigCommand*>(command.get());
+    ++config_changes_;
   } else if (slot.valid() && slot.command->kind == Command::Kind::kConfig) {
     config_entries_.erase(index);
+    ++config_changes_;
   }
   slot.index = index;
   slot.ballot = ballot;
@@ -46,6 +47,7 @@ uint64_t Log::LastContiguous() const {
 void Log::TruncatePrefix(uint64_t up_to) {
   config_entries_.erase(config_entries_.begin(),
                         config_entries_.upper_bound(up_to));
+  ++config_changes_;
   while (!entries_.empty() && first_index_ <= up_to) {
     entries_.pop_front();
     ++first_index_;
@@ -58,6 +60,7 @@ void Log::TruncatePrefix(uint64_t up_to) {
 void Log::TruncateSuffix(uint64_t from) {
   config_entries_.erase(config_entries_.lower_bound(from),
                         config_entries_.end());
+  ++config_changes_;
   while (!entries_.empty() && last_index() >= from) {
     entries_.pop_back();
   }
@@ -66,18 +69,8 @@ void Log::TruncateSuffix(uint64_t from) {
 void Log::ResetToSnapshot(uint64_t last_included_index) {
   entries_.clear();
   config_entries_.clear();
+  ++config_changes_;
   first_index_ = last_included_index + 1;
-}
-
-std::vector<LogEntry> Log::Suffix(uint64_t from) const {
-  std::vector<LogEntry> out;
-  for (uint64_t i = std::max(from, first_index_); i <= last_index(); ++i) {
-    const LogEntry* e = At(i);
-    if (e != nullptr) {
-      out.push_back(*e);
-    }
-  }
-  return out;
 }
 
 }  // namespace scatter::paxos

@@ -69,17 +69,22 @@ class Registry {
       stats().memo_bytes_reused += payload->wire_memo->size();
       return;
     }
-    auto it = by_type_.find(std::type_index(typeid(*payload)));
-    if (it == by_type_.end()) {
-      CodecFailure(std::string("no wire codec registered for ") + kind +
-                   " type " + typeid(*payload).name());
-    }
+    const Entry& entry = Find(typeid(*payload), kind);
     const size_t start = out.size();
-    out.WriteU16(it->second.tag);
-    it->second.codec.encode(*payload, out);
+    out.WriteU16(entry.tag);
+    entry.codec.encode(*payload, out);
     payload->wire_memo = std::make_shared<const std::vector<uint8_t>>(
         out.data() + start, out.data() + out.size());
     ++stats().memo_fills;
+  }
+
+  const Entry& Find(std::type_index type, const char* kind) const {
+    auto it = by_type_.find(type);
+    if (it == by_type_.end()) {
+      CodecFailure(std::string("no wire codec registered for ") + kind +
+                   " type " + type.name());
+    }
+    return it->second;
   }
 
   std::shared_ptr<const Base> Decode(wire::Reader& in) const {
@@ -112,6 +117,10 @@ void RegisterPayload(uint16_t tag, std::type_index type,
 void RegisterPayload(uint16_t tag, std::type_index type,
                      PayloadCodec<SnapshotData> codec) {
   Registry<SnapshotData>::Get().Register(tag, type, codec, "snapshot");
+}
+
+uint16_t SnapshotTag(std::type_index type) {
+  return Registry<SnapshotData>::Get().Find(type, "snapshot").tag;
 }
 
 }  // namespace internal

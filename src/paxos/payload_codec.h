@@ -58,6 +58,10 @@ void RegisterPayload(uint16_t tag, std::type_index type,
 void RegisterPayload(uint16_t tag, std::type_index type,
                      PayloadCodec<SnapshotData> codec);
 
+// The tag registered for snapshot type `type`; CHECK-fails on an
+// unregistered type, like EncodeSnapshot.
+uint16_t SnapshotTag(std::type_index type);
+
 template <typename Base, typename T>
 void RegisterPayload(uint16_t tag) {
   RegisterPayload(
@@ -83,6 +87,14 @@ void RegisterCommand(uint16_t tag) {
 template <typename T>
 void RegisterSnapshot(uint16_t tag) {
   internal::RegisterPayload<SnapshotData, T>(tag);
+}
+
+// Appends the tag EncodeSnapshot writes before a T's field list. A state
+// machine's EncodeState (state_machine.h) follows it with its live state's
+// fields, producing a T's snapshot bytes without building a T.
+template <typename T>
+void WriteSnapshotTag(wire::Buffer& out) {
+  out.WriteU16(internal::SnapshotTag(typeid(T)));
 }
 
 // Cumulative process-wide encode-memo statistics (benches and tests snapshot

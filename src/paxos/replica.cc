@@ -124,8 +124,8 @@ Replica::Replica(sim::Simulator* sim, ReplicaHost* host,
     if (journal_ != nullptr) {
       // First checkpoint: a founding group is recoverable from birth (the
       // state machine is at its index-0 initial state right now).
-      journal_->WriteCheckpoint(0, Ballot{}, config_, 0, sm_->TakeSnapshot(),
-                                promised_, 0, {});
+      journal_->WriteCheckpoint({0, Ballot{}, config_, 0, promised_, 0}, *sm_,
+                                log_);
     }
   }
   // Joiners stay passive (started_ == false) until a snapshot arrives.
@@ -166,6 +166,9 @@ Replica::Replica(sim::Simulator* sim, ReplicaHost* host,
   snap_config_ = recovered.snap_config;
   snap_config_index_ = recovered.snap_config_index;
   for (const LogEntry& entry : recovered.entries) {
+    if (cfg_.bug_skip_wal_replay) {
+      break;  // Seeded bug: the WAL's entries are dropped.
+    }
     if (entry.index != log_.last_index() + 1) {
       break;  // A hole above the contiguous prefix: drop the stranded tail.
     }
@@ -184,11 +187,17 @@ Replica::Replica(sim::Simulator* sim, ReplicaHost* host,
                      [this]() { ProbePeers(); });
   }
 
+  // Recover() clamps the commit point to the contiguous recovered entries,
+  // all of which the loop above re-added, so a correct rebuild starts
+  // exactly at this floor.
   recovery_floor_.recovered = true;
-  recovery_floor_.promised = promised_;
-  recovery_floor_.commit_index = commit_index_;
-  for (uint64_t i = snap_base_index_ + 1; i <= commit_index_; ++i) {
-    recovery_floor_.entry_digests[i] = DigestLogEntry(*log_.At(i));
+  recovery_floor_.promised = recovered.promised;
+  recovery_floor_.commit_index = recovered.commit_index;
+  for (const LogEntry& entry : recovered.entries) {
+    if (entry.index > recovered.commit_index) {
+      break;
+    }
+    recovery_floor_.entry_digests[entry.index] = DigestLogEntry(entry);
   }
   SCATTER_DEBUG() << "g" << group_ << " n" << self_ << " recovered: base="
                   << snap_base_index_ << " commit=" << commit_index_
@@ -755,9 +764,10 @@ void Replica::HandleSnapshot(const SnapshotMsg& m) {
     // An installed snapshot replaces all prior durable state: checkpoint it
     // (durable on return, so the ack below never outruns the disk). This is
     // also the moment a joiner becomes crash-recoverable.
-    journal_->WriteCheckpoint(m.last_included_index, m.last_included_ballot,
-                              m.config, m.config_index, m.data, promised_,
-                              commit_index_, {});
+    journal_->WriteCheckpoint({m.last_included_index, m.last_included_ballot,
+                               m.config, m.config_index, promised_,
+                               commit_index_},
+                              *sm_, log_);
   }
   SCATTER_DEBUG() << "g" << group_ << " n" << self_
                   << " installed snapshot at " << m.last_included_index;
@@ -1509,6 +1519,13 @@ void Replica::ConfigAt(uint64_t up_to, uint64_t* index,
 }
 
 void Replica::RecomputeVotingConfig() {
+  // The fold reads only the snapshot config and the log's config entries.
+  // Every later change of the snapshot config (install, recovery, prefix
+  // truncation) comes with a log reset or truncation, which bumps the count.
+  if (log_.config_changes() == config_changes_folded_) {
+    return;
+  }
+  config_changes_folded_ = log_.config_changes();
   ConfigAt(log_.last_index(), &config_index_, &config_scratch_);
   if (config_scratch_ != config_) {
     config_.swap(config_scratch_);
@@ -1533,13 +1550,13 @@ void Replica::MaybeTruncateLog() {
   snap_base_ballot_ = base_ballot;
   if (journal_ != nullptr) {
     // Periodic durable checkpoint, piggybacked on in-memory truncation. The
-    // on-disk base is the applied index (what TakeSnapshot captures) —
+    // on-disk base is the applied index (the state machine's live state) —
     // tighter than the in-memory retention base — and the WAL shrinks to
     // the unapplied tail plus whatever accumulates afterwards.
-    journal_->WriteCheckpoint(applied_index_, BallotAt(applied_index_),
-                              AppliedConfig(), applied_config_index_,
-                              sm_->TakeSnapshot(), promised_, commit_index_,
-                              log_.Suffix(applied_index_ + 1));
+    journal_->WriteCheckpoint({applied_index_, BallotAt(applied_index_),
+                               AppliedConfig(), applied_config_index_,
+                               promised_, commit_index_},
+                              *sm_, log_);
   }
 }
 

@@ -180,10 +180,12 @@ class Replica {
   // entries applied.
   uint64_t ReplayRecovered();
 
-  // What recovery restored from disk — the durability invariant's floor: a
+  // What recovery read from disk — the durability invariant's floor: a
   // recovered replica may never regress its promise or commit point below
   // these, and committed entries still in the log must match the recorded
-  // digests. Read by the analysis-layer durability checker.
+  // digests. Taken from the recovered state, not from the rebuilt replica,
+  // so a rebuild that drops what the disk held shows as a regression. Read
+  // by the analysis-layer durability checker.
   struct RecoveryFloor {
     bool recovered = false;
     Ballot promised;
@@ -404,6 +406,7 @@ class Replica {
   std::vector<NodeId> config_;
   std::vector<NodeId> config_scratch_;  // RecomputeVotingConfig's fold
   uint64_t config_index_ = 0;  // log index that produced config_
+  uint64_t config_changes_folded_ = 0;  // log_.config_changes() at the fold
   uint64_t snap_config_index_ = 0;
   std::vector<NodeId> snap_config_;
   uint64_t applied_config_index_ = 0;

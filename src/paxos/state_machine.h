@@ -12,10 +12,16 @@
 #include "src/common/types.h"
 #include "src/paxos/command.h"
 
+namespace scatter::wire {
+class Buffer;
+}  // namespace scatter::wire
+
 namespace scatter::paxos {
 
 // Opaque snapshot payload; the concrete type is owned by the state machine
 // implementation. Immutable once taken (shared by in-flight installs).
+// Only SnapshotMsg carries one: checkpoints encode the live state instead
+// (StateMachine::EncodeState).
 struct SnapshotData {
   virtual ~SnapshotData() = default;
   // Approximate serialized size (feeds the network bandwidth model when a
@@ -39,8 +45,17 @@ class StateMachine {
   // the replica and never reach the state machine.
   virtual void Apply(uint64_t index, const Command& command) = 0;
 
-  // Captures the full application state for transfer to a joining replica.
+  // Captures the full application state for transfer to a joining replica:
+  // an immutable copy, because a SnapshotMsg may still be in flight while
+  // the state moves on.
   virtual SnapshotPtr TakeSnapshot() const = 0;
+
+  // Appends the live application state as exactly the bytes
+  // EncodeSnapshot(TakeSnapshot()) would append (payload_codec.h: snapshot
+  // tag, then the snapshot's field list), without copying the state. The
+  // journal's checkpoints encode through this. It never fills a wire_memo:
+  // the live state keeps changing, so a memo on it would go stale.
+  virtual void EncodeState(wire::Buffer& out) const = 0;
 
   // Replaces the application state with a snapshot previously produced by
   // TakeSnapshot on a peer.

@@ -85,8 +85,11 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Attaches an endpoint under `id`. A node that restarts re-attaches.
-  void Attach(NodeId id, Endpoint* endpoint);
+  // Attaches an endpoint under `id`. A node that restarts re-attaches. A
+  // transport that keeps per-node state overrides this to attach its own
+  // endpoint holding that state beside the node's, so a delivery finds
+  // both with one lookup.
+  virtual void Attach(NodeId id, Endpoint* endpoint);
 
   // Detaches `id`; in-flight messages to it are dropped on delivery.
   void Detach(NodeId id);

@@ -23,14 +23,25 @@ uint16_t ReadLeU16(const uint8_t* p) {
 
 }  // namespace
 
-void EncodeWalRecord(uint16_t type, const uint8_t* payload, size_t size,
-                     wire::Buffer* out) {
-  out->WriteU32(static_cast<uint32_t>(size));
-  const size_t crc_start = out->size();
+size_t BeginWalRecord(uint16_t type, wire::Buffer* out) {
+  const size_t record = out->ReserveU32();
   out->WriteU16(kWalVersion);
   out->WriteU16(type);
-  out->WriteBytes(payload, size);
+  return record;
+}
+
+void EndWalRecord(size_t record, wire::Buffer* out) {
+  const size_t crc_start = record + 4;
+  out->PatchU32(record,
+                static_cast<uint32_t>(out->size() - (record + kHeaderBytes)));
   out->WriteU32(Crc32(out->data() + crc_start, out->size() - crc_start));
+}
+
+void EncodeWalRecord(uint16_t type, const uint8_t* payload, size_t size,
+                     wire::Buffer* out) {
+  const size_t record = BeginWalRecord(type, out);
+  out->WriteBytes(payload, size);
+  EndWalRecord(record, out);
 }
 
 WalReadResult ReadWal(const SimDisk& disk, const std::string& file) {
@@ -72,13 +83,6 @@ void Wal::Append(uint16_t type, const wire::Buffer& payload) {
   disk_->Append(file_, scratch_.data(), scratch_.size());
   appends_++;
   appended_bytes_ += scratch_.size();
-}
-
-void WriteSnapshotFile(SimDisk* disk, const std::string& file, uint16_t type,
-                       const wire::Buffer& payload) {
-  wire::Buffer framed;
-  EncodeWalRecord(type, payload.data(), payload.size(), &framed);
-  disk->Replace(file, framed.data(), framed.size());
 }
 
 bool ReadSnapshotFile(const SimDisk& disk, const std::string& file,

@@ -1,5 +1,5 @@
 // Write-ahead log framing: CRC-guarded, length-prefixed records over a
-// storage::SimDisk file, plus the single-record snapshot-file helpers.
+// storage::SimDisk file, plus the single-record snapshot-file reader.
 //
 // Record layout (all integers little-endian, matching the wire codecs —
 // PROTOCOL.md §6.3):
@@ -54,6 +54,13 @@ struct WalReadResult {
 void EncodeWalRecord(uint16_t type, const uint8_t* payload, size_t size,
                      wire::Buffer* out);
 
+// The same framing around a payload encoded straight into `out`, with no
+// payload copy: BeginWalRecord appends the header of a `type` record and
+// returns the record's offset; once the payload is appended, EndWalRecord
+// fills in its length and appends the CRC.
+size_t BeginWalRecord(uint16_t type, wire::Buffer* out);
+void EndWalRecord(size_t record, wire::Buffer* out);
+
 // Scans every record of `file`. A missing file yields an empty, non-torn
 // result.
 WalReadResult ReadWal(const SimDisk& disk, const std::string& file);
@@ -87,9 +94,7 @@ class Wal {
   uint64_t appended_bytes_ = 0;
 };
 
-// Snapshot files: one framed record, atomically replaced.
-void WriteSnapshotFile(SimDisk* disk, const std::string& file, uint16_t type,
-                       const wire::Buffer& payload);
+// Snapshot files: one framed record, written with SimDisk::Replace (atomic).
 // False when the file is missing or its CRC fails.
 bool ReadSnapshotFile(const SimDisk& disk, const std::string& file,
                       WalRecord* out);

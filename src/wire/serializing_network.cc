@@ -85,16 +85,10 @@ SerializingNetwork::SerializingNetwork(sim::Simulator* sim,
   // types. The first encode CHECK-fails loudly if a module forgot.
 }
 
-SerializingNetwork::TrafficCells& SerializingNetwork::CellsFor(NodeId node) {
-  auto [it, inserted] = traffic_cells_.try_emplace(node);
-  if (inserted) {
-    it->second.frames =
-        &metrics_->GetCounter("wire.frames_serialized", node);
-    it->second.bytes = &metrics_->GetCounter("wire.bytes_serialized", node);
-    it->second.pool_hit = &metrics_->GetCounter("wire.pool.hit", node);
-    it->second.pool_miss = &metrics_->GetCounter("wire.pool.miss", node);
-  }
-  return it->second;
+void SerializingNetwork::Attach(NodeId id, sim::Endpoint* endpoint) {
+  AttachedNode& attached = attached_[id];
+  attached.node = endpoint;
+  sim::Network::Attach(id, &attached);
 }
 
 void SerializingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
@@ -105,7 +99,16 @@ void SerializingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
   frame_.clear();
   const size_t retained = frame_.capacity();
   EncodeFrame(*message, frame_);
-  TrafficCells& cells = CellsFor(message->to);
+  // Every endpoint the base class holds was attached through Attach above.
+  AttachedNode& attached = static_cast<AttachedNode&>(*endpoint);
+  TrafficCells& cells = attached.cells;
+  if (cells.frames == nullptr) {
+    const NodeId node = message->to;
+    cells.frames = &metrics_->GetCounter("wire.frames_serialized", node);
+    cells.bytes = &metrics_->GetCounter("wire.bytes_serialized", node);
+    cells.pool_hit = &metrics_->GetCounter("wire.pool.hit", node);
+    cells.pool_miss = &metrics_->GetCounter("wire.pool.miss", node);
+  }
   ++*cells.frames;
   *cells.bytes += frame_.size();
   ++*(frame_.capacity() == retained ? cells.pool_hit : cells.pool_miss);
@@ -126,7 +129,7 @@ void SerializingNetwork::DeliverToEndpoint(sim::Endpoint* endpoint,
                     << " frame failed to decode: " << error;
     SCATTER_CHECK(copy != nullptr);
   }
-  endpoint->HandleMessage(copy);
+  attached.node->HandleMessage(copy);
   Recycle(frame_);
 }
 

@@ -29,10 +29,10 @@
 #define SCATTER_SRC_WIRE_SERIALIZING_NETWORK_H_
 
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "src/common/flat_map.h"
 #include "src/common/histogram.h"
 #include "src/sim/network.h"
 #include "src/wire/buffer.h"
@@ -45,6 +45,8 @@ class SerializingNetwork : public sim::Network {
 
   const char* transport_name() const override { return "serializing"; }
 
+  void Attach(NodeId id, sim::Endpoint* endpoint) override;
+
  protected:
   void DeliverToEndpoint(sim::Endpoint* endpoint,
                          const sim::MessagePtr& message) override;
@@ -54,19 +56,31 @@ class SerializingNetwork : public sim::Network {
   // "wire.pool.hit", "wire.pool.miss"), keyed by the frame's destination
   // node — the transport is the one place that reliably knows which node
   // the traffic belongs to, so per-node health and scatter-top columns
-  // don't aggregate the whole cluster. Bound lazily per node. A hit is a
-  // frame encoded into the retained storage of frame_; a miss is one whose
-  // encode had to allocate (frame_'s capacity changed).
+  // don't aggregate the whole cluster. Bound lazily, on a node's first
+  // delivery. A hit is a frame encoded into the retained storage of
+  // frame_; a miss is one whose encode had to allocate (frame_'s capacity
+  // changed).
   struct TrafficCells {
     Counter* frames = nullptr;
     Counter* bytes = nullptr;
     Counter* pool_hit = nullptr;
     Counter* pool_miss = nullptr;
   };
-  TrafficCells& CellsFor(NodeId node);
+
+  // What this transport attaches in place of a node's endpoint: the node's
+  // endpoint and its traffic cells side by side, so DeliverToEndpoint gets
+  // both from the base class's one endpoint lookup. One per node id, kept
+  // across restarts (re-attaching swaps `node`).
+  struct AttachedNode final : sim::Endpoint {
+    void HandleMessage(const sim::MessagePtr& message) override {
+      node->HandleMessage(message);
+    }
+    sim::Endpoint* node = nullptr;
+    TrafficCells cells;
+  };
 
   obs::MetricsRegistry* metrics_;
-  FlatMap<NodeId, TrafficCells> traffic_cells_;
+  std::unordered_map<NodeId, AttachedNode> attached_;  // stable addresses
   Buffer frame_;
   bool delivering_ = false;
 };

@@ -20,6 +20,10 @@
 //                              first key only; the follower's stale read of
 //                              a completed write is a linearizability
 //                              violation.
+//   crash_disk+mutation      — bug_skip_wal_replay: a replica restarted
+//                              from its disk drops the entries WAL replay
+//                              recovered; the durability auditor property
+//                              flags a commit point below the disk's.
 //
 // Every hunt runs the explorer's defaults (walk depth 40, walk seed 1) and
 // differs only in its schedule budget, a few times the schedules the walk
@@ -40,11 +44,12 @@ namespace scatter::mc {
 namespace {
 
 // Schedule budgets of the hunts; the clean variants run at the same ones.
-// The walk finds each mutation at schedule 91, 8, 30 and 8.
+// The walk finds each mutation at schedule 91, 8, 30, 8 and 5.
 constexpr uint64_t kStaleBallotBudget = 2000;
 constexpr uint64_t kLostMergeBudget = 500;
 constexpr uint64_t kBootstrapWedgeBudget = 500;
 constexpr uint64_t kBatchedReadBudget = 500;
+constexpr uint64_t kSkippedWalReplayBudget = 500;
 
 // The explorer's defaults with a schedule budget; tests write no artifacts.
 McOptions HuntOptions(uint64_t max_schedules) {
@@ -108,6 +113,16 @@ TEST(McMutationTest, WalkFindsBootstrapWedge) {
   ExpectDeterministicReplay(stats);
 }
 
+TEST(McMutationTest, WalkFindsSkippedWalReplay) {
+  const ExploreStats stats = Explore("crash_disk+mutation",
+                                     HuntOptions(kSkippedWalReplayBudget));
+  ASSERT_TRUE(stats.violation_found)
+      << "budget: " << kSkippedWalReplayBudget << " walks";
+  EXPECT_EQ(stats.counterexample.violation.source, "auditor");
+  EXPECT_EQ(stats.counterexample.violation.checker, "durability");
+  ExpectDeterministicReplay(stats);
+}
+
 // The unmutated scenarios must survive the same adversarial budgets: a
 // detector that also fires on correct code is useless.
 TEST(McMutationTest, CleanVariantsStayClean) {
@@ -117,7 +132,8 @@ TEST(McMutationTest, CleanVariantsStayClean) {
   } legs[] = {{"stale_ballot", kStaleBallotBudget},
               {"lost_merge", kLostMergeBudget},
               {"bootstrap_wedge", kBootstrapWedgeBudget},
-              {"batched_read", kBatchedReadBudget}};
+              {"batched_read", kBatchedReadBudget},
+              {"crash_disk", kSkippedWalReplayBudget}};
   for (const auto& leg : legs) {
     const ExploreStats stats = Explore(leg.scenario, HuntOptions(leg.budget));
     EXPECT_EQ(stats.schedules, leg.budget) << leg.scenario;

@@ -1,6 +1,6 @@
 // Unit tests for the group state machine: write semantics, dedup, split,
-// merge and repartition apply logic, freezing, and snapshots — driven
-// directly (no Paxos) with a recording listener.
+// merge and repartition apply logic, freezing, snapshots, and checkpoints
+// of the live state — driven directly (no Paxos) with a recording listener.
 
 #include <memory>
 #include <optional>
@@ -11,6 +11,14 @@
 
 #include "src/membership/commands.h"
 #include "src/membership/group_state_machine.h"
+#include "src/membership/wire_codecs.h"
+#include "src/obs/metrics.h"
+#include "src/paxos/journal.h"
+#include "src/paxos/log.h"
+#include "src/paxos/payload_codec.h"
+#include "src/storage/sim_disk.h"
+#include "src/wire/buffer.h"
+#include "tests/alloc_counter.h"
 
 namespace scatter::membership {
 namespace {
@@ -550,6 +558,82 @@ TEST(GroupSmSnapshotTest, RoundTripPreservesState) {
   EXPECT_EQ(other.range(), (KeyRange{0, 1000}));
   EXPECT_EQ(other.state().data.Get(5), "x");
   EXPECT_EQ(other.ResultFor(3, 4), StatusCode::kOk);
+}
+
+// A state that fills every GroupState field: store data, dedup windows, an
+// active transaction, decided outcomes and forwards.
+GroupState FullState(size_t keys) {
+  GroupState s = MakeState(9, KeyRange{100, 900}, 4);
+  s.pred.id = 8;
+  s.pred.range = KeyRange{0, 100};
+  s.pred.epoch = 2;
+  s.pred.members = {1, 2, 3};
+  s.succ.id = 10;
+  s.succ.range = KeyRange{900, 0};
+  s.succ.epoch = 3;
+  s.succ.members = {4, 5, 6};
+  s.succ.leader = 5;
+  for (size_t k = 0; k < keys; ++k) {
+    s.data.Put(100 + k, "v" + std::to_string(k % 97) + ":" +
+                            std::to_string(k));
+  }
+  for (uint64_t client = 1; client <= 4; ++client) {
+    DedupEntry& entry = s.dedup[client];
+    entry.max_seq = 10 * client;
+    entry.results[10 * client] = 0;
+    entry.results[10 * client - 1] = 3;
+  }
+  ActiveTxn active;
+  active.txn.id = 77;
+  active.txn.kind = RingTxn::Kind::kMerge;
+  active.txn.coord_group = 9;
+  active.txn.part_group = 10;
+  active.my_members = {1, 2, 3};
+  active.coord_members = {4, 5};
+  active.coord_data.Put(950, "coord");
+  active.coord_dedup[6].max_seq = 2;
+  active.coord_outer = s.pred;
+  s.active = std::move(active);
+  s.txn_outcomes = {{5, true}, {6, false}};
+  s.forward = {s.pred, s.succ};
+  return s;
+}
+
+TEST(GroupCheckpointTest, LiveStateEncodesAsItsSnapshot) {
+  RegisterWireCodecs();
+  RecordingListener l;
+  GroupStateMachine sm(&l, FullState(/*keys=*/50));
+  wire::Buffer snapshot;
+  paxos::EncodeSnapshot(sm.TakeSnapshot(), snapshot);
+
+  const paxos::PayloadEncodeStats before = paxos::GetPayloadEncodeStats();
+  wire::Buffer live;
+  sm.EncodeState(live);
+  EXPECT_EQ(live.bytes(), snapshot.bytes());
+  // The live state is never memoized: it keeps changing.
+  EXPECT_EQ(paxos::GetPayloadEncodeStats().memo_fills, before.memo_fills);
+}
+
+// A checkpoint copies no state, so what it allocates does not depend on how
+// much state there is (wire::Buffer grows through malloc and is not
+// counted; the disk's file vectors are, and keep their capacity).
+TEST(GroupCheckpointTest, AllocationsDoNotGrowWithKeyCount) {
+  RegisterWireCodecs();
+  auto checkpoint_allocations = [](size_t keys) {
+    RecordingListener l;
+    GroupStateMachine sm(&l, FullState(keys));
+    storage::SimDisk disk;
+    obs::MetricsRegistry metrics;
+    paxos::GroupJournal journal(&disk, &metrics, /*node=*/1, /*group=*/9);
+    paxos::Log log;
+    const paxos::CheckpointHeader header{0, Ballot{}, {1, 2, 3}, 0, Ballot{},
+                                         0};
+    journal.WriteCheckpoint(header, sm, log);  // grows the scratch buffer
+    const uint64_t before = alloc_counter::AllocationCount();
+    journal.WriteCheckpoint(header, sm, log);
+    return alloc_counter::AllocationCount() - before;
+  };
+  EXPECT_EQ(checkpoint_allocations(10), checkpoint_allocations(10000));
 }
 
 TEST_F(GroupSmTest, UpdateNeighborRespectsEpoch) {

@@ -90,6 +90,12 @@ class RecordingStateMachine : public StateMachine {
     return s;
   }
 
+  void EncodeState(wire::Buffer& out) const override {
+    WriteSnapshotTag<Snap>(out);
+    wire::Write(values_, out);
+    wire::Write(client_seqs_, out);
+  }
+
   void Restore(const SnapshotData& snapshot) override {
     const auto& s = static_cast<const Snap&>(snapshot);
     values_ = s.values;

@@ -91,21 +91,36 @@ TEST(LogTest, ResetToSnapshot) {
   EXPECT_EQ(log.last_index(), 21u);
 }
 
-TEST(LogTest, SuffixSkipsHoles) {
+// A checkpoint rewrites the WAL to the live log's entries above the new
+// base: entries at or below the base and holes leave no record.
+TEST(JournalTest, CheckpointResidualSkipsHoles) {
+  testing::RegisterPaxosTestCodecs();
+  testing::RegisterPaxosTestSnapshotCodec();
+  storage::SimDisk disk;
+  obs::MetricsRegistry metrics;
+  GroupJournal journal(&disk, &metrics, /*node=*/1, /*group=*/3);
+  testing::RecordingStateMachine sm;
   Log log;
-  log.Set(1, Ballot{1, 1}, std::make_shared<NoOpCommand>());
-  log.Set(3, Ballot{1, 1}, std::make_shared<NoOpCommand>());
-  auto suffix = log.Suffix(1);
-  ASSERT_EQ(suffix.size(), 2u);
-  EXPECT_EQ(suffix[0].index, 1u);
-  EXPECT_EQ(suffix[1].index, 3u);
+  for (uint64_t i : {1, 2, 4, 6}) {
+    log.Set(i, Ballot{1, 1}, std::make_shared<SeqCommand>(i));
+  }
+  journal.WriteCheckpoint({2, Ballot{1, 1}, {1, 2, 3}, 0, Ballot{1, 1}, 2}, sm,
+                          log);
+  RecoveredState recovered;
+  ASSERT_TRUE(GroupJournal::Recover(disk, /*group=*/3, &recovered));
+  std::vector<uint64_t> indexes;
+  for (const LogEntry& e : recovered.entries) {
+    indexes.push_back(e.index);
+  }
+  EXPECT_EQ(indexes, (std::vector<uint64_t>{4, 6}));
 }
 
 // The config-entry index against brute force: seeded random sequences of
 // every log mutation (config and app entries, overwrites in both directions,
 // holes, both truncations, snapshot resets). After each step the index must
-// list exactly the config slots, and folding it up to a random bound must
-// give the membership that folding the slots themselves gives.
+// list exactly the config slots, folding it up to a random bound must give
+// the membership that folding the slots themselves gives, and a step that
+// changed the index must have bumped config_changes().
 TEST(LogTest, ConfigIndexMatchesBruteForce) {
   using Entries = std::vector<std::pair<uint64_t, const ConfigCommand*>>;
   auto fold = [](const Entries& entries, uint64_t up_to) {
@@ -129,6 +144,9 @@ TEST(LogTest, ConfigIndexMatchesBruteForce) {
     Rng rng(seed);
     Log log;
     for (int step = 0; step < 400; ++step) {
+      const Entries before(log.config_entries().begin(),
+                           log.config_entries().end());
+      const uint64_t changes_before = log.config_changes();
       const uint64_t first = log.first_index();
       const uint64_t span = log.last_index() + 1 - first;  // slots retained
       const uint64_t roll = rng.Below(20);
@@ -164,6 +182,10 @@ TEST(LogTest, ConfigIndexMatchesBruteForce) {
       const Entries indexed(log.config_entries().begin(),
                             log.config_entries().end());
       ASSERT_EQ(indexed, brute) << "seed " << seed << " step " << step;
+      if (indexed != before) {
+        ASSERT_NE(log.config_changes(), changes_before)
+            << "seed " << seed << " step " << step;
+      }
       const uint64_t up_to = log.first_index() - 1 + rng.Below(span + 2);
       ASSERT_EQ(fold(indexed, up_to), fold(brute, up_to))
           << "seed " << seed << " step " << step;

@@ -268,10 +268,10 @@ TEST(SimDiskCrashTest, TornTailKeepsPrefixOfUnsyncedBytes) {
 
 TEST(SnapshotFileTest, RoundTripAndCorruptionDetected) {
   SimDisk disk;
-  wire::Buffer payload;
+  wire::Buffer framed;
   const uint8_t bytes[] = {4, 5, 6, 7, 8};
-  payload.WriteBytes(bytes, sizeof(bytes));
-  WriteSnapshotFile(&disk, "t.snap", /*type=*/16, payload);
+  EncodeWalRecord(/*type=*/16, bytes, sizeof(bytes), &framed);
+  disk.Replace("t.snap", framed.data(), framed.size());
 
   WalRecord record;
   ASSERT_TRUE(ReadSnapshotFile(disk, "t.snap", &record));
@@ -279,10 +279,10 @@ TEST(SnapshotFileTest, RoundTripAndCorruptionDetected) {
   EXPECT_EQ(record.payload, std::vector<uint8_t>(bytes, bytes + 5));
 
   // Replace is atomic: a second write fully supersedes the first.
-  wire::Buffer payload2;
+  wire::Buffer framed2;
   const uint8_t bytes2[] = {1};
-  payload2.WriteBytes(bytes2, sizeof(bytes2));
-  WriteSnapshotFile(&disk, "t.snap", /*type=*/16, payload2);
+  EncodeWalRecord(/*type=*/16, bytes2, sizeof(bytes2), &framed2);
+  disk.Replace("t.snap", framed2.data(), framed2.size());
   ASSERT_TRUE(ReadSnapshotFile(disk, "t.snap", &record));
   EXPECT_EQ(record.payload, std::vector<uint8_t>(bytes2, bytes2 + 1));
 

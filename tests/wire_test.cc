@@ -27,6 +27,7 @@
 #include "src/membership/wire_codecs.h"
 #include "src/obs/metrics.h"
 #include "src/paxos/journal.h"
+#include "src/paxos/log.h"
 #include "src/paxos/messages.h"
 #include "src/paxos/payload_codec.h"
 #include "src/paxos/wire_codecs.h"
@@ -290,6 +291,13 @@ std::shared_ptr<membership::GroupSnapshot> RandGroupSnapshot(Rng& rng) {
   s.forward = RandInfos(rng);
   return snap;
 }
+
+// Listener for a group state machine that only restores and encodes.
+class NullGroupListener : public membership::GroupListener {
+ public:
+  void OnGroupsFounded(GroupId,
+                       const std::vector<membership::FoundingGroup>&) override {}
+};
 
 // --- Per-type message samples ------------------------------------------------
 
@@ -1272,17 +1280,23 @@ TEST_F(WireTest, JournalBytesArePinned) {
   const GroupId group = 7;
   paxos::GroupJournal journal(&disk, &metrics, /*node=*/1, group);
   Rng rng(31);
-  journal.WriteCheckpoint(0, Ballot{}, {1, 2, 3}, 0, RandGroupSnapshot(rng),
-                          Ballot{1, 1}, 0, {});
+  NullGroupListener listener;
+  membership::GroupState initial;
+  initial.id = 1;
+  membership::GroupStateMachine sm(&listener, std::move(initial));
+  paxos::Log log;
+  sm.Restore(*RandGroupSnapshot(rng));
+  journal.WriteCheckpoint({0, Ballot{}, {1, 2, 3}, 0, Ballot{1, 1}, 0}, sm, log);
   journal.LogPromise(Ballot{2, 3});
-  std::vector<paxos::LogEntry> log;
   for (uint64_t i = 1; i <= 11; ++i) {
     paxos::LogEntry e;
     e.index = i;
     e.ballot = Ballot{2, 3};
     e.command = RandCommand(rng, i);
     journal.LogAccept(e);
-    log.push_back(e);
+    if (i < 9) {  // the live log holds what survives the truncation below
+      log.Set(i, e.ballot, e.command);
+    }
   }
   journal.LogCommit(5);
   journal.LogTruncateSuffix(9);
@@ -1297,9 +1311,10 @@ TEST_F(WireTest, JournalBytesArePinned) {
   got.push_back(file_digest(paxos::SnapFileName(group)));
   got.push_back(file_digest(paxos::WalFileName(group)));
 
-  journal.WriteCheckpoint(4, Ballot{2, 3}, {1, 2, 3, 4}, 3,
-                          RandGroupSnapshot(rng), Ballot{2, 3}, 5,
-                          {log.begin() + 4, log.begin() + 8});
+  // The residual suffix is the log's entries 5..8, above the new base.
+  sm.Restore(*RandGroupSnapshot(rng));
+  journal.WriteCheckpoint({4, Ballot{2, 3}, {1, 2, 3, 4}, 3, Ballot{2, 3}, 5},
+                          sm, log);
   journal.LogCommit(8);
   journal.Sync();
   got.push_back(file_digest(paxos::SnapFileName(group)));

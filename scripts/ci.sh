@@ -160,7 +160,7 @@ run_golden() {
     cmake -B "$bdir" -S .
   fi
   cmake --build "$bdir" -j "$JOBS" --target bench_group_ops \
-      bench_load_balance bench_chirpchat trace_demo
+      bench_load_balance bench_chirpchat bench_group_resilience trace_demo
   BUILD_DIR="$bdir" scripts/golden.sh
 }
 

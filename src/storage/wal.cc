@@ -37,13 +37,6 @@ void EndWalRecord(size_t record, wire::Buffer* out) {
   out->WriteU32(Crc32(out->data() + crc_start, out->size() - crc_start));
 }
 
-void EncodeWalRecord(uint16_t type, const uint8_t* payload, size_t size,
-                     wire::Buffer* out) {
-  const size_t record = BeginWalRecord(type, out);
-  out->WriteBytes(payload, size);
-  EndWalRecord(record, out);
-}
-
 WalReadResult ReadWal(const SimDisk& disk, const std::string& file) {
   WalReadResult result;
   std::vector<uint8_t> bytes;
@@ -75,14 +68,6 @@ WalReadResult ReadWal(const SimDisk& disk, const std::string& file) {
   result.clean_bytes = pos;
   result.torn = pos != bytes.size();
   return result;
-}
-
-void Wal::Append(uint16_t type, const wire::Buffer& payload) {
-  scratch_.clear();
-  EncodeWalRecord(type, payload.data(), payload.size(), &scratch_);
-  disk_->Append(file_, scratch_.data(), scratch_.size());
-  appends_++;
-  appended_bytes_ += scratch_.size();
 }
 
 bool ReadSnapshotFile(const SimDisk& disk, const std::string& file,

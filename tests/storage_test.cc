@@ -35,21 +35,36 @@ std::vector<std::vector<uint8_t>> TestPayloads() {
   return payloads;
 }
 
+// Frames one record around `payload` into `out`, in place.
+void FrameRecord(uint16_t type, const std::vector<uint8_t>& payload,
+                 wire::Buffer* out) {
+  const size_t record = BeginWalRecord(type, out);
+  out->WriteBytes(payload.data(), payload.size());
+  EndWalRecord(record, out);
+}
+
+// Appends one framed record to "t.wal", as the paxos journal appends: framed
+// in place, then straight to the disk. Volatile until disk->Sync().
+void AppendRecord(SimDisk* disk, uint16_t type,
+                  const std::vector<uint8_t>& payload) {
+  wire::Buffer framed;
+  FrameRecord(type, payload, &framed);
+  disk->Append("t.wal", framed.data(), framed.size());
+}
+
 // Appends every test payload as one record (type = index + 1) and returns
 // the byte offset of each record's END in the file.
-std::vector<size_t> AppendTestRecords(Wal* wal) {
+std::vector<size_t> AppendTestRecords(SimDisk* disk) {
   std::vector<size_t> ends;
   size_t offset = 0;
   uint16_t type = 1;
   for (const auto& payload : TestPayloads()) {
-    wire::Buffer buf;
-    buf.WriteBytes(payload.data(), payload.size());
-    wal->Append(type++, buf);
+    AppendRecord(disk, type++, payload);
     // Framing: u32 len + u16 version + u16 type + payload + u32 crc.
     offset += 4 + 2 + 2 + payload.size() + 4;
     ends.push_back(offset);
   }
-  wal->Sync();
+  disk->Sync();
   return ends;
 }
 
@@ -127,8 +142,7 @@ TEST(Crc32Test, ChainedSeedsEqualOneStream) {
 
 TEST(WalFramingTest, RoundTrip) {
   SimDisk disk;
-  Wal wal(&disk, "t.wal");
-  AppendTestRecords(&wal);
+  AppendTestRecords(&disk);
 
   const WalReadResult result = ReadWal(disk, "t.wal");
   const auto payloads = TestPayloads();
@@ -156,8 +170,7 @@ TEST(WalFramingTest, MissingFileIsEmptyAndClean) {
 // boundary at or below the cut.
 TEST(WalFramingTest, TornTailAtEveryByteOffset) {
   SimDisk disk;
-  Wal wal(&disk, "t.wal");
-  const std::vector<size_t> ends = AppendTestRecords(&wal);
+  const std::vector<size_t> ends = AppendTestRecords(&disk);
   std::vector<uint8_t> raw;
   ASSERT_TRUE(disk.Read("t.wal", &raw));
   const auto payloads = TestPayloads();
@@ -189,8 +202,7 @@ TEST(WalFramingTest, TornTailAtEveryByteOffset) {
 // before the damaged record.
 TEST(WalFramingTest, FlippedByteAnywhereNeverYieldsACorruptRecord) {
   SimDisk disk;
-  Wal wal(&disk, "t.wal");
-  AppendTestRecords(&wal);
+  AppendTestRecords(&disk);
   std::vector<uint8_t> raw;
   ASSERT_TRUE(disk.Read("t.wal", &raw));
   const auto payloads = TestPayloads();
@@ -213,15 +225,12 @@ TEST(WalFramingTest, FlippedByteAnywhereNeverYieldsACorruptRecord) {
 
 TEST(SimDiskCrashTest, CrashDropsUnsyncedTail) {
   SimDisk disk;
-  Wal wal(&disk, "t.wal");
-  wire::Buffer buf;
-  const uint8_t synced_payload[] = {1, 2, 3};
-  buf.WriteBytes(synced_payload, sizeof(synced_payload));
-  wal.Append(1, buf);
-  wal.Sync();
+  const std::vector<uint8_t> payload = {1, 2, 3};
+  AppendRecord(&disk, 1, payload);
+  disk.Sync();
   const size_t durable = disk.FileSize("t.wal");
 
-  wal.Append(2, buf);
+  AppendRecord(&disk, 2, payload);
   ASSERT_GT(disk.FileSize("t.wal"), durable);
   disk.Crash();
   EXPECT_EQ(disk.FileSize("t.wal"), durable);
@@ -237,25 +246,21 @@ TEST(SimDiskCrashTest, CrashDropsUnsyncedTail) {
 // at most the completely-kept unsynced ones.
 TEST(SimDiskCrashTest, TornTailKeepsPrefixOfUnsyncedBytes) {
   SimDisk reference;
-  Wal ref_wal(&reference, "t.wal");
-  wire::Buffer buf;
-  const uint8_t payload[] = {9, 9, 9, 9};
-  buf.WriteBytes(payload, sizeof(payload));
-  ref_wal.Append(1, buf);
-  ref_wal.Sync();
-  ref_wal.Append(2, buf);
-  ref_wal.Append(3, buf);
+  const std::vector<uint8_t> payload = {9, 9, 9, 9};
+  AppendRecord(&reference, 1, payload);
+  reference.Sync();
+  AppendRecord(&reference, 2, payload);
+  AppendRecord(&reference, 3, payload);
   const size_t durable = reference.DurableSize("t.wal");
   const size_t full = reference.FileSize("t.wal");
   const size_t record_bytes = (full - durable) / 2;
 
   for (size_t keep = 0; keep <= full - durable; ++keep) {
     SimDisk disk;
-    Wal wal(&disk, "t.wal");
-    wal.Append(1, buf);
-    wal.Sync();
-    wal.Append(2, buf);
-    wal.Append(3, buf);
+    AppendRecord(&disk, 1, payload);
+    disk.Sync();
+    AppendRecord(&disk, 2, payload);
+    AppendRecord(&disk, 3, payload);
     disk.CrashWithTornTail("t.wal", keep);
     EXPECT_EQ(disk.FileSize("t.wal"), durable + keep);
 
@@ -269,22 +274,22 @@ TEST(SimDiskCrashTest, TornTailKeepsPrefixOfUnsyncedBytes) {
 TEST(SnapshotFileTest, RoundTripAndCorruptionDetected) {
   SimDisk disk;
   wire::Buffer framed;
-  const uint8_t bytes[] = {4, 5, 6, 7, 8};
-  EncodeWalRecord(/*type=*/16, bytes, sizeof(bytes), &framed);
+  const std::vector<uint8_t> bytes = {4, 5, 6, 7, 8};
+  FrameRecord(/*type=*/16, bytes, &framed);
   disk.Replace("t.snap", framed.data(), framed.size());
 
   WalRecord record;
   ASSERT_TRUE(ReadSnapshotFile(disk, "t.snap", &record));
   EXPECT_EQ(record.type, 16u);
-  EXPECT_EQ(record.payload, std::vector<uint8_t>(bytes, bytes + 5));
+  EXPECT_EQ(record.payload, bytes);
 
   // Replace is atomic: a second write fully supersedes the first.
   wire::Buffer framed2;
-  const uint8_t bytes2[] = {1};
-  EncodeWalRecord(/*type=*/16, bytes2, sizeof(bytes2), &framed2);
+  const std::vector<uint8_t> bytes2 = {1};
+  FrameRecord(/*type=*/16, bytes2, &framed2);
   disk.Replace("t.snap", framed2.data(), framed2.size());
   ASSERT_TRUE(ReadSnapshotFile(disk, "t.snap", &record));
-  EXPECT_EQ(record.payload, std::vector<uint8_t>(bytes2, bytes2 + 1));
+  EXPECT_EQ(record.payload, bytes2);
 
   // Any flipped byte fails the CRC.
   std::vector<uint8_t> raw;

@@ -149,8 +149,11 @@ size_t ScatterNode::RecoverFromDisk() {
     if (hosted_.count(gid) > 0) {
       continue;
     }
+    GroupState initial;
+    initial.id = gid;  // Recover restores the real state.
+    auto sm = std::make_unique<GroupStateMachine>(this, std::move(initial));
     paxos::RecoveredState recovered;
-    if (!paxos::GroupJournal::Recover(*disk_, gid, &recovered)) {
+    if (!paxos::GroupJournal::Recover(*disk_, gid, sm.get(), &recovered)) {
       // No usable checkpoint (a joiner that crashed pre-install, or a
       // corrupt snapshot): this group rejoins amnesiac. Drop the remnants
       // so the next restart does not trip over them either.
@@ -161,9 +164,7 @@ size_t ScatterNode::RecoverFromDisk() {
     simulator()->metrics().GetCounter("recovery.wal_records", id()) +=
         recovered.wal_records;
     Hosted& h = hosted_[gid];
-    GroupState initial;
-    initial.id = gid;  // The replica restores the real state immediately.
-    h.sm = std::make_unique<GroupStateMachine>(this, std::move(initial));
+    h.sm = std::move(sm);
     h.replica = std::make_unique<paxos::Replica>(simulator(), this,
                                                  h.sm.get(), cfg_.paxos, gid,
                                                  id(), MakeJournal(gid),

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/paxos/payload_codec.h"
 #include "src/wire/fields.h"
 
 namespace scatter::membership {
@@ -413,19 +412,19 @@ void MergeDedup(DedupTable& into, const DedupTable& from) {
   }
 }
 
-paxos::SnapshotPtr GroupStateMachine::TakeSnapshot() const {
-  auto snap = std::make_shared<GroupSnapshot>();
-  snap->state = state_;
-  return snap;
-}
-
 void GroupStateMachine::EncodeState(wire::Buffer& out) const {
-  paxos::WriteSnapshotTag<GroupSnapshot>(out);
   wire::Write(state_, out);
 }
 
-void GroupStateMachine::Restore(const paxos::SnapshotData& snapshot) {
-  state_ = static_cast<const GroupSnapshot&>(snapshot).state;
+bool GroupStateMachine::Restore(const uint8_t* data, size_t size) {
+  wire::Reader in(data, size);
+  GroupState state;
+  in(state);
+  if (!in.ok() || !in.AtEnd()) {
+    return false;
+  }
+  state_ = std::move(state);
+  return true;
 }
 
 }  // namespace scatter::membership

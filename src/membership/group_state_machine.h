@@ -95,24 +95,13 @@ struct GroupState {
   std::vector<ring::GroupInfo> forward;
 };
 
-// Wire field list: a group's snapshot bytes, whether encoded from a
-// GroupSnapshot or from the live state (GroupStateMachine::EncodeState).
+// Wire field list: a group's state bytes (GroupStateMachine::EncodeState),
+// which SnapshotMsg carries and checkpoints store.
 template <class IO>
 void Fields(GroupState& s, IO& io) {
   io(s.id, s.range, s.epoch, s.pred, s.succ, s.data, s.dedup, s.active,
      s.txn_outcomes, s.retired, s.forward);
 }
-
-// The snapshot payload of a group replica: the full GroupState, whose field
-// list is GroupState's. Public (rather than an implementation detail of
-// GroupStateMachine) so the wire layer can register an encoder for it.
-struct GroupSnapshot : paxos::SnapshotData {
-  size_t ByteSize() const override {
-    return 256 + state.data.byte_size() + DedupByteSize(state.dedup) +
-           32 * state.txn_outcomes.size();
-  }
-  GroupState state;
-};
 
 class GroupStateMachine : public paxos::StateMachine {
  public:
@@ -128,9 +117,8 @@ class GroupStateMachine : public paxos::StateMachine {
 
   // paxos::StateMachine:
   void Apply(uint64_t index, const paxos::Command& command) override;
-  paxos::SnapshotPtr TakeSnapshot() const override;
   void EncodeState(wire::Buffer& out) const override;
-  void Restore(const paxos::SnapshotData& snapshot) override;
+  bool Restore(const uint8_t* data, size_t size) override;
 
   // --- Queries ------------------------------------------------------------
   const GroupState& state() const { return state_; }

@@ -1,11 +1,11 @@
-// Field lists for the group state machine's commands (membership/) and its
-// snapshot payload. Command tags 16-31 are reserved for this module; group
-// snapshots use snapshot tag 1. See PROTOCOL.md "Wire format".
+// Field lists for the group state machine's commands (membership/). Command
+// tags 16-31 are reserved for this module; see PROTOCOL.md "Wire format".
+// The group's state carries no tag: its bytes are the field list
+// Fields(GroupState&) in group_state_machine.h.
 
 #include "src/membership/wire_codecs.h"
 
 #include "src/membership/commands.h"
-#include "src/membership/group_state_machine.h"
 #include "src/paxos/payload_codec.h"
 
 namespace scatter::membership {
@@ -58,11 +58,6 @@ void Fields(UpdateNeighborCommand& c, IO& io) {
   io(Header(c), c.is_successor, c.info);
 }
 
-template <class IO>
-void Fields(GroupSnapshot& snap, IO& io) {
-  io(snap.state);
-}
-
 void RegisterWireCodecs() {
   static const bool done = [] {
     paxos::RegisterCommand<PutCommand>(16);
@@ -73,7 +68,6 @@ void RegisterWireCodecs() {
     paxos::RegisterCommand<PrepareCommand>(21);
     paxos::RegisterCommand<DecideCommand>(22);
     paxos::RegisterCommand<UpdateNeighborCommand>(23);
-    paxos::RegisterSnapshot<GroupSnapshot>(1);
     return true;
   }();
   (void)done;

@@ -15,12 +15,12 @@
 #ifndef SCATTER_SRC_PAXOS_MESSAGES_H_
 #define SCATTER_SRC_PAXOS_MESSAGES_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/paxos/command.h"
 #include "src/paxos/log.h"
-#include "src/paxos/state_machine.h"
 #include "src/sim/message.h"
 
 namespace scatter::paxos {
@@ -120,15 +120,16 @@ struct SnapshotMsg : PaxosMessage {
   explicit SnapshotMsg(GroupId g = kInvalidGroup)
       : PaxosMessage(sim::MessageType::kPaxosSnapshot, g) {}
   size_t ByteSize() const override {
-    return 128 + 8 * config.size() +
-           (data != nullptr ? data->ByteSize() : 0);
+    return 128 + 8 * config.size() + data.size();
   }
   Ballot ballot;
   uint64_t last_included_index = 0;
   Ballot last_included_ballot;
   std::vector<NodeId> config;  // membership as of the snapshot
   uint64_t config_index = 0;   // log index of that membership's entry
-  SnapshotPtr data;
+  // The state machine's state at last_included_index, as its EncodeState
+  // wrote it: the bytes a checkpoint stores after its header.
+  std::vector<uint8_t> data;
   TimeMicros sent_at = 0;
   // Receiver is a joiner that may not host a replica for this group yet;
   // its host should create one to install this snapshot into (the join

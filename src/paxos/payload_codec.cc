@@ -22,72 +22,65 @@ PayloadEncodeStats& stats() {
   return s;
 }
 
-// One tagged registry per payload base class (commands, snapshots).
-template <typename Base>
-class Registry {
+// The tagged command registry.
+class CommandRegistry {
  public:
   struct Entry {
     uint16_t tag = 0;
-    internal::PayloadCodec<Base> codec;
+    internal::CommandCodec codec;
   };
 
-  static Registry& Get() {
-    static Registry* r = new Registry();
+  static CommandRegistry& Get() {
+    static CommandRegistry* r = new CommandRegistry();
     return *r;
   }
 
   void Register(uint16_t tag, std::type_index type,
-                internal::PayloadCodec<Base> codec, const char* kind) {
+                internal::CommandCodec codec) {
     SCATTER_CHECK(tag != 0);  // tag 0 is reserved for null
     SCATTER_CHECK(codec.encode != nullptr && codec.decode != nullptr);
     const Entry entry{tag, codec};
     if (!by_tag_.emplace(tag, entry).second) {
-      CodecFailure(std::string("duplicate ") + kind + " codec tag " +
-                   std::to_string(tag));
+      CodecFailure("duplicate command codec tag " + std::to_string(tag));
     }
     if (!by_type_.emplace(type, entry).second) {
-      CodecFailure(std::string(kind) + " type registered twice: " +
+      CodecFailure(std::string("command type registered twice: ") +
                    type.name());
     }
   }
 
-  // The encode memo caches a payload's canonical bytes on the (immutable)
-  // payload object the first time it is encoded; later encodes append the
+  // The encode memo caches a command's canonical bytes on the (immutable)
+  // command object the first time it is encoded; later encodes append the
   // cached bytes with one copy, byte-identical to re-running the encoder.
   // Decoded copies never carry a memo, so the audit transport's
   // decode→re-encode stability check always runs the real encoders on
   // fresh objects.
-  void Encode(const std::shared_ptr<const Base>& payload, wire::Buffer& out,
-              const char* kind) const {
-    if (payload == nullptr) {
+  void Encode(const CommandPtr& cmd, wire::Buffer& out) const {
+    if (cmd == nullptr) {
       out.WriteU16(0);
       return;
     }
-    if (payload->wire_memo != nullptr) {
-      out.WriteBytes(payload->wire_memo->data(), payload->wire_memo->size());
+    if (cmd->wire_memo != nullptr) {
+      out.WriteBytes(cmd->wire_memo->data(), cmd->wire_memo->size());
       ++stats().memo_hits;
-      stats().memo_bytes_reused += payload->wire_memo->size();
+      stats().memo_bytes_reused += cmd->wire_memo->size();
       return;
     }
-    const Entry& entry = Find(typeid(*payload), kind);
+    const std::type_index type = typeid(*cmd);
+    auto it = by_type_.find(type);
+    if (it == by_type_.end()) {
+      CodecFailure(std::string("no wire codec registered for command type ") +
+                   type.name());
+    }
     const size_t start = out.size();
-    out.WriteU16(entry.tag);
-    entry.codec.encode(*payload, out);
-    payload->wire_memo = std::make_shared<const std::vector<uint8_t>>(
+    out.WriteU16(it->second.tag);
+    it->second.codec.encode(*cmd, out);
+    cmd->wire_memo = std::make_shared<const std::vector<uint8_t>>(
         out.data() + start, out.data() + out.size());
     ++stats().memo_fills;
   }
 
-  const Entry& Find(std::type_index type, const char* kind) const {
-    auto it = by_type_.find(type);
-    if (it == by_type_.end()) {
-      CodecFailure(std::string("no wire codec registered for ") + kind +
-                   " type " + type.name());
-    }
-    return it->second;
-  }
-
-  std::shared_ptr<const Base> Decode(wire::Reader& in) const {
+  CommandPtr Decode(wire::Reader& in) const {
     const uint16_t tag = in.ReadU16();
     if (tag == 0) {
       return nullptr;
@@ -109,18 +102,9 @@ class Registry {
 
 namespace internal {
 
-void RegisterPayload(uint16_t tag, std::type_index type,
-                     PayloadCodec<Command> codec) {
-  Registry<Command>::Get().Register(tag, type, codec, "command");
-}
-
-void RegisterPayload(uint16_t tag, std::type_index type,
-                     PayloadCodec<SnapshotData> codec) {
-  Registry<SnapshotData>::Get().Register(tag, type, codec, "snapshot");
-}
-
-uint16_t SnapshotTag(std::type_index type) {
-  return Registry<SnapshotData>::Get().Find(type, "snapshot").tag;
+void RegisterCommandCodec(uint16_t tag, std::type_index type,
+                          CommandCodec codec) {
+  CommandRegistry::Get().Register(tag, type, codec);
 }
 
 }  // namespace internal
@@ -128,19 +112,11 @@ uint16_t SnapshotTag(std::type_index type) {
 PayloadEncodeStats GetPayloadEncodeStats() { return stats(); }
 
 void EncodeCommand(const CommandPtr& cmd, wire::Buffer& out) {
-  Registry<Command>::Get().Encode(cmd, out, "command");
+  CommandRegistry::Get().Encode(cmd, out);
 }
 
 CommandPtr DecodeCommand(wire::Reader& in) {
-  return Registry<Command>::Get().Decode(in);
-}
-
-void EncodeSnapshot(const SnapshotPtr& snap, wire::Buffer& out) {
-  Registry<SnapshotData>::Get().Encode(snap, out, "snapshot");
-}
-
-SnapshotPtr DecodeSnapshot(wire::Reader& in) {
-  return Registry<SnapshotData>::Get().Decode(in);
+  return CommandRegistry::Get().Decode(in);
 }
 
 }  // namespace scatter::paxos

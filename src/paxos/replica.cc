@@ -10,6 +10,7 @@
 #include "src/common/logging.h"
 #include "src/common/pooled.h"
 #include "src/paxos/payload_codec.h"
+#include "src/wire/buffer.h"
 
 namespace scatter::paxos {
 namespace {
@@ -152,14 +153,13 @@ Replica::Replica(sim::Simulator* sim, ReplicaHost* host,
       timers_(sim) {
   SCATTER_CHECK(cfg_.lease_duration <= cfg_.election_timeout_min);
   SCATTER_CHECK(journal_ != nullptr);
-  SCATTER_CHECK(recovered.snapshot != nullptr);
   if (recovered.wal_torn) {
     // New appends must not land behind unreadable garbage.
     journal_->DropTornTail(recovered.wal_clean_bytes);
   }
-  // Rebuild exactly what the pre-crash replica persisted: snapshot state,
-  // then the WAL-recovered log suffix on top of it.
-  sm_->Restore(*recovered.snapshot);
+  // Rebuild exactly what the pre-crash replica persisted: the state machine
+  // already holds the checkpoint's state (GroupJournal::Recover restored
+  // it); the WAL-recovered log suffix goes on top of it.
   log_.ResetToSnapshot(recovered.snap_base_index);
   snap_base_index_ = recovered.snap_base_index;
   snap_base_ballot_ = recovered.snap_base_ballot;
@@ -746,8 +746,9 @@ void Replica::HandleSnapshot(const SnapshotMsg& m) {
     return;
   }
 
-  SCATTER_CHECK(m.data != nullptr);
-  sm_->Restore(*m.data);
+  // The bytes are a peer's EncodeState output, which always decodes.
+  const bool restored = sm_->Restore(m.data.data(), m.data.size());
+  SCATTER_CHECK(restored);
   log_.ResetToSnapshot(m.last_included_index);
   snap_base_index_ = m.last_included_index;
   snap_base_ballot_ = m.last_included_ballot;
@@ -841,7 +842,9 @@ void Replica::ReplicateTo(NodeId peer_id, bool allow_empty) {
     snap->last_included_ballot = BallotAt(applied_index_);
     snap->config = AppliedConfig();
     snap->config_index = applied_config_index_;
-    snap->data = sm_->TakeSnapshot();
+    wire::Buffer state;
+    sm_->EncodeState(state);
+    snap->data.assign(state.data(), state.data() + state.size());
     snap->sent_at = sim_->now();
     snap->bootstrap = peer.bootstrap;
     peer.snapshot_inflight = true;

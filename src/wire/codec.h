@@ -17,9 +17,9 @@
 //   u64  span_id             |
 //   ...  payload             type-specific: the message's field list
 //
-// Polymorphic payloads riding inside messages (replicated commands, state
-// machine snapshots) have their own tagged registries in
-// src/paxos/payload_codec.h — the paxos module owns that vocabulary.
+// Polymorphic payloads riding inside messages (replicated commands) have
+// their own tagged registry in src/paxos/payload_codec.h — the paxos module
+// owns that vocabulary. A state machine's state rides as plain bytes.
 
 #ifndef SCATTER_SRC_WIRE_CODEC_H_
 #define SCATTER_SRC_WIRE_CODEC_H_

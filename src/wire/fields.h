@@ -1,8 +1,8 @@
 // One field list per wire type.
 //
 // Every type that crosses the wire or reaches the disk — messages, replicated
-// commands, snapshots, journal records and the composites they carry —
-// states its layout exactly once, as a field list found by
+// commands, state machine states, journal records and the composites they
+// carry — states its layout exactly once, as a field list found by
 // argument-dependent lookup next to the type:
 //
 //   template <class IO>

@@ -11,11 +11,9 @@
 
 #include "src/membership/commands.h"
 #include "src/membership/group_state_machine.h"
-#include "src/membership/wire_codecs.h"
 #include "src/obs/metrics.h"
 #include "src/paxos/journal.h"
 #include "src/paxos/log.h"
-#include "src/paxos/payload_codec.h"
 #include "src/storage/sim_disk.h"
 #include "src/wire/buffer.h"
 #include "tests/alloc_counter.h"
@@ -551,10 +549,11 @@ TEST(GroupSmSnapshotTest, RoundTripPreservesState) {
   p.client_seq = 4;
   sm.Apply(++i, p);
 
-  auto snap = sm.TakeSnapshot();
+  wire::Buffer bytes;
+  sm.EncodeState(bytes);
   GroupStateMachine other(&l, MakeState(1, KeyRange::Full()));
   other.BindConfigProvider([]() { return std::vector<NodeId>{1}; });
-  other.Restore(*snap);
+  ASSERT_TRUE(other.Restore(bytes.data(), bytes.size()));
   EXPECT_EQ(other.range(), (KeyRange{0, 1000}));
   EXPECT_EQ(other.state().data.Get(5), "x");
   EXPECT_EQ(other.ResultFor(3, 4), StatusCode::kOk);
@@ -599,26 +598,37 @@ GroupState FullState(size_t keys) {
   return s;
 }
 
-TEST(GroupCheckpointTest, LiveStateEncodesAsItsSnapshot) {
-  RegisterWireCodecs();
+// Every GroupState field survives EncodeState -> Restore: the restored
+// machine re-encodes the same bytes. Bytes that do not decode to exactly
+// one state are refused and leave the state as it was.
+TEST(GroupCheckpointTest, StateBytesRestoreToTheSameState) {
   RecordingListener l;
   GroupStateMachine sm(&l, FullState(/*keys=*/50));
-  wire::Buffer snapshot;
-  paxos::EncodeSnapshot(sm.TakeSnapshot(), snapshot);
+  wire::Buffer bytes;
+  sm.EncodeState(bytes);
 
-  const paxos::PayloadEncodeStats before = paxos::GetPayloadEncodeStats();
-  wire::Buffer live;
-  sm.EncodeState(live);
-  EXPECT_EQ(live.bytes(), snapshot.bytes());
-  // The live state is never memoized: it keeps changing.
-  EXPECT_EQ(paxos::GetPayloadEncodeStats().memo_fills, before.memo_fills);
+  GroupStateMachine other(&l, MakeState(1, KeyRange::Full()));
+  ASSERT_TRUE(other.Restore(bytes.data(), bytes.size()));
+  wire::Buffer again;
+  other.EncodeState(again);
+  EXPECT_EQ(again.bytes(), bytes.bytes());
+  EXPECT_TRUE(other.IsFrozen());
+  EXPECT_EQ(other.OutcomeOf(6), false);
+  EXPECT_EQ(other.state().forward.size(), 2u);
+
+  std::vector<uint8_t> over = bytes.bytes();
+  over.push_back(0);
+  EXPECT_FALSE(other.Restore(over.data(), over.size()));
+  EXPECT_FALSE(other.Restore(bytes.data(), bytes.size() - 1));
+  wire::Buffer unchanged;
+  other.EncodeState(unchanged);
+  EXPECT_EQ(unchanged.bytes(), bytes.bytes());
 }
 
 // A checkpoint copies no state, so what it allocates does not depend on how
 // much state there is (wire::Buffer grows through malloc and is not
 // counted; the disk's file vectors are, and keep their capacity).
 TEST(GroupCheckpointTest, AllocationsDoNotGrowWithKeyCount) {
-  RegisterWireCodecs();
   auto checkpoint_allocations = [](size_t keys) {
     RecordingListener l;
     GroupStateMachine sm(&l, FullState(keys));

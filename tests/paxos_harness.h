@@ -40,9 +40,9 @@ struct SeqCommand : AppCommand {
   uint64_t value;
 };
 
-// Field lists for the test-private command and snapshot types, registered
-// through the production templates, so the whole Paxos suite also runs
-// under SCATTER_TRANSPORT=serializing/audit. Tags from 256 up are reserved
+// Field list for the test-private command type, registered through the
+// production template, so the whole Paxos suite also runs under
+// SCATTER_TRANSPORT=serializing/audit. Tags from 256 up are reserved
 // for tests (production modules own 1-255).
 template <class IO>
 void Fields(SeqCommand& c, IO& io) {
@@ -57,20 +57,10 @@ inline void RegisterPaxosTestCodecs() {
   (void)done;
 }
 
-// State machine that records the applied sequence, with snapshot support
-// and client dedup.
+// State machine that records the applied sequence, with state transfer
+// and client dedup. Its state bytes are the values, then the client seqs.
 class RecordingStateMachine : public StateMachine {
  public:
-  struct Snap : SnapshotData {
-    std::vector<uint64_t> values;
-    std::map<uint64_t, uint64_t> client_seqs;
-
-    template <class IO>
-    friend void Fields(Snap& s, IO& io) {
-      io(s.values, s.client_seqs);
-    }
-  };
-
   void Apply(uint64_t index, const Command& command) override {
     const auto& cmd = static_cast<const SeqCommand&>(command);
     if (cmd.client_id != 0) {
@@ -83,23 +73,22 @@ class RecordingStateMachine : public StateMachine {
     values_.push_back(cmd.value);
   }
 
-  SnapshotPtr TakeSnapshot() const override {
-    auto s = std::make_shared<Snap>();
-    s->values = values_;
-    s->client_seqs = client_seqs_;
-    return s;
-  }
-
   void EncodeState(wire::Buffer& out) const override {
-    WriteSnapshotTag<Snap>(out);
     wire::Write(values_, out);
     wire::Write(client_seqs_, out);
   }
 
-  void Restore(const SnapshotData& snapshot) override {
-    const auto& s = static_cast<const Snap&>(snapshot);
-    values_ = s.values;
-    client_seqs_ = s.client_seqs;
+  bool Restore(const uint8_t* data, size_t size) override {
+    wire::Reader in(data, size);
+    std::vector<uint64_t> values;
+    std::map<uint64_t, uint64_t> client_seqs;
+    in(values, client_seqs);
+    if (!in.ok() || !in.AtEnd()) {
+      return false;
+    }
+    values_ = std::move(values);
+    client_seqs_ = std::move(client_seqs);
+    return true;
   }
 
   const std::vector<uint64_t>& values() const { return values_; }
@@ -108,14 +97,6 @@ class RecordingStateMachine : public StateMachine {
   std::vector<uint64_t> values_;
   std::map<uint64_t, uint64_t> client_seqs_;
 };
-
-inline void RegisterPaxosTestSnapshotCodec() {
-  static const bool done = [] {
-    RegisterSnapshot<RecordingStateMachine::Snap>(256);
-    return true;
-  }();
-  (void)done;
-}
 
 // A simulated node hosting exactly one replica of one group. With a disk,
 // the replica journals to it.
@@ -130,11 +111,13 @@ class PaxosTestNode : public rpc::RpcNode, public ReplicaHost {
                                          MakeJournal(disk, group));
   }
 
-  // Restarts from the state crash recovery read back from `disk`.
+  // Restarts from what crash recovery reads back from `disk`.
   PaxosTestNode(NodeId id, sim::Network* network, const PaxosConfig& config,
-                GroupId group, storage::SimDisk* disk,
-                const RecoveredState& recovered)
+                GroupId group, storage::SimDisk* disk)
       : RpcNode(id, network) {
+    RecoveredState recovered;
+    const bool ok = GroupJournal::Recover(*disk, group, &sm_, &recovered);
+    SCATTER_CHECK(ok);
     replica_ = std::make_unique<Replica>(simulator(), this, &sm_, config,
                                          group, id, MakeJournal(disk, group),
                                          recovered);
@@ -213,7 +196,6 @@ class PaxosCluster {
     paxos::RegisterWireCodecs();
     rpc::RegisterWireCodecs();
     RegisterPaxosTestCodecs();
-    RegisterPaxosTestSnapshotCodec();
     std::vector<NodeId> members;
     for (int i = 1; i <= n; ++i) {
       members.push_back(static_cast<NodeId>(i));
@@ -323,10 +305,8 @@ class PaxosCluster {
     storage::SimDisk* disk = disks_.at(id).get();
     Crash(id);
     disk->Crash();
-    RecoveredState recovered;
-    SCATTER_CHECK(GroupJournal::Recover(*disk, group_, &recovered));
     nodes_[id] = std::make_unique<PaxosTestNode>(id, net_.get(), config_,
-                                                 group_, disk, recovered);
+                                                 group_, disk);
     return nodes_[id].get();
   }
 

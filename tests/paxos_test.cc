@@ -95,7 +95,6 @@ TEST(LogTest, ResetToSnapshot) {
 // base: entries at or below the base and holes leave no record.
 TEST(JournalTest, CheckpointResidualSkipsHoles) {
   testing::RegisterPaxosTestCodecs();
-  testing::RegisterPaxosTestSnapshotCodec();
   storage::SimDisk disk;
   obs::MetricsRegistry metrics;
   GroupJournal journal(&disk, &metrics, /*node=*/1, /*group=*/3);
@@ -106,13 +105,60 @@ TEST(JournalTest, CheckpointResidualSkipsHoles) {
   }
   journal.WriteCheckpoint({2, Ballot{1, 1}, {1, 2, 3}, 0, Ballot{1, 1}, 2}, sm,
                           log);
+  testing::RecordingStateMachine restored;
   RecoveredState recovered;
-  ASSERT_TRUE(GroupJournal::Recover(disk, /*group=*/3, &recovered));
+  ASSERT_TRUE(GroupJournal::Recover(disk, /*group=*/3, &restored, &recovered));
   std::vector<uint64_t> indexes;
   for (const LogEntry& e : recovered.entries) {
     indexes.push_back(e.index);
   }
   EXPECT_EQ(indexes, (std::vector<uint64_t>{4, 6}));
+}
+
+// A checkpoint record is the header, then the state bytes to its end.
+// Recovery fails, leaving the state machine as it was, when those bytes do
+// not decode to exactly one state: one byte short, or one byte over.
+TEST(JournalTest, RecoverFailsWhenStateBytesDoNotDecode) {
+  testing::RegisterPaxosTestCodecs();
+  testing::RecordingStateMachine sm;
+  for (uint64_t v : {7, 8, 9}) {
+    sm.Apply(v, SeqCommand(v));
+  }
+  wire::Buffer state;
+  sm.EncodeState(state);
+  const CheckpointHeader header{3, Ballot{1, 1}, {1, 2, 3}, 0, Ballot{1, 1}, 3};
+  for (const std::vector<uint8_t>& bytes :
+       {std::vector<uint8_t>(state.data(), state.data() + state.size() - 1),
+        [&state] {
+          std::vector<uint8_t> b = state.bytes();
+          b.push_back(0);
+          return b;
+        }()}) {
+    wire::Buffer record;
+    const size_t at = storage::BeginWalRecord(
+        static_cast<uint16_t>(JournalRecordType::kCheckpoint), &record);
+    wire::Write(header, record);
+    record.WriteBytes(bytes.data(), bytes.size());
+    storage::EndWalRecord(at, &record);
+    storage::SimDisk disk;
+    disk.Replace(SnapFileName(3), record.data(), record.size());
+
+    testing::RecordingStateMachine target;
+    target.Apply(1, SeqCommand(42));
+    RecoveredState recovered;
+    EXPECT_FALSE(GroupJournal::Recover(disk, /*group=*/3, &target, &recovered))
+        << bytes.size() << " state bytes";
+    EXPECT_EQ(target.values(), (std::vector<uint64_t>{42}));
+  }
+  // The exact bytes recover.
+  storage::SimDisk disk;
+  obs::MetricsRegistry metrics;
+  GroupJournal journal(&disk, &metrics, /*node=*/1, /*group=*/3);
+  journal.WriteCheckpoint(header, sm, Log());
+  testing::RecordingStateMachine target;
+  RecoveredState recovered;
+  ASSERT_TRUE(GroupJournal::Recover(disk, /*group=*/3, &target, &recovered));
+  EXPECT_EQ(target.values(), (std::vector<uint64_t>{7, 8, 9}));
 }
 
 // The config-entry index against brute force: seeded random sequences of

@@ -1,6 +1,7 @@
 // Churn survival: run Scatter under aggressive node churn while a workload
-// hammers it, then verify that every response was linearizable and that no
-// acknowledged write was lost.
+// hammers it, then verify that every response was linearizable, that no
+// acknowledged write was lost, and that the ring is a complete, disjoint
+// cover once churn stops. Exits 1 when any of the three checks fails.
 //
 // This is the paper's thesis as a demo: "even with very short node
 // lifetimes, it is possible to build a scalable and consistent system with
@@ -81,5 +82,5 @@ int main() {
   for (const ring::GroupInfo& info : cluster.AuthoritativeRing()) {
     std::printf("  %s\n", info.ToString().c_str());
   }
-  return lin.linearizable && staleness.stale_reads == 0 ? 0 : 1;
+  return lin.linearizable && staleness.stale_reads == 0 && cover.ok ? 0 : 1;
 }

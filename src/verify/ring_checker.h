@@ -23,6 +23,10 @@ struct RingCheckOutcome {
   std::vector<std::string> problems;
 };
 
+// The groups tile the key space exactly once: no gap, no overlap. The list
+// is checked as given, so of two overlapping groups neither hides the other.
+RingCheckOutcome CheckCover(std::vector<ring::GroupInfo> groups);
+
 // Quiescent invariant: the authoritative ring exactly tiles the key space.
 RingCheckOutcome CheckQuiescentCover(const core::Cluster& cluster);
 

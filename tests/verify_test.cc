@@ -1,12 +1,13 @@
 // Unit tests for the verification tooling itself: the linearizability
-// checker and the staleness audit must accept legal histories and reject
-// illegal ones — otherwise a "zero violations" experiment result means
+// checker, the staleness audit and the ring cover check must accept legal
+// histories and rings and reject illegal ones — otherwise a "zero violations" experiment result means
 // nothing.
 
 #include <gtest/gtest.h>
 
 #include "src/verify/history.h"
 #include "src/verify/linearizability.h"
+#include "src/verify/ring_checker.h"
 #include "src/verify/staleness.h"
 
 namespace scatter::verify {
@@ -372,6 +373,37 @@ TEST(StalenessTest, ConcurrentWriteEitherValueFine) {
   // w1 and w2 overlapped; either final value is linearizable.
   auto report = AuditStaleness(rec);
   EXPECT_EQ(report.stale_reads, 0u);
+}
+
+ring::GroupInfo Arc(GroupId id, Key begin, Key end) {
+  return ring::GroupInfo{id, ring::KeyRange{begin, end}, 1, {1}, kInvalidNode};
+}
+
+TEST(RingCoverTest, AcceptsOneFullGroupAndAnExactTiling) {
+  EXPECT_TRUE(CheckCover({Arc(1, 0, 0)}).ok);
+  EXPECT_TRUE(CheckCover({Arc(1, 7, 7)}).ok);
+  EXPECT_TRUE(CheckCover({Arc(1, 100, 500), Arc(2, 500, 100)}).ok);
+  // Listed out of ring order, the last arc wrapping past 0.
+  EXPECT_TRUE(
+      CheckCover({Arc(3, 900, 100), Arc(1, 100, 500), Arc(2, 500, 900)}).ok);
+}
+
+TEST(RingCoverTest, RejectsTwoFullGroups) {
+  // Both groups claim the whole ring: what a repartition to the
+  // coordinator's own begin would leave behind.
+  const RingCheckOutcome out = CheckCover({Arc(1, 0, 0), Arc(2, 0, 0)});
+  EXPECT_FALSE(out.ok);
+  ASSERT_EQ(out.problems.size(), 1u);
+  EXPECT_NE(out.problems[0].find("not a disjoint cover"), std::string::npos);
+}
+
+TEST(RingCoverTest, RejectsOverlapGapAndEmptyList) {
+  EXPECT_FALSE(
+      CheckCover({Arc(1, 100, 600), Arc(2, 500, 900), Arc(3, 900, 100)}).ok);
+  EXPECT_FALSE(
+      CheckCover({Arc(1, 100, 400), Arc(2, 500, 900), Arc(3, 900, 100)}).ok);
+  EXPECT_FALSE(CheckCover({Arc(1, 100, 500)}).ok);
+  EXPECT_FALSE(CheckCover({}).ok);
 }
 
 }  // namespace

@@ -257,6 +257,46 @@ TEST(TxnRepartitionTest, BoundaryMoveKeepsDataReadable) {
   EXPECT_TRUE(AllReadable(c, client, names));
 }
 
+TEST(TxnRepartitionTest, BoundaryAtCoordinatorBeginIsRejected) {
+  // Moving the boundary to the coordinator's own begin would shed its whole
+  // arc, and KeyRange{b, b} is the full ring, not an empty arc: both groups
+  // would claim every key. The request must fail and leave the ring alone.
+  Cluster c(StaticTwoGroups(7));
+  analysis::InvariantAuditor audit(&c);
+  c.RunFor(Seconds(2));
+  Client* client = c.AddClient();
+  auto names = Populate(c, client, 30);
+
+  auto [leader, group] = CoordinatorLeader(c);
+  ASSERT_NE(leader, nullptr);
+  const std::vector<ring::GroupInfo> before = c.AuthoritativeRing();
+  Status outcome = InternalError("pending");
+  bool done = false;
+  leader->RequestRepartition(group, leader->GroupSm(group)->range().begin,
+                             [&](Status s) {
+                               done = true;
+                               outcome = s;
+                             });
+  const TimeMicros deadline = c.sim().now() + Seconds(20);
+  while (!done && c.sim().now() < deadline) {
+    c.sim().RunFor(Millis(5));
+  }
+  ASSERT_TRUE(done);
+  EXPECT_EQ(outcome.code(), StatusCode::kInvalidArgument)
+      << outcome.ToString();
+  c.RunFor(Seconds(5));
+
+  auto cover = verify::CheckQuiescentCover(c);
+  EXPECT_TRUE(cover.ok) << (cover.problems.empty() ? "" : cover.problems[0]);
+  const std::vector<ring::GroupInfo> after = c.AuthoritativeRing();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].id, before[i].id);
+    EXPECT_EQ(after[i].range, before[i].range);
+  }
+  EXPECT_TRUE(AllReadable(c, client, names));
+}
+
 TEST(TxnConflictTest, ConcurrentMergesResolveToOneOutcomePerGroup) {
   // Three groups; the leaders of groups 1 and 2 both initiate merges with
   // their successors concurrently. Freezing makes the attempts conflict;

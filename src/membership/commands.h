@@ -10,6 +10,7 @@
 #define SCATTER_SRC_MEMBERSHIP_COMMANDS_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/common/flat_map.h"
@@ -141,6 +142,45 @@ void Fields(RingTxn& t, IO& io) {
      t.merged_id, t.new_boundary);
 }
 
+// The arc that one side of repartition `txn` sheds to the other, or nullopt
+// when that side gains. The boundary moves from old = part_range.begin to
+// b = new_boundary: if b lies in the coordinator's range, the coordinator
+// sheds [b, old); otherwise the participant sheds [old, b).
+inline std::optional<ring::KeyRange> ShedArc(const RingTxn& txn,
+                                             bool coordinator) {
+  const Key old_boundary = txn.part_range.begin;
+  const Key b = txn.new_boundary;
+  const bool coordinator_sheds = txn.coord_range.Contains(b);
+  if (coordinator != coordinator_sheds) {
+    return std::nullopt;
+  }
+  return coordinator_sheds ? ring::KeyRange{b, old_boundary}
+                           : ring::KeyRange{old_boundary, b};
+}
+
+// One group's share of a merge or repartition, frozen with the group: the
+// members captured at the freeze, the data it ships (its whole store for a
+// merge, its ShedArc for a repartition, nothing when it gains), its dedup
+// table, and its outer neighbor (the coordinator's predecessor, the
+// participant's successor), which stitches a merged group into the ring.
+// Each group commits the other's contribution in its own log, so applying
+// the decision needs nothing from outside that log.
+struct Contribution {
+  size_t ByteSize() const {
+    return data.byte_size() + DedupByteSize(dedup) + 8 * members.size();
+  }
+  std::vector<NodeId> members;
+  store::KvStore data;
+  DedupTable dedup;
+  ring::GroupInfo outer;
+};
+
+// Wire field list (src/wire/fields.h).
+template <class IO>
+void Fields(Contribution& c, IO& io) {
+  io(c.members, c.data, c.dedup, c.outer);
+}
+
 // Coordinator's begin record. Applying it freezes the group's range
 // (writes are rejected until the decision) and captures the group's
 // membership for the transaction.
@@ -150,37 +190,23 @@ struct CoordStartCommand : GroupCommand {
 };
 
 // Coordinator's decision record. For a commit it carries the participant's
-// contribution (members + frozen data) so that applying it fully determines
-// the coordinator group's successor state.
+// contribution so that applying it fully determines the coordinator group's
+// successor state.
 struct CoordDecideCommand : GroupCommand {
   CoordDecideCommand() : GroupCommand(GroupCmdKind::kCoordDecide) {}
-  size_t ByteSize() const override {
-    return 96 + part_data.byte_size() + DedupByteSize(part_dedup) +
-           8 * part_members.size();
-  }
+  size_t ByteSize() const override { return 96 + part.ByteSize(); }
   uint64_t txn_id = 0;
   bool commit = false;
-  std::vector<NodeId> part_members;
-  store::KvStore part_data;
-  DedupTable part_dedup;
-  // Participant's outer neighbor (needed to stitch the merged group's
-  // successor link).
-  ring::GroupInfo part_outer_neighbor;
+  Contribution part;
 };
 
 // Participant's prepare record: freezes the group and stores the
 // coordinator's contribution so a later decide is self-contained.
 struct PrepareCommand : GroupCommand {
   PrepareCommand() : GroupCommand(GroupCmdKind::kPrepare) {}
-  size_t ByteSize() const override {
-    return 160 + coord_data.byte_size() + DedupByteSize(coord_dedup) +
-           8 * coord_members.size();
-  }
+  size_t ByteSize() const override { return 160 + coord.ByteSize(); }
   RingTxn txn;
-  std::vector<NodeId> coord_members;
-  store::KvStore coord_data;
-  DedupTable coord_dedup;
-  ring::GroupInfo coord_outer_neighbor;
+  Contribution coord;
 };
 
 // Participant's decision record.

@@ -209,8 +209,7 @@ void GroupStateMachine::ApplyCoordDecide(const CoordDecideCommand& cmd) {
     listener_->OnStructuralChange(state_.id);
     return;
   }
-  ExecuteCommit(active, cmd.part_members, cmd.part_data, cmd.part_dedup,
-                cmd.part_outer_neighbor);
+  ExecuteCommit(active, cmd.part);
 }
 
 void GroupStateMachine::ApplyPrepare(const PrepareCommand& cmd) {
@@ -230,10 +229,7 @@ void GroupStateMachine::ApplyPrepare(const PrepareCommand& cmd) {
   active.txn = cmd.txn;
   active.is_coordinator = false;
   active.my_members = CurrentMembers();
-  active.coord_members = cmd.coord_members;
-  active.coord_data = cmd.coord_data;
-  active.coord_dedup = cmd.coord_dedup;
-  active.coord_outer = cmd.coord_outer_neighbor;
+  active.coord = cmd.coord;
   state_.active = std::move(active);
   listener_->OnStructuralChange(state_.id);
 }
@@ -253,29 +249,35 @@ void GroupStateMachine::ApplyDecide(const DecideCommand& cmd) {
   }
   // The participant executes with the coordinator contribution recorded at
   // prepare time.
-  ExecuteCommit(active, active.coord_members, active.coord_data,
-                active.coord_dedup, active.coord_outer);
+  ExecuteCommit(active, active.coord);
+}
+
+Contribution GroupStateMachine::OwnContribution() const {
+  SCATTER_CHECK(state_.active.has_value());
+  const ActiveTxn& active = *state_.active;
+  Contribution c;
+  c.members = active.my_members;
+  if (active.txn.kind == RingTxn::Kind::kMerge) {
+    c.data = state_.data;
+  } else if (const auto shed = ShedArc(active.txn, active.is_coordinator)) {
+    c.data = state_.data.ExtractRange(*shed);
+  }
+  c.dedup = state_.dedup;
+  c.outer = active.is_coordinator ? state_.pred : state_.succ;
+  return c;
 }
 
 void GroupStateMachine::ExecuteCommit(const ActiveTxn& active,
-                                      std::vector<NodeId> peer_members,
-                                      store::KvStore peer_data,
-                                      DedupTable peer_dedup,
-                                      ring::GroupInfo peer_outer) {
+                                      const Contribution& peer) {
   if (active.txn.kind == RingTxn::Kind::kMerge) {
-    ExecuteMergeCommit(active, std::move(peer_members), std::move(peer_data),
-                       std::move(peer_dedup), std::move(peer_outer));
+    ExecuteMergeCommit(active, peer);
   } else {
-    ExecuteRepartitionCommit(active, std::move(peer_members),
-                             std::move(peer_data), std::move(peer_dedup));
+    ExecuteRepartitionCommit(active, peer);
   }
 }
 
 void GroupStateMachine::ExecuteMergeCommit(const ActiveTxn& active,
-                                           std::vector<NodeId> peer_members,
-                                           store::KvStore peer_data,
-                                           DedupTable peer_dedup,
-                                           ring::GroupInfo peer_outer) {
+                                           const Contribution& peer) {
   const RingTxn& txn = active.txn;
   FoundingGroup merged;
   merged.info.id = txn.merged_id;
@@ -284,18 +286,18 @@ void GroupStateMachine::ExecuteMergeCommit(const ActiveTxn& active,
   // Both sides compute the same union: (coordinator members, participant
   // members) in that order.
   if (active.is_coordinator) {
-    merged.info.members = UnionMembers(active.my_members, peer_members);
+    merged.info.members = UnionMembers(active.my_members, peer.members);
     merged.pred = state_.pred;        // coordinator's predecessor
-    merged.succ = peer_outer;         // participant's successor
+    merged.succ = peer.outer;         // participant's successor
   } else {
-    merged.info.members = UnionMembers(peer_members, active.my_members);
-    merged.pred = peer_outer;         // coordinator's predecessor (shipped)
+    merged.info.members = UnionMembers(peer.members, active.my_members);
+    merged.pred = peer.outer;         // coordinator's predecessor (shipped)
     merged.succ = state_.succ;        // our successor
   }
   merged.data = state_.data;
-  merged.data.MergeFrom(peer_data);
+  merged.data.MergeFrom(peer.data);
   merged.dedup = state_.dedup;
-  MergeDedup(merged.dedup, peer_dedup);
+  MergeDedup(merged.dedup, peer.dedup);
   merged.inherited_txns = state_.txn_outcomes;
 
   // Degenerate two-group ring: the outer neighbors ARE the merging groups,
@@ -314,43 +316,30 @@ void GroupStateMachine::ExecuteMergeCommit(const ActiveTxn& active,
   listener_->OnStructuralChange(state_.id);
 }
 
-void GroupStateMachine::ExecuteRepartitionCommit(
-    const ActiveTxn& active, std::vector<NodeId> peer_members,
-    store::KvStore peer_data, DedupTable peer_dedup) {
+void GroupStateMachine::ExecuteRepartitionCommit(const ActiveTxn& active,
+                                                 const Contribution& peer) {
   const RingTxn& txn = active.txn;
-  const Key old_boundary = txn.part_range.begin;  // == coord_range.end
   const Key b = txn.new_boundary;
   const uint64_t new_epoch = std::max(txn.coord_epoch, txn.part_epoch) + 1;
 
   const ring::KeyRange new_coord_range{txn.coord_range.begin, b};
   const ring::KeyRange new_part_range{b, txn.part_range.end};
-  // Which direction did data move? If b is inside the participant's old
-  // range, the arc [old_boundary, b) moved participant -> coordinator;
-  // otherwise [b, old_boundary) moved coordinator -> participant.
-  const bool gaining = active.is_coordinator
-                           ? txn.part_range.Contains(b)
-                           : txn.coord_range.Contains(b) && b != old_boundary;
-
+  // One side drops the arc it shed; the other takes in the peer's data.
+  if (const auto shed = ShedArc(txn, active.is_coordinator)) {
+    state_.data.EraseRange(*shed);
+  } else {
+    state_.data.MergeFrom(peer.data);
+  }
   if (active.is_coordinator) {
     state_.range = new_coord_range;
-    if (gaining) {
-      state_.data.MergeFrom(peer_data);
-    } else {
-      state_.data.EraseRange(ring::KeyRange{b, old_boundary});
-    }
     state_.succ = ring::GroupInfo{txn.part_group, new_part_range, new_epoch,
-                                  std::move(peer_members), kInvalidNode};
+                                  peer.members, kInvalidNode};
   } else {
     state_.range = new_part_range;
-    if (gaining) {
-      state_.data.MergeFrom(peer_data);
-    } else {
-      state_.data.EraseRange(ring::KeyRange{old_boundary, b});
-    }
     state_.pred = ring::GroupInfo{txn.coord_group, new_coord_range, new_epoch,
-                                  std::move(peer_members), kInvalidNode};
+                                  peer.members, kInvalidNode};
   }
-  MergeDedup(state_.dedup, peer_dedup);
+  MergeDedup(state_.dedup, peer.dedup);
   state_.epoch = new_epoch;
   stats_.repartitions_applied++;
   listener_->OnStructuralChange(state_.id);

@@ -36,17 +36,13 @@ struct ActiveTxn {
   // This group's membership captured when the freeze applied.
   std::vector<NodeId> my_members;
   // Participant side only: the coordinator's shipped contribution.
-  std::vector<NodeId> coord_members;
-  store::KvStore coord_data;
-  DedupTable coord_dedup;
-  ring::GroupInfo coord_outer;
+  Contribution coord;
 };
 
 // Wire field list (src/wire/fields.h).
 template <class IO>
 void Fields(ActiveTxn& a, IO& io) {
-  io(a.txn, a.is_coordinator, a.my_members, a.coord_members, a.coord_data,
-     a.coord_dedup, a.coord_outer);
+  io(a.txn, a.is_coordinator, a.my_members, a.coord);
 }
 
 // Payload describing a group that a structural operation brings into
@@ -136,6 +132,10 @@ class GroupStateMachine : public paxos::StateMachine {
   // nullopt if undecided/unknown.
   std::optional<bool> OutcomeOf(uint64_t txn_id) const;
 
+  // This group's contribution to the transaction it is frozen for, as it
+  // ships to the other group. Only valid while frozen.
+  Contribution OwnContribution() const;
+
   // --- Mutation-testing hooks ---------------------------------------------
   // These deliberately break invariants (bypassing all apply-time
   // validation) so auditor tests can prove each violation class is caught.
@@ -167,18 +167,12 @@ class GroupStateMachine : public paxos::StateMachine {
   void ApplyDecide(const DecideCommand& cmd);
   void ApplyUpdateNeighbor(const UpdateNeighborCommand& cmd);
 
-  // Executes the committed transaction from this group's perspective.
-  void ExecuteCommit(const ActiveTxn& active, std::vector<NodeId> peer_members,
-                     store::KvStore peer_data, DedupTable peer_dedup,
-                     ring::GroupInfo peer_outer);
-  void ExecuteMergeCommit(const ActiveTxn& active,
-                          std::vector<NodeId> peer_members,
-                          store::KvStore peer_data, DedupTable peer_dedup,
-                          ring::GroupInfo peer_outer);
+  // Executes the committed transaction from this group's perspective,
+  // given the other group's contribution.
+  void ExecuteCommit(const ActiveTxn& active, const Contribution& peer);
+  void ExecuteMergeCommit(const ActiveTxn& active, const Contribution& peer);
   void ExecuteRepartitionCommit(const ActiveTxn& active,
-                                std::vector<NodeId> peer_members,
-                                store::KvStore peer_data,
-                                DedupTable peer_dedup);
+                                const Contribution& peer);
 
   // Records the outcome of a client op in the dedup table; returns false if
   // the (client, seq) was already applied (retry) and the op must not

@@ -38,14 +38,12 @@ void Fields(CoordStartCommand& c, IO& io) {
 
 template <class IO>
 void Fields(CoordDecideCommand& c, IO& io) {
-  io(Header(c), c.txn_id, c.commit, c.part_members, c.part_data, c.part_dedup,
-     c.part_outer_neighbor);
+  io(Header(c), c.txn_id, c.commit, c.part);
 }
 
 template <class IO>
 void Fields(PrepareCommand& c, IO& io) {
-  io(Header(c), c.txn, c.coord_members, c.coord_data, c.coord_dedup,
-     c.coord_outer_neighbor);
+  io(Header(c), c.txn, c.coord);
 }
 
 template <class IO>

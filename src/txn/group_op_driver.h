@@ -142,7 +142,8 @@ class GroupOpDriver {
   const std::vector<NodeId>& SuccessorMembers() const;
   bool IsLeader() const { return replica_->is_leader(); }
 
-  // Builds this group's shipped contribution for `txn` (as participant).
+  // Fills a positive prepare reply with this group's contribution
+  // (participant side).
   void FillParticipantReply(TxnPrepareReplyMsg* reply) const;
 
   sim::Simulator* sim_;
@@ -161,7 +162,7 @@ class GroupOpDriver {
   size_t participant_cursor_ = 0;  // member round-robin for resends
   size_t prepare_sends_ = 0;       // prepares sent for the current txn
   // Participant contribution captured from the prepare reply.
-  std::optional<TxnPrepareReplyMsg> prepare_reply_;
+  std::optional<membership::Contribution> part_;
 
   // Participant-side backstop bookkeeping.
   TimeMicros frozen_since_ = 0;

@@ -9,14 +9,12 @@ namespace scatter::txn {
 
 template <class IO>
 void Fields(TxnPrepareMsg& m, IO& io) {
-  io(m.txn, m.coord_members, m.coord_data, m.coord_dedup,
-     m.coord_outer_neighbor);
+  io(m.txn, m.coord);
 }
 
 template <class IO>
 void Fields(TxnPrepareReplyMsg& m, IO& io) {
-  io(m.txn_id, m.prepared, m.part_members, m.part_data, m.part_dedup,
-     m.part_outer_neighbor);
+  io(m.txn_id, m.prepared, m.part);
 }
 
 template <class IO>

@@ -304,20 +304,14 @@ TEST(GroupSmMergeTest, BothSidesDeriveIdenticalMergedGroup) {
 
   PrepareCommand prep;
   prep.txn = txn;
-  prep.coord_members = coord.state().active->my_members;
-  prep.coord_data = coord.state().data;
-  prep.coord_dedup = coord.state().dedup;
-  prep.coord_outer_neighbor = coord.state().pred;
+  prep.coord = coord.OwnContribution();
   part.Apply(++ip, prep);
   ASSERT_TRUE(part.IsFrozen());
 
   CoordDecideCommand decide;
   decide.txn_id = 77;
   decide.commit = true;
-  decide.part_members = part.state().active->my_members;
-  decide.part_data = part.state().data;
-  decide.part_dedup = part.state().dedup;
-  decide.part_outer_neighbor = part.state().succ;
+  decide.part = part.OwnContribution();
   coord.Apply(++ic, decide);
 
   DecideCommand pdecide;
@@ -379,18 +373,16 @@ TEST(GroupSmRepartitionTest, BoundaryMovesDataCoordinatorSheds) {
 
   PrepareCommand prep;
   prep.txn = txn;
-  prep.coord_members = coord.state().active->my_members;
-  prep.coord_data =
-      coord.state().data.ExtractRange(KeyRange{300, 500});  // moved data
-  prep.coord_dedup = coord.state().dedup;
+  prep.coord = coord.OwnContribution();
+  EXPECT_EQ(prep.coord.data.size(), 4u);  // Keys 300, 350, 400 and 450.
   part.Apply(++ip, prep);
   ASSERT_TRUE(part.IsFrozen());
 
   CoordDecideCommand decide;
   decide.txn_id = 88;
   decide.commit = true;
-  decide.part_members = part.state().active->my_members;
-  // Participant ships nothing (it is gaining).
+  decide.part = part.OwnContribution();
+  EXPECT_TRUE(decide.part.data.empty());  // The participant gains.
   coord.Apply(++ic, decide);
 
   DecideCommand pdecide;
@@ -469,12 +461,12 @@ TEST(GroupSmWrapTest, MergeAcrossZeroBoundary) {
   coord.Apply(++ic, start);
   PrepareCommand prep;
   prep.txn = txn;
-  prep.coord_members = {1};
+  prep.coord = coord.OwnContribution();
   part.Apply(++ip, prep);
   CoordDecideCommand decide;
   decide.txn_id = 5;
   decide.commit = true;
-  decide.part_members = {2};
+  decide.part = part.OwnContribution();
   coord.Apply(++ic, decide);
 
   ASSERT_EQ(lc.founded.size(), 1u);
@@ -518,14 +510,14 @@ TEST(GroupSmWrapTest, RepartitionAcrossZeroBoundary) {
   ASSERT_TRUE(coord.IsFrozen());
   PrepareCommand prep;
   prep.txn = txn;
-  prep.coord_members = {1};
-  prep.coord_data = coord.state().data.ExtractRange(KeyRange{b, 0});
+  prep.coord = coord.OwnContribution();
+  EXPECT_EQ(prep.coord.data.size(), 1u);  // The arc [b, 0) holds one key.
   part.Apply(++ip, prep);
   ASSERT_TRUE(part.IsFrozen());
   CoordDecideCommand decide;
   decide.txn_id = 6;
   decide.commit = true;
-  decide.part_members = {2};
+  decide.part = part.OwnContribution();
   coord.Apply(++ic, decide);
   DecideCommand pdecide;
   pdecide.txn_id = 6;
@@ -588,10 +580,10 @@ GroupState FullState(size_t keys) {
   active.txn.coord_group = 9;
   active.txn.part_group = 10;
   active.my_members = {1, 2, 3};
-  active.coord_members = {4, 5};
-  active.coord_data.Put(950, "coord");
-  active.coord_dedup[6].max_seq = 2;
-  active.coord_outer = s.pred;
+  active.coord.members = {4, 5};
+  active.coord.data.Put(950, "coord");
+  active.coord.dedup[6].max_seq = 2;
+  active.coord.outer = s.pred;
   s.active = std::move(active);
   s.txn_outcomes = {{5, true}, {6, false}};
   s.forward = {s.pred, s.succ};

@@ -177,6 +177,15 @@ membership::RingTxn RandTxn(Rng& rng) {
   return t;
 }
 
+membership::Contribution RandContribution(Rng& rng) {
+  membership::Contribution c;
+  c.members = RandNodes(rng);
+  c.data = RandStore(rng);
+  c.dedup = RandDedup(rng);
+  c.outer = RandInfo(rng);
+  return c;
+}
+
 Status RandStatus(Rng& rng) {
   const auto code = static_cast<StatusCode>(rng() % 10);
   return Status(code, RandValue(rng));
@@ -227,19 +236,13 @@ paxos::CommandPtr RandCommand(Rng& rng, size_t pick) {
       auto cmd = std::make_shared<membership::CoordDecideCommand>();
       cmd->txn_id = rng();
       cmd->commit = rng() % 2 == 0;
-      cmd->part_members = RandNodes(rng);
-      cmd->part_data = RandStore(rng);
-      cmd->part_dedup = RandDedup(rng);
-      cmd->part_outer_neighbor = RandInfo(rng);
+      cmd->part = RandContribution(rng);
       return base(cmd);
     }
     case 8: {
       auto cmd = std::make_shared<membership::PrepareCommand>();
       cmd->txn = RandTxn(rng);
-      cmd->coord_members = RandNodes(rng);
-      cmd->coord_data = RandStore(rng);
-      cmd->coord_dedup = RandDedup(rng);
-      cmd->coord_outer_neighbor = RandInfo(rng);
+      cmd->coord = RandContribution(rng);
       return base(cmd);
     }
     case 9: {
@@ -281,10 +284,7 @@ membership::GroupState RandGroupState(Rng& rng) {
     active.txn = RandTxn(rng);
     active.is_coordinator = rng() % 2 == 0;
     active.my_members = RandNodes(rng);
-    active.coord_members = RandNodes(rng);
-    active.coord_data = RandStore(rng);
-    active.coord_dedup = RandDedup(rng);
-    active.coord_outer = RandInfo(rng);
+    active.coord = RandContribution(rng);
     s.active = std::move(active);
   }
   const size_t outcomes = rng() % 4;
@@ -416,20 +416,14 @@ std::vector<sim::MessagePtr> SampleMessages(Rng& rng) {
   {
     auto m = std::make_shared<txn::TxnPrepareMsg>();
     m->txn = RandTxn(rng);
-    m->coord_members = RandNodes(rng);
-    m->coord_data = RandStore(rng);
-    m->coord_dedup = RandDedup(rng);
-    m->coord_outer_neighbor = RandInfo(rng);
+    m->coord = RandContribution(rng);
     add(m);
   }
   {
     auto m = std::make_shared<txn::TxnPrepareReplyMsg>();
     m->txn_id = rng();
     m->prepared = rng() % 2 == 0;
-    m->part_members = RandNodes(rng);
-    m->part_data = RandStore(rng);
-    m->part_dedup = RandDedup(rng);
-    m->part_outer_neighbor = RandInfo(rng);
+    m->part = RandContribution(rng);
     add(m);
   }
   {
@@ -1405,9 +1399,9 @@ TEST_F(WireTest, SnapshotsAndCheckpointsCarryOneStateEncoding) {
   active.txn.id = 77;
   active.txn.kind = membership::RingTxn::Kind::kMerge;
   active.my_members = {1, 2, 3};
-  active.coord_members = {8, 9};
-  active.coord_data.Put(950, "coord");
-  active.coord_dedup[6].max_seq = 2;
+  active.coord.members = {8, 9};
+  active.coord.data.Put(950, "coord");
+  active.coord.dedup[6].max_seq = 2;
   state.active = std::move(active);
   state.txn_outcomes = {{5, true}, {6, false}};
   state.forward = {ring::GroupInfo{6, ring::KeyRange{100, 500}, 5, {1, 2},

@@ -343,10 +343,6 @@ void ScatterNode::SendPaxos(NodeId to,
   SendOneWay(to, std::move(message));
 }
 
-void ScatterNode::OnLeaderChanged(GroupId group, NodeId leader) {
-  // Leader hints feed the ring cache of everyone who talks to us.
-}
-
 void ScatterNode::OnRoleChanged(GroupId group, bool is_leader) {
   if (Hosted* h = FindHosted(group); h != nullptr) {
     h->leadership_since = is_leader ? now() : 0;
@@ -355,9 +351,6 @@ void ScatterNode::OnRoleChanged(GroupId group, bool is_leader) {
     }
   }
 }
-
-void ScatterNode::OnConfigApplied(GroupId group,
-                                  const std::vector<NodeId>& members) {}
 
 void ScatterNode::OnSelfRemoved(GroupId group) {
   // Deferred: we are inside this replica's apply path.

@@ -109,10 +109,7 @@ class ScatterNode : public rpc::RpcNode,
   // --- ReplicaHost --------------------------------------------------------
   void SendPaxos(NodeId to,
                  std::shared_ptr<paxos::PaxosMessage> message) override;
-  void OnLeaderChanged(GroupId group, NodeId leader) override;
   void OnRoleChanged(GroupId group, bool is_leader) override;
-  void OnConfigApplied(GroupId group,
-                       const std::vector<NodeId>& members) override;
   void OnSelfRemoved(GroupId group) override;
   void OnMemberSuspected(GroupId group, NodeId member) override;
 

@@ -384,7 +384,7 @@ void Replica::BecomeLeader() {
   pending_config_index_ = config_index_ > commit_index_ ? config_index_ : 0;
   flush_ends_.clear();
   last_flush_end_ = 0;
-  NoteLeader(self_);
+  leader_hint_ = self_;
   host_->OnRoleChanged(group_, /*is_leader=*/true);
   // Barrier no-op: commits everything inherited from prior ballots and
   // marks the point after which lease reads are safe.
@@ -571,7 +571,7 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
   if (role_ != Role::kFollower) {
     StepDown(m.ballot);
   }
-  NoteLeader(m.from);
+  leader_hint_ = m.from;
   ResetElectionTimer();
   lease_ballot_ = m.ballot;
   lease_until_ = sim_->now() + cfg_.lease_duration;
@@ -681,9 +681,6 @@ void Replica::HandleAccepted(const AcceptedMsg& m) {
     peer.grant_until =
         m.leader_sent_at + cfg_.lease_duration - cfg_.clock_skew_bound;
     DropLeaseExpiry();
-    const TimeMicros rtt = sim_->now() - m.leader_sent_at;
-    peer.rtt_ewma =
-        peer.rtt_ewma == 0 ? rtt : (3 * peer.rtt_ewma + rtt) / 4;
   }
   if (m.centrality > 0) {
     peer.centrality = m.centrality;
@@ -731,7 +728,7 @@ void Replica::HandleSnapshot(const SnapshotMsg& m) {
   if (role_ != Role::kFollower) {
     StepDown(m.ballot);
   }
-  NoteLeader(m.from);
+  leader_hint_ = m.from;
   ResetElectionTimer();
   lease_ballot_ = m.ballot;
   lease_until_ = sim_->now() + cfg_.lease_duration;
@@ -757,7 +754,6 @@ void Replica::HandleSnapshot(const SnapshotMsg& m) {
   snap_config_ = m.config;
   snap_config_index_ = m.config_index;
   RecomputeVotingConfig();
-  host_->OnConfigApplied(group_, config_);
   started_ = true;
   stats_.snapshots_installed++;
   ResetElectionTimer();
@@ -1472,7 +1468,6 @@ void Replica::ApplyCommitted() {
 
 void Replica::ApplyConfig(const ConfigCommand& cmd, uint64_t index) {
   applied_config_index_ = index;
-  host_->OnConfigApplied(group_, config_);
   if (role_ == Role::kLeader) {
     if (pending_config_index_ == index) {
       pending_config_index_ = 0;
@@ -1569,13 +1564,6 @@ bool Replica::LogUpToDate(uint64_t last_index, Ballot last_ballot) const {
     return last_ballot > mine;
   }
   return last_index >= last_log_index();
-}
-
-void Replica::NoteLeader(NodeId leader) {
-  if (leader_hint_ != leader) {
-    leader_hint_ = leader;
-    host_->OnLeaderChanged(group_, leader);
-  }
 }
 
 Ballot Replica::LastLogBallot() const { return BallotAt(last_log_index()); }

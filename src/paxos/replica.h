@@ -58,15 +58,8 @@ class ReplicaHost {
   // Delivers a protocol message to the same group's replica on `to`.
   virtual void SendPaxos(NodeId to, std::shared_ptr<PaxosMessage> message) = 0;
 
-  // The replica learned a (possibly new) leader for its group.
-  virtual void OnLeaderChanged(GroupId group, NodeId leader) {}
-
   // This replica became / stopped being leader.
   virtual void OnRoleChanged(GroupId group, bool is_leader) {}
-
-  // A committed config change took effect.
-  virtual void OnConfigApplied(GroupId group,
-                               const std::vector<NodeId>& members) {}
 
   // This node was removed from the group. The host should destroy the
   // replica soon, but must NOT do so synchronously from this callback.
@@ -254,9 +247,6 @@ class Replica {
     // Until when this peer's lease grant (measured from our send time)
     // holds.
     TimeMicros grant_until = 0;
-    // Smoothed round-trip time to this peer (from append send to ack),
-    // feeding latency-aware leader placement.
-    TimeMicros rtt_ewma = 0;
     // Peer's self-reported centrality (leader side; from AcceptedMsg).
     TimeMicros centrality = 0;
     bool snapshot_inflight = false;
@@ -377,7 +367,6 @@ class Replica {
   // Re-arms the election timer at a random election timeout, or at `delay`.
   void ResetElectionTimer();
   void ArmElectionTimer(TimeMicros delay);
-  void NoteLeader(NodeId leader);
   Ballot LastLogBallot() const;
   Ballot BallotAt(uint64_t index) const;  // snapshot-base aware
 

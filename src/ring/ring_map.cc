@@ -142,18 +142,18 @@ std::vector<GroupInfo> RingMap::All() const {
   return out;
 }
 
-bool RingMap::IsCompleteCover() const {
-  if (by_id_.empty()) {
+bool RingMap::IsCompleteCover() const { return TilesRing(All()); }
+
+bool TilesRing(const std::vector<GroupInfo>& arcs) {
+  if (arcs.empty()) {
     return false;
   }
-  auto arcs = All();
-  if (arcs.size() == 1) {
-    return arcs[0].range.IsFull();
-  }
+  // A lone arc's end is its own begin, which makes it the full ring.
+  const bool single = arcs.size() == 1;
   for (size_t i = 0; i < arcs.size(); ++i) {
     const KeyRange& cur = arcs[i].range;
     const KeyRange& next = arcs[(i + 1) % arcs.size()].range;
-    if (cur.IsFull() || cur.end != next.begin) {
+    if (cur.IsFull() != single || cur.end != next.begin) {
       return false;
     }
   }

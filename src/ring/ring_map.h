@@ -49,8 +49,8 @@ class RingMap {
 
   std::vector<GroupInfo> All() const;
 
-  // True when the cached arcs exactly tile the full ring with no gaps or
-  // overlaps (used by tests and the god's-eye verifier).
+  // True when the cached arcs exactly tile the full ring with no gaps
+  // (TilesRing over All()). Upsert has already evicted overlaps.
   bool IsCompleteCover() const;
 
  private:
@@ -64,6 +64,11 @@ class RingMap {
   Counter* upserts_ = nullptr;
   Counter* evictions_ = nullptr;
 };
+
+// Whether `arcs`, sorted by range begin, tile the key space exactly once.
+// A lone arc must be the full ring; with more, no arc is full and each ends
+// where the next one begins.
+bool TilesRing(const std::vector<GroupInfo>& arcs);
 
 }  // namespace scatter::ring
 

@@ -537,7 +537,7 @@ void BM_LinearizabilityCheckSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearizabilityCheckSequential)->Arg(64)->Arg(512);
 
-// One framed WAL append (length prefix + version/type + CRC32 over the
+// One framed WAL append (length prefix + version/type + CRC-32C over the
 // payload) onto the simulated disk, framed in place in a reused buffer the
 // way GroupJournal appends, fsyncing every 8 records the way the replica's
 // group-commit scheduler batches barriers. Arg = payload bytes. The file is
@@ -571,7 +571,8 @@ void BM_WalAppend(benchmark::State& state) {
 BENCHMARK(BM_WalAppend)->Arg(64)->Arg(1024);
 
 // Full crash-recovery replay: a group journal holding a checkpoint plus
-// Arg accepted-and-committed PutCommand entries is rebuilt from disk —
+// Arg accepted-and-committed PutCommand entries, one accept record each
+// with its commit index folded in, is rebuilt from disk —
 // state restore, WAL scan with per-record CRC verification, and command
 // decode for every entry. Items/sec is log entries replayed per second.
 void BM_RecoveryReplay(benchmark::State& state) {
@@ -593,8 +594,7 @@ void BM_RecoveryReplay(benchmark::State& state) {
     e.index = i;
     e.ballot = ballot;
     e.command = std::make_shared<membership::PutCommand>(i, "bench-value");
-    journal.LogAccept(e);
-    journal.LogCommit(i);
+    journal.LogAccept({&e, 1}, i);
     if (i % 8 == 0) {
       journal.Sync();
     }

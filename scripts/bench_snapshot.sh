@@ -190,9 +190,10 @@ import subprocess
 import sys
 
 explore = f"{sys.argv[1]}/tools/mc_explore"
-runs = [[f"{s}+mutation", "--expect-violation"]
-        for s in ("stale_ballot", "lost_merge", "bootstrap_wedge",
-                  "batched_read", "crash_disk")]
+runs = [[s, "--expect-violation"]
+        for s in ("stale_ballot+mutation", "lost_merge+mutation",
+                  "bootstrap_wedge+mutation", "batched_read+mutation",
+                  "crash_disk+mutation", "crash_disk+first_batch_entry_only")]
 runs.append(["split", "--max-schedules", "2000"])
 rows = []
 for scenario, *flags in runs:

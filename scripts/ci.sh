@@ -102,7 +102,8 @@ run_mc() {
   # random walk at depth 40, walk seed 1). (1) Every clean scenario must
   # stay clean for a fixed schedule count, so every machine walks the same
   # schedules; crash_disk runs in the durability stage. (2) Each seeded
-  # bug (<scenario>+mutation) must still be found.
+  # bug (<scenario>+mutation, and crash_disk+first_batch_entry_only) must
+  # still be found.
   local bdir="${BUILD_DIR:-build}"
   local schedules=300
   if [[ ! -x "$bdir/tools/mc_explore" ]]; then
@@ -121,10 +122,11 @@ run_mc() {
       return 1
     fi
   done
-  for scenario in stale_ballot lost_merge bootstrap_wedge batched_read \
-                  crash_disk; do
-    echo "=== mc: the walk must find $scenario+mutation ($bdir) ==="
-    "$bdir/tools/mc_explore" --scenario "$scenario+mutation" \
+  for scenario in stale_ballot+mutation lost_merge+mutation \
+                  bootstrap_wedge+mutation batched_read+mutation \
+                  crash_disk+mutation crash_disk+first_batch_entry_only; do
+    echo "=== mc: the walk must find $scenario ($bdir) ==="
+    "$bdir/tools/mc_explore" --scenario "$scenario" \
         --budget-seconds 60 --counterexample none --expect-violation
   done
 }

@@ -153,7 +153,9 @@ size_t ScatterNode::RecoverFromDisk() {
     initial.id = gid;  // Recover restores the real state.
     auto sm = std::make_unique<GroupStateMachine>(this, std::move(initial));
     paxos::RecoveredState recovered;
-    if (!paxos::GroupJournal::Recover(*disk_, gid, sm.get(), &recovered)) {
+    if (!paxos::GroupJournal::Recover(
+            *disk_, gid, sm.get(), &recovered,
+            cfg_.paxos.bug_replay_first_batch_entry_only)) {
       // No usable checkpoint (a joiner that crashed pre-install, or a
       // corrupt snapshot): this group rejoins amnesiac. Drop the remnants
       // so the next restart does not trip over them either.

@@ -27,7 +27,10 @@
 //                     zero full-state transfers, and the group to stay
 //                     writable. Detects bug_skip_wal_replay (the restarted
 //                     replica's commit point falls below its disk's: the
-//                     durability auditor property).
+//                     durability auditor property), and, as
+//                     crash_disk+first_batch_entry_only,
+//                     bug_replay_first_batch_entry_only (replay keeps one
+//                     entry of each accept record; same property).
 //   crash_amnesia   — same surface, but a restart wipes the disk first.
 //                     The contrast leg: the revived node cannot recover
 //                     locally and re-enters only through a join + bootstrap
@@ -41,7 +44,8 @@
 //                     explorer can hold behind the write: a stale read).
 //
 // "<name>+mutation" variants enable the matching seeded bug flag
-// (src/paxos/config.h, src/txn/group_op_driver.h, src/core/config.h).
+// (src/paxos/config.h, src/txn/group_op_driver.h, src/core/config.h);
+// crash_disk+first_batch_entry_only enables its second one.
 
 #include "src/mc/scenario.h"
 
@@ -185,9 +189,21 @@ McScenario MakeCrashRestartBase() {
   };
   sc.setup = [](McHarness& h) {
     // Durable state worth recovering: committed writes before control
-    // starts.
+    // starts. One follower misses their Accepts and catches up through one
+    // resent batch, so its WAL holds a multi-entry accept record too.
+    const NodeId leader = h.LeaderOf(h.GroupIdAt(0));
+    NodeId lagging = kInvalidNode;
+    for (NodeId id : h.cluster().live_node_ids()) {
+      if (id != leader) {
+        lagging = id;
+        break;
+      }
+    }
+    h.cluster().net().BlockLink(leader, lagging);
     h.ClientPut(h.KeyInGroup(0), "pre1");
     h.ClientPut(h.KeyInGroup(0) + 1, "pre2");
+    h.cluster().RunFor(Millis(20));
+    h.cluster().net().UnblockLink(leader, lagging);
     h.cluster().RunFor(Millis(300));
   };
   sc.on_start = [](McHarness& h) { h.ClientPut(h.KeyInGroup(0), "w"); };
@@ -344,6 +360,9 @@ McScenario MakeScenario(const std::string& name) {
       } else {
         SCATTER_CHECK(false && "scenario has no mutation variant");
       }
+    } else if (mutation == "first_batch_entry_only" && base == "crash_disk") {
+      // crash_disk's second seeded bug, in WAL replay itself.
+      sc.cluster.scatter.paxos.bug_replay_first_batch_entry_only = true;
     } else {
       SCATTER_CHECK(false && "unknown scenario mutation");
     }
@@ -361,6 +380,7 @@ std::vector<std::string> ScenarioNames() {
           "bootstrap_wedge+mutation",
           "crash_disk",
           "crash_disk+mutation",
+          "crash_disk+first_batch_entry_only",
           "crash_amnesia",
           "batched_read",
           "batched_read+mutation"};

@@ -32,14 +32,16 @@ struct Command {
   Kind kind;
 
   // Canonical wire bytes (u16 tag + payload), filled in by EncodeCommand the
-  // first time this object is serialized and reused verbatim on every later
-  // encode — the scatter-gather half of the wire hot path: a command
-  // replicated to N peers (and retransmitted) is byte-encoded once ever.
-  // Sound because commands are immutable once proposed (CommandPtr is
-  // pointer-to-const) and the encoding is canonical, so the bytes can never
-  // go stale. Populated on the ENCODE side only; decoded copies start with
-  // an empty memo so the audit transport's re-encode check still exercises
-  // the real encoder on fresh objects.
+  // first time a frame carrying this object is encoded (the send path only)
+  // and reused verbatim on every later encode — the scatter-gather half of
+  // the wire hot path: a command replicated to N peers (and retransmitted)
+  // is byte-encoded once ever. Sound because commands are immutable once
+  // proposed (CommandPtr is pointer-to-const) and the encoding is
+  // canonical, so the bytes can never go stale. Journal records,
+  // checkpoints and comparisons read a memo but never fill one, so a
+  // follower holds none until it sends as leader. Decoded copies start
+  // with an empty memo so the audit transport's re-encode check still
+  // exercises the real encoder on fresh objects.
   mutable std::shared_ptr<const std::vector<uint8_t>> wire_memo;
 };
 

@@ -68,6 +68,11 @@ struct PaxosConfig {
   // entries the disk held are forgotten, so its commit point falls below
   // what it had made durable.
   bool bug_skip_wal_replay = false;
+  // WAL replay keeps only the first entry of each accept record
+  // (GroupJournal::Recover): the rest of every journaled batch is lost, and
+  // the recovered log stops at the first gap, below the commit point the
+  // disk holds.
+  bool bug_replay_first_batch_entry_only = false;
 };
 
 }  // namespace scatter::paxos

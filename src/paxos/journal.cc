@@ -76,12 +76,10 @@ void GroupJournal::LogPromise(Ballot ballot) {
   Append(JournalRecordType::kPromise, ballot);
 }
 
-void GroupJournal::LogAccept(const LogEntry& entry) {
-  Append(JournalRecordType::kAccept, entry);
-}
-
-void GroupJournal::LogCommit(uint64_t index) {
-  Append(JournalRecordType::kCommit, index);
+void GroupJournal::LogAccept(std::span<const LogEntry> entries,
+                             uint64_t commit_index) {
+  Append(JournalRecordType::kAccept,
+         AcceptRecord<std::span<const LogEntry>>{entries, commit_index});
 }
 
 void GroupJournal::LogTruncateSuffix(uint64_t from) {
@@ -122,7 +120,8 @@ void GroupJournal::WriteCheckpoint(const CheckpointHeader& header,
   disk_->Replace(SnapFileName(group_), scratch_.data(), scratch_.size());
 
   // Rewrite the WAL down to the residual suffix. Promise and commit live in
-  // the checkpoint itself; only entries above the base need re-framing.
+  // the checkpoint itself; only entries above the base need re-framing, one
+  // accept record each, whose commit index never runs past its entry.
   scratch_.clear();
   for (uint64_t i = std::max(header.snap_base_index + 1, log.first_index());
        i <= log.last_index(); ++i) {
@@ -132,7 +131,9 @@ void GroupJournal::WriteCheckpoint(const CheckpointHeader& header,
     }
     const size_t accept = storage::BeginWalRecord(
         static_cast<uint16_t>(JournalRecordType::kAccept), &scratch_);
-    wire::Write(*entry, scratch_);
+    wire::Write(AcceptRecord<std::span<const LogEntry>>{
+                    {entry, 1}, std::min(header.commit_index, entry->index)},
+                scratch_);
     storage::EndWalRecord(accept, &scratch_);
   }
   disk_->Replace(wal_file_, scratch_.data(), scratch_.size());
@@ -145,7 +146,8 @@ bool GroupJournal::HasState(const storage::SimDisk& disk, GroupId group) {
 }
 
 bool GroupJournal::Recover(const storage::SimDisk& disk, GroupId group,
-                           StateMachine* state, RecoveredState* out) {
+                           StateMachine* state, RecoveredState* out,
+                           bool bug_replay_first_batch_entry_only) {
   // A group is recoverable only from its first checkpoint on: the snapshot
   // file anchors the base ballot and config that WAL replay builds on.
   storage::WalRecord snap_record;
@@ -185,21 +187,22 @@ bool GroupJournal::Recover(const storage::SimDisk& disk, GroupId group,
         break;
       }
       case JournalRecordType::kAccept: {
-        LogEntry entry;
-        in(entry);
-        // Records below the base are stale leftovers of a checkpoint that
-        // crashed between snapshot Replace and WAL rewrite.
-        if (in.ok() && entry.index > out->snap_base_index) {
-          entries[entry.index] = std::move(entry);
+        AcceptRecord<std::vector<LogEntry>> accept;
+        in(accept);
+        if (!in.ok()) {
+          break;
         }
-        break;
-      }
-      case JournalRecordType::kCommit: {
-        uint64_t index = 0;
-        in(index);
-        if (in.ok()) {
-          out->commit_index = std::max(out->commit_index, index);
+        if (bug_replay_first_batch_entry_only && accept.entries.size() > 1) {
+          accept.entries.resize(1);  // Seeded bug: the rest are dropped.
         }
+        for (LogEntry& entry : accept.entries) {
+          // Entries below the base are stale leftovers of a checkpoint that
+          // crashed between snapshot Replace and WAL rewrite.
+          if (entry.index > out->snap_base_index) {
+            entries[entry.index] = std::move(entry);
+          }
+        }
+        out->commit_index = std::max(out->commit_index, accept.commit_index);
         break;
       }
       case JournalRecordType::kTruncateSuffix: {
@@ -222,20 +225,11 @@ bool GroupJournal::Recover(const storage::SimDisk& disk, GroupId group,
   for (auto& [index, entry] : entries) {
     out->entries.push_back(std::move(entry));
   }
-
-  // The commit index may not run past what is actually reconstructible:
-  // clamp to the last contiguous entry above the base (commit records can
-  // outlive entries a later TruncateSuffix removed — truncation below the
-  // commit point never happens live, but a torn tail can strand one).
-  uint64_t contiguous = out->snap_base_index;
-  for (const LogEntry& entry : out->entries) {
-    if (entry.index != contiguous + 1) {
-      break;
-    }
-    contiguous = entry.index;
-  }
-  out->commit_index =
-      std::max(out->snap_base_index, std::min(out->commit_index, contiguous));
+  // commit_index stays the highest one journaled: every record that carries
+  // a commit index follows the records of the entries up to it, and
+  // truncation below the commit point never happens live, so the entries up
+  // to it are present whenever replay is correct. The replica clamps to its
+  // contiguous log anyway; the durability auditor holds it to this floor.
   return true;
 }
 

@@ -16,10 +16,19 @@
 // re-applies its state machine without waiting to re-learn the commit
 // point.
 //
+// One accept record per Accept: a follower journals the entries one Accept
+// appended together with the commit index it learned, as one CRC-framed
+// record, and the leader journals each AppendLocal the same way. A commit
+// learned with no new entries (a commit notification, or the leader's own
+// quorum commit) is an accept record with an empty entry list. Encoding a
+// record never fills a command's wire memo (payload_codec.h): a follower
+// stores what it received without a second copy of each command.
+//
 // Group commit: Log* calls only append; nothing is durable until Sync(),
 // which the replica piggybacks on its existing flush scheduler — one fsync
 // covers every append since the previous barrier (the
-// wal.group_commit_batch histogram records how many). Sync() is a no-op
+// wal.group_commit_batch histogram records how many; with one record per
+// Accept, it counts Accepts and commits, not entries). Sync() is a no-op
 // when nothing was appended, so piggyback points are free on idle paths.
 //
 // A checkpoint (WriteCheckpoint) atomically replaces the snapshot file with
@@ -28,15 +37,17 @@
 // new snapshot base are skipped during replay). Its record is the
 // CheckpointHeader followed by the state bytes StateMachine::EncodeState
 // writes from the live state — the bytes a SnapshotMsg carries — and the
-// residual entries are framed straight from the live log, so its cost is
-// the bytes it persists: no copy of the state, no copy of the suffix, and
-// no allocation once the scratch buffer has grown to the checkpoint's size.
+// residual entries are framed straight from the live log, one accept record
+// each, so its cost is the bytes it persists: no copy of the state, no copy
+// of the suffix, and no allocation once the scratch buffer has grown to the
+// checkpoint's size.
 // Recover hands those state bytes back to StateMachine::Restore.
 
 #ifndef SCATTER_SRC_PAXOS_JOURNAL_H_
 #define SCATTER_SRC_PAXOS_JOURNAL_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,14 +64,29 @@ namespace scatter::paxos {
 
 // WAL record types (PROTOCOL.md §6.4). The snapshot file reuses the same
 // framing with its own type. Each payload is one field list
-// (src/wire/fields.h):
+// (src/wire/fields.h). Type 3 (a separate commit record) is retired: commit
+// indexes ride in accept records.
 enum class JournalRecordType : uint16_t {
   kPromise = 1,         // Ballot
-  kAccept = 2,          // LogEntry (index, ballot, command)
-  kCommit = 3,          // u64 index
+  kAccept = 2,          // AcceptRecord: appended entries + commit index
   kTruncateSuffix = 4,  // u64 from
   kCheckpoint = 16,     // CheckpointHeader + state bytes, snapshot file only
 };
+
+// Accept record payload: the entries one Accept (or one AppendLocal)
+// appended, ascending by index and possibly none, then the replica's commit
+// index after it. Written from a span over entries where they already live
+// (std::span<const LogEntry>), read back into a std::vector<LogEntry>.
+template <class Entries>
+struct AcceptRecord {
+  Entries entries;
+  uint64_t commit_index = 0;
+};
+
+template <class IO, class Entries>
+void Fields(AcceptRecord<Entries>& r, IO& io) {
+  io(r.entries, r.commit_index);
+}
 
 // Checkpoint payload: this header — snapshot base (index, ballot, config at
 // its log index), the promise and commit point at checkpoint time — then
@@ -90,7 +116,8 @@ std::vector<GroupId> GroupsOnDisk(const storage::SimDisk& disk);
 
 // Everything a crashed replica gets back from its own disk besides its
 // state machine's state: the checkpoint header with promised/commit_index
-// advanced by WAL replay, plus the log suffix.
+// advanced by WAL replay (commit_index is the highest one journaled), plus
+// the log suffix.
 struct RecoveredState : CheckpointHeader {
   std::vector<LogEntry> entries;  // indexes > snap_base_index, ascending
   uint64_t wal_records = 0;       // records replayed (observability)
@@ -107,8 +134,9 @@ class GroupJournal {
   GroupJournal& operator=(const GroupJournal&) = delete;
 
   void LogPromise(Ballot ballot);
-  void LogAccept(const LogEntry& entry);
-  void LogCommit(uint64_t index);
+  // One accept record: `entries` (ascending, possibly empty) and the commit
+  // index the replica holds after appending them.
+  void LogAccept(std::span<const LogEntry> entries, uint64_t commit_index);
   void LogTruncateSuffix(uint64_t from);
 
   // Truncates the WAL to its clean prefix (RecoveredState::wal_clean_bytes).
@@ -134,8 +162,11 @@ class GroupJournal {
   // checkpoint exists, or its state bytes do not decode (a group is
   // recoverable only from its first checkpoint on; joiners that crashed
   // before their snapshot install simply rejoin amnesiac).
+  // `bug_replay_first_batch_entry_only` is the seeded bug of
+  // PaxosConfig::bug_replay_first_batch_entry_only.
   static bool Recover(const storage::SimDisk& disk, GroupId group,
-                      StateMachine* state, RecoveredState* out);
+                      StateMachine* state, RecoveredState* out,
+                      bool bug_replay_first_batch_entry_only = false);
   // Deletes both files (group torn down or retired).
   static void RemoveFiles(storage::SimDisk* disk, GroupId group);
 

@@ -50,12 +50,14 @@ class CommandRegistry {
   }
 
   // The encode memo caches a command's canonical bytes on the (immutable)
-  // command object the first time it is encoded; later encodes append the
-  // cached bytes with one copy, byte-identical to re-running the encoder.
-  // Decoded copies never carry a memo, so the audit transport's
-  // decode→re-encode stability check always runs the real encoders on
-  // fresh objects.
-  void Encode(const CommandPtr& cmd, wire::Buffer& out) const {
+  // command object the first time a frame carrying it is encoded; later
+  // encodes append the cached bytes with one copy, byte-identical to
+  // re-running the encoder. Only the send path fills it: a follower that
+  // journals what it received keeps no second copy of each command until
+  // it sends them as leader. Decoded copies never carry a memo, so the
+  // audit transport's decode→re-encode stability check always runs the
+  // real encoders on fresh objects.
+  void Encode(const CommandPtr& cmd, wire::Buffer& out, bool fill_memo) const {
     if (cmd == nullptr) {
       out.WriteU16(0);
       return;
@@ -75,9 +77,11 @@ class CommandRegistry {
     const size_t start = out.size();
     out.WriteU16(it->second.tag);
     it->second.codec.encode(*cmd, out);
-    cmd->wire_memo = std::make_shared<const std::vector<uint8_t>>(
-        out.data() + start, out.data() + out.size());
-    ++stats().memo_fills;
+    if (fill_memo) {
+      cmd->wire_memo = std::make_shared<const std::vector<uint8_t>>(
+          out.data() + start, out.data() + out.size());
+      ++stats().memo_fills;
+    }
   }
 
   CommandPtr Decode(wire::Reader& in) const {
@@ -111,8 +115,8 @@ void RegisterCommandCodec(uint16_t tag, std::type_index type,
 
 PayloadEncodeStats GetPayloadEncodeStats() { return stats(); }
 
-void EncodeCommand(const CommandPtr& cmd, wire::Buffer& out) {
-  CommandRegistry::Get().Encode(cmd, out);
+void EncodeCommand(const CommandPtr& cmd, wire::Buffer& out, bool fill_memo) {
+  CommandRegistry::Get().Encode(cmd, out, fill_memo);
 }
 
 CommandPtr DecodeCommand(wire::Reader& in) {

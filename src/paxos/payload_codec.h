@@ -29,11 +29,19 @@ namespace scatter::paxos {
 // Writes u16 tag + payload; the pointer may be null (tag 0). CHECK-fails on
 // a type that was never registered — that is a build wiring bug, not a
 // runtime condition. Decoding an unknown tag fails the Reader.
-void EncodeCommand(const CommandPtr& cmd, wire::Buffer& out);
+//
+// A command's wire memo (command.h), when present, supplies the bytes.
+// `fill_memo` caches them on the command when it has none; only the frame
+// encoder's send path asks for that (wire::Writer::memoize), so a journal
+// append, a checkpoint or a comparison leaves the command as it was.
+void EncodeCommand(const CommandPtr& cmd, wire::Buffer& out,
+                   bool fill_memo = false);
 CommandPtr DecodeCommand(wire::Reader& in);
 
 // Field kind for the command pointer, so field lists can carry one.
-inline void Field(wire::Writer& w, CommandPtr& c) { EncodeCommand(c, w.out()); }
+inline void Field(wire::Writer& w, CommandPtr& c) {
+  EncodeCommand(c, w.out(), w.memoize());
+}
 inline void Field(wire::Reader& r, CommandPtr& c) { c = DecodeCommand(r); }
 
 namespace internal {
@@ -68,9 +76,10 @@ void RegisterCommand(uint16_t tag) {
 
 // Cumulative process-wide encode-memo statistics (benches and tests snapshot
 // before/after and compare deltas). A "fill" runs the real per-type encoder
-// and caches the bytes on the command object; a "hit" appends the cached
-// bytes with one copy. memo_bytes_reused counts the bytes served from memos
-// — each one a byte the per-type encoder did NOT re-produce.
+// on the send path and caches the bytes on the command object; a "hit"
+// appends the cached bytes with one copy. memo_bytes_reused counts the
+// bytes served from memos — each one a byte the per-type encoder did NOT
+// re-produce.
 struct PayloadEncodeStats {
   uint64_t memo_fills = 0;
   uint64_t memo_hits = 0;

@@ -263,21 +263,16 @@ void Replica::RaisePromise(Ballot b) {
   }
 }
 
-void Replica::JournalAccept(const LogEntry& entry) {
+void Replica::JournalAccept(std::span<const LogEntry> entries,
+                            uint64_t commit_index) {
   if (journal_ != nullptr) {
-    journal_->LogAccept(entry);
+    journal_->LogAccept(entries, commit_index);
   }
 }
 
 void Replica::JournalTruncateSuffix(uint64_t from) {
   if (journal_ != nullptr) {
     journal_->LogTruncateSuffix(from);
-  }
-}
-
-void Replica::JournalCommit(uint64_t index) {
-  if (journal_ != nullptr) {
-    journal_->LogCommit(index);
   }
 }
 
@@ -556,8 +551,8 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
       for (const LogEntry& e : m.entries) {
         SCATTER_CHECK(e.index == last_log_index() + 1);
         log_.Set(e.index, e.ballot, e.command);
-        JournalAccept(e);
       }
+      JournalAccept(m.entries, commit_index_);
       RecomputeVotingConfig();
       ack(m.prev_index + m.entries.size());
       return;
@@ -613,7 +608,10 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
     return;
   }
 
-  // Append, skipping entries we already hold at the same ballot.
+  // Append, skipping entries we already hold at the same ballot. Once one
+  // entry is appended every later one extends the log too, so the appended
+  // entries are the batch's suffix from `appended_from`.
+  size_t appended_from = m.entries.size();
   bool mutated = false;
   for (size_t i = skip; i < m.entries.size(); ++i) {
     const LogEntry& e = m.entries[i];
@@ -629,7 +627,7 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
     }
     SCATTER_CHECK(e.index == last_log_index() + 1);
     log_.Set(e.index, e.ballot, e.command);
-    JournalAccept(e);
+    appended_from = std::min(appended_from, i);
     mutated = true;
   }
   if (mutated) {
@@ -638,11 +636,16 @@ void Replica::HandleAccept(const std::shared_ptr<PaxosMessage>& message) {
 
   const uint64_t new_commit =
       std::min<uint64_t>(m.commit_index, last_log_index());
-  if (new_commit > commit_index_) {
+  const bool learned = new_commit > commit_index_;
+  if (appended_from < m.entries.size() || learned) {
+    // One record for the appended entries and the commit point learned;
+    // it rides the next barrier (commit points are re-derivable from the
+    // leader; journaling them only speeds recovery).
+    JournalAccept(std::span<const LogEntry>(m.entries).subspan(appended_from),
+                  std::max(new_commit, commit_index_));
+  }
+  if (learned) {
     stats_.commits_learned += new_commit - commit_index_;
-    // The commit record rides the next barrier (commit points are
-    // re-derivable from the leader; journaling them only speeds recovery).
-    JournalCommit(new_commit);
     commit_index_ = new_commit;
     ApplyCommitted();
   }
@@ -808,7 +811,7 @@ uint64_t Replica::AppendLocal(CommandPtr command) {
   const uint64_t index = last_log_index() + 1;
   const bool is_config = command->kind == Command::Kind::kConfig;
   log_.Set(index, promised_, std::move(command));
-  JournalAccept(*log_.At(index));
+  JournalAccept({log_.At(index), 1}, commit_index_);
   if (is_config) {
     RecomputeVotingConfig();
   }
@@ -1032,7 +1035,7 @@ void Replica::MaybeAdvanceCommit() {
   // contribution already is). Single-node groups hit this barrier as their
   // only one — they never send.
   SyncJournal();
-  JournalCommit(best);
+  JournalAccept({}, best);
   // Mark the quorum-commit moment on each proposal that just committed
   // (proposal_ctx_ is empty while tracing is off).
   for (auto it = proposal_ctx_.upper_bound(commit_index_);
@@ -1413,8 +1416,8 @@ void Replica::Send(NodeId to, std::shared_ptr<PaxosMessage> message) {
   // Group-commit barrier: no outgoing message may reveal a promise, accept,
   // or commit a crash could take back. A no-op when the journal is clean;
   // when dirty, one fsync covers every record since the last barrier —
-  // batched flushes, and commit records from unacknowledged commit
-  // notifications, are what make the batch > 1.
+  // leader appends between flushes, and the commit-only records of
+  // unacknowledged commit notifications, are what make the batch > 1.
   SyncJournal();
   stats_.messages_sent++;
   host_->SendPaxos(to, std::move(message));

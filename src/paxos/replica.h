@@ -31,6 +31,7 @@
 #include <utility>
 #include <memory>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -323,9 +324,8 @@ class Replica {
   // Raises the promise to max(promised_, b); journals only a strict
   // increase. The single mutation point for promised_.
   void RaisePromise(Ballot b);
-  void JournalAccept(const LogEntry& entry);
+  void JournalAccept(std::span<const LogEntry> entries, uint64_t commit_index);
   void JournalTruncateSuffix(uint64_t from);
-  void JournalCommit(uint64_t index);
   // Fsync barrier (no-op without a journal or when it is clean). Called
   // from Send() so no outgoing message can reveal state a crash would lose,
   // and from MaybeAdvanceCommit so our own log is durable before it counts

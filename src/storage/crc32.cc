@@ -1,11 +1,17 @@
 #include "src/storage/crc32.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#define SCATTER_CRC32C_SSE42 1
+#endif
 
 namespace scatter::storage {
 namespace {
 
-constexpr uint32_t kPoly = 0xEDB88320u;  // reflected IEEE 802.3
+constexpr uint32_t kPoly = 0x82F63B78u;  // reflected Castagnoli
 
 // Slicing-by-8 (Kounavis & Berry): kTables[0] is the classic bytewise table,
 // and kTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
@@ -39,7 +45,7 @@ uint32_t LoadLe32(const uint8_t* p) {
 
 }  // namespace
 
-uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
+uint32_t Crc32cTable(const uint8_t* data, size_t size, uint32_t seed) {
   uint32_t c = seed ^ 0xFFFFFFFFu;
   for (; size >= 8; data += 8, size -= 8) {
     const uint32_t lo = LoadLe32(data) ^ c;
@@ -53,6 +59,46 @@ uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
     c = kTables[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+#ifdef SCATTER_CRC32C_SSE42
+
+// The instruction computes the same reflected Castagnoli CRC, without the
+// inversions, eight bytes per step; x86 loads need no alignment.
+__attribute__((target("sse4.2"))) uint32_t Crc32cHardware(const uint8_t* data,
+                                                          size_t size,
+                                                          uint32_t seed) {
+  uint64_t c = seed ^ 0xFFFFFFFFu;
+  for (; size >= 8; data += 8, size -= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, sizeof(word));
+    c = _mm_crc32_u64(c, word);
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  for (; size > 0; ++data, --size) {
+    c32 = _mm_crc32_u8(c32, *data);
+  }
+  return c32 ^ 0xFFFFFFFFu;
+}
+
+bool HaveCrc32cHardware() {
+  static const bool have = __builtin_cpu_supports("sse4.2");
+  return have;
+}
+
+#else
+
+uint32_t Crc32cHardware(const uint8_t* data, size_t size, uint32_t seed) {
+  return Crc32cTable(data, size, seed);
+}
+
+bool HaveCrc32cHardware() { return false; }
+
+#endif
+
+uint32_t Crc32c(const uint8_t* data, size_t size, uint32_t seed) {
+  return HaveCrc32cHardware() ? Crc32cHardware(data, size, seed)
+                              : Crc32cTable(data, size, seed);
 }
 
 }  // namespace scatter::storage

@@ -34,7 +34,7 @@ void EndWalRecord(size_t record, wire::Buffer* out) {
   const size_t crc_start = record + 4;
   out->PatchU32(record,
                 static_cast<uint32_t>(out->size() - (record + kHeaderBytes)));
-  out->WriteU32(Crc32(out->data() + crc_start, out->size() - crc_start));
+  out->WriteU32(Crc32c(out->data() + crc_start, out->size() - crc_start));
 }
 
 WalReadResult ReadWal(const SimDisk& disk, const std::string& file) {
@@ -54,7 +54,7 @@ WalReadResult ReadWal(const SimDisk& disk, const std::string& file) {
       break;  // Truncated mid-record: torn tail.
     }
     const uint8_t* covered = &bytes[pos + 4];
-    const uint32_t crc = Crc32(covered, 4 + len);
+    const uint32_t crc = Crc32c(covered, 4 + len);
     if (crc != ReadLeU32(&bytes[pos + kHeaderBytes + len])) {
       break;  // Corrupt record: everything from here on is untrusted.
     }

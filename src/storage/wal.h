@@ -6,13 +6,14 @@
 // Record layout (all integers little-endian, matching the wire codecs —
 // PROTOCOL.md §6.4):
 //
-//   [u32 payload_len][u16 version][u16 type][payload][u32 crc32]
+//   [u32 payload_len][u16 version][u16 type][payload][u32 crc32c]
 //
-// The CRC covers version + type + payload (everything between the length
-// prefix and the CRC itself), so a flipped length byte and a flipped
-// payload byte are both caught. Payloads are opaque here; the paxos journal
-// (src/paxos/journal.h), the one writer, encodes them with the existing
-// wire codecs — the on-disk format IS the wire format.
+// The CRC-32C (src/storage/crc32.h) covers version + type + payload
+// (everything between the length prefix and the CRC itself), so a flipped
+// length byte and a flipped payload byte are both caught. Payloads are
+// opaque here; the paxos journal (src/paxos/journal.h), the one writer,
+// encodes them with the existing wire codecs — the on-disk format IS the
+// wire format.
 //
 // Reading is prefix-stable: ReadWal scans records from the front and stops
 // cleanly at the first incomplete or CRC-failing record, reporting how many

@@ -60,7 +60,8 @@ void RegisterMessage(sim::MessageType type) {
   RegisterMessageCodec(
       type,
       [](const sim::Message& m, Buffer& out) {
-        Write(static_cast<const T&>(m), out);
+        Writer w(out, /*memoize=*/true);  // the send path
+        w(static_cast<const T&>(m));
       },
       [](Reader& in) -> sim::MessagePtr {
         auto m = MakePooled<T>();

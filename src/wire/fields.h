@@ -25,6 +25,7 @@
 //   Ballot          round, node
 //   Status          code (checked enum), message
 //   std::vector<T>  u32 count + elements (any allocator)
+//   std::span<T>    the same bytes as std::vector; write-only
 //   std::map<K,V>   u32 count + (key, value) pairs in key order
 //   FlatMap<K,V>    the same bytes as std::map
 //   std::optional   bool present + value
@@ -42,6 +43,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -56,10 +58,18 @@ namespace scatter::wire {
 
 // Encoding visitor. Field lists take their object by non-const reference so
 // one list serves both directions; the writer only ever reads it.
+//
+// `memoize` marks the send path (the frame encoder, codec.h): a payload that
+// can cache its own bytes (paxos::Command::wire_memo) may fill that cache,
+// because a sent value is likely sent again. Every other encode (journal
+// records, checkpoints, digests, comparisons) reuses a cache that is
+// already there but never fills one, so a value that is only stored holds
+// no second copy of itself.
 class Writer {
  public:
   static constexpr bool kReading = false;
-  explicit Writer(Buffer& out) : out_(out) {}
+  explicit Writer(Buffer& out, bool memoize = false)
+      : out_(out), memoize_(memoize) {}
 
   template <typename... T>
   void operator()(const T&... fields) {
@@ -67,12 +77,14 @@ class Writer {
   }
 
   Buffer& out() { return out_; }
+  bool memoize() const { return memoize_; }
 
  private:
   Buffer& out_;
+  bool memoize_;
 };
 
-// Appends the encoding of `value` to `out`.
+// Appends the encoding of `value` to `out`, filling no payload memo.
 template <typename T>
 void Write(const T& value, Buffer& out) {
   Writer w(out);
@@ -159,6 +171,15 @@ void Field(Writer& w, std::vector<T, A>& v) {
   w.out().WriteU32(static_cast<uint32_t>(v.size()));
   for (T& e : v) {
     Field(w, e);
+  }
+}
+// A span writes the bytes of the vector it views; it is write-only (a
+// field list that writes from a span reads into a vector).
+template <typename T>
+void Field(Writer& w, std::span<T>& v) {
+  w.out().WriteU32(static_cast<uint32_t>(v.size()));
+  for (T& e : v) {
+    Field(w, const_cast<std::remove_const_t<T>&>(e));
   }
 }
 template <typename T, typename A>

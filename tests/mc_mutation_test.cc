@@ -24,6 +24,12 @@
 //                              from its disk drops the entries WAL replay
 //                              recovered; the durability auditor property
 //                              flags a commit point below the disk's.
+//   crash_disk+first_batch_entry_only
+//                            — bug_replay_first_batch_entry_only: WAL
+//                              replay keeps the first entry of each accept
+//                              record; a follower that journaled a batch
+//                              recovers a log with a gap, and the same
+//                              property flags it.
 //
 // Every hunt runs the explorer's defaults (walk depth 40, walk seed 1) and
 // differs only in its schedule budget, a few times the schedules the walk
@@ -44,12 +50,12 @@ namespace scatter::mc {
 namespace {
 
 // Schedule budgets of the hunts; the clean variants run at the same ones.
-// The walk finds each mutation at schedule 91, 8, 30, 8 and 5.
+// The walk finds each mutation at schedule 91, 8, 30, 8, 5 and 5.
 constexpr uint64_t kStaleBallotBudget = 2000;
 constexpr uint64_t kLostMergeBudget = 500;
 constexpr uint64_t kBootstrapWedgeBudget = 500;
 constexpr uint64_t kBatchedReadBudget = 500;
-constexpr uint64_t kSkippedWalReplayBudget = 500;
+constexpr uint64_t kCrashDiskBudget = 500;
 
 // The explorer's defaults with a schedule budget; tests write no artifacts.
 McOptions HuntOptions(uint64_t max_schedules) {
@@ -113,11 +119,21 @@ TEST(McMutationTest, WalkFindsBootstrapWedge) {
   ExpectDeterministicReplay(stats);
 }
 
+TEST(McMutationTest, WalkFindsReplayThatKeepsOneEntryPerBatch) {
+  const ExploreStats stats = Explore("crash_disk+first_batch_entry_only",
+                                     HuntOptions(kCrashDiskBudget));
+  ASSERT_TRUE(stats.violation_found)
+      << "budget: " << kCrashDiskBudget << " walks";
+  EXPECT_EQ(stats.counterexample.violation.source, "auditor");
+  EXPECT_EQ(stats.counterexample.violation.checker, "durability");
+  ExpectDeterministicReplay(stats);
+}
+
 TEST(McMutationTest, WalkFindsSkippedWalReplay) {
   const ExploreStats stats = Explore("crash_disk+mutation",
-                                     HuntOptions(kSkippedWalReplayBudget));
+                                     HuntOptions(kCrashDiskBudget));
   ASSERT_TRUE(stats.violation_found)
-      << "budget: " << kSkippedWalReplayBudget << " walks";
+      << "budget: " << kCrashDiskBudget << " walks";
   EXPECT_EQ(stats.counterexample.violation.source, "auditor");
   EXPECT_EQ(stats.counterexample.violation.checker, "durability");
   ExpectDeterministicReplay(stats);
@@ -133,7 +149,7 @@ TEST(McMutationTest, CleanVariantsStayClean) {
               {"lost_merge", kLostMergeBudget},
               {"bootstrap_wedge", kBootstrapWedgeBudget},
               {"batched_read", kBatchedReadBudget},
-              {"crash_disk", kSkippedWalReplayBudget}};
+              {"crash_disk", kCrashDiskBudget}};
   for (const auto& leg : legs) {
     const ExploreStats stats = Explore(leg.scenario, HuntOptions(leg.budget));
     EXPECT_EQ(stats.schedules, leg.budget) << leg.scenario;

@@ -2,6 +2,7 @@
 // crashes, partitions, message loss, membership changes, leases, snapshots.
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -113,6 +114,78 @@ TEST(JournalTest, CheckpointResidualSkipsHoles) {
     indexes.push_back(e.index);
   }
   EXPECT_EQ(indexes, (std::vector<uint64_t>{4, 6}));
+}
+
+// One accept record per batch is all or nothing: a WAL cut at every byte
+// offset recovers exactly the records wholly before the cut — never part of
+// the multi-entry batch, never its folded commit index without its entries.
+TEST(JournalTest, TornBatchRecordKeepsExactlyTheRecordsBeforeIt) {
+  testing::RegisterPaxosTestCodecs();
+  storage::SimDisk disk;
+  obs::MetricsRegistry metrics;
+  const GroupId group = 3;
+  GroupJournal journal(&disk, &metrics, /*node=*/1, group);
+  testing::RecordingStateMachine sm;
+  journal.WriteCheckpoint({0, Ballot{}, {1, 2, 3}, 0, Ballot{1, 1}, 0}, sm,
+                          Log());
+  std::vector<LogEntry> entries(7);
+  for (uint64_t i = 1; i <= entries.size(); ++i) {
+    entries[i - 1] = {i, Ballot{1, 1}, std::make_shared<SeqCommand>(10 * i)};
+  }
+  const std::span<const LogEntry> all(entries);
+  // Records: one entry; a five-entry batch with a folded commit; a
+  // commit-only record; the last entry with a later commit.
+  struct Expect {
+    size_t end = 0;  // WAL bytes once the record is appended
+    uint64_t last_index = 0;
+    uint64_t commit_index = 0;
+  };
+  std::vector<Expect> expect = {{0, 0, 0}};
+  auto append = [&](std::span<const LogEntry> batch, uint64_t commit) {
+    journal.LogAccept(batch, commit);
+    std::vector<uint8_t> bytes;
+    EXPECT_TRUE(disk.Read(WalFileName(group), &bytes));
+    expect.push_back({bytes.size(),
+                      batch.empty() ? expect.back().last_index
+                                    : batch.back().index,
+                      commit});
+  };
+  append(all.subspan(0, 1), 0);
+  append(all.subspan(1, 5), 2);
+  append({}, 6);
+  append(all.subspan(6), 7);
+  journal.Sync();
+
+  std::vector<uint8_t> snap;
+  std::vector<uint8_t> wal;
+  ASSERT_TRUE(disk.Read(SnapFileName(group), &snap));
+  ASSERT_TRUE(disk.Read(WalFileName(group), &wal));
+  ASSERT_EQ(wal.size(), expect.back().end);
+  for (size_t cut = 0; cut <= wal.size(); ++cut) {
+    storage::SimDisk torn;
+    torn.Replace(SnapFileName(group), snap.data(), snap.size());
+    torn.Replace(WalFileName(group), wal.data(), cut);
+    size_t kept = 0;
+    while (kept + 1 < expect.size() && expect[kept + 1].end <= cut) {
+      ++kept;
+    }
+    testing::RecordingStateMachine restored;
+    RecoveredState recovered;
+    ASSERT_TRUE(GroupJournal::Recover(torn, group, &restored, &recovered))
+        << "cut " << cut;
+    EXPECT_EQ(recovered.wal_records, kept) << "cut " << cut;
+    EXPECT_EQ(recovered.wal_clean_bytes, expect[kept].end) << "cut " << cut;
+    EXPECT_EQ(recovered.wal_torn, cut != expect[kept].end) << "cut " << cut;
+    EXPECT_EQ(recovered.commit_index, expect[kept].commit_index)
+        << "cut " << cut;
+    ASSERT_EQ(recovered.entries.size(), expect[kept].last_index)
+        << "cut " << cut;
+    for (size_t i = 0; i < recovered.entries.size(); ++i) {
+      EXPECT_EQ(DigestLogEntry(recovered.entries[i]),
+                DigestLogEntry(entries[i]))
+          << "cut " << cut << " entry " << i + 1;
+    }
+  }
 }
 
 // A checkpoint record is the header, then the state bytes to its end.

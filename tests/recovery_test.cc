@@ -8,11 +8,17 @@
 //     is bit-identical (event-for-event) with the journal on or off;
 //   - group commit batches fsyncs (fsyncs strictly below appends);
 //   - a wiped disk degrades to the amnesiac rejoin path;
+//   - a follower journals each Accept as one record (entries plus the
+//     commit index it learned) and recovers exactly what it journaled,
+//     with no wire memo on the commands it only received;
 //   - the durability invariant checker catches post-recovery rewrites of
 //     journaled state.
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +26,10 @@
 #include "src/analysis/invariant_auditor.h"
 #include "src/common/hash.h"
 #include "src/core/cluster.h"
+#include "src/paxos/journal.h"
+#include "src/paxos/payload_codec.h"
 #include "src/paxos/replica.h"
+#include "src/storage/wal.h"
 
 namespace scatter::core {
 namespace {
@@ -91,6 +100,59 @@ uint64_t NodeCounterTotal(Cluster& c, const std::string& name, NodeId node) {
         }
       });
   return total;
+}
+
+// Puts `count` keys with every request in flight at once, so leaders batch
+// several proposals into one Accept.
+void PipelinedPuts(Cluster& c, Client* client, const std::string& prefix,
+                   int count) {
+  int completed = 0;
+  for (int i = 0; i < count; ++i) {
+    client->Put(KeyFromString(prefix + std::to_string(i)), "v",
+                [&completed](Status s) {
+                  ASSERT_TRUE(s.ok());
+                  ++completed;
+                });
+  }
+  const TimeMicros deadline = c.sim().now() + Seconds(30);
+  while (completed < count && c.sim().now() < deadline) {
+    c.sim().RunFor(Millis(5));
+  }
+  ASSERT_EQ(completed, count);
+}
+
+// A follower replica of some group (node, group) that never campaigned, so
+// it never led; {kInvalidNode, kInvalidGroup} when there is none.
+std::pair<NodeId, GroupId> PickNeverLedFollower(Cluster& c) {
+  std::map<std::pair<NodeId, GroupId>, uint64_t> campaigns;
+  c.sim().metrics().ForEachCounter(
+      "paxos.elections_started",
+      [&](NodeId n, GroupId g, const Counter& counter) {
+        campaigns[{n, g}] += counter.value;
+      });
+  for (NodeId id : c.live_node_ids()) {
+    for (const auto* sm : c.node(id)->ServingGroups()) {
+      const paxos::Replica* replica = c.node(id)->GroupReplica(sm->id());
+      if (replica != nullptr && !replica->is_leader() &&
+          campaigns[{id, sm->id()}] == 0) {
+        return {id, sm->id()};
+      }
+    }
+  }
+  return {kInvalidNode, kInvalidGroup};
+}
+
+// Digests of every entry of `log` above `base`, by index.
+std::map<uint64_t, uint64_t> EntryDigests(const paxos::Log& log,
+                                          uint64_t base) {
+  std::map<uint64_t, uint64_t> out;
+  for (uint64_t i = std::max(base + 1, log.first_index());
+       i <= log.last_index(); ++i) {
+    if (const paxos::LogEntry* e = log.At(i); e != nullptr) {
+      out[i] = paxos::DigestLogEntry(*e);
+    }
+  }
+  return out;
 }
 
 uint64_t CounterTotal(Cluster& c, const std::string& name) {
@@ -232,6 +294,108 @@ TEST(RecoveryTest, PersistenceIsBehaviorNeutralAbsentCrashes) {
   EXPECT_EQ(events[0], events[1])
       << "journaling changed the event schedule of a crash-free run";
   EXPECT_EQ(reads[0], reads[1]);
+}
+
+// A follower journals each Accept as one record: the entries it appended
+// plus the commit index it learned. Restarted from its disk, it recovers
+// the same entries and a commit floor no lower than the highest commit
+// index its durable records carry.
+TEST(RecoveryTest, FollowerRecoversBatchRecordsWithFoldedCommit) {
+  Cluster c(PersistedConfig(41));
+  c.RunFor(Seconds(3));
+  Client* client = c.AddClient();
+  PipelinedPuts(c, client, "fk", 40);
+  c.RunFor(Seconds(1));
+
+  const auto [victim, group] = PickNeverLedFollower(c);
+  ASSERT_NE(victim, kInvalidNode);
+  const paxos::Replica* before = c.node(victim)->GroupReplica(group);
+  const paxos::Log log_before = before->log();
+  c.CrashNode(victim);
+
+  // What survived the crash: the checkpoint's commit point, then every
+  // accept record in the durable WAL.
+  const storage::SimDisk& disk = *c.disk(victim);
+  storage::WalRecord snap;
+  ASSERT_TRUE(storage::ReadSnapshotFile(disk, paxos::SnapFileName(group),
+                                        &snap));
+  paxos::CheckpointHeader header;
+  wire::Reader snap_in(snap.payload.data(), snap.payload.size());
+  snap_in(header);
+  ASSERT_TRUE(snap_in.ok());
+  uint64_t journaled_commit = header.commit_index;
+  size_t folded_batches = 0;
+  for (const storage::WalRecord& record :
+       storage::ReadWal(disk, paxos::WalFileName(group)).records) {
+    if (record.type !=
+        static_cast<uint16_t>(paxos::JournalRecordType::kAccept)) {
+      continue;
+    }
+    paxos::AcceptRecord<std::vector<paxos::LogEntry>> accept;
+    wire::Reader in(record.payload.data(), record.payload.size());
+    in(accept);
+    ASSERT_TRUE(in.ok());
+    journaled_commit = std::max(journaled_commit, accept.commit_index);
+    if (accept.entries.size() > 1 && accept.commit_index > 0) {
+      ++folded_batches;
+    }
+  }
+  EXPECT_GT(folded_batches, 0u)
+      << "pipelined puts must leave multi-entry records with a commit index";
+
+  ASSERT_GT(c.RestartNode(victim), 0u);
+  const paxos::Replica* after = c.node(victim)->GroupReplica(group);
+  ASSERT_NE(after, nullptr);
+  EXPECT_GE(after->recovery_floor().commit_index, journaled_commit);
+  EXPECT_GE(after->commit_index(), journaled_commit);
+  // Every entry an acknowledged Accept appended was synced before the ack,
+  // so the rebuilt log holds exactly the pre-crash entries above the base.
+  const uint64_t base = after->log().first_index() - 1;
+  EXPECT_EQ(EntryDigests(after->log(), base), EntryDigests(log_before, base));
+}
+
+// On the serializing transport a follower holds decoded copies of the
+// commands it accepts. Journaling them fills no wire memo (only sending
+// does), and a follower that never led recovers those entries from its
+// disk all the same.
+TEST(RecoveryTest, NeverLedFollowerJournalsAndRecoversWithoutWireMemos) {
+  ClusterConfig cfg = PersistedConfig(42);
+  cfg.transport = sim::TransportKind::kSerializing;
+  Cluster c(cfg);
+  c.RunFor(Seconds(3));
+  Client* client = c.AddClient();
+  PipelinedPuts(c, client, "mk", 40);
+  c.RunFor(Seconds(1));
+
+  const auto [victim, group] = PickNeverLedFollower(c);
+  ASSERT_NE(victim, kInvalidNode);
+  const paxos::Replica* before = c.node(victim)->GroupReplica(group);
+  const paxos::Log& log = before->log();
+  size_t app_commands = 0;
+  for (uint64_t i = log.first_index(); i <= log.last_index(); ++i) {
+    const paxos::LogEntry* e = log.At(i);
+    ASSERT_NE(e, nullptr);
+    ASSERT_NE(e->command, nullptr);
+    EXPECT_EQ(e->command->wire_memo, nullptr) << "slot " << i;
+    app_commands += e->command->kind == paxos::Command::Kind::kApp ? 1 : 0;
+  }
+  ASSERT_GT(app_commands, 0u);
+  const std::map<uint64_t, uint64_t> digests = EntryDigests(log, 0);
+
+  c.CrashNode(victim);
+  ASSERT_GT(c.RestartNode(victim), 0u);
+  const paxos::Replica* after = c.node(victim)->GroupReplica(group);
+  ASSERT_NE(after, nullptr);
+  ASSERT_TRUE(after->recovery_floor().recovered);
+  const uint64_t base = after->log().first_index() - 1;
+  std::map<uint64_t, uint64_t> expected;
+  for (const auto& [index, digest] : digests) {
+    if (index > base) {
+      expected[index] = digest;
+    }
+  }
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(EntryDigests(after->log(), base), expected);
 }
 
 // The durability checker (analysis layer) must catch a replica whose

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,18 +69,18 @@ std::vector<size_t> AppendTestRecords(SimDisk* disk) {
   return ends;
 }
 
-// --- CRC-32 ------------------------------------------------------------------
+// --- CRC-32C -----------------------------------------------------------------
 
-// The textbook bytewise CRC-32 (reflected 0xEDB88320, one table lookup per
-// byte): the reference the sliced implementation must reproduce exactly,
-// since every WAL record and snapshot file on disk carries its output.
-uint32_t BytewiseCrc32(const uint8_t* data, size_t size, uint32_t seed) {
+// The textbook bytewise CRC-32C (reflected 0x82F63B78, one table lookup per
+// byte): the reference both implementations must reproduce exactly, since
+// every WAL record and snapshot file on disk carries their output.
+uint32_t BytewiseCrc32c(const uint8_t* data, size_t size, uint32_t seed) {
   static const std::vector<uint32_t> table = [] {
     std::vector<uint32_t> t(256);
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+        c = (c & 1) ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
       }
       t[i] = c;
     }
@@ -92,12 +93,48 @@ uint32_t BytewiseCrc32(const uint8_t* data, size_t size, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
+using CrcFn = uint32_t (*)(const uint8_t*, size_t, uint32_t);
+
+// Crc32c itself, the table path, and the SSE4.2 path where the CPU has it.
+std::vector<std::pair<std::string, CrcFn>> CrcImplementations() {
+  std::vector<std::pair<std::string, CrcFn>> impls = {
+      {"Crc32c", &Crc32c}, {"Crc32cTable", &Crc32cTable}};
+  if (HaveCrc32cHardware()) {
+    impls.emplace_back("Crc32cHardware", &Crc32cHardware);
+  }
+  return impls;
+}
+
 TEST(Crc32Test, StandardCheckValue) {
+  // The check value, then RFC 3720 appendix B.4: 32 zero bytes, 32 0xFF
+  // bytes, 0..31 ascending and descending, and an iSCSI read command PDU.
+  std::vector<std::pair<std::vector<uint8_t>, uint32_t>> vectors;
   const std::string check = "123456789";
-  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()),
-                  check.size()),
-            0xCBF43926u);
-  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  vectors.emplace_back(std::vector<uint8_t>(check.begin(), check.end()),
+                       0xE3069283u);
+  vectors.emplace_back(std::vector<uint8_t>(32, 0x00), 0x8A9136AAu);
+  vectors.emplace_back(std::vector<uint8_t>(32, 0xFF), 0x62A8AB43u);
+  std::vector<uint8_t> up(32);
+  std::vector<uint8_t> down(32);
+  for (uint8_t i = 0; i < 32; ++i) {
+    up[i] = i;
+    down[i] = static_cast<uint8_t>(31 - i);
+  }
+  vectors.emplace_back(up, 0x46DD794Eu);
+  vectors.emplace_back(down, 0x113FDB5Cu);
+  vectors.emplace_back(
+      std::vector<uint8_t>{0x01, 0xC0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                           0, 0, 0, 0, 0x14, 0, 0, 0, 0, 0, 0x04, 0,
+                           0, 0, 0, 0x14, 0, 0, 0, 0x18, 0x28, 0, 0, 0,
+                           0, 0, 0, 0, 0x02, 0, 0, 0, 0, 0, 0, 0},
+      0xD9963A56u);
+  for (const auto& [name, crc] : CrcImplementations()) {
+    for (const auto& [bytes, want] : vectors) {
+      EXPECT_EQ(crc(bytes.data(), bytes.size(), 0), want)
+          << name << " over " << bytes.size() << " bytes";
+    }
+    EXPECT_EQ(crc(nullptr, 0, 0), 0u) << name;
+  }
 }
 
 TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
@@ -106,11 +143,13 @@ TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
   for (uint8_t& b : bytes) {
     b = static_cast<uint8_t>(rng.Below(256));
   }
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 4096; ++len) {
-      const uint8_t* data = bytes.data() + offset;
-      ASSERT_EQ(Crc32(data, len), BytewiseCrc32(data, len, 0))
-          << "offset " << offset << " length " << len;
+  for (const auto& [name, crc] : CrcImplementations()) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 4096; ++len) {
+        const uint8_t* data = bytes.data() + offset;
+        ASSERT_EQ(crc(data, len, 0), BytewiseCrc32c(data, len, 0))
+            << name << " offset " << offset << " length " << len;
+      }
     }
   }
 }
@@ -121,20 +160,23 @@ TEST(Crc32Test, ChainedSeedsEqualOneStream) {
   for (uint8_t& b : bytes) {
     b = static_cast<uint8_t>(rng.Below(256));
   }
-  const uint32_t whole = Crc32(bytes.data(), bytes.size());
-  ASSERT_EQ(whole, BytewiseCrc32(bytes.data(), bytes.size(), 0));
-  for (int trial = 0; trial < 200; ++trial) {
-    // Checksum the buffer as three discontiguous spans of random length.
-    const size_t a = rng.Below(bytes.size() + 1);
-    const size_t b = a + rng.Below(bytes.size() - a + 1);
-    uint32_t crc = Crc32(bytes.data(), a);
-    crc = Crc32(bytes.data() + a, b - a, crc);
-    crc = Crc32(bytes.data() + b, bytes.size() - b, crc);
-    ASSERT_EQ(crc, whole) << "split at " << a << ", " << b;
-    // An arbitrary seed carries through the same way as the reference.
-    const uint32_t seed = static_cast<uint32_t>(rng.Next());
-    ASSERT_EQ(Crc32(bytes.data() + a, b - a, seed),
-              BytewiseCrc32(bytes.data() + a, b - a, seed));
+  const uint32_t whole = BytewiseCrc32c(bytes.data(), bytes.size(), 0);
+  for (const auto& [name, crc] : CrcImplementations()) {
+    ASSERT_EQ(crc(bytes.data(), bytes.size(), 0), whole) << name;
+    for (int trial = 0; trial < 200; ++trial) {
+      // Checksum the buffer as three discontiguous spans of random length.
+      const size_t a = rng.Below(bytes.size() + 1);
+      const size_t b = a + rng.Below(bytes.size() - a + 1);
+      uint32_t c = crc(bytes.data(), a, 0);
+      c = crc(bytes.data() + a, b - a, c);
+      c = crc(bytes.data() + b, bytes.size() - b, c);
+      ASSERT_EQ(c, whole) << name << " split at " << a << ", " << b;
+      // An arbitrary seed carries through the same way as the reference.
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(crc(bytes.data() + a, b - a, seed),
+                BytewiseCrc32c(bytes.data() + a, b - a, seed))
+          << name;
+    }
   }
 }
 

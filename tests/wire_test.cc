@@ -11,6 +11,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -1080,17 +1081,26 @@ TEST_F(WireTest, CommandEncodeMemoReusesBytesOnFanOut) {
   ASSERT_EQ(shared->wire_memo, nullptr);
 
   const paxos::PayloadEncodeStats before = paxos::GetPayloadEncodeStats();
+  // Off the send path (a journal record, a checkpoint, a comparison) the
+  // encode leaves no memo behind.
+  Buffer stored;
+  paxos::EncodeCommand(shared, stored);
+  EXPECT_EQ(shared->wire_memo, nullptr);
+  EXPECT_EQ(paxos::GetPayloadEncodeStats().memo_fills, before.memo_fills);
+
+  // The send path fills it once.
   Buffer first;
-  paxos::EncodeCommand(shared, first);
+  paxos::EncodeCommand(shared, first, /*fill_memo=*/true);
   ASSERT_NE(shared->wire_memo, nullptr);
   EXPECT_EQ(shared->wire_memo->size(), first.size());
+  EXPECT_EQ(first.bytes(), stored.bytes());
 
   // Fan-out: five more encodes of the same object, as ReplicateTo does when
   // replicating one entry to five peers. All served from the memo, all
   // byte-identical.
   for (int peer = 0; peer < 5; ++peer) {
     Buffer again;
-    paxos::EncodeCommand(shared, again);
+    paxos::EncodeCommand(shared, again, /*fill_memo=*/true);
     EXPECT_EQ(again.bytes(), first.bytes());
   }
   const paxos::PayloadEncodeStats after = paxos::GetPayloadEncodeStats();
@@ -1109,6 +1119,39 @@ TEST_F(WireTest, CommandEncodeMemoReusesBytesOnFanOut) {
   Buffer re;
   paxos::EncodeCommand(decoded, re);
   EXPECT_EQ(re.bytes(), first.bytes());
+}
+
+// Only the send path memoizes: journal records and checkpoints of a
+// command leave it without a memo, and the first frame that carries it
+// fills one with the same bytes.
+TEST_F(WireTest, OnlyFrameEncodingFillsTheMemo) {
+  const paxos::CommandPtr cmd =
+      std::make_shared<membership::PutCommand>(9, "journal-me");
+  const paxos::LogEntry entry{1, Ballot{1, 1}, cmd};
+  storage::SimDisk disk;
+  obs::MetricsRegistry metrics;
+  paxos::GroupJournal journal(&disk, &metrics, /*node=*/1, /*group=*/4);
+  NullGroupListener listener;
+  membership::GroupState initial;
+  initial.id = 4;
+  const membership::GroupStateMachine sm(&listener, std::move(initial));
+  paxos::Log log;
+  log.Set(entry.index, entry.ballot, entry.command);
+  journal.WriteCheckpoint({0, Ballot{}, {1, 2, 3}, 0, Ballot{1, 1}, 0}, sm,
+                          log);
+  journal.LogAccept({&entry, 1}, 0);
+  Buffer stored;
+  wire::Write(entry, stored);
+  EXPECT_EQ(cmd->wire_memo, nullptr);
+
+  paxos::AcceptMsg accept(4);
+  accept.entries.push_back(entry);
+  Buffer frame;
+  EncodeFrame(accept, frame);
+  ASSERT_NE(cmd->wire_memo, nullptr);
+  Buffer memoized;
+  wire::Write(entry, memoized);
+  EXPECT_EQ(memoized.bytes(), stored.bytes());
 }
 
 TEST_F(WireTest, GarbagePayloadNeverCrashes) {
@@ -1244,10 +1287,13 @@ TEST_F(WireTest, PayloadBytesArePinned) {
 
 TEST_F(WireTest, JournalBytesArePinned) {
   // A scripted journal writes every record type: checkpoint, promise,
-  // accept, commit and truncate, then a second checkpoint that rewrites the
-  // WAL down to a residual suffix. The two snapshot-file digests were
-  // re-pinned when a checkpoint's state lost its snapshot tag (PROTOCOL.md
-  // §6.2); the WAL digests never moved.
+  // accept records (batches of entries, one with a folded commit index) and
+  // truncate, then a second checkpoint that rewrites the WAL down to a
+  // residual suffix, and a commit-only accept record. The two snapshot-file
+  // digests were re-pinned when a checkpoint's state lost its snapshot tag
+  // (PROTOCOL.md §6.2), and all four when records moved to CRC-32C and one
+  // accept record per batch replaced per-entry accept and commit records
+  // (§6.4).
   storage::SimDisk disk;
   obs::MetricsRegistry metrics;
   const GroupId group = 7;
@@ -1262,17 +1308,20 @@ TEST_F(WireTest, JournalBytesArePinned) {
   ASSERT_TRUE(sm.Restore(state.data(), state.size()));
   journal.WriteCheckpoint({0, Ballot{}, {1, 2, 3}, 0, Ballot{1, 1}, 0}, sm, log);
   journal.LogPromise(Ballot{2, 3});
+  std::vector<paxos::LogEntry> entries;
   for (uint64_t i = 1; i <= 11; ++i) {
-    paxos::LogEntry e;
+    paxos::LogEntry& e = entries.emplace_back();
     e.index = i;
     e.ballot = Ballot{2, 3};
     e.command = RandCommand(rng, i);
-    journal.LogAccept(e);
     if (i < 9) {  // the live log holds what survives the truncation below
       log.Set(i, e.ballot, e.command);
     }
   }
-  journal.LogCommit(5);
+  const std::span<const paxos::LogEntry> all(entries);
+  journal.LogAccept(all.subspan(0, 4), 0);
+  journal.LogAccept(all.subspan(4, 4), 5);
+  journal.LogAccept(all.subspan(8), 5);
   journal.LogTruncateSuffix(9);
   journal.Sync();
 
@@ -1290,7 +1339,7 @@ TEST_F(WireTest, JournalBytesArePinned) {
   ASSERT_TRUE(sm.Restore(state.data(), state.size()));
   journal.WriteCheckpoint({4, Ballot{2, 3}, {1, 2, 3, 4}, 3, Ballot{2, 3}, 5},
                           sm, log);
-  journal.LogCommit(8);
+  journal.LogAccept({}, 8);
   journal.Sync();
   got.push_back(file_digest(paxos::SnapFileName(group)));
   got.push_back(file_digest(paxos::WalFileName(group)));
@@ -1308,10 +1357,10 @@ TEST_F(WireTest, JournalBytesArePinned) {
   EXPECT_EQ(restored_state.bytes(), state);
 
   const std::vector<uint64_t> expected = {
-      0xca3f213d11985670ull,
-      0x8f3f5c0b4c580c45ull,
-      0x21335080d9c30c21ull,
-      0xd7f4d8b87df2869dull,
+      0x85f2622b99f1914dull,
+      0x5ee2a2e439048d04ull,
+      0xe64de4b2367bb1e2ull,
+      0x95ca1e1cda053a71ull,
   };
   EXPECT_EQ(got, expected);
 }
